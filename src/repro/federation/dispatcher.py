@@ -123,6 +123,10 @@ class FederationDispatcher:
         self._intents: Dict[str, Intent] = {}
         self._intent_seq = itertools.count(1)
         self._quotas: Dict[str, int] = {}
+        #: GPUs held per tenant by non-terminal intents.
+        self._quota_used: Dict[str, int] = {}
+        #: Ids of QUEUED intents: what the reconcile loop re-kicks.
+        self._queued: set = set()
         #: GPUs committed per cell by non-terminal intents; dispatch
         #: accounting, deliberately independent of the cells' own lagging
         #: allocation view.
@@ -200,12 +204,23 @@ class FederationDispatcher:
 
     def register_tenant(self, user: str, gpu_quota: int) -> None:
         self._quotas[user] = gpu_quota
+        self._quota_used.setdefault(user, 0)
         for cell in self.cells.values():
             cell.register_tenant(user)
 
     def quota_usage(self, user: str) -> int:
-        return sum(i.demand for i in self._intents.values()
-                   if i.manifest.user == user and not i.terminal)
+        return self._quota_used.get(user, 0)
+
+    def _set_state(self, intent: Intent, state: str) -> None:
+        """The one place an accepted intent changes state, so the QUEUED
+        set and the tenant's held GPUs cannot drift from it."""
+        intent.state = state
+        if state == INTENT_QUEUED:
+            self._queued.add(intent.intent_id)
+        else:
+            self._queued.discard(intent.intent_id)
+            if intent.terminal:
+                self._quota_used[intent.manifest.user] -= intent.demand
 
     # -- submission --------------------------------------------------------
 
@@ -231,6 +246,8 @@ class FederationDispatcher:
         intent_id = f"fed-{next(self._intent_seq):06d}"
         intent = Intent(intent_id, manifest, preferred_zone, self.env.now)
         self._intents[intent_id] = intent
+        self._set_state(intent, INTENT_QUEUED)
+        self._quota_used[user] += intent.demand
         self.counters["submitted"] += 1
         write = self.intent_log.insert("intents", {
             "_id": intent_id,
@@ -331,7 +348,7 @@ class FederationDispatcher:
             return  # stays QUEUED; the reconcile loop retries
         generation = intent.generation + 1
         intent.generation = generation
-        intent.state = INTENT_DISPATCHING
+        self._set_state(intent, INTENT_DISPATCHING)
         intent.cell = cell.name
         intent.cell_job = None
         self._committed[cell.name] += intent.demand
@@ -359,7 +376,7 @@ class FederationDispatcher:
             # stale, the migration that bumped it already released.
             if intent.generation == generation:
                 self._committed[cell.name] -= intent.demand
-                intent.state = INTENT_QUEUED
+                self._set_state(intent, INTENT_QUEUED)
                 intent.cell = None
                 self._write_intent(
                     intent, f"dispatch-failed:{type(err).__name__}")
@@ -374,7 +391,7 @@ class FederationDispatcher:
             if intent.generation == generation:
                 intent.generation += 1
                 self._committed[cell.name] -= intent.demand
-                intent.state = INTENT_QUEUED
+                self._set_state(intent, INTENT_QUEUED)
                 intent.cell = None
                 self._write_intent(intent, f"dispatch-timeout:{cell.name}")
                 self._log(f"dispatch {intent_id} to {cell.name} timed "
@@ -395,7 +412,7 @@ class FederationDispatcher:
                       f"-> fencing {cell.name}/{cell_job}")
             self._kick_fence(cell.name, cell_job)
             return
-        intent.state = INTENT_DISPATCHED
+        self._set_state(intent, INTENT_DISPATCHED)
         intent.cell_job = cell_job
         self.counters["dispatched"] += 1
         self._write_intent(intent, f"dispatched:{cell.name}:{cell_job}")
@@ -407,9 +424,8 @@ class FederationDispatcher:
         recovered, breakers closed)."""
         while True:
             yield self.env.timeout(self.reconcile_interval_s)
-            for intent_id in sorted(self._intents):
-                if self._intents[intent_id].state == INTENT_QUEUED:
-                    self._kick_dispatch(intent_id)
+            for intent_id in sorted(self._queued):
+                self._kick_dispatch(intent_id)
 
     # -- cell outcomes -----------------------------------------------------
 
@@ -453,14 +469,14 @@ class FederationDispatcher:
         if status == st.FAILED and self._selectable(cell):
             # The job itself failed on a healthy cell: a real failure,
             # not collateral of cell trouble.
-            intent.state = st.FAILED
+            self._set_state(intent, st.FAILED)
             self.counters["failed"] += 1
             self._write_intent(intent, f"failed:{cell_name}")
             self._log(f"failed {intent_id} on {cell_name}/{cell_job}")
             return
         # HALTED (in-cell preemption) or FAILED on an unhealthy cell:
         # the cell job is gone but the intent still owes the user a run.
-        intent.state = INTENT_QUEUED
+        self._set_state(intent, INTENT_QUEUED)
         intent.cell = None
         intent.cell_job = None
         self._write_intent(intent, f"requeued:{status}:{cell_name}")
@@ -469,7 +485,7 @@ class FederationDispatcher:
 
     def _finish_completed(self, intent: Intent, cell_name: str,
                           cell_job: Optional[str]) -> None:
-        intent.state = st.COMPLETED
+        self._set_state(intent, st.COMPLETED)
         self.counters["completed"] += 1
         self._write_intent(intent, f"completed:{cell_name}")
         self._log(f"completed {intent.intent_id} on "
@@ -528,7 +544,7 @@ class FederationDispatcher:
             # Invalidate the old generation FIRST: any outcome the old
             # cell reports from here on arrives stale.
             intent.generation += 1
-            intent.state = INTENT_QUEUED
+            self._set_state(intent, INTENT_QUEUED)
             intent.cell = None
             intent.cell_job = None
             intent.migrations += 1

@@ -95,12 +95,10 @@ class WorkloadControllers:
     # -- reconciliation -----------------------------------------------------------
 
     def _find_owner(self, owner_uid: str):
-        for obj in (self.api.list_replicasets() +
-                    self.api.list_statefulsets() +
-                    self.api._list("deployments") +
-                    self.api._list("jobs")):
-            if obj.meta.uid == owner_uid:
-                return obj
+        for kind in ("replicasets", "statefulsets", "deployments", "jobs"):
+            for obj in self.api._stores[kind].values():
+                if obj.meta.uid == owner_uid:
+                    return obj
         return None
 
     def _schedule_reconcile(self, owner) -> None:

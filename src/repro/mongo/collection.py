@@ -54,8 +54,10 @@ class Collection:
     # -- index management -----------------------------------------------------
 
     def create_index(self, field: str, unique: bool = False) -> None:
-        """Declare an index.  Only unique indexes change behaviour here; the
-        simulation does not model index lookup speed."""
+        """Declare an index.  Only unique indexes change behaviour here;
+        they do not speed anything up.  The query plan is fixed: ``_id``
+        equality is a dict lookup, everything else scans in insertion
+        order."""
         if unique and field not in self._unique_indexes:
             for doc in self._documents.values():
                 self._check_unique(field, doc, exclude_id=doc["_id"])
@@ -159,11 +161,13 @@ class Collection:
     def find(self, query: Optional[Dict[str, Any]] = None,
              sort: Optional[list] = None,
              limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        results = [copy.deepcopy(doc)
-                   for doc in self._iter_matches(query or {})]
-        results = sort_documents(results, sort)
-        if limit is not None:
-            results = results[:limit]
+        matched = self._iter_matches(query or {})
+        if sort:
+            results = sort_documents(
+                [copy.deepcopy(doc) for doc in matched], sort)[:limit]
+        else:  # no order to establish: stop at the limit-th match
+            results = [copy.deepcopy(doc)
+                       for doc in itertools.islice(matched, limit)]
         for doc in results:
             self._note_read(doc["_id"], "Collection.find")
         return results
@@ -200,7 +204,19 @@ class Collection:
         return len(self._documents)
 
     def _iter_matches(self, query: Dict[str, Any]):
-        for doc in self._documents.values():
+        """Yield the stored documents satisfying ``query``, in insertion
+        order.  ``_id`` constrained by plain equality names at most one
+        document, and ``_documents`` is keyed by it."""
+        candidates: Iterable[Dict[str, Any]] = self._documents.values()
+        doc_id = query.get("_id", MISSING)
+        if doc_id is not MISSING and not isinstance(doc_id, (dict, list)):
+            try:
+                candidates = [self._documents[doc_id]]
+            except KeyError:
+                candidates = ()
+            except TypeError:
+                pass  # unhashable: may still equal a stored key, so scan
+        for doc in candidates:
             if matches(doc, query):
                 yield doc
 

@@ -176,3 +176,99 @@ def test_close_drains_the_intent_log():
     assert drained.triggered
     assert dispatcher.intent_log.pending == 0
     assert dispatcher.lost_intents() == []
+
+
+def held_gpus(dispatcher, user):
+    """Brute force over every intent ever accepted."""
+    return sum(i.demand for i in dispatcher.intents()
+               if i.manifest.user == user and not i.terminal)
+
+
+def test_quota_usage_tracks_the_brute_force_sum_at_every_step():
+    env, cells, dispatcher = make_federation(quota=10)
+    dispatcher.register_tenant("bob", gpu_quota=4)
+
+    def check():
+        for user in ("alice", "bob", "mallory"):
+            assert dispatcher.quota_usage(user) == held_gpus(dispatcher, user)
+
+    def settle(intent, state, deadline=20000):
+        while intent.state != state and env.now < deadline:
+            env.run(until=env.now + 1.0)
+            check()
+        assert intent.state == state
+
+    check()
+    long_id = submit(env, dispatcher,
+                     make_manifest("long", gpus=4, iterations=4000),
+                     zone="zone-a")
+    check()
+    short_id = submit(env, dispatcher, make_manifest("short"))
+    doomed_id = submit(env, dispatcher,
+                       make_manifest("doomed", gpus=4, iterations=4000),
+                       zone="zone-b")
+    check()
+    assert dispatcher.quota_usage("alice") == 9
+    with pytest.raises(QuotaExceededError):
+        submit(env, dispatcher, make_manifest("over", gpus=2))
+    check()
+    bobs = make_manifest("bobs", gpus=2)
+    bobs.user = "bob"
+    bobs_id = submit(env, dispatcher, bobs)
+    check()
+    # Complete.
+    settle(intent_of(dispatcher, short_id), st.COMPLETED)
+    settle(intent_of(dispatcher, bobs_id), st.COMPLETED)
+    assert dispatcher.quota_usage("alice") == 8
+    assert dispatcher.quota_usage("bob") == 0
+    # Fail: the cell reports FAILED for the current generation.
+    doomed = intent_of(dispatcher, doomed_id)
+    settle(doomed, "DISPATCHED")
+    {c.name: c for c in cells}[doomed.cell].notify(
+        doomed_id, doomed.generation, doomed.cell_job, st.FAILED)
+    settle(doomed, st.FAILED)
+    assert dispatcher.quota_usage("alice") == 4
+    # Migrate: still held while it is QUEUED and re-dispatched.
+    long_intent = intent_of(dispatcher, long_id)
+    assert long_intent.cell == "cell-a"
+    dispatcher.migrate_from("cell-a")
+    check()
+    assert long_intent.state == INTENT_QUEUED
+    assert dispatcher.quota_usage("alice") == 4
+    settle(long_intent, st.COMPLETED)
+    assert long_intent.migrations == 1
+    assert dispatcher.quota_usage("alice") == 0
+
+
+def queued_ids(dispatcher):
+    return [i.intent_id for i in dispatcher.intents()
+            if i.state == INTENT_QUEUED]
+
+
+def test_reconcile_kicks_exactly_the_queued_intents_in_sorted_order():
+    env, cells, dispatcher = make_federation()
+    ids = []
+    for n in range(12):
+        manifest = make_manifest(f"job-{n}", iterations=4000)
+        if n % 3:
+            manifest.gpu_type = "V100"  # no such cell: stays QUEUED
+        ids.append(submit(env, dispatcher, manifest))
+    env.run(until=9.5)
+    queued = queued_ids(dispatcher)
+    assert queued == [i for n, i in enumerate(ids) if n % 3]
+    kicked = []
+    dispatcher._kick_dispatch = kicked.append
+    env.run(until=10.5)  # one reconcile tick, at t=10
+    assert kicked == queued
+    # Migration re-queues a dispatched intent; the next tick includes it.
+    del dispatcher._kick_dispatch
+    dispatcher.migrate_from("cell-a")
+    for cell in cells:
+        cell.begin_blackout()  # nowhere to go: the migrants stay QUEUED
+    env.run(until=19.5)
+    queued = queued_ids(dispatcher)
+    assert set(queued) > {i for n, i in enumerate(ids) if n % 3}
+    dispatcher._kick_dispatch = kicked.append
+    del kicked[:]
+    env.run(until=20.5)
+    assert kicked == queued
