@@ -36,6 +36,7 @@ One dispatcher fronts N cells.  It owns:
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -124,7 +125,7 @@ class FederationDispatcher:
         self._intent_seq = itertools.count(1)
         self._quotas: Dict[str, int] = {}
         #: GPUs held per tenant by non-terminal intents.
-        self._quota_used: Dict[str, int] = {}
+        self._quota_used: Dict[str, int] = defaultdict(int)
         #: Ids of QUEUED intents: what the reconcile loop re-kicks.
         self._queued: set = set()
         #: GPUs committed per cell by non-terminal intents; dispatch
@@ -204,12 +205,18 @@ class FederationDispatcher:
 
     def register_tenant(self, user: str, gpu_quota: int) -> None:
         self._quotas[user] = gpu_quota
-        self._quota_used.setdefault(user, 0)
         for cell in self.cells.values():
             cell.register_tenant(user)
 
     def quota_usage(self, user: str) -> int:
-        return self._quota_used.get(user, 0)
+        return self._quota_used[user]
+
+    def _admit(self, intent: Intent) -> None:
+        """Admit a new (QUEUED) intent: it holds its tenant's GPUs until
+        ``_set_state`` sees it reach a terminal state."""
+        self._intents[intent.intent_id] = intent
+        self._queued.add(intent.intent_id)
+        self._quota_used[intent.manifest.user] += intent.demand
 
     def _set_state(self, intent: Intent, state: str) -> None:
         """The one place an accepted intent changes state, so the QUEUED
@@ -245,9 +252,7 @@ class FederationDispatcher:
                 f"{self._quotas[user]} GPUs exceeded")
         intent_id = f"fed-{next(self._intent_seq):06d}"
         intent = Intent(intent_id, manifest, preferred_zone, self.env.now)
-        self._intents[intent_id] = intent
-        self._set_state(intent, INTENT_QUEUED)
-        self._quota_used[user] += intent.demand
+        self._admit(intent)
         self.counters["submitted"] += 1
         write = self.intent_log.insert("intents", {
             "_id": intent_id,

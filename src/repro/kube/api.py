@@ -154,6 +154,15 @@ class KubeAPI:
     def exists(self, kind: str, name: str) -> bool:
         return name in self._stores[kind]
 
+    def find_by_uid(self, kinds: Iterable[str], uid: str):
+        """The first object with ``uid`` among ``kinds`` (searched in the
+        order given, each in creation order), or None."""
+        for kind in kinds:
+            for obj in self._stores[kind].values():
+                if obj.meta.uid == uid:
+                    return obj
+        return None
+
     def record_event(self, event: KubeEvent) -> None:
         self.event_log.record(event)
 

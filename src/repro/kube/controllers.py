@@ -95,11 +95,9 @@ class WorkloadControllers:
     # -- reconciliation -----------------------------------------------------------
 
     def _find_owner(self, owner_uid: str):
-        for kind in ("replicasets", "statefulsets", "deployments", "jobs"):
-            for obj in self.api._stores[kind].values():
-                if obj.meta.uid == owner_uid:
-                    return obj
-        return None
+        return self.api.find_by_uid(
+            ("replicasets", "statefulsets", "deployments", "jobs"),
+            owner_uid)
 
     def _schedule_reconcile(self, owner) -> None:
         if owner.meta.uid in self._pending_reconciles:

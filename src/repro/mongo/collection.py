@@ -162,12 +162,11 @@ class Collection:
              sort: Optional[list] = None,
              limit: Optional[int] = None) -> List[Dict[str, Any]]:
         matched = self._iter_matches(query or {})
-        if sort:
-            results = sort_documents(
-                [copy.deepcopy(doc) for doc in matched], sort)[:limit]
-        else:  # no order to establish: stop at the limit-th match
-            results = [copy.deepcopy(doc)
-                       for doc in itertools.islice(matched, limit)]
+        if not sort and limit is not None and limit >= 0:
+            # No order to establish: stop at the limit-th match.
+            matched = itertools.islice(matched, limit)
+        results = sort_documents(
+            [copy.deepcopy(doc) for doc in matched], sort)[:limit]
         for doc in results:
             self._note_read(doc["_id"], "Collection.find")
         return results

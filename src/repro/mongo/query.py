@@ -126,11 +126,11 @@ def apply_update(document: Dict[str, Any],
         raise StoreError("cannot mix update operators with replacement")
     if not operator_keys:
         # Whole-document replacement (preserving _id).
-        doc_id = document.get("_id")
+        doc_id = document.get("_id", _MISSING)  # None is a legal _id
         document.clear()
         document.update(update)
-        if doc_id is not None and "_id" not in document:
-            document["_id"] = doc_id
+        if doc_id is not _MISSING:
+            document.setdefault("_id", doc_id)
         return document
     for op, spec in update.items():
         if op == "$set":

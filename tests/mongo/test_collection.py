@@ -122,6 +122,18 @@ def test_unique_index_checked_on_update(coll):
         coll.update_one({"_id": "b"}, {"$set": {"name": "x"}})
 
 
+def test_replacement_update_keeps_a_none_id(coll):
+    coll.insert_one({"_id": None, "k": 1})
+    assert coll.update_one({"_id": None}, {"k": 2}) == 1
+    assert coll.find() == [{"k": 2, "_id": None}]
+
+
+def test_negative_limit_slices_with_or_without_sort(coll):
+    coll.insert_many([{"_id": n, "k": n} for n in range(3)])
+    assert [d["_id"] for d in coll.find(limit=-1)] == [0, 1]
+    assert [d["_id"] for d in coll.find(sort=[("k", -1)], limit=-1)] == [2, 1]
+
+
 def test_distinct(coll):
     coll.insert_many([{"u": "a"}, {"u": "b"}, {"u": "a"}])
     assert sorted(coll.distinct("u")) == ["a", "b"]
@@ -196,7 +208,7 @@ _UPDATES = hs.one_of(
     hs.just({"$inc": {"n.a": 1}}),
     hs.builds(lambda v: {"k": v, "replaced": True}, _SMALL))
 _SORTS = hs.sampled_from([None, [("k", 1)], [("k", -1)]])
-_LIMITS = hs.sampled_from([None, 0, 1, 2])
+_LIMITS = hs.sampled_from([None, -1, 0, 1, 2])  # negative: a plain slice
 _OPS = hs.one_of(
     hs.tuples(hs.just("find"), _QUERIES, _SORTS, _LIMITS),
     hs.tuples(hs.just("find_one"), _QUERIES, _SORTS),
@@ -221,6 +233,9 @@ def _outcome(call, *args):
 @example([{"_id": frozenset({1})}], [("delete_one", {"_id": {1}})])
 @example([{"_id": 1, "k": 0}], [("update_one", {"_id": True, "k": 1},
                                  {"$set": {"k": 2}}, True)])
+@example([{"_id": None}], [("update_one", {"_id": None},
+                            {"k": 0, "replaced": True}, False),
+                           ("find", {}, None, None)])
 def test_query_plan_is_equivalent_to_a_brute_force_scan(docs, ops):
     planned, oracle = Collection("jobs"), ScanCollection("jobs")
     for doc in docs:
