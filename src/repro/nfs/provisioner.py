@@ -100,13 +100,7 @@ class VolumePool:
         """Take a volume from the pool, or fall back to slow provisioning."""
         if self._pool:
             self.pool_hits += 1
-            volume = self._pool.pop()
-
-            def fast():
-                yield self.env.timeout(self.acquire_latency_s)
-                return volume
-
-            return self.env.process(fast(), name="nfs-pool-hit")
+            return self.env.timeout(self.acquire_latency_s, self._pool.pop())
         self.pool_misses += 1
         return self.provisioner.provision()
 

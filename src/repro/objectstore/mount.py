@@ -14,7 +14,7 @@ import random
 from collections import OrderedDict
 from typing import Optional
 
-from repro.errors import ObjectStorageUnavailableError
+from repro.errors import NoSuchObjectError, ObjectStorageUnavailableError
 from repro.objectstore.service import ObjectStorageService
 from repro.resilience import RetryPolicy, retry_call
 from repro.sim.core import Environment, Event
@@ -108,14 +108,15 @@ class BucketMount:
         """
         self.reads += 1
         if self.cache is not None and self.cache.lookup(self.bucket, key):
-            obj = self.service.bucket(self.bucket).get(key)
-            self.bytes_read += obj.size_bytes
-
-            def cached():
-                yield self.env.timeout(self.cached_read_latency_s)
-                return obj
-
-            return self.env.process(cached(), name=f"mount-hit:{key}")
+            try:
+                obj = self.service.bucket(self.bucket).get(key)
+            except NoSuchObjectError:
+                # Deleted behind the cache: drop the stale entry and let
+                # the miss path fail the returned event, as a miss would.
+                self.cache.invalidate(self.bucket, key)
+            else:
+                self.bytes_read += obj.size_bytes
+                return self.env.timeout(self.cached_read_latency_s, obj)
 
         def miss():
             if self.retry is not None:

@@ -99,8 +99,7 @@ class Network:
             return
         latency = self.base_latency_s + self.rng.random() * self.jitter_s
 
-        def deliver():
-            yield self.env.timeout(latency)
+        def deliver(_timeout):
             # Re-check reachability at delivery time (partition may have
             # happened while the message was in flight).
             if self.is_reachable(src, dst):
@@ -108,7 +107,7 @@ class Network:
             else:
                 self.messages_dropped += 1
 
-        self.env.process(deliver(), name=f"net:{src}->{dst}")
+        self.env.timeout(latency).callbacks.append(deliver)
 
     def endpoints(self) -> Set[str]:
         return set(self._handlers)

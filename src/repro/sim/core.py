@@ -247,8 +247,7 @@ class Process(Event):
             # process it targeted no longer exists past this point.
             self.succeed(intr.cause)
         except BaseException as err:  # noqa: BLE001 - propagate via event
-            if self.callbacks or True:
-                self.fail(err)
+            self.fail(err)
         finally:
             self.env._active_process = None
 

@@ -8,6 +8,9 @@ order the kernel happens to pick between same-``(time, priority)``
 events — a modelling bug, not chaos.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.chaos import SCENARIOS, get_scenario
@@ -17,16 +20,29 @@ from repro.chaos.engine import ChaosEngine
 #: Tie-break permutations checked against the FIFO baseline (seed 0).
 PERTURBED_SEEDS = (1, 2, 3)
 
-#: Baseline reports, computed once per scenario for the whole module.
-_BASELINES = {}
+#: (scenario, tiebreak_seed) -> (report, RNG stream positions), computed
+#: once for the whole module.
+_RUNS = {}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run(name, tiebreak_seed):
+    key = (name, tiebreak_seed)
+    if key not in _RUNS:
+        engine = ChaosEngine(get_scenario(name), seed=0,
+                             tiebreak_seed=tiebreak_seed, detect_races=True)
+        report = engine.run()
+        _RUNS[key] = report, {
+            stream: _digest(repr(rng.getstate()))
+            for stream, rng in sorted(engine.rng._streams.items())}
+    return _RUNS[key]
 
 
 def baseline(name):
-    if name not in _BASELINES:
-        _BASELINES[name] = ChaosEngine(
-            get_scenario(name), seed=0, tiebreak_seed=0,
-            detect_races=True).run()
-    return _BASELINES[name]
+    return run(name, 0)[0]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -41,12 +57,42 @@ def test_baseline_run_is_race_free_and_passes(name):
 @pytest.mark.parametrize("tiebreak_seed", PERTURBED_SEEDS)
 def test_perturbed_schedule_reproduces_run(name, tiebreak_seed):
     base = baseline(name)
-    perturbed = ChaosEngine(get_scenario(name), seed=0,
-                            tiebreak_seed=tiebreak_seed,
-                            detect_races=True).run()
+    perturbed = run(name, tiebreak_seed)[0]
     assert perturbed.race_lines == []
     assert perturbed.audit_lines == base.audit_lines
     assert perturbed.end_state() == base.end_state()
+
+
+#: scenario -> (audit log + end state, RNG stream positions) of the FIFO
+#: run, recorded before Raft deliveries and mount-cache hits became
+#: single kernel events.  A kernel-level optimisation may change how
+#: many events carry a run, never what the run does or draws.
+RECORDED = {
+    "etcd-leader-kill": ("89a88d49f94542a0", "2ade05575b3c52ee"),
+    "everything-at-once": ("b8a3da964fd6f365", "5735dce3e9a81b54"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_fifo_run_matches_recorded_witness(name):
+    report, positions = run(name, 0)
+    witness = _digest(json.dumps([report.audit_lines, report.end_state()],
+                                 sort_keys=True))
+    assert (witness, _digest(repr(positions))) == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_perturbed_run_draws_what_the_fifo_run_draws(name):
+    # Raft's own streams are left out: which replica's timer wins a
+    # same-instant tie decides how many messages an election takes, so
+    # their positions already vary with the tie-break seed (and the
+    # audit log, which does not, is the contract).  Every other
+    # component must draw exactly the same numbers.
+    def outside_raft(positions):
+        return {stream: state for stream, state in positions.items()
+                if not stream.startswith("raft")}
+
+    assert outside_raft(run(name, 1)[1]) == outside_raft(run(name, 0)[1])
 
 
 def test_cli_perturb_flag(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import NoSuchObjectError
 from repro.objectstore import BucketMount, MountCache, ObjectStorageService
 from repro.sim import Environment
 
@@ -43,6 +44,32 @@ def test_second_read_hits_cache_and_is_fast():
     assert first == pytest.approx(1.0)
     assert second - first == pytest.approx(0.001)
     assert mount.cache.hits == 1
+
+
+def test_cache_hit_is_one_kernel_event():
+    env, _service, bucket, mount = make_mount(cache_bytes=1e7)
+    bucket.put("f", 1e6)
+    env.run_until_complete(mount.read("f"))
+    env.run()  # settle the miss completely
+    before = env.events_processed
+    hit = mount.read("f")
+    env.run()
+    assert hit.value.key == "f"
+    assert env.events_processed - before == 1
+
+
+def test_hit_on_object_deleted_behind_the_cache_fails_the_event():
+    env, _service, bucket, mount = make_mount(cache_bytes=1e7)
+    bucket.put("f", 1e6)
+    env.run_until_complete(mount.read("f"))
+    assert bucket.delete("f")
+    stale = mount.read("f")  # must not raise out of read()
+    with pytest.raises(NoSuchObjectError):
+        env.run_until_complete(stale)
+    assert mount.reads == 2
+    assert mount.bytes_read == 1e6
+    assert mount.cache.used_bytes == 0
+    assert not mount.cache.lookup("data", "f")
 
 
 def test_cache_evicts_lru():

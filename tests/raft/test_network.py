@@ -100,8 +100,35 @@ def test_message_in_flight_dropped_if_partitioned_mid_flight():
     net.register("b", lambda s, m: got.append(m))
     net.send("a", "b", "x")
     net.cut("a", "b")  # cut before delivery completes
+    assert net.messages_dropped == 0  # still in flight: not yet a drop
     env.run()
     assert got == []
+    assert net.messages_dropped == 1  # counted when delivery was due
+
+
+def test_delivery_is_one_kernel_event():
+    env, net = make_net()
+    net.register("a", lambda s, m: None)
+    net.register("b", lambda s, m: None)
+    net.send("a", "b", "x")
+    env.run()
+    assert env.events_processed == 1
+
+
+def test_handler_exception_surfaces_from_run():
+    # A delivery is a timeout callback, not a process of its own, so a
+    # raising handler stops the run instead of failing an event nobody
+    # waits on.
+    env, net = make_net()
+
+    def broken(src, message):
+        raise ValueError(f"cannot handle {message!r}")
+
+    net.register("a", lambda s, m: None)
+    net.register("b", broken)
+    net.send("a", "b", "x")
+    with pytest.raises(ValueError, match="cannot handle 'x'"):
+        env.run()
 
 
 def test_drop_probability_drops_some():
