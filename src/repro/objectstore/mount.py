@@ -111,9 +111,12 @@ class BucketMount:
             try:
                 obj = self.service.bucket(self.bucket).get(key)
             except NoSuchObjectError:
-                # Deleted behind the cache: drop the stale entry and let
-                # the miss path fail the returned event, as a miss would.
+                # Deleted behind the cache: drop the stale entry, count
+                # the read as the miss it turns out to be, and let the
+                # miss path fail the returned event.
                 self.cache.invalidate(self.bucket, key)
+                self.cache.hits -= 1
+                self.cache.misses += 1
             else:
                 self.bytes_read += obj.size_bytes
                 return self.env.timeout(self.cached_read_latency_s, obj)

@@ -14,12 +14,15 @@ the determinism contract forbids.
 Happens-before is tracked with per-process logical vector clocks:
 
 * each :class:`~repro.sim.core.Process` (plus the synthetic ``main``
-  actor, pid 0, for code running outside any process) owns a clock;
+  actor, pid 0, for code running outside the event loop) owns a clock;
 * triggering an event stamps it with the sender's clock (send edge);
 * a process resuming on an event merges the event's clock (receive
   edge);
-* callbacks running outside any process (condition fan-in, watch
-  fan-out) propagate the clock of the event that invoked them.
+* callbacks running outside any process are one actor per firing
+  event: they carry the event's clock if it was triggered at this
+  instant (condition fan-in, watch fan-out) and a fresh one if it was
+  scheduled earlier (a timeout callback, e.g. a Raft delivery applying
+  etcd writes), as a process woken by that timeout would.
 
 Two same-timestamp accesses to the same ``(store, key)`` by different
 actors conflict when at least one is a write and neither clock is ≤ the
@@ -37,16 +40,11 @@ at *t* (an event scheduled with positive delay fires in the future and
 causality cannot come back).  Scoping bounds each clock to the actors
 active within a single tick, keeping the detector's overhead linear in
 the number of events rather than quadratic in the process count.
-
-Known approximation: accesses made from two *different* event callbacks
-that both run outside any process are attributed to the same ``main``
-actor, so a conflict between them is not reported.  In this codebase
-substrate access happens inside processes; the approximation is
-documented rather than load-bearing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
@@ -56,9 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 READ = "read"
 WRITE = "write"
 
-#: pid of the synthetic actor for code running outside any process.
+#: pid of the synthetic actor for code running outside the event loop.
 MAIN_PID = 0
 MAIN_NAME = "main"
+#: Callbacks run outside any process: one actor (negative pid) per event.
+CALLBACK_NAME = "callback"
 
 
 class VectorClock:
@@ -101,7 +101,7 @@ class Access:
     key: str
     kind: str  # READ or WRITE
     pid: int
-    actor: str  # process name, or "main"
+    actor: str  # process name, "callback", or "main"
     site: str  # code location label, e.g. "EtcdStore.put"
     time: float
     clock: VectorClock
@@ -151,6 +151,9 @@ class RaceDetector:
         self._epoch = 0
         self._epoch_time: Optional[float] = None
         self._current_event: Optional["Event"] = None
+        #: pid of the current event's callbacks, allocated on first use.
+        self._callback_pids = itertools.count(-1, -1)
+        self._callback_pid: Optional[int] = None
         #: (store, key) -> same-timestamp access history.
         self._history: Dict[Tuple[str, str], List[Access]] = {}
         self._seen_pairs: Set[tuple] = set()
@@ -184,35 +187,39 @@ class RaceDetector:
         epoch, clock = event._clock
         return clock if epoch == self._epoch else None
 
-    def _sender_clock(self) -> VectorClock:
-        """The clock of whoever is causing things to happen right now."""
+    def _actor(self) -> Tuple[int, str, VectorClock, bool]:
+        """(pid, name, clock, owns_clock) of whoever is running now."""
         proc = self.env.active_process
         if proc is not None:
-            return self._clock_of(proc.pid)
-        inherited = self._event_clock(self._current_event)
+            return proc.pid, proc.name, self._clock_of(proc.pid), True
+        event = self._current_event
+        if event is None:
+            return MAIN_PID, MAIN_NAME, self._clock_of(MAIN_PID), True
+        if self._callback_pid is None:
+            self._callback_pid = next(self._callback_pids)
+        pid = self._callback_pid
+        inherited = self._event_clock(event)
         if inherited is not None:
-            return inherited
-        return self._clock_of(MAIN_PID)
+            return pid, CALLBACK_NAME, inherited, False
+        # Scheduled at an earlier instant: nothing at this one
+        # happened-before the callback, so it starts a clock of its own.
+        clock = self._clocks.get(pid)
+        if clock is None:
+            clock = self._clocks[pid] = VectorClock({pid: 1})
+        return pid, CALLBACK_NAME, clock, True
 
     def on_send(self, event: "Event") -> None:
         """An event was triggered: stamp it with the sender's clock."""
         self._roll_epoch()
-        proc = self.env.active_process
-        if proc is not None:
-            clock = self._clock_of(proc.pid)
-            clock.tick(proc.pid)
-        else:
-            inherited = self._event_clock(self._current_event)
-            if inherited is not None:
-                clock = inherited
-            else:
-                clock = self._clock_of(MAIN_PID)
-                clock.tick(MAIN_PID)
+        pid, _name, clock, owns_clock = self._actor()
+        if owns_clock:
+            clock.tick(pid)
         event._clock = (self._epoch, clock.copy())
 
     def on_step(self, event: Optional["Event"]) -> None:
         """The kernel is about to run (or just finished) callbacks."""
         self._current_event = event
+        self._callback_pid = None
 
     def on_receive(self, process: "Process", event: "Event") -> None:
         """A process resumes on ``event``: merge its clock (HB edge)."""
@@ -233,14 +240,10 @@ class RaceDetector:
 
     def _record(self, kind: str, store: str, key: str, site: str) -> None:
         self._roll_epoch()
-        proc = self.env.active_process
-        if proc is not None:
-            pid, actor = proc.pid, proc.name
-        else:
-            pid, actor = MAIN_PID, MAIN_NAME
+        pid, actor, clock, _owns_clock = self._actor()
         now = self.env.now
         access = Access(store, key, kind, pid, actor, site, now,
-                        self._sender_clock().copy())
+                        clock.copy())
         bucket = self._history.setdefault((store, key), [])
         if bucket and bucket[0].time != now:
             # Accesses from earlier timestamps can no longer be reordered

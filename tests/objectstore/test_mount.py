@@ -68,6 +68,8 @@ def test_hit_on_object_deleted_behind_the_cache_fails_the_event():
         env.run_until_complete(stale)
     assert mount.reads == 2
     assert mount.bytes_read == 1e6
+    # The stale lookup went to the object store: a miss, not a hit.
+    assert (mount.cache.hits, mount.cache.misses) == (0, 2)
     assert mount.cache.used_bytes == 0
     assert not mount.cache.lookup("data", "f")
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.raft import Network
-from repro.sim import Environment, RngRegistry
+from repro.sim import Environment, RaceDetector, RngRegistry
+from repro.sim.race import note_read, note_write
 
 
 def make_net(drop=0.0):
@@ -129,6 +130,28 @@ def test_handler_exception_surfaces_from_run():
     net.send("a", "b", "x")
     with pytest.raises(ValueError, match="cannot handle 'x'"):
         env.run()
+
+
+def test_handler_store_access_is_visible_to_the_race_detector():
+    # Deliveries run outside any process; the detector must still see a
+    # handler's write as unordered against a same-instant client read.
+    env = Environment()
+    detector = RaceDetector(env)
+    net = Network(env, RngRegistry(0), base_latency_s=0.002, jitter_s=0.0)
+    net.register("a", lambda s, m: None)
+    net.register("b", lambda s, m: note_write(env, "sm", m, "apply"))
+
+    def client():
+        yield env.timeout(0.002)
+        note_read(env, "sm", "k", "client.get")
+
+    env.process(client(), name="client")
+    net.send("a", "b", "k")
+    env.run()
+    assert detector.render() == [
+        "schedule-sensitive conflict on sm['k'] at t=0.002: write by "
+        "'callback' at apply vs read by 'client' at client.get "
+        "(no happens-before edge)"]
 
 
 def test_drop_probability_drops_some():

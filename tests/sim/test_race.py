@@ -117,6 +117,93 @@ def test_duplicate_pairs_reported_once():
     assert len(detector.races) == 1
 
 
+# -- process-less callbacks are actors too --------------------------------------
+
+
+def test_timeout_callback_races_a_process():
+    # A timed action without a process of its own (a Raft delivery
+    # applying an etcd write) must still be seen as a separate actor.
+    env = Environment()
+    detector = RaceDetector(env)
+    store = EtcdStore(env)
+
+    def reader():
+        yield env.timeout(1.0)
+        store.get("leader")
+
+    env.process(reader(), name="reader")
+    env.timeout(1.0).callbacks.append(lambda _t: store.put("leader", "w"))
+    env.run()
+    assert [race.render() for race in detector.races] == [
+        "schedule-sensitive conflict on etcd['leader'] at t=1: "
+        "write by 'callback' at EtcdStore.put vs read by 'reader' "
+        "at EtcdStore.get (no happens-before edge)"]
+
+
+def test_two_timeout_callbacks_race_each_other():
+    env = Environment()
+    detector = RaceDetector(env)
+    store = EtcdStore(env)
+    for value in ("a", "b"):
+        env.timeout(1.0).callbacks.append(
+            lambda _t, value=value: store.put("k", value))
+    env.run()
+    assert len(detector.races) == 1
+    assert detector.races[0].first.pid != detector.races[0].second.pid
+
+
+def test_callbacks_of_one_event_are_one_actor():
+    env = Environment()
+    detector = RaceDetector(env)
+    store = EtcdStore(env)
+    timeout = env.timeout(1.0)
+    # Callbacks of one event run in list order: nothing to reorder.
+    timeout.callbacks.append(lambda _t: store.put("k", "a"))
+    timeout.callbacks.append(lambda _t: store.put("k", "b"))
+    env.run()
+    assert detector.races == []
+
+
+def test_timeout_callback_send_edge_orders_the_woken_process():
+    env = Environment()
+    detector = RaceDetector(env)
+    store = EtcdStore(env)
+    applied = env.event()
+
+    def apply(_timeout):
+        store.put("k", "v")
+        applied.succeed()
+
+    def reader():
+        yield applied
+        assert env.now == 1.0
+        store.get("k")
+
+    env.process(reader(), name="reader")
+    env.timeout(1.0).callbacks.append(apply)
+    env.run()
+    assert detector.races == []
+
+
+def test_same_instant_callback_inherits_its_triggers_clock():
+    env = Environment()
+    detector = RaceDetector(env)
+    store = EtcdStore(env)
+    written = env.event()
+    written.callbacks.append(lambda _e: store.get("k"))
+
+    def writer():
+        yield env.timeout(1.0)
+        store.put("k", "v")
+        written.succeed()
+        yield env.timeout(0)
+        store.put("k", "w")  # after the callback's read, same instant
+
+    env.process(writer(), name="writer")
+    env.run()
+    assert detector.races == []
+
+
 # -- non-races -----------------------------------------------------------------
 
 
