@@ -1,11 +1,11 @@
-"""The three perf scenarios: kernel churn, scheduling sweep, etcd fanout.
+"""The perf scenarios: scheduling sweep (exhaustive and sampled), etcd fanout.
 
 Each function builds a fresh simulation, runs it to completion, and
 returns a dict with three sections:
 
 ``ops``
     The deterministic work counters the optimization targets (watcher
-    visits, predicate evaluations, events processed).  These shrink
+    visits, predicate evaluations).  These shrink
     when the fast paths are on and are what the CI regression check
     compares.
 ``state``
@@ -36,7 +36,6 @@ from repro.kube import (
     ResourceRequest,
 )
 from repro.kube.scheduling.framework import SchedulerConfig
-from repro.perf import profile
 from repro.sim import Environment, RngRegistry
 from repro.sim.core import OBSERVER
 
@@ -44,68 +43,6 @@ from repro.sim.core import OBSERVER
 def _digest(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-# -- kernel churn -----------------------------------------------------------
-
-
-def kernel_churn(processes: int = 50, steps: int = 200,
-                 seed: int = 0) -> dict:
-    """Same-instant burst churn through the timer wheel.
-
-    Every worker sleeps an integer number of ticks, so whole cohorts
-    of timeouts land on the same ``(time, priority)`` instant — the
-    settle-then-drain shape of the federation bus and of kubelet
-    setup storms.  Every fifth step the workers instead park on one
-    shared per-tick barrier event that a driver fires (N waiters on a
-    single callback list: the pooled-callback fan-out path).  The
-    timer wheel collapses each burst into one outer heap push per
-    distinct instant, so ``heap_pushes`` (outer-heap pushes) is the
-    metric the optimization shrinks; ``events_scheduled`` and the
-    profile digest stay mode-independent.
-    """
-    env = Environment()
-    profiler = profile(env)
-    rng = RngRegistry(seed).stream("kernel-churn")
-    barrier = {"event": env.event()}
-    live = {"workers": processes}
-
-    def driver():
-        # Fires one barrier per tick until every worker is done, so no
-        # worker is left parked on a barrier that never triggers.
-        while live["workers"]:
-            yield env.timeout(1.0)
-            current, barrier["event"] = barrier["event"], env.event()
-            current.succeed()
-
-    def worker(index):
-        for step in range(steps):
-            if step % 5 == 4:
-                # Fan-in: every worker parks on the same barrier event.
-                yield barrier["event"]
-            else:
-                yield env.timeout(float(rng.choice((1, 2, 3))))
-        live["workers"] -= 1
-
-    env.process(driver(), name="driver")
-    for index in range(processes):
-        env.process(worker(index), name=f"churn:{index}")
-    env.run()
-    report = profiler.report()
-    return {
-        "params": {"processes": processes, "steps": steps, "seed": seed},
-        "ops": {
-            "metric": "heap_pushes",
-            "heap_pushes": env.heap_pushes,
-            "events_processed": report["events_processed"],
-            "events_scheduled": report["events_scheduled"],
-        },
-        "state": {
-            "now": env.now,
-            "events_scheduled": report["events_scheduled"],
-            "profile_digest": _digest(report),
-        },
-    }
 
 
 # -- scheduling sweep -------------------------------------------------------
@@ -273,9 +210,6 @@ def etcd_fanout(watchers: int = 500, writes: int = 2000,
 
 #: name -> (function, smoke kwargs, full kwargs)
 SCENARIOS = {
-    "kernel": (kernel_churn,
-               {"processes": 10, "steps": 100},
-               {"processes": 50, "steps": 200}),
     "sched": (sched_sweep,
               {"nodes": 100, "pods": 400},
               {"nodes": 1000, "pods": 5000}),

@@ -1,9 +1,10 @@
-"""The kill switch for every kernel fast path.
+"""The kill switch for the etcd and kube fast paths.
 
 ``REPRO_PERF_DISABLE=1`` forces each optimized component back onto its
 straightforward reference implementation: the etcd watch index degrades
-to a linear watcher scan, the scheduler feasibility cache is bypassed,
-and the kernel's callback-list pool is not used.  The two modes are
+to a linear watcher scan and the scheduler feasibility cache is
+bypassed.  The simulation kernel (``repro.sim``) has one event path
+and does not read the flag.  The two modes are
 *observably identical* — same audit logs, same end states, same RNG
 draws — which the equivalence suite (``tests/perf``) asserts; only the
 ops counters (watchers visited, predicates evaluated) differ.

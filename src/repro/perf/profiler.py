@@ -61,7 +61,7 @@ class KernelProfiler:
         self.env = env
         self._base_scheduled = env.events_scheduled
         self._base_processed = env.events_processed
-        self.peak_heap = env._pending
+        self.peak_heap = len(env._queue)
         self.event_types: Dict[str, int] = {}
         self.sites: Dict[str, SiteStats] = {}
         env._profiler = self
@@ -75,11 +75,9 @@ class KernelProfiler:
     def on_schedule(self, event: "Event") -> None:
         kind = type(event).__name__
         self.event_types[kind] = self.event_types.get(kind, 0) + 1
-        # ``_pending`` (incremented just before this hook) counts
-        # scheduled-but-unprocessed events in both queue modes; with
-        # the timer wheel on, ``len(env._queue)`` would count buckets
-        # and the report would no longer be mode-independent.
-        depth = self.env._pending
+        # Called after the push, so the queue already holds ``event``:
+        # its length is the number of scheduled-but-unprocessed events.
+        depth = len(self.env._queue)
         if depth > self.peak_heap:
             self.peak_heap = depth
 

@@ -13,12 +13,12 @@ is modelled.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.perf.flags import optimizations_enabled
 
 #: Sentinel priority classes: urgent events (process resumption) fire before
 #: normal events scheduled at the same timestamp; observer events fire after
@@ -46,12 +46,7 @@ class Event:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        # Callback lists are the kernel's highest-frequency allocation;
-        # recycle processed events' (cleared) lists through a small
-        # per-environment pool instead of allocating fresh ones.
-        pool = env._cb_pool
-        self.callbacks: list[Callable[["Event"], None]] = \
-            pool.pop() if pool else []
+        self.callbacks: list[Callable[["Event"], None]] = []
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
@@ -109,10 +104,18 @@ class Timeout(Event):
                  priority: int = NORMAL):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
+        # Every Event slot, filled directly (a timeout is born triggered
+        # and carries its value): this is the hottest constructor.  Keep
+        # in step with Event.__init__.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._triggered = True
+        self._scheduled = False
+        self._processed = False
+        self._clock = None
+        self.delay = delay
         env._schedule_event(self, priority, delay)
 
 
@@ -270,30 +273,17 @@ class Environment:
     tie-breaking, which is a modelling bug; ``repro.chaos`` uses
     exactly this to assert schedule-independence (see ``--perturb``).
 
-    **Timer wheel (flag-gated fast path).**  Settle-then-drain patterns
-    (the federation bus, barrier rounds, submission bursts) schedule
-    hundreds of events at the *same* ``(time, priority)`` instant, so
-    the main heap degenerates into K pushes of log N for one burst.
-    The optimized queue is a *heap of buckets*: the outer heap holds
-    one entry per distinct ``(time, priority)`` key, and each bucket
-    is an inner heap of ``(seq, event)`` pairs.  A burst of K
-    same-instant events costs one outer push plus K cheap inner pushes
-    over a K-sized bucket.  Ordering is unchanged: the outer heap
-    yields the minimal ``(time, priority)`` and the bucket heap yields
-    its minimal ``seq`` — together exactly the global ``(time,
-    priority, seq)`` order, mixer included (permuted ``seq`` values
-    land in the same bucket and the inner heap sorts them).
-    ``heap_pushes`` counts outer-heap pushes — the BENCH_kernel metric
-    the wheel shrinks; under ``REPRO_PERF_DISABLE`` every event is its
-    own outer entry and ``heap_pushes == events_scheduled``.
+    **One queue.**  The queue is a plain binary heap of ``(time,
+    priority, seq, event)`` tuples: scheduling is one ``heappush``,
+    dispatch one ``heappop``, and :meth:`run`,
+    :meth:`run_until_complete` and :meth:`step` are the same loop.
+    Every scheduled event is either still queued or already fired, so
+    ``events_scheduled == events_processed + len(_queue)`` always.
     """
 
     #: Permuted sequence numbers live in [0, 2**61).
     _SEQ_MODULUS = 2 ** 61
     _SEQ_MASK = _SEQ_MODULUS - 1
-
-    #: Recycled callback lists kept per environment (see Event.__init__).
-    _CB_POOL_CAP = 512
 
     def __init__(self, initial_time: float = 0.0,
                  tiebreak_seed: int = 0):
@@ -314,27 +304,10 @@ class Environment:
         self.race_detector = None
         #: Attached repro.perf.profiler.KernelProfiler, or None.
         self._profiler = None
-        #: Kernel ops counters: always on (two integer increments per
-        #: event), deterministic, and the basis of BENCH_kernel.json.
+        #: Kernel ops counters: always on (one integer increment each
+        #: per event) and deterministic.
         self.events_scheduled = 0
         self.events_processed = 0
-        #: Outer-heap pushes; with the timer wheel on, same-instant
-        #: bursts share one outer entry so this falls below
-        #: ``events_scheduled``.
-        self.heap_pushes = 0
-        #: Scheduled-but-not-yet-processed events.  With the wheel on,
-        #: ``len(_queue)`` counts buckets, so the profiler's peak-heap
-        #: statistic reads this mode-independent counter instead.
-        self._pending = 0
-        #: (time, priority) -> bucket (inner heap of (seq, event));
-        #: None when REPRO_PERF_DISABLE is set (plain one-event-per-
-        #: entry heap).
-        self._buckets: Optional[dict] = \
-            {} if optimizations_enabled() else None
-        #: Callback-list free pool; None when REPRO_PERF_DISABLE is set
-        #: (Event.__init__ then always allocates fresh lists).
-        self._cb_pool: Optional[list] = \
-            [] if optimizations_enabled() else None
         #: label -> substrate; see :meth:`register_shared_store`.
         self.shared_stores: dict[str, object] = {}
 
@@ -345,6 +318,11 @@ class Environment:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
+
+    @property
+    def heap_pushes(self) -> int:
+        """Heap pushes so far: exactly one per scheduled event."""
+        return self.events_scheduled
 
     def register_shared_store(self, name: str, store: object) -> str:
         """Register a shared substrate under a unique label.
@@ -365,15 +343,14 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
 
     def _permute_seq(self, seq: int) -> int:
-        """Seeded bijection on [0, 2**61); identity when the seed is 0.
+        """Seeded bijection on [0, 2**61), for a non-zero seed only
+        (with seed 0 the caller skips the call: the identity).
 
         Every step (xor with a constant, multiplication by an odd
         number, xorshift-right) is invertible modulo 2**61, so distinct
         raw sequence numbers always map to distinct permuted ones and
         the heap order stays total.
         """
-        if self.tiebreak_seed == 0:
-            return seq
         mask = self._SEQ_MASK
         seq = (seq ^ self._seq_salt) & mask
         seq = (seq * 0x9E3779B97F4A7C15) & mask
@@ -393,26 +370,10 @@ class Environment:
             # Send edge: stamp the event with the sender's clock.
             self.race_detector.on_send(event)
         self.events_scheduled += 1
-        self._pending += 1
+        heappush(self._queue, (self._now + delay, priority, seq, event))
         if self._profiler is not None:
+            # After the push: the profiler reads depth off the queue.
             self._profiler.on_schedule(event)
-        when = self._now + delay
-        buckets = self._buckets
-        if buckets is None:
-            self.heap_pushes += 1
-            heapq.heappush(self._queue, (when, priority, seq, event))
-            return
-        key = (when, priority)
-        bucket = buckets.get(key)
-        if bucket is None:
-            # First event at this instant: open the bucket and push one
-            # outer entry carrying it.  Later same-instant arrivals
-            # join the bucket without touching the outer heap.
-            buckets[key] = [(seq, event)]
-            self.heap_pushes += 1
-            heapq.heappush(self._queue, (when, priority, seq, buckets[key]))
-        else:
-            heapq.heappush(bucket, (seq, event))
 
     def event(self) -> Event:
         return Event(self)
@@ -432,39 +393,38 @@ class Environment:
 
     # -- execution ----------------------------------------------------------
 
+    def _dispatch(self, until: float, stop: Optional[Event] = None,
+                  once: bool = False) -> None:
+        """The one event loop: fire queued events in ``(time, priority,
+        seq)`` order while the next one is due by ``until`` and ``stop``
+        (if given) has not triggered; ``once`` returns after one."""
+        queue = self._queue
+        while queue and queue[0][0] <= until \
+                and (stop is None or not stop._triggered):
+            when, _prio, _seq, event = heappop(queue)
+            if when > self._now:
+                self._now = when
+            elif when < self._now - 1e-12:
+                raise SimulationError("time went backwards")
+            event._processed = True
+            # A processed event never receives new callbacks (every
+            # waiter checks _processed first); the fresh list only
+            # keeps a late append harmless.
+            callbacks, event.callbacks = event.callbacks, []
+            self.events_processed += 1
+            if self.race_detector is not None or self._profiler is not None:
+                self._step_instrumented(event, callbacks)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            if once:
+                return
+
     def step(self) -> None:
         """Process the single next event."""
         if not self._queue:
             raise SimulationError("no more events")
-        if self._buckets is None:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-        else:
-            # The top outer entry's bucket holds every event at the
-            # minimal (time, priority); its inner heap yields the
-            # smallest seq — the exact (time, priority, seq) order.
-            when, prio, _seq, bucket = self._queue[0]
-            event = heapq.heappop(bucket)[1]
-            if not bucket:
-                heapq.heappop(self._queue)
-                del self._buckets[(when, prio)]
-        if when < self._now - 1e-12:
-            raise SimulationError("time went backwards")
-        self._now = max(self._now, when)
-        self._pending -= 1
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
-        self.events_processed += 1
-        if self.race_detector is not None or self._profiler is not None:
-            self._step_instrumented(event, callbacks)
-        else:
-            for callback in callbacks:
-                callback(event)
-        # A processed event never receives new callbacks (every waiter
-        # checks _processed first), so its drained list can be reused.
-        pool = self._cb_pool
-        if pool is not None and len(pool) < self._CB_POOL_CAP:
-            callbacks.clear()
-            pool.append(callbacks)
+        self._dispatch(inf, once=True)
 
     def _step_instrumented(self, event: Event, callbacks: list) -> None:
         """The step callback loop with race/profiler hooks engaged."""
@@ -490,30 +450,30 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock passes ``until``."""
-        if until is not None and until < self._now:
+        if until is None:
+            self._dispatch(inf)
+            return
+        if until < self._now:
             raise SimulationError(
                 f"until={until} is in the past (now={self._now})")
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            self.step()
-        if until is not None:
-            self._now = until
+        self._dispatch(until)
+        self._now = until
 
     def run_until_complete(self, process: Process,
                            limit: float = 10**12) -> Any:
-        """Run until ``process`` terminates; return its value or raise."""
-        while not process.triggered:
+        """Run until ``process`` terminates; return its value or raise.
+
+        Returns as soon as the process has *triggered*: its own
+        termination event is still queued, so its waiters have not run
+        yet (they do on the next :meth:`run`).
+        """
+        self._dispatch(limit, stop=process)
+        if not process.triggered:
             if not self._queue:
                 raise SimulationError(
                     f"deadlock: process {process.name!r} cannot complete")
-            if self._queue[0][0] > limit:
-                raise SimulationError(
-                    f"process {process.name!r} did not finish by t={limit}")
-            self.step()
-        # Drain the urgent callbacks of the completion event itself.
+            raise SimulationError(
+                f"process {process.name!r} did not finish by t={limit}")
         if not process.ok:
             raise process.value
         return process.value

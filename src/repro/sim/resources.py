@@ -155,7 +155,8 @@ class FairShareLink:
         rate = self.capacity_bps / n
         for tr in self._transfers:
             moved = rate * (now - tr.last_update)
-            tr.remaining = max(0.0, tr.remaining - moved)
+            remaining = tr.remaining - moved
+            tr.remaining = remaining if remaining > 0.0 else 0.0
             tr.last_update = now
             self.bytes_transferred += moved
 

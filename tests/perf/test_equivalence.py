@@ -110,7 +110,7 @@ def test_chaos_run_is_mode_independent(monkeypatch, scenario):
 def test_chaos_equivalence_holds_under_perturbation(monkeypatch, scenario,
                                                     tiebreak_seed):
     """The exhaustive-default scheduler (plus owner index, score cache,
-    timer wheel, node-indexed fanout) stays byte-identical to the
+    node-indexed fanout) stays byte-identical to the
     reference implementations under perturbed same-instant tie-breaks —
     the --perturb property, applied across the mode boundary.  Any fast
     path that silently depended on heap pop order, listener scan order,

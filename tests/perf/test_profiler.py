@@ -80,14 +80,3 @@ def test_flag_reads_environment(monkeypatch):
     assert not optimizations_enabled()
     monkeypatch.setenv(DISABLE_ENV_VAR, "0")
     assert optimizations_enabled()
-
-
-def test_callback_pool_is_bounded_and_flag_gated(monkeypatch):
-    monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
-    env = Environment()
-    churn(env, RngRegistry(0).stream("x"))
-    env.run()
-    assert env._cb_pool is not None
-    assert len(env._cb_pool) <= env._CB_POOL_CAP
-    monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-    assert Environment()._cb_pool is None

@@ -49,6 +49,17 @@ def test_same_time_events_fire_fifo():
     assert order == list("abcd")
 
 
+def test_timeout_fills_every_event_slot():
+    # Timeout.__init__ does not call Event.__init__; a slot added to
+    # Event must be added there too.
+    env = Environment()
+    plain, timeout = env.event(), env.timeout(1, value="v")
+    for slot in type(plain).__slots__:
+        assert hasattr(timeout, slot), slot
+    assert (timeout.triggered, timeout.ok, timeout.value) == (True, True, "v")
+    assert timeout.callbacks == [] and timeout.env is env
+
+
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
@@ -389,6 +400,41 @@ def test_run_until_complete_returns_value():
         return "ok"
 
     assert env.run_until_complete(env.process(proc())) == "ok"
+
+
+def test_run_until_complete_returns_before_the_process_event_fires():
+    # The process has triggered, but its own termination event is still
+    # queued: a waiter on it has not run.  Firing it here instead would
+    # move events_processed in every recorded digest.
+    env = Environment()
+    woken = []
+
+    def proc():
+        yield env.timeout(3)
+        return "ok"
+
+    process = env.process(proc())
+    process.callbacks.append(lambda event: woken.append(event.value))
+    assert env.run_until_complete(process) == "ok"
+    assert woken == []
+    assert env.now == 3
+    assert len(env._queue) == 1 and env._queue[0][3] is process
+    assert env.events_processed == env.events_scheduled - 1
+    env.run()
+    assert woken == ["ok"]
+    assert env.events_processed == env.events_scheduled
+
+
+def test_run_until_complete_respects_limit():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(10)
+
+    with pytest.raises(SimulationError, match="did not finish by t=5"):
+        env.run_until_complete(env.process(proc()), limit=5)
+    # The refused event stays queued and the clock is not moved to it.
+    assert env.now == 0 and len(env._queue) == 1
 
 
 def test_run_until_complete_raises_on_failure():
