@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CompareFailedError, LeaseExpiredError, StoreError
-from repro.perf.flags import optimizations_enabled
 from repro.sim.core import Environment
 from repro.sim.race import note_read, note_write
 from repro.sim.resources import Store as EventQueue
@@ -155,21 +154,14 @@ class EtcdStore:
         self._race_label = env.register_shared_store("etcd", self)
         self.revision = 0
         self._data: Dict[str, KeyValue] = {}
-        #: All live watchers in registration order (the linear fallback
-        #: scans this; the index preserves its order for fanout).
-        self._watchers: List[Watcher] = []
         #: Fanout index: exact-key watchers by key, prefix watchers in a
-        #: character trie.  ``None`` under REPRO_PERF_DISABLE.
-        self._exact_watch: Optional[Dict[str, List[Watcher]]] = None
-        self._prefix_trie: Optional[_PrefixTrieNode] = None
-        if optimizations_enabled():
-            self._exact_watch = {}
-            self._prefix_trie = _PrefixTrieNode()
+        #: character trie, so a change visits only the watchers it
+        #: matches however many are open.
+        self._exact_watch: Dict[str, List[Watcher]] = {}
+        self._prefix_trie = _PrefixTrieNode()
         self._watch_seq = 0
-        #: Watchers *touched* by :meth:`_notify` fanout so far — the
-        #: quantity BENCH_etcd.json tracks.  The linear scan touches
-        #: every live watcher per write; the index touches only the
-        #: matching ones.
+        #: Fanout counters: ``notify_calls`` changes have delivered
+        #: ``watcher_visits`` events between them.
         self.watcher_visits = 0
         self.notify_calls = 0
         self._leases: Dict[int, Lease] = {}
@@ -319,43 +311,34 @@ class EtcdStore:
         self._watch_seq += 1
         watcher._seq = self._watch_seq
         watcher._store = self
-        self._watchers.append(watcher)
-        if self._exact_watch is not None:
-            if watcher.is_prefix:
-                node = self._prefix_trie
-                for char in watcher.key:
-                    child = node.children.get(char)
-                    if child is None:
-                        child = node.children[char] = _PrefixTrieNode()
-                    node = child
-                node.watchers.append(watcher)
-            else:
-                self._exact_watch.setdefault(watcher.key, []) \
-                    .append(watcher)
+        if watcher.is_prefix:
+            node = self._prefix_trie
+            for char in watcher.key:
+                child = node.children.get(char)
+                if child is None:
+                    child = node.children[char] = _PrefixTrieNode()
+                node = child
+            node.watchers.append(watcher)
+        else:
+            self._exact_watch.setdefault(watcher.key, []).append(watcher)
         return watcher
 
     def _remove_watcher(self, watcher: Watcher) -> None:
-        """Deregister one watcher from the list and the fanout index."""
-        try:
-            self._watchers.remove(watcher)
-        except ValueError:
-            return  # already removed (double close is a no-op)
-        if self._exact_watch is None:
-            return
+        """Deregister one watcher from the fanout index.
+
+        :meth:`Watcher.close` calls this at most once per watcher (it
+        clears ``_store`` first), so the watcher is always registered.
+        """
         if not watcher.is_prefix:
-            bucket = self._exact_watch.get(watcher.key)
-            if bucket is not None:
-                bucket.remove(watcher)
-                if not bucket:
-                    del self._exact_watch[watcher.key]
+            bucket = self._exact_watch[watcher.key]
+            bucket.remove(watcher)
+            if not bucket:
+                del self._exact_watch[watcher.key]
             return
         # Walk the trie to the prefix node, then prune empty branches.
         path = [self._prefix_trie]
         for char in watcher.key:
-            node = path[-1].children.get(char)
-            if node is None:
-                return
-            path.append(node)
+            path.append(path[-1].children[char])
         path[-1].watchers.remove(watcher)
         for depth in range(len(path) - 1, 0, -1):
             node = path[depth]
@@ -365,7 +348,7 @@ class EtcdStore:
 
     def _matching_watchers(self, key: str) -> List[Watcher]:
         """Watchers whose key/prefix matches ``key``, in registration
-        order — byte-identical fanout order to the linear scan."""
+        order."""
         matched = self._exact_watch.get(key, [])[:]
         node = self._prefix_trie
         matched.extend(node.watchers)  # watch_prefix("") sits at the root
@@ -379,23 +362,10 @@ class EtcdStore:
 
     def _notify(self, event: WatchEvent) -> None:
         self.notify_calls += 1
-        if self._exact_watch is not None:
-            matched = self._matching_watchers(event.key)
-            self.watcher_visits += len(matched)
-            for watcher in matched:
-                watcher.queue.put(event)
-            return
-        # Reference implementation (REPRO_PERF_DISABLE): visit every
-        # live watcher on every write.
-        live = []
-        for watcher in self._watchers:  # staticcheck: ignore[PERF001] flag-gated linear fallback; the indexed fanout above is the default path
-            if watcher.cancelled:
-                continue
-            live.append(watcher)
-            self.watcher_visits += 1
-            if watcher.matches(event.key):
-                watcher.queue.put(event)
-        self._watchers = live
+        matched = self._matching_watchers(event.key)
+        self.watcher_visits += len(matched)
+        for watcher in matched:
+            watcher.queue.put(event)
 
     # -- leases ----------------------------------------------------------------
 

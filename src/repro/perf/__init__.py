@@ -1,19 +1,8 @@
-"""Kernel performance layer: feature flag + deterministic profiler.
+"""Deterministic kernel profiler (see :mod:`repro.perf.profiler`)."""
 
-See DESIGN.md ("Performance fast paths") for the contract: every fast
-path gated on :func:`optimizations_enabled` must be observably
-identical to its reference implementation — only ops counters may
-differ — and ``REPRO_PERF_DISABLE=1`` switches the reference
-implementations back on for equivalence testing and baseline
-measurement.
-"""
-
-from repro.perf.flags import DISABLE_ENV_VAR, optimizations_enabled
 from repro.perf.profiler import KernelProfiler, profile
 
 __all__ = [
-    "DISABLE_ENV_VAR",
     "KernelProfiler",
-    "optimizations_enabled",
     "profile",
 ]

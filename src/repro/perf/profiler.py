@@ -6,7 +6,7 @@ schedule — event counts, per-site callback activity, heap statistics —
 so two runs with the same seed produce byte-identical reports and the
 numbers can be committed as regression baselines (``BENCH_*.json``).
 No wall-clock ever enters a report; hosts measure wall time around the
-whole run if they want it (see ``benchmarks/perf``).
+whole run if they want it (see ``benchmarks/e2e``).
 
 When no profiler is attached the kernel pays a single attribute check
 per event — the same zero-cost-when-off contract the race hooks follow.

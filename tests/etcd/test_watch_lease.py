@@ -127,6 +127,23 @@ def test_indexed_fanout_matches_order_across_watcher_kinds():
     assert order == ["prefix", "exact", "root"]
 
 
+def test_fanout_visits_only_the_watchers_it_delivers_to():
+    """100 open watchers, 400 writes: the fanout cost is the number of
+    deliveries, not writes x watchers."""
+    env = Environment()
+    store = EtcdStore(env)
+    exact = [store.watch(f"/jobs/job-{i}/status") for i in range(80)]
+    prefixes = [store.watch_prefix(f"/jobs/job-{i}/") for i in range(20)]
+    for index in range(400):
+        job = index * 7 % 80
+        leaf = "progress" if index % 5 == 4 else "status"
+        store.put(f"/jobs/job-{job}/{leaf}", index)
+    deliveries = sum(watcher.pending() for watcher in exact + prefixes)
+    assert store.notify_calls == 400
+    assert 0 < deliveries < 2 * 400
+    assert store.watcher_visits == deliveries
+
+
 def test_watch_events_carry_monotonic_revisions():
     env = Environment()
     store = EtcdStore(env)

@@ -55,6 +55,17 @@ def make_pod(env, name, gpus=1, cpus=4.0, duration=100.0, exit_code=0,
     return Pod(meta=meta, spec=spec)
 
 
+def recount_owner_nodes(api):
+    """(owner, node) -> bound-pod count by scanning the pod store: what
+    the scheduler's incrementally maintained index must equal."""
+    counts = {}
+    for pod in api.list_pods():
+        if pod.meta.owner is not None and pod.node_name is not None:
+            key = (pod.meta.owner, pod.node_name)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 @pytest.fixture
 def pack_cluster():
     return make_cluster(policy="pack")

@@ -1,6 +1,8 @@
 """Unit tests for the KubeAPI object store and watch fan-out."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConflictError, ObjectNotFoundError
 from repro.kube import KubeAPI, ObjectMeta, Pod, PodSpec
@@ -100,3 +102,46 @@ def test_node_store(api):
     api.create_node(node)
     assert api.get_node("n1") is node
     assert api.list_nodes() == [node]
+
+
+NODES = ["n1", "n2", "n3"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(registrations=st.lists(st.sampled_from([None, *NODES]), max_size=12),
+       bound_to=st.sampled_from([*NODES, "n4"]))
+def test_pod_listeners_run_in_registration_order(registrations, bound_to):
+    """Whatever the interleaving of general and per-node registrations,
+    a pod event invokes every listener in registration order, node
+    listeners filtered by ``pod.node_name`` ("n4" has none)."""
+    api = KubeAPI(Environment())
+    calls = []
+
+    def listener(index):
+        return lambda verb, obj: calls.append((index, verb, obj.name))
+
+    for index, node_name in enumerate(registrations):
+        if node_name is None:
+            api.subscribe("pods", listener(index))
+        else:
+            api.subscribe_pods_for_node(node_name, listener(index))
+
+    def expected(verb, obj):
+        return [(index, verb, obj.name)
+                for index, node_name in enumerate(registrations)
+                if node_name is None or node_name == obj.node_name]
+
+    bound, unbound = pod("bound"), pod("unbound")
+    script = [
+        (api.create_pod, (bound,), "ADDED", bound),      # not bound yet
+        (api.create_pod, (unbound,), "ADDED", unbound),
+        (api.bind_pod, (bound, bound_to), "MODIFIED", bound),
+        (api.update_pod, (bound,), "MODIFIED", bound),
+        (api.update_pod, (unbound,), "MODIFIED", unbound),
+        (api.delete_pod, ("bound",), "DELETED", bound),  # keeps node_name
+        (api.delete_pod, ("unbound",), "DELETED", unbound),
+    ]
+    for call, args, verb, obj in script:
+        del calls[:]
+        call(*args)
+        assert calls == expected(verb, obj)

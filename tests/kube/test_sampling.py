@@ -1,20 +1,18 @@
 """Sampled node scoring: knob math, cursor rotation, index exactness,
 and the declared quality envelopes.
 
-``percentage_of_nodes_to_score=100`` (the default) is exhaustive and
-byte-identical to the pre-sampling scheduler — that contract is pinned
-by the perf equivalence suite and the BENCH state digests.  These tests
-cover the sampled mode itself: the ``_nodes_to_find`` arithmetic, the
-round-robin cursor, the incrementally-maintained (owner, node) count
-index, and the placement-quality envelopes (fragmentation, gang wait)
-at 50% and 5% sampling.
+``percentage_of_nodes_to_score=100`` (the default) is exhaustive.
+These tests cover the sampled mode itself: the ``_nodes_to_find``
+arithmetic, the round-robin cursor, the incrementally-maintained
+(owner, node) count index, and the placement-quality envelopes
+(fragmentation, gang wait) at 50% and 5% sampling.
 """
 
 from repro.kube.api import KubeAPI
 from repro.kube.objects import Node, NodeCapacity, ObjectMeta
 from repro.sim import Environment
 
-from tests.kube.conftest import make_cluster, make_pod
+from tests.kube.conftest import make_cluster, make_pod, recount_owner_nodes
 
 
 def _submit_and_run(env, cluster, pods):
@@ -91,20 +89,9 @@ def test_exhaustive_mode_examines_every_node():
 # -- (owner, node) count index ----------------------------------------------
 
 
-def _recount(api):
-    counts = {}
-    for pod in api.list_pods():
-        if pod.meta.owner is not None and pod.node_name is not None:
-            key = (pod.meta.owner, pod.node_name)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def test_owner_node_index_tracks_bind_and_delete():
     env, cluster = make_cluster(nodes=2, gpus_per_node=8)
     scheduler = cluster.scheduler
-    if scheduler._owner_node_counts is None:
-        return  # REPRO_PERF_DISABLE: the reference scan runs instead
     pods = []
     for i in range(6):
         pod = make_pod(env, f"owned-{i}", gpus=1, duration=300.0)
@@ -113,37 +100,33 @@ def test_owner_node_index_tracks_bind_and_delete():
         cluster.api.create_pod(pod)
     env.run(until=50.0)
     assert scheduler.pods_scheduled == 6
-    assert scheduler._owner_node_counts == _recount(cluster.api)
+    assert scheduler._owner_node_counts == recount_owner_nodes(cluster.api)
     # Deleting pods must decrement the exact (owner, node) pairs.
     cluster.delete_pod("owned-0")
     cluster.delete_pod("owned-3")
     env.run(until=100.0)
-    assert scheduler._owner_node_counts == _recount(cluster.api)
+    assert scheduler._owner_node_counts == recount_owner_nodes(cluster.api)
 
 
 def test_owner_index_ignores_ownerless_pods():
     env, cluster = make_cluster(nodes=2, gpus_per_node=8)
     scheduler = cluster.scheduler
-    if scheduler._owner_node_counts is None:
-        return
     pods = [make_pod(env, f"p{i}", gpus=1, duration=300.0)
             for i in range(4)]
     for pod in pods:
         cluster.api.create_pod(pod)
     env.run(until=50.0)
     assert scheduler.pods_scheduled == 4
-    # The reference ``_score`` never counts owner-less pods, so the
-    # index must not either.
+    # ``_score`` never asks about owner-less pods, so the index does
+    # not hold them.
     assert scheduler._owner_node_counts == {}
 
 
 def test_owner_index_scores_match_reference_scan():
-    """The optimized same-owner count must equal what the reference
-    ``list_pods`` scan would have returned, pod for pod."""
+    """The indexed same-owner count must equal what a ``list_pods``
+    scan returns, pod for pod."""
     env, cluster = make_cluster(policy="spread", nodes=3, gpus_per_node=8)
     scheduler = cluster.scheduler
-    if scheduler._owner_node_counts is None:
-        return
     for i in range(9):
         pod = make_pod(env, f"rep-{i}", gpus=1, duration=300.0)
         pod.meta.owner = "replicaset-a"
@@ -161,8 +144,6 @@ def test_owner_index_scores_match_reference_scan():
 def test_score_cache_dropped_when_allocation_changes():
     env, cluster = make_cluster(nodes=2, gpus_per_node=8)
     scheduler = cluster.scheduler
-    if scheduler._score_cache is None:
-        return
     pod = make_pod(env, "warm", gpus=1, duration=300.0)
     _submit_and_run(env, cluster, [pod])
     assert scheduler.pods_scheduled == 1
@@ -175,12 +156,27 @@ def test_score_cache_dropped_when_allocation_changes():
 def test_node_event_invalidates_scores():
     env, cluster = make_cluster(nodes=2, gpus_per_node=8)
     scheduler = cluster.scheduler
-    if scheduler._score_cache is None:
-        return
     scheduler._score_cache["node-K80-0"] = {0: 1.0}
     node = cluster.api.get_node("node-K80-0")
     cluster.api.update_node(node)
     assert "node-K80-0" not in scheduler._score_cache
+
+
+def test_owned_pod_binding_or_leaving_a_node_invalidates_its_scores():
+    """The same-owner count feeds the score, and it moves when the bind
+    commits and when the pod object is deleted — neither of which is an
+    allocation change."""
+    env, cluster = make_cluster(policy="spread", nodes=2, gpus_per_node=8)
+    scheduler = cluster.scheduler
+    pod = make_pod(env, "owned", gpus=1, duration=300.0)
+    pod.meta.owner = "set-a"
+    cluster.api.create_pod(pod)
+    scheduler._score_cache["node-K80-1"] = {0: 1.0}
+    cluster.api.bind_pod(pod, "node-K80-1")
+    assert "node-K80-1" not in scheduler._score_cache
+    scheduler._score_cache["node-K80-1"] = {0: 1.0}
+    cluster.api.delete_pod("owned")
+    assert "node-K80-1" not in scheduler._score_cache
 
 
 # -- node-indexed kubelet fanout -------------------------------------------
@@ -206,12 +202,8 @@ def test_pod_events_reach_only_the_matching_nodes_kubelet():
         ["ADDED", "MODIFIED", "DELETED"]
     n1 = [entry for entry in seen if entry[0] == "n1"]
     n2 = [entry for entry in seen if entry[0] == "n2"]
-    if api._pod_node_listeners is not None:
-        assert [verb for _, verb in n1] == ["MODIFIED", "DELETED"]
-        assert n2 == []
-    else:
-        # Reference mode: full fanout, listeners self-filter.
-        assert len(n1) == len(n2) == 3
+    assert [verb for _, verb in n1] == ["MODIFIED", "DELETED"]
+    assert n2 == []
 
 
 # -- sampled-mode quality envelopes ----------------------------------------
@@ -245,8 +237,7 @@ def _run_quality(pct):
 
 def test_sampled_quality_within_declared_envelopes():
     """Fragmentation may grow by at most +0.5 and mean wait by at most
-    +0.25s versus exhaustive — the same envelopes the BENCH harness
-    enforces (QUALITY_BOUNDS)."""
+    +0.25s versus exhaustive."""
     frag_100, wait_100 = _run_quality(100)
     for pct in (50, 5):
         frag, wait = _run_quality(pct)

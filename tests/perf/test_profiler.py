@@ -1,7 +1,6 @@
-"""Unit tests for the deterministic kernel profiler and perf flags."""
+"""Unit tests for the deterministic kernel profiler."""
 
-from repro.perf import DISABLE_ENV_VAR, KernelProfiler, profile
-from repro.perf.flags import optimizations_enabled
+from repro.perf import KernelProfiler, profile
 from repro.sim import Environment, RngRegistry
 
 
@@ -71,12 +70,3 @@ def test_detach_stops_attribution():
     churn(env, RngRegistry(0).stream("x"), processes=1, steps=3)
     env.run()
     assert profiler.report()["event_types"] == {}
-
-
-def test_flag_reads_environment(monkeypatch):
-    monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
-    assert optimizations_enabled()
-    monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-    assert not optimizations_enabled()
-    monkeypatch.setenv(DISABLE_ENV_VAR, "0")
-    assert optimizations_enabled()

@@ -191,8 +191,8 @@ def test_single_event_path_fires_in_sorted_key_order(program, tiebreak_seed,
 
 
 def test_sim_layer_imports_nothing_from_perf():
-    # The kernel has one event path; the etcd / kube kill switch in
-    # repro.perf.flags must not reach down into it.
+    # The profiler attaches to the kernel from outside; the kernel
+    # itself must not depend on it.
     for path in sorted(Path(repro.sim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
