@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.chaos import get_federation_scenario, run_federation_scenario
+from repro.chaos import get_scenario, run_scenario
 
 BENCH_DIR = Path(__file__).parent
 
@@ -60,13 +60,12 @@ _REQUIRED_SCALE_KEYS = ("scenario", "seed", "tiebreak_seeds", "passed",
 def run_scale(scale: str, seed: int = 0) -> dict:
     """One scenario at one scale: two perturbed runs + invariant checks."""
     name, tiebreaks = SCALES[scale]
-    scenario = get_federation_scenario(name)
+    scenario = get_scenario(name)
     reports = []
     started = time.perf_counter()  # staticcheck: ignore[DET001] harness-only wall clock; informational, never read by sim code
     for tiebreak in tiebreaks:
-        report = run_federation_scenario(scenario, seed=seed,
-                                         tiebreak_seed=tiebreak,
-                                         detect_races=True)
+        report = run_scenario(scenario, seed=seed, tiebreak_seed=tiebreak,
+                              detect_races=True)
         reports.append(report)
     wall = time.perf_counter() - started  # staticcheck: ignore[DET001] harness-only wall clock; informational, never read by sim code
     baseline = reports[0]

@@ -1,9 +1,9 @@
 """Command-line entry point: ``python -m repro.chaos``.
 
 Runs a named scenario and prints its report.  Exit status is 0 when all
-steady-state hypotheses pass, 1 when any fails, and 2 when
-``--check-determinism`` or ``--perturb`` finds a divergent audit log or
-end state.
+steady-state hypotheses pass and every fault recovered, 1 when not, and
+2 when ``--check-determinism`` or ``--perturb`` finds a divergent audit
+log or end state.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.chaos.engine import ChaosEngine
-from repro.chaos.federation import FederationChaosEngine
+from repro.chaos.engine import ChaosReport, run_scenario
 from repro.chaos.registry import get_registered_scenario, scenario_registry
 
 
@@ -29,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list the named scenarios and exit")
     parser.add_argument("--check-determinism", action="store_true",
                         help="run the scenario twice and fail unless the "
-                             "audit logs are identical")
+                             "audit logs and end states are identical")
     parser.add_argument("--tiebreak-seed", type=int, default=0,
                         help="heap tie-break permutation seed "
                              "(0 = FIFO, the default)")
@@ -60,35 +59,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.manifest import ManifestError
 
     try:
-        entry = get_registered_scenario(args.scenario)
-        kind, scenario, compiled = entry.resolve()
+        scenario = get_registered_scenario(args.scenario).resolve()
     except KeyError as err:
         print(err.args[0])
         return 2
     except ManifestError as err:
         print(err.render())
         return 2
-    node_groups = compiled.node_groups or None \
-        if compiled is not None else None
 
-    def run_once(tiebreak_seed: int):
-        if kind == "federation":
-            return FederationChaosEngine(
-                scenario, seed=args.seed, tiebreak_seed=tiebreak_seed,
-                detect_races=args.detect_races).run()
-        return ChaosEngine(scenario, seed=args.seed,
-                           tiebreak_seed=tiebreak_seed,
-                           detect_races=args.detect_races,
-                           node_groups=node_groups).run()
+    def run_once(tiebreak_seed: int) -> ChaosReport:
+        return run_scenario(scenario, seed=args.seed,
+                            tiebreak_seed=tiebreak_seed,
+                            detect_races=args.detect_races)
 
     report = run_once(args.tiebreak_seed)
     print(report.render(args.format, audit=not args.no_audit))
+
+    def reproduces(other: ChaosReport) -> bool:
+        """The one witness both checks compare: audit log *and* end
+        state (a counter can drift without writing an audit line)."""
+        return other.audit_lines == report.audit_lines \
+            and other.end_state() == report.end_state()
+
     if args.perturb:
         for offset in range(1, args.perturb + 1):
             perturbed_seed = args.tiebreak_seed + offset
             perturbed = run_once(perturbed_seed)
-            if perturbed.audit_lines != report.audit_lines \
-                    or perturbed.end_state() != report.end_state():
+            if not reproduces(perturbed):
                 print(f"perturbation check FAILED: tiebreak seed "
                       f"{perturbed_seed} diverges from "
                       f"{args.tiebreak_seed} (audit "
@@ -99,14 +96,17 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"schedules reproduce the audit log and end state")
     if args.check_determinism:
         rerun = run_once(args.tiebreak_seed)
-        if rerun.audit_lines != report.audit_lines:
+        if not reproduces(rerun):
             diverging = sum(1 for a, b in
                             zip(report.audit_lines, rerun.audit_lines)
                             if a != b)
+            end_states = "equal" \
+                if rerun.end_state() == report.end_state() else "differ"
             print(f"determinism check FAILED: {diverging} diverging "
-                  f"entries (lengths {len(report.audit_lines)} vs "
-                  f"{len(rerun.audit_lines)})")
+                  f"audit entries (lengths {len(report.audit_lines)} vs "
+                  f"{len(rerun.audit_lines)}), end states {end_states}")
             return 2
         print(f"determinism check passed: {len(report.audit_lines)} "
-              f"audit entries identical across two runs")
+              f"audit entries and the end state identical across two "
+              f"runs")
     return 0 if report.passed else 1

@@ -1,14 +1,20 @@
 """The chaos engine: seeded scenarios, injections, hypotheses, audit.
 
-A :class:`Scenario` is pure data: a schedule of :class:`InjectionStep`
-records against named fault kinds.  :class:`ChaosEngine` binds each kind
-to the substrate hooks that already exist in the tree (Raft
-crash/partition, Mongo member kills, object-store outage and brownout
-windows, kubelet node crashes, microservice replica kills), schedules
+A scenario is pure data: a topology, a workload shape and a schedule of
+:class:`InjectionStep` records against named fault kinds.
+:class:`ChaosEngine` is the one loop that runs any of them: it schedules
 every step through a :class:`~repro.sim.failure.FaultInjector` so each
-occurrence lands in the injector's audit log, runs a seeded job churn
-over the platform, and checks steady-state hypotheses before the first
-injection and after the last recovery.
+occurrence lands in the injector's audit log, watches each fault's
+recovery, checks steady-state hypotheses before the first injection and
+after the last recovery, and assembles the report.
+
+What differs between attacking one platform and attacking a federation
+of them lives behind the scenario's *target*: :class:`PlatformTarget`
+here (Raft crash/partition, Mongo member kills, object-store outage and
+brownout windows, kubelet node crashes, microservice replica kills) and
+:class:`~repro.chaos.federation.FederationTarget` for whole cells.  A
+target builds the substrate, binds a step to its hooks, drives the job
+churn, and says which hypotheses, counters and job states judge the run.
 
 Everything — churn arrivals, outage durations, retry jitter — draws from
 named :class:`~repro.sim.rng.RngRegistry` streams, so a scenario's merged
@@ -18,7 +24,7 @@ audit log is identical across runs with the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.core import statuses as st
 from repro.core.manifest import JobManifest
@@ -39,8 +45,10 @@ TABLE3_RECOVERY_S: Dict[str, Tuple[str, Tuple[float, float]]] = {
     "lcm-crash": ("LCM", (4.0, 6.0)),
 }
 
-#: Fault kinds the engine can bind (scenario validation).
-FAULT_KINDS = (
+#: Fault kinds by what they break: a component inside one platform, or
+#: a whole cell of a federation.  A step may name any of them; the
+#: scenario's target binds only its own.
+PLATFORM_FAULT_KINDS = (
     "etcd-leader-kill",
     "etcd-partition",
     "mongo-primary-kill",
@@ -50,6 +58,8 @@ FAULT_KINDS = (
     "api-crash",
     "lcm-crash",
 )
+CELL_FAULT_KINDS = ("cell-blackout", "cell-brownout")
+FAULT_KINDS = PLATFORM_FAULT_KINDS + CELL_FAULT_KINDS
 
 
 @dataclass(frozen=True)
@@ -58,9 +68,11 @@ class InjectionStep:
 
     at_s: float
     kind: str
+    #: The node (platform kinds) or the cell (cell kinds) to break.
     target: str = ""
     duration_s: float = 0.0
-    #: Kind-specific knob (e.g. brownout bandwidth fraction).
+    #: Kind-specific knob (brownout bandwidth fraction; cell-brownout
+    #: latency inflation factor).
     param: float = 0.0
 
     def __post_init__(self) -> None:
@@ -72,8 +84,28 @@ class InjectionStep:
 
 
 @dataclass(frozen=True)
+class NodeGroup:
+    """``count`` identical GPU nodes of one type."""
+
+    count: int
+    gpus_per_node: int
+    gpu_type: str
+    cpus: float = 64.0
+    memory_gb: float = 512.0
+
+    def node_names(self) -> Tuple[str, ...]:
+        """Provisioned node names (cluster convention
+        ``node-<gpu_type>-<index>``)."""
+        return tuple(f"node-{self.gpu_type}-{index}"
+                     for index in range(self.count))
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """A named, declarative chaos scenario."""
+    """A named, declarative chaos scenario against one platform."""
+
+    #: What ``--list`` and the manifests call this scenario family.
+    kind: ClassVar[str] = "chaos"
 
     name: str
     description: str
@@ -90,6 +122,11 @@ class Scenario:
     job_gpus_per_learner: int = 1
     job_gpu_type: str = "K80"
     job_memory_gb: Optional[float] = None
+    #: The GPU nodes the platform is provisioned with.
+    nodes: Tuple[NodeGroup, ...] = (NodeGroup(4, 4, "K80"),)
+
+    def target(self, engine: "ChaosEngine") -> "PlatformTarget":
+        return PlatformTarget(engine)
 
 
 @dataclass(frozen=True)
@@ -131,7 +168,8 @@ class ChaosReport:
     @property
     def passed(self) -> bool:
         return all(h.ok for h in self.hypotheses) and bool(self.hypotheses) \
-            and not self.race_lines
+            and not self.race_lines \
+            and not any(rec.timed_out for rec in self.recoveries)
 
     def end_state(self) -> dict:
         """The schedule-independence witness: everything that must be
@@ -221,101 +259,40 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def default_platform_config() -> PlatformConfig:
-    """The fully replicated deployment chaos scenarios run against."""
-    return PlatformConfig(
-        etcd_replicas=3,
-        mongo_secondaries=2,
-        mongo_election_delay_s=4.0,
-        client_breakers=True,
-        mount_retry=RetryPolicy(max_attempts=6, base_delay_s=0.2,
-                                max_delay_s=5.0),
-    )
 
 
-class ChaosEngine:
-    """Runs one scenario against one freshly built platform."""
+class PlatformTarget:
+    """One fully replicated FfDL platform under a seeded job churn."""
 
-    #: Recovery polling resolution (quantizes measured recovery times).
-    POLL_S = 0.25
-    #: Give up watching for a fault's recovery after this long.
-    RECOVERY_TIMEOUT_S = 900.0
-    #: Bounded drain grace before each hypothesis check: the writer gets
-    #: up to this many half-second windows to flush in-flight writes, so
-    #: a write enqueued microseconds before the check does not read as a
-    #: stuck backlog.
-    DRAIN_GRACE_STEPS = 120
+    #: How a step's target reads in the audit log, and the prefix of
+    #: the engine's process names.
+    LABEL = "target"
+    PREFIX = "chaos"
+    FAULT_KINDS = PLATFORM_FAULT_KINDS
 
-    def __init__(self, scenario: Scenario, seed: int = 0,
-                 config: Optional[PlatformConfig] = None,
-                 gpu_nodes: int = 4, gpus_per_node: int = 4,
-                 tiebreak_seed: int = 0, detect_races: bool = False,
-                 node_groups: Optional[Sequence] = None):
-        self.scenario = scenario
-        self.seed = seed
-        self.tiebreak_seed = tiebreak_seed
-        self.env = Environment(tiebreak_seed=tiebreak_seed)
-        #: Attach the vector-clock monitor *before* any substrate is
-        #: built so every access from t=0 is covered.
-        self.race_detector = RaceDetector(self.env) if detect_races else None
-        self.rng = RngRegistry(seed)
-        self.config = config or default_platform_config()
-        self.platform = FfDLPlatform(self.env, self.rng, self.config)
-        if node_groups is None:
-            self.platform.add_gpu_nodes(gpu_nodes,
-                                        gpus_per_node=gpus_per_node,
-                                        gpu_type="K80")
-        else:
-            # Declarative topology (manifest-compiled): each group is
-            # any object with count/gpus_per_node/gpu_type/cpus/
-            # memory_gb attributes, e.g. repro.manifest NodeGroup.
-            for group in node_groups:
-                self.platform.add_gpu_nodes(
-                    group.count, gpus_per_node=group.gpus_per_node,
-                    gpu_type=group.gpu_type, cpus=group.cpus,
-                    memory_gb=group.memory_gb)
+    def __init__(self, engine: "ChaosEngine"):
+        self.engine = engine
+        self.env = engine.env
+        self.scenario = engine.scenario
+        self.platform = FfDLPlatform(self.env, engine.rng, PlatformConfig(
+            etcd_replicas=3,
+            mongo_secondaries=2,
+            mongo_election_delay_s=4.0,
+            client_breakers=True,
+            mount_retry=RetryPolicy(max_attempts=6, base_delay_s=0.2,
+                                    max_delay_s=5.0),
+        ))
+        for group in self.scenario.nodes:
+            self.platform.add_gpu_nodes(
+                group.count, gpus_per_node=group.gpus_per_node,
+                gpu_type=group.gpu_type, cpus=group.cpus,
+                memory_gb=group.memory_gb)
         self.platform.admission.register("chaos", gpu_quota=10 ** 6)
-        self.injector = FaultInjector(self.env, self.rng)
-        self.stream = self.rng.stream("chaos:arrivals")
-        self._engine_log: List[Tuple[float, str]] = []
-        self.hypotheses: List[HypothesisResult] = []
-        self.recoveries: List[RecoveryRecord] = []
-        self.submitted: List[str] = []
-        self.submit_failures = 0
-        self._ran = False
-
-    # -- audit --------------------------------------------------------------
-
-    def _log(self, text: str) -> None:
-        self._engine_log.append((self.env.now, text))
-
-    def audit_lines(self) -> List[str]:
-        """Engine events merged with the injector's own audit log.
-
-        At equal timestamps the injector record comes first (it is
-        written before the fault callback runs); *within* one source and
-        timestamp, lines sort canonically by text.  Within-tick append
-        order is exactly what the kernel is free to permute when two
-        events tie (see :class:`~repro.sim.core.Environment`), so the
-        witness treats one instant's lines as an unordered set.  The
-        merged log is the determinism contract: two runs with the same
-        scenario seed must produce identical lines under *every*
-        tie-break seed.
-        """
-        entries: List[Tuple[float, int, str, int]] = []
-        for seq, fault in enumerate(self.injector.log):
-            entries.append((fault.time, 0,
-                            f"fault {fault.kind} target={fault.target} "
-                            f"duration={fault.duration_s:.3f}", seq))
-        for seq, (time, text) in enumerate(self._engine_log):
-            entries.append((time, 1, text, seq))
-        entries.sort()
-        return [f"t={time:10.3f} {text}"
-                for time, _src, text, _seq in entries]
+        self.stream = engine.rng.stream("chaos:arrivals")
 
     # -- fault binding ------------------------------------------------------
 
-    def _bind(self, step: InjectionStep):
+    def bind(self, step: InjectionStep):
         """(inject, recover, healthy) callables for one step."""
         platform = self.platform
         state: Dict[str, object] = {}
@@ -411,7 +388,7 @@ class ChaosEngine:
             def healthy() -> bool:
                 return platform.cluster.node_is_up(step.target)
 
-        elif step.kind in ("api-crash", "lcm-crash"):
+        else:  # api-crash / lcm-crash
             service = platform.api_service if step.kind == "api-crash" \
                 else platform.lcm
 
@@ -428,52 +405,11 @@ class ChaosEngine:
             def healthy() -> bool:
                 return service.available
 
-        else:  # pragma: no cover - InjectionStep validates kinds
-            raise SimulationError(f"unbound fault kind {step.kind!r}")
-
         return inject, recover, healthy
-
-    def _schedule_step(self, step: InjectionStep) -> None:
-        inject, recover, healthy = self._bind(step)
-
-        def on_fault(event: FaultEvent) -> None:
-            inject(event)
-            self._log(f"inject {step.kind} target={step.target or '-'} "
-                      f"duration={step.duration_s:g}")
-            self.env.process(self._watch_recovery(step, healthy),
-                             name=f"chaos-watch:{step.kind}")
-
-        def on_recover(event: FaultEvent) -> None:
-            recover(event)
-            self._log(f"recover {step.kind} target={step.target or '-'}")
-
-        self.injector.inject_once(
-            step.kind, step.target or step.kind, step.at_s, on_fault,
-            duration_s=step.duration_s, on_recover=on_recover)
-
-    def _watch_recovery(self, step: InjectionStep, healthy):
-        started = self.env.now
-        while self.env.now - started < self.RECOVERY_TIMEOUT_S:
-            # OBSERVER priority: sample the tick's settled state, so a
-            # recovery landing exactly on a poll boundary is measured
-            # identically under every legal tie-breaking order.
-            yield self.env.timeout(self.POLL_S, priority=OBSERVER)
-            if healthy():
-                duration = self.env.now - started
-                self.recoveries.append(RecoveryRecord(
-                    step.kind, step.target, started, duration))
-                self._log(f"recovered {step.kind} "
-                          f"target={step.target or '-'} "
-                          f"after {duration:.2f}s")
-                return
-        self.recoveries.append(RecoveryRecord(
-            step.kind, step.target, started, None, timed_out=True))
-        self._log(f"recovery-timeout {step.kind} "
-                  f"target={step.target or '-'}")
 
     # -- workload -----------------------------------------------------------
 
-    def _churn(self):
+    def churn(self):
         for index in range(self.scenario.jobs):
             yield self.env.timeout(self.stream.expovariate(
                 1.0 / self.scenario.job_interarrival_s))
@@ -494,14 +430,18 @@ class ChaosEngine:
         try:
             job_id = yield self.platform.submit_job(manifest)
         except TRANSIENT_ERRORS as err:
-            self.submit_failures += 1
-            self._log(f"submit-failed job=chaos-{index} "
-                      f"error={type(err).__name__}")
+            self.engine.submit_failures += 1
+            self.engine.log(f"submit-failed job=chaos-{index} "
+                            f"error={type(err).__name__}")
             return
-        self.submitted.append(job_id)
-        self._log(f"submitted {job_id} (chaos-{index})")
+        self.engine.submitted.append(job_id)
+        self.engine.log(f"submitted {job_id} (chaos-{index})")
 
     # -- hypotheses ---------------------------------------------------------
+
+    def writers(self):
+        """The buffered writers a hypothesis check waits on."""
+        return [self.platform.status_writer]
 
     def _jobs_collection(self):
         return self.platform.mongo.collection("jobs")
@@ -574,58 +514,24 @@ class ChaosEngine:
         return True, (f"allocated {self.platform.cluster.allocated_gpus()}"
                       f"/{self.platform.cluster.total_gpus()} GPUs")
 
-    def _hypotheses(self):
-        return (
-            ("status-writer-flushed", self._hyp_writer_flushed),
-            ("no-lost-job-records", self._hyp_jobs_durable),
-            ("status-consistency", self._hyp_status_consistent),
-            ("mongo-primary-available", self._hyp_mongo_primary),
-            ("etcd-leader-elected", self._hyp_etcd_leader),
-            ("no-gpu-overallocation", self._hyp_no_overallocation),
-        )
+    #: (name, check) in report order; the names are the catalog the
+    #: manifest schema validates ``hypotheses.checks`` against.
+    HYPOTHESES = (
+        ("status-writer-flushed", _hyp_writer_flushed),
+        ("no-lost-job-records", _hyp_jobs_durable),
+        ("status-consistency", _hyp_status_consistent),
+        ("mongo-primary-available", _hyp_mongo_primary),
+        ("etcd-leader-elected", _hyp_etcd_leader),
+        ("no-gpu-overallocation", _hyp_no_overallocation),
+    )
 
-    def _check_hypotheses(self, phase: str):
-        # Bounded drain grace: let in-flight (non-degraded) writes land
-        # so the check measures steady state, not a scheduling race.
-        writer = self.platform.status_writer
-        for _ in range(self.DRAIN_GRACE_STEPS):
-            if writer.pending == 0 and not writer.degraded:
-                break
-            yield self.env.timeout(0.5, priority=OBSERVER)
-        for name, check in self._hypotheses():
-            ok, detail = check()
-            self.hypotheses.append(HypothesisResult(
-                phase, name, ok, detail, self.env.now))
-            self._log(f"hypothesis {name} [{phase}]: "
-                      f"{'PASS' if ok else 'FAIL'} ({detail})")
+    def hypotheses(self, phase: str):
+        """The checks that mean something in ``phase``."""
+        return self.HYPOTHESES
 
-    # -- run ----------------------------------------------------------------
+    # -- report -------------------------------------------------------------
 
-    def run(self) -> ChaosReport:
-        if self._ran:
-            raise SimulationError("ChaosEngine instances are single-use; "
-                                  "build a fresh one per run")
-        self._ran = True
-        first_fault = min((step.at_s for step in self.scenario.steps),
-                          default=0.0)
-
-        def baseline():
-            yield self.env.timeout(max(0.0, first_fault - 1.0))
-            yield from self._check_hypotheses("steady-state:before")
-
-        self.env.process(baseline(), name="chaos-baseline")
-        self.env.process(self._churn(), name="chaos-churn")
-        for step in self.scenario.steps:
-            self._schedule_step(step)
-        self.env.run(until=self.scenario.horizon_s
-                     + self.scenario.settle_s)
-        self.env.run_until_complete(
-            self.env.process(self._check_hypotheses("steady-state:after"),
-                             name="chaos-final"),
-            limit=self.env.now + 120.0)
-        return self._report()
-
-    def _report(self) -> ChaosReport:
+    def counters(self) -> Dict[str, float]:
         platform = self.platform
         completed = sum(1 for job in platform.jobs.values()
                         if job.status.current == st.COMPLETED)
@@ -633,8 +539,8 @@ class ChaosEngine:
                        if job.status.is_terminal)
         writer = platform.status_writer
         counters: Dict[str, float] = {
-            "jobs-submitted": len(self.submitted),
-            "submit-failures": self.submit_failures,
+            "jobs-submitted": len(self.engine.submitted),
+            "submit-failures": self.engine.submit_failures,
             "jobs-completed": completed,
             "jobs-terminal": terminal,
             "writes-enqueued": writer.total_enqueued,
@@ -644,10 +550,178 @@ class ChaosEngine:
             "degraded-windows": len(writer.degraded_periods),
             "mongo-retries": platform.mongo_client.retries,
             "etcd-retries": platform.etcd_client.retries,
-            "faults-injected": len(self.injector.log),
+            "faults-injected": len(self.engine.injector.log),
         }
         if isinstance(platform.mongo, MongoReplicaSet):
             counters["mongo-failovers"] = len(platform.mongo.failover_log)
+        return counters
+
+    def job_states(self) -> Dict[str, str]:
+        return {job_id: job.status.current
+                for job_id, job in sorted(self.platform.jobs.items())}
+
+
+class ChaosEngine:
+    """Runs one scenario against its freshly built target."""
+
+    #: Recovery polling resolution (quantizes measured recovery times).
+    POLL_S = 0.25
+    #: Give up watching for a fault's recovery after this long.
+    RECOVERY_TIMEOUT_S = 900.0
+    #: Bounded drain grace before each hypothesis check: the writers get
+    #: up to this many half-second windows to flush in-flight writes, so
+    #: a write enqueued microseconds before the check does not read as a
+    #: stuck backlog.
+    DRAIN_GRACE_STEPS = 120
+
+    def __init__(self, scenario, seed: int = 0, tiebreak_seed: int = 0,
+                 detect_races: bool = False):
+        self.scenario = scenario
+        self.seed = seed
+        self.tiebreak_seed = tiebreak_seed
+        self.env = Environment(tiebreak_seed=tiebreak_seed)
+        #: Attach the vector-clock monitor *before* any substrate is
+        #: built so every access from t=0 is covered.
+        self.race_detector = RaceDetector(self.env) if detect_races else None
+        self.rng = RngRegistry(seed)
+        self._engine_log: List[Tuple[float, str]] = []
+        self.hypotheses: List[HypothesisResult] = []
+        self.recoveries: List[RecoveryRecord] = []
+        #: Fired faults nobody has seen recover yet: (step, fired at).
+        self._unrecovered: List[Tuple[InjectionStep, float]] = []
+        self.submitted: List[str] = []
+        self.submit_failures = 0
+        self._ran = False
+        self.target = scenario.target(self)
+        self.injector = FaultInjector(self.env, self.rng)
+
+    # -- audit --------------------------------------------------------------
+
+    def log(self, text: str) -> None:
+        self._engine_log.append((self.env.now, text))
+
+    def audit_lines(self) -> List[str]:
+        """Engine events merged with the injector's own audit log.
+
+        At equal timestamps the injector record comes first (it is
+        written before the fault callback runs); *within* one source and
+        timestamp, lines sort canonically by text.  Within-tick append
+        order is exactly what the kernel is free to permute when two
+        events tie (see :class:`~repro.sim.core.Environment`), so the
+        witness treats one instant's lines as an unordered set.  The
+        merged log is the determinism contract: two runs with the same
+        scenario seed must produce identical lines under *every*
+        tie-break seed.
+        """
+        entries: List[Tuple[float, int, str, int]] = []
+        for seq, fault in enumerate(self.injector.log):
+            entries.append((fault.time, 0,
+                            f"fault {fault.kind} target={fault.target} "
+                            f"duration={fault.duration_s:.3f}", seq))
+        for seq, (time, text) in enumerate(self._engine_log):
+            entries.append((time, 1, text, seq))
+        entries.sort()
+        return [f"t={time:10.3f} {text}"
+                for time, _src, text, _seq in entries]
+
+    # -- faults -------------------------------------------------------------
+
+    def _where(self, step: InjectionStep) -> str:
+        return f"{self.target.LABEL}={step.target or '-'}"
+
+    def _schedule_step(self, step: InjectionStep) -> None:
+        if step.kind not in self.target.FAULT_KINDS:
+            raise SimulationError(
+                f"scenario {self.scenario.name!r} cannot inject "
+                f"{step.kind!r}; its target binds: "
+                f"{', '.join(self.target.FAULT_KINDS)}")
+        inject, recover, healthy = self.target.bind(step)
+
+        def on_fault(event: FaultEvent) -> None:
+            inject(event)
+            self.log(f"inject {step.kind} {self._where(step)} "
+                     f"duration={step.duration_s:g}")
+            fired = (step, self.env.now)
+            self._unrecovered.append(fired)
+            self.env.process(self._watch_recovery(fired, healthy),
+                             name=f"{self.target.PREFIX}-watch:{step.kind}")
+
+        def on_recover(event: FaultEvent) -> None:
+            recover(event)
+            self.log(f"recover {step.kind} {self._where(step)}")
+
+        self.injector.inject_once(
+            step.kind, step.target or step.kind, step.at_s, on_fault,
+            duration_s=step.duration_s, on_recover=on_recover)
+
+    def _watch_recovery(self, fired, healthy):
+        step, started = fired
+        while self.env.now - started < self.RECOVERY_TIMEOUT_S:
+            # OBSERVER priority: sample the tick's settled state, so a
+            # recovery landing exactly on a poll boundary is measured
+            # identically under every legal tie-breaking order.
+            yield self.env.timeout(self.POLL_S, priority=OBSERVER)
+            if healthy():
+                duration = self.env.now - started
+                self._unrecovered.remove(fired)
+                self.recoveries.append(RecoveryRecord(
+                    step.kind, step.target, started, duration))
+                self.log(f"recovered {step.kind} {self._where(step)} "
+                         f"after {duration:.2f}s")
+                return
+
+    # -- hypotheses ---------------------------------------------------------
+
+    def _check_hypotheses(self, phase: str):
+        # Bounded drain grace: let in-flight (non-degraded) writes land
+        # so the check measures steady state, not a scheduling race.
+        writers = self.target.writers()
+        for _ in range(self.DRAIN_GRACE_STEPS):
+            if all(w.pending == 0 and not w.degraded for w in writers):
+                break
+            yield self.env.timeout(0.5, priority=OBSERVER)
+        for name, check in self.target.hypotheses(phase):
+            ok, detail = check(self.target)
+            self.hypotheses.append(HypothesisResult(
+                phase, name, ok, detail, self.env.now))
+            self.log(f"hypothesis {name} [{phase}]: "
+                     f"{'PASS' if ok else 'FAIL'} ({detail})")
+
+    # -- run ----------------------------------------------------------------
+
+    def run(self) -> ChaosReport:
+        if self._ran:
+            raise SimulationError("ChaosEngine instances are single-use; "
+                                  "build a fresh one per run")
+        self._ran = True
+        prefix = self.target.PREFIX
+        first_fault = min((step.at_s for step in self.scenario.steps),
+                          default=0.0)
+
+        def baseline():
+            yield self.env.timeout(max(0.0, first_fault - 1.0))
+            yield from self._check_hypotheses("steady-state:before")
+
+        self.env.process(baseline(), name=f"{prefix}-baseline")
+        self.env.process(self.target.churn(), name=f"{prefix}-churn")
+        for step in self.scenario.steps:
+            self._schedule_step(step)
+        self.env.run(until=self.scenario.horizon_s
+                     + self.scenario.settle_s)
+        self.env.run_until_complete(
+            self.env.process(self._check_hypotheses("steady-state:after"),
+                             name=f"{prefix}-final"),
+            limit=self.env.now + 120.0)
+        return self._report()
+
+    def _report(self) -> ChaosReport:
+        # A fault still open when the run ends (or after
+        # RECOVERY_TIMEOUT_S of watching) is a finding, not silence.
+        for step, started in self._unrecovered:
+            self.recoveries.append(RecoveryRecord(
+                step.kind, step.target, started, None, timed_out=True))
+            self.log(f"recovery-timeout {step.kind} {self._where(step)}")
+        counters = self.target.counters()
         race_lines: List[str] = []
         if self.race_detector is not None:
             race_lines = self.race_detector.render()
@@ -660,17 +734,13 @@ class ChaosEngine:
             audit_lines=self.audit_lines(),
             counters=counters,
             tiebreak_seed=self.tiebreak_seed,
-            job_states={job_id: job.status.current
-                        for job_id, job in sorted(platform.jobs.items())},
+            job_states=self.target.job_states(),
             race_lines=race_lines,
         )
 
 
-def run_scenario(scenario: Scenario, seed: int = 0,
-                 config: Optional[PlatformConfig] = None,
-                 tiebreak_seed: int = 0,
+def run_scenario(scenario, seed: int = 0, tiebreak_seed: int = 0,
                  detect_races: bool = False) -> ChaosReport:
     """Build a fresh engine and run ``scenario`` once."""
-    return ChaosEngine(scenario, seed=seed, config=config,
-                       tiebreak_seed=tiebreak_seed,
+    return ChaosEngine(scenario, seed=seed, tiebreak_seed=tiebreak_seed,
                        detect_races=detect_races).run()

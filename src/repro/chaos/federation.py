@@ -1,10 +1,10 @@
-"""Whole-cell chaos: blackout and brownout scenarios over a federation.
+"""Whole-cell chaos: the federation target of the chaos engine.
 
-The single-platform :class:`~repro.chaos.engine.ChaosEngine` breaks
-components *inside* one FfDL installation.  This module breaks entire
-installations: a :class:`FederationChaosEngine` builds N cells under a
+:class:`~repro.chaos.engine.PlatformTarget` breaks components *inside*
+one FfDL installation.  :class:`FederationTarget` breaks entire
+installations: it builds N cells under a
 :class:`~repro.federation.dispatcher.FederationDispatcher`, replays a
-paper-shaped federated trace, and injects two whole-cell fault kinds —
+paper-shaped federated trace, and binds two whole-cell fault kinds —
 
 * ``cell-blackout`` — the cell goes completely dark (services held
   down, every node dead, MongoDB unreachable) and later returns;
@@ -14,22 +14,23 @@ paper-shaped federated trace, and injects two whole-cell fault kinds —
 
 The steady-state hypotheses pin the federation's contract: zero lost
 intent records, zero double executions, every intent resolved, every
-buffered writer drained, all cells healthy again.  Reports reuse
-:class:`~repro.chaos.engine.ChaosReport`, so ``--check-determinism``,
-``--perturb`` and ``--detect-races`` work unchanged: two runs with the
-same seed must produce byte-identical audit logs and end states under
-every tie-break permutation.
+buffered writer drained, all cells healthy again.  The loop that runs
+them is :class:`~repro.chaos.engine.ChaosEngine`, the same one that runs
+a single platform, so ``--check-determinism``, ``--perturb`` and
+``--detect-races`` apply unchanged: two runs with the same seed must
+produce byte-identical audit logs and end states under every tie-break
+permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, Tuple
 
 from repro.chaos.engine import (
-    ChaosReport,
-    HypothesisResult,
-    RecoveryRecord,
+    CELL_FAULT_KINDS,
+    ChaosEngine,
+    InjectionStep,
 )
 from repro.core import statuses as st
 from repro.errors import QuotaExceededError, SimulationError
@@ -41,16 +42,11 @@ from repro.federation import (
     HEALTHY,
     HealthConfig,
 )
-from repro.sim.core import Environment, OBSERVER
-from repro.sim.failure import FaultEvent, FaultInjector
-from repro.sim.race import RaceDetector
-from repro.sim.rng import RngRegistry
+from repro.sim.failure import FaultEvent
 from repro.workloads.federation_trace import (
     FederationTrace,
     FederationTraceConfig,
 )
-
-FEDERATION_FAULT_KINDS = ("cell-blackout", "cell-brownout")
 
 
 @dataclass(frozen=True)
@@ -65,33 +61,15 @@ class CellDef:
 
 
 @dataclass(frozen=True)
-class FederationStep:
-    """One whole-cell injection."""
-
-    at_s: float
-    kind: str
-    cell: str
-    duration_s: float = 0.0
-    #: Brownout latency inflation factor (0 -> default 200x).
-    param: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FEDERATION_FAULT_KINDS:
-            raise ValueError(
-                f"unknown federation fault kind {self.kind!r}; "
-                f"known: {', '.join(FEDERATION_FAULT_KINDS)}")
-        if self.at_s < 0 or self.duration_s < 0:
-            raise ValueError("at_s and duration_s must be non-negative")
-
-
-@dataclass(frozen=True)
 class FederationScenario:
     """A named multi-cell chaos scenario."""
+
+    kind: ClassVar[str] = "federation"
 
     name: str
     description: str
     cells: Tuple[CellDef, ...]
-    steps: Tuple[FederationStep, ...]
+    steps: Tuple[InjectionStep, ...]
     horizon_s: float = 1500.0
     settle_s: float = 600.0
     jobs: int = 12
@@ -105,46 +83,38 @@ class FederationScenario:
     def total_gpus(self) -> int:
         return sum(c.gpu_nodes * c.gpus_per_node for c in self.cells)
 
+    def target(self, engine: ChaosEngine) -> "FederationTarget":
+        return FederationTarget(engine)
 
-class FederationChaosEngine:
-    """Runs one federation scenario against freshly built cells."""
 
-    POLL_S = 0.25
-    RECOVERY_TIMEOUT_S = 900.0
-    DRAIN_GRACE_STEPS = 120
+class FederationTarget:
+    """N cells under one dispatcher, replaying a federated trace."""
 
-    def __init__(self, scenario: FederationScenario, seed: int = 0,
-                 tiebreak_seed: int = 0, detect_races: bool = False):
-        self.scenario = scenario
-        self.seed = seed
-        self.tiebreak_seed = tiebreak_seed
-        self.env = Environment(tiebreak_seed=tiebreak_seed)
-        self.race_detector = RaceDetector(self.env) if detect_races else None
-        self.rng = RngRegistry(seed)
-        self._engine_log: List[Tuple[float, str]] = []
-        self.bus = FederationBus(self.env, self.rng)
+    LABEL = "cell"
+    PREFIX = "fedchaos"
+    FAULT_KINDS = CELL_FAULT_KINDS
+
+    def __init__(self, engine: ChaosEngine):
+        self.engine = engine
+        self.env = engine.env
+        self.scenario = scenario = engine.scenario
+        self.bus = FederationBus(self.env, engine.rng)
         self.cells: Dict[str, Cell] = {}
         for spec in scenario.cells:
-            cell = Cell(self.env, self.rng, CellSpec(
+            cell = Cell(self.env, engine.rng, CellSpec(
                 name=spec.name, zone=spec.zone, gpu_nodes=spec.gpu_nodes,
                 gpus_per_node=spec.gpus_per_node, gpu_type=spec.gpu_type))
             self.cells[cell.name] = cell
         self.dispatcher = FederationDispatcher(
-            self.env, self.rng, self.bus, list(self.cells.values()),
+            self.env, engine.rng, self.bus, list(self.cells.values()),
             health_config=HealthConfig(),
-            audit=self._log)
-        self.trace = FederationTrace(self.rng, FederationTraceConfig(
+            audit=engine.log)
+        self.trace = FederationTrace(engine.rng, FederationTraceConfig(
             jobs=scenario.jobs,
             arrival_window_s=scenario.arrival_window_s,
             min_iterations=scenario.min_iterations,
             max_iterations=scenario.max_iterations,
             gpu_type_mix=self._gpu_type_mix(scenario)))
-        self.injector = FaultInjector(self.env, self.rng)
-        self.hypotheses: List[HypothesisResult] = []
-        self.recoveries: List[RecoveryRecord] = []
-        self.submitted: List[str] = []
-        self.submit_failures = 0
-        self._ran = False
 
     @staticmethod
     def _gpu_type_mix(scenario: FederationScenario):
@@ -161,32 +131,13 @@ class FederationChaosEngine:
         total = sum(weight for _, weight in mix)
         return tuple((gpu_type, weight / total) for gpu_type, weight in mix)
 
-    # -- audit -------------------------------------------------------------
-
-    def _log(self, text: str) -> None:
-        self._engine_log.append((self.env.now, text))
-
-    def audit_lines(self) -> List[str]:
-        """Injector records merged with engine/dispatcher events — the
-        determinism witness (same contract as ChaosEngine)."""
-        entries: List[Tuple[float, int, str, int]] = []
-        for seq, fault in enumerate(self.injector.log):
-            entries.append((fault.time, 0,
-                            f"fault {fault.kind} target={fault.target} "
-                            f"duration={fault.duration_s:.3f}", seq))
-        for seq, (time, text) in enumerate(self._engine_log):
-            entries.append((time, 1, text, seq))
-        entries.sort()
-        return [f"t={time:10.3f} {text}"
-                for time, _src, text, _seq in entries]
-
     # -- fault binding -----------------------------------------------------
 
-    def _bind(self, step: FederationStep):
-        cell = self.cells.get(step.cell)
+    def bind(self, step: InjectionStep):
+        cell = self.cells.get(step.target)
         if cell is None:
             raise SimulationError(
-                f"scenario targets unknown cell {step.cell!r}")
+                f"scenario targets unknown cell {step.target!r}")
         monitor = self.dispatcher.monitors[cell.name]
 
         if step.kind == "cell-blackout":
@@ -204,57 +155,25 @@ class FederationChaosEngine:
             def recover(event: FaultEvent) -> None:
                 cell.end_brownout()
 
+        noticed = False
+
         def healthy() -> bool:
             # Recovered means the *monitor* says so: detection and
             # recovery are both observed through probes, like
-            # production.
+            # production.  Probes take a few intervals to classify, so
+            # the all-clear only counts once the monitor has noticed
+            # the fault.
+            nonlocal noticed
+            if not noticed:
+                noticed = monitor.state != HEALTHY
+                return False
             return monitor.state == HEALTHY
 
         return inject, recover, healthy
 
-    def _schedule_step(self, step: FederationStep) -> None:
-        inject, recover, healthy = self._bind(step)
-
-        def on_fault(event: FaultEvent) -> None:
-            inject(event)
-            self._log(f"inject {step.kind} cell={step.cell} "
-                      f"duration={step.duration_s:g}")
-            self.env.process(self._watch_recovery(step, healthy),
-                             name=f"fedchaos-watch:{step.kind}")
-
-        def on_recover(event: FaultEvent) -> None:
-            recover(event)
-            self._log(f"recover {step.kind} cell={step.cell}")
-
-        self.injector.inject_once(
-            step.kind, step.cell, step.at_s, on_fault,
-            duration_s=step.duration_s, on_recover=on_recover)
-
-    def _watch_recovery(self, step: FederationStep,
-                        healthy: Callable[[], bool]):
-        started = self.env.now
-        # Let the monitor *notice* the fault before watching for the
-        # all-clear (probes take a few intervals to classify).
-        degraded_seen = False
-        while self.env.now - started < self.RECOVERY_TIMEOUT_S:
-            yield self.env.timeout(self.POLL_S, priority=OBSERVER)
-            if not degraded_seen:
-                degraded_seen = not healthy()
-                continue
-            if healthy():
-                duration = self.env.now - started
-                self.recoveries.append(RecoveryRecord(
-                    step.kind, step.cell, started, duration))
-                self._log(f"recovered {step.kind} cell={step.cell} "
-                          f"after {duration:.2f}s")
-                return
-        self.recoveries.append(RecoveryRecord(
-            step.kind, step.cell, started, None, timed_out=True))
-        self._log(f"recovery-timeout {step.kind} cell={step.cell}")
-
     # -- workload ----------------------------------------------------------
 
-    def _churn(self):
+    def churn(self):
         jobs = self.trace.generate()
         for user in sorted({job.user for job in jobs}):
             self.dispatcher.register_tenant(
@@ -272,15 +191,20 @@ class FederationChaosEngine:
             intent_id = yield self.dispatcher.submit(
                 job.to_manifest(), preferred_zone=job.preferred_zone)
         except QuotaExceededError:
-            self.submit_failures += 1
-            self._log(f"submit-rejected {job.trace_id} "
-                      f"user={job.user} (quota)")
+            self.engine.submit_failures += 1
+            self.engine.log(f"submit-rejected {job.trace_id} "
+                            f"user={job.user} (quota)")
             return
-        self.submitted.append(intent_id)
-        self._log(f"submitted {intent_id} ({job.trace_id} "
-                  f"{job.total_gpus}x{job.gpu_type})")
+        self.engine.submitted.append(intent_id)
+        self.engine.log(f"submitted {intent_id} ({job.trace_id} "
+                        f"{job.total_gpus}x{job.gpu_type})")
 
     # -- hypotheses --------------------------------------------------------
+
+    def writers(self):
+        return [self.dispatcher.intent_log] + \
+            [self.cells[name].platform.status_writer
+             for name in sorted(self.cells)]
 
     def _hyp_no_lost_intents(self) -> Tuple[bool, str]:
         lost = self.dispatcher.lost_intents()
@@ -341,214 +265,52 @@ class FederationChaosEngine:
             return False, f"over-allocated: {over[:3]}"
         return True, "no cell over-allocates GPUs"
 
-    def _hypotheses(self):
-        return (
-            ("no-lost-intent-records", self._hyp_no_lost_intents),
-            ("no-double-execution", self._hyp_no_double_execution),
-            ("intent-log-flushed", self._hyp_intent_log_flushed),
-            ("cell-writers-flushed", self._hyp_cell_writers_flushed),
-            ("all-intents-resolved", self._hyp_all_intents_resolved),
-            ("cells-healthy", self._hyp_cells_healthy),
-            ("no-gpu-overallocation", self._hyp_no_overallocation),
-        )
+    HYPOTHESES = (
+        ("no-lost-intent-records", _hyp_no_lost_intents),
+        ("no-double-execution", _hyp_no_double_execution),
+        ("intent-log-flushed", _hyp_intent_log_flushed),
+        ("cell-writers-flushed", _hyp_cell_writers_flushed),
+        ("all-intents-resolved", _hyp_all_intents_resolved),
+        ("cells-healthy", _hyp_cells_healthy),
+        ("no-gpu-overallocation", _hyp_no_overallocation),
+    )
 
-    def _check_hypotheses(self, phase: str, structural_only: bool = False):
-        writers = [self.dispatcher.intent_log] + \
-            [self.cells[name].platform.status_writer
-             for name in sorted(self.cells)]
-        for _ in range(self.DRAIN_GRACE_STEPS):
-            if all(w.pending == 0 and not w.degraded for w in writers):
-                break
-            yield self.env.timeout(0.5, priority=OBSERVER)
-        for name, check in self._hypotheses():
-            if structural_only and name in ("all-intents-resolved",):
-                continue  # meaningless before the workload finishes
-            ok, detail = check()
-            self.hypotheses.append(HypothesisResult(
-                phase, name, ok, detail, self.env.now))
-            self._log(f"hypothesis {name} [{phase}]: "
-                      f"{'PASS' if ok else 'FAIL'} ({detail})")
+    def hypotheses(self, phase: str):
+        if phase == "steady-state:before":
+            # Meaningless before the workload finishes.
+            return [(name, check) for name, check in self.HYPOTHESES
+                    if name != "all-intents-resolved"]
+        return self.HYPOTHESES
 
-    # -- run ---------------------------------------------------------------
+    # -- report ------------------------------------------------------------
 
-    def run(self) -> ChaosReport:
-        if self._ran:
-            raise SimulationError(
-                "FederationChaosEngine instances are single-use; "
-                "build a fresh one per run")
-        self._ran = True
-        first_fault = min((step.at_s for step in self.scenario.steps),
-                          default=0.0)
-
-        def baseline():
-            yield self.env.timeout(max(0.0, first_fault - 1.0))
-            yield from self._check_hypotheses("steady-state:before",
-                                              structural_only=True)
-
-        self.env.process(baseline(), name="fedchaos-baseline")
-        self.env.process(self._churn(), name="fedchaos-churn")
-        for step in self.scenario.steps:
-            self._schedule_step(step)
-        self.env.run(until=self.scenario.horizon_s
-                     + self.scenario.settle_s)
-        self.env.run_until_complete(
-            self.env.process(
-                self._check_hypotheses("steady-state:after"),
-                name="fedchaos-final"),
-            limit=self.env.now + 120.0)
-        return self._report()
-
-    def _report(self) -> ChaosReport:
-        dispatcher = self.dispatcher
+    def counters(self) -> Dict[str, float]:
         counters: Dict[str, float] = {
             "cells": len(self.cells),
             "total-gpus": self.scenario.total_gpus,
-            "intents-submitted": len(self.submitted),
-            "submit-rejections": self.submit_failures,
+            "intents-submitted": len(self.engine.submitted),
+            "submit-rejections": self.engine.submit_failures,
             "bus-messages": self.bus.stats.messages,
         }
-        for key in sorted(dispatcher.counters):
+        for key in sorted(self.dispatcher.counters):
             counters[f"fed-{key.replace('_', '-')}"] = \
-                dispatcher.counters[key]
+                self.dispatcher.counters[key]
         for name in sorted(self.cells):
             platform = self.cells[name].platform
             counters[f"{name}-jobs"] = len(platform.jobs)
             counters[f"{name}-completed"] = sum(
                 1 for job in platform.jobs.values()
                 if job.status.current == st.COMPLETED)
-        counters["faults-injected"] = len(self.injector.log)
-        race_lines: List[str] = []
-        if self.race_detector is not None:
-            race_lines = self.race_detector.render()
-            counters["schedule-conflicts"] = len(race_lines)
+        counters["faults-injected"] = len(self.engine.injector.log)
+        return counters
+
+    def job_states(self) -> Dict[str, str]:
         # The end-state witness covers both layers: federated intents
         # and every cell-local job.
         job_states = {intent.intent_id: intent.state
-                      for intent in dispatcher.intents()}
+                      for intent in self.dispatcher.intents()}
         for name in sorted(self.cells):
             for job_id, job in sorted(
                     self.cells[name].platform.jobs.items()):
                 job_states[f"{name}/{job_id}"] = job.status.current
-        return ChaosReport(
-            scenario=self.scenario.name,
-            seed=self.seed,
-            hypotheses=list(self.hypotheses),
-            recoveries=list(self.recoveries),
-            audit_lines=self.audit_lines(),
-            counters=counters,
-            tiebreak_seed=self.tiebreak_seed,
-            job_states=job_states,
-            race_lines=race_lines,
-        )
-
-
-# -- named scenarios --------------------------------------------------------
-
-FEDERATION_CELL_OUTAGE = FederationScenario(
-    name="federation-cell-outage",
-    description="Two cells; cell-a suffers a whole-cell blackout under "
-                "churn.  Queued and running jobs migrate to cell-b, the "
-                "recovered cell is fenced, and no intent is lost or run "
-                "twice.  (CI smoke scenario.)",
-    cells=(
-        CellDef("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-        CellDef("cell-b", "zone-b", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-    ),
-    steps=(
-        FederationStep(at_s=120.0, kind="cell-blackout", cell="cell-a",
-                       duration_s=150.0),
-    ),
-    horizon_s=1600.0,
-    settle_s=600.0,
-    jobs=8,
-    arrival_window_s=180.0,
-    min_iterations=60,
-    max_iterations=140,
-)
-
-FEDERATION_BROWNOUT_MIGRATION = FederationScenario(
-    name="federation-brownout-migration",
-    description="Three cells; cell-a browns out (200x API/LCM latency) "
-                "without dying.  The health monitor must classify the "
-                "brownout from probe latency alone and migrate work to "
-                "the healthy cells.",
-    cells=(
-        CellDef("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-        CellDef("cell-b", "zone-a", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-        CellDef("cell-c", "zone-b", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-    ),
-    steps=(
-        FederationStep(at_s=100.0, kind="cell-brownout", cell="cell-a",
-                       duration_s=200.0, param=200.0),
-    ),
-    horizon_s=1600.0,
-    settle_s=600.0,
-    jobs=9,
-    arrival_window_s=180.0,
-    min_iterations=60,
-    max_iterations=140,
-)
-
-FEDERATION_TRACE_3K = FederationScenario(
-    name="federation-trace-3k",
-    description="The acceptance scenario: 4 cells / 3072 GPUs across "
-                "two zones replaying a paper-shaped trace, with one "
-                "whole-cell blackout and one brownout.  Zero lost "
-                "intents, zero double executions, byte-identical audit "
-                "across runs.",
-    cells=(
-        CellDef("cell-a", "zone-a", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="K80"),
-        CellDef("cell-b", "zone-b", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="K80"),
-        CellDef("cell-c", "zone-a", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="V100"),
-        CellDef("cell-d", "zone-b", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="V100"),
-    ),
-    steps=(
-        FederationStep(at_s=180.0, kind="cell-blackout", cell="cell-a",
-                       duration_s=240.0),
-        FederationStep(at_s=300.0, kind="cell-brownout", cell="cell-c",
-                       duration_s=240.0, param=200.0),
-    ),
-    horizon_s=2200.0,
-    settle_s=800.0,
-    jobs=48,
-    arrival_window_s=420.0,
-    min_iterations=80,
-    max_iterations=240,
-    tenant_quota_gpus=1024,
-)
-
-FEDERATION_SCENARIOS: Dict[str, FederationScenario] = {
-    scenario.name: scenario
-    for scenario in (
-        FEDERATION_CELL_OUTAGE,
-        FEDERATION_BROWNOUT_MIGRATION,
-        FEDERATION_TRACE_3K,
-    )
-}
-
-
-def get_federation_scenario(name: str) -> FederationScenario:
-    try:
-        return FEDERATION_SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(FEDERATION_SCENARIOS)
-        raise KeyError(f"unknown federation scenario {name!r}; "
-                       f"known: {known}") from None
-
-
-def run_federation_scenario(scenario: FederationScenario, seed: int = 0,
-                            tiebreak_seed: int = 0,
-                            detect_races: bool = False) -> ChaosReport:
-    """Build a fresh engine and run ``scenario`` once."""
-    return FederationChaosEngine(scenario, seed=seed,
-                                 tiebreak_seed=tiebreak_seed,
-                                 detect_races=detect_races).run()
+        return job_states

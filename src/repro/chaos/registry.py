@@ -1,8 +1,7 @@
 """One registry for every runnable scenario, however it is defined.
 
 Scenarios come from two places: the hand-written dataclasses
-(:mod:`repro.chaos.scenarios`, :mod:`repro.chaos.federation`) and the
-declarative manifests under the repo's ``scenarios/`` directory
+(:mod:`repro.chaos.scenarios`) and the declarative manifests under the repo's ``scenarios/`` directory
 (:mod:`repro.manifest`).  The chaos CLI's ``--list`` and scenario
 resolution both go through this module, so there is a single source of
 truth: a ported scenario shows up once, tagged with *both* origins, and
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.chaos.federation import FEDERATION_SCENARIOS
 from repro.chaos.scenarios import SCENARIOS
 
 
@@ -45,37 +43,27 @@ class RegisteredScenario:
         return "+".join(tags)
 
     def resolve(self):
-        """The scenario object and, for manifests, the compiled wrapper.
-
-        Returns ``(kind, scenario, compiled)`` where ``compiled`` is a
-        :class:`~repro.manifest.compiler.CompiledScenario` when the
-        scenario came from a manifest (needed for chaos node groups),
-        else ``None``.
-        """
+        """The runnable scenario: the builtin, else the manifest
+        compiled now."""
         if self.builtin is not None:
-            return self.kind, self.builtin, None
+            return self.builtin
         from repro.manifest import compile_manifest_file
 
-        compiled = compile_manifest_file(self.manifest_path)
-        return compiled.kind, compiled.scenario, compiled
+        return compile_manifest_file(self.manifest_path).scenario
 
 
 def scenario_registry(scenario_dir: Optional[Path] = None,
                       ) -> Dict[str, RegisteredScenario]:
     """Every known scenario, builtins merged with discovered manifests.
 
-    Listed in documentation order: chaos builtins, federation builtins,
-    then manifest-only scenarios (sorted by name).
+    Listed in documentation order: builtins, then manifest-only
+    scenarios (sorted by name).
     """
-    registry: Dict[str, RegisteredScenario] = {}
-    for scenario in SCENARIOS.values():
-        registry[scenario.name] = RegisteredScenario(
-            name=scenario.name, kind="chaos",
+    registry: Dict[str, RegisteredScenario] = {
+        scenario.name: RegisteredScenario(
+            name=scenario.name, kind=scenario.kind,
             description=scenario.description, builtin=scenario)
-    for scenario in FEDERATION_SCENARIOS.values():
-        registry[scenario.name] = RegisteredScenario(
-            name=scenario.name, kind="federation",
-            description=scenario.description, builtin=scenario)
+        for scenario in SCENARIOS.values()}
 
     from repro.manifest import discover_manifests
 

@@ -1,16 +1,18 @@
-"""The named chaos scenarios.
+"""The named chaos scenarios, single-platform and federation alike.
 
-Each scenario is pure data (:class:`~repro.chaos.engine.Scenario`); the
-engine binds the fault kinds to the substrate hooks at run time.  Node
-targets follow the cluster naming convention ``node-<gpu_type>-<index>``
-for the four K80 nodes the engine provisions.
+Each scenario is pure data (:class:`~repro.chaos.engine.Scenario` or
+:class:`~repro.chaos.federation.FederationScenario`); its target binds
+the fault kinds to the substrate hooks at run time.  Node targets follow
+the cluster naming convention ``node-<gpu_type>-<index>`` for the four
+K80 nodes a :class:`~repro.chaos.engine.Scenario` provisions by default.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Union
 
 from repro.chaos.engine import InjectionStep, Scenario
+from repro.chaos.federation import CellDef, FederationScenario
 
 ETCD_LEADER_KILL = Scenario(
     name="etcd-leader-kill",
@@ -97,8 +99,90 @@ EVERYTHING_AT_ONCE = Scenario(
     jobs=8,
 )
 
+FEDERATION_CELL_OUTAGE = FederationScenario(
+    name="federation-cell-outage",
+    description="Two cells; cell-a suffers a whole-cell blackout under "
+                "churn.  Queued and running jobs migrate to cell-b, the "
+                "recovered cell is fenced, and no intent is lost or run "
+                "twice.  (CI smoke scenario.)",
+    cells=(
+        CellDef("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
+                gpu_type="K80"),
+        CellDef("cell-b", "zone-b", gpu_nodes=4, gpus_per_node=4,
+                gpu_type="K80"),
+    ),
+    steps=(
+        InjectionStep(at_s=120.0, kind="cell-blackout", target="cell-a",
+                      duration_s=150.0),
+    ),
+    horizon_s=1600.0,
+    settle_s=600.0,
+    jobs=8,
+    arrival_window_s=180.0,
+    min_iterations=60,
+    max_iterations=140,
+)
+
+FEDERATION_BROWNOUT_MIGRATION = FederationScenario(
+    name="federation-brownout-migration",
+    description="Three cells; cell-a browns out (200x API/LCM latency) "
+                "without dying.  The health monitor must classify the "
+                "brownout from probe latency alone and migrate work to "
+                "the healthy cells.",
+    cells=(
+        CellDef("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
+                gpu_type="K80"),
+        CellDef("cell-b", "zone-a", gpu_nodes=4, gpus_per_node=4,
+                gpu_type="K80"),
+        CellDef("cell-c", "zone-b", gpu_nodes=4, gpus_per_node=4,
+                gpu_type="K80"),
+    ),
+    steps=(
+        InjectionStep(at_s=100.0, kind="cell-brownout", target="cell-a",
+                      duration_s=200.0, param=200.0),
+    ),
+    horizon_s=1600.0,
+    settle_s=600.0,
+    jobs=9,
+    arrival_window_s=180.0,
+    min_iterations=60,
+    max_iterations=140,
+)
+
+FEDERATION_TRACE_3K = FederationScenario(
+    name="federation-trace-3k",
+    description="The acceptance scenario: 4 cells / 3072 GPUs across "
+                "two zones replaying a paper-shaped trace, with one "
+                "whole-cell blackout and one brownout.  Zero lost "
+                "intents, zero double executions, byte-identical audit "
+                "across runs.",
+    cells=(
+        CellDef("cell-a", "zone-a", gpu_nodes=24, gpus_per_node=32,
+                gpu_type="K80"),
+        CellDef("cell-b", "zone-b", gpu_nodes=24, gpus_per_node=32,
+                gpu_type="K80"),
+        CellDef("cell-c", "zone-a", gpu_nodes=24, gpus_per_node=32,
+                gpu_type="V100"),
+        CellDef("cell-d", "zone-b", gpu_nodes=24, gpus_per_node=32,
+                gpu_type="V100"),
+    ),
+    steps=(
+        InjectionStep(at_s=180.0, kind="cell-blackout", target="cell-a",
+                      duration_s=240.0),
+        InjectionStep(at_s=300.0, kind="cell-brownout", target="cell-c",
+                      duration_s=240.0, param=200.0),
+    ),
+    horizon_s=2200.0,
+    settle_s=800.0,
+    jobs=48,
+    arrival_window_s=420.0,
+    min_iterations=80,
+    max_iterations=240,
+    tenant_quota_gpus=1024,
+)
+
 #: name -> scenario, in documentation order.
-SCENARIOS: Dict[str, Scenario] = {
+SCENARIOS: Dict[str, Union[Scenario, FederationScenario]] = {
     scenario.name: scenario
     for scenario in (
         ETCD_LEADER_KILL,
@@ -106,11 +190,14 @@ SCENARIOS: Dict[str, Scenario] = {
         OBJECTSTORE_BROWNOUT,
         ROLLING_NODE_CRASHES,
         EVERYTHING_AT_ONCE,
+        FEDERATION_CELL_OUTAGE,
+        FEDERATION_BROWNOUT_MIGRATION,
+        FEDERATION_TRACE_3K,
     )
 }
 
 
-def get_scenario(name: str) -> Scenario:
+def get_scenario(name: str) -> Union[Scenario, FederationScenario]:
     try:
         return SCENARIOS[name]
     except KeyError:

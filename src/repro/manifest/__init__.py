@@ -9,8 +9,10 @@ module.  The package splits into:
 * :mod:`repro.manifest.schema` — the schema field tables, the
   hypothesis/counter catalogs, and the typed model;
 * :mod:`repro.manifest.compiler` — the MAN static pass followed by
-  lowering onto the existing :class:`~repro.chaos.engine.Scenario` /
-  :class:`~repro.chaos.federation.FederationScenario` dataclasses.
+  lowering onto the :class:`~repro.chaos.engine.Scenario` /
+  :class:`~repro.chaos.federation.FederationScenario` dataclasses,
+  topology included, which the one
+  :class:`~repro.chaos.engine.ChaosEngine` runs.
 
 The static analyzer itself lives with its rule family in
 :mod:`repro.staticcheck.manifest`; ``repro validate <manifest>`` is the
@@ -29,11 +31,9 @@ from repro.manifest.compiler import (
     discover_manifests,
 )
 from repro.manifest.schema import (
-    CellBlock,
     CounterAssertion,
     FaultEntry,
     ManifestModel,
-    NodeGroup,
 )
 from repro.manifest.yamlpos import (
     YamlNode,
@@ -42,14 +42,12 @@ from repro.manifest.yamlpos import (
 )
 
 __all__ = [
-    "CellBlock",
     "CheckResult",
     "CompiledScenario",
     "CounterAssertion",
     "FaultEntry",
     "ManifestError",
     "ManifestModel",
-    "NodeGroup",
     "YamlNode",
     "YamlPosError",
     "compile_manifest",

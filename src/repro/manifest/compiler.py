@@ -1,34 +1,37 @@
-"""Lowering a validated manifest into the existing chaos engines.
+"""Lowering a validated manifest into a chaos scenario.
 
 ``compile_manifest`` runs the MAN static pass first (so a manifest that
 would lower into nonsense is rejected with file:line:column findings,
 never a mid-run crash), then lowers the typed model into the exact
-dataclasses the hand-written scenarios use:
+dataclasses the hand-written scenarios use, topology included:
 
-* ``kind: chaos`` → :class:`repro.chaos.engine.Scenario` plus the
-  declarative node groups the engine provisions;
+* ``kind: chaos`` → :class:`repro.chaos.engine.Scenario`;
 * ``kind: federation`` → :class:`repro.chaos.federation.FederationScenario`.
 
-Because the lowering targets the same frozen dataclasses, a ported
-manifest compiles to an object *equal* to its hand-written twin — which
-is what makes the byte-identical regression tests in
-``tests/manifest/test_parity.py`` possible: equal scenario in, equal
-audit log and end state out.
+Only the fields a manifest declares are passed, so the dataclass
+defaults are the manifest defaults.  Because the lowering targets the
+same frozen dataclasses, a ported manifest compiles to an object *equal*
+to its hand-written twin — which is what makes the byte-identical
+regression tests in ``tests/manifest/test_parity.py`` possible: equal
+scenario in, equal audit log and end state out of the one
+:class:`~repro.chaos.engine.ChaosEngine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import yaml
 
-from repro.manifest.schema import (
-    CounterAssertion,
-    ManifestModel,
-    NodeGroup,
+from repro.chaos import (
+    ChaosEngine,
+    FederationScenario,
+    InjectionStep,
+    Scenario,
 )
+from repro.manifest.schema import CounterAssertion, ManifestModel
 
 
 class ManifestError(Exception):
@@ -55,12 +58,11 @@ class CheckResult:
 
 @dataclass
 class CompiledScenario:
-    """One manifest lowered onto the engine dataclasses."""
+    """One manifest lowered onto a scenario dataclass."""
 
     kind: str                     # "chaos" | "federation"
     name: str
     scenario: object              # Scenario | FederationScenario
-    node_groups: Tuple[NodeGroup, ...] = ()
     checks: Tuple[str, ...] = ()
     counter_assertions: Tuple[CounterAssertion, ...] = ()
     #: ``workload.seed`` when it was a literal integer.
@@ -68,18 +70,11 @@ class CompiledScenario:
     source_path: str = "<manifest>"
 
     def build_engine(self, seed: int = 0, tiebreak_seed: int = 0,
-                     detect_races: bool = False):
+                     detect_races: bool = False) -> ChaosEngine:
         """A fresh single-use engine for one run of this scenario."""
-        if self.kind == "chaos":
-            from repro.chaos.engine import ChaosEngine
-            return ChaosEngine(self.scenario, seed=seed,
-                               tiebreak_seed=tiebreak_seed,
-                               detect_races=detect_races,
-                               node_groups=self.node_groups or None)
-        from repro.chaos.federation import FederationChaosEngine
-        return FederationChaosEngine(self.scenario, seed=seed,
-                                     tiebreak_seed=tiebreak_seed,
-                                     detect_races=detect_races)
+        return ChaosEngine(self.scenario, seed=seed,
+                           tiebreak_seed=tiebreak_seed,
+                           detect_races=detect_races)
 
     def run(self, seed: int = 0, tiebreak_seed: int = 0,
             detect_races: bool = False):
@@ -113,93 +108,50 @@ class CompiledScenario:
         return results
 
 
-def _default(dataclass_type, name: str):
-    for spec in fields(dataclass_type):
-        if spec.name == name:
-            return spec.default
-    raise AttributeError(name)  # pragma: no cover - compiler bug
+#: Manifest ``kind`` -> the scenario dataclass it lowers to, the field
+#: its topology fills, and the field each ``workload:`` key sets.
+_LOWERING = {
+    "chaos": (Scenario, "nodes", {
+        "jobs": "jobs",
+        "interarrival_s": "job_interarrival_s",
+        "iterations": "job_iterations",
+        "learners": "job_learners",
+        "gpus_per_learner": "job_gpus_per_learner",
+        "gpu_type": "job_gpu_type",
+        "memory_gb_per_learner": "job_memory_gb",
+    }),
+    "federation": (FederationScenario, "cells", {
+        "jobs": "jobs",
+        "arrival_window_s": "arrival_window_s",
+        "min_iterations": "min_iterations",
+        "max_iterations": "max_iterations",
+        "tenant_quota_gpus": "tenant_quota_gpus",
+    }),
+}
 
 
-def _lower_chaos(model: ManifestModel, path: str) -> CompiledScenario:
-    from repro.chaos.engine import InjectionStep, Scenario
-
-    workload = model.workload
-
-    def w(key: str, field_name: str, cast=None):
-        if key in workload:
-            value = workload[key]
-            return cast(value) if cast is not None else value
-        return _default(Scenario, field_name)
-
-    scenario = Scenario(
-        name=model.name,
-        description=model.description,
+def _lower(model: ManifestModel, path: str) -> CompiledScenario:
+    scenario_type, topology, workload_fields = _LOWERING[model.kind]
+    declared = {topology: model.node_groups or model.cells,
+                "horizon_s": model.horizon_s, "settle_s": model.settle_s}
+    declared.update((name, model.workload.get(key))
+                    for key, name in workload_fields.items())
+    # What the manifest leaves out is not passed: the dataclass default
+    # applies.  YAML may spell a duration as an integer; the scenario
+    # fields that hold seconds are floats.
+    declared = {name: float(value) if name.endswith("_s") else value
+                for name, value in declared.items()
+                if value not in (None, ())}
+    scenario = scenario_type(
+        name=model.name, description=model.description,
         steps=tuple(InjectionStep(
-            at_s=entry.at_s, kind=entry.kind, target=entry.target,
+            at_s=entry.at_s, kind=entry.kind,
+            target=entry.target or entry.cell,
             duration_s=entry.duration_s, param=entry.param)
             for entry in model.faults),
-        horizon_s=float(model.horizon_s)
-        if model.horizon_s is not None else _default(Scenario, "horizon_s"),
-        settle_s=float(model.settle_s)
-        if model.settle_s is not None else _default(Scenario, "settle_s"),
-        jobs=w("jobs", "jobs"),
-        job_interarrival_s=w("interarrival_s", "job_interarrival_s",
-                             float),
-        job_iterations=w("iterations", "job_iterations"),
-        job_learners=w("learners", "job_learners"),
-        job_gpus_per_learner=w("gpus_per_learner",
-                               "job_gpus_per_learner"),
-        job_gpu_type=w("gpu_type", "job_gpu_type"),
-        job_memory_gb=w("memory_gb_per_learner", "job_memory_gb"),
-    )
+        **declared)
     return CompiledScenario(
-        kind="chaos", name=model.name, scenario=scenario,
-        node_groups=model.node_groups, checks=model.checks,
-        counter_assertions=model.counter_assertions,
-        seed_override=model.seed_override, source_path=path)
-
-
-def _lower_federation(model: ManifestModel,
-                      path: str) -> CompiledScenario:
-    from repro.chaos.federation import (
-        CellDef,
-        FederationScenario,
-        FederationStep,
-    )
-
-    workload = model.workload
-
-    def w(key: str, field_name: str):
-        if key in workload:
-            return workload[key]
-        return _default(FederationScenario, field_name)
-
-    scenario = FederationScenario(
-        name=model.name,
-        description=model.description,
-        cells=tuple(CellDef(
-            name=cell.name, zone=cell.zone, gpu_nodes=cell.gpu_nodes,
-            gpus_per_node=cell.gpus_per_node, gpu_type=cell.gpu_type)
-            for cell in model.cells),
-        steps=tuple(FederationStep(
-            at_s=entry.at_s, kind=entry.kind, cell=entry.cell,
-            duration_s=entry.duration_s, param=entry.param)
-            for entry in model.faults),
-        horizon_s=float(model.horizon_s)
-        if model.horizon_s is not None
-        else _default(FederationScenario, "horizon_s"),
-        settle_s=float(model.settle_s)
-        if model.settle_s is not None
-        else _default(FederationScenario, "settle_s"),
-        jobs=w("jobs", "jobs"),
-        arrival_window_s=float(w("arrival_window_s",
-                                 "arrival_window_s")),
-        min_iterations=w("min_iterations", "min_iterations"),
-        max_iterations=w("max_iterations", "max_iterations"),
-        tenant_quota_gpus=w("tenant_quota_gpus", "tenant_quota_gpus"),
-    )
-    return CompiledScenario(
-        kind="federation", name=model.name, scenario=scenario,
+        kind=model.kind, name=model.name, scenario=scenario,
         checks=model.checks,
         counter_assertions=model.counter_assertions,
         seed_override=model.seed_override, source_path=path)
@@ -224,9 +176,7 @@ def compile_manifest(source: str,
             findings)
     if model is None:  # empty document and similar degenerate shapes
         raise ManifestError(f"{display_path}: not a scenario manifest")
-    if model.kind == "chaos":
-        return _lower_chaos(model, display_path)
-    return _lower_federation(model, display_path)
+    return _lower(model, display_path)
 
 
 def compile_manifest_file(path: Path) -> CompiledScenario:

@@ -19,15 +19,22 @@ A scenario manifest is a small YAML document with five sections:
 This module is the *single source of truth* for that schema: the field
 tables below drive both the static analyzer (MAN001 unknown field /
 wrong type / missing required, see :mod:`repro.staticcheck.manifest`)
-and the compiler (:mod:`repro.manifest.compiler`).  The hypothesis and
-counter catalogs mirror what the chaos engines actually report; the
-tests pin them against the engine implementations.
+and the compiler (:mod:`repro.manifest.compiler`).  Fault kinds and
+hypothesis names are read from the chaos targets themselves; the counter
+catalogs mirror what their reports carry, and
+``tests/chaos/test_perturbation.py`` pins them against real reports.
+The topology dataclasses (:class:`NodeGroup`, :class:`CellDef`) are the
+chaos package's own, so a manifest lowers to a scenario without
+conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
+
+from repro.chaos.engine import NodeGroup, PlatformTarget
+from repro.chaos.federation import CellDef, FederationTarget
 
 MANIFEST_KINDS = ("chaos", "federation")
 
@@ -184,28 +191,10 @@ COUNTER_ASSERTION_FIELDS: Dict[str, Field] = {
     "equals": _num(),
 }
 
-# -- catalogs (what the engines actually expose) ----------------------------
+# -- catalogs (what the engine's targets actually expose) -------------------
 
-#: Steady-state checks :class:`~repro.chaos.engine.ChaosEngine` runs.
-CHAOS_HYPOTHESES = (
-    "status-writer-flushed",
-    "no-lost-job-records",
-    "status-consistency",
-    "mongo-primary-available",
-    "etcd-leader-elected",
-    "no-gpu-overallocation",
-)
-
-#: Steady-state checks the federation engine runs.
-FEDERATION_HYPOTHESES = (
-    "no-lost-intent-records",
-    "no-double-execution",
-    "intent-log-flushed",
-    "cell-writers-flushed",
-    "all-intents-resolved",
-    "cells-healthy",
-    "no-gpu-overallocation",
-)
+#: Manifest ``kind`` -> the chaos target that runs it.
+_TARGETS = {"chaos": PlatformTarget, "federation": FederationTarget}
 
 #: Counters a ChaosReport from the single-platform engine carries.
 CHAOS_COUNTERS = (
@@ -265,43 +254,14 @@ FEDERATION_MAX_SHAPE = {
 
 
 def known_hypotheses(kind: str) -> Tuple[str, ...]:
-    return CHAOS_HYPOTHESES if kind == "chaos" else FEDERATION_HYPOTHESES
+    return tuple(name for name, _check in _TARGETS[kind].HYPOTHESES)
 
 
 def known_fault_kinds(kind: str) -> Tuple[str, ...]:
-    # Imported lazily: the chaos engine imports the platform stack.
-    if kind == "chaos":
-        from repro.chaos.engine import FAULT_KINDS
-        return tuple(FAULT_KINDS)
-    from repro.chaos.federation import FEDERATION_FAULT_KINDS
-    return tuple(FEDERATION_FAULT_KINDS)
+    return tuple(_TARGETS[kind].FAULT_KINDS)
 
 
 # -- typed model (what the compiler consumes) -------------------------------
-
-@dataclass(frozen=True)
-class NodeGroup:
-    count: int
-    gpus_per_node: int
-    gpu_type: str
-    cpus: float = 64.0
-    memory_gb: float = 512.0
-
-    def node_names(self) -> Tuple[str, ...]:
-        """Provisioned node names (cluster convention
-        ``node-<gpu_type>-<index>``)."""
-        return tuple(f"node-{self.gpu_type}-{index}"
-                     for index in range(self.count))
-
-
-@dataclass(frozen=True)
-class CellBlock:
-    name: str
-    zone: str
-    gpu_nodes: int
-    gpus_per_node: int
-    gpu_type: str
-
 
 @dataclass(frozen=True)
 class CounterAssertion:
@@ -345,7 +305,7 @@ class ManifestModel:
     name: str
     description: str
     node_groups: Tuple[NodeGroup, ...] = ()
-    cells: Tuple[CellBlock, ...] = ()
+    cells: Tuple[CellDef, ...] = ()
     workload: Dict[str, Any] = field(default_factory=dict)
     faults: Tuple[FaultEntry, ...] = ()
     horizon_s: Optional[float] = None

@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.chaos import CellDef, NodeGroup, SCENARIOS
 from repro.manifest.schema import (
     CHAOS_COUNTERS,
     CHAOS_STEP_FIELDS,
@@ -39,7 +40,6 @@ from repro.manifest.schema import (
     CHAOS_WORKLOAD_FIELDS,
     CELL_FIELDS,
     COUNTER_ASSERTION_FIELDS,
-    CellBlock,
     CounterAssertion,
     FAULTS_SECTION_FIELDS,
     FEDERATION_CELL_COUNTER_SUFFIXES,
@@ -55,7 +55,6 @@ from repro.manifest.schema import (
     MANIFEST_KINDS,
     ManifestModel,
     NODE_GROUP_FIELDS,
-    NodeGroup,
     ROOT_FIELDS,
     RUN_FIELDS,
     SEED_INHERIT,
@@ -136,7 +135,7 @@ class _Analysis:
         #: (typed block, its source node) — the node is the finding
         #: anchor for capacity/unreferenced diagnostics.
         self._node_groups: List[Tuple[NodeGroup, YamlNode]] = []
-        self._cells: List[Tuple[CellBlock, YamlNode]] = []
+        self._cells: List[Tuple[CellDef, YamlNode]] = []
         self._topology_node: Optional[YamlNode] = None
         self._workload_node: Optional[YamlNode] = None
         self._workload: Dict[str, Any] = {}
@@ -295,7 +294,7 @@ class _Analysis:
                 gpu_type = self._typed(cell, "gpu_type", CELL_FIELDS)
                 if None in (name, zone, nodes, gpus, gpu_type):
                     continue
-                self._cells.append((CellBlock(
+                self._cells.append((CellDef(
                     name=name, zone=zone, gpu_nodes=nodes,
                     gpus_per_node=gpus, gpu_type=gpu_type), cell))
 
@@ -653,7 +652,7 @@ class _Analysis:
                 f"bound); it would queue forever")
 
     @staticmethod
-    def _cell_fits(cell: CellBlock, learners: int,
+    def _cell_fits(cell: CellDef, learners: int,
                    per_learner: int) -> bool:
         if per_learner > cell.gpus_per_node:
             return False
@@ -768,21 +767,15 @@ class _Analysis:
 
 
 def _resolve_use(name: str, kind: str):
-    """Steps of the named builtin scenario, as FaultEntry records."""
-    if kind == "chaos":
-        from repro.chaos.scenarios import SCENARIOS
-        scenario = SCENARIOS.get(name)
-        if scenario is None:
-            return None
-        return [FaultEntry(at_s=s.at_s, kind=s.kind, target=s.target,
-                           duration_s=s.duration_s, param=s.param)
-                for s in scenario.steps]
-    from repro.chaos.federation import FEDERATION_SCENARIOS
-    scenario = FEDERATION_SCENARIOS.get(name)
-    if scenario is None:
+    """Steps of the named builtin scenario of this ``kind``, as
+    FaultEntry records; ``None`` when there is no such scenario."""
+    scenario = SCENARIOS.get(name)
+    if scenario is None or scenario.kind != kind:
         return None
-    return [FaultEntry(at_s=s.at_s, kind=s.kind, cell=s.cell,
-                       duration_s=s.duration_s, param=s.param)
+    # The FaultEntry field is the YAML key a step's target goes under.
+    where = "target" if kind == "chaos" else "cell"
+    return [FaultEntry(at_s=s.at_s, kind=s.kind, duration_s=s.duration_s,
+                       param=s.param, **{where: s.target})
             for s in scenario.steps]
 
 

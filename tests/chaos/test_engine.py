@@ -1,5 +1,11 @@
 """Tests for the deterministic chaos engine and its scenarios."""
 
+import dataclasses
+import itertools
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import (
@@ -10,7 +16,7 @@ from repro.chaos import (
     get_scenario,
 )
 from repro.chaos.cli import main
-from repro.chaos.engine import FAULT_KINDS
+from repro.chaos.engine import PlatformTarget
 from repro.errors import SimulationError
 
 #: A fast scenario for unit tests: two jobs, one Mongo failover and one
@@ -60,15 +66,16 @@ def test_get_scenario_resolves_and_rejects():
 def test_named_scenarios_are_consistent():
     expected = {"etcd-leader-kill", "mongo-failover-under-churn",
                 "objectstore-brownout", "rolling-node-crashes",
-                "everything-at-once"}
+                "everything-at-once", "federation-cell-outage",
+                "federation-brownout-migration", "federation-trace-3k"}
     assert set(SCENARIOS) == expected
     for name, scenario in SCENARIOS.items():
         assert scenario.name == name
         assert scenario.steps
-    # The combined scenario exercises every fault kind.
+    # The combined scenario exercises every fault kind of a platform.
     combined = {step.kind for step in
                 SCENARIOS["everything-at-once"].steps}
-    assert combined == set(FAULT_KINDS)
+    assert combined == set(PlatformTarget.FAULT_KINDS)
 
 
 # -- engine runs -----------------------------------------------------------
@@ -115,6 +122,49 @@ def test_same_seed_is_deterministic_different_seed_diverges():
     assert first.audit_lines != other.audit_lines
 
 
+def test_fault_still_open_when_the_run_ends_is_reported_and_fails():
+    # The brownout outlives horizon + settle (360 s): nobody ever sees
+    # object storage recover, and the report has to say so.
+    scenario = dataclasses.replace(TINY, steps=(
+        InjectionStep(at_s=30.0, kind="mongo-primary-kill",
+                      duration_s=20.0),
+        InjectionStep(at_s=200.0, kind="oss-brownout", duration_s=500.0,
+                      param=0.05)))
+    report = ChaosEngine(scenario, seed=0).run()
+    assert report.counters["faults-injected"] == 2
+    assert [(rec.kind, rec.started_at, rec.duration_s, rec.timed_out)
+            for rec in report.recoveries] == [
+        ("mongo-primary-kill", 30.0, 4.0, False),
+        ("oss-brownout", 200.0, None, True)]
+    assert all(h.ok for h in report.hypotheses)
+    assert not report.passed
+    assert report.audit_lines[-1].endswith(
+        "recovery-timeout oss-brownout target=-")
+    assert "oss-brownout target=-: TIMED OUT" in report.render()
+
+
+def test_cell_fault_still_open_when_the_run_ends_is_reported():
+    base = get_scenario("federation-brownout-migration")
+    scenario = dataclasses.replace(
+        base, jobs=3, horizon_s=400.0, settle_s=200.0, steps=(
+            InjectionStep(at_s=100.0, kind="cell-brownout",
+                          target="cell-a", duration_s=2500.0),))
+    report = ChaosEngine(scenario, seed=0).run()
+    assert [(rec.kind, rec.target, rec.timed_out)
+            for rec in report.recoveries] == [
+        ("cell-brownout", "cell-a", True)]
+    assert not report.passed
+    assert any(line.endswith("recovery-timeout cell-brownout cell=cell-a")
+               for line in report.audit_lines)
+
+
+def test_target_binds_only_its_own_fault_kinds():
+    scenario = dataclasses.replace(TINY, steps=(
+        InjectionStep(at_s=30.0, kind="cell-blackout", target="cell-a"),))
+    with pytest.raises(SimulationError, match="cannot inject"):
+        ChaosEngine(scenario, seed=0).run()
+
+
 def test_engine_is_single_use():
     engine = ChaosEngine(TINY, seed=0)
     engine.run()
@@ -154,3 +204,36 @@ def test_cli_runs_scenario_with_determinism_check(monkeypatch, capsys):
     assert code == 0
     assert "determinism check passed" in out
     assert "chaos scenario 'tiny' seed=0 tiebreak=0: PASS" in out
+
+
+def test_cli_determinism_check_compares_end_state(monkeypatch, capsys):
+    monkeypatch.setitem(SCENARIOS, "tiny", TINY)
+    # Sabotage the witness the way --perturb's test salts the audit log:
+    # a counter drifts from run to run and writes no audit line.
+    runs = itertools.count()
+    real_counters = PlatformTarget.counters
+
+    def drifting_counters(self):
+        return {**real_counters(self), "mongo-retries": next(runs)}
+
+    monkeypatch.setattr(PlatformTarget, "counters", drifting_counters)
+    code = main(["--scenario", "tiny", "--no-audit", "--check-determinism"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "determinism check FAILED: 0 diverging audit entries" in out
+
+
+# -- import budget ---------------------------------------------------------
+
+
+def test_importing_chaos_does_not_import_the_manifest_stack():
+    """``benchmarks/e2e`` times ``import repro.chaos`` inside ``setup_s``:
+    YAML, the manifest compiler and the analyzer stay out of it."""
+    probe = ("import sys, repro.chaos; print([m for m in "
+             "('yaml', 'repro.manifest', 'repro.staticcheck') "
+             "if m in sys.modules])")
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            env={"PYTHONPATH": str(src)},
+                            stdout=subprocess.PIPE, text=True)
+    assert result.stdout.strip() == "[]"

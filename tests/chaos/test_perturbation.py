@@ -8,20 +8,18 @@ order the kernel happens to pick between same-``(time, priority)``
 events — a modelling bug, not chaos.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from repro.chaos import FEDERATION_SCENARIOS, FederationChaosEngine, SCENARIOS
+from repro.chaos import SCENARIOS, get_scenario
 from repro.chaos.cli import main
 from repro.chaos.engine import ChaosEngine
 from repro.manifest import schema
 from repro.staticcheck.manifest import analyze_manifest
-
-#: Every named scenario, single-platform and federation alike.
-ALL_SCENARIOS = {**SCENARIOS, **FEDERATION_SCENARIOS}
 
 #: Tie-break permutations checked against the FIFO baseline (seed 0).
 PERTURBED_SEEDS = (1, 2, 3)
@@ -41,9 +39,7 @@ def _next_draw(stream):
 def run(name, tiebreak_seed):
     key = (name, tiebreak_seed)
     if key not in _RUNS:
-        engine_type = FederationChaosEngine \
-            if name in FEDERATION_SCENARIOS else ChaosEngine
-        engine = engine_type(ALL_SCENARIOS[name], seed=0,
+        engine = ChaosEngine(get_scenario(name), seed=0,
                              tiebreak_seed=tiebreak_seed, detect_races=True)
         report = engine.run()
         _RUNS[key] = report, {
@@ -56,7 +52,7 @@ def baseline(name):
     return run(name, 0)[0]
 
 
-@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_baseline_run_is_race_free_and_passes(name):
     report = baseline(name)
     assert report.passed, report.render()
@@ -64,7 +60,7 @@ def test_baseline_run_is_race_free_and_passes(name):
     assert report.counters["schedule-conflicts"] == 0
 
 
-@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("tiebreak_seed", PERTURBED_SEEDS)
 def test_perturbed_schedule_reproduces_run(name, tiebreak_seed):
     base = baseline(name)
@@ -262,39 +258,37 @@ def test_fifo_run_reports_what_the_recorded_run_reported(name):
     assert (_digest(state), _digest(report.render("text"))) == GOLDEN[name]
 
 
-def _kind(name):
-    return "federation" if name in FEDERATION_SCENARIOS else "chaos"
-
-
-@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_manifests_may_assert_every_counter_and_hypothesis_reported(name):
     """MAN002 rejects a counter or check the report "will never carry":
     its catalogs must know everything a report does carry."""
-    scenario, report = ALL_SCENARIOS[name], baseline(name)
-    topology = {"cells": [
-        {"name": cell.name, "zone": cell.zone, "gpu_nodes": cell.gpu_nodes,
-         "gpus_per_node": cell.gpus_per_node, "gpu_type": cell.gpu_type}
-        for cell in scenario.cells]} if _kind(name) == "federation" \
-        else {"nodes": [{"count": 4, "gpus_per_node": 4, "gpu_type": "K80"}]}
+    scenario, report = get_scenario(name), baseline(name)
+    topology = {"cells": [dataclasses.asdict(cell)
+                          for cell in scenario.cells]} \
+        if scenario.kind == "federation" \
+        else {"nodes": [dataclasses.asdict(group)
+                        for group in scenario.nodes]}
     checks = [h.name for h in report.hypotheses
               if h.phase == "steady-state:after"]
     # JSON is YAML: the analyzer reads this as it reads scenarios/*.yaml.
     source = json.dumps({
-        "kind": _kind(name), "name": name, "description": "catalog probe",
+        "kind": scenario.kind, "name": name,
+        "description": "catalog probe",
         "topology": topology,
         "hypotheses": {"checks": checks,
                        "counters": [{"name": counter, "min": 0}
                                     for counter in report.counters]}})
     findings, _suppressed, _model = analyze_manifest(source)
     assert [finding.render() for finding in findings] == []
-    assert tuple(checks) == schema.known_hypotheses(_kind(name))
+    assert tuple(checks) == schema.known_hypotheses(scenario.kind)
 
 
 @pytest.mark.parametrize("kind, catalog", [
     ("chaos", schema.CHAOS_COUNTERS),
     ("federation", schema.FEDERATION_COUNTERS)])
 def test_every_cataloged_counter_is_one_some_report_carries(kind, catalog):
-    carried = {counter for name in ALL_SCENARIOS if _kind(name) == kind
+    carried = {counter for name, scenario in SCENARIOS.items()
+               if scenario.kind == kind
                for counter in baseline(name).counters}
     assert set(catalog) <= carried
 

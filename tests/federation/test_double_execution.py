@@ -17,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from repro.chaos import get_federation_scenario, run_federation_scenario
+from repro.chaos import get_scenario, run_scenario
 from repro.core import statuses as st
 from repro.kube.objects import SUCCEEDED
 from tests.federation.test_dispatcher import (
@@ -76,9 +76,9 @@ def test_federation_trace_3k_seed_102_has_no_double_execution():
     1077 is the smallest ``jobs`` that shows it with the 2400 s window
     (every count from 35 to 1100 was run); the run is cut at t=470 s,
     past the recovery at t=420 s and the stale COMPLETED at t=427 s."""
-    base = get_federation_scenario("federation-trace-3k")
+    base = get_scenario("federation-trace-3k")
     scenario = dataclasses.replace(
         base, jobs=1077, arrival_window_s=2400.0, horizon_s=460.0,
         settle_s=10.0, tenant_quota_gpus=4096)
-    report = run_federation_scenario(scenario, seed=102)
+    report = run_scenario(scenario, seed=102)
     assert report.counters["fed-double-executions"] == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos.federation import FEDERATION_SCENARIOS
+from repro.chaos.engine import NodeGroup
 from repro.chaos.registry import (
     get_registered_scenario,
     scenario_registry,
@@ -13,23 +13,21 @@ from repro.manifest import ManifestError
 
 def test_every_ported_scenario_is_listed_with_both_origins():
     registry = scenario_registry()
-    ported = list(SCENARIOS) + ["federation-brownout-migration"]
-    for name in ported:
+    python_only = {"federation-cell-outage", "federation-trace-3k"}
+    for name in set(SCENARIOS) - python_only:
         entry = registry[name]
         assert entry.builtin is not None
         assert entry.manifest_path is not None, \
             f"{name} has no ported manifest"
         assert entry.origins.startswith("builtin+manifest:")
-    for name in set(FEDERATION_SCENARIOS) - set(ported):
+    for name in python_only:
         assert registry[name].origins == "builtin"
 
 
 def test_builtin_wins_resolution():
     entry = get_registered_scenario("etcd-leader-kill")
-    kind, scenario, compiled = entry.resolve()
-    assert kind == "chaos"
-    assert scenario is SCENARIOS["etcd-leader-kill"]
-    assert compiled is None
+    assert entry.kind == "chaos"
+    assert entry.resolve() is SCENARIOS["etcd-leader-kill"]
 
 
 def test_manifest_only_scenario_lists_and_resolves(tmp_path):
@@ -42,10 +40,10 @@ def test_manifest_only_scenario_lists_and_resolves(tmp_path):
     assert entry.builtin is None
     assert entry.origins == f"manifest:{(tmp_path / 'extra.yaml').as_posix()}"
     assert entry.description == "yaml twin"
-    kind, scenario, compiled = entry.resolve()
-    assert kind == "chaos"
+    assert entry.kind == "chaos"
+    scenario = entry.resolve()
     assert scenario.name == "manifest-only"
-    assert compiled is not None and compiled.node_groups
+    assert scenario.nodes == (NodeGroup(2, 4, "K80"),)
 
 
 def test_broken_manifest_lists_but_fails_resolution(tmp_path):
