@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from repro.core.manifest import JobManifest
@@ -96,6 +97,12 @@ class LearnerContext:
 def checkpoint_key(job_id: str, learner_index: int, iteration: int) -> str:
     return f"checkpoints/{job_id}/learner-{learner_index}/" \
            f"iter-{iteration:010d}"
+
+
+@lru_cache(maxsize=None)
+def _dataset_keys(objects: int) -> tuple:
+    """Keys of an ``objects``-part dataset, shared by every learner."""
+    return tuple(f"dataset/part-{part:05d}" for part in range(objects))
 
 
 def find_latest_checkpoint(ctx: LearnerContext,
@@ -176,10 +183,8 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
             # and prefetching the initial window, not staging the full
             # dataset (Section 3.7).
             report(DOWNLOADING)
-            prefetch = min(4, manifest.dataset_objects)
-            for obj_index in range(prefetch):
-                yield ctx.data_mount.read(
-                    f"dataset/part-{obj_index:05d}")
+            part_keys = _dataset_keys(manifest.dataset_objects)
+            yield from ctx.data_mount.read_all(part_keys[:4])
 
             # -- PROCESSING ----------------------------------------------
             report(PROCESSING)
@@ -214,11 +219,6 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
                 obj_index = (shard_offset +
                              state.iterations_done // iters_per_object) \
                     % manifest.dataset_objects
-                if state.iterations_done // iters_per_object >= \
-                        manifest.dataset_objects:
-                    state.epochs_completed = (
-                        state.iterations_done //
-                        (iters_per_object * manifest.dataset_objects))
                 fetch_started = env.now
                 # Read every object the chunk's iterations consume (a
                 # chunk can span multiple small objects).
@@ -227,10 +227,9 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
                             (state.iterations_done + chunk - 1) //
                             iters_per_object) % manifest.dataset_objects
                 span = (last_obj - first_obj) % manifest.dataset_objects
-                for step in range(span + 1):
-                    part = (first_obj + step) % manifest.dataset_objects
-                    yield ctx.data_mount.read(
-                        f"dataset/part-{part:05d}")
+                yield from ctx.data_mount.read_all(
+                    [part_keys[(first_obj + step) % manifest.dataset_objects]
+                     for step in range(span + 1)])
                 fetch_s = env.now - fetch_started
                 # Imperfect input-pipeline overlap: most of the fetch hides
                 # behind compute, the rest extends the chunk.
@@ -238,6 +237,8 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
                 yield env.timeout(
                     max(0.0, compute_s - FETCH_OVERLAP * fetch_s))
                 state.iterations_done += chunk
+                state.epochs_completed = state.iterations_done // \
+                    (iters_per_object * manifest.dataset_objects)
                 ctx.volume.write(ctx.progress_path(index),
                                  str(state.iterations_done))
                 # -- periodic checkpoint ------------------------------

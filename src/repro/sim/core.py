@@ -75,7 +75,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._schedule_event(self, URGENT, 0.0)
+        self.env._schedule_event(self, URGENT, self.env._now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -87,7 +87,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule_event(self, URGENT, 0.0)
+        self.env._schedule_event(self, URGENT, self.env._now)
         return self
 
 
@@ -102,7 +102,7 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  priority: int = NORMAL):
-        if delay < 0:
+        if not delay >= 0:  # also catches NaN, which would stall run()
             raise SimulationError(f"negative timeout delay: {delay}")
         # Every Event slot, filled directly (a timeout is born triggered
         # and carries its value): this is the hottest constructor.  Keep
@@ -116,7 +116,7 @@ class Timeout(Event):
         self._processed = False
         self._clock = None
         self.delay = delay
-        env._schedule_event(self, priority, delay)
+        env._schedule_event(self, priority, env._now + delay)
 
 
 class _Condition(Event):
@@ -359,7 +359,7 @@ class Environment:
         seq ^= seq >> 29
         return seq
 
-    def _schedule_event(self, event: Event, priority: int, delay: float) -> None:
+    def _schedule_event(self, event: Event, priority: int, when: float) -> None:
         if event._scheduled:
             raise SimulationError("event already scheduled")
         event._scheduled = True
@@ -370,7 +370,7 @@ class Environment:
             # Send edge: stamp the event with the sender's clock.
             self.race_detector.on_send(event)
         self.events_scheduled += 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        heappush(self._queue, (when, priority, seq, event))
         if self._profiler is not None:
             # After the push: the profiler reads depth off the queue.
             self._profiler.on_schedule(event)
@@ -381,6 +381,22 @@ class Environment:
     def timeout(self, delay: float, value: Any = None,
                 priority: int = NORMAL) -> Timeout:
         return Timeout(self, delay, value, priority=priority)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A ``NORMAL`` :class:`Timeout` firing at exactly the absolute
+        instant ``when`` - for a caller that computed the instant by its
+        own float arithmetic (the end of a run of timed actions, see
+        DESIGN.md): ``now + (when - now) == when`` only while
+        ``when <= 2 * now``."""
+        if not when >= self._now:
+            raise SimulationError(f"timeout_at({when}): now is {self._now}")
+        timer = Timeout.__new__(Timeout)
+        Event.__init__(timer, self)
+        timer._triggered = True
+        timer._value = value
+        timer.delay = when - self._now
+        self._schedule_event(timer, NORMAL, when)
+        return timer
 
     def process(self, generator: Generator, name: str = "process") -> Process:
         return Process(self, generator, name=name)

@@ -67,28 +67,66 @@ def test_statuses_land_at_pinned_times_across_cached_objects():
     assert (mount.cache.hits, mount.cache.misses) == (36, 8)
 
 
-def test_kill_while_waiting_on_a_hit_drops_the_wakeup():
+def run_until_iterations(env, state, iterations):
+    while state.iterations_done < iterations:
+        env.step()
+
+
+def killed_three_hits_into_a_warm_fetch(one_by_one, kill_at=None):
+    """Kill the learner after it has issued three of the five cache hits
+    of its third chunk; ``one_by_one`` swaps in the per-key reader that
+    ``read_all`` replaced, whose counters move at each issue."""
     env, ctx, state, container = start_learner(iterations=4000)
     mount = ctx.data_mount
-    returned = []
-    real_read = mount.read
+    if one_by_one:
+        def read_one_by_one(keys):
+            for key in keys:
+                yield mount.read(key)
 
-    def recording_read(key):
-        returned.append(real_read(key))
-        return returned[-1]
-
-    mount.read = recording_read
-    while mount.cache.hits == 0:
-        env.step()
-    # The learner has just yielded the hit's event and is parked on it.
-    fired = []
-    returned[-1].callbacks.append(lambda event: fired.append(env.now))
-    reads, done = mount.reads, state.iterations_done
+        mount.read_all = read_one_by_one
+    run_until_iterations(env, state, 100)  # the whole dataset is cached
+    before = (mount.reads, mount.cache.hits, mount.bytes_read)
+    if kill_at is None:
+        while mount.cache.hits < before[1] + 3:
+            env.step()
+        kill_at = env.now + 0.0004  # between the third issue and the fourth
+    env.run(until=kill_at)
     container.kill()
-    env.run()
+    env.run(until=kill_at)  # deliver the interrupt, nothing later
+    at_kill = (mount.reads, mount.cache.hits, mount.cache.misses,
+               mount.bytes_read, state.iterations_done)
+    env.run()  # whatever timer the learner was parked on fires dead
     assert container.exit_code == SIGKILL_EXIT_CODE
-    # The abandoned hit still fired, once, and woke nobody: a second
-    # resume would have issued the next read.
-    assert len(fired) == 1
-    assert (mount.reads, state.iterations_done) == (reads, done)
     assert not ctx.volume.exists(ctx.exit_path(0))
+    assert (mount.reads, mount.cache.hits, mount.cache.misses,
+            mount.bytes_read, state.iterations_done) == at_kill
+    assert at_kill[:2] == (before[0] + 3, before[1] + 3)
+    assert at_kill[3] == before[2] + 3 * OBJECT_BYTES
+    return kill_at, at_kill
+
+
+def test_kill_while_waiting_on_a_hit_drops_the_wakeup():
+    # The per-key form says what a kill at that instant must leave
+    # behind: exactly the reads issued before it, and no wake-up after.
+    kill_at, reference = killed_three_hits_into_a_warm_fetch(one_by_one=True)
+    assert killed_three_hits_into_a_warm_fetch(
+        one_by_one=False, kill_at=kill_at) == (kill_at, reference)
+
+
+def test_a_warm_chunk_costs_three_kernel_events():
+    # Fetch of five cached objects = one run (its timer, the reader's
+    # wake-up), then the compute timeout; it was one event per hit.
+    env, _ctx, state, _container = start_learner(iterations=4000)
+    run_until_iterations(env, state, 100)
+    before = env.events_processed
+    run_until_iterations(env, state, 150)
+    assert env.events_processed - before <= 3
+
+
+def test_epochs_completed_counts_the_last_chunk():
+    # 10 iterations per object x 8 objects = 80 iterations per epoch.
+    for iterations, epochs in ((400, 5), (160, 2)):
+        env, _ctx, state, container = start_learner(iterations=iterations)
+        env.run()
+        assert container.exit_code == 0
+        assert state.epochs_completed == epochs

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.etcd import EtcdStore
 from repro.sim import Environment
 
+from tests.conftest import examples
+
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.sampled_from("abcde"),
@@ -17,7 +19,7 @@ OPS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(ops=OPS)
 def test_revision_strictly_increases_on_effective_writes(ops):
     store = EtcdStore(Environment())
@@ -34,7 +36,7 @@ def test_revision_strictly_increases_on_effective_writes(ops):
         last_revision = store.revision
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(ops=OPS)
 def test_store_matches_dict_semantics(ops):
     store = EtcdStore(Environment())
@@ -55,7 +57,7 @@ def test_store_matches_dict_semantics(ops):
     assert store.keys() == sorted(model)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(ops=OPS)
 def test_version_counts_puts_since_creation(ops):
     store = EtcdStore(Environment())
@@ -71,7 +73,7 @@ def test_version_counts_puts_since_creation(ops):
         assert store.get(key).version == count
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(ops=OPS)
 def test_watch_replays_every_effective_change(ops):
     store = EtcdStore(Environment())
@@ -87,7 +89,7 @@ def test_watch_replays_every_effective_change(ops):
     watcher.cancel()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(ttls=st.lists(st.floats(min_value=1.0, max_value=50.0),
                      min_size=1, max_size=8))
 def test_all_leased_keys_gone_after_all_ttls(ttls):
@@ -125,7 +127,7 @@ WATCH_OPS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(ops=WATCH_OPS)
 def test_watch_fanout_equals_a_brute_force_scan(ops):
     """Every watcher receives exactly the effective changes that

@@ -17,6 +17,7 @@ from repro.kube.objects import ContainerSpec, ObjectMeta, Pod, PodSpec
 from repro.kube.resources import ResourceRequest
 from repro.sim import Environment, RngRegistry
 
+from tests.conftest import examples
 from tests.kube.conftest import recount_owner_nodes
 
 
@@ -92,7 +93,7 @@ def no_overallocation(cluster):
         assert allocation.free_cpus <= allocation.capacity.cpus + 1e-9
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(specs=POD_SPECS, seed=st.integers(min_value=0, max_value=50),
        policy=st.sampled_from(["pack", "spread"]), cordon=st.booleans())
 def test_no_overallocation_under_random_churn(specs, seed, policy, cordon):
@@ -147,7 +148,7 @@ def test_no_overallocation_under_random_churn(specs, seed, policy, cordon):
                        allocation.capacity.cpus) < 1e-6
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100),
        jobs=st.integers(min_value=1, max_value=10),
        learners=st.integers(min_value=1, max_value=4),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Interrupt
+from repro.sim.core import OBSERVER, URGENT
 
 
 def test_timeout_advances_clock():
@@ -64,6 +65,70 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+
+
+def test_nan_timeout_rejected_rather_than_stalling_the_run():
+    # NaN compares false with everything: "delay < 0" let it through,
+    # the entry sorted nowhere, reached the heap root and made run()
+    # return with later timers still queued and no error.
+    env = Environment()
+    fired = []
+    for delay in (1.0, float("nan"), 0.5):
+        try:
+            env.timeout(delay).callbacks.append(
+                lambda _event, delay=delay: fired.append(delay))
+        except SimulationError:
+            fired.append("rejected")
+    env.run()
+    assert fired == ["rejected", 0.5, 1.0]
+    assert env.now == 1.0 and not env._queue
+    with pytest.raises(SimulationError):
+        env.timeout_at(float("nan"))
+
+
+def test_timeout_at_fires_at_exactly_the_instant_given():
+    env = Environment()
+    env.run(until=0.0005)
+    when = env.now
+    for _ in range(5):
+        when += 0.001
+    # The case a relative timeout gets wrong: when > 2 * now.
+    assert when == 0.0055000000000000005
+    assert env.now + (when - env.now) == 0.005500000000000001
+    timer = env.timeout_at(when, value="v")
+    assert (timer.triggered, timer.ok, timer.value) == (True, True, "v")
+    for slot in type(env.event()).__slots__:
+        assert hasattr(timer, slot), slot
+    fired = []
+    timer.callbacks.append(lambda _event: fired.append(env.now))
+    env.run()
+    assert fired == [when]
+
+
+def test_timeout_at_is_a_normal_timeout_in_line_with_the_others():
+    env = Environment()
+    order = []
+
+    def note(label):
+        return lambda _event: order.append(label)
+
+    env.timeout(1.0, priority=OBSERVER).callbacks.append(note("observer"))
+    env.timeout(1.0).callbacks.append(note("first"))
+    env.timeout_at(1.0).callbacks.append(note("at"))
+    env.timeout(1.0).callbacks.append(note("last"))
+    env.timeout(1.0, priority=URGENT).callbacks.append(note("urgent"))
+    env.run()
+    assert order == ["urgent", "first", "at", "last", "observer"]
+    assert env.events_scheduled == env.events_processed == 5
+
+
+def test_timeout_at_rejects_a_past_instant():
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(SimulationError):
+        env.timeout_at(1.999)
+    env.timeout_at(2.0)  # now itself is fine
+    assert env.events_scheduled == 1
 
 
 # -- tie-break permutation -------------------------------------------------

@@ -11,8 +11,10 @@ import repro.sim
 from repro.sim import Environment, FairShareLink
 from repro.sim.core import NORMAL, OBSERVER, URGENT
 
+from tests.conftest import examples
 
-@settings(max_examples=50, deadline=None)
+
+@settings(max_examples=examples(50), deadline=None)
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1000.0),
                        min_size=1, max_size=30))
 def test_events_fire_in_nondecreasing_time_order(delays):
@@ -31,7 +33,7 @@ def test_events_fire_in_nondecreasing_time_order(delays):
     assert env.now == pytest.approx(max(delays))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(delays=st.lists(st.floats(min_value=0.01, max_value=100.0),
                        min_size=2, max_size=10))
 def test_all_of_fires_at_max_any_of_at_min(delays):
@@ -55,7 +57,7 @@ def test_all_of_fires_at_max_any_of_at_min(delays):
     assert observed["any"] == pytest.approx(min(delays))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(sizes=st.lists(st.floats(min_value=1.0, max_value=1e6),
                       min_size=1, max_size=12),
        capacity=st.floats(min_value=10.0, max_value=1e5))
@@ -82,7 +84,7 @@ def test_fair_share_conserves_bytes_and_bounds_rate(sizes, capacity):
         assert finish[i] >= size / capacity * (1 - 1e-9)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.data())
 def test_fair_share_equal_transfers_finish_together(data):
     n = data.draw(st.integers(min_value=2, max_value=8))
@@ -108,8 +110,9 @@ def test_fair_share_equal_transfers_finish_together(data):
 #: One node of a random program: ``(kind, delay, priority, children)``.
 #: Firing a node schedules its children, so a zero delay (or a plain
 #: event, always URGENT at the current time) lands in the very instant
-#: being drained.  Few distinct delays: ties are the point.
-_KIND = st.sampled_from(["timeout", "event"])
+#: being drained.  Few distinct delays: ties are the point.  ``at`` is
+#: ``timeout_at(now + delay)``: the same queue, seq counter and slot.
+_KIND = st.sampled_from(["timeout", "event", "at"])
 _DELAY = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
 _PRIORITY = st.sampled_from([URGENT, NORMAL, OBSERVER])
 _NODE = st.recursive(
@@ -141,6 +144,9 @@ def _play(program, tiebreak_seed, drive):
         if kind == "event":
             delay, priority = 0.0, URGENT
             event = env.event()
+        elif kind == "at":
+            priority = NORMAL
+            event = env.timeout_at(env.now + delay)
         else:
             event = env.timeout(delay, priority=priority)
         key = (env.now + delay, priority, seq)
@@ -167,7 +173,7 @@ def _play(program, tiebreak_seed, drive):
     return fired
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(program=st.lists(_NODE, min_size=1, max_size=6),
        tiebreak_seed=st.sampled_from([0, 1, 7]),
        until=st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]))
