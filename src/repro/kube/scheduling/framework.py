@@ -9,6 +9,13 @@ scheduling.
 
 The scheduler is event-driven: it wakes when pods arrive, when resources
 free up, and when PVCs bind, so multi-month simulations need no polling.
+
+Steps (1) and (2) are answered from one *candidate index*: per pod class
+(everything the predicates and the score read from a pod) the feasible
+nodes with their scores, patched before each read by re-evaluating only
+the nodes the invalidation journal says changed since the class was last
+read.  An attempt therefore costs O(changed nodes), not O(cluster), and
+step (3) is one ``max()``.  DESIGN.md, "Scheduler candidate index".
 """
 
 from __future__ import annotations
@@ -35,7 +42,11 @@ from repro.kube.events import (
 )
 from repro.kube.objects import PENDING, Pod
 from repro.kube.scheduling.bsa import bsa_place
-from repro.kube.scheduling.policies import PACK, score_node
+from repro.kube.scheduling.policies import (
+    PACK,
+    score_node,
+    score_reads_owner,
+)
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 
@@ -109,6 +120,20 @@ class _GangEntry:
         return len(self.pod_names) >= self.size
 
 
+@dataclass
+class _PodClass:
+    """The candidate index's view of the cluster for one pod class."""
+
+    #: Feasible node -> ``(score, name)``, or ``True`` in an unscored
+    #: (gang) class.  Correct for every node not in ``stale``.
+    ranked: Dict[str, object]
+    #: Nodes to re-evaluate before ``ranked`` is read.  A dict, not a
+    #: set: iteration order must not depend on the hash seed.
+    stale: Dict[str, None]
+    #: Journal position (absolute) already folded into ``stale``.
+    seen: int
+
+
 class Scheduler:
     """Places pending pods onto nodes."""
 
@@ -126,19 +151,19 @@ class Scheduler:
         self._gangs: Dict[str, _GangEntry] = {}
         self._wake = env.event()
         self.pods_scheduled = 0
-        #: PVC deletions the informer may not have observed yet.
+        #: PVC deletions the informer may not have observed yet, oldest
+        #: first; an entry lives for ``informer_staleness_s``.
         self._pvc_deleted_at: Dict[str, float] = {}
-        #: Feasibility cache: node name -> {pod shape -> fits?}.  A pod's
-        #: *shape* is everything the predicates look at (resource request
-        #: + node selector), so pods of the same shape share verdicts.
-        self._feas_cache: Dict[str, Dict[int, bool]] = {}
-        #: Score cache: node name -> {(resources, owner) -> score}.
-        #: A score is a pure function of the node's allocation, the pod's
-        #: resource request, and the (owner, node) pod count, so entries
-        #: stay valid until the node's allocation changes
-        #: (``invalidate_node``) or a pod of some owner binds to /
-        #: leaves the node (the placement tracker below).
-        self._score_cache: Dict[str, Dict[int, float]] = {}
+        #: Nodes by name, in the API store's (creation) order.
+        self._nodes: Dict[str, object] = {}
+        #: The candidate index: pod class -> its feasible nodes.  A class
+        #: is ``(resources, sorted selector items, scored?, owner)`` —
+        #: everything the predicates and the score read from a pod.
+        self._classes: Dict[tuple, _PodClass] = {}
+        #: Invalidation journal: the names of changed nodes, in order;
+        #: ``_journal[0]`` sits at absolute position ``_journal_start``.
+        self._journal: List[str] = []
+        self._journal_start = 0
         #: (owner uid, node name) -> bound-pod count, maintained from pod
         #: watch events, so ``_score`` never scans the pod store.
         self._owner_node_counts: Dict[tuple, int] = {}
@@ -146,27 +171,21 @@ class Scheduler:
         #: tracker, so MODIFIED/DELETED events translate into exact
         #: count deltas.
         self._pod_placement: Dict[str, tuple] = {}
-        #: Key interning for the two caches above.  The natural keys are
-        #: tuples of dataclasses (resource request, selector, owner),
-        #: whose ``__hash__``/``__eq__`` are expensive enough to show up
-        #: when evaluated once per (pod, node); interning them to small
-        #: ints once per *attempt* makes every per-node cache lookup
-        #: hash an int instead.
-        self._shape_ids: Dict[tuple, int] = {}
-        self._score_key_ids: Dict[tuple, int] = {}
         #: Round-robin start position for sampled filtering, as in
         #: upstream k8s' ``lastScoredNodeIndex``: successive pods start
-        #: their feasibility scan at different cluster offsets so the
+        #: their feasibility walk at different cluster offsets so the
         #: sample window rotates instead of hammering the same prefix.
         self.last_scored_node_index = 0
-        #: Full predicate evaluations vs verdicts served from the cache.
+        #: Full predicate evaluations vs verdicts taken from the index:
+        #: per attempt they add up to the cluster (sampled: the walk).
         self.filter_evals = 0
         self.filter_cache_hits = 0
-        #: Full score computations vs cached scores; same contract.
+        #: Full score computations vs scores taken from the index, over
+        #: the nodes an attempt chose among.
         self.score_evals = 0
         self.score_cache_hits = 0
-        #: Nodes examined by the feasibility scan (feasible or not) —
-        #: the quantity sampling shrinks.
+        #: Nodes an attempt visited one by one: the re-evaluated ones
+        #: when exhaustive, the walked ones when sampling.
         self.nodes_examined = 0
         api.subscribe("pods", self._on_pod_change)
         api.subscribe("pvcs", self._on_pvc_change)
@@ -208,9 +227,9 @@ class Scheduler:
         phase change MODIFIED, removal DELETED), so the index mirrors
         ``len(api.list_pods(owner=o, node_name=n))`` exactly for owned
         pods.  Owner-less pods are skipped: ``_score`` never asks for
-        them.  A placement change also drops the node's
-        cached scores — the bind commit is the one same-owner-count
-        mutation ``reserve``/``release`` invalidation does not cover.
+        them.  Where the score reads the count, a placement change also
+        invalidates the node: the bind commit and the pod object's
+        removal move the count with no ``reserve``/``release``.
         """
         new = None
         if verb != DELETED and pod.node_name is not None \
@@ -226,35 +245,61 @@ class Scheduler:
                 counts[old] = remaining
             else:
                 counts.pop(old, None)
-            self._score_cache.pop(old[1], None)
         if new is None:
             self._pod_placement.pop(pod.name, None)
         else:
             self._pod_placement[pod.name] = new
             counts[new] = counts.get(new, 0) + 1
-            self._score_cache.pop(new[1], None)
+        if score_reads_owner(self.config.policy):
+            for _owner, node_name in filter(None, (old, new)):
+                self.invalidate_node(node_name)
 
     def _on_pvc_change(self, verb: str, pvc) -> None:
-        if verb == "DELETED":
-            self._pvc_deleted_at[pvc.name] = self.env.now
+        if verb != DELETED:
+            return
+        # An entry older than the staleness window answers "claim
+        # missing", as no entry does: the table holds one window's
+        # deletions, not the run's.
+        deleted, now = self._pvc_deleted_at, self.env.now
+        while deleted:
+            oldest = next(iter(deleted))
+            if now - deleted[oldest] < self.config.informer_staleness_s:
+                break
+            del deleted[oldest]
+        deleted.pop(pvc.name, None)  # re-insert: keep oldest-first order
+        deleted[pvc.name] = now
 
     def _on_node_change(self, verb: str, node) -> None:
         # Every ready/cordon transition funnels through update_node, so
-        # this listener (plus reserve/release below) is complete
-        # invalidation coverage.  Invalidation only — waking the loop
-        # stays the caller's decision, as before the cache existed.
+        # this listener (plus reserve/release) is complete invalidation
+        # coverage.  Waking the loop stays the caller's decision, and
+        # nothing is evaluated here: ``Cluster.add_node`` publishes a
+        # node before its allocation exists.
+        if verb == ADDED:
+            self._nodes[node.name] = node
         self.invalidate_node(node.name)
 
     def invalidate_node(self, node_name: str) -> None:
-        """Drop cached predicate verdicts for one node.
+        """Journal that something a predicate or a score reads of one
+        node changed: its allocation (reserve/release), the node object
+        (``update_node``) or the owned pods placed on it.  O(1); classes
+        re-evaluate the node when next read.
 
-        Called whenever anything a predicate reads changes: the node's
-        allocation (reserve/release) or the node object itself
-        (ready/cordon transitions via ``update_node``).  Scores read
-        the allocation too, so the score cache rides the same path.
+        Past two clusters' worth of entries (and 16, for clusters of a
+        handful of nodes) the older half goes, and with it every class
+        whose position fell off: one not read for a cluster's worth of
+        changes is cheaper to rebuild than to patch, and neither journal
+        nor index grows with the owners and shapes a long run has seen.
         """
-        self._feas_cache.pop(node_name, None)
-        self._score_cache.pop(node_name, None)
+        journal = self._journal
+        journal.append(node_name)
+        if len(journal) > 2 * len(self._nodes) + 16:
+            dropped = len(journal) // 2
+            del journal[:dropped]
+            self._journal_start = start = self._journal_start + dropped
+            self._classes = {key: entry
+                             for key, entry in self._classes.items()
+                             if entry.seen >= start}
 
     def kick(self) -> None:
         """Wake the scheduling loop (new pod, freed resources, bound PVC)."""
@@ -311,37 +356,15 @@ class Scheduler:
         pod = self._validate_queued_pod(name)
         if pod is None:
             return
-        candidates = self._feasible_candidates(pod)
-        if not candidates:
+        ranked, window = self._feasible_candidates(pod, scored=True)
+        # Highest (score, name) wins; node names are unique, so the
+        # order is total.
+        choices = ranked.values() if window is None \
+            else [ranked[name] for name in window]
+        if not choices:
             self._record_no_nodes(pod)
             return
-        # Highest (score, name) wins — the allocation fetched during the
-        # feasibility check is threaded through so scoring never
-        # re-resolves it.  Equivalent to max(nodes, key=...): node names
-        # are unique, so the key order is total.  The score-cache key is
-        # interned once per attempt and the cache-hit path is inlined:
-        # this loop runs once per (pod, candidate) and is the hottest
-        # code in the scheduler.
-        cache = self._score_cache
-        score_key = self._score_key_id(pod)
-        hits = 0
-        best = None
-        best_key = None
-        for node_name, allocation in candidates:
-            per_node = cache.get(node_name)
-            if per_node is None:
-                per_node = cache[node_name] = {}
-            score = per_node.get(score_key)
-            if score is None:
-                score = self._score(pod, node_name, allocation)
-                per_node[score_key] = score
-            else:
-                hits += 1
-            key = (score, node_name)
-            if best_key is None or key > best_key:
-                best, best_key = node_name, key
-        self.score_cache_hits += hits
-        yield from self._bind_with_window([(pod, best)])
+        yield from self._bind_with_window([(pod, max(choices)[1])])
 
     def _validate_queued_pod(self, name: str) -> Optional[Pod]:
         """Common per-attempt checks; returns the pod or None (dequeued or
@@ -403,9 +426,12 @@ class Scheduler:
         return None
 
     def _feasible_nodes(self, pod: Pod) -> List[str]:
-        """Feasible node names (the gang/BSA-facing view)."""
-        return [name for name, _allocation
-                in self._feasible_candidates(pod)]
+        """Feasible node names (the gang/BSA-facing view) in node order —
+        ``bsa_place`` draws by position — or window order if sampling."""
+        ranked, window = self._feasible_candidates(pod, scored=False)
+        if window is None:
+            return [name for name in self._nodes if name in ranked]
+        return window
 
     def _nodes_to_find(self, total: int) -> int:
         """How many feasible nodes one scheduling attempt collects.
@@ -421,94 +447,87 @@ class Scheduler:
                      total * pct // 100)
         return min(wanted, total)
 
-    def _shape_id(self, pod: Pod) -> int:
-        """Interned feasibility-cache key: everything the predicates
-        read from the pod (resource request + sorted node selector)."""
-        shape = (pod.spec.resources,
-                 tuple(sorted(pod.spec.node_selector.items())))
-        ids = self._shape_ids
-        sid = ids.get(shape)
-        if sid is None:
-            sid = ids[shape] = len(ids)
-        return sid
+    def _pod_class(self, pod: Pod, scored: bool) -> _PodClass:
+        """The pod's class in the candidate index, every journalled
+        change since its last read folded into ``stale``.  A class never
+        read (or retired) starts with every node stale."""
+        owner = pod.meta.owner if scored and \
+            score_reads_owner(self.config.policy) else None
+        key = (pod.spec.resources,
+               tuple(sorted(pod.spec.node_selector.items())), scored, owner)
+        end = self._journal_start + len(self._journal)
+        entry = self._classes.get(key)
+        if entry is None:
+            entry = self._classes[key] = _PodClass(
+                {}, dict.fromkeys(self._nodes), end)
+        elif entry.seen < end:
+            entry.stale.update(dict.fromkeys(
+                self._journal[entry.seen - self._journal_start:]))
+            entry.seen = end
+        return entry
 
-    def _feasible_candidates(self, pod: Pod) -> List[tuple]:
-        """``(node name, allocation)`` pairs that pass the predicates.
+    def _feasible_candidates(self, pod: Pod, scored: bool) -> tuple:
+        """``(ranked, window)``: the pod's class table brought up to
+        date, and the nodes this attempt may choose among — ``None``
+        for all of ``ranked``.
 
-        Exhaustive mode (the default) scans every node in list order.
-        Sampled mode walks the node list cyclically from
-        ``last_scored_node_index`` and stops at the first
-        ``_nodes_to_find`` feasible nodes; the cursor then advances
-        past the examined window so successive pods sample rotating
-        slices of the cluster.  The two modes keep separate loop
-        bodies: one merged "rotate to the cursor, stop at the limit"
-        loop measured 9 % slower on the exhaustive ``sched-sweep``.
-
-        The pod's shape is interned once per attempt and the cache-hit
-        path is inlined: this loop runs once per (pod, node) and
-        dominates exhaustive-mode wall-clock.
+        Exhaustive mode (the default) re-evaluates every stale node of
+        the class.  Sampled mode walks the node list cyclically from
+        ``last_scored_node_index``, re-evaluating a stale node only when
+        the walk visits it, and stops at the ``_nodes_to_find``-th
+        feasible one; the cursor then advances past the walked stretch
+        so successive pods sample rotating slices of the cluster.
         """
-        nodes = self.api.list_nodes()
-        total = len(nodes)
+        entry = self._pod_class(pod, scored)
+        ranked, stale = entry.ranked, entry.stale
+        total = len(self._nodes)
         limit = self._nodes_to_find(total)
-        cache = self._feas_cache
-        shape = self._shape_id(pod)
-        allocation_of = self.cluster.allocation
-        candidates: List[tuple] = []
         if limit >= total:
-            hits = 0
-            for node in nodes:
-                name = node.name
-                per_node = cache.get(name)
-                if per_node is None:
-                    per_node = cache[name] = {}
-                fits = per_node.get(shape)
-                if fits is None:
-                    allocation = self._node_fits(pod, node)
-                    per_node[shape] = allocation is not None
-                    if allocation is not None:
-                        candidates.append((name, allocation))
-                elif fits:
-                    hits += 1
-                    candidates.append((name, allocation_of(name)))
-                else:
-                    hits += 1
-            self.nodes_examined += total
-            self.filter_cache_hits += hits
-            return candidates
-        start = self.last_scored_node_index % total
-        examined = 0
-        hits = 0
-        for offset in range(total):
-            node = nodes[(start + offset) % total]
-            examined += 1
-            name = node.name
-            per_node = cache.get(name)
-            if per_node is None:
-                per_node = cache[name] = {}
-            fits = per_node.get(shape)
-            if fits is None:
-                allocation = self._node_fits(pod, node)
-                per_node[shape] = allocation is not None
-            else:
-                hits += 1
-                allocation = allocation_of(name) if fits else None
-            if allocation is not None:
-                candidates.append((name, allocation))
-                if len(candidates) >= limit:
-                    break
-        self.last_scored_node_index = (start + examined) % total
+            window = None
+            examined = evaluated = len(stale)
+            rescored = 0
+            for name in stale:
+                rescored += self._refresh(ranked, pod, name, scored)
+            stale.clear()
+            hits, chosen_among = total - evaluated, len(ranked)
+        else:
+            names = list(self._nodes)
+            start = self.last_scored_node_index % total
+            window = []
+            examined = evaluated = rescored = 0
+            for offset in range(total):
+                name = names[(start + offset) % total]
+                examined += 1
+                if name in stale:
+                    del stale[name]
+                    evaluated += 1
+                    rescored += self._refresh(ranked, pod, name, scored)
+                if name in ranked:
+                    window.append(name)
+                    if len(window) >= limit:
+                        break
+            self.last_scored_node_index = (start + examined) % total
+            hits, chosen_among = examined - evaluated, len(window)
         self.nodes_examined += examined
         self.filter_cache_hits += hits
-        return candidates
+        if scored:
+            self.score_cache_hits += chosen_among - rescored
+        return ranked, window
+
+    def _refresh(self, ranked: dict, pod: Pod, name: str,
+                 scored: bool) -> bool:
+        """Re-evaluate one node for one class; whether it fits."""
+        allocation = self._node_fits(pod, self._nodes[name])
+        if allocation is None:
+            ranked.pop(name, None)
+            return False
+        ranked[name] = (self._score(pod, name, allocation), name) \
+            if scored else True
+        return True
 
     def _node_fits(self, pod: Pod, node) -> Optional["NodeAllocation"]:
-        """One full predicate evaluation; ``_feasible_candidates``
-        caches the verdict.
-
-        Returns the allocation on fit (so callers reuse the lookup),
-        ``None`` otherwise.
-        """
+        """One full predicate evaluation: the allocation on fit (the
+        score reuses the lookup), ``None`` otherwise."""
         self.filter_evals += 1
         if not node.is_ready:
             return None
@@ -521,28 +540,13 @@ class Scheduler:
         return all(node.meta.labels.get(k) == v
                    for k, v in pod.spec.node_selector.items())
 
-    def _score_key_id(self, pod: Pod) -> int:
-        """Interned score-cache key: everything ``score_node`` reads
-        from the pod (resource request + owner)."""
-        key = (pod.spec.resources, pod.meta.owner)
-        ids = self._score_key_ids
-        kid = ids.get(key)
-        if kid is None:
-            kid = ids[key] = len(ids)
-        return kid
-
     def _score(self, pod: Pod, node_name: str, allocation) -> float:
-        """Priority of one candidate node for one pod (uncached).
-
-        Same-owner pods on the node come from the maintained (owner,
-        node) index.  Caching (per node, keyed by the interned pod
-        score key) lives in ``_attempt_pod``.
-        """
+        """Priority of one candidate node for one pod (one full
+        computation).  Same-owner pods on the node come from the
+        maintained (owner, node) index."""
         self.score_evals += 1
-        same_owner = 0
-        if pod.meta.owner is not None:
-            same_owner = self._owner_node_counts.get(
-                (pod.meta.owner, node_name), 0)
+        same_owner = self._owner_node_counts.get(
+            (pod.meta.owner, node_name), 0)  # holds no owner-less pod
         return score_node(self.config.policy, pod, node_name,
                           allocation, same_owner)
 
@@ -629,25 +633,21 @@ class Scheduler:
                        predicates=predicates), pod)
 
     def _predicate_summary(self, pod: Pod) -> str:
-        reasons = []
-        nodes = self.api.list_nodes()
-        if pod.spec.resources.gpus > 0:
-            short_gpu = [n for n in nodes if n.is_ready
-                         and self._selector_matches(pod, n)
-                         and self.cluster.allocation(n.name).free_gpus <
-                         pod.spec.resources.gpus]
-            if short_gpu:
-                reasons.append(
-                    f"{PREDICATE_INSUFFICIENT_GPU} ({len(short_gpu)})")
-        selector_miss = [n for n in nodes
-                         if not self._selector_matches(pod, n)]
-        if selector_miss:
-            reasons.append(
-                f"{PREDICATE_MATCH_NODE_SELECTOR} ({len(selector_miss)})")
-        unready = [n for n in nodes if not n.is_ready]
-        if unready:
-            reasons.append(
-                f"{PREDICATE_NODE_UNSCHEDULABLE} ({len(unready)})")
+        wanted_gpus = pod.spec.resources.gpus
+        short_gpu = selector_miss = unready = 0
+        for node in self._nodes.values():
+            matches = self._selector_matches(pod, node)
+            if not matches:
+                selector_miss += 1
+            if not node.is_ready:
+                unready += 1
+            elif matches and wanted_gpus > 0 and self.cluster.allocation(
+                    node.name).free_gpus < wanted_gpus:
+                short_gpu += 1
+        reasons = [f"{predicate} ({count})" for predicate, count in (
+            (PREDICATE_INSUFFICIENT_GPU, short_gpu),
+            (PREDICATE_MATCH_NODE_SELECTOR, selector_miss),
+            (PREDICATE_NODE_UNSCHEDULABLE, unready)) if count]
         return ", ".join(reasons) or "Insufficient resources"
 
     def _emit(self, pod_name: str, reason: str, message: str,

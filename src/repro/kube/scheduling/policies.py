@@ -16,11 +16,19 @@ SPREAD = "spread"
 PACK = "pack"
 
 
+def score_reads_owner(policy: str) -> bool:
+    """Whether ``score_node`` reads ``same_owner_pods`` under ``policy``.
+    Pack never does, so the scheduler lets pods of every owner share one
+    set of scores; a policy that starts reading it must say so here."""
+    return policy == SPREAD
+
+
 def score_node(policy: str, pod: Pod, node_name: str,
                allocation: NodeAllocation,
                same_owner_pods: int) -> float:
     """Higher is better.  ``same_owner_pods`` counts pods of the same owner
-    already bound to this node (Spread penalizes these)."""
+    already bound to this node (Spread penalizes these; see
+    ``score_reads_owner``)."""
     if policy == SPREAD:
         # Prefer nodes without replicas of the same workload, then the
         # least-loaded node.

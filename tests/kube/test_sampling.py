@@ -82,8 +82,13 @@ def test_exhaustive_mode_examines_every_node():
     pods = [make_pod(env, f"p{i}", gpus=1, duration=500.0)
             for i in range(3)]
     _submit_and_run(env, cluster, pods)
-    assert cluster.scheduler.pods_scheduled == 3
-    assert cluster.scheduler.nodes_examined == 3 * 5
+    scheduler = cluster.scheduler
+    assert scheduler.pods_scheduled == 3
+    # Every node is considered for every pod ...
+    assert scheduler.filter_evals + scheduler.filter_cache_hits == 3 * 5
+    # ... but visited only when new to the pod's class or changed since:
+    # all five for the first pod, the node just bound to for the others.
+    assert scheduler.nodes_examined == scheduler.filter_evals == 5 + 1 + 1
 
 
 # -- (owner, node) count index ----------------------------------------------
@@ -138,28 +143,41 @@ def test_owner_index_scores_match_reference_scan():
         assert count == len(api.list_pods(owner=owner, node_name=node))
 
 
-# -- score-cache invalidation ----------------------------------------------
+# -- candidate-index invalidation ------------------------------------------
+#
+# Each way a node can change must reach the pod classes that already
+# hold a verdict on it: the next pod of the class is ranked against the
+# fresh value.
+
+
+def _place(env, cluster, name, owner=None):
+    pod = make_pod(env, name, gpus=1, duration=300.0)
+    pod.meta.owner = owner
+    cluster.api.create_pod(pod)
+    env.run(until=env.now + 5.0)
+    return pod.node_name
 
 
 def test_score_cache_dropped_when_allocation_changes():
-    env, cluster = make_cluster(nodes=2, gpus_per_node=8)
+    env, cluster = make_cluster(policy="spread", nodes=2, gpus_per_node=8)
     scheduler = cluster.scheduler
-    pod = make_pod(env, "warm", gpus=1, duration=300.0)
-    _submit_and_run(env, cluster, [pod])
-    assert scheduler.pods_scheduled == 1
-    # Binding reserved resources on the chosen node, so its cached
-    # scores (computed pre-bind) must be gone; stale entries would
-    # misrank the next pod.
-    assert pod.node_name not in scheduler._score_cache
+    # Two empty nodes tie; the name breaks it.
+    assert _place(env, cluster, "first") == "node-K80-1"
+    assert scheduler.score_evals == 2
+    # Binding reserved a GPU there.  Ranked against the scores computed
+    # before the bind, the next pod would follow the first.
+    assert _place(env, cluster, "second") == "node-K80-0"
+    assert scheduler.score_evals == 3  # only the changed node
 
 
 def test_node_event_invalidates_scores():
     env, cluster = make_cluster(nodes=2, gpus_per_node=8)
-    scheduler = cluster.scheduler
-    scheduler._score_cache["node-K80-0"] = {0: 1.0}
-    node = cluster.api.get_node("node-K80-0")
-    cluster.api.update_node(node)
-    assert "node-K80-0" not in scheduler._score_cache
+    assert _place(env, cluster, "first") == "node-K80-1"
+    cluster.cordon("node-K80-1")
+    assert _place(env, cluster, "while-cordoned") == "node-K80-0"
+    cluster.uncordon("node-K80-1")
+    # Pack: both hold one pod now; the name breaks the tie again.
+    assert _place(env, cluster, "after") == "node-K80-1"
 
 
 def test_owned_pod_binding_or_leaving_a_node_invalidates_its_scores():
@@ -167,16 +185,36 @@ def test_owned_pod_binding_or_leaving_a_node_invalidates_its_scores():
     commits and when the pod object is deleted — neither of which is an
     allocation change."""
     env, cluster = make_cluster(policy="spread", nodes=2, gpus_per_node=8)
-    scheduler = cluster.scheduler
-    pod = make_pod(env, "owned", gpus=1, duration=300.0)
-    pod.meta.owner = "set-a"
-    cluster.api.create_pod(pod)
-    scheduler._score_cache["node-K80-1"] = {0: 1.0}
-    cluster.api.bind_pod(pod, "node-K80-1")
-    assert "node-K80-1" not in scheduler._score_cache
-    scheduler._score_cache["node-K80-1"] = {0: 1.0}
-    cluster.api.delete_pod("owned")
-    assert "node-K80-1" not in scheduler._score_cache
+    api = cluster.api
+    assert _place(env, cluster, "a", owner="set-a") == "node-K80-1"
+    # Three replicas appear on the other node without passing through
+    # the scheduler: no reserve, so no allocation change.
+    replicas = [make_pod(env, f"replica-{i}", gpus=0) for i in range(3)]
+    for replica in replicas:
+        replica.meta.owner = "set-a"
+        api.create_pod(replica)
+        api.bind_pod(replica, "node-K80-0")
+    # -100 per replica: one is better than three.
+    assert _place(env, cluster, "b", owner="set-a") == "node-K80-1"
+    for replica in replicas:
+        api.delete_pod(replica.name)
+    # Two against none now; against the remembered three, "c" would
+    # have followed "a" and "b".
+    assert _place(env, cluster, "c", owner="set-a") == "node-K80-0"
+
+
+def test_gang_view_keeps_node_order_when_a_node_re_enters():
+    """BSA draws from the feasible names by position, so they come in
+    node order — not in the order nodes last entered the table."""
+    env, cluster = make_cluster(gang=True, nodes=3)
+    probe = make_pod(env, "probe", gpus=1)
+    names = [node.name for node in cluster.api.list_nodes()]
+    view = cluster.scheduler._feasible_nodes
+    assert view(probe) == names
+    cluster.cordon(names[0])
+    assert view(probe) == names[1:]
+    cluster.uncordon(names[0])
+    assert view(probe) == names
 
 
 # -- node-indexed kubelet fanout -------------------------------------------

@@ -1,15 +1,16 @@
 """Property-based tests for scheduler safety invariants.
 
-Random pod workloads (sizes, arrival order, deletions) must never violate:
+Random pod workloads (sizes, arrival order, deletions, node events) must
+never violate:
 
 * no node is ever over-allocated (GPUs, CPUs, memory),
 * every Running pod is bound to a Ready node that fits it,
 * released resources return exactly to capacity once the cluster drains,
-* at every scheduling attempt the feasibility cache, the score cache and
-  the (owner, node) index equal a fresh evaluation.
+* at every scheduling attempt the candidate index hands out what a fresh
+  evaluation of every node gives, and the (owner, node) index a recount.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.docker import Image
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
@@ -18,13 +19,13 @@ from repro.kube.resources import ResourceRequest
 from repro.sim import Environment, RngRegistry
 
 from tests.conftest import examples
-from tests.kube.conftest import recount_owner_nodes
+from tests.kube.conftest import make_pod, recount_owner_nodes
 
 
 POD_SPECS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=4),   # gpus
-        # cpus; repeated values make pods share cache keys
+        # cpus; repeated values make pods share a class
         st.one_of(st.sampled_from([1.0, 2.0]),
                   st.floats(min_value=0.5, max_value=8.0)),
         st.integers(min_value=5, max_value=60),  # duration
@@ -33,51 +34,94 @@ POD_SPECS = st.lists(
     ),
     min_size=1, max_size=15,
 )
+#: percentage_of_nodes_to_score; at 50 a 3-node cluster looks for one
+#: feasible node per attempt, a 4-node cluster for two.
+SAMPLING = st.sampled_from([100, 50])
+CAPACITY = NodeCapacity(cpus=16, memory_gb=64, gpus=4, gpu_type="K80")
 
 
-def build(seed, gang=False, policy="pack"):
+def build(seed, gang=False, policy="pack", sample_pct=100):
+    """Three nodes: the invalidation journal is cut after 22 entries, so
+    a run of a few pods already retires classes."""
     env = Environment()
     cluster = Cluster(env, RngRegistry(seed),
-                      SchedulerConfig(policy=policy, gang=gang))
+                      SchedulerConfig(policy=policy, gang=gang,
+                                      percentage_of_nodes_to_score=sample_pct,
+                                      min_feasible_nodes_to_find=1),
+                      node_detection_latency_s=4.0,
+                      pod_eviction_timeout_s=4.0,
+                      terminal_pod_gc_ttl_s=30.0)
     cluster.push_image(Image("learner", size_bytes=1e6))
-    cluster.add_nodes(3, NodeCapacity(cpus=16, memory_gb=64, gpus=4,
-                                      gpu_type="K80"))
-    check_caches_at_every_attempt(cluster)
+    cluster.add_nodes(3, CAPACITY)
+    check_index_at_every_attempt(cluster)
     return env, cluster
 
 
-def check_caches_at_every_attempt(cluster):
-    """Wrap the scheduler's feasibility scan: each time an attempt is
-    about to read the caches, every cached verdict and score must equal
-    a fresh evaluation, and the (owner, node) index a recount of the pod
-    store."""
+def fresh_table(cluster, pod, scored):
+    """The exhaustive loop the index replaced, kept as the reference:
+    every node through the predicates (and the score), in node order."""
+    scheduler = cluster.scheduler
+    counters = scheduler.filter_evals, scheduler.score_evals
+    table = {}
+    for node in cluster.api.list_nodes():
+        allocation = scheduler._node_fits(pod, node)
+        if allocation is not None:
+            table[node.name] = (
+                scheduler._score(pod, node.name, allocation),
+                node.name) if scored else True
+    scheduler.filter_evals, scheduler.score_evals = counters
+    return table
+
+
+def check_index_at_every_attempt(cluster):
+    """Wrap the scheduler's two reads of the candidate index.  Each time
+    an attempt reads it, the table handed out must equal a fresh
+    evaluation of every node it claims to be current for, the sampled
+    window the fresh cyclic walk from the recorded cursor, the gang view
+    the fresh list in node order, and the (owner, node) index a recount
+    of the pod store."""
     scheduler, api = cluster.scheduler, cluster.api
-    scan = scheduler._feasible_candidates
-    by_shape, by_score_key = {}, {}  # interned key -> a pod that has it
+    read, read_names = (scheduler._feasible_candidates,
+                        scheduler._feasible_nodes)
 
-    def checked_scan(pod):
-        by_shape[scheduler._shape_id(pod)] = pod
-        by_score_key[scheduler._score_key_id(pod)] = pod
-        counters = scheduler.filter_evals, scheduler.score_evals
-        nodes = {node.name: node for node in api.list_nodes()}
-        for name, verdicts in scheduler._feas_cache.items():
-            for shape, fits in verdicts.items():
-                fresh = scheduler._node_fits(by_shape[shape], nodes[name])
-                assert fits == (fresh is not None), (name, shape)
-        for name, scores in scheduler._score_cache.items():
-            for key, score in scores.items():
-                assert score == scheduler._score(
-                    by_score_key[key], name, cluster.allocation(name)), \
-                    (name, key)
+    def checked_read(pod, scored):
         assert scheduler._owner_node_counts == recount_owner_nodes(api)
-        scheduler.filter_evals, scheduler.score_evals = counters
-        return scan(pod)
+        cursor = scheduler.last_scored_node_index
+        ranked, window = read(pod, scored)
+        fresh = fresh_table(cluster, pod, scored)
+        names = [node.name for node in api.list_nodes()]
+        assert list(scheduler._nodes) == names
+        stale = scheduler._pod_class(pod, scored).stale
+        for name in names:
+            if name not in stale:
+                assert ranked.get(name) == fresh.get(name), name
+        total, limit = len(names), scheduler._nodes_to_find(len(names))
+        if limit >= total:
+            assert window is None and not stale
+            assert ranked == fresh
+            return ranked, window
+        start = cursor % total
+        walk = names[start:] + names[:start]
+        assert window == [name for name in walk if name in fresh][:limit]
+        assert not stale.keys() & set(window)
+        walked = walk.index(window[-1]) + 1 if len(window) == limit \
+            else total
+        assert scheduler.last_scored_node_index == (start + walked) % total
+        return ranked, window
 
-    scheduler._feasible_candidates = checked_scan
+    def checked_read_names(pod):
+        names = read_names(pod)
+        if scheduler._nodes_to_find(len(scheduler._nodes)) >= \
+                len(scheduler._nodes):
+            assert names == list(fresh_table(cluster, pod, scored=False))
+        return names
+
+    scheduler._feasible_candidates = checked_read
+    scheduler._feasible_nodes = checked_read_names
 
 
-def caches_held(cluster):
-    """A failed assertion in ``checked_scan`` ends the scheduler process,
+def index_held(cluster):
+    """A failed assertion in ``checked_read`` ends the scheduler process,
     not the test; re-raise it from here."""
     loop = cluster.scheduler._loop
     if not loop.is_alive:
@@ -93,49 +137,77 @@ def no_overallocation(cluster):
         assert allocation.free_cpus <= allocation.capacity.cpus + 1e-9
 
 
+def owned_pod(env, name, gpus, cpus, duration, owner=None):
+    pod = make_pod(env, name, gpus=gpus, cpus=cpus, duration=duration)
+    pod.meta.owner = owner
+    return pod
+
+
 @settings(max_examples=examples(30), deadline=None)
 @given(specs=POD_SPECS, seed=st.integers(min_value=0, max_value=50),
-       policy=st.sampled_from(["pack", "spread"]), cordon=st.booleans())
-def test_no_overallocation_under_random_churn(specs, seed, policy, cordon):
-    env, cluster = build(seed, policy=policy)
-
-    def sleeper(duration):
-        def workload(container):
-            yield env.timeout(duration)
-            return 0
-
-        return workload
-
-    pods = []
-    for i, (gpus, cpus, duration, delete, owner) in enumerate(specs):
-        pod = Pod(meta=ObjectMeta(name=f"p{i}", owner=owner),
-                  spec=PodSpec(
-                      containers=[ContainerSpec("m", "learner:latest",
-                                                sleeper(duration))],
-                      resources=ResourceRequest(
-                          cpus=cpus, memory_gb=4.0, gpus=gpus,
-                          gpu_type="K80" if gpus else None)))
-        cluster.api.create_pod(pod)
-        pods.append((pod, delete))
+       policy=st.sampled_from(["pack", "spread"]), gang=st.booleans(),
+       sample_pct=SAMPLING, cordon=st.booleans(), fail=st.booleans(),
+       grow=st.booleans())
+# Two owners of one shape under Spread: their scores differ, so they
+# must not share a class.
+@example(specs=[(1, 1.0, 60, False, "set-a")] * 3 +
+         [(1, 1.0, 60, False, "set-b")] * 3, seed=0, policy="spread",
+         gang=False, sample_pct=100, cordon=False, fail=False, grow=False)
+# A node filled for a while re-enters the table behind the others; BSA
+# (every pod a gang of one) must still get the nodes in node order.
+@example(specs=[(1, 1.0, 100, False, None), (4, 1.0, 5, False, None)] +
+         [(1, 1.0, 100, False, None)] * 4, seed=1, policy="pack",
+         gang=True, sample_pct=100, cordon=False, fail=False, grow=False)
+# A finished pod's object is collected long after its resources were
+# released: the same-owner count moves with no allocation change.
+@example(specs=[(1, 1.0, 15, False, "set-a")] +
+         [(1, 1.0, 100, False, "set-a")] * 3, seed=0, policy="spread",
+         gang=False, sample_pct=100, cordon=False, fail=False, grow=False)
+# Two dozen journal entries between two whole-node pods: the first
+# one's class falls off the journal and must be rebuilt, not patched.
+@example(specs=[(4, 1.0, 100, False, None)] +
+         [(1, 1.0, 5, False, None)] * 13 + [(4, 1.0, 100, False, None)],
+         seed=0, policy="pack", gang=False, sample_pct=100, cordon=False,
+         fail=False, grow=False)
+def test_no_overallocation_under_random_churn(specs, seed, policy, gang,
+                                              sample_pct, cordon, fail,
+                                              grow):
+    env, cluster = build(seed, gang=gang, policy=policy,
+                         sample_pct=sample_pct)
+    pods = [(owned_pod(env, f"p{i}", gpus, cpus, duration, owner), delete)
+            for i, (gpus, cpus, duration, delete, owner)
+            in enumerate(specs)]
+    # Three waves, 30 s apart, around the node events below: by the
+    # later ones the journal has been cut and classes have been retired.
+    waves = {step: pods[wave::3] for wave, step in enumerate((0, 3, 6))}
     for step in range(12):
+        for pod, _delete in waves.get(step, ()):
+            cluster.api.create_pod(pod)
         env.run(until=env.now + 10)
-        caches_held(cluster)
+        index_held(cluster)
         no_overallocation(cluster)
         # Every Running pod is on a fitting, live node.
         for pod, _d in pods:
             if pod.phase == "Running":
                 assert pod.node_name in cluster.allocations
-        if step == 2:
-            for pod, delete in pods:
-                if delete:
-                    cluster.delete_pod(pod.name)
-        # A cordon / uncordon pair exercises node-event invalidation.
+        # Cordon / uncordon, failure / recovery and a scale-out each
+        # reach the index by another path.
         if cordon and step == 0:
             cluster.cordon("node-K80-0")
-        if cordon and step == 3:
+        if fail and step == 1:
+            cluster.fail_node("node-K80-1")
+        if step == 2:
+            for pod, delete in waves[0]:
+                if delete:
+                    cluster.delete_pod(pod.name)
+            if grow:
+                cluster.add_node("late-0", CAPACITY)
+        if cordon and step == 4:
             cluster.uncordon("node-K80-0")
+        if fail and step == 6:
+            cluster.recover_node("node-K80-1")
     env.run(until=env.now + 200)
-    caches_held(cluster)
+    index_held(cluster)
     no_overallocation(cluster)
     # Cluster fully drained: everything returned to capacity.
     remaining = [p for p, _d in pods
@@ -148,15 +220,41 @@ def test_no_overallocation_under_random_churn(specs, seed, policy, cordon):
                        allocation.capacity.cpus) < 1e-6
 
 
+def test_a_class_not_read_for_a_clusters_worth_of_changes_is_rebuilt():
+    """The journal of a 3-node cluster is cut after 22 entries: a class
+    read before a dozen placements of another is retired, and its next
+    read — checked against the fresh evaluation like every read —
+    starts from scratch."""
+    env, cluster = build(seed=0)
+    scheduler = cluster.scheduler
+    cluster.api.create_pod(owned_pod(env, "rare-0", 4, 1.0, 500))
+    env.run(until=5)
+    assert len(scheduler._classes) == 1
+    for i in range(12):
+        cluster.api.create_pod(owned_pod(env, f"common-{i}", 1, 1.0, 2))
+        env.run(until=env.now + 5)
+    index_held(cluster)
+    assert scheduler._journal_start > 0
+    assert len(scheduler._journal) <= 2 * 3 + 16
+    assert len(scheduler._classes) == 1  # the rare class is gone
+    evals = scheduler.filter_evals
+    cluster.api.create_pod(owned_pod(env, "rare-1", 4, 1.0, 500))
+    env.run(until=env.now + 5)
+    index_held(cluster)
+    assert scheduler.filter_evals - evals == 3
+    assert scheduler.pods_scheduled == 14
+
+
 @settings(max_examples=examples(20), deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100),
        jobs=st.integers(min_value=1, max_value=10),
        learners=st.integers(min_value=1, max_value=4),
-       gpus=st.integers(min_value=1, max_value=2))
-def test_gang_all_or_nothing_invariant(seed, jobs, learners, gpus):
+       gpus=st.integers(min_value=1, max_value=2), sample_pct=SAMPLING)
+def test_gang_all_or_nothing_invariant(seed, jobs, learners, gpus,
+                                       sample_pct):
     """At any observation point, a gang is either fully placed or fully
     pending (bind windows aside, which resolve within a tick)."""
-    env, cluster = build(seed, gang=True)
+    env, cluster = build(seed, gang=True, sample_pct=sample_pct)
 
     def sleeper(container):
         yield env.timeout(10_000)
@@ -179,7 +277,7 @@ def test_gang_all_or_nothing_invariant(seed, jobs, learners, gpus):
             pods.append(pod)
         by_job[name] = pods
     env.run(until=60)
-    caches_held(cluster)
+    index_held(cluster)
     no_overallocation(cluster)
     for name, pods in by_job.items():
         placed = [p for p in pods if p.node_name is not None]
