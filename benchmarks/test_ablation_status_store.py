@@ -25,10 +25,9 @@ MONGO_POLL_S = 0.2
 def etcd_latencies():
     env = Environment()
     client = EtcdClient(env, EtcdStore(env))
-    watcher = client.watch("status/learner-0")
     latencies = []
 
-    def observer():
+    def observer(watcher):
         for _ in range(UPDATES):
             event = yield watcher.get()
             latencies.append(env.now - float(event.value))
@@ -38,9 +37,10 @@ def etcd_latencies():
             yield env.timeout(1.0)
             yield client.put("status/learner-0", str(env.now))
 
-    env.process(observer())
-    env.process(writer())
-    env.run()
+    with client.watch("status/learner-0") as watcher:
+        env.process(observer(watcher))
+        env.process(writer())
+        env.run()
     return latencies
 
 

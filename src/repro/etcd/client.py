@@ -109,8 +109,6 @@ class EtcdClient:
 
     def put(self, key: str, value: Any,
             lease_id: Optional[int] = None) -> Event:
-        if self._replicated:
-            return self._call(lambda: self.backend.put(key, value, lease_id))
         return self._call(lambda: self.backend.put(key, value, lease_id))
 
     def delete(self, key: str) -> Event:
@@ -152,17 +150,10 @@ class EtcdClient:
     # -- leases -------------------------------------------------------------------
 
     def grant_lease(self, ttl_s: float) -> Event:
-        if self._replicated:
-            return self._call(lambda: self.backend.grant_lease(ttl_s))
         return self._call(lambda: self.backend.grant_lease(ttl_s))
 
     def keepalive(self, lease_id: int) -> Event:
-        return self._call(lambda: self._keepalive(lease_id))
-
-    def _keepalive(self, lease_id: int) -> bool:
-        if self._replicated:
-            return self.backend.keepalive(lease_id)
-        return self.backend.keepalive(lease_id)
+        return self._call(lambda: self.backend.keepalive(lease_id))
 
     def revoke(self, lease_id: int) -> Event:
         if self._replicated:
@@ -170,6 +161,4 @@ class EtcdClient:
         return self._call(lambda: self.backend.revoke(lease_id))
 
     def lease_alive(self, lease_id: int) -> bool:
-        if self._replicated:
-            return self.backend.lease_alive(lease_id)
         return self.backend.lease_alive(lease_id)

@@ -105,7 +105,7 @@ class KubeAPI:
             listeners = sorted(listeners + matching)
         else:
             listeners = list(listeners)
-        for _seq, listener in listeners:  # staticcheck: ignore[PERF001] per-kind lists are the index; fanout is exact
+        for _seq, listener in listeners:
             listener(verb, obj)
 
     def _create(self, kind: str, name: str, obj: object) -> object:

@@ -10,8 +10,7 @@ react exactly as it would to an organic failure.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.core import Environment, Process
@@ -29,10 +28,6 @@ class FaultSpec:
     that mean unless ``deterministic_duration`` is set, and never fall
     below ``min_duration_s`` (e.g. a crashed node stays down at least as
     long as failure detection takes).
-
-    ``jitter`` is a deprecated alias: it was a float used as a boolean
-    (truthy meant "randomise the duration").  Pass
-    ``deterministic_duration`` instead.
     """
 
     kind: str
@@ -40,15 +35,8 @@ class FaultSpec:
     duration_s: float = 0.0
     deterministic_duration: bool = False
     min_duration_s: float = 0.0
-    jitter: InitVar[Optional[float]] = None
 
-    def __post_init__(self, jitter: Optional[float]) -> None:
-        if jitter is not None:
-            warnings.warn(
-                "FaultSpec.jitter is deprecated; use "
-                "deterministic_duration=... (jitter was a float used as "
-                "a boolean)", DeprecationWarning, stacklevel=3)
-            self.deterministic_duration = not jitter
+    def __post_init__(self) -> None:
         if not isinstance(self.deterministic_duration, bool):
             raise TypeError("deterministic_duration must be a bool, got "
                             f"{self.deterministic_duration!r}")

@@ -35,7 +35,6 @@ from repro.staticcheck.engine import (
     ALL_RULES,
     AnalysisContext,
     analyze_paths,
-    analyze_project,
     analyze_source,
     analyze_tree,
     default_target,
@@ -48,11 +47,6 @@ from repro.staticcheck.manifest import (
     analyze_manifest,
     analyze_manifest_source,
 )
-from repro.staticcheck.interproc import (
-    Project,
-    Summary,
-    build_project,
-)
 from repro.staticcheck.runtime import (
     KubeStateMachineChecker,
     RaftInvariantChecker,
@@ -64,17 +58,13 @@ __all__ = [
     "Finding",
     "KubeStateMachineChecker",
     "MANIFEST_RULES",
-    "Project",
     "RULE_CATALOG",
     "RaftInvariantChecker",
-    "Summary",
     "analyze_manifest",
     "analyze_manifest_source",
     "analyze_paths",
-    "analyze_project",
     "analyze_source",
     "analyze_tree",
-    "build_project",
     "default_target",
     "iter_manifest_files",
     "iter_python_files",

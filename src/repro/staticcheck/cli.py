@@ -11,20 +11,17 @@ Usage::
     python -m repro.staticcheck --list-rules     # print the rule catalog
     python -m repro.staticcheck --explain SAF001 # rule rationale + fix
     python -m repro.staticcheck path/to/file.py  # analyze specific paths
-    python -m repro.staticcheck --summary-cache .staticcheck/cache.json
-                                # reuse effect summaries across runs
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import textwrap
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.staticcheck.engine import analyze_project, default_target
+from repro.staticcheck.engine import analyze_paths, default_target
 from repro.staticcheck.findings import (
     Finding,
     RULE_CATALOG,
@@ -173,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "md", "json", "github",
                                  "sarif"),
                         default="text", help="findings report format")
-    parser.add_argument("--summary-cache", metavar="PATH", default=None,
-                        help="JSON file caching per-module effect "
-                             "summaries by content hash; unchanged "
-                             "modules skip re-extraction")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("--explain", metavar="RULE_ID",
@@ -211,12 +204,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for target in targets:
         if not target.exists():
             parser.error(f"no such file or directory: {target}")
-    cache_path = Path(args.summary_cache) if args.summary_cache else None
-    findings, suppressed, project = analyze_project(
-        targets, cache_path=cache_path)
+    findings, suppressed = analyze_paths(targets)
     print(_RENDERERS[args.format](findings, suppressed))
-    if cache_path is not None and project.cache_stats is not None:
-        print(project.cache_stats.render(), file=sys.stderr)
     if args.strict and findings:
         return 1
     return 0

@@ -1,20 +1,8 @@
-"""Analysis driver: file discovery, suppressions, and rule dispatch.
+"""Analysis driver: file discovery and rule dispatch.
 
-Suppression syntax (one per line, reason mandatory)::
-
-    risky()  # staticcheck: ignore[DET001] replay-safe because ...
-    bad()    # staticcheck: ignore[DET001,SAF001] shared fixture shim
-
-A suppression with no reason is inert *and* reported as ``SUP001`` — an
-unexplained suppression is exactly the kind of silent drift this tool
-exists to prevent.
-
-Directory runs are two-phase: every module is parsed (or restored from
-the summary cache) first so the interprocedural pass sees the whole
-project, then each module is checked with the shared
-:class:`~repro.staticcheck.interproc.callgraph.Project` on the context.
-Single-source runs (``analyze_source``) build a one-module project, so
-the cross-function rules still fire on intra-module chains.
+One pass per module: parse, run every rule on the tree, split the raw
+findings by the module's suppression comments
+(:mod:`repro.staticcheck.suppress`).
 """
 
 from __future__ import annotations
@@ -22,33 +10,22 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.flowrules import FLOW_RULES
-from repro.staticcheck.interproc import (
-    INTERPROC_RULES,
-    ModuleRecord,
-    Project,
-    build_project,
-)
 from repro.staticcheck.manifest import (
     MANIFEST_RULES,
     analyze_manifest_source,
 )
 from repro.staticcheck.rules import SYNTACTIC_RULES, build_import_map
-from repro.staticcheck.suppress import (  # noqa: F401  (re-exported API)
-    Suppression,
-    apply_suppressions,
-    parse_suppressions,
-)
+from repro.staticcheck.suppress import apply_suppressions
 
-#: Every rule — syntactic walkers, CFG flow rules, the interprocedural
-#: rules backed by the project call graph, and the YAML manifest rules
-#: (which no-op on Python modules; see analyze_manifest_source).
-ALL_RULES = tuple(SYNTACTIC_RULES) + tuple(FLOW_RULES) \
-    + tuple(INTERPROC_RULES) + MANIFEST_RULES
+#: Every rule — syntactic walkers, CFG flow rules, and the YAML manifest
+#: rules (which no-op on Python modules; see analyze_manifest_source).
+ALL_RULES = tuple(SYNTACTIC_RULES) + tuple(FLOW_RULES) + MANIFEST_RULES
 
 #: Module pragma marking a file as an analyzer *fixture*: a corpus file
 #: whose findings are asserted by the test suite, not repo defects.
@@ -64,18 +41,6 @@ class AnalysisContext:
     tree: ast.Module
     display_path: str
     imports: Dict[str, str] = field(default_factory=dict)
-    #: The whole-project view (call graph + summaries); ``None`` only
-    #: when a rule is invoked outside the normal drivers.
-    project: Optional[Project] = None
-
-
-def _check_module(ctx: AnalysisContext, source: str,
-                  rules: Sequence) -> Tuple[List[Finding], List[Finding]]:
-    """Run ``rules`` on a parsed module and apply its suppressions."""
-    raw: List[Finding] = []
-    for rule in rules:
-        raw.extend(rule.check(ctx))
-    return apply_suppressions(raw, source, ctx.display_path)
 
 
 def analyze_source(source: str, display_path: str = "<string>",
@@ -84,21 +49,19 @@ def analyze_source(source: str, display_path: str = "<string>",
     """Run ``rules`` over one module's source.
 
     Returns ``(findings, suppressed)``: the first list is what should
-    fail a build, the second what valid suppressions silenced.  The
-    interprocedural rules see a one-module project, so cross-function
-    findings within the module still fire.
+    fail a build, the second what valid suppressions silenced.
     """
     try:
         tree = ast.parse(source)
     except SyntaxError as err:
         return ([Finding("SYNTAX", display_path, err.lineno or 0,
                          f"cannot parse: {err.msg}")], [])
-    project = build_project(
-        [ModuleRecord(display_path, source, tree)])
     ctx = AnalysisContext(tree=tree, display_path=display_path,
-                          imports=build_import_map(tree),
-                          project=project)
-    return _check_module(ctx, source, rules)
+                          imports=build_import_map(tree))
+    raw: List[Finding] = []
+    for rule in rules:
+        raw.extend(rule.check(ctx))
+    return apply_suppressions(raw, source, display_path)
 
 
 def _is_fixture(source: str) -> bool:
@@ -134,20 +97,20 @@ def _display(path: Path) -> str:
     return text
 
 
-def analyze_project(paths: Iterable[Path], rules: Sequence = ALL_RULES,
-                    cache_path: Optional[Path] = None,
-                    ) -> Tuple[List[Finding], List[Finding], Project]:
-    """Analyze every Python file under each of ``paths``.
-
-    Returns ``(findings, suppressed, project)``; the project carries
-    ``cache_stats`` when ``cache_path`` was given.
-    """
+def analyze_paths(paths: Iterable[Path], rules: Sequence = ALL_RULES,
+                  ) -> Tuple[List[Finding], List[Finding]]:
+    """Analyze every manifest and Python file under each of ``paths``."""
     findings: List[Finding] = []
     suppressed: List[Finding] = []
-    records: List[ModuleRecord] = []
     seen: set = set()
+    analyze_python = partial(analyze_source, rules=rules)
     for root in paths:
-        for path in iter_manifest_files(Path(root)):
+        root = Path(root)
+        jobs = [(path, analyze_manifest_source)
+                for path in iter_manifest_files(root)]
+        jobs += [(path, analyze_python)
+                 for path in iter_python_files(root)]
+        for path, analyze in jobs:
             display = _display(path)
             if display in seen:
                 continue
@@ -155,48 +118,11 @@ def analyze_project(paths: Iterable[Path], rules: Sequence = ALL_RULES,
             source = path.read_text(encoding="utf-8")
             if _is_fixture(source):
                 continue
-            got, hidden = analyze_manifest_source(source, display)
+            got, hidden = analyze(source, display)
             findings.extend(got)
             suppressed.extend(hidden)
-        for path in iter_python_files(Path(root)):
-            display = _display(path)
-            if display in seen:
-                continue
-            seen.add(display)
-            source = path.read_text(encoding="utf-8")
-            if _is_fixture(source):
-                continue
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as err:
-                findings.append(Finding(
-                    "SYNTAX", display, err.lineno or 0,
-                    f"cannot parse: {err.msg}"))
-                continue
-            records.append(ModuleRecord(display, source, tree))
-
-    project = build_project(records, cache_path)
-    for record in records:
-        tree = record.tree if record.tree is not None \
-            else ast.parse(record.source)
-        ctx = AnalysisContext(tree=tree,
-                              display_path=record.display_path,
-                              imports=build_import_map(tree),
-                              project=project)
-        got, hidden = _check_module(ctx, record.source, rules)
-        findings.extend(got)
-        suppressed.extend(hidden)
     findings.sort(key=Finding.sort_key)
     suppressed.sort(key=Finding.sort_key)
-    return findings, suppressed, project
-
-
-def analyze_paths(paths: Iterable[Path], rules: Sequence = ALL_RULES,
-                  cache_path: Optional[Path] = None,
-                  ) -> Tuple[List[Finding], List[Finding]]:
-    """Analyze every Python file under each of ``paths``."""
-    findings, suppressed, _project = analyze_project(
-        paths, rules, cache_path)
     return findings, suppressed
 
 

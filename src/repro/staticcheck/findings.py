@@ -22,20 +22,9 @@ RULE_CATALOG = {
     "CONC001": ("local snapshot of a mutable shared attribute is used "
                 "after a yield point without re-validation; other "
                 "processes may have changed it (stale read)"),
-    "CONC002": ("local snapshot of a mutable shared attribute is used "
-                "after a call whose callee transitively yields; the "
-                "callee can block and other processes may have changed "
-                "it (interprocedural stale read)"),
-    "DET004": ("call chain from simulation-driven code reaches a "
-               "wall-clock read or global random draw in a callee; "
-               "plumb env.now / an RngRegistry stream through the "
-               "chain (transitive nondeterminism)"),
     "RES001": ("acquired resource (watch, lease, claim, ...) is not "
                "released on every path out of the function; wrap the "
                "use in try/finally"),
-    "RES002": ("resource obtained from a wrapper (or kept after a "
-               "use-only callee) is never released; ownership stayed "
-               "in this function across the call boundary and leaks"),
     "SAF001": ("exception handler can swallow sim.core.Interrupt — "
                "broad catch, or an Interrupt handler that does not "
                "re-raise on every path"),
@@ -46,20 +35,6 @@ RULE_CATALOG = {
                "for-range(max_attempts) or a Deadline check"),
     "SAF004": ("Event/Timeout constructed but never yielded, stored, or "
                "triggered; a waiter on it can never wake (lost wakeup)"),
-    "SAF005": ("nested retry policies across the call chain: a retry "
-               "loop invokes an operation that already retries "
-               "internally, multiplying attempts and compounding "
-               "backoff; retry at exactly one layer"),
-    "PERF001": ("O(all subscribers) scan over a watcher/listener "
-                "collection in a notify/emit hot path; index "
-                "subscribers by match key"),
-    "PERF002": ("notify/emit hot path calls a helper that transitively "
-                "performs a linear watcher/listener scan; every "
-                "notification pays O(all subscribers) in the callee"),
-    "PERF003": ("full-store scan (list_*/store .values()) inside a "
-                "scoring or priority hot path; every decision pays "
-                "O(candidates x store) — maintain an incremental index "
-                "instead"),
     "MAN001": ("manifest schema violation: unknown field, wrong type, "
                "or missing required field in a scenario manifest"),
     "MAN002": ("dangling manifest cross-reference: fault plan targets "
@@ -84,20 +59,29 @@ RULE_CATALOG = {
 RULE_EXPLANATIONS = {
     "DET001": (
         "Simulated experiments must replay byte-identically from a seed; "
-        "any wall-clock read couples results to the host machine.",
+        "any wall-clock read couples results to the host machine.  "
+        "Guards: a run is a function of its seed alone, which is what "
+        "every golden digest (chaos reports, placements, the warm-cache "
+        "end state) compares.",
         "started = time.time()",
         "started = env.now",
     ),
     "DET002": (
         "The global random module shares hidden state across every "
         "caller and import order; draws are not attributable to a seed "
-        "stream.",
+        "stream.  "
+        "Guards: every draw belongs to a named RngRegistry stream, so a "
+        "run's RNG positions can be pinned and one component's draws "
+        "cannot shift another's.",
         "delay = random.uniform(0, 1)",
         "delay = rng.stream('backoff:etcd').uniform(0, 1)",
     ),
     "DET003": (
         "Set iteration order depends on PYTHONHASHSEED; if it reaches "
-        "the event queue, replays diverge between interpreter runs.",
+        "the event queue, replays diverge between interpreter runs.  "
+        "Guards: event order does not depend on PYTHONHASHSEED; the "
+        "determinism checks rerun a scenario inside one interpreter and "
+        "cannot see a hash-order dependence.",
         "for node in {a, b, c}: schedule(node)",
         "for node in sorted({a, b, c}): schedule(node)",
     ),
@@ -105,7 +89,10 @@ RULE_EXPLANATIONS = {
         "Yields are the only preemption points in the kernel: between "
         "a yield and its resumption any other process may mutate shared "
         "state, so a pre-yield snapshot can be stale.  Re-read the "
-        "attribute after resuming, or compare it against a fresh read.",
+        "attribute after resuming, or compare it against a fresh read.  "
+        "Guards: state read before a preemption point is not trusted "
+        "after it; this is the static half of the memory model whose "
+        "runtime half is the vector-clock race detector.",
         "leader = self.leader\n"
         "yield env.timeout(1)\n"
         "leader.send(msg)        # leader may have changed",
@@ -113,41 +100,14 @@ RULE_EXPLANATIONS = {
         "if self.leader is not None:\n"
         "    self.leader.send(msg)",
     ),
-    "CONC002": (
-        "A callee that transitively reaches a yield point can give up "
-        "control before returning, so calling it is as preemptive as "
-        "yielding directly: any snapshot of shared state taken before "
-        "the call may be stale afterwards.  CONC001 catches the literal "
-        "yield; this rule catches the same hazard hidden behind a call "
-        "boundary, and its message prints the yielding call chain.",
-        "leader = self.leader\n"
-        "self._replicate(entry)   # _replicate yields internally\n"
-        "leader.send(ack)         # leader may have changed",
-        "self._replicate(entry)\n"
-        "if self.leader is not None:\n"
-        "    self.leader.send(ack)",
-    ),
-    "DET004": (
-        "DET001/DET002 flag the nondeterministic source where it is "
-        "written; but the replay hazard materializes where that source "
-        "feeds simulation-driven code.  This rule reports the call "
-        "site in a yielding (sim-facing) function whose callee chain "
-        "reaches a wall-clock read or global random draw, with the "
-        "full chain in the message.  A reasoned DET001/DET002 "
-        "suppression at the source declares it replay-safe and stops "
-        "the taint from cascading into every caller.",
-        "def run(self, env):\n"
-        "    delay = self._jitter()   # _jitter -> random.uniform\n"
-        "    yield env.timeout(delay)",
-        "def run(self, env, rng):\n"
-        "    delay = self._jitter(rng.stream('jitter'))\n"
-        "    yield env.timeout(delay)",
-    ),
     "RES001": (
         "Watches, leases and claims registered with a substrate outlive "
         "the function unless explicitly released; a path that returns "
         "or raises early leaks them and the substrate fans out to dead "
-        "consumers forever.",
+        "consumers forever.  "
+        "Guards: a finished run leaves no live watcher or lease behind, "
+        "so fanout cost follows live consumers and lease expiry means a "
+        "dead owner.",
         "w = store.watch_prefix(p)\n"
         "if bad: return           # leaks the watcher\n"
         "w.cancel()",
@@ -157,28 +117,13 @@ RULE_EXPLANATIONS = {
         "finally:\n"
         "    w.cancel()",
     ),
-    "RES002": (
-        "RES001 sees acquisitions written in the function itself; "
-        "ownership also arrives through calls.  A wrapper whose "
-        "summary says it returns a fresh watch/lease makes its call "
-        "site an acquisition site, and passing a resource to a callee "
-        "that only *uses* its parameter (never releases or stores it) "
-        "leaves ownership — and the leak — with the caller.  Passing "
-        "to an unknown callee still counts as an ownership transfer, "
-        "so the rule under-approximates rather than guesses.",
-        "w = make_watch(store, p)  # wrapper returns a fresh watch\n"
-        "consume(w)                # use-only callee\n"
-        "return                    # nobody ever cancels w",
-        "w = make_watch(store, p)\n"
-        "try:\n"
-        "    consume(w)\n"
-        "finally:\n"
-        "    w.cancel()",
-    ),
     "SAF001": (
         "Crash injection is delivered as sim.core.Interrupt; a handler "
         "that absorbs it on any path converts an injected crash into "
-        "normal control flow and invalidates recovery measurements.",
+        "normal control flow and invalidates recovery measurements.  "
+        "Guards: a fault delivered as Interrupt ends the process it "
+        "targets, so the recovery times of Table 3 and every chaos "
+        "scenario measure a crash that happened.",
         "except Interrupt:\n"
         "    if done: return      # swallows on this path\n"
         "    raise",
@@ -189,13 +134,19 @@ RULE_EXPLANATIONS = {
     "SAF002": (
         "The kernel resumes processes only through Event subclasses; "
         "yielding a literal crashes the run at a non-deterministic "
-        "point at runtime instead of failing at lint time.",
+        "point at runtime instead of failing at lint time.  "
+        "Guards: a process hands the kernel only Events, so a modelling "
+        "slip fails at lint time instead of killing one process in the "
+        "middle of a run.",
         "yield 5",
         "yield env.timeout(5)",
     ),
     "SAF003": (
         "Under a permanent outage an uncapped retry loop spins forever "
-        "and hides the failure instead of surfacing it.",
+        "and hides the failure instead of surfacing it.  "
+        "Guards: every retry in the tree ends, so a permanent outage "
+        "surfaces as a failed operation ('exhausted retries') and never "
+        "as a simulation that does not finish.",
         "while True:\n"
         "    try: op()\n"
         "    except StoreError:\n"
@@ -205,69 +156,13 @@ RULE_EXPLANATIONS = {
     ),
     "SAF004": (
         "An event nobody can reach can never be triggered — a process "
-        "that would later wait on it sleeps forever (lost wakeup).",
+        "that would later wait on it sleeps forever (lost wakeup).  "
+        "Guards: every Event created can be reached by something able "
+        "to trigger or wait on it, so a run that drains its queue has "
+        "no process left asleep.",
         "done = env.event()       # never yielded or stored",
         "done = env.event()\n"
         "self._done = done        # observable: someone can trigger it",
-    ),
-    "SAF005": (
-        "Retry policies compose multiplicatively: an outer 4-attempt "
-        "loop around an operation that itself retries 4 times makes 16 "
-        "attempts, and the exponential backoffs compound into stalls "
-        "no single policy describes.  Flagged at the outer call site — "
-        "a retry loop calling a transitively-retrying function, or a "
-        "retrying operation passed into a retrying wrapper.  Retry at "
-        "exactly one layer and let inner failures surface.",
-        "for attempt in range(4):\n"
-        "    try:\n"
-        "        yield from fetch_with_retry(env, key)\n"
-        "    except StoreError:\n"
-        "        yield env.timeout(2 ** attempt)",
-        "yield from fetch_with_retry(env, key)  # one policy, inside",
-    ),
-    "PERF001": (
-        "Fanout paths run once per mutation; scanning every registered "
-        "watcher to find the few that match makes writes O(subscribers) "
-        "and dominates large-scenario runtime.  Index the collection by "
-        "what subscribers match on, or — if every element really must "
-        "see every notification — suppress with that reason.",
-        "def _notify(self, event):\n"
-        "    for w in self._watchers:\n"
-        "        if w.matches(event.key):\n"
-        "            w.deliver(event)",
-        "def _notify(self, event):\n"
-        "    for w in self._index.matching(event.key):\n"
-        "        w.deliver(event)",
-    ),
-    "PERF002": (
-        "Moving a subscriber scan out of the notify path and into a "
-        "helper does not make it cheaper — the hot path still pays "
-        "O(all subscribers) per notification, it just hides from "
-        "PERF001's local view.  This rule follows the call chain from "
-        "hot-named functions to the scanning callee and reports at the "
-        "hot-path call site.  A reasoned PERF001 suppression on the "
-        "scan itself (exact fanout) removes it from the summaries.",
-        "def _notify(self, event):\n"
-        "    self._deliver_all(event)   # scans self._watchers inside",
-        "def _notify(self, event):\n"
-        "    for w in self._index.matching(event.key):\n"
-        "        w.deliver(event)",
-    ),
-    "PERF003": (
-        "Scoring and priority functions run once per *candidate* per "
-        "decision — the hottest multiplier in a scheduler.  A "
-        "``list_*`` call or store ``.values()`` scan there makes every "
-        "decision cost O(candidates x store size), which is what "
-        "sampling and caching cannot fix from the outside.  Maintain "
-        "the needed count as an incremental index updated from watch "
-        "events and read it in O(1); a reference path that must scan "
-        "(e.g. under a perf-disable flag) gets a reasoned suppression.",
-        "def _score(self, pod, node):\n"
-        "    peers = self.api.list_pods(owner=pod.owner)\n"
-        "    return pack_score(node, len(peers))",
-        "def _score(self, pod, node):\n"
-        "    peers = self._owner_counts.get((pod.owner, node), 0)\n"
-        "    return pack_score(node, peers)",
     ),
     "MAN001": (
         "A manifest field the compiler does not understand is a "
@@ -275,7 +170,10 @@ RULE_EXPLANATIONS = {
         "declared — a typo'd 'interarival_s' would leave the default "
         "in force.  The schema check rejects unknown fields, "
         "mis-typed values, and missing required fields at the YAML "
-        "token that is wrong.",
+        "token that is wrong.  "
+        "Guards: a manifest that passes runs exactly the fields it "
+        "declares, which is the contract of repro validate and of any "
+        "scenario printed by a tool rather than a person.",
         "workload:\n  interarival_s: 20   # typo: default silently wins",
         "workload:\n  interarrival_s: 20",
     ),
@@ -285,7 +183,10 @@ RULE_EXPLANATIONS = {
         "makes the run a vacuous pass: nothing fires, nothing is "
         "checked, and the scenario looks green.  Every cross-reference "
         "(node/cell targets, use: scenario refs, hypothesis checks, "
-        "counter names) must resolve against a declaration.",
+        "counter names) must resolve against a declaration.  "
+        "Guards: every name a manifest uses resolves to something it "
+        "declares, so a green report means the faults fired and the "
+        "hypotheses were evaluated.",
         "faults:\n  - {at_s: 100, kind: node-crash, target: node-K80-9}",
         "faults:\n  - {at_s: 100, kind: node-crash, target: node-K80-0}",
     ),
@@ -294,7 +195,10 @@ RULE_EXPLANATIONS = {
         "forever; the run then 'passes' by measuring an idle cluster. "
         "A bin-packing lower bound (largest item vs largest bin, "
         "total placeable learners) and quota-sum checks reject such "
-        "manifests before any sim event runs.",
+        "manifests before any sim event runs.  "
+        "Guards: an admitted manifest's demand can fit its declared "
+        "capacity, so its queue times and pass verdicts describe a "
+        "cluster that was able to run the work.",
         "topology: {nodes: [{count: 1, gpus_per_node: 2, gpu_type: K80}]}\n"
         "workload: {learners: 4, gpus_per_learner: 4}",
         "topology: {nodes: [{count: 4, gpus_per_node: 4, gpu_type: K80}]}\n"
@@ -304,7 +208,10 @@ RULE_EXPLANATIONS = {
         "Scenario runs must replay byte-identically from a seed.  A "
         "trace or fault section seeded from the wall clock, or an "
         "absolute timestamp in a schedule that is otherwise relative "
-        "seconds, couples the run to the host machine.",
+        "seconds, couples the run to the host machine.  "
+        "Guards: deterministic replay, the manifest half of "
+        "DET001/DET002; the byte-identical parity between manifests and "
+        "their Python twins depends on it.",
         "workload:\n  seed: wall-clock",
         "workload:\n  seed: inherit   # derived from the run seed",
     ),
@@ -314,7 +221,9 @@ RULE_EXPLANATIONS = {
         "component that is already dark; a duplicate key or a "
         "topology block nothing references is declared intent the "
         "run silently ignores.  All four shapes are dead weight that "
-        "reads as coverage.",
+        "reads as coverage.  "
+        "Guards: every declaration in a manifest has an effect on the "
+        "run, so its fault plan reads as the coverage it delivers.",
         "run: {horizon_s: 900, settle_s: 240}\n"
         "faults:\n  - {at_s: 2000, kind: etcd-leader-kill}",
         "run: {horizon_s: 900, settle_s: 240}\n"
@@ -322,7 +231,9 @@ RULE_EXPLANATIONS = {
     ),
     "SUP001": (
         "An unexplained suppression is silent drift: nobody can tell "
-        "whether the ignored finding is safe or forgotten.",
+        "whether the ignored finding is safe or forgotten.  "
+        "Guards: every suppression in the tree says why it is safe, so "
+        "the suppressed set can be audited by reading it.",
         "risky()  # staticcheck: ignore[DET001]",
         "risky()  # staticcheck: ignore[DET001] replay-safe: <why>",
     ),

@@ -50,26 +50,6 @@ ENV_FACTORY_METHODS = frozenset({
     "timeout", "event", "process", "any_of", "all_of",
 })
 
-#: Underscore-separated name segments marking a function as a change
-#: fanout hot path (called once per mutation).
-HOT_FANOUT_SEGMENTS = frozenset({
-    "notify", "emit", "publish", "broadcast", "dispatch", "fanout",
-})
-
-#: Identifier fragments naming subscriber collections.
-FANOUT_COLLECTION_TOKENS = ("watcher", "listener", "subscriber",
-                            "observer")
-
-#: Underscore-separated name segments marking a function as a scoring /
-#: priority hot path (called once per candidate per decision).
-HOT_SCORING_SEGMENTS = frozenset({
-    "score", "scoring", "priority", "prioritize", "rank",
-})
-
-#: Identifier fragments naming object stores (scanned wholesale by
-#: ``.values()`` / ``.items()``).
-STORE_COLLECTION_TOKENS = ("store", "stores")
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
@@ -474,139 +454,6 @@ class UnboundedRetryRule(Rule):
         return findings
 
 
-class LinearFanoutRule(Rule):
-    """PERF001: no linear subscriber scans in notify/emit hot paths.
-
-    A function whose name marks it as a change fanout path (``_notify``,
-    ``emit``, ``publish``, ...) runs once per mutation; a ``for`` loop
-    there over a watcher/listener/subscriber collection makes every
-    write cost O(all subscribers) even when only a few match.  Index
-    the collection by what subscribers match on (exact-key dict, prefix
-    trie, per-topic lists) so fanout touches only the matching subset.
-    Where the scanned collection *is* already exact — every element
-    must receive every notification — suppress with that reason.
-    """
-
-    code = "PERF001"
-
-    @staticmethod
-    def _is_hot_path(name: str) -> bool:
-        return any(segment in HOT_FANOUT_SEGMENTS
-                   for segment in name.lower().split("_"))
-
-    @staticmethod
-    def _collection_token(node: ast.AST) -> Optional[str]:
-        """The subscriber-collection identifier referenced by an
-        iteration expression, if any."""
-        for sub in ast.walk(node):
-            name = None
-            if isinstance(sub, ast.Name):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
-            if name is not None and any(
-                    token in name.lower()
-                    for token in FANOUT_COLLECTION_TOKENS):
-                return name
-        return None
-
-    def check(self, ctx) -> List[Finding]:
-        findings = []
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if not self._is_hot_path(func.name):
-                continue
-            iter_sites = []
-            for node in UnboundedRetryRule._walk_in_scope(
-                    ast.iter_child_nodes(func)):
-                if isinstance(node, ast.For):
-                    iter_sites.append(node.iter)
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.GeneratorExp, ast.DictComp)):
-                    iter_sites.extend(gen.iter for gen in node.generators)
-            for site in iter_sites:
-                name = self._collection_token(site)
-                if name is not None:
-                    findings.append(self.finding(
-                        ctx, site,
-                        f"linear scan over {name!r} in fanout hot path "
-                        f"{func.name}(); index subscribers by match key "
-                        f"so each notification touches only the matching "
-                        f"subset"))
-        return findings
-
-
-class ScoringScanRule(Rule):
-    """PERF003: no full-store scans in scoring/priority hot paths.
-
-    A function whose name marks it as scoring or ranking (``_score``,
-    ``priority``, ``rank_nodes``, ...) runs once per *candidate* per
-    scheduling decision; a ``list_*`` store call or a ``.values()`` /
-    ``.items()`` scan of a store there makes every decision cost
-    O(candidates x store size).  Maintain the needed aggregate as an
-    incremental index updated from watch events and read it in O(1).
-    A reference path that deliberately recomputes from the store (e.g.
-    under a perf-disable flag) gets a reasoned suppression.
-    """
-
-    code = "PERF003"
-
-    @staticmethod
-    def _is_scoring_path(name: str) -> bool:
-        return any(segment in HOT_SCORING_SEGMENTS
-                   for segment in name.lower().split("_"))
-
-    @staticmethod
-    def _scan_call(node: ast.Call) -> Optional[str]:
-        """A human-readable label when ``node`` is a store scan."""
-        callee = node.func
-        if isinstance(callee, ast.Attribute):
-            method = callee.attr
-        elif isinstance(callee, ast.Name):
-            method = callee.id
-        else:
-            return None
-        if method.startswith("list_") or method == "list":
-            return f"{method}()"
-        if method in ("values", "items") and \
-                isinstance(callee, ast.Attribute):
-            for sub in ast.walk(callee.value):
-                name = None
-                if isinstance(sub, ast.Name):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                if name is not None and any(
-                        token in name.lower()
-                        for token in STORE_COLLECTION_TOKENS):
-                    return f"{name}.{method}()"
-        return None
-
-    def check(self, ctx) -> List[Finding]:
-        findings = []
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if not self._is_scoring_path(func.name):
-                continue
-            for node in UnboundedRetryRule._walk_in_scope(
-                    ast.iter_child_nodes(func)):
-                if not isinstance(node, ast.Call):
-                    continue
-                label = self._scan_call(node)
-                if label is not None:
-                    findings.append(self.finding(
-                        ctx, node,
-                        f"full-store scan {label} in scoring hot path "
-                        f"{func.name}(); runs once per candidate — "
-                        f"maintain an incremental index updated from "
-                        f"watch events and read it in O(1)"))
-        return findings
-
-
 #: The purely syntactic rules, in catalog order.  The flow-sensitive
 #: rules live in :mod:`repro.staticcheck.flowrules`; the combined
 #: ``ALL_RULES`` tuple is assembled by the engine.
@@ -617,6 +464,4 @@ SYNTACTIC_RULES = (
     InterruptSwallowRule(),
     NonEventYieldRule(),
     UnboundedRetryRule(),
-    LinearFanoutRule(),
-    ScoringScanRule(),
 )

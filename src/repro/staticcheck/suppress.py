@@ -1,4 +1,4 @@
-"""Per-line suppression comments, shared by the engine and interproc.
+"""Per-line suppression comments, shared by the Python and manifest passes.
 
 Syntax (one per line, reason mandatory)::
 
@@ -7,10 +7,7 @@ Syntax (one per line, reason mandatory)::
 
 A suppression with no reason is inert *and* reported as ``SUP001`` — an
 unexplained suppression is exactly the kind of silent drift this tool
-exists to prevent.  The interprocedural summary extractor also consults
-valid suppressions: a wall-clock call whose DET001 finding carries a
-reasoned suppression is declared replay-safe and must not taint its
-callers (see :mod:`repro.staticcheck.interproc.summaries`).
+exists to prevent.
 """
 
 from __future__ import annotations
@@ -43,12 +40,6 @@ def parse_suppressions(source: str) -> List[Suppression]:
         suppressions.append(
             Suppression(lineno, codes, match.group(2).strip()))
     return suppressions
-
-
-def valid_suppression_lines(source: str) -> Dict[int, Set[str]]:
-    """``{line: codes}`` for suppressions that carry a reason."""
-    return {s.line: s.codes for s in parse_suppressions(source)
-            if s.reason}
 
 
 def apply_suppressions(raw: List[Finding], source: str,

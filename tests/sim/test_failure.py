@@ -129,15 +129,6 @@ def test_stop_lets_inflight_outage_recover():
     assert trace == [("down", 1.0), ("up", 11.0)]
 
 
-def test_fault_spec_jitter_shim_maps_to_deterministic_duration():
-    with pytest.warns(DeprecationWarning):
-        legacy_off = FaultSpec("k", mtbf_s=1.0, duration_s=2.0, jitter=0.0)
-    assert legacy_off.deterministic_duration is True
-    with pytest.warns(DeprecationWarning):
-        legacy_on = FaultSpec("k", mtbf_s=1.0, duration_s=2.0, jitter=1.0)
-    assert legacy_on.deterministic_duration is False
-
-
 def test_fault_spec_deterministic_duration_must_be_bool():
     with pytest.raises(TypeError):
         FaultSpec("k", mtbf_s=1.0, deterministic_duration=0.5)

@@ -1,5 +1,4 @@
-"""Fixture-corpus tests for the flow-sensitive, interprocedural, and
-manifest (MAN) rules.
+"""Fixture-corpus tests for the flow-sensitive and manifest (MAN) rules.
 
 Each ``*_violations.py`` / ``*_violations.yaml`` fixture marks every
 expected finding with a ``# <- CODE`` comment on the offending line
@@ -25,20 +24,12 @@ from repro.staticcheck import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: fixture file -> the rule it exercises (other codes may legitimately
-#: co-fire — e.g. the DET004 fixture's source lines carry DET001 — and
-#: every co-firing is marked too).
+#: co-fire, and every co-firing is marked too).
 VIOLATION_FIXTURES = {
     "conc001_violations.py": "CONC001",
-    "conc002_violations.py": "CONC002",
-    "det004_violations.py": "DET004",
     "res001_violations.py": "RES001",
-    "res002_violations.py": "RES002",
     "saf004_violations.py": "SAF004",
-    "saf005_violations.py": "SAF005",
     "saf001_path_violations.py": "SAF001",
-    "perf001_violations.py": "PERF001",
-    "perf002_violations.py": "PERF002",
-    "perf003_violations.py": "PERF003",
     "man001_violations.yaml": "MAN001",
     "man002_violations.yaml": "MAN002",
     "man003_violations.yaml": "MAN003",
@@ -48,16 +39,9 @@ VIOLATION_FIXTURES = {
 
 CLEAN_FIXTURES = [
     "conc001_clean.py",
-    "conc002_clean.py",
-    "det004_clean.py",
     "res001_clean.py",
-    "res002_clean.py",
     "saf004_clean.py",
-    "saf005_clean.py",
     "saf001_path_clean.py",
-    "perf001_clean.py",
-    "perf002_clean.py",
-    "perf003_clean.py",
     "man001_clean.yaml",
     "man002_clean.yaml",
     "man003_clean.yaml",

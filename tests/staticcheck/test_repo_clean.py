@@ -10,7 +10,12 @@ import textwrap
 
 import pytest
 
-from repro.staticcheck import ALL_RULES, RULE_CATALOG, analyze_tree
+from repro.staticcheck import (
+    ALL_RULES,
+    RULE_CATALOG,
+    analyze_tree,
+    default_target,
+)
 from repro.staticcheck.cli import main
 from repro.staticcheck.findings import RULE_EXPLANATIONS
 
@@ -75,104 +80,34 @@ VIOLATIONS = {
         def f(env):
             env.event()
     """,
-    "PERF001": """
-        def notify(watchers, event):
-            for w in watchers:
-                w.deliver(event)
-    """,
-    "PERF003": """
-        def score(api, pod, node):
-            return len(api.list_pods(owner=pod.owner))
-    """,
-    "CONC002": """
-        class Registry:
-            def elect(self, node):
-                self.leader = node
-
-            def replicate(self, env):
-                yield env.timeout(1.0)
-
-            def run(self, env, message):
-                leader = self.leader
-                self.replicate(env)
-                leader.send(message)
-    """,
-    "DET004": """
-        import time
-
-        def stamp():
-            return time.time()
-
-        def proc(env):
-            started = stamp()
-            yield env.timeout(1)
-            return started
-    """,
-    "RES002": """
-        def consume(watch):
-            for event in watch.pending:
-                print(event)
-
-        def f(store):
-            w = store.watch("k")
-            consume(w)
-    """,
-    "SAF005": """
-        def inner(env, client):
-            for attempt in range(3):
-                try:
-                    return client.get()
-                except OSError:
-                    yield env.timeout(1.0)
-
-        def outer(env, client):
-            for attempt in range(3):
-                try:
-                    return (yield from inner(env, client))
-                except OSError:
-                    yield env.timeout(1.0)
-    """,
-    "PERF002": """
-        class Hub:
-            def __init__(self):
-                self._watchers = []
-
-            def deliver(self, event):
-                for w in self._watchers:
-                    if w.matches(event.key):
-                        w.deliver(event)
-
-            def notify(self, event):
-                self.deliver(event)
-    """,
 }
 
 
-def test_repo_tree_has_zero_unsuppressed_findings():
-    findings, _suppressed = analyze_tree()
+#: The CLI tests that need only an exit code from a clean tree scan
+#: the analyzer's own package, not all of ``src/repro``.
+CLEAN_TARGET = str(default_target() / "staticcheck")
+
+
+@pytest.fixture(scope="module")
+def tree_analysis():
+    """``(findings, suppressed)`` of ``src/repro``, analysed once."""
+    return analyze_tree()
+
+
+def test_repo_tree_has_zero_unsuppressed_findings(tree_analysis):
+    findings, _suppressed = tree_analysis
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-def test_interproc_snapshot_fixes_stay_fixed():
-    # Regression guard for the CONC002 findings the interprocedural
-    # rules surfaced on the real tree: ChaosEngine.run's `scenario`
-    # snapshot and cfg._Builder.build_stmt's `cfg` snapshot were
-    # replaced with direct attribute reads.  If either snapshot pattern
-    # comes back, the cross-call stale-read rule must flag it again.
-    findings, _suppressed = analyze_tree()
-    stale = [f for f in findings if f.code in ("CONC001", "CONC002")]
-    assert stale == [], "\n".join(f.render() for f in stale)
-
-
-def test_repo_suppressions_all_carry_reasons():
+def test_repo_suppressions_all_carry_reasons(tree_analysis):
     # Suppressed findings exist (the kernel boundary) but none without a
     # reason, which would have surfaced as SUP001 above.
-    _findings, suppressed = analyze_tree()
+    _findings, suppressed = tree_analysis
     assert all(s.code for s in suppressed)
 
 
 def test_cli_strict_is_green_on_repo(capsys):
-    assert main(["--strict"]) == 0
+    assert main(["--strict", CLEAN_TARGET]) == 0
     out = capsys.readouterr().out
     assert "0 finding(s)" in out
 
@@ -225,14 +160,14 @@ def test_cli_github_annotations(tmp_path, capsys):
 
 
 def test_cli_github_green_run_emits_no_annotations(capsys):
-    assert main(["--strict", "--format", "github"]) == 0
+    assert main(["--strict", "--format", "github", CLEAN_TARGET]) == 0
     out = capsys.readouterr().out
     assert "::error" not in out
 
 
 def test_cli_sarif_report(tmp_path, capsys):
     bad = tmp_path / "injected.py"
-    bad.write_text(textwrap.dedent(VIOLATIONS["DET004"]))
+    bad.write_text(textwrap.dedent(VIOLATIONS["DET001"]))
     assert main(["--format", "sarif", str(bad)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == "2.1.0"
@@ -241,7 +176,7 @@ def test_cli_sarif_report(tmp_path, capsys):
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     assert rule_ids == set(RULE_CATALOG)
     results = run["results"]
-    assert {r["ruleId"] for r in results} == {"DET001", "DET004"}
+    assert {r["ruleId"] for r in results} == {"DET001"}
     for result in results:
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"].endswith("injected.py")
@@ -263,33 +198,6 @@ def test_cli_sarif_marks_suppressed_findings_as_notes(tmp_path, capsys):
     assert len(results) == 1
     assert results[0]["level"] == "note"
     assert results[0]["suppressions"] == [{"kind": "inSource"}]
-
-
-def test_cli_summary_cache_warm_run_recomputes_nothing(tmp_path, capsys):
-    bad = tmp_path / "injected.py"
-    bad.write_text(textwrap.dedent(VIOLATIONS["DET001"]))
-    cache = tmp_path / "cache.json"
-    assert main(["--summary-cache", str(cache), str(bad)]) == 0
-    cold = capsys.readouterr().err
-    assert "0 module(s) reused, 1 recomputed" in cold
-    assert cache.exists()
-    assert main(["--summary-cache", str(cache), str(bad)]) == 0
-    warm = capsys.readouterr().err
-    assert "1 module(s) reused, 0 recomputed" in warm
-
-
-def test_cli_summary_cache_recomputes_only_changed_module(tmp_path,
-                                                         capsys):
-    first = tmp_path / "first.py"
-    second = tmp_path / "second.py"
-    first.write_text("def a():\n    return 1\n")
-    second.write_text("def b():\n    return 2\n")
-    cache = tmp_path / "cache.json"
-    assert main(["--summary-cache", str(cache), str(tmp_path)]) == 0
-    capsys.readouterr()
-    second.write_text("def b():\n    return 3\n")
-    assert main(["--summary-cache", str(cache), str(tmp_path)]) == 0
-    assert "1 module(s) reused, 1 recomputed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("code", sorted(RULE_EXPLANATIONS))
@@ -315,6 +223,7 @@ def test_every_catalog_rule_has_an_explanation():
     assert set(RULE_EXPLANATIONS) == set(RULE_CATALOG)
     for code, (why, bad, good) in RULE_EXPLANATIONS.items():
         assert why.strip(), f"{code} has no rationale"
+        assert "Guards: " in why, f"{code} names no invariant"
         assert bad.strip(), f"{code} has no violating example"
         assert good.strip(), f"{code} has no compliant fix"
 

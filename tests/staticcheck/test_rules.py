@@ -318,54 +318,6 @@ def test_saf003_ignores_sleeps_in_nested_functions():
     """) == []
 
 
-# -- PERF001: linear fanout scans ------------------------------------------
-
-
-def test_perf001_flags_watcher_scan_in_notify():
-    assert codes("""
-        class S:
-            def _notify(self, event):
-                for w in self._watchers:
-                    w.deliver(event)
-    """) == ["PERF001"]
-
-
-def test_perf001_flags_listener_comprehension_in_emit():
-    assert codes("""
-        def emit(listeners, payload):
-            return [li(payload) for li in listeners]
-    """) == ["PERF001"]
-
-
-def test_perf001_allows_indexed_fanout():
-    assert codes("""
-        class S:
-            def _notify(self, event):
-                for w in self._by_key.get(event.key, ()):
-                    w.deliver(event)
-    """) == []
-
-
-def test_perf001_allows_subscriber_scan_outside_hot_paths():
-    assert codes("""
-        class S:
-            def prune(self):
-                self._watchers = [w for w in self._watchers
-                                  if not w.cancelled]
-    """) == []
-
-
-def test_perf001_ignores_nested_function_bodies():
-    assert codes("""
-        def notify(index, event):
-            def audit():
-                for w in all_watchers:
-                    log(w)
-            for w in index[event.key]:
-                w.deliver(event)
-    """) == []
-
-
 # -- suppressions ----------------------------------------------------------
 
 

@@ -58,3 +58,12 @@ def test_aggregate_throughput_positive_and_scaled():
     assert result.aggregate_images_per_s > 0
     assert result.total_jobs == sum(
         TINY.scaled(b.jobs_heavy) for b in BATCHES)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP correctness debt (3): at scale 0.5 one of 350 jobs is lost "
+    "to 'guardian exhausted retries' on seeds 101 / 103 (NFS overload, "
+    "backoff limit 3); the paper reports no lost jobs"))
+def test_heavy_load_at_half_scale_loses_no_job():
+    result = run_scale_test("heavy", ScaleTestConfig(scale=0.5), seed=101)
+    assert result.failed_jobs == 0
