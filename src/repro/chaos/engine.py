@@ -136,6 +136,14 @@ class HypothesisResult:
     ok: bool
     detail: str
     time: float
+    #: Which replica satisfied the check (the Raft leader, the Mongo
+    #: primary).  It rides on same-instant ties, so it is rendered for
+    #: the reader of a report and is in no audit line.
+    who: str = ""
+
+    @property
+    def described(self) -> str:
+        return f"{self.detail}: {self.who}" if self.who else self.detail
 
 
 @dataclass(frozen=True)
@@ -212,7 +220,7 @@ class ChaosReport:
         lines.append("hypotheses:")
         for h in self.hypotheses:
             lines.append(f"  [{h.phase}] {h.name}: "
-                         f"{'PASS' if h.ok else 'FAIL'} ({h.detail})")
+                         f"{'PASS' if h.ok else 'FAIL'} ({h.described})")
         lines.append("recovery times:")
         for kind, target, measured, paper in self._recovery_rows():
             suffix = f"  [paper: {paper}]" if paper else ""
@@ -240,7 +248,7 @@ class ChaosReport:
         lines.append("|---|---|---|---|")
         for h in self.hypotheses:
             lines.append(f"| {h.phase} | {h.name} | "
-                         f"{'PASS' if h.ok else 'FAIL'} | {h.detail} |")
+                         f"{'PASS' if h.ok else 'FAIL'} | {h.described} |")
         lines.append("")
         lines.append("| fault | target | measured recovery | paper |")
         lines.append("|---|---|---|---|")
@@ -488,21 +496,21 @@ class PlatformTarget:
                            f"{stale[:3]}")
         return True, "durable status matches in-memory status"
 
-    def _hyp_mongo_primary(self) -> Tuple[bool, str]:
+    def _hyp_mongo_primary(self) -> Tuple[bool, ...]:
         backend = self.platform.mongo
         if isinstance(backend, MongoReplicaSet):
-            ok = backend.has_primary
-            return ok, (f"primary index {backend.primary_index}" if ok
-                        else "no primary")
+            if not backend.has_primary:
+                return False, "no primary"
+            return True, "primary elected", f"index {backend.primary_index}"
         return True, "standalone mongo"
 
-    def _hyp_etcd_leader(self) -> Tuple[bool, str]:
+    def _hyp_etcd_leader(self) -> Tuple[bool, ...]:
         backend = self.platform.etcd
         if isinstance(backend, ReplicatedEtcd):
             leader = backend.cluster.leader()
             if leader is None:
                 return False, "no raft leader"
-            return True, f"leader {leader.node_id}"
+            return True, "leader elected", leader.node_id
         return True, "standalone etcd"
 
     def _hyp_no_overallocation(self) -> Tuple[bool, str]:
@@ -681,9 +689,9 @@ class ChaosEngine:
                 break
             yield self.env.timeout(0.5, priority=OBSERVER)
         for name, check in self.target.hypotheses(phase):
-            ok, detail = check(self.target)
+            ok, detail, *who = check(self.target)
             self.hypotheses.append(HypothesisResult(
-                phase, name, ok, detail, self.env.now))
+                phase, name, ok, detail, self.env.now, *who))
             self.log(f"hypothesis {name} [{phase}]: "
                      f"{'PASS' if ok else 'FAIL'} ({detail})")
 
