@@ -15,7 +15,7 @@ from typing import Any, List, Optional, Union
 from repro.errors import ConsensusError, StoreUnavailableError
 from repro.etcd.kv import Compare, EtcdStore, Op, Watcher
 from repro.etcd.replicated import ReplicatedEtcd
-from repro.resilience import CircuitBreaker, Deadline, RetryPolicy, retry_call
+from repro.resilience import CircuitBreaker, RetryPolicy, TimedCall
 from repro.sim.core import Environment, Event
 from repro.sim.rng import RngRegistry
 
@@ -30,10 +30,12 @@ Backend = Union[EtcdStore, ReplicatedEtcd]
 
 
 class EtcdClient:
-    """Issue etcd operations as simulation processes.
+    """Issue etcd operations that take simulated time.
 
-    With ``retry`` set, every operation runs under the policy's bounded
-    exponential backoff (jitter drawn from the registry's
+    Every operation is one :class:`~repro.resilience.TimedCall`: a
+    latency timer whose callback acts on the store and resolves the
+    returned event.  With ``retry`` set, it runs under the policy's
+    bounded exponential backoff (jitter drawn from the registry's
     ``resilience:etcd-client`` stream), optionally guarded by a
     ``breaker`` and a per-call deadline (``deadline_s``, checked between
     attempts).  The defaults keep the legacy single-shot behaviour.
@@ -75,35 +77,8 @@ class EtcdClient:
     def _call(self, action) -> Event:
         """Run ``action`` after the request latency; resolve with its result."""
         self.ops_issued += 1
-
-        def attempt() -> Event:
-            def op():
-                yield self.env.timeout(self.latency_s)
-                if not self.available:
-                    raise StoreUnavailableError("etcd is unavailable")
-                result = action()
-                if isinstance(result, Event):
-                    result = yield result
-                return result
-
-            return self.env.process(op(), name="etcd-op")
-
-        if self.retry is None and self.breaker is None \
-                and self.default_deadline_s is None:
-            return attempt()
-
-        def count_retry(_attempt: int, _err: BaseException) -> None:
-            self.retries += 1
-
-        deadline = Deadline(self.env, self.default_deadline_s) \
-            if self.default_deadline_s is not None else None
-        return self.env.process(
-            retry_call(self.env, self._retry_stream, attempt,
-                       self.retry or RetryPolicy(max_attempts=1),
-                       retry_on=RETRYABLE_ETCD_ERRORS,
-                       breaker=self.breaker, deadline=deadline,
-                       on_retry=count_retry),
-            name="etcd-op")
+        return TimedCall(self, action, "etcd-op", RETRYABLE_ETCD_ERRORS,
+                         "etcd is unavailable").done
 
     # -- writes ----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.errors import StoreUnavailableError
 from repro.mongo.collection import Collection
 from repro.mongo.database import MongoDatabase, MongoReplicaSet
-from repro.resilience import CircuitBreaker, Deadline, RetryPolicy, retry_call
+from repro.resilience import CircuitBreaker, RetryPolicy, TimedCall
 from repro.sim.core import Environment, Event
 from repro.sim.rng import RngRegistry
 
@@ -25,7 +25,7 @@ RETRYABLE_MONGO_ERRORS = (StoreUnavailableError,)
 
 
 class MongoClient:
-    """Issue MongoDB operations as simulation processes.
+    """Issue MongoDB operations that take simulated time.
 
     Mirrors :class:`~repro.etcd.client.EtcdClient`: an optional
     ``retry`` policy (jitter from the ``resilience:mongo-client``
@@ -61,32 +61,8 @@ class MongoClient:
 
     def _call(self, action) -> Event:
         self.ops_issued += 1
-
-        def attempt() -> Event:
-            def op():
-                yield self.env.timeout(self.latency_s)
-                if not self.available:
-                    raise StoreUnavailableError("mongodb is unavailable")
-                return action()
-
-            return self.env.process(op(), name="mongo-op")
-
-        if self.retry is None and self.breaker is None \
-                and self.default_deadline_s is None:
-            return attempt()
-
-        def count_retry(_attempt: int, _err: BaseException) -> None:
-            self.retries += 1
-
-        deadline = Deadline(self.env, self.default_deadline_s) \
-            if self.default_deadline_s is not None else None
-        return self.env.process(
-            retry_call(self.env, self._retry_stream, attempt,
-                       self.retry or RetryPolicy(max_attempts=1),
-                       retry_on=RETRYABLE_MONGO_ERRORS,
-                       breaker=self.breaker, deadline=deadline,
-                       on_retry=count_retry),
-            name="mongo-op")
+        return TimedCall(self, action, "mongo-op", RETRYABLE_MONGO_ERRORS,
+                         "mongodb is unavailable").done
 
     def insert_one(self, collection: str, document: Dict[str, Any]) -> Event:
         return self._call(lambda: self._collection(collection)

@@ -11,9 +11,12 @@ shared vocabulary those clients use:
 * :class:`Deadline` — a per-call budget in simulated time.
 * :class:`CircuitBreaker` — fail-fast once a backend is clearly down, with
   half-open probing on a reset timeout.
-* :func:`retry_call` / :func:`retrying_process` — the retry loop itself,
-  written as a *bounded* ``for``-loop over attempts (the shape SAF003
-  enforces for the whole tree).
+* :func:`retry_call` — the retry loop itself, written as a *bounded*
+  ``for``-loop over attempts (the shape SAF003 enforces for the whole
+  tree), for a caller that is already a process.
+* :class:`TimedCall` — the same loop for the store clients, whose
+  attempt is "sleep the latency, then act": a state machine on two
+  kernel events per attempt and no process at all.
 * :class:`BufferedJobWriter` — write-behind buffering of MongoDB job
   records so the platform degrades gracefully instead of losing status
   updates while the store is down.
@@ -25,8 +28,8 @@ from repro.resilience.policy import (
     CircuitBreaker,
     Deadline,
     RetryPolicy,
+    TimedCall,
     retry_call,
-    retrying_process,
 )
 
 __all__ = [
@@ -35,6 +38,6 @@ __all__ = [
     "Deadline",
     "RetryPolicy",
     "TRANSIENT_ERRORS",
+    "TimedCall",
     "retry_call",
-    "retrying_process",
 ]

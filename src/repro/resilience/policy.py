@@ -22,7 +22,7 @@ from repro.errors import (
     SimulationError,
     StoreUnavailableError,
 )
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, Interrupt, Timeout
 
 #: The errors every layer agrees are transient: worth retrying, worth
 #: buffering behind, never worth surfacing as a semantic failure.
@@ -213,13 +213,106 @@ def retry_call(env: Environment,
         f"{last_error!r}") from last_error
 
 
-def retrying_process(env: Environment, stream, make_attempt, policy,
-                     retry_on: Tuple[type, ...] = TRANSIENT_ERRORS,
-                     breaker: Optional[CircuitBreaker] = None,
-                     deadline: Optional[Deadline] = None,
-                     on_retry=None, name: str = "retrying") -> Event:
-    """:func:`retry_call` wrapped as a standalone simulation process."""
-    return env.process(
-        retry_call(env, stream, make_attempt, policy, retry_on=retry_on,
-                   breaker=breaker, deadline=deadline, on_retry=on_retry),
-        name=name)
+class TimedCall:
+    """One store-client operation: a latency ``Timeout`` whose callback
+    acts and resolves ``done`` - two kernel events, no process.
+
+    ``client`` is an ``EtcdClient`` / ``MongoClient``: an attempt made
+    while its ``available`` is false fails with ``unavailable``, and its
+    ``retry`` / ``breaker`` / ``default_deadline_s``, when any is set,
+    guard the call as ``env.process(retry_call(...))`` would - the same
+    checks in the same order, so the action still runs in the ``NORMAL``
+    slot at ``now + latency`` and instants, jitter draws and breaker
+    transitions are the process form's (DESIGN.md, "When a ``Process``
+    is warranted").  ``done`` is a plain event: nothing to interrupt.
+    """
+
+    __slots__ = ("client", "action", "name", "retry_on", "unavailable",
+                 "policy", "deadline", "done", "attempt", "last_error")
+
+    def __init__(self, client, action: Callable[[], object], name: str,
+                 retry_on: Tuple[type, ...], unavailable: str):
+        self.client = client
+        self.action = action
+        self.name = name  # KernelProfiler site family of the callbacks
+        self.unavailable = unavailable
+        self.done = Event(client.env)
+        self.attempt = 0
+        self.last_error: Optional[BaseException] = None
+        self.deadline = Deadline(client.env, client.default_deadline_s) \
+            if client.default_deadline_s is not None else None
+        if client.retry is None and client.breaker is None \
+                and self.deadline is None:
+            # Unguarded: a transient error is the caller's, as raised.
+            self.policy, self.retry_on = None, ()
+        else:
+            self.policy = client.retry or RetryPolicy(max_attempts=1)
+            self.retry_on = retry_on
+        self._open()
+
+    def _open(self, _backoff: Optional[Event] = None) -> None:
+        """Start an attempt: deadline, breaker, then the request latency."""
+        client, deadline = self.client, self.deadline
+        breaker = client.breaker
+        if deadline is not None and deadline.expired:
+            self._give_up(DeadlineExceededError(
+                f"deadline of {deadline.timeout_s}s exceeded after "
+                f"{self.attempt} attempt(s)"))
+        elif breaker is not None and not breaker.allow():
+            self._give_up(CircuitOpenError(
+                f"circuit {breaker.name!r} is {breaker.state}"))
+        else:
+            Timeout(client.env, client.latency_s).callbacks.append(self._act)
+
+    def _act(self, _latency: Event) -> None:
+        if not self.client.available:
+            self._failed(StoreUnavailableError(self.unavailable))
+            return
+        try:
+            result = self.action()
+        except Interrupt:
+            raise
+        except Exception as err:  # noqa: BLE001 - the caller's, via done
+            self._failed(err)
+            return
+        if not isinstance(result, Event):
+            self._succeeded(result)
+        elif result._processed:
+            self._settled(result)
+        else:  # a Raft proposal: its outcome is the attempt's
+            result.callbacks.append(self._settled)
+
+    def _settled(self, result: Event) -> None:
+        if result._ok:
+            self._succeeded(result._value)
+        else:
+            self._failed(result._value)
+
+    def _succeeded(self, value: object) -> None:
+        if self.client.breaker is not None:
+            self.client.breaker.record_success()
+        self.done.succeed(value)
+
+    def _failed(self, err: BaseException) -> None:
+        if not isinstance(err, self.retry_on):
+            self.done.fail(err)  # semantic: would fail the same way again
+            return
+        client, policy = self.client, self.policy
+        if client.breaker is not None:
+            client.breaker.record_failure()
+        self.last_error = err
+        if self.attempt + 1 >= policy.max_attempts:
+            self._give_up(RetryExhaustedError(
+                f"call failed after {policy.max_attempts} attempt(s): "
+                f"{err!r}"))
+            return
+        client.retries += 1
+        delay = policy.backoff_s(self.attempt, client._retry_stream)
+        if self.deadline is not None:
+            delay = min(delay, self.deadline.remaining_s)
+        self.attempt += 1
+        Timeout(client.env, delay).callbacks.append(self._open)
+
+    def _give_up(self, err: ResilienceError) -> None:
+        err.__cause__ = self.last_error
+        self.done.fail(err)

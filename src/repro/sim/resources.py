@@ -9,10 +9,14 @@ degradation in Figure 5 of the paper).
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from itertools import repeat
+from math import inf
+from operator import add
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import NORMAL, URGENT, Environment, Event, Timeout
 
 
 class Resource:
@@ -80,15 +84,6 @@ class Store:
         return len(self._items)
 
 
-class _Transfer:
-    __slots__ = ("remaining", "done", "last_update")
-
-    def __init__(self, size: float, done: Event, now: float):
-        self.remaining = float(size)
-        self.done = done
-        self.last_update = now
-
-
 class FairShareLink:
     """Processor-sharing bandwidth link.
 
@@ -96,40 +91,50 @@ class FairShareLink:
     transfer of ``size`` bytes takes ``size * n / capacity`` seconds while
     ``n`` transfers are active.  This models the shared 1GbE / object-storage
     bandwidth whose saturation causes the V100 slowdown in Figure 5.
+
+    No process runs the link: every transfer has made the same progress
+    since ``_settled_at``, so the state is two parallel lists and that
+    instant.  A state change queues one ``URGENT`` settle for its instant
+    (the arrivals of an instant are judged as one batch), and a settle
+    arms the one timer of the next completion.
     """
 
     def __init__(self, env: Environment, capacity_bps: float,
                  name: str = "link"):
-        if capacity_bps <= 0:
+        if not capacity_bps > 0:  # also catches NaN
             raise SimulationError("capacity must be positive")
         self.env = env
         self.capacity_bps = float(capacity_bps)
-        self.name = name
-        self._transfers: list[_Transfer] = []
-        self._wakeup: Optional[Event] = None
-        self._runner = env.process(self._run(), name=f"link:{name}")
+        self.name = name  # KernelProfiler site family of the callbacks
+        self._remaining: list[float] = []
+        self._done: list[Event] = []
+        self._settled_at = env.now
+        #: The queued settle (delay 0) or the completion timer that
+        #: counts; a timer a state change superseded fires dead.
+        self._timer: Optional[Timeout] = None
         self.bytes_transferred = 0.0
 
     @property
     def active_transfers(self) -> int:
-        return len(self._transfers)
+        return len(self._remaining)
 
     def current_rate_per_transfer(self) -> float:
         """Bandwidth each in-flight transfer currently receives (bps)."""
-        n = len(self._transfers)
+        n = len(self._remaining)
         return self.capacity_bps / n if n else self.capacity_bps
 
     def transfer(self, size_bytes: float) -> Event:
         """Start a transfer; the returned event fires on completion."""
-        if size_bytes < 0:
-            raise SimulationError("negative transfer size")
+        if not 0 <= size_bytes < inf:  # also catches NaN
+            raise SimulationError(f"bad transfer size: {size_bytes}")
         done = self.env.event()
         if size_bytes == 0:
             done.succeed(0.0)
             return done
-        self._drain_progress()
-        self._transfers.append(_Transfer(size_bytes, done, self.env.now))
-        self._kick()
+        self._progress()
+        self._remaining.append(float(size_bytes))
+        self._done.append(done)
+        self._changed()
         return done
 
     def set_capacity(self, capacity_bps: float) -> None:
@@ -138,53 +143,63 @@ class FairShareLink:
         Progress already made at the old rate is settled first, so
         in-flight transfers finish their remaining bytes at the new rate.
         """
-        if capacity_bps <= 0:
+        if not capacity_bps > 0:  # also catches NaN
             raise SimulationError("capacity must be positive")
-        self._drain_progress()
+        self._progress()
         self.capacity_bps = float(capacity_bps)
-        self._kick()
+        self._changed()
 
     # -- internals ----------------------------------------------------------
 
-    def _drain_progress(self) -> None:
+    def _progress(self) -> None:
         """Account for bytes moved since the last state change."""
-        now = self.env.now
-        n = len(self._transfers)
-        if not n:
+        now, remaining = self.env.now, self._remaining
+        if remaining and now != self._settled_at:
+            moved = self.capacity_bps / len(remaining) \
+                * (now - self._settled_at)
+            self._remaining = [left - moved if left > moved else 0.0
+                               for left in remaining]
+            # One addition per transfer, in order: ``len * moved`` and
+            # ``sum()`` (compensated since 3.12) round differently.
+            self.bytes_transferred = reduce(
+                add, repeat(moved, len(remaining)), self.bytes_transferred)
+        self._settled_at = now
+
+    def _changed(self) -> None:
+        if self._timer is None or self._timer.delay:  # no settle queued yet
+            self._arm(0.0, URGENT)
+
+    def _arm(self, delay: float, priority: int) -> None:
+        self._timer = self.env.timeout(delay, priority=priority)
+        self._timer.callbacks.append(self._settle)
+
+    def _settle(self, timer: Event) -> None:
+        """Complete what is done and time the next completion."""
+        if timer is not self._timer:
             return
-        rate = self.capacity_bps / n
-        for tr in self._transfers:
-            moved = rate * (now - tr.last_update)
-            remaining = tr.remaining - moved
-            tr.remaining = remaining if remaining > 0.0 else 0.0
-            tr.last_update = now
-            self.bytes_transferred += moved
-
-    def _kick(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-
-    def _run(self):
-        while True:
-            self._drain_progress()
-            # A transfer is done when its residual would complete within a
-            # nanosecond at the current rate: a pure byte epsilon can leave
-            # residuals whose completion time is below the clock's float
-            # resolution, which would stall the simulation.
-            rate = self.capacity_bps / max(1, len(self._transfers))
-            epsilon = max(1e-9, rate * 1e-9)
-            finished = [t for t in self._transfers
-                        if t.remaining <= epsilon]
-            self._transfers = [t for t in self._transfers
-                               if t.remaining > epsilon]
-            for tr in finished:
-                tr.done.succeed(self.env.now)
-            if not self._transfers:
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                continue
-            rate = self.capacity_bps / len(self._transfers)
-            next_done = max(1e-9,
-                            min(t.remaining for t in self._transfers) / rate)
-            self._wakeup = self.env.event()
-            yield self.env.any_of([self.env.timeout(next_done), self._wakeup])
+        self._timer = None
+        self._progress()
+        remaining = self._remaining
+        if not remaining:
+            return
+        rate = self.capacity_bps / len(remaining)
+        nearest = min(remaining)
+        # A transfer is done when its residual would complete within a
+        # nanosecond at the current rate: a pure byte epsilon can leave
+        # residuals whose completion time is below the clock's float
+        # resolution, which would stall the simulation.
+        epsilon = max(1e-9, rate * 1e-9)
+        if nearest <= epsilon:
+            finished = [done for left, done in zip(remaining, self._done)
+                        if left <= epsilon]
+            self._done = [done for left, done in zip(remaining, self._done)
+                          if left > epsilon]
+            self._remaining = remaining = [left for left in remaining
+                                           if left > epsilon]
+            for done in finished:
+                done.succeed(self.env.now)
+            if not remaining:
+                return
+            rate = self.capacity_bps / len(remaining)
+            nearest = min(remaining)
+        self._arm(max(1e-9, nearest / rate), NORMAL)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.errors import StoreError
 from repro.etcd import EtcdClient, EtcdStore, ReplicatedEtcd
+from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.sim import Environment, RngRegistry
+from repro.sim.core import Event
 
 
 def standalone_client(latency=0.002):
@@ -123,3 +126,50 @@ def test_client_over_replicated_backend():
 
     assert env.run_until_complete(env.process(flow()),
                                   limit=env.now + 20) == "v"
+
+
+# -- kernel-event tripwires: an operation is a timer and a result -------------
+
+
+def _events_for_one_put(**client_kwargs):
+    env = Environment()
+    client = EtcdClient(env, EtcdStore(env), rng=RngRegistry(0),
+                        **client_kwargs)
+    done = client.put("k", "v")
+    env.run()
+    assert done.ok
+    return env.events_processed, done
+
+
+def test_an_operation_is_two_kernel_events_with_or_without_a_policy():
+    bare, done = _events_for_one_put()
+    guarded, _ = _events_for_one_put(
+        retry=RetryPolicy(), breaker=CircuitBreaker(Environment()),
+        deadline_s=5.0)
+    assert (bare, guarded) == (2, 2)  # 3 and 5 while processes ran them
+    # A plain event: no process behind it to interrupt or watch end.
+    assert type(done) is Event
+
+
+def test_each_retry_costs_a_backoff_timer_and_a_latency_timer():
+    env = Environment()
+    client = EtcdClient(env, EtcdStore(env),
+                        retry=RetryPolicy(max_attempts=4, jitter=False))
+    client.set_available(False)
+    done = client.put("k", "v")
+    env.run(until=0.06)  # attempts at 0.002 and 0.054 found it down
+    client.set_available(True)
+    env.run()
+    assert done.ok and client.retries == 2
+    assert env.now == 0.002 + 0.05 + 0.002 + 0.1 + 0.002
+    assert env.events_processed == 2 + 2 * client.retries
+
+
+def test_a_semantic_error_fails_the_result_and_is_not_retried():
+    env = Environment()
+    client = EtcdClient(env, EtcdStore(env), rng=RngRegistry(0),
+                        retry=RetryPolicy())
+    done = client.put("k", "v", lease_id=99)  # no such lease
+    env.run()
+    assert not done.ok and isinstance(done.value, StoreError)
+    assert (client.retries, env.events_processed) == (0, 2)

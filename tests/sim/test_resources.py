@@ -194,3 +194,80 @@ def test_fair_share_tracks_bytes_transferred():
     env.process(sender())
     env.run(until=50)
     assert link.bytes_transferred == pytest.approx(300.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_fair_share_rejects_a_size_that_is_not_a_finite_amount(bad):
+    # NaN used to pass the `< 0` check, vanish from the link without
+    # ever completing and turn bytes_transferred into NaN.
+    env = Environment()
+    link = FairShareLink(env, capacity_bps=10.0)
+    with pytest.raises(SimulationError):
+        link.transfer(bad)
+    assert link.active_transfers == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+def test_fair_share_rejects_a_capacity_that_is_not_positive(bad):
+    env = Environment()
+    with pytest.raises(SimulationError):
+        FairShareLink(env, capacity_bps=bad)
+    link = FairShareLink(env, capacity_bps=10.0)
+    with pytest.raises(SimulationError):
+        link.set_capacity(bad)
+    assert link.capacity_bps == 10.0
+
+
+# -- kernel-event tripwires: nobody runs the link, it is one timer ------------
+
+
+def test_fair_share_idle_link_holds_no_queued_event():
+    env = Environment()
+    link = FairShareLink(env, capacity_bps=100.0)
+    assert env.events_scheduled == 0
+    link.transfer(100.0)
+    env.run()
+    # One settle, one completion timer, one done event; then nothing.
+    assert (env.now, env.events_processed, env.events_scheduled) == \
+        (1.0, 3, 3)
+
+
+def test_fair_share_arrivals_of_one_instant_share_a_settle_and_a_timer():
+    env = Environment()
+    link = FairShareLink(env, capacity_bps=100.0)
+    link.transfer(1000.0)
+    env.run(until=1.0)  # busy: one transfer in flight, its timer pending
+    before = env.events_scheduled
+    batch = [link.transfer(100.0) for _ in range(5)]
+    assert env.events_scheduled - before == 1  # the settle, once
+    env.run(until=1.0)
+    assert env.events_scheduled - before == 2  # and the one new timer
+    assert not any(done.triggered for done in batch)
+    processed = env.events_processed
+    env.run(until=7.0)  # 5 x 100 B at 100/6 B/s each: done at t=7
+    assert [done.value for done in batch] == [7.0] * 5
+    # A completion is the timer that counted and one done event per
+    # finished transfer; the survivor's re-armed timer is pending.
+    assert env.events_processed - processed == 1 + 5
+    assert link.active_transfers == 1
+    processed = env.events_processed
+    env.run()
+    # The timer the batch superseded (due at 10) fires dead, once; the
+    # survivor's 800 B take until 15: its timer and its done event.
+    assert (env.now, env.events_processed - processed) == (15.0, 1 + 2)
+
+
+def test_fair_share_re_rating_supersedes_the_pending_timer():
+    env = Environment()
+    link = FairShareLink(env, capacity_bps=100.0)
+    done = link.transfer(1000.0)
+    env.run(until=5.0)
+    link.set_capacity(50.0)
+    link.set_capacity(250.0)  # same instant: still one settle
+    env.run()
+    # 500 B left at t=5, 250 B/s: done at 7; the first timer, due at
+    # 10, fires dead and is the last thing in the queue.  Two settles,
+    # two timers, one done event.
+    assert done.value == 7.0
+    assert (env.now, env.events_processed) == (10.0, 5)
+    assert link.bytes_transferred == 1000.0
