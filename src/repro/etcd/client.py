@@ -53,7 +53,7 @@ class EtcdClient:
         self.retry = retry
         self.breaker = breaker
         self.default_deadline_s = deadline_s
-        self._retry_stream = rng.stream("resilience:etcd-client") \
+        self.retry_stream = rng.stream("resilience:etcd-client") \
             if rng is not None else None
         self.ops_issued = 0
         self.retries = 0

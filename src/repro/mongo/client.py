@@ -46,7 +46,7 @@ class MongoClient:
         self.retry = retry
         self.breaker = breaker
         self.default_deadline_s = deadline_s
-        self._retry_stream = rng.stream("resilience:mongo-client") \
+        self.retry_stream = rng.stream("resilience:mongo-client") \
             if rng is not None else None
         self.ops_issued = 0
         self.retries = 0

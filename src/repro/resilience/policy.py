@@ -220,7 +220,8 @@ class TimedCall:
     ``client`` is an ``EtcdClient`` / ``MongoClient``: an attempt made
     while its ``available`` is false fails with ``unavailable``, and its
     ``retry`` / ``breaker`` / ``default_deadline_s``, when any is set,
-    guard the call as ``env.process(retry_call(...))`` would - the same
+    guard the call as ``env.process(retry_call(...))`` would (jitter
+    from its ``retry_stream``, counted in its ``retries``) - the same
     checks in the same order, so the action still runs in the ``NORMAL``
     slot at ``now + latency`` and instants, jitter draws and breaker
     transitions are the process form's (DESIGN.md, "When a ``Process``
@@ -307,7 +308,7 @@ class TimedCall:
                 f"{err!r}"))
             return
         client.retries += 1
-        delay = policy.backoff_s(self.attempt, client._retry_stream)
+        delay = policy.backoff_s(self.attempt, client.retry_stream)
         if self.deadline is not None:
             delay = min(delay, self.deadline.remaining_s)
         self.attempt += 1

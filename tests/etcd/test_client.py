@@ -131,10 +131,11 @@ def test_client_over_replicated_backend():
 # -- kernel-event tripwires: an operation is a timer and a result -------------
 
 
-def _events_for_one_put(**client_kwargs):
+def _events_for_one_put(guarded):
     env = Environment()
-    client = EtcdClient(env, EtcdStore(env), rng=RngRegistry(0),
-                        **client_kwargs)
+    guards = dict(retry=RetryPolicy(), breaker=CircuitBreaker(env),
+                  deadline_s=5.0) if guarded else {}
+    client = EtcdClient(env, EtcdStore(env), rng=RngRegistry(0), **guards)
     done = client.put("k", "v")
     env.run()
     assert done.ok
@@ -142,10 +143,8 @@ def _events_for_one_put(**client_kwargs):
 
 
 def test_an_operation_is_two_kernel_events_with_or_without_a_policy():
-    bare, done = _events_for_one_put()
-    guarded, _ = _events_for_one_put(
-        retry=RetryPolicy(), breaker=CircuitBreaker(Environment()),
-        deadline_s=5.0)
+    bare, done = _events_for_one_put(guarded=False)
+    guarded, _ = _events_for_one_put(guarded=True)
     assert (bare, guarded) == (2, 2)  # 3 and 5 while processes ran them
     # A plain event: no process behind it to interrupt or watch end.
     assert type(done) is Event

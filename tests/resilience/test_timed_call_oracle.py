@@ -40,7 +40,8 @@ from tests.conftest import examples
 
 
 def process_form_call(self, action):
-    """``EtcdClient._call`` of the parent commit, verbatim."""
+    """``EtcdClient._call`` of the parent commit, verbatim (but for the
+    name of ``retry_stream``, private then)."""
     self.ops_issued += 1
 
     def attempt() -> Event:
@@ -65,7 +66,7 @@ def process_form_call(self, action):
     deadline = Deadline(self.env, self.default_deadline_s) \
         if self.default_deadline_s is not None else None
     return self.env.process(
-        retry_call(self.env, self._retry_stream, attempt,
+        retry_call(self.env, self.retry_stream, attempt,
                    self.retry or RetryPolicy(max_attempts=1),
                    retry_on=RETRYABLE_ETCD_ERRORS,
                    breaker=self.breaker, deadline=deadline,
