@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Timeout
 from repro.sim.rng import RngRegistry
 
 Handler = Callable[[str, Any], None]
@@ -17,6 +17,9 @@ Handler = Callable[[str, Any], None]
 
 class Network:
     """Delivers messages between registered endpoints with latency/faults."""
+
+    #: KernelProfiler site family of a delivery (``_deliver``).
+    name = "net"
 
     def __init__(self, env: Environment, rng: RngRegistry,
                  base_latency_s: float = 0.002,
@@ -98,16 +101,17 @@ class Network:
             self.messages_dropped += 1
             return
         latency = self.base_latency_s + self.rng.random() * self.jitter_s
+        self.env.timeout(latency, (src, dst, message)).callbacks.append(
+            self._deliver)
 
-        def deliver(_timeout):
-            # Re-check reachability at delivery time (partition may have
-            # happened while the message was in flight).
-            if self.is_reachable(src, dst):
-                self._handlers[dst](src, message)
-            else:
-                self.messages_dropped += 1
-
-        self.env.timeout(latency).callbacks.append(deliver)
+    def _deliver(self, timeout: Timeout) -> None:
+        src, dst, message = timeout.value
+        # Re-check reachability at delivery time (partition may have
+        # happened while the message was in flight).
+        if self.is_reachable(src, dst):
+            self._handlers[dst](src, message)
+        else:
+            self.messages_dropped += 1
 
     def endpoints(self) -> Set[str]:
         return set(self._handlers)

@@ -12,9 +12,10 @@ the protocol, exactly as with an on-disk Raft implementation.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import NotLeaderError
+from repro.errors import ConsensusError, NotLeaderError
 from repro.raft.messages import (
     AppendEntries,
     AppendEntriesReply,
@@ -23,7 +24,7 @@ from repro.raft.messages import (
     RequestVoteReply,
 )
 from repro.raft.network import Network
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, Timeout
 from repro.sim.rng import RngRegistry
 
 FOLLOWER = "follower"
@@ -76,7 +77,14 @@ class RaftNode:
         election_timeout_s: tuple[float, float] = (0.15, 0.30),
         heartbeat_interval_s: float = 0.05,
     ):
+        lo, hi = election_timeout_s
+        if not 0 < heartbeat_interval_s < lo <= hi < inf:  # NaN fails too
+            raise ConsensusError(
+                f"need 0 < heartbeat < election lo <= hi < inf, got "
+                f"{heartbeat_interval_s!r}, {election_timeout_s!r}")
         self.env = env
+        #: KernelProfiler site family of the timer callback.
+        self.name = f"raft:{node_id}"
         self.rng = rng.stream(f"raft:{node_id}")
         self.network = network
         self.node_id = node_id
@@ -99,7 +107,12 @@ class RaftNode:
         self.match_index: Dict[str, int] = {}
         self._votes: set[str] = set()
         self._crashed = False
-        self._reset_event: Optional[Event] = None
+        #: The election / heartbeat timer is a deadline and at most one
+        #: live timer, firing at ``_timer_at <= _due`` (DESIGN.md, "When
+        #: a `Process` is warranted").
+        self._due = self._timer_at = 0.0
+        self._timer: Optional[Timeout] = None
+        self._kicked: Optional[tuple] = None  # (events_processed, now)
         self._pending: Dict[int, Event] = {}  # raft index -> proposal event
         self.apply_results: Dict[int, Any] = {}
         #: Optional invariant tracer (e.g. staticcheck's
@@ -107,7 +120,7 @@ class RaftNode:
         self.tracer: Optional[Any] = None
 
         network.register(node_id, self._on_message)
-        self._ticker = env.process(self._run(), name=f"raft:{node_id}")
+        self._kick_timer()
 
     # -- public API ----------------------------------------------------------
 
@@ -211,30 +224,49 @@ class RaftNode:
         return lo + (hi - lo) * self.rng.random()
 
     def _kick_timer(self) -> None:
-        if self._reset_event is not None and not self._reset_event.triggered:
-            self._reset_event.succeed()
+        """Re-evaluate the timer, at most once per kernel event: the
+        ticker process this replaces resumed once however many kicks its
+        reset event had absorbed.  Code run between two ``run()`` calls
+        shares the last event's count; the instant tells it apart."""
+        env = self.env
+        stamp = (env.events_processed, env.now)
+        if stamp != self._kicked:
+            self._kicked = stamp
+            self._settle()
 
-    def _run(self):
-        while True:
-            if self._crashed:
-                self._reset_event = self.env.event()
-                yield self._reset_event
-                continue
-            if self.state == LEADER:
-                self._broadcast_entries()
-                self._reset_event = self.env.event()
-                yield self.env.any_of([
-                    self.env.timeout(self.heartbeat_interval_s),
-                    self._reset_event,
-                ])
-                continue
-            # Follower / candidate: wait for a heartbeat or start an election.
-            self._reset_event = self.env.event()
-            timer = self.env.timeout(self._election_timeout())
-            yield self.env.any_of([timer, self._reset_event])
-            if self._crashed or self._reset_event.triggered:
-                continue
+    def _settle(self) -> None:
+        """The loop top of the process form: a leader broadcasts and is
+        due a heartbeat later, anyone else draws an election timeout."""
+        now = self.env.now
+        if self.state == LEADER:
+            self._broadcast_entries()
+            due = now + self.heartbeat_interval_s
+        else:
+            due = now + self._election_timeout()
+        self._due = due
+        if self._timer is None or self._timer_at > due:
+            self._arm(due)  # the pending timer, if any, fires dead
+
+    def _arm(self, when: float) -> None:
+        self._timer_at = when
+        self._timer = self.env.timeout_at(when)
+        self._timer.callbacks.append(self._on_timer)
+
+    def _on_timer(self, timer: Timeout) -> None:
+        if timer is not self._timer:
+            return  # superseded by an earlier deadline
+        self._timer = None
+        if self._crashed:
+            return  # restart() kicks
+        if self.env.now < self._due:
+            self._arm(self._due)  # kicked since it was armed
+            return
+        # Stamped first: a single-node group's nested _become_leader
+        # kick is absorbed, as the running process absorbed it.
+        self._kicked = (self.env.events_processed, self.env.now)
+        if self.state != LEADER:
             self._become_candidate()
+        self._settle()
 
     # -- message handling --------------------------------------------------------
 
