@@ -48,6 +48,9 @@ class KubeAPI:
         self.event_log = EventLog()
         self._stores: Dict[str, Dict[str, object]] = {
             kind: {} for kind in _KINDS}
+        #: kind -> uid -> object: the stores by uid, for owner lookups.
+        self._by_uid: Dict[str, Dict[str, object]] = {
+            kind: {} for kind in _KINDS}
         #: kind -> [(seq, listener)]: every subscriber of a kind, in
         #: registration order (``seq`` is unique across the server).
         self._listeners: Dict[str, List[Tuple[int, Listener]]] = {
@@ -113,6 +116,7 @@ class KubeAPI:
         if name in store:
             raise ConflictError(f"{kind}/{name} already exists")
         store[name] = obj
+        self._by_uid[kind][obj.meta.uid] = obj
         self._notify(kind, ADDED, obj)
         return obj
 
@@ -129,6 +133,7 @@ class KubeAPI:
         obj = self._stores[kind].pop(name, None)
         if obj is None:
             raise ObjectNotFoundError(f"{kind}/{name}")
+        del self._by_uid[kind][obj.meta.uid]
         self._notify(kind, DELETED, obj)
         return obj
 
@@ -139,12 +144,12 @@ class KubeAPI:
         return name in self._stores[kind]
 
     def find_by_uid(self, kinds: Iterable[str], uid: str):
-        """The first object with ``uid`` among ``kinds`` (searched in the
-        order given, each in creation order), or None."""
+        """The object with ``uid`` among ``kinds`` (searched in the order
+        given), or None."""
         for kind in kinds:
-            for obj in self._stores[kind].values():
-                if obj.meta.uid == uid:
-                    return obj
+            obj = self._by_uid[kind].get(uid)
+            if obj is not None:
+                return obj
         return None
 
     def record_event(self, event: KubeEvent) -> None:

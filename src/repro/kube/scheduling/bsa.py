@@ -11,6 +11,13 @@ sampling rounds.
 
 This module is a self-contained implementation of that heuristic: it never
 mutates the real allocations — callers apply the returned assignment.
+
+Every round starts from the same fresh cluster, so what a fresh node
+contributes (its fit and bias weight per pod, its score term) is computed
+once per call; a round keeps views only of the nodes it takes from and
+patches their entries.  It costs what it draws, not the cluster, and
+``rng.choices`` and ``sum`` see the lists and floats a rebuild of every
+node would give.  DESIGN.md, "What a gang attempt costs".
 """
 
 from __future__ import annotations
@@ -19,7 +26,11 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.kube.objects import Pod
-from repro.kube.resources import NodeAllocation, ResourceRequest
+from repro.kube.resources import (
+    NodeAllocation,
+    NodeCapacity,
+    ResourceRequest,
+)
 
 
 class _Tentative:
@@ -50,9 +61,13 @@ class _Tentative:
         self.free_gpus -= request.gpus
 
     def gpu_utilization(self) -> float:
-        if self.capacity.gpus == 0:
-            return 0.0
-        return (self.capacity.gpus - self.free_gpus) / self.capacity.gpus
+        return _gpu_utilization(self.capacity, self.free_gpus)
+
+
+def _gpu_utilization(capacity: NodeCapacity, free_gpus: int) -> float:
+    if capacity.gpus == 0:
+        return 0.0
+    return (capacity.gpus - free_gpus) / capacity.gpus
 
 
 #: BSA objectives: pack GPUs onto few nodes (FfDL's choice, GPUs being the
@@ -75,20 +90,68 @@ def _bias_weight(view: _Tentative, request: ResourceRequest,
     return (1.0 + used_cpu) ** alpha
 
 
-def _assignment_score(assignment: Dict[str, str],
-                      views: Dict[str, _Tentative],
+def _score_term(utilization: float, objective: str) -> float:
+    """One node's entry in the round's score: its GPU utilization
+    (balance) or that squared (pack)."""
+    if objective == OBJECTIVE_BALANCE:
+        return utilization
+    return utilization ** 2
+
+
+def _assignment_score(terms: List[float], touched: Dict[str, _Tentative],
                       objective: str) -> float:
+    """``terms`` has every node's entry in allocation order, those of
+    the ``touched`` nodes (the ones the round took from) patched."""
     if objective == OBJECTIVE_BALANCE:
         # Minimize the variance of GPU utilization across nodes.
-        utils = [view.gpu_utilization() for view in views.values()]
-        mean = sum(utils) / len(utils)
-        variance = sum((u - mean) ** 2 for u in utils) / len(utils)
+        mean = sum(terms) / len(terms)
+        variance = sum((u - mean) ** 2 for u in terms) / len(terms)
         return -variance
     # Pack: fewer distinct nodes, higher GPU packing.
-    nodes_used = len(set(assignment.values()))
-    packing = sum(view.gpu_utilization() ** 2
-                  for view in views.values())
-    return -float(nodes_used) + 0.01 * packing
+    return -float(len(touched)) + 0.01 * sum(terms)
+
+
+class _Draw:
+    """One pod's candidates over the fresh views, shared by every round."""
+
+    __slots__ = ("name", "request", "candidates", "weights", "slot")
+
+    def __init__(self, pod: Pod, eligible: List[str],
+                 fresh: Dict[str, _Tentative], alpha: float,
+                 objective: str):
+        self.name = pod.name
+        self.request = request = pod.spec.resources
+        self.candidates = [n for n in eligible if fresh[n].fits(request)]
+        self.weights = [_bias_weight(fresh[n], request, alpha, objective)
+                        for n in self.candidates]
+        #: Candidate -> its position in both lists.
+        self.slot = {n: i for i, n in enumerate(self.candidates)}
+        if len(self.slot) < len(self.candidates):
+            raise ValueError(f"pod {pod.name}: a node is eligible twice")
+
+    def patched(self, touched: Dict[str, _Tentative], alpha: float,
+                objective: str) -> tuple:
+        """``(candidates, weights)`` over this round's views: a touched
+        candidate is re-weighted in place, or dropped once it no longer
+        fits.  Taking never makes a node fit, so no other entry moves."""
+        candidates, weights = self.candidates, self.weights
+        hits = [(self.slot[n], view) for n, view in touched.items()
+                if n in self.slot]
+        if not hits:
+            return candidates, weights
+        weights = list(weights)
+        gone = []
+        for i, view in hits:
+            if view.fits(self.request):
+                weights[i] = _bias_weight(view, self.request, alpha,
+                                          objective)
+            else:
+                gone.append(i)
+        if gone:
+            candidates = list(candidates)
+            for i in sorted(gone, reverse=True):
+                del candidates[i], weights[i]
+        return candidates, weights
 
 
 def bsa_place(
@@ -105,8 +168,9 @@ def bsa_place(
     ``eligible_nodes`` maps each pod name to the node names that pass its
     predicate filter (selector, readiness) against *current* state; resource
     feasibility is re-evaluated against the tentative view inside each
-    sampling round.  Returns pod-name -> node-name, or None if no feasible
-    assignment was sampled.
+    sampling round.  Each list names a node at most once among those that
+    fit (``ValueError`` otherwise).  Returns pod-name -> node-name, or
+    None if no feasible assignment was sampled.
     """
     if not pods:
         return {}
@@ -116,29 +180,41 @@ def bsa_place(
         pods,
         key=lambda p: (p.spec.resources.gpus, p.spec.resources.cpus),
         reverse=True)
+    fresh: Dict[str, _Tentative] = {}
+    for pod in ordered:
+        for name in eligible_nodes.get(pod.name, []):
+            if name not in fresh:
+                fresh[name] = _Tentative(allocations[name])
+    draws = [_Draw(pod, eligible_nodes.get(pod.name, []), fresh, alpha,
+                   objective) for pod in ordered]
+    fresh_terms: Optional[List[float]] = None  # first feasible round
     best: Optional[Dict[str, str]] = None
     best_score = float("-inf")
     for _round in range(rounds):
-        views = {name: _Tentative(alloc)
-                 for name, alloc in allocations.items()}
+        touched: Dict[str, _Tentative] = {}
         assignment: Dict[str, str] = {}
-        feasible_round = True
-        for pod in ordered:
-            request = pod.spec.resources
-            candidates = [n for n in eligible_nodes.get(pod.name, [])
-                          if views[n].fits(request)]
+        for draw in draws:
+            candidates, weights = draw.patched(touched, alpha, objective)
             if not candidates:
-                feasible_round = False
                 break
-            weights = [_bias_weight(views[n], request, alpha, objective)
-                       for n in candidates]
             choice = rng.choices(candidates, weights=weights, k=1)[0]
-            assignment[pod.name] = choice
-            views[choice].take(request)
-        if not feasible_round:
-            continue
-        score = _assignment_score(assignment, views, objective)
-        if score > best_score:
-            best_score = score
-            best = assignment
+            assignment[draw.name] = choice
+            view = touched.get(choice)
+            if view is None:
+                view = touched[choice] = _Tentative(allocations[choice])
+            view.take(draw.request)
+        else:
+            if fresh_terms is None:
+                fresh_terms = [_score_term(_gpu_utilization(
+                    a.capacity, a.free_gpus), objective)
+                    for a in allocations.values()]
+                position = {name: i for i, name in enumerate(allocations)}
+            terms = list(fresh_terms)
+            for name, view in touched.items():
+                terms[position[name]] = _score_term(view.gpu_utilization(),
+                                                    objective)
+            score = _assignment_score(terms, touched, objective)
+            if score > best_score:
+                best_score = score
+                best = assignment
     return best

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.errors import KubeError
 from repro.kube.api import ADDED, DELETED, KubeAPI
 from repro.kube.events import (
     FAILED_SCHEDULING,
@@ -41,7 +42,11 @@ from repro.kube.events import (
     SCHEDULED,
 )
 from repro.kube.objects import PENDING, Pod
-from repro.kube.scheduling.bsa import bsa_place
+from repro.kube.scheduling.bsa import (
+    OBJECTIVE_BALANCE,
+    OBJECTIVE_PACK,
+    bsa_place,
+)
 from repro.kube.scheduling.policies import (
     PACK,
     score_node,
@@ -68,7 +73,7 @@ class SchedulerConfig:
     #: (Table 8's "Binding Rejected" row).
     bind_latency_s: float = 0.05
     #: BSA gang-placement objective: "pack" (FfDL's choice) or "balance".
-    bsa_objective: str = "pack"
+    bsa_objective: str = OBJECTIVE_PACK
     #: Informer-cache staleness: for this long after a deletion is
     #: requested, the scheduler still sees the pod as live, proceeds to
     #: select a node, and has the binding rejected by the (authoritative)
@@ -106,6 +111,17 @@ class SchedulerConfig:
     #: the paper's 40% zero-deadlock runs and its worst-case 46% idle GPUs.
     order_jitter: float = 7.0
     order_jitter_sigma: float = 1.6
+
+    def __post_init__(self) -> None:
+        # BSA reads any other objective as pack, and with no round it
+        # places nothing: every gang would stay Pending without an error.
+        if self.bsa_objective not in (OBJECTIVE_PACK, OBJECTIVE_BALANCE):
+            raise KubeError(f"bsa_objective must be {OBJECTIVE_PACK!r} or "
+                            f"{OBJECTIVE_BALANCE!r}, not "
+                            f"{self.bsa_objective!r}")
+        if not self.bsa_rounds >= 1:
+            raise KubeError(f"bsa_rounds must be >= 1, not "
+                            f"{self.bsa_rounds!r}")
 
 
 @dataclass
@@ -164,6 +180,10 @@ class Scheduler:
         #: ``_journal[0]`` sits at absolute position ``_journal_start``.
         self._journal: List[str] = []
         self._journal_start = 0
+        #: ``_predicate_summary`` by (sorted selector items, wanted
+        #: GPUs), valid while the journal ends at ``_summaries_at``.
+        self._summaries: Dict[tuple, str] = {}
+        self._summaries_at = 0
         #: (owner uid, node name) -> bound-pod count, maintained from pod
         #: watch events, so ``_score`` never scans the pod store.
         self._owner_node_counts: Dict[tuple, int] = {}
@@ -633,6 +653,25 @@ class Scheduler:
                        predicates=predicates), pod)
 
     def _predicate_summary(self, pod: Pod) -> str:
+        """Why no node fits, per predicate, as FailedScheduling says it.
+
+        It reads each node's readiness (``update_node``), free GPUs
+        (``reserve`` / ``release``) and the node list (additions) — all
+        journalled — and labels, which are fixed at creation.  So one
+        scan serves every pod of a (selector, GPUs) shape until the
+        journal moves.
+        """
+        end = self._journal_start + len(self._journal)
+        if self._summaries_at != end:
+            self._summaries, self._summaries_at = {}, end
+        key = (tuple(sorted(pod.spec.node_selector.items())),
+               pod.spec.resources.gpus)
+        summary = self._summaries.get(key)
+        if summary is None:
+            summary = self._summaries[key] = self._scan_predicates(pod)
+        return summary
+
+    def _scan_predicates(self, pod: Pod) -> str:
         wanted_gpus = pod.spec.resources.gpus
         short_gpu = selector_miss = unready = 0
         for node in self._nodes.values():

@@ -60,6 +60,10 @@ class MongoReplicaSet:
             raise StoreError("secondaries must be >= 0")
         if election_delay_s < 0:
             raise StoreError("election_delay_s must be >= 0")
+        # Zero would spin the replication loop at one instant; a negative
+        # lag fails a process nobody waits on.
+        if not replication_lag_s > 0:
+            raise StoreError("replication_lag_s must be > 0")
         self.env = env
         self.name = name
         self.replication_lag_s = replication_lag_s

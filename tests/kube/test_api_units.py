@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ConflictError, ObjectNotFoundError
 from repro.kube import KubeAPI, ObjectMeta, Pod, PodSpec
-from repro.kube.objects import Node, NodeCapacity
+from repro.kube.objects import (
+    KubeJob,
+    Node,
+    NodeCapacity,
+    PodTemplate,
+    ReplicaSet,
+)
 from repro.sim import Environment
 
 
@@ -102,6 +108,44 @@ def test_node_store(api):
     api.create_node(node)
     assert api.get_node("n1") is node
     assert api.list_nodes() == [node]
+
+
+OWNER_KINDS = ("replicasets", "statefulsets", "deployments", "jobs")
+
+
+def replicaset(name):
+    return ReplicaSet(meta=ObjectMeta(name=name), replicas=1,
+                      template=PodTemplate())
+
+
+def test_find_by_uid_follows_delete_and_recreate(api):
+    first = api.create_replicaset(replicaset("rs"))
+    assert api.find_by_uid(OWNER_KINDS, first.meta.uid) is first
+    api.delete_replicaset("rs")
+    assert api.find_by_uid(OWNER_KINDS, first.meta.uid) is None
+    second = api.create_replicaset(replicaset("rs"))  # same name, new uid
+    assert second.meta.uid != first.meta.uid
+    assert api.find_by_uid(OWNER_KINDS, second.meta.uid) is second
+    assert api.find_by_uid(OWNER_KINDS, first.meta.uid) is None
+
+
+def test_find_by_uid_honours_kinds(api):
+    rs = api.create_replicaset(replicaset("rs"))
+    job = api.create_job(KubeJob(meta=ObjectMeta(name="job"),
+                                 template=PodTemplate()))
+    assert api.find_by_uid(("jobs",), rs.meta.uid) is None
+    assert api.find_by_uid(("replicasets",), job.meta.uid) is None
+    assert api.find_by_uid(("jobs", "replicasets"), rs.meta.uid) is rs
+    assert api.find_by_uid(("jobs",), job.meta.uid) is job
+    assert api.find_by_uid((), rs.meta.uid) is None
+
+
+def test_find_by_uid_never_returns_a_pod_for_owner_kinds(api):
+    learner = api.create_pod(pod("learner-0"))
+    assert api.find_by_uid(OWNER_KINDS, learner.meta.uid) is None
+    assert api.find_by_uid(("pods",), learner.meta.uid) is learner
+    api.delete_pod("learner-0")
+    assert api.find_by_uid(("pods",), learner.meta.uid) is None
 
 
 NODES = ["n1", "n2", "n3"]

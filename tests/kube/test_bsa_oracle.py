@@ -139,10 +139,10 @@ def reference_bsa_place(
 
 #: (GPUs, GPU type, GPUs in use, free CPUs of 16, free memory of 64 GB).
 _NODE = st.tuples(
-    st.sampled_from([0, 2, 4, 8]),
+    st.sampled_from([0, 2, 4, 4, 8, 8]),
     st.sampled_from(["K80", "V100"]),
-    st.integers(min_value=0, max_value=8),
-    st.one_of(st.sampled_from([0.0, 0.5, 16.0]),
+    st.sampled_from([0, 0, 0, 1, 2, 3, 8]),
+    st.one_of(st.sampled_from([0.0, 0.5, 16.0, 16.0]),
               st.floats(min_value=0.0, max_value=16.0)),
     st.sampled_from([64.0, 64.0, 8.0, 1.0]),
 )
@@ -150,7 +150,7 @@ _NODE = st.tuples(
 #: a typed request rules out the other type's nodes.
 _REQUEST = st.tuples(
     st.sampled_from([0, 1, 1, 2, 4]),
-    st.sampled_from([None, "any", "K80", "V100"]),
+    st.sampled_from([None, "any", "any", "K80", "V100"]),
     st.one_of(st.sampled_from([0.5, 1.0, 4.0]),
               st.floats(min_value=0.0, max_value=8.0)),
     st.sampled_from([0.0, 1.0, 8.0]),
@@ -178,12 +178,11 @@ def problems(draw):
         pods.append(Pod(meta=ObjectMeta(name=name), spec=PodSpec(
             resources=ResourceRequest(cpus=cpus, memory_gb=memory,
                                       gpus=gpus, gpu_type=gpu_type))))
-        # Any subset in any order, fitting or not; sometimes no entry.
-        listed = draw(st.none() | st.permutations(names).flatmap(
-            lambda order: st.integers(0, len(order)).map(
-                lambda k, order=order: order[:k])))
-        if listed is not None:
-            eligible[name] = listed
+        # Any subset in any order, fitting or not; rarely no entry.
+        order = draw(st.permutations(names))
+        kept = draw(st.integers(1, len(order)) | st.just(len(order)))
+        if draw(st.sampled_from([True] * 9 + [False])):
+            eligible[name] = order[:kept]
     return pods, allocations, eligible
 
 

@@ -2,7 +2,9 @@
 
 import random
 
+import pytest
 
+from repro.errors import KubeError
 from repro.kube import (
     NodeAllocation,
     NodeCapacity,
@@ -12,6 +14,7 @@ from repro.kube import (
     PodSpec,
     RUNNING,
     ResourceRequest,
+    SchedulerConfig,
 )
 from repro.kube.scheduling import bsa_place
 
@@ -198,3 +201,35 @@ def test_bsa_biases_toward_packed_nodes():
     picks = [bsa_place(pods, allocations, eligible, random.Random(s),
                        rounds=1)["a"] for s in range(40)]
     assert picks.count("n1") > 25
+
+
+def test_bsa_rejects_a_node_listed_twice():
+    # A fitting node named twice would weigh double in every draw.
+    pods = [_bsa_pod("a", 1)]
+    allocations = _allocations({"n1": (4, 4), "n2": (4, 0)})
+    assert bsa_place(pods, allocations, {"a": ["n1", "n2", "n2"]},
+                     random.Random(0)) == {"a": "n1"}
+    with pytest.raises(ValueError, match="eligible twice"):
+        bsa_place(pods, allocations, {"a": ["n1", "n2", "n1"]},
+                  random.Random(0))
+
+
+@pytest.mark.parametrize("objective", ["Pack", "packing", "", None])
+def test_scheduler_config_rejects_an_unknown_bsa_objective(objective):
+    # Anything but "balance" used to mean pack, silently.
+    with pytest.raises(KubeError, match="bsa_objective"):
+        SchedulerConfig(gang=True, bsa_objective=objective)
+
+
+@pytest.mark.parametrize("rounds", [0, -1, float("nan")])
+def test_scheduler_config_rejects_fewer_than_one_bsa_round(rounds):
+    # With no round BSA places nothing, and every gang stayed Pending
+    # without an error.
+    with pytest.raises(KubeError, match="bsa_rounds"):
+        SchedulerConfig(gang=True, bsa_rounds=rounds)
+
+
+def test_scheduler_config_accepts_both_objectives():
+    for objective in ("pack", "balance"):
+        assert SchedulerConfig(bsa_objective=objective,
+                               bsa_rounds=1).bsa_objective == objective

@@ -7,13 +7,19 @@ never violate:
 * every Running pod is bound to a Ready node that fits it,
 * released resources return exactly to capacity once the cluster drains,
 * at every scheduling attempt the candidate index hands out what a fresh
-  evaluation of every node gives, and the (owner, node) index a recount.
+  evaluation of every node gives, and the (owner, node) index a recount,
+* at every failed attempt the memoised FailedScheduling summary is what
+  a fresh scan of every node says.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.docker import Image
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
+from repro.kube.events import (
+    PREDICATE_INSUFFICIENT_GPU,
+    PREDICATE_NODE_UNSCHEDULABLE,
+)
 from repro.kube.objects import ContainerSpec, ObjectMeta, Pod, PodSpec
 from repro.kube.resources import ResourceRequest
 from repro.sim import Environment, RngRegistry
@@ -79,7 +85,8 @@ def check_index_at_every_attempt(cluster):
     evaluation of every node it claims to be current for, the sampled
     window the fresh cyclic walk from the recorded cursor, the gang view
     the fresh list in node order, and the (owner, node) index a recount
-    of the pod store."""
+    of the pod store.  Each failed attempt's memoised summary must be
+    what a fresh scan of every node says."""
     scheduler, api = cluster.scheduler, cluster.api
     read, read_names = (scheduler._feasible_candidates,
                         scheduler._feasible_nodes)
@@ -116,8 +123,16 @@ def check_index_at_every_attempt(cluster):
             assert names == list(fresh_table(cluster, pod, scored=False))
         return names
 
+    summary = scheduler._predicate_summary
+
+    def checked_summary(pod):
+        memoised = summary(pod)
+        assert memoised == scheduler._scan_predicates(pod)
+        return memoised
+
     scheduler._feasible_candidates = checked_read
     scheduler._feasible_nodes = checked_read_names
+    scheduler._predicate_summary = checked_summary
 
 
 def index_held(cluster):
@@ -243,6 +258,32 @@ def test_a_class_not_read_for_a_clusters_worth_of_changes_is_rebuilt():
     index_held(cluster)
     assert scheduler.filter_evals - evals == 3
     assert scheduler.pods_scheduled == 14
+
+
+def test_a_failed_attempts_summary_is_current_for_its_shape():
+    """Two shapes failing in one pass each get their own summary, and a
+    shape failing again after a cordon gets the new counts: the memo is
+    keyed on (selector, GPUs) and dropped when the journal moves."""
+    env, cluster = build(seed=0)
+    # Two 8-CPU pods per node: no CPU left anywhere, two GPUs free on each.
+    for i in range(6):
+        cluster.api.create_pod(owned_pod(env, f"fill-{i}", 1, 8.0, 500))
+    env.run(until=5)
+    cluster.api.create_pod(owned_pod(env, "one-gpu", 1, 1.0, 500))
+    cluster.api.create_pod(owned_pod(env, "four-gpu", 4, 1.0, 500))
+    env.run(until=10)
+    cluster.cordon("node-K80-0")
+    cluster.api.create_pod(owned_pod(env, "kick", 1, 1.0, 500))  # a pass
+    env.run(until=15)
+    index_held(cluster)
+    said = {}
+    for event in cluster.api.event_log.failed_scheduling():
+        said.setdefault(event.object_name, []).append(
+            event.message.split(": ", 1)[1])
+    short, cordoned = (PREDICATE_INSUFFICIENT_GPU,
+                       f"{PREDICATE_NODE_UNSCHEDULABLE} (1)")
+    assert said["one-gpu"] == ["Insufficient resources", cordoned]
+    assert said["four-gpu"] == [f"{short} (3)", f"{short} (2), {cordoned}"]
 
 
 @settings(max_examples=examples(20), deadline=None)

@@ -76,6 +76,16 @@ def test_negative_secondaries_rejected():
         MongoReplicaSet(Environment(), secondaries=-1)
 
 
+@pytest.mark.parametrize("lag", [0.0, -0.05, float("nan")])
+def test_replication_lag_must_be_positive(lag):
+    # Zero spun the replication loop at one instant; a negative lag
+    # failed a process nobody waits on.
+    env = Environment()
+    with pytest.raises(StoreError, match="replication_lag_s"):
+        MongoReplicaSet(env, replication_lag_s=lag)
+    assert env.events_scheduled == 0  # no replication loop was started
+
+
 def test_client_over_database_and_replica_set():
     env = Environment()
     for backend in (MongoDatabase(), MongoReplicaSet(env)):
