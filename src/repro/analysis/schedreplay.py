@@ -3,20 +3,26 @@
 The paper's own methodology: "We then simulated the effect of using both
 Spread and Pack to schedule these jobs, and measured the number of jobs
 that are queued for more than 15 minutes because the requisite GPU
-configuration is unavailable."  This replayer does exactly that: it
-re-uses the cluster's :class:`NodeAllocation` arithmetic and the Spread /
-Pack preference orders, but drives arrivals/completions with a bare event
-heap so a 60-day, ~40k-job trace replays in seconds.
+configuration is unavailable."  This replayer does exactly that: every
+learner is placed by the scheduler's own candidate index
+(:class:`~repro.kube.scheduling.placement.Placement` — the fit rule of
+:class:`NodeAllocation`, the order of ``policies.score_node``), while
+arrivals and completions are driven by a bare event heap instead of the
+kernel, pods and kubelets, so a 60-day, ~40k-job trace replays in
+seconds.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.kube.objects import Node, ObjectMeta
 from repro.kube.resources import NodeAllocation, NodeCapacity, ResourceRequest
-from repro.kube.scheduling.policies import PACK, SPREAD
+from repro.kube.scheduling.placement import Placement
+from repro.kube.scheduling.policies import PACK, SPREAD, check_policy
 from repro.workloads.trace import TraceJob
 
 QUEUE_THRESHOLD_S = 15 * 60.0  # the paper's user-satisfaction threshold
@@ -62,16 +68,21 @@ class PlacementReplayer:
 
     def __init__(self, policy: str,
                  nodes: Tuple[NodeSpec, ...] = PRODUCTION_NODES):
-        if policy not in (SPREAD, PACK):
-            raise ValueError(f"unknown policy {policy!r}")
+        check_policy(policy)
         self.policy = policy
         self.allocations: Dict[str, NodeAllocation] = {}
+        self.placement = Placement(policy, self.allocations)
         for spec_index, spec in enumerate(nodes):
             for i in range(spec.count):
                 name = f"n{spec_index}-{spec.gpu_type}-{i}"
-                self.allocations[name] = NodeAllocation(NodeCapacity(
+                capacity = NodeCapacity(
                     cpus=spec.cpus, memory_gb=spec.memory_gb,
-                    gpus=spec.gpus, gpu_type=spec.gpu_type))
+                    gpus=spec.gpus, gpu_type=spec.gpu_type)
+                self.allocations[name] = NodeAllocation(capacity)
+                # An explicit uid: the default draws from the process-wide
+                # counter, and would shift every later run's uids.
+                self.placement.add_node(Node(
+                    meta=ObjectMeta(name=name, uid=name), capacity=capacity))
 
     # -- placement ------------------------------------------------------------
 
@@ -82,74 +93,39 @@ class PlacementReplayer:
                                gpu_type=job.gpu_type)
 
     def try_place(self, job: TraceJob) -> Optional[List[str]]:
-        """All-or-nothing placement of every learner; returns node names
-        (one per learner) or None, WITHOUT committing."""
+        """All-or-nothing placement of every learner: the node names (one
+        per learner), reserved, or None with nothing reserved.  The job
+        is the learners' owner, so Spread keeps them apart."""
         request = self._request(job)
-        tentative: Dict[str, Tuple[float, float, int]] = {}
         chosen: List[str] = []
         for _learner in range(job.learners):
-            best_name = None
-            best_key = None
-            for name, alloc in self.allocations.items():
-                free_cpus, free_mem, free_gpus = tentative.get(
-                    name, (alloc.free_cpus, alloc.free_memory_gb,
-                           alloc.free_gpus))
-                if alloc.capacity.gpus == 0 or \
-                        alloc.capacity.gpu_type != job.gpu_type:
-                    continue
-                if request.gpus > free_gpus or request.cpus > free_cpus \
-                        or request.memory_gb > free_mem:
-                    continue
-                used = alloc.capacity.gpus - free_gpus
-                colocated = chosen.count(name)
-                if self.policy == PACK:
-                    # Fullest feasible node first.
-                    key = (used, name)
-                    better = best_key is None or key > best_key
-                else:
-                    # Spread: avoid colocating this job's learners, then
-                    # prefer the emptiest node.
-                    key = (-colocated, -used, name)
-                    better = best_key is None or key > best_key
-                if better:
-                    best_key = key
-                    best_name = name
-            if best_name is None:
+            name = self.placement.best_node(request, {}, job.job_id)
+            if name is None:
+                self.release(job, chosen)
                 return None
-            free_cpus, free_mem, free_gpus = tentative.get(
-                best_name, (self.allocations[best_name].free_cpus,
-                            self.allocations[best_name].free_memory_gb,
-                            self.allocations[best_name].free_gpus))
-            tentative[best_name] = (free_cpus - request.cpus,
-                                    free_mem - request.memory_gb,
-                                    free_gpus - request.gpus)
-            chosen.append(best_name)
-        return chosen
-
-    def commit(self, job: TraceJob, nodes: List[str]) -> None:
-        request = self._request(job)
-        for name in nodes:
             self.allocations[name].allocate(request)
+            self.placement.invalidate(name)
+            self.placement.count_owner(job.job_id, name, 1)
+            chosen.append(name)
+        return chosen
 
     def release(self, job: TraceJob, nodes: List[str]) -> None:
         request = self._request(job)
         for name in nodes:
             self.allocations[name].release(request)
+            self.placement.invalidate(name)
+            self.placement.count_owner(job.job_id, name, -1)
 
     # -- replay loop ----------------------------------------------------------------
 
     def replay(self, jobs: List[TraceJob], days: int) -> ReplayResult:
-        result = ReplayResult(days=days)
-        for job in jobs:
-            day = job.arrival_day
-            result.arrivals_per_day[day] = \
-                result.arrivals_per_day.get(day, 0) + 1
-        events: List[Tuple[float, int, int, str, TraceJob, list]] = []
-        seq = 0
-        for job in jobs:
-            heapq.heappush(events, (job.arrival_s, 0, seq, "arrive", job,
-                                    []))
-            seq += 1
+        result = ReplayResult(days=days, arrivals_per_day=dict(
+            Counter(job.arrival_day for job in jobs)))
+        # (time, 0 = arrival / 1 = completion, seq, job, its nodes or None)
+        events = [(job.arrival_s, 0, seq, job, None)
+                  for seq, job in enumerate(jobs)]
+        heapq.heapify(events)
+        seq = len(events)
         queue: List[TraceJob] = []
 
         def try_queue(now: float) -> None:
@@ -160,28 +136,24 @@ class PlacementReplayer:
                 if placement is None:
                     remaining.append(queued)
                     continue
-                self.commit(queued, placement)
                 result.queue_times[queued.job_id] = now - queued.arrival_s
                 heapq.heappush(events, (now + queued.duration_s, 1, seq,
-                                        "finish", queued, placement))
+                                        queued, placement))
                 seq += 1
             queue[:] = remaining
 
         while events:
-            now, _prio, _seq, kind, job, placement = heapq.heappop(events)
-            if kind == "arrive":
+            now, _prio, _seq, job, placement = heapq.heappop(events)
+            if placement is None:
                 queue.append(job)
-                try_queue(now)
             else:
                 self.release(job, placement)
-                try_queue(now)
+            try_queue(now)
         # Jobs never placed count as delayed.
-        for job in jobs:
-            queue_time = result.queue_times.get(job.job_id)
-            if queue_time is None or queue_time > QUEUE_THRESHOLD_S:
-                day = job.arrival_day
-                result.delayed_per_day[day] = \
-                    result.delayed_per_day.get(day, 0) + 1
+        result.delayed_per_day = dict(Counter(
+            job.arrival_day for job in jobs
+            if result.queue_times.get(job.job_id, float("inf")) >
+            QUEUE_THRESHOLD_S))
         return result
 
 

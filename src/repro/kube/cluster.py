@@ -122,7 +122,7 @@ class Cluster:
         """Allocate resources for a pending binding (scheduler 'assume')."""
         allocation = self.allocations[node_name]
         allocation.allocate(pod.spec.resources)
-        self.scheduler.invalidate_node(node_name)
+        self.scheduler.invalidate(node_name)
         # Keyed by uid: StatefulSets reuse pod names, and a stale release
         # against a name would free the replacement's resources.
         self._assignments[pod.meta.uid] = (node_name, pod.spec.resources)
@@ -142,7 +142,7 @@ class Cluster:
             return
         node_name, request = assignment
         self.allocations[node_name].release(request)
-        self.scheduler.invalidate_node(node_name)
+        self.scheduler.invalidate(node_name)
         self.scheduler.kick()
 
     def _on_pod_terminal(self, pod: Pod, outcome: str) -> None:

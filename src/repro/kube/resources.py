@@ -41,7 +41,11 @@ class NodeCapacity:
 
 
 class NodeAllocation:
-    """Mutable free-resource tracker for one node."""
+    """Mutable free-resource tracker for one node.  ``fits`` is the one
+    fit rule: the scheduler's filter, BSA's tentative views and the
+    Figure 3 replayer all ask it."""
+
+    __slots__ = ("capacity", "free_cpus", "free_memory_gb", "free_gpus")
 
     def __init__(self, capacity: NodeCapacity):
         self.capacity = capacity

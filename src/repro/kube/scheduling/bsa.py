@@ -26,48 +26,20 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.kube.objects import Pod
-from repro.kube.resources import (
-    NodeAllocation,
-    NodeCapacity,
-    ResourceRequest,
-)
+from repro.kube.resources import NodeAllocation, ResourceRequest
 
 
-class _Tentative:
-    """Lightweight free-resource view used during a sampling round."""
+class _Tentative(NodeAllocation):
+    """A sampling round's copy of one node's allocation, taken from with
+    ``allocate``; the real allocation is never touched."""
 
-    __slots__ = ("free_cpus", "free_memory_gb", "free_gpus", "capacity")
+    __slots__ = ()
 
     def __init__(self, allocation: NodeAllocation):
+        self.capacity = allocation.capacity
         self.free_cpus = allocation.free_cpus
         self.free_memory_gb = allocation.free_memory_gb
         self.free_gpus = allocation.free_gpus
-        self.capacity = allocation.capacity
-
-    def fits(self, request: ResourceRequest) -> bool:
-        if request.gpus > 0:
-            if self.capacity.gpus == 0:
-                return False
-            if request.gpu_type not in (None, "any", self.capacity.gpu_type):
-                return False
-            if request.gpus > self.free_gpus:
-                return False
-        return (request.cpus <= self.free_cpus + 1e-9
-                and request.memory_gb <= self.free_memory_gb + 1e-9)
-
-    def take(self, request: ResourceRequest) -> None:
-        self.free_cpus -= request.cpus
-        self.free_memory_gb -= request.memory_gb
-        self.free_gpus -= request.gpus
-
-    def gpu_utilization(self) -> float:
-        return _gpu_utilization(self.capacity, self.free_gpus)
-
-
-def _gpu_utilization(capacity: NodeCapacity, free_gpus: int) -> float:
-    if capacity.gpus == 0:
-        return 0.0
-    return (capacity.gpus - free_gpus) / capacity.gpus
 
 
 #: BSA objectives: pack GPUs onto few nodes (FfDL's choice, GPUs being the
@@ -85,7 +57,7 @@ def _bias_weight(view: _Tentative, request: ResourceRequest,
             return (1.0 + view.free_gpus) ** alpha
         return (1.0 + view.free_cpus) ** alpha
     if request.gpus > 0:
-        return (1.0 + view.gpu_utilization() * view.capacity.gpus) ** alpha
+        return (1.0 + view.gpu_utilization * view.capacity.gpus) ** alpha
     used_cpu = view.capacity.cpus - view.free_cpus
     return (1.0 + used_cpu) ** alpha
 
@@ -202,16 +174,15 @@ def bsa_place(
             view = touched.get(choice)
             if view is None:
                 view = touched[choice] = _Tentative(allocations[choice])
-            view.take(draw.request)
+            view.allocate(draw.request)
         else:
             if fresh_terms is None:
-                fresh_terms = [_score_term(_gpu_utilization(
-                    a.capacity, a.free_gpus), objective)
-                    for a in allocations.values()]
+                fresh_terms = [_score_term(a.gpu_utilization, objective)
+                               for a in allocations.values()]
                 position = {name: i for i, name in enumerate(allocations)}
             terms = list(fresh_terms)
             for name, view in touched.items():
-                terms[position[name]] = _score_term(view.gpu_utilization(),
+                terms[position[name]] = _score_term(view.gpu_utilization,
                                                     objective)
             score = _assignment_score(terms, touched, objective)
             if score > best_score:

@@ -10,12 +10,9 @@ scheduling.
 The scheduler is event-driven: it wakes when pods arrive, when resources
 free up, and when PVCs bind, so multi-month simulations need no polling.
 
-Steps (1) and (2) are answered from one *candidate index*: per pod class
-(everything the predicates and the score read from a pod) the feasible
-nodes with their scores, patched before each read by re-evaluating only
-the nodes the invalidation journal says changed since the class was last
-read.  An attempt therefore costs O(changed nodes), not O(cluster), and
-step (3) is one ``max()``.  DESIGN.md, "Scheduler candidate index".
+Steps (1) to (3) are the candidate index's (``placement.Placement``, the
+base class); the scheduler adds the queue, the bind window, the races,
+gangs and the FailedScheduling messages.
 """
 
 from __future__ import annotations
@@ -47,17 +44,13 @@ from repro.kube.scheduling.bsa import (
     OBJECTIVE_PACK,
     bsa_place,
 )
-from repro.kube.scheduling.policies import (
-    PACK,
-    score_node,
-    score_reads_owner,
-)
+from repro.kube.scheduling.placement import Placement, selector_matches
+from repro.kube.scheduling.policies import PACK, check_policy
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kube.cluster import Cluster
-    from repro.kube.resources import NodeAllocation
 
 
 @dataclass
@@ -113,6 +106,7 @@ class SchedulerConfig:
     order_jitter_sigma: float = 1.6
 
     def __post_init__(self) -> None:
+        check_policy(self.policy)
         # BSA reads any other objective as pack, and with no round it
         # places nothing: every gang would stay Pending without an error.
         if self.bsa_objective not in (OBJECTIVE_PACK, OBJECTIVE_BALANCE):
@@ -136,30 +130,17 @@ class _GangEntry:
         return len(self.pod_names) >= self.size
 
 
-@dataclass
-class _PodClass:
-    """The candidate index's view of the cluster for one pod class."""
-
-    #: Feasible node -> ``(score, name)``, or ``True`` in an unscored
-    #: (gang) class.  Correct for every node not in ``stale``.
-    ranked: Dict[str, object]
-    #: Nodes to re-evaluate before ``ranked`` is read.  A dict, not a
-    #: set: iteration order must not depend on the hash seed.
-    stale: Dict[str, None]
-    #: Journal position (absolute) already folded into ``stale``.
-    seen: int
-
-
-class Scheduler:
+class Scheduler(Placement):
     """Places pending pods onto nodes."""
 
     def __init__(self, env: Environment, api: KubeAPI, cluster: "Cluster",
                  rng: RngRegistry,
                  config: Optional[SchedulerConfig] = None):
+        self.config = config or SchedulerConfig()
+        super().__init__(self.config.policy, cluster.allocations)
         self.env = env
         self.api = api
         self.cluster = cluster
-        self.config = config or SchedulerConfig()
         self.rng = rng.stream("scheduler")
         self._queue: Dict[str, tuple] = {}  # pod name -> (time, tiebreak)
         self._enqueue_seq = 0
@@ -170,43 +151,14 @@ class Scheduler:
         #: PVC deletions the informer may not have observed yet, oldest
         #: first; an entry lives for ``informer_staleness_s``.
         self._pvc_deleted_at: Dict[str, float] = {}
-        #: Nodes by name, in the API store's (creation) order.
-        self._nodes: Dict[str, object] = {}
-        #: The candidate index: pod class -> its feasible nodes.  A class
-        #: is ``(resources, sorted selector items, scored?, owner)`` —
-        #: everything the predicates and the score read from a pod.
-        self._classes: Dict[tuple, _PodClass] = {}
-        #: Invalidation journal: the names of changed nodes, in order;
-        #: ``_journal[0]`` sits at absolute position ``_journal_start``.
-        self._journal: List[str] = []
-        self._journal_start = 0
         #: ``_predicate_summary`` by (sorted selector items, wanted
         #: GPUs), valid while the journal ends at ``_summaries_at``.
         self._summaries: Dict[tuple, str] = {}
         self._summaries_at = 0
-        #: (owner uid, node name) -> bound-pod count, maintained from pod
-        #: watch events, so ``_score`` never scans the pod store.
-        self._owner_node_counts: Dict[tuple, int] = {}
         #: pod name -> (owner uid, node name) as last seen by the
         #: tracker, so MODIFIED/DELETED events translate into exact
         #: count deltas.
         self._pod_placement: Dict[str, tuple] = {}
-        #: Round-robin start position for sampled filtering, as in
-        #: upstream k8s' ``lastScoredNodeIndex``: successive pods start
-        #: their feasibility walk at different cluster offsets so the
-        #: sample window rotates instead of hammering the same prefix.
-        self.last_scored_node_index = 0
-        #: Full predicate evaluations vs verdicts taken from the index:
-        #: per attempt they add up to the cluster (sampled: the walk).
-        self.filter_evals = 0
-        self.filter_cache_hits = 0
-        #: Full score computations vs scores taken from the index, over
-        #: the nodes an attempt chose among.
-        self.score_evals = 0
-        self.score_cache_hits = 0
-        #: Nodes an attempt visited one by one: the re-evaluated ones
-        #: when exhaustive, the walked ones when sampling.
-        self.nodes_examined = 0
         api.subscribe("pods", self._on_pod_change)
         api.subscribe("pvcs", self._on_pvc_change)
         api.subscribe("nodes", self._on_node_change)
@@ -246,33 +198,21 @@ class Scheduler:
         Every store mutation emits a watch event (create ADDED, bind /
         phase change MODIFIED, removal DELETED), so the index mirrors
         ``len(api.list_pods(owner=o, node_name=n))`` exactly for owned
-        pods.  Owner-less pods are skipped: ``_score`` never asks for
-        them.  Where the score reads the count, a placement change also
-        invalidates the node: the bind commit and the pod object's
-        removal move the count with no ``reserve``/``release``.
+        pods, also through the bind commit and the pod object's removal,
+        which no ``reserve``/``release`` journals.  Owner-less pods are
+        skipped: ``_score`` never asks for them.
         """
         new = None
         if verb != DELETED and pod.node_name is not None \
                 and pod.meta.owner is not None:
             new = (pod.meta.owner, pod.node_name)
-        old = self._pod_placement.get(pod.name)
-        if old == new:
-            return
-        counts = self._owner_node_counts
-        if old is not None:
-            remaining = counts.get(old, 0) - 1
-            if remaining > 0:
-                counts[old] = remaining
-            else:
-                counts.pop(old, None)
-        if new is None:
-            self._pod_placement.pop(pod.name, None)
-        else:
+        old = self._pod_placement.pop(pod.name, None)
+        if new is not None:
             self._pod_placement[pod.name] = new
-            counts[new] = counts.get(new, 0) + 1
-        if score_reads_owner(self.config.policy):
-            for _owner, node_name in filter(None, (old, new)):
-                self.invalidate_node(node_name)
+        if old != new:
+            for placement, delta in ((old, -1), (new, 1)):
+                if placement is not None:
+                    self.count_owner(*placement, delta)
 
     def _on_pvc_change(self, verb: str, pvc) -> None:
         if verb != DELETED:
@@ -290,36 +230,13 @@ class Scheduler:
         deleted[pvc.name] = now
 
     def _on_node_change(self, verb: str, node) -> None:
-        # Every ready/cordon transition funnels through update_node, so
-        # this listener (plus reserve/release) is complete invalidation
-        # coverage.  Waking the loop stays the caller's decision, and
-        # nothing is evaluated here: ``Cluster.add_node`` publishes a
-        # node before its allocation exists.
+        # Every ready/cordon transition funnels through update_node.
+        # Nothing is evaluated here (``Cluster.add_node`` publishes a node
+        # before its allocation exists), and waking stays the caller's.
         if verb == ADDED:
-            self._nodes[node.name] = node
-        self.invalidate_node(node.name)
-
-    def invalidate_node(self, node_name: str) -> None:
-        """Journal that something a predicate or a score reads of one
-        node changed: its allocation (reserve/release), the node object
-        (``update_node``) or the owned pods placed on it.  O(1); classes
-        re-evaluate the node when next read.
-
-        Past two clusters' worth of entries (and 16, for clusters of a
-        handful of nodes) the older half goes, and with it every class
-        whose position fell off: one not read for a cluster's worth of
-        changes is cheaper to rebuild than to patch, and neither journal
-        nor index grows with the owners and shapes a long run has seen.
-        """
-        journal = self._journal
-        journal.append(node_name)
-        if len(journal) > 2 * len(self._nodes) + 16:
-            dropped = len(journal) // 2
-            del journal[:dropped]
-            self._journal_start = start = self._journal_start + dropped
-            self._classes = {key: entry
-                             for key, entry in self._classes.items()
-                             if entry.seen >= start}
+            self.add_node(node)
+        else:
+            self.invalidate(node.name)
 
     def kick(self) -> None:
         """Wake the scheduling loop (new pod, freed resources, bound PVC)."""
@@ -329,9 +246,6 @@ class Scheduler:
     @property
     def queue_length(self) -> int:
         return len(self._queue)
-
-    def queued_pod_names(self) -> List[str]:
-        return sorted(self._queue, key=self._queue.get)
 
     # -- main loop -----------------------------------------------------------------
 
@@ -376,15 +290,12 @@ class Scheduler:
         pod = self._validate_queued_pod(name)
         if pod is None:
             return
-        ranked, window = self._feasible_candidates(pod, scored=True)
-        # Highest (score, name) wins; node names are unique, so the
-        # order is total.
-        choices = ranked.values() if window is None \
-            else [ranked[name] for name in window]
-        if not choices:
+        node_name = self.best_node(pod.spec.resources, pod.spec.node_selector,
+                                   pod.meta.owner)
+        if node_name is None:
             self._record_no_nodes(pod)
             return
-        yield from self._bind_with_window([(pod, max(choices)[1])])
+        yield from self._bind_with_window([(pod, node_name)])
 
     def _validate_queued_pod(self, name: str) -> Optional[Pod]:
         """Common per-attempt checks; returns the pod or None (dequeued or
@@ -445,14 +356,6 @@ class Scheduler:
                 return claim
         return None
 
-    def _feasible_nodes(self, pod: Pod) -> List[str]:
-        """Feasible node names (the gang/BSA-facing view) in node order —
-        ``bsa_place`` draws by position — or window order if sampling."""
-        ranked, window = self._feasible_candidates(pod, scored=False)
-        if window is None:
-            return [name for name in self._nodes if name in ranked]
-        return window
-
     def _nodes_to_find(self, total: int) -> int:
         """How many feasible nodes one scheduling attempt collects.
 
@@ -466,109 +369,6 @@ class Scheduler:
         wanted = max(self.config.min_feasible_nodes_to_find,
                      total * pct // 100)
         return min(wanted, total)
-
-    def _pod_class(self, pod: Pod, scored: bool) -> _PodClass:
-        """The pod's class in the candidate index, every journalled
-        change since its last read folded into ``stale``.  A class never
-        read (or retired) starts with every node stale."""
-        owner = pod.meta.owner if scored and \
-            score_reads_owner(self.config.policy) else None
-        key = (pod.spec.resources,
-               tuple(sorted(pod.spec.node_selector.items())), scored, owner)
-        end = self._journal_start + len(self._journal)
-        entry = self._classes.get(key)
-        if entry is None:
-            entry = self._classes[key] = _PodClass(
-                {}, dict.fromkeys(self._nodes), end)
-        elif entry.seen < end:
-            entry.stale.update(dict.fromkeys(
-                self._journal[entry.seen - self._journal_start:]))
-            entry.seen = end
-        return entry
-
-    def _feasible_candidates(self, pod: Pod, scored: bool) -> tuple:
-        """``(ranked, window)``: the pod's class table brought up to
-        date, and the nodes this attempt may choose among — ``None``
-        for all of ``ranked``.
-
-        Exhaustive mode (the default) re-evaluates every stale node of
-        the class.  Sampled mode walks the node list cyclically from
-        ``last_scored_node_index``, re-evaluating a stale node only when
-        the walk visits it, and stops at the ``_nodes_to_find``-th
-        feasible one; the cursor then advances past the walked stretch
-        so successive pods sample rotating slices of the cluster.
-        """
-        entry = self._pod_class(pod, scored)
-        ranked, stale = entry.ranked, entry.stale
-        total = len(self._nodes)
-        limit = self._nodes_to_find(total)
-        if limit >= total:
-            window = None
-            examined = evaluated = len(stale)
-            rescored = 0
-            for name in stale:
-                rescored += self._refresh(ranked, pod, name, scored)
-            stale.clear()
-            hits, chosen_among = total - evaluated, len(ranked)
-        else:
-            names = list(self._nodes)
-            start = self.last_scored_node_index % total
-            window = []
-            examined = evaluated = rescored = 0
-            for offset in range(total):
-                name = names[(start + offset) % total]
-                examined += 1
-                if name in stale:
-                    del stale[name]
-                    evaluated += 1
-                    rescored += self._refresh(ranked, pod, name, scored)
-                if name in ranked:
-                    window.append(name)
-                    if len(window) >= limit:
-                        break
-            self.last_scored_node_index = (start + examined) % total
-            hits, chosen_among = examined - evaluated, len(window)
-        self.nodes_examined += examined
-        self.filter_cache_hits += hits
-        if scored:
-            self.score_cache_hits += chosen_among - rescored
-        return ranked, window
-
-    def _refresh(self, ranked: dict, pod: Pod, name: str,
-                 scored: bool) -> bool:
-        """Re-evaluate one node for one class; whether it fits."""
-        allocation = self._node_fits(pod, self._nodes[name])
-        if allocation is None:
-            ranked.pop(name, None)
-            return False
-        ranked[name] = (self._score(pod, name, allocation), name) \
-            if scored else True
-        return True
-
-    def _node_fits(self, pod: Pod, node) -> Optional["NodeAllocation"]:
-        """One full predicate evaluation: the allocation on fit (the
-        score reuses the lookup), ``None`` otherwise."""
-        self.filter_evals += 1
-        if not node.is_ready:
-            return None
-        if not self._selector_matches(pod, node):
-            return None
-        allocation = self.cluster.allocation(node.name)
-        return allocation if allocation.fits(pod.spec.resources) else None
-
-    def _selector_matches(self, pod: Pod, node) -> bool:
-        return all(node.meta.labels.get(k) == v
-                   for k, v in pod.spec.node_selector.items())
-
-    def _score(self, pod: Pod, node_name: str, allocation) -> float:
-        """Priority of one candidate node for one pod (one full
-        computation).  Same-owner pods on the node come from the
-        maintained (owner, node) index."""
-        self.score_evals += 1
-        same_owner = self._owner_node_counts.get(
-            (pod.meta.owner, node_name), 0)  # holds no owner-less pod
-        return score_node(self.config.policy, pod, node_name,
-                          allocation, same_owner)
 
     def _bind_with_window(self, placements) -> None:
         """Reserve resources, wait out the binding API round-trip, then
@@ -627,7 +427,9 @@ class Scheduler:
                 and other.name not in entry.pod_names)
             if placed + len(entry.pod_names) < entry.size:
                 return  # wait for the rest of the gang to be created
-        eligible = {pod.name: self._feasible_nodes(pod) for pod in pods}
+        eligible = {pod.name: self.feasible_nodes(pod.spec.resources,
+                                                  pod.spec.node_selector)
+                    for pod in pods}
         empty = [pod for pod in pods if not eligible[pod.name]]
         if empty:
             for pod in empty:
@@ -675,13 +477,13 @@ class Scheduler:
         wanted_gpus = pod.spec.resources.gpus
         short_gpu = selector_miss = unready = 0
         for node in self._nodes.values():
-            matches = self._selector_matches(pod, node)
+            matches = selector_matches(pod.spec.node_selector, node)
             if not matches:
                 selector_miss += 1
             if not node.is_ready:
                 unready += 1
-            elif matches and wanted_gpus > 0 and self.cluster.allocation(
-                    node.name).free_gpus < wanted_gpus:
+            elif matches and wanted_gpus > 0 and \
+                    self.allocations[node.name].free_gpus < wanted_gpus:
                 short_gpu += 1
         reasons = [f"{predicate} ({count})" for predicate, count in (
             (PREDICATE_INSUFFICIENT_GPU, short_gpu),

@@ -9,11 +9,19 @@ jobs.
 
 from __future__ import annotations
 
-from repro.kube.objects import Pod
-from repro.kube.resources import NodeAllocation
+from repro.errors import KubeError
+from repro.kube.resources import NodeAllocation, ResourceRequest
 
 SPREAD = "spread"
 PACK = "pack"
+
+
+def check_policy(policy: str) -> None:
+    """Reject a policy ``score_node`` does not know when it is configured,
+    not at the first score, deep inside the scheduler or the replayer."""
+    if policy not in (SPREAD, PACK):
+        raise KubeError(f"policy must be {SPREAD!r} or {PACK!r}, not "
+                        f"{policy!r}")
 
 
 def score_reads_owner(policy: str) -> bool:
@@ -23,9 +31,8 @@ def score_reads_owner(policy: str) -> bool:
     return policy == SPREAD
 
 
-def score_node(policy: str, pod: Pod, node_name: str,
-               allocation: NodeAllocation,
-               same_owner_pods: int) -> float:
+def score_node(policy: str, request: ResourceRequest,
+               allocation: NodeAllocation, same_owner_pods: int) -> float:
     """Higher is better.  ``same_owner_pods`` counts pods of the same owner
     already bound to this node (Spread penalizes these; see
     ``score_reads_owner``)."""
@@ -37,7 +44,7 @@ def score_node(policy: str, pod: Pod, node_name: str,
     if policy == PACK:
         # Prefer the fullest node that still fits: best-fit packing on the
         # scarce resource (GPUs when the pod wants them, CPUs otherwise).
-        if pod.spec.resources.gpus > 0 and allocation.capacity.gpus > 0:
+        if request.gpus > 0 and allocation.capacity.gpus > 0:
             return allocation.gpu_utilization
         return _load_fraction(allocation)
     raise ValueError(f"unknown policy {policy!r}")

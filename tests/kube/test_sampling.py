@@ -209,7 +209,11 @@ def test_gang_view_keeps_node_order_when_a_node_re_enters():
     env, cluster = make_cluster(gang=True, nodes=3)
     probe = make_pod(env, "probe", gpus=1)
     names = [node.name for node in cluster.api.list_nodes()]
-    view = cluster.scheduler._feasible_nodes
+
+    def view(pod):
+        return cluster.scheduler.feasible_nodes(pod.spec.resources,
+                                                pod.spec.node_selector)
+
     assert view(probe) == names
     cluster.cordon(names[0])
     assert view(probe) == names[1:]

@@ -63,17 +63,17 @@ def build(seed, gang=False, policy="pack", sample_pct=100):
     return env, cluster
 
 
-def fresh_table(cluster, pod, scored):
+def fresh_table(cluster, request, selector, owner, scored):
     """The exhaustive loop the index replaced, kept as the reference:
     every node through the predicates (and the score), in node order."""
     scheduler = cluster.scheduler
     counters = scheduler.filter_evals, scheduler.score_evals
     table = {}
     for node in cluster.api.list_nodes():
-        allocation = scheduler._node_fits(pod, node)
+        allocation = scheduler._node_fits(request, selector, node.name)
         if allocation is not None:
             table[node.name] = (
-                scheduler._score(pod, node.name, allocation),
+                scheduler._score(request, owner, node.name, allocation),
                 node.name) if scored else True
     scheduler.filter_evals, scheduler.score_evals = counters
     return table
@@ -89,16 +89,16 @@ def check_index_at_every_attempt(cluster):
     what a fresh scan of every node says."""
     scheduler, api = cluster.scheduler, cluster.api
     read, read_names = (scheduler._feasible_candidates,
-                        scheduler._feasible_nodes)
+                        scheduler.feasible_nodes)
 
-    def checked_read(pod, scored):
+    def checked_read(request, selector, owner, scored):
         assert scheduler._owner_node_counts == recount_owner_nodes(api)
         cursor = scheduler.last_scored_node_index
-        ranked, window = read(pod, scored)
-        fresh = fresh_table(cluster, pod, scored)
+        ranked, window = read(request, selector, owner, scored)
+        fresh = fresh_table(cluster, request, selector, owner, scored)
         names = [node.name for node in api.list_nodes()]
         assert list(scheduler._nodes) == names
-        stale = scheduler._pod_class(pod, scored).stale
+        stale = scheduler._pod_class(request, selector, owner, scored).stale
         for name in names:
             if name not in stale:
                 assert ranked.get(name) == fresh.get(name), name
@@ -116,11 +116,12 @@ def check_index_at_every_attempt(cluster):
         assert scheduler.last_scored_node_index == (start + walked) % total
         return ranked, window
 
-    def checked_read_names(pod):
-        names = read_names(pod)
+    def checked_read_names(request, selector):
+        names = read_names(request, selector)
         if scheduler._nodes_to_find(len(scheduler._nodes)) >= \
                 len(scheduler._nodes):
-            assert names == list(fresh_table(cluster, pod, scored=False))
+            assert names == list(fresh_table(cluster, request, selector,
+                                             None, scored=False))
         return names
 
     summary = scheduler._predicate_summary
@@ -131,7 +132,7 @@ def check_index_at_every_attempt(cluster):
         return memoised
 
     scheduler._feasible_candidates = checked_read
-    scheduler._feasible_nodes = checked_read_names
+    scheduler.feasible_nodes = checked_read_names
     scheduler._predicate_summary = checked_summary
 
 

@@ -1,8 +1,12 @@
 """Tests for Spread vs Pack placement and the fragmentation phenomenon
 described in Section 3.4 of the paper."""
 
+import pytest
 
-from repro.kube import PENDING, RUNNING
+from repro.core import FfDLPlatform, PlatformConfig
+from repro.errors import KubeError
+from repro.kube import PENDING, RUNNING, SchedulerConfig
+from repro.sim import Environment, RngRegistry
 
 from tests.kube.conftest import make_cluster, make_pod
 
@@ -88,3 +92,17 @@ def test_queued_pod_eventually_scheduled_after_release():
     assert waiter.phase == PENDING
     env.run(until=100)
     assert waiter.phase in (RUNNING, "Succeeded")
+
+
+@pytest.mark.parametrize("policy", ["Pack", "SPREAD", "binpack", ""])
+def test_scheduler_config_rejects_an_unknown_policy(policy):
+    # The first score used to raise inside the scheduler's process: the
+    # loop died, env.run() returned normally and every pod stayed Pending.
+    with pytest.raises(KubeError, match="policy must be"):
+        SchedulerConfig(policy=policy)
+
+
+def test_platform_rejects_an_unknown_scheduler_policy():
+    with pytest.raises(KubeError, match="policy must be"):
+        FfDLPlatform(Environment(), RngRegistry(0),
+                     PlatformConfig(scheduler_policy="Pack"))

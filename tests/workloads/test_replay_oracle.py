@@ -19,7 +19,8 @@ Random clusters (one to three GPU types, scarce memory included),
 resident load on every node, and a sequence of job arrivals (1-4
 learners of 1-8 GPUs) and completions are replayed by both under each
 policy; every attempt's placement list must be ``==``, with the
-reference walking the nodes in a permuted order.
+reference walking the nodes in a permuted order.  Outside the domain
+the replayer follows the scheduler, not the reference (last test).
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -27,11 +28,14 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.schedreplay import NodeSpec, PlacementReplayer
+from repro.kube import Cluster, SchedulerConfig
 from repro.kube.resources import NodeAllocation, NodeCapacity, ResourceRequest
 from repro.kube.scheduling.policies import PACK, SPREAD
+from repro.sim import Environment, RngRegistry
 from repro.workloads.trace import TraceJob
 
 from tests.conftest import examples
+from tests.kube.conftest import LEARNER_IMAGE, make_pod
 
 
 class ReferenceReplayer:
@@ -101,14 +105,6 @@ class ReferenceReplayer:
         request = self._request(job)
         for name in nodes:
             self.allocations[name].release(request)
-
-
-def attempt(replayer: PlacementReplayer, job: TraceJob) -> Optional[List[str]]:
-    """One placement attempt that leaves a placed job's learners placed."""
-    nodes = replayer.try_place(job)
-    if nodes is not None:
-        replayer.commit(job, nodes)
-    return nodes
 
 
 GPU_TYPES = ("K80", "P100", "V100")
@@ -192,7 +188,8 @@ def test_replayer_places_as_the_reference(cluster, ops, data):
             job = TraceJob(f"job-{step}", 0.0, 1.0, learners, gpus,
                            types[type_index % len(types)])
             expected = reference.try_place(job)
-            assert attempt(replayer, job) == expected, (policy, step)
+            # try_place reserves what it returns.
+            assert replayer.try_place(job) == expected, (policy, step)
             if expected is not None:
                 reference.commit(job, expected)
                 placed.append((job, expected))
@@ -201,3 +198,36 @@ def test_replayer_places_as_the_reference(cluster, ops, data):
             assert (mine.free_cpus, mine.free_memory_gb, mine.free_gpus) \
                 == (allocation.free_cpus, allocation.free_memory_gb,
                     allocation.free_gpus), name
+
+
+def test_outside_the_domain_the_replayer_places_as_the_scheduler():
+    """One 8-GPU and one 4-GPU K80 node with four and three GPUs in use:
+    the old Pack key ``(used, name)`` chose the 8-GPU node, the
+    scheduler's utilization (0.75 against 0.5) the 4-GPU one."""
+    specs = (NodeSpec(1, 8, "K80"), NodeSpec(1, 4, "K80"))
+    in_use = {"n0-K80-0": 4, "n1-K80-0": 3}
+    replayer = PlacementReplayer(PACK, specs)
+    reference = ReferenceReplayer(PACK, _nodes(specs))
+    env = Environment()
+    cluster = Cluster(env, RngRegistry(0), SchedulerConfig(policy=PACK))
+    cluster.push_image(LEARNER_IMAGE)
+    for (name, gpus), spec in zip(in_use.items(), specs):
+        cluster.add_node(name, NodeCapacity(
+            cpus=spec.cpus, memory_gb=spec.memory_gb, gpus=spec.gpus,
+            gpu_type=spec.gpu_type), labels={"slot": name})
+        request = ResourceRequest(cpus=4.0 * gpus, memory_gb=24.0 * gpus,
+                                  gpus=gpus, gpu_type="K80")
+        replayer.allocations[name].allocate(request)
+        reference.allocations[name].allocate(request)
+        resident = make_pod(env, f"resident-{name}", gpus=gpus,
+                            cpus=4.0 * gpus, duration=1000.0)
+        resident.spec.node_selector = {"slot": name}
+        cluster.api.create_pod(resident)
+    env.run(until=5)
+    probe = make_pod(env, "probe", gpus=1, cpus=4.0, duration=1000.0)
+    cluster.api.create_pod(probe)
+    env.run(until=10)
+    job = TraceJob("probe", 0.0, 1.0, 1, 1, "K80")
+    assert reference.try_place(job) == ["n0-K80-0"]
+    assert probe.node_name == "n1-K80-0"
+    assert replayer.try_place(job) == [probe.node_name]

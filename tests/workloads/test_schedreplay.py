@@ -7,6 +7,7 @@ from repro.analysis import (
     PlacementReplayer,
     compare_policies,
 )
+from repro.errors import KubeError
 from repro.sim import RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig, TraceJob
 
@@ -18,7 +19,7 @@ def job(job_id, arrival, duration, learners=1, gpus=1, gpu_type="K80"):
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(KubeError):
         PlacementReplayer("roundrobin")
 
 
