@@ -12,29 +12,15 @@ counts, retries, and the next draw of every RNG stream.
 ``env.events_processed`` is deliberately not part of it.
 """
 
-import hashlib
-import json
-import random
-
-from repro.core import PlatformConfig, statuses as st
+from repro.core import PlatformConfig
 from repro.resilience import RetryPolicy
 
 from tests.core.conftest import make_manifest, make_platform, submit
+from tests.golden import check, next_draw
 
 LEARNERS = (1, 2, 1, 4)
 ETCD_OUTAGE_S = (61.0, 62.0)
 BROWNOUT_S = (200.0, 260.0)
-
-
-def _digest(payload):
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _next_draw(stream):
-    peek = random.Random(0)
-    peek.setstate(stream.getstate())
-    return peek.random()
 
 
 def run_store_link_scenario():
@@ -67,25 +53,22 @@ def run_store_link_scenario():
 
 def test_store_and_link_run_ends_in_the_recorded_state():
     env, platform, jobs = run_store_link_scenario()
-    assert [job.status.current for job in jobs] == [st.COMPLETED] * 12
-    assert [job.finished_at for job in jobs] == [
-        390.2892560839666, 491.4698785193157, 477.7339887544521,
-        547.2203040132865, 632.4118972721698, 648.4573157162188,
-        673.5561570291474, 709.9885634146478, 879.1423142744,
-        962.2572915551262, 938.2053661424484, 1096.9672360826892]
-    assert (platform.oss.downloads_started, platform.oss.uploads_started,
-            platform.oss.link.bytes_transferred) == \
-        (1776, 100, 277328000000.01556)
+    oss = platform.oss
     etcd, mongo = platform.etcd_client, platform.mongo_client
-    assert (platform.etcd.revision, etcd.ops_issued, etcd.retries) == \
-        (188, 562, 10)
-    assert (mongo.ops_issued, mongo.retries) == (73, 0)
-    assert env.now == 1126.9672360826892
-    assert _digest([job.status.timeline() for job in jobs]) == \
-        "b61b363657bcd2c5"
-    assert _digest([[(s.iterations_done, s.checkpoints_written)
-                     for s in job.learner_states] for job in jobs]) == \
-        "b48870199b4ed2b0"
-    assert _digest(sorted((name, _next_draw(stream)) for name, stream
-                          in platform.rng._streams.items())) == \
-        "a0308a988bdd3e0a"
+    check("core/store-link", {
+        "now": env.now,
+        "counters": {
+            "oss": {"downloads_started": oss.downloads_started,
+                    "uploads_started": oss.uploads_started,
+                    "bytes_transferred": oss.link.bytes_transferred},
+            "etcd": {"revision": platform.etcd.revision,
+                     "ops_issued": etcd.ops_issued, "retries": etcd.retries},
+            "mongo": {"ops_issued": mongo.ops_issued,
+                      "retries": mongo.retries}},
+        "jobs": {job.manifest.name: {
+            "finished_at": job.finished_at,
+            "learners": [[s.iterations_done, s.checkpoints_written]
+                         for s in job.learner_states],
+            "timeline": job.status.timeline()} for job in jobs},
+        "draws": {name: next_draw(stream) for name, stream
+                  in sorted(platform.rng._streams.items())}})

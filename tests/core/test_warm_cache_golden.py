@@ -11,27 +11,11 @@ next draw of every RNG stream.  ``env.events_processed`` is
 deliberately not part of it.
 """
 
-import hashlib
-import json
-import random
-
-from repro.core import statuses as st
-
 from tests.core.conftest import make_manifest, make_platform, submit
+from tests.golden import check, next_draw
 
 LEARNERS = (1, 2, 4, 1, 2, 1)
 KILL_AT_S = 2034.4978
-
-
-def _digest(payload):
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _next_draw(stream):
-    peek = random.Random(0)
-    peek.setstate(stream.getstate())
-    return peek.random()
 
 
 def run_warm_cache_scenario():
@@ -66,25 +50,21 @@ def run_warm_cache_scenario():
 
 def test_warm_cache_run_ends_in_the_recorded_state():
     env, platform, jobs, mounts = run_warm_cache_scenario()
-    assert [job.status.current for job in jobs] == [st.COMPLETED] * 6
-    cache = platform.mount_cache
-    assert (cache.hits, cache.misses, cache.used_bytes) == \
-        (6786, 42, 2048000000.0)
-    assert [(m.reads, m.bytes_read) for m in mounts] == [
-        (394, 25216000000.0), (970, 62080000000.0),
-        (2432, 155648000000.0), (667, 42688000000.0),
-        (1516, 97024000000.0), (849, 54336000000.0)]
-    assert (platform.oss.downloads_started, platform.oss.uploads_started,
-            platform.oss.link.bytes_transferred) == \
-        (46, 57, 33187999999.999184)
-    assert platform.etcd.revision == 74
-    assert env.now == 6614.761762561008
-    assert _digest([job.status.timeline() for job in jobs]) == \
-        "738b0eafbb636cfb"
-    assert _digest([[(s.iterations_done, s.checkpoints_written,
-                      s.checkpoints_loaded, s.restarts)
-                     for s in job.learner_states] for job in jobs]) == \
-        "1f4b6d7b37e955be"
-    assert _digest(sorted((name, _next_draw(stream)) for name, stream
-                          in platform.rng._streams.items())) == \
-        "092001f5ad95108f"
+    cache, oss = platform.mount_cache, platform.oss
+    check("core/warm-cache", {
+        "now": env.now,
+        "counters": {
+            "etcd_revision": platform.etcd.revision,
+            "cache": {"hits": cache.hits, "misses": cache.misses,
+                      "used_bytes": cache.used_bytes},
+            "mounts": [[m.reads, m.bytes_read] for m in mounts],
+            "oss": {"downloads_started": oss.downloads_started,
+                    "uploads_started": oss.uploads_started,
+                    "bytes_transferred": oss.link.bytes_transferred}},
+        "jobs": {job.manifest.name: {
+            "learners": [[s.iterations_done, s.checkpoints_written,
+                          s.checkpoints_loaded, s.restarts]
+                         for s in job.learner_states],
+            "timeline": job.status.timeline()} for job in jobs},
+        "draws": {name: next_draw(stream) for name, stream
+                  in sorted(platform.rng._streams.items())}})

@@ -6,17 +6,14 @@ index (PR 21), which moved no digest.  Re-recorded with it:
 nodes an attempt visits one by one), and the four other counters of the
 Spread run, because under Spread an owner is a pod class of its own and
 is filtered on its own.  Each scenario
-hashes every ``(pod, node_name, scheduled_at)`` and every
-``FailedScheduling`` message (Table 8's taxonomy reads those strings),
-and pins the scheduler's work counters beside it.  Every run has a
+pins every pod's ``[node_name, scheduled_at]`` and every
+``FailedScheduling`` record (Table 8's taxonomy reads those strings),
+and the scheduler's work counters beside them.  Every run has a
 cordon / uncordon, a node failure with recovery and a scale-out in the
 middle, so node events, evictions and late nodes all reach the
 scheduler while pods are queued; the Spread sweep also carries a few
 pods whose selector only the late nodes match.
 """
-
-import hashlib
-import json
 
 import pytest
 
@@ -27,6 +24,7 @@ from repro.workloads.synthetic import (
     submit_gang_jobs,
 )
 
+from tests.golden import check
 from tests.kube.conftest import make_cluster, make_pod
 
 NODES = 200
@@ -34,6 +32,9 @@ PODS = 3000
 #: With ``late_selector``, every 250th pod from this one on (just
 #: before the scale-out) selects the late nodes.
 SELECTOR_FROM, SELECTOR_EVERY = 700, 250
+#: The scheduler's work counters, pinned beside the placements.
+COUNTERS = ("nodes_examined", "filter_evals", "filter_cache_hits",
+            "score_evals", "score_cache_hits")
 
 
 def _disturb(env, cluster, at, step_s, victim="node-K80-1",
@@ -59,20 +60,13 @@ def _disturb(env, cluster, at, step_s, victim="node-K80-1",
 
 def _fingerprint(cluster, pods):
     scheduler = cluster.scheduler
-    placements = [(pod.name, pod.node_name, pod.scheduled_at)
-                  for pod in pods]
-    failures = [(event.time, event.object_name, event.message)
-                for event in cluster.api.event_log.failed_scheduling()]
-    digest = hashlib.sha256(json.dumps(
-        [placements, failures]).encode()).hexdigest()[:16]
-    return {"digest": digest,
-            "placed": sum(1 for _n, node, _t in placements if node),
-            "failed_scheduling": len(failures),
-            "nodes_examined": scheduler.nodes_examined,
-            "filter_evals": scheduler.filter_evals,
-            "filter_cache_hits": scheduler.filter_cache_hits,
-            "score_evals": scheduler.score_evals,
-            "score_cache_hits": scheduler.score_cache_hits}
+    return {
+        "counters": {name: getattr(scheduler, name) for name in COUNTERS},
+        "pods": {pod.name: [pod.node_name, pod.scheduled_at]
+                 for pod in pods},
+        "failed_scheduling": [
+            [event.time, event.object_name, event.message]
+            for event in cluster.api.event_log.failed_scheduling()]}
 
 
 def run_sweep(gap, policy="pack", owners=(None,), burst=0,
@@ -130,9 +124,11 @@ def run_gang_arm(gang, sample_pct=100):
     result = measure_run(cluster, by_job)
     fingerprint = _fingerprint(
         cluster, [pod for pods in by_job.values() for pod in pods])
-    fingerprint["fig4"] = (result.deadlocked_learners, result.idle_gpus,
-                           result.fully_scheduled_jobs,
-                           result.fully_queued_jobs)
+    fingerprint["fig4"] = {
+        "deadlocked_learners": result.deadlocked_learners,
+        "idle_gpus": result.idle_gpus,
+        "fully_scheduled_jobs": result.fully_scheduled_jobs,
+        "fully_queued_jobs": result.fully_queued_jobs}
     return fingerprint
 
 
@@ -153,42 +149,6 @@ SCENARIOS = {
     "fig4-gang-sampled": lambda: run_gang_arm(gang=True, sample_pct=50),
 }
 
-GOLDEN = {
-    "fig4-default": {
-        "digest": "7cab1a5d84455e88", "placed": 36, "failed_scheduling": 194,
-        "nodes_examined": 58, "filter_evals": 58, "filter_cache_hits": 4007,
-        "score_evals": 38, "score_cache_hits": 194, "fig4": (2, 4, 17, 31)},
-    "fig4-gang": {
-        "digest": "3e1c4c5145f15159", "placed": 38, "failed_scheduling": 324,
-        "nodes_examined": 42, "filter_evals": 42, "filter_cache_hits": 6174,
-        "score_evals": 0, "score_cache_hits": 0, "fig4": (0, 0, 18, 32)},
-    "fig4-gang-sampled": {
-        "digest": "2ae2f68ae560e131", "placed": 38, "failed_scheduling": 324,
-        "nodes_examined": 6123, "filter_evals": 46, "filter_cache_hits": 6077,
-        "score_evals": 0, "score_cache_hits": 0, "fig4": (2, 4, 17, 31)},
-    "pack-sweep": {
-        "digest": "bf8e54ca24e07509", "placed": 3000,
-        "failed_scheduling": 1228, "nodes_examined": 14399,
-        "filter_evals": 14399, "filter_cache_hits": 840372,
-        "score_evals": 4660, "score_cache_hits": 84892},
-    "sampled-50pct": {
-        "digest": "f5d86a691134bb27", "placed": 3150, "failed_scheduling": 707,
-        "nodes_examined": 601384, "filter_evals": 15467,
-        "filter_cache_hits": 585917, "score_evals": 5785,
-        "score_cache_hits": 296575},
-    "spread-three-owners": {
-        "digest": "f33e021dfc469c59", "placed": 3000, "failed_scheduling": 728,
-        "nodes_examined": 41637, "filter_evals": 41637,
-        "filter_cache_hits": 713218, "score_evals": 24055,
-        "score_cache_hits": 346989},
-}
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_placements_match_the_recorded_run(name):
-    assert SCENARIOS[name]() == GOLDEN[name]
-
-
-if __name__ == "__main__":  # pragma: no cover - re-recording helper
-    for scenario in sorted(SCENARIOS):
-        print(f"    {scenario!r}: {SCENARIOS[scenario]()!r},")
+    check(f"placement/{name}", SCENARIOS[name]())
