@@ -8,12 +8,13 @@ fragmentation that Pack (Section 3.4) exists to prevent — a subsequent
 whole-node job cannot be placed.
 """
 
-
 from repro.analysis import print_table
 from repro.docker import Image
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
 from repro.sim import Environment, RngRegistry
 from repro.workloads.synthetic import submit_gang_jobs
+
+from tests.golden import check
 
 
 def run_with_objective(objective):
@@ -49,9 +50,13 @@ def run_ablation():
     return pack, balance
 
 
-def test_ablation_bsa_objective(once):
-    pack, balance = once(run_ablation)
+def test_ablation_bsa_objective():
+    pack, balance = run_ablation()
     assert pack[0] == 1  # packing crams the small gangs onto one node
     assert pack[1] is True
     assert balance[0] == 4  # balancing spreads them across all nodes
     assert balance[1] is False  # ... stranding the whole-node job
+    check("paper/ablation-bsa-objective", {
+        objective: {"nodes_used": nodes_used, "big_gang_running": running}
+        for objective, (nodes_used, running) in (("pack", pack),
+                                                 ("balance", balance))})

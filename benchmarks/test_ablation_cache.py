@@ -10,11 +10,12 @@ read from local disk; without it, every epoch re-streams the dataset over
 the shared link.
 """
 
-
 from repro.analysis import print_table
 from repro.core import FfDLPlatform, JobManifest, PlatformConfig
 from repro.core import statuses as st
 from repro.sim import Environment, RngRegistry
+
+from tests.golden import check
 
 EPOCHS = 3
 DATASET_OBJECTS = 12
@@ -64,12 +65,17 @@ def run_ablation():
     return cached, uncached
 
 
-def test_ablation_mount_cache(once):
-    (cached_time, cached_gb, hit_rate), \
-        (uncached_time, uncached_gb, _)= once(run_ablation)
+def test_ablation_mount_cache():
+    cached, uncached = run_ablation()
+    cached_time, cached_gb, hit_rate = cached
+    uncached_time, uncached_gb, _ = uncached
     # Without the cache every epoch re-streams: ~EPOCHS x the bytes.
     assert uncached_gb > (EPOCHS - 0.5) * cached_gb / 1.5
     assert cached_gb < uncached_gb / 2
     # And the job runs faster with the cache on a slow link.
     assert cached_time < uncached_time
     assert hit_rate > 0.5
+    check("paper/ablation-cache", {
+        mode: {"processing_s": run[0], "streamed_gb": run[1],
+               "hit_rate": run[2]}
+        for mode, run in (("enabled", cached), ("disabled", uncached))})

@@ -9,11 +9,12 @@ usually highest-value) job wins the tiebreak instead of being nibbled out
 of capacity by small jobs.
 """
 
-
 from repro.analysis import print_table
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
 from repro.sim import Environment, RngRegistry
 from repro.workloads.synthetic import submit_gang_jobs
+
+from tests.golden import check
 
 
 def run_burst(largest_first):
@@ -73,10 +74,14 @@ def run_ablation():
     return largest, plain
 
 
-def test_ablation_largest_gang_first(once):
-    largest, plain = once(run_ablation)
+def test_ablation_largest_gang_first():
+    largest, plain = run_ablation()
     # FfDL's tiebreak runs the big job; plain order lets the small jobs
     # fragment the cluster and strand it.
     assert largest[0] is True
     assert plain[0] is False
     assert plain[1] > 0
+    check("paper/ablation-fcfs", {
+        tiebreak: {"big_job_running": run[0], "small_jobs_running": run[1],
+                   "gpu_utilization": run[2]}
+        for tiebreak, run in (("largest-first", largest), ("plain", plain))})

@@ -13,11 +13,12 @@ semantics) the job is dead, and the half-deployed objects are the zombies
 the paper warns about.
 """
 
-
 from repro.analysis import print_table
 from repro.core import FfDLPlatform, JobManifest, PlatformConfig
 from repro.core import statuses as st
 from repro.sim import Environment, RngRegistry
+
+from tests.golden import check
 
 
 def deploy_with_crash(backoff_limit):
@@ -66,8 +67,8 @@ def run_ablation():
     return with_guardian, without
 
 
-def test_ablation_guardian(once):
-    with_guardian, without = once(run_ablation)
+def test_ablation_guardian():
+    with_guardian, without = run_ablation()
     status, zombies, attempts = with_guardian
     assert status == st.COMPLETED
     assert zombies == 0
@@ -75,3 +76,6 @@ def test_ablation_guardian(once):
     status, zombies, _attempts = without
     assert status == st.FAILED
     assert zombies >= 1  # the zombie resources the paper warns about
+    check("paper/ablation-guardian", {
+        mode: {"status": run[0], "zombies": run[1], "attempts": run[2]}
+        for mode, run in (("guardian", with_guardian), ("direct", without))})

@@ -9,9 +9,10 @@ with PM, a light user's occasional job no longer queues behind a heavy
 user's backlog.
 """
 
-
 from repro.analysis import print_table
 from repro.core.priority import PriorityManager
+
+from tests.golden import check
 
 GPUS = 8
 JOB_DURATION_S = 1800.0
@@ -80,8 +81,8 @@ def run_ablation():
     return fcfs, pm
 
 
-def test_ablation_priority(once):
-    fcfs, pm = once(run_ablation)
+def test_ablation_priority():
+    fcfs, pm = run_ablation()
     # FCFS: the light user waits roughly as long as the heavy backlog.
     assert fcfs["light"] > 0.3 * fcfs["heavy"]
     # PM: the light user's wait collapses (bounded below by waiting for
@@ -89,3 +90,4 @@ def test_ablation_priority(once):
     assert pm["light"] < 0.4 * fcfs["light"]
     # ...at modest cost to the heavy user's average.
     assert pm["heavy"] < 1.5 * fcfs["heavy"]
+    check("paper/ablation-priority", {"fcfs": fcfs, "priority-manager": pm})

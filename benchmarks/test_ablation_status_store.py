@@ -12,11 +12,12 @@ the write latency plus half the polling interval — an order of magnitude
 worse even with aggressive 200ms polling.
 """
 
-
 from repro.analysis import print_table
 from repro.etcd import EtcdClient, EtcdStore
 from repro.mongo import MongoClient, MongoDatabase
 from repro.sim import Environment
+
+from tests.golden import check
 
 UPDATES = 200
 MONGO_POLL_S = 0.2
@@ -88,10 +89,12 @@ def run_ablation():
         title="Ablation: status-update propagation, etcd vs MongoDB")
     print(f"\netcd is {mean_mongo / mean_etcd:.0f}x faster for "
           f"status coordination (the paper's rationale)")
-    return mean_etcd, mean_mongo
+    return {"etcd": {"mean_s": mean_etcd, "max_s": max(etcd)},
+            "mongo": {"mean_s": mean_mongo, "max_s": max(mongo)}}
 
 
-def test_ablation_status_store(once):
-    mean_etcd, mean_mongo = once(run_ablation)
-    assert mean_etcd < 0.01  # single-digit milliseconds
-    assert mean_mongo > 5 * mean_etcd
+def test_ablation_status_store():
+    latency = run_ablation()
+    assert latency["etcd"]["mean_s"] < 0.01  # single-digit milliseconds
+    assert latency["mongo"]["mean_s"] > 5 * latency["etcd"]["mean_s"]
+    check("paper/ablation-status-store", latency)

@@ -12,11 +12,12 @@ behaviour once drained, which is the operational complexity trap the
 paper describes.
 """
 
-
 from repro.analysis import print_table
 from repro.errors import ProvisioningError
 from repro.nfs import NFSProvisioner, VolumePool
 from repro.sim import Environment, RngRegistry
+
+from tests.golden import check
 
 BURST = 24
 
@@ -65,8 +66,8 @@ def run_ablation():
     return dynamic, pooled
 
 
-def test_ablation_storage_pool(once):
-    dynamic, pooled = once(run_ablation)
+def test_ablation_storage_pool():
+    dynamic, pooled = run_ablation()
     # The paper's observation: dynamic provisioning fails under load.
     assert dynamic["failures"] > 0
     # The warm pool absorbs the first half of the burst instantly, so its
@@ -75,3 +76,5 @@ def test_ablation_storage_pool(once):
     mean_pooled = sum(pooled["latencies"]) / len(pooled["latencies"])
     assert mean_pooled < mean_dynamic / 2
     assert pooled["failures"] <= dynamic["failures"]
+    check("paper/ablation-storage-pool", {"dynamic": dynamic,
+                                          "pool": pooled})

@@ -14,10 +14,11 @@ Spread and Pack to schedule these jobs").  Trace length is configurable;
 
 import os
 
-
 from repro.analysis import compare_policies, print_table
 from repro.sim import RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig, arrivals_by_day
+
+from tests.golden import check
 
 DAYS = int(os.environ.get("FFDL_FIG3_DAYS", "30"))
 
@@ -42,8 +43,8 @@ def run_fig3():
     return arrivals, spread, pack, totals
 
 
-def test_fig3_spread_vs_pack(once):
-    arrivals, spread, pack, (spread_total, pack_total) = once(run_fig3)
+def test_fig3_spread_vs_pack():
+    arrivals, spread, pack, (spread_total, pack_total) = run_fig3()
     # Fig 3a shape: daily arrivals within the published band.
     assert all(200 <= c <= 1400 for c in arrivals.values())
     # Fig 3b headline: Pack delays over 3x fewer jobs than Spread.
@@ -52,3 +53,6 @@ def test_fig3_spread_vs_pack(once):
     assert max(spread.values()) <= 25.0
     assert max(spread.values()) >= 8.0
     assert max(pack.values()) <= max(spread.values())
+    check(f"paper/fig3-days{DAYS}", {
+        "delayed_jobs": {"spread": spread_total, "pack": pack_total},
+        "arrivals": arrivals, "spread_pct": spread, "pack_pct": pack})

@@ -8,9 +8,10 @@ time without gang scheduling, idle GPUs reach 46%, and with gang
 scheduling both are zero in every run.
 """
 
-
 from repro.analysis import empirical_cdf, print_table, probability_of_zero
 from repro.workloads import GANG_WORKLOADS, run_gang_experiment
+
+from tests.golden import check
 
 REPEATS = 20
 
@@ -45,8 +46,8 @@ def run_fig4():
     return outcomes
 
 
-def test_fig4_gang_scheduling(once):
-    outcomes = once(run_fig4)
+def test_fig4_gang_scheduling():
+    outcomes = run_fig4()
     for learners, gpus in GANG_WORKLOADS:
         gang_runs = outcomes[(learners, gpus, True)]
         # "The number of idle GPUs and the number of temporarily
@@ -64,3 +65,8 @@ def test_fig4_gang_scheduling(once):
                      for (l, g, gang), runs in outcomes.items()
                      if not gang for r in runs)
     assert worst_idle >= 25.0
+    check("paper/fig4", {
+        f"{learners}Lx{gpus}G/{'gang' if gang else 'default'}": {
+            "deadlocked_learners": [r.deadlocked_learners for r in runs],
+            "idle_gpu_percent": [r.idle_gpu_percent for r in runs]}
+        for (learners, gpus, gang), runs in outcomes.items()})

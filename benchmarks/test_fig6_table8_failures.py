@@ -18,7 +18,7 @@ learner / lhelper / jobmonitor.
 """
 
 import os
-
+from functools import lru_cache
 
 from repro.analysis import print_table
 from repro.kube.events import (
@@ -31,6 +31,8 @@ from repro.kube.events import (
     REASON_TIMEOUT,
 )
 from repro.workloads import FailureStudyConfig, run_failure_study
+
+from tests.golden import check
 
 DAYS = int(os.environ.get("FFDL_FAILURE_DAYS", "4"))
 
@@ -45,24 +47,17 @@ PAPER_REASONS = {
 }
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=1)
-def _study():
+def run_study():
+    # Both tests analyse the same run; compute it once.
     config = FailureStudyConfig(days=DAYS, seed=1,
                                 timeout_race_probability=3e-5,
                                 assume_race_probability=3e-5)
     return run_failure_study(config)
 
 
-def run_study():
-    # Both tests analyse the same run; compute it once.
-    return _study()
-
-
-def test_fig6_pod_type_distribution(once):
-    result = once(run_study)
+def test_fig6_pod_type_distribution():
+    result = run_study()
     fractions = result.failed_type_fractions()
     rows = [[pod_type, f"{100 * fraction:.1f}%"]
             for pod_type, fraction in
@@ -75,10 +70,13 @@ def test_fig6_pod_type_distribution(once):
     assert fractions.get("learner", 0.0) > 0.60
     # Helper and guardian pods appear in the tail.
     assert fractions.get("lhelper", 0.0) > 0.0
+    check(f"paper/fig6-days{DAYS}", {
+        "failed_pods_by_type": result.failed_pods_by_type(),
+        "fractions": fractions})
 
 
-def test_table8_failure_reasons(once):
-    result = once(run_study)
+def test_table8_failure_reasons():
+    result = run_study()
     fractions = result.reason_fractions()
     rows = []
     for reason, paper_pct in sorted(PAPER_REASONS.items(),
@@ -99,3 +97,4 @@ def test_table8_failure_reasons(once):
     # The rare races appear but stay rare.
     for rare in (REASON_TIMEOUT, REASON_ASSUME_FAILED):
         assert fractions.get(rare, 0.0) < 0.05
+    check(f"paper/table8-days{DAYS}", fractions)

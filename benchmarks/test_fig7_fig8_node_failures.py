@@ -13,20 +13,20 @@ by cause from the cluster's deletion log.
 """
 
 import os
-
+from functools import lru_cache
 
 from repro.analysis import print_table
 from repro.workloads import FailureStudyConfig, run_failure_study
+
+from tests.golden import check
 
 DAYS = int(os.environ.get("FFDL_NODEFAIL_DAYS", "10"))
 DAYS_PER_MONTH = max(2, DAYS // 5)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=1)
-def _study():
+def run_study():
+    # Both figures analyse the same run; compute it once.
     # Rates chosen to mirror production's churn-to-crash ratio: with 20
     # nodes at a 40-day MTBF, crashes are a few per ten days against
     # thousands of routine pod deletions from job completions.
@@ -38,13 +38,8 @@ def _study():
     return run_failure_study(config)
 
 
-def run_study():
-    # Both figures analyse the same run; compute it once.
-    return _study()
-
-
-def test_fig7_pod_deletions_by_day(once):
-    result = once(run_study)
+def test_fig7_pod_deletions_by_day():
+    result = run_study()
     by_day = result.deletion_percent_by_day()
     rows = [[day, f"{pct:.2f}%"] for day, pct in sorted(by_day.items())]
     print_table(["day", "% of pod deletions due to node failures"],
@@ -55,10 +50,12 @@ def test_fig7_pod_deletions_by_day(once):
     days_over = sum(1 for pct in by_day.values() if pct > 5.0)
     assert days_over <= max(1, len(by_day) // 4)
     assert max(by_day.values()) < 15.0
+    check(f"paper/fig7-days{DAYS}", {"node_crashes": result.node_crashes,
+                                     "percent_by_day": by_day})
 
 
-def test_fig8_learner_deletions_by_month(once):
-    result = once(run_study)
+def test_fig8_learner_deletions_by_month():
+    result = run_study()
     monthly = result.learner_deletion_percent_by_month(DAYS_PER_MONTH)
     rows = [[f"Month-{month + 1}", f"{pct:.4f}%"]
             for month, pct in sorted(monthly.items())]
@@ -70,3 +67,4 @@ def test_fig8_learner_deletions_by_month(once):
     # job cancellation stayed below 1%).
     for month, pct in monthly.items():
         assert pct < 2.0, (month, pct)
+    check(f"paper/fig8-days{DAYS}", monthly)

@@ -10,12 +10,13 @@ mount driver).  Throughput is measured as images/s over the PROCESSING
 phase, exactly as the paper quantifies it.
 """
 
-
 from repro.analysis import print_table
 from repro.core import FfDLPlatform, JobManifest, PlatformConfig
 from repro.core import statuses as st
 from repro.perfmodel import distributed_images_per_sec, model_spec
 from repro.sim import Environment, RngRegistry
+
+from tests.golden import check
 
 CONFIGS = [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4), (4, 2), (4, 4)]
 MODELS = [("vgg16", "caffe"), ("inceptionv3", "tensorflow")]
@@ -76,11 +77,16 @@ def run_table1():
     return results
 
 
-def test_table1_overhead(once):
-    results = once(run_table1)
+def test_table1_overhead():
+    results = run_table1()
     for key, decreases in results.items():
         # The paper's headline: overhead is minimal, bounded by ~5-6%.
         assert all(0.0 < d < 7.0 for d in decreases), (key, decreases)
         # And grows (noisily) with the distribution footprint: the largest
         # config should exceed the smallest single-GPU overhead.
         assert max(decreases[2:]) >= min(decreases[:2])
+    check("paper/table1", {
+        f"{model}/{framework}": {
+            f"{learners}Lx{gpus}G": decrease
+            for (learners, gpus), decrease in zip(CONFIGS, decreases)}
+        for (model, framework), decreases in results.items()})

@@ -6,7 +6,6 @@ growing with GPU count and largest for VGG-16 — despite DGX-1's 2-3x cost.
 
 import random
 
-
 from repro.analysis import print_table
 from repro.perfmodel import (
     INCEPTIONV3_TF,
@@ -15,6 +14,8 @@ from repro.perfmodel import (
     VGG16_TF,
     overhead_vs_dgx1,
 )
+
+from tests.golden import check
 
 PAPER = {
     ("inceptionv3", 1): 3.30, ("resnet50", 1): 7.07, ("vgg16", 1): 7.84,
@@ -39,8 +40,8 @@ def run_table2():
     return results
 
 
-def test_table2_dgx_gap(once):
-    results = once(run_table2)
+def test_table2_dgx_gap():
+    results = run_table2()
     for (model, n), gap in results.items():
         assert 0.0 < gap < 16.0, (model, n, gap)
         # Within 4 percentage points of the published value.
@@ -50,3 +51,5 @@ def test_table2_dgx_gap(once):
         assert results[(model, 2)] > results[(model, 1)]
     # VGG-16 (bandwidth-bound) suffers the most on PCIe.
     assert results[("vgg16", 1)] > results[("inceptionv3", 1)]
+    check("paper/table2", {f"{model}/{n}gpu": gap
+                           for (model, n), gap in results.items()})

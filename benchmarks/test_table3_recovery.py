@@ -10,11 +10,12 @@ job components, replica kill for microservices) and the time until the
 replacement is serving again is measured on the simulated cluster.
 """
 
-
 from repro.analysis import print_table
 from repro.core import FfDLPlatform, JobManifest
 from repro.core import statuses as st
 from repro.sim import Environment, RngRegistry
+
+from tests.golden import check
 
 PAPER_RANGES = {
     "API": (3, 5), "LCM": (4, 6), "Guardian": (1, 2),
@@ -105,8 +106,8 @@ def run_table3():
     return measured
 
 
-def test_table3_recovery_times(once):
-    measured = once(run_table3)
+def test_table3_recovery_times():
+    measured = run_table3()
     for component, (lo, hi) in PAPER_RANGES.items():
         for value in measured[component]:
             # Within the paper's range, with one second of slack.
@@ -114,3 +115,4 @@ def test_table3_recovery_times(once):
     # The qualitative ordering the paper calls out.
     assert max(measured["Guardian"]) < min(measured["Learner"])
     assert max(measured["Helper"]) < min(measured["Learner"])
+    check("paper/table3", measured)

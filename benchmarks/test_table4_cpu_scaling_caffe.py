@@ -9,6 +9,8 @@ import pytest
 from repro.analysis import print_table
 from repro.perfmodel import P100, V100, VGG16_CAFFE, images_per_sec
 
+from tests.golden import check
+
 PAPER = {
     (P100, 2): 65.96, (P100, 4): 66.14, (P100, 8): 65.67,
     (V100, 2): 106.46, (V100, 4): 106.5, (V100, 8): 107.24,
@@ -33,8 +35,8 @@ def run_table4():
     return results
 
 
-def test_table4_caffe_scaling(once):
-    results = once(run_table4)
+def test_table4_caffe_scaling():
+    results = run_table4()
     # Published absolute throughputs within 3%.
     for (gpu, threads), published in PAPER.items():
         got = results[threads][0 if gpu == P100 else 1]
@@ -42,3 +44,5 @@ def test_table4_caffe_scaling(once):
     # Saturation: no meaningful gain past 4 threads.
     assert results[28][0] - results[4][0] < 0.01 * results[4][0]
     assert results[28][1] - results[4][1] < 0.01 * results[4][1]
+    check("paper/table4", {threads: {P100: p100, V100: v100}
+                           for threads, (p100, v100) in results.items()})

@@ -8,10 +8,11 @@ then verifies the derivation lands near the published sizes and that the
 published sizes do saturate every calibrated model.
 """
 
-
 from repro.analysis import print_table
 from repro.core import TSHIRT_SIZES, derive_cpus
 from repro.perfmodel import MODEL_SPECS, cpu_scaling
+
+from tests.golden import check
 
 PAPER_ORDER = [("K80", 1), ("K80", 2), ("K80", 4), ("P100", 1),
                ("P100", 2), ("V100", 1), ("V100", 2)]
@@ -32,8 +33,8 @@ def run_table5():
     return derived
 
 
-def test_table5_tshirt_sizes(once):
-    derived = once(run_table5)
+def test_table5_tshirt_sizes():
+    derived = run_table5()
     for key, size in TSHIRT_SIZES.items():
         # The derivation reproduces the published sizes within 2x (the
         # published table is conservatively rounded and framework-blended).
@@ -48,3 +49,5 @@ def test_table5_tshirt_sizes(once):
     # V100 sizes reflect the faster GPU needing more feeding.
     assert TSHIRT_SIZES[("V100", 1)].cpus > TSHIRT_SIZES[("P100", 1)].cpus \
         > TSHIRT_SIZES[("K80", 1)].cpus
+    check("paper/table5", {f"{gpus}-{gpu_type}": cpus
+                           for (gpu_type, gpus), cpus in derived.items()})

@@ -17,6 +17,8 @@ from repro.perfmodel import (
     images_per_sec,
 )
 
+from tests.golden import check
+
 PAPER = {
     ("inceptionv3", 16): (217.8, 86.8), ("inceptionv3", 28): (223.6, 90.5),
     ("resnet50", 16): (345.3, 93.3), ("resnet50", 28): (345.8, 92.7),
@@ -43,8 +45,8 @@ def run_table6():
     return results
 
 
-def test_table6_tf_scaling(once):
-    results = once(run_table6)
+def test_table6_tf_scaling():
+    results = run_table6()
     for key, (paper_thpt, paper_util) in PAPER.items():
         thpt, util = results[key]
         assert thpt == pytest.approx(paper_thpt, rel=0.03), key
@@ -54,3 +56,6 @@ def test_table6_tf_scaling(once):
         results[("inceptionv3", 16)][0] * 1.01
     assert results[("vgg16", 28)][0] == \
         pytest.approx(results[("vgg16", 16)][0], rel=0.005)
+    check("paper/table6", {
+        f"{model}/{threads}": {"images_per_s": thpt, "gpu_util_pct": util}
+        for (model, threads), (thpt, util) in results.items()})

@@ -13,7 +13,6 @@ Reproduction runs at a configurable linear scale (default 0.1: 68 GPUs,
 
 import os
 
-
 from repro.analysis import print_table
 from repro.workloads import (
     BATCHES,
@@ -22,7 +21,10 @@ from repro.workloads import (
     run_scale_test,
 )
 
+from tests.golden import check
+
 SCALE = float(os.environ.get("FFDL_SCALE", "0.1"))
+CONFIG = ScaleTestConfig(scale=SCALE)
 PAPER_RUNTIMES = {
     "V100-batch4": (2410, 3552), "P100-batch3": (3207, 3981),
     "K80-batch2": (4853, 5084), "K80-batch1": (4778, 5085),
@@ -30,12 +32,11 @@ PAPER_RUNTIMES = {
 
 
 def run_scale():
-    config = ScaleTestConfig(scale=SCALE)
-    light = run_scale_test("light", config, seed=0)
-    heavy = run_scale_test("heavy", config, seed=0)
+    light = run_scale_test("light", CONFIG, seed=0)
+    heavy = run_scale_test("heavy", CONFIG, seed=0)
 
-    mix_rows = [[b.name, config.scaled(b.jobs_light),
-                 config.scaled(b.jobs_heavy),
+    mix_rows = [[b.name, CONFIG.scaled(b.jobs_light),
+                 CONFIG.scaled(b.jobs_heavy),
                  f"t+{b.start_s / 60:.0f}min"] for b in BATCHES]
     print_table(["GPU-type-batch#", "jobs-LL", "jobs-HL", "start time"],
                 mix_rows,
@@ -66,8 +67,8 @@ def run_scale():
     return light, heavy, degradation
 
 
-def test_table7_fig5_scale_test(once):
-    light, heavy, degradation = once(run_scale)
+def test_table7_fig5_scale_test():
+    light, heavy, degradation = run_scale()
     # Every job completes under both loads (the paper's 12 stuck jobs were
     # later traced to cordoned faulty nodes, not FfDL).
     assert light.failed_jobs == 0
@@ -85,3 +86,16 @@ def test_table7_fig5_scale_test(once):
     assert 25.0 < degradation["V100-batch4"] < 90.0
     # Aggregate throughput scales with the configured fraction of 54k.
     assert heavy.aggregate_images_per_s > 0.4 * 54_000 * SCALE
+    check(f"paper/table7-fig5-scale{SCALE:g}", {
+        "jobs": {b.name: {"light": CONFIG.scaled(b.jobs_light),
+                          "heavy": CONFIG.scaled(b.jobs_heavy)}
+                 for b in BATCHES},
+        "mean_runtime_s": {
+            load: {name: batch.mean_runtime_s
+                   for name, batch in run.batches.items()}
+            for load, run in (("light", light), ("heavy", heavy))},
+        "degradation_pct": degradation,
+        "heavy": {"images_per_s": heavy.aggregate_images_per_s,
+                  "iterations_per_s": heavy.aggregate_iterations_per_s},
+        "failed_jobs": {"light": light.failed_jobs,
+                        "heavy": heavy.failed_jobs}})

@@ -61,6 +61,8 @@ def test_proposal_returns_apply_result():
     result = env.run_until_complete(cluster.propose("cmd"),
                                     limit=env.now + 10)
     assert result == ("ok", "cmd")
+    # A commit takes a few network round trips of simulated time.
+    assert env.now - 1.0 < 0.1
 
 
 def test_proposals_apply_in_order():
