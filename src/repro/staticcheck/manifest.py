@@ -280,6 +280,11 @@ class _Analysis:
             cells = node.get("cells")
             if cells is None or not cells.is_sequence:
                 return
+            if not cells.value:
+                line, column = node.key_mark("cells")
+                self._emit("MAN001", line, column,
+                           "a federation topology needs at least one cell")
+                return
             for cell in cells:
                 if not cell.is_mapping:
                     self._emit("MAN001", cell, 0,

@@ -37,6 +37,26 @@ def test_compile_rejects_empty_document():
         compile_manifest("# nothing here\n", "empty.yaml")
 
 
+def test_compile_rejects_a_federation_without_cells():
+    # MAN002 cannot flag the fault's cell while no cell is declared, so
+    # the empty list itself must be the finding; lowering it crashed.
+    source = textwrap.dedent("""\
+        kind: federation
+        name: no-cells
+        description: "every cell removed"
+        topology:
+          cells: []
+        faults:
+          - {at_s: 100.0, kind: cell-brownout, cell: cell-a,
+             duration_s: 200.0, param: 200.0}
+        """)
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(source, "no-cells.yaml")
+    assert [finding.render() for finding in excinfo.value.findings] == [
+        "no-cells.yaml:5:3: MAN001 a federation topology needs at least "
+        "one cell"]
+
+
 def test_compile_file_missing_path_raises():
     with pytest.raises(ManifestError):
         compile_manifest_file("/no/such/manifest.yaml")
