@@ -4,9 +4,9 @@
 ``tests/golden/<name>.json``.  The payload is normalised by a JSON round
 trip (tuples become lists, int keys become strings; NaN is rejected,
 because it equals nothing) and compared structurally.  A value whose
-JSON fits on one line is one record: the file holds it on one line and
-a failure reports it whole, so both the message and ``git diff`` name
-the job, pod or stream that moved.
+JSON fits on one line is one record: the file holds it on one line, and
+a failure names the moved key or reports the moved list whole, so both
+the message and ``git diff`` name the job, pod or stream that moved.
 
 A missing file is written and that run fails.  To re-record a golden,
 delete its file, rerun, and review the JSON diff before committing.
@@ -25,12 +25,8 @@ WIDTH = 79
 MAX_PATHS = 10
 
 
-class _Absent:
-    def __repr__(self):
-        return "absent"
-
-
-ABSENT = _Absent()
+#: Stands in for a key or index one side does not have.
+ABSENT = object()
 
 
 def next_draw(stream):
@@ -93,8 +89,7 @@ def _diff(expected, actual, where):
     """``(path, expected, actual)`` for every record that differs."""
     if expected == actual:
         return
-    if isinstance(expected, dict) and isinstance(actual, dict) \
-            and not (_is_record(expected) and _is_record(actual)):
+    if isinstance(expected, dict) and isinstance(actual, dict):
         for key in {**expected, **actual}:
             yield from _diff(expected.get(key, ABSENT),
                              actual.get(key, ABSENT), f"{where}[{key!r}]")
@@ -110,5 +105,5 @@ def _diff(expected, actual, where):
 
 
 def _show(value):
-    text = repr(value) if value is ABSENT else _dumps(value)
+    text = "absent" if value is ABSENT else _dumps(value)
     return text if len(text) <= 2 * WIDTH else text[:2 * WIDTH] + "..."
