@@ -3,6 +3,8 @@
 Documents are plain dicts keyed by ``_id`` (auto-assigned when omitted).
 Supports the query/update subset in :mod:`repro.mongo.query`, unique
 indexes, sort/limit, and upserts — everything FfDL's metadata layer uses.
+A write stores a fresh document, never mutated in place afterwards, which
+the oplog and every secondary share; reads return copies.
 """
 
 from __future__ import annotations
@@ -31,15 +33,16 @@ class Collection:
     """
 
     def __init__(self, name: str, env=None,
-                 race_label: Optional[str] = None):
+                 race_label: Optional[str] = None,
+                 oplog: Optional[List[tuple]] = None):
         self.name = name
         self._env = env
         self._race_label = race_label
         self._documents: Dict[Any, Dict[str, Any]] = {}
         self._id_counter = itertools.count(1)
         self._unique_indexes: List[str] = []
-        #: Change log consumed by the replication layer: (op, payload).
-        self.oplog: List[tuple] = []
+        #: Change log for replication: (op, payload, collection name).
+        self.oplog: List[tuple] = [] if oplog is None else oplog
 
     def _note_write(self, doc_id: Any, site: str) -> None:
         if self._race_label is not None:
@@ -89,54 +92,50 @@ class Collection:
             doc["_id"] = f"{self.name}-{next(self._id_counter)}"
         if doc["_id"] in self._documents:
             raise DuplicateKeyError(f"_id {doc['_id']!r} already exists")
-        self._check_all_unique(doc)
-        self._note_write(doc["_id"], "Collection.insert_one")
-        self._documents[doc["_id"]] = doc
-        self.oplog.append(("insert", copy.deepcopy(doc)))
+        self._store("insert", doc["_id"], doc, "Collection.insert_one")
         return doc["_id"]
 
     def insert_many(self, documents: Iterable[Dict[str, Any]]) -> List[Any]:
         return [self.insert_one(doc) for doc in documents]
 
+    def _store(self, op: str, doc_id: Any, doc: Dict[str, Any],
+               site: str) -> None:
+        """Store the fresh document ``doc`` under ``doc_id`` and log it."""
+        self._check_all_unique(doc, exclude_id=doc_id)
+        self._note_write(doc_id, site)
+        self._documents[doc_id] = doc
+        self.oplog.append((op, doc, self.name))
+
     def update_one(self, query: Dict[str, Any], update: Dict[str, Any],
                    upsert: bool = False) -> int:
         """Update the first match; returns the number of documents modified."""
         for doc in self._iter_matches(query):
-            updated = apply_update(copy.deepcopy(doc), update)
-            self._check_all_unique(updated, exclude_id=doc["_id"])
-            self._note_write(doc["_id"], "Collection.update_one")
-            self._documents[doc["_id"]] = updated
-            self.oplog.append(("update", copy.deepcopy(updated)))
+            new = apply_update(copy.deepcopy(doc), copy.deepcopy(update))
+            self._store("update", doc["_id"], new, "Collection.update_one")
             return 1
         if upsert:
             seed = {k: v for k, v in query.items()
                     if not k.startswith("$") and not isinstance(v, dict)}
-            base = apply_update(seed, update)
-            self.insert_one(base)
+            self.insert_one(apply_update(seed, update))
             return 1
         return 0
 
     def update_many(self, query: Dict[str, Any],
                     update: Dict[str, Any]) -> int:
-        count = 0
-        for doc in list(self._iter_matches(query)):
-            updated = apply_update(copy.deepcopy(doc), update)
-            self._check_all_unique(updated, exclude_id=doc["_id"])
-            self._note_write(doc["_id"], "Collection.update_many")
-            self._documents[doc["_id"]] = updated
-            self.oplog.append(("update", copy.deepcopy(updated)))
-            count += 1
-        return count
+        spec = copy.deepcopy(update)
+        docs = list(self._iter_matches(query))
+        for doc in docs:
+            new = apply_update(copy.deepcopy(doc), spec)
+            self._store("update", doc["_id"], new, "Collection.update_many")
+        return len(docs)
 
     def replace_one(self, query: Dict[str, Any],
                     replacement: Dict[str, Any]) -> int:
         for doc in self._iter_matches(query):
             new_doc = copy.deepcopy(replacement)
             new_doc["_id"] = doc["_id"]
-            self._check_all_unique(new_doc, exclude_id=doc["_id"])
-            self._note_write(doc["_id"], "Collection.replace_one")
-            self._documents[doc["_id"]] = new_doc
-            self.oplog.append(("update", copy.deepcopy(new_doc)))
+            self._store("update", doc["_id"], new_doc,
+                        "Collection.replace_one")
             return 1
         return 0
 
@@ -144,7 +143,7 @@ class Collection:
         for doc in self._iter_matches(query):
             self._note_write(doc["_id"], "Collection.delete_one")
             del self._documents[doc["_id"]]
-            self.oplog.append(("delete", doc["_id"]))
+            self.oplog.append(("delete", doc["_id"], self.name))
             return 1
         return 0
 
@@ -153,7 +152,7 @@ class Collection:
         for doc_id in victims:
             self._note_write(doc_id, "Collection.delete_many")
             del self._documents[doc_id]
-            self.oplog.append(("delete", doc_id))
+            self.oplog.append(("delete", doc_id, self.name))
         return len(victims)
 
     # -- reads -------------------------------------------------------------------
@@ -197,7 +196,7 @@ class Collection:
             value = get_path(doc, field)
             if value is not MISSING and value not in seen:
                 seen.append(value)
-        return seen
+        return copy.deepcopy(seen)
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -222,11 +221,9 @@ class Collection:
     # -- replication support --------------------------------------------------------
 
     def apply_oplog_entry(self, entry: tuple) -> None:
-        """Apply a change-log entry verbatim (used by secondaries)."""
-        op, payload = entry
-        if op == "insert":
-            self._documents[payload["_id"]] = copy.deepcopy(payload)
-        elif op == "update":
-            self._documents[payload["_id"]] = copy.deepcopy(payload)
-        elif op == "delete":
+        """Apply a change-log entry, sharing its document (secondaries)."""
+        op, payload, _ = entry
+        if op == "delete":
             self._documents.pop(payload, None)
+        else:
+            self._documents[payload["_id"]] = payload

@@ -9,16 +9,16 @@ etcd vs MongoDB as the status-coordination store.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional
 
 from repro.errors import StoreError, StoreUnavailableError
 from repro.mongo.collection import Collection
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event, Timeout
 
 
 class MongoDatabase:
-    """A named set of collections.
+    """A named set of collections writing one oplog of ``(op, payload,
+    collection)`` entries, as MongoDB's ``local.oplog.rs``.
 
     Passing ``env`` registers the database as a shared store so that
     document accesses feed the runtime race detector; without it the
@@ -33,25 +33,21 @@ class MongoDatabase:
         self._race_label = (env.register_shared_store(f"mongo:{name}", self)
                             if env is not None else None)
         self._collections: Dict[str, Collection] = {}
+        self.oplog: List[tuple] = []
 
     def collection(self, name: str) -> Collection:
         if name not in self._collections:
             self._collections[name] = Collection(
-                name, env=self._env, race_label=self._race_label)
+                name, env=self._env, race_label=self._race_label,
+                oplog=self.oplog)
         return self._collections[name]
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
 
-    def collection_names(self) -> List[str]:
-        return sorted(self._collections)
-
-    def drop_collection(self, name: str) -> None:
-        self._collections.pop(name, None)
-
 
 class MongoReplicaSet:
-    """A primary plus N secondaries tailing the primary's oplogs."""
+    """A primary plus N secondaries tailing the primary's oplog."""
 
     def __init__(self, env: Environment, secondaries: int = 2,
                  replication_lag_s: float = 0.05, name: str = "rs0",
@@ -60,8 +56,7 @@ class MongoReplicaSet:
             raise StoreError("secondaries must be >= 0")
         if election_delay_s < 0:
             raise StoreError("election_delay_s must be >= 0")
-        # Zero would spin the replication loop at one instant; a negative
-        # lag fails a process nobody waits on.
+        # Zero would spin the tick at one instant; the kernel rejects < 0.
         if not replication_lag_s > 0:
             raise StoreError("replication_lag_s must be > 0")
         self.env = env
@@ -79,17 +74,19 @@ class MongoReplicaSet:
             for i in range(secondaries + 1)]
         self._primary_index = 0
         self._down: set[int] = set()
-        #: replication positions: member index -> collection -> applied count
-        self._positions: Dict[int, Dict[str, int]] = {
-            i: {} for i in range(len(self.members))}
+        #: Oplog entries each member has applied; the primary's own count
+        #: is refreshed by every current-epoch catch-up.
+        self._positions: List[int] = [0] * len(self.members)
         #: Primary epoch: bumped on failover.  A member whose recorded epoch
         #: is stale performs a full resync from the new primary, since its
-        #: oplog positions referred to the old primary's log.
+        #: oplog position referred to the old primary's log.
         self._epoch = 0
-        self._member_epochs: Dict[int, int] = {
-            i: 0 for i in range(len(self.members))}
-        self._repl_process = env.process(self._replicate(),
-                                         name=f"mongo-repl:{name}")
+        self._member_epochs: List[int] = [0] * len(self.members)
+        #: Primary (oplog length, collection count) - both only grow under
+        #: one primary - when every live member, the primary's position
+        #: too, was last caught up; None after a restart or a failover.
+        self._synced_at: Optional[tuple] = (0, 0)
+        _ReplicationTimer(self)
 
     @property
     def primary(self) -> MongoDatabase:
@@ -119,8 +116,10 @@ class MongoReplicaSet:
             self._begin_election()
 
     def restart_member(self, index: int) -> None:
-        """Bring a member back; it resyncs from the primary's full state."""
+        """Bring a member back: it catches up from its own oplog position,
+        or resyncs from the primary's full state if it missed a failover."""
         self._down.discard(index)
+        self._synced_at = None
         if all(i in self._down for i in range(len(self.members))):
             return
         if self._primary_index in self._down:
@@ -152,57 +151,60 @@ class MongoReplicaSet:
                       if i not in self._down]
         if not candidates:
             return  # total outage; restart_member will re-elect
-        # Pick the most-up-to-date secondary (highest total applied ops).
-        def applied(i: int) -> int:
-            return sum(self._positions[i].values())
-
-        new_primary = max(candidates, key=applied)
+        # Pick the most-up-to-date secondary (most oplog entries applied).
+        new_primary = max(candidates, key=self._positions.__getitem__)
         if new_primary != self._primary_index:
             self._primary_index = new_primary
             self._epoch += 1
             self._member_epochs[new_primary] = self._epoch
+            self._synced_at = None
             self.failover_log.append((lost_at, self.env.now, new_primary))
 
-    # -- replication loop ----------------------------------------------------------
+    # -- replication tail ----------------------------------------------------------
 
-    def _replicate(self):
-        while True:
-            yield self.env.timeout(self.replication_lag_s)
-            primary_idx = self._primary_index
-            if primary_idx in self._down:
-                continue
-            primary = self.members[primary_idx]
-            for member_idx, member in enumerate(self.members):
-                if member_idx == primary_idx or member_idx in self._down:
-                    continue
-                self._catch_up(primary_idx, primary, member_idx, member)
-
-    def _catch_up(self, primary_idx: int, primary: MongoDatabase,
-                  member_idx: int, member: MongoDatabase) -> None:
-        positions = self._positions[member_idx]
-        stale = self._member_epochs[member_idx] != self._epoch
-        if stale:
-            self._full_resync(primary, member, positions)
-            self._member_epochs[member_idx] = self._epoch
+    def _tick(self) -> None:
+        primary_idx = self._primary_index
+        if primary_idx in self._down:
             return
-        for coll_name in primary.collection_names():
-            source = primary.collection(coll_name)
-            target = member.collection(coll_name)
-            applied = positions.get(coll_name, 0)
-            for entry in source.oplog[applied:]:
-                target.apply_oplog_entry(entry)
-            positions[coll_name] = len(source.oplog)
-        # Track the primary's own position over its oplog.
-        self._positions[primary_idx] = {
-            name: len(primary.collection(name).oplog)
-            for name in primary.collection_names()}
+        primary = self.members[primary_idx]
+        shape = (len(primary.oplog), len(primary._collections))
+        if shape == self._synced_at:
+            return
+        for member_idx in range(len(self.members)):
+            if member_idx != primary_idx and member_idx not in self._down:
+                self._catch_up(primary_idx, member_idx, shape[0])
+        synced = self._positions[primary_idx] == shape[0]
+        self._synced_at = shape if synced else None
 
-    @staticmethod
-    def _full_resync(primary: MongoDatabase, member: MongoDatabase,
-                     positions: Dict[str, int]) -> None:
-        """Copy the primary's full state; realign oplog positions."""
-        for coll_name in primary.collection_names():
-            source = primary.collection(coll_name)
-            target = member.collection(coll_name)
-            target._documents = copy.deepcopy(source._documents)
-            positions[coll_name] = len(source.oplog)
+    def _catch_up(self, primary_idx: int, member_idx: int, head: int) -> None:
+        primary, member = self.members[primary_idx], self.members[member_idx]
+        stale = self._member_epochs[member_idx] != self._epoch
+        # A member holds every collection of the primary, empty ones too;
+        # a full resync shares the primary's (never mutated) documents.
+        for name, source in primary._collections.items():
+            target = member.collection(name)
+            if stale:
+                target._documents = dict(source._documents)
+        if stale:
+            self._member_epochs[member_idx] = self._epoch
+        else:
+            for entry in primary.oplog[self._positions[member_idx]:]:
+                member.collection(entry[2]).apply_oplog_entry(entry)
+            self._positions[primary_idx] = head
+        self._positions[member_idx] = head
+
+
+class _ReplicationTimer:
+    """The replication tail: a timer every ``replication_lag_s``, armed first
+    where the replaced process's init event sat; ``name`` is its family."""
+
+    def __init__(self, replica_set: MongoReplicaSet):
+        self.name = f"mongo-repl:{replica_set.name}"
+        self._replica_set = replica_set
+        replica_set.env.event().succeed().callbacks.append(self._fire)
+
+    def _fire(self, event: Event) -> None:
+        rs = self._replica_set
+        if isinstance(event, Timeout):  # a tick, not the start event
+            rs._tick()
+        rs.env.timeout(rs.replication_lag_s).callbacks.append(self._fire)

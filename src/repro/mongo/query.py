@@ -118,6 +118,11 @@ def matches(document: Dict[str, Any], query: Dict[str, Any]) -> bool:
     return True
 
 
+def _is_number(value: Any) -> bool:
+    # MongoDB's $inc takes neither booleans nor None.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def apply_update(document: Dict[str, Any],
                  update: Dict[str, Any]) -> Dict[str, Any]:
     """Apply a Mongo-style update spec to ``document`` in place."""
@@ -133,6 +138,8 @@ def apply_update(document: Dict[str, Any],
             document.setdefault("_id", doc_id)
         return document
     for op, spec in update.items():
+        if not isinstance(spec, dict):
+            raise StoreError(f"{op} needs a document of fields, not {spec!r}")
         if op == "$set":
             for path, value in spec.items():
                 set_path(document, path, value)
@@ -143,6 +150,9 @@ def apply_update(document: Dict[str, Any],
             for path, amount in spec.items():
                 current = get_path(document, path)
                 base = 0 if current is _MISSING else current
+                if not (_is_number(base) and _is_number(amount)):
+                    raise StoreError(f"cannot apply $inc of {amount!r} to "
+                                     f"{path!r} holding {base!r}")
                 set_path(document, path, base + amount)
         elif op == "$push":
             for path, value in spec.items():

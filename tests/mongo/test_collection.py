@@ -48,6 +48,12 @@ def test_find_returns_copies(coll):
     assert coll.get("a")["nested"]["x"] == 1
 
 
+def test_distinct_returns_copies(coll):
+    coll.insert_one({"_id": "a", "nested": {"x": 1}})
+    coll.distinct("nested")[0]["x"] = 2
+    assert coll.get("a")["nested"]["x"] == 1
+
+
 def test_find_with_query_sort_limit(coll):
     for i, user in enumerate(["carol", "alice", "bob", "alice"]):
         coll.insert_one({"user": user, "seq": i})
@@ -120,6 +126,13 @@ def test_unique_index_checked_on_update(coll):
     coll.insert_one({"_id": "b", "name": "y"})
     with pytest.raises(DuplicateKeyError):
         coll.update_one({"_id": "b"}, {"$set": {"name": "x"}})
+
+
+def test_unique_index_checks_a_document_whose_id_is_none(coll):
+    coll.create_index("name", unique=True)
+    coll.insert_one({"_id": None, "name": "x"})
+    with pytest.raises(DuplicateKeyError):
+        coll.insert_one({"name": "x"})
 
 
 def test_replacement_update_keeps_a_none_id(coll):
@@ -241,11 +254,15 @@ def test_query_plan_is_equivalent_to_a_brute_force_scan(docs, ops):
     for doc in docs:
         assert _outcome(planned.insert_one, doc) \
             == _outcome(oracle.insert_one, doc)
+    # Each oplog entry as it was appended: the stored documents it shares
+    # with the collection are never mutated afterwards.
+    appended = copy.deepcopy(planned.oplog)
     for name, *args in ops:
         assert _outcome(getattr(planned, name), *args) \
             == _outcome(getattr(oracle, name), *args), (name, args)
+        appended += copy.deepcopy(planned.oplog[len(appended):])
         # repr, not ==: it tells 1 from 1.0 and lets NaN equal NaN.
-        assert repr(planned.oplog) == repr(oracle.oplog)
+        assert repr(planned.oplog) == repr(oracle.oplog) == repr(appended)
         assert repr(planned._documents) == repr(oracle._documents)
 
 

@@ -99,6 +99,20 @@ def test_update_inc_creates_and_increments():
     assert doc["count"] == 5
 
 
+@pytest.mark.parametrize("doc, update", [
+    ({"_id": 1, "s": "PENDING"}, {"$inc": {"s": 1}}),
+    ({"_id": 1, "s": None}, {"$inc": {"s": 1}}),
+    ({"_id": 1, "s": True}, {"$inc": {"s": 1}}),
+    ({"_id": 1}, {"$inc": {"s": "1"}}),
+    ({"_id": 1, "s": 2}, {"$unset": 5}),
+    ({"_id": 1, "s": 2}, {"$set": ["s"]}),
+])
+def test_malformed_update_is_a_store_error(doc, update):
+    # As MongoDB: "Cannot apply $inc to a value of non-numeric type".
+    with pytest.raises(StoreError):
+        apply_update(doc, update)
+
+
 def test_update_push_and_pull():
     doc = {"_id": 1}
     apply_update(doc, {"$push": {"history": "PENDING"}})

@@ -63,6 +63,25 @@ def test_restarted_member_resyncs():
     assert rs.members[2].collection("jobs").count() == 1
 
 
+@pytest.mark.parametrize("method", ["update_one", "update_many"])
+def test_an_update_stores_none_of_the_callers_objects(method):
+    env, rs = make_rs()
+    jobs = rs.collection("jobs")
+    jobs.insert_one({"_id": "j1", "history": []})
+    meta, event = {"owner": "alice"}, {"status": "RUNNING"}
+    getattr(jobs, method)({"_id": "j1"}, {"$set": {"meta": meta},
+                                          "$push": {"history": event}})
+    entry = rs.primary.oplog[-1]
+    meta["owner"], event["status"] = "mallory", "FAILED"
+    expected = {"_id": "j1", "history": [{"status": "RUNNING"}],
+                "meta": {"owner": "alice"}}
+    assert jobs.get("j1") == expected
+    assert entry[1] == expected
+    env.run(until=rs.replication_lag_s * 1.5)  # one tick
+    for member in rs.members:
+        assert member.collection("jobs").get("j1") == expected
+
+
 def test_total_outage_raises():
     env, rs = make_rs(secondaries=1)
     rs.crash_member(0)

@@ -8,6 +8,7 @@ from repro.errors import (
     StoreError,
     StoreUnavailableError,
 )
+from repro.mongo import MongoClient, MongoDatabase
 from repro.resilience import BufferedJobWriter, RetryPolicy
 from repro.sim import Environment, RngRegistry
 
@@ -137,6 +138,29 @@ def test_semantic_errors_are_dropped_not_retried_forever():
     assert writer.total_flushed == 2
     assert writer.write_errors == 1
     assert not writer.degraded
+
+
+@pytest.mark.parametrize("malformed", [
+    {"$inc": {"status": 1}},      # a string field
+    {"$inc": {"finished": 1}},    # a None field
+    {"$unset": 5},                # not a document of fields
+])
+def test_malformed_update_is_counted_and_the_drain_moves_on(malformed):
+    """A malformed update against a real store is a semantic error: the
+    drain process survives it and applies the writes behind it."""
+    env = Environment()
+    db = MongoDatabase()
+    writer = BufferedJobWriter(env, MongoClient(env, db))
+    writer.insert("jobs", {"_id": "j1", "status": "PENDING",
+                           "finished": None})
+    writer.update("jobs", {"_id": "j1"}, malformed)
+    writer.update("jobs", {"_id": "j1"}, {"$set": {"status": "RUNNING"}})
+    env.run()
+    assert writer._runner.is_alive
+    assert writer.pending == 0
+    assert writer.write_errors == 1
+    assert writer.total_flushed == 2
+    assert db["jobs"].get("j1")["status"] == "RUNNING"
 
 
 def test_duplicate_insert_is_suppressed_not_an_error():
