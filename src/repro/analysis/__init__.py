@@ -6,7 +6,6 @@ from repro.analysis.cdf import (
     probability_of_zero,
     quantile,
 )
-from repro.analysis.report import build_report, quick_report
 from repro.analysis.schedreplay import (
     NodeSpec,
     PRODUCTION_NODES,
@@ -23,12 +22,10 @@ __all__ = [
     "PlacementReplayer",
     "QUEUE_THRESHOLD_S",
     "ReplayResult",
-    "build_report",
     "cdf_at",
     "compare_policies",
     "empirical_cdf",
     "format_table",
-    "quick_report",
     "print_table",
     "probability_of_zero",
     "quantile",

@@ -7,13 +7,14 @@ shared vocabulary those clients use:
 
 * :class:`RetryPolicy` — bounded exponential backoff whose jitter is drawn
   from a named :class:`~repro.sim.rng.RngRegistry` stream, so retried
-  schedules replay deterministically (DET002 stays clean).
+  schedules replay deterministically (the chaos draw goldens pin each
+  stream's positions).
 * :class:`Deadline` — a per-call budget in simulated time.
 * :class:`CircuitBreaker` — fail-fast once a backend is clearly down, with
   half-open probing on a reset timeout.
 * :func:`retry_call` — the retry loop itself, written as a *bounded*
-  ``for``-loop over attempts (the shape SAF003 enforces for the whole
-  tree), for a caller that is already a process.
+  ``for``-loop over attempts, for a caller that is already a process.
+  With :class:`TimedCall` it is the only retry loop in the tree.
 * :class:`TimedCall` — the same loop for the store clients, whose
   attempt is "sleep the latency, then act": a state machine on two
   kernel events per attempt and no process at all.

@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs for flow-sensitive rules.
+"""Per-function control-flow graphs, and a forward solver over them.
 
 One :class:`CFGNode` per simple statement or compound-statement header
 (the ``if``/``while`` test, the ``for`` iterable, the ``with`` items,
@@ -27,13 +27,27 @@ exists precisely for the case where the body raises.  Outside such
 regions implicit raises are not modelled — edges from every statement
 to EXIT would drown any path-sensitive rule in noise.  The runtime
 invariant checkers cover that residue, as documented in DESIGN.md.
+
+:func:`solve_forward` runs a forward *may* analysis over a graph: facts
+are frozensets joined by union, so a fact holds at a node when it holds
+along **some** path reaching it ("on some path the resource is still
+unreleased"), and the worklist terminates over any finite fact universe.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 #: Node kinds (informational; rules mostly dispatch on ``stmt`` type).
 ENTRY = "entry"
@@ -51,8 +65,6 @@ class CFGNode:
     stmt: Optional[ast.AST] = None
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
-    #: True when the node's own expressions contain a yield point.
-    has_yield: bool = False
 
     @property
     def line(self) -> int:
@@ -90,22 +102,6 @@ class CFG:
 
     def stmt_nodes(self) -> List[CFGNode]:
         return [n for n in self.nodes if n.stmt is not None]
-
-    def yield_nodes(self) -> List[CFGNode]:
-        return [n for n in self.nodes if n.has_yield]
-
-    def reachable(self, start: int, blocked: Set[int] = frozenset(),
-                  ) -> Set[int]:
-        """Nodes reachable from ``start`` without entering ``blocked``."""
-        seen: Set[int] = set()
-        stack = [start]
-        while stack:
-            index = stack.pop()
-            if index in seen or index in blocked:
-                continue
-            seen.add(index)
-            stack.extend(self.nodes[index].succs)
-        return seen
 
     def path_exists(self, start: int, goal: int,
                     blocked: Set[int] = frozenset()) -> bool:
@@ -160,12 +156,6 @@ def walk_own(roots: Sequence[Optional[ast.AST]]) -> Iterable[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _own_yield(stmt: ast.AST) -> bool:
-    """Does the statement's *header* expression contain a yield point?"""
-    return any(isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await))
-               for node in walk_own(own_expr_roots(stmt)))
 
 
 class _Frame:
@@ -242,7 +232,6 @@ class _Builder:
     def _stmt_node(self, stmt: ast.AST, preds: List[int],
                    kind: str = STMT) -> int:
         index = self.cfg._new(kind, stmt)
-        self.cfg.nodes[index].has_yield = _own_yield(stmt)
         self.cfg._connect(preds, index)
         if self._handlers:
             for handler in self._handlers[-1]:
@@ -335,3 +324,36 @@ def build_cfg(func: ast.AST) -> CFG:
         raise TypeError(f"build_cfg needs a function node, got "
                         f"{type(func).__name__}")
     return build_block_cfg(func.body)
+
+
+Fact = FrozenSet[tuple]
+
+
+def solve_forward(cfg: CFG, transfer: Callable[[CFGNode, Fact], Fact],
+                  ) -> Dict[int, Fact]:
+    """Fixpoint ``{node index: fact reaching it}``.
+
+    ``transfer(node, fact)`` is the fact after a statement node given
+    the fact before it; the entry fact is empty.
+    """
+    fact_in: Dict[int, Fact] = {n.index: frozenset() for n in cfg.nodes}
+    fact_out: Dict[int, Fact] = dict(fact_in)
+    worklist = [n.index for n in cfg.nodes if n.index != cfg.entry]
+    queued = set(worklist)
+    while worklist:
+        index = worklist.pop(0)
+        queued.discard(index)
+        node = cfg.node(index)
+        incoming: Fact = frozenset()
+        for pred in node.preds:
+            incoming = incoming | fact_out[pred]
+        fact_in[index] = incoming
+        out = transfer(node, incoming) if node.stmt is not None \
+            else incoming
+        if out != fact_out[index]:
+            fact_out[index] = out
+            for succ in node.succs:
+                if succ not in queued and succ != cfg.entry:
+                    worklist.append(succ)
+                    queued.add(succ)
+    return fact_in

@@ -15,17 +15,16 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.staticcheck.findings import Finding
-from repro.staticcheck.flowrules import FLOW_RULES
 from repro.staticcheck.manifest import (
     MANIFEST_RULES,
     analyze_manifest_source,
 )
-from repro.staticcheck.rules import SYNTACTIC_RULES, build_import_map
+from repro.staticcheck.rules import PYTHON_RULES, build_import_map
 from repro.staticcheck.suppress import apply_suppressions
 
-#: Every rule — syntactic walkers, CFG flow rules, and the YAML manifest
-#: rules (which no-op on Python modules; see analyze_manifest_source).
-ALL_RULES = tuple(SYNTACTIC_RULES) + tuple(FLOW_RULES) + MANIFEST_RULES
+#: Every rule — the Python rules and the YAML manifest rules (which
+#: no-op on Python modules; see analyze_manifest_source).
+ALL_RULES = PYTHON_RULES + MANIFEST_RULES
 
 #: Module pragma marking a file as an analyzer *fixture*: a corpus file
 #: whose findings are asserted by the test suite, not repo defects.

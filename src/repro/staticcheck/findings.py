@@ -15,26 +15,14 @@ from dataclasses import dataclass
 RULE_CATALOG = {
     "DET001": ("wall-clock read (time.time / datetime.now / ...) in "
                "simulation-driven code; use Environment.now"),
-    "DET002": ("draw from the global random module (or unseeded "
-               "random.Random()); use RngRegistry streams"),
     "DET003": ("iteration over an unordered set expression; wrap in "
                "sorted(...) before the order can reach the event queue"),
-    "CONC001": ("local snapshot of a mutable shared attribute is used "
-                "after a yield point without re-validation; other "
-                "processes may have changed it (stale read)"),
     "RES001": ("acquired resource (watch, lease, claim, ...) is not "
                "released on every path out of the function; wrap the "
                "use in try/finally"),
     "SAF001": ("exception handler can swallow sim.core.Interrupt — "
                "broad catch, or an Interrupt handler that does not "
                "re-raise on every path"),
-    "SAF002": ("simulation process generator yields a non-Event literal; "
-               "processes may only yield Event subclasses"),
-    "SAF003": ("unbounded retry loop: 'while True' around a backoff sleep "
-               "with no attempt cap or deadline; bound it with "
-               "for-range(max_attempts) or a Deadline check"),
-    "SAF004": ("Event/Timeout constructed but never yielded, stored, or "
-               "triggered; a waiter on it can never wake (lost wakeup)"),
     "MAN001": ("manifest schema violation: unknown field, wrong type, "
                "or missing required field in a scenario manifest"),
     "MAN002": ("dangling manifest cross-reference: fault plan targets "
@@ -50,8 +38,10 @@ RULE_CATALOG = {
     "MAN005": ("dead or shadowed manifest declaration: fault past the "
                "run window or inside a blackout window of its own "
                "target, duplicate key, unreferenced topology block"),
+    # The literal is split so the suppression scanner does not read this
+    # source line as a suppression of the unknown code "CODE".
     "SUP001": ("staticcheck suppression without a reason; write "
-               "# staticcheck: ignore[CODE] <why it is safe>"),
+               "# staticcheck: " "ignore[CODE] <why it is safe>"),
 }
 
 #: code -> (why it matters, minimal violating example, compliant fix).
@@ -66,16 +56,6 @@ RULE_EXPLANATIONS = {
         "started = time.time()",
         "started = env.now",
     ),
-    "DET002": (
-        "The global random module shares hidden state across every "
-        "caller and import order; draws are not attributable to a seed "
-        "stream.  "
-        "Guards: every draw belongs to a named RngRegistry stream, so a "
-        "run's RNG positions can be pinned and one component's draws "
-        "cannot shift another's.",
-        "delay = random.uniform(0, 1)",
-        "delay = rng.stream('backoff:etcd').uniform(0, 1)",
-    ),
     "DET003": (
         "Set iteration order depends on PYTHONHASHSEED; if it reaches "
         "the event queue, replays diverge between interpreter runs.  "
@@ -84,21 +64,6 @@ RULE_EXPLANATIONS = {
         "cannot see a hash-order dependence.",
         "for node in {a, b, c}: schedule(node)",
         "for node in sorted({a, b, c}): schedule(node)",
-    ),
-    "CONC001": (
-        "Yields are the only preemption points in the kernel: between "
-        "a yield and its resumption any other process may mutate shared "
-        "state, so a pre-yield snapshot can be stale.  Re-read the "
-        "attribute after resuming, or compare it against a fresh read.  "
-        "Guards: state read before a preemption point is not trusted "
-        "after it; this is the static half of the memory model whose "
-        "runtime half is the vector-clock race detector.",
-        "leader = self.leader\n"
-        "yield env.timeout(1)\n"
-        "leader.send(msg)        # leader may have changed",
-        "yield env.timeout(1)\n"
-        "if self.leader is not None:\n"
-        "    self.leader.send(msg)",
     ),
     "RES001": (
         "Watches, leases and claims registered with a substrate outlive "
@@ -130,39 +95,6 @@ RULE_EXPLANATIONS = {
         "except Interrupt:\n"
         "    cleanup()\n"
         "    raise",
-    ),
-    "SAF002": (
-        "The kernel resumes processes only through Event subclasses; "
-        "yielding a literal crashes the run at a non-deterministic "
-        "point at runtime instead of failing at lint time.  "
-        "Guards: a process hands the kernel only Events, so a modelling "
-        "slip fails at lint time instead of killing one process in the "
-        "middle of a run.",
-        "yield 5",
-        "yield env.timeout(5)",
-    ),
-    "SAF003": (
-        "Under a permanent outage an uncapped retry loop spins forever "
-        "and hides the failure instead of surfacing it.  "
-        "Guards: every retry in the tree ends, so a permanent outage "
-        "surfaces as a failed operation ('exhausted retries') and never "
-        "as a simulation that does not finish.",
-        "while True:\n"
-        "    try: op()\n"
-        "    except StoreError:\n"
-        "        yield env.timeout(1)",
-        "for attempt in range(policy.max_attempts):\n"
-        "    ...",
-    ),
-    "SAF004": (
-        "An event nobody can reach can never be triggered — a process "
-        "that would later wait on it sleeps forever (lost wakeup).  "
-        "Guards: every Event created can be reached by something able "
-        "to trigger or wait on it, so a run that drains its queue has "
-        "no process left asleep.",
-        "done = env.event()       # never yielded or stored",
-        "done = env.event()\n"
-        "self._done = done        # observable: someone can trigger it",
     ),
     "MAN001": (
         "A manifest field the compiler does not understand is a "
@@ -209,9 +141,9 @@ RULE_EXPLANATIONS = {
         "trace or fault section seeded from the wall clock, or an "
         "absolute timestamp in a schedule that is otherwise relative "
         "seconds, couples the run to the host machine.  "
-        "Guards: deterministic replay, the manifest half of "
-        "DET001/DET002; the byte-identical parity between manifests and "
-        "their Python twins depends on it.",
+        "Guards: deterministic replay, the manifest half of DET001; "
+        "the byte-identical parity between manifests and their Python "
+        "twins depends on it.",
         "workload:\n  seed: wall-clock",
         "workload:\n  seed: inherit   # derived from the run seed",
     ),
@@ -231,9 +163,12 @@ RULE_EXPLANATIONS = {
     ),
     "SUP001": (
         "An unexplained suppression is silent drift: nobody can tell "
-        "whether the ignored finding is safe or forgotten.  "
-        "Guards: every suppression in the tree says why it is safe, so "
-        "the suppressed set can be audited by reading it.",
+        "whether the ignored finding is safe or forgotten.  A "
+        "suppression naming a code no rule has (a typo, a retired "
+        "rule) silences nothing and is reported too.  "
+        "Guards: every suppression in the tree says why it is safe and "
+        "names a live rule, so the suppressed set can be audited by "
+        "reading it.",
         "risky()  # staticcheck: ignore[DET001]",
         "risky()  # staticcheck: ignore[DET001] replay-safe: <why>",
     ),

@@ -1,19 +1,29 @@
-"""AST rules enforcing determinism and crash-injection safety.
+"""AST rules enforcing determinism, crash-injection safety and release.
 
 Every rule walks one parsed module and emits :class:`Finding` records.
-Rules resolve import aliases (``import time as t`` / ``from random import
-choice``) through the per-module import map built by the engine, so the
-checks are not fooled by renaming.  They are deliberately syntactic: no
-type inference, which keeps them fast and predictable — anything a rule
-cannot see (e.g. iteration over a *variable* holding a set) is covered by
-the runtime kernel checks instead, and documented as such in DESIGN.md.
+Rules resolve import aliases (``import time as t`` / ``from datetime
+import datetime``) through the per-module import map built by the
+engine, so the checks are not fooled by renaming.  There is no type
+inference, which keeps them fast and predictable — anything a rule
+cannot see (e.g. iteration over a *variable* holding a set) is covered
+by the runtime kernel checks instead, and documented as such in
+DESIGN.md.  DET001 and DET003 are syntactic; SAF001's re-raise check
+and RES001 reason about paths through a function's CFG
+(:mod:`repro.staticcheck.cfg`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.staticcheck.cfg import (
+    build_block_cfg,
+    build_cfg,
+    own_expr_roots,
+    solve_forward,
+    walk_own,
+)
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 
 #: Canonical dotted names of wall-clock sources.  ``time.sleep`` is
@@ -29,25 +39,21 @@ WALL_CLOCK_CALLS = frozenset({
     "date.today",
 })
 
-#: Functions of the *global* random instance whose draws depend on hidden
-#: shared state (import order, PYTHONHASHSEED, other callers).
-GLOBAL_RANDOM_CALLS = frozenset({
-    "random", "randint", "randrange", "randbytes", "getrandbits",
-    "choice", "choices", "shuffle", "sample", "uniform", "triangular",
-    "betavariate", "binomialvariate", "expovariate", "gammavariate",
-    "gauss", "lognormvariate", "normalvariate", "vonmisesvariate",
-    "paretovariate", "weibullvariate", "seed", "setstate",
-})
-
 #: Set-producing method names (syntactic: we cannot prove the receiver is
 #: a set, but these names are set vocabulary across this codebase).
 SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference",
 })
 
-#: env.<method>() calls that mark a generator as a simulation process.
-ENV_FACTORY_METHODS = frozenset({
-    "timeout", "event", "process", "any_of", "all_of",
+#: Method names whose return value is a resource the caller must release.
+ACQUIRE_METHODS = frozenset({
+    "watch", "watch_prefix", "grant_lease", "acquire", "claim",
+    "checkout",
+})
+
+#: Method names that release a held resource.
+RELEASE_METHODS = frozenset({
+    "cancel", "revoke", "release", "close", "unsubscribe", "stop",
 })
 
 
@@ -127,36 +133,6 @@ class WallClockRule(Rule):
                     ctx, node,
                     f"wall-clock call {match}() breaks replay "
                     f"determinism; use Environment.now"))
-        return findings
-
-
-class GlobalRandomRule(Rule):
-    """DET002: draws must come from named RngRegistry streams."""
-
-    code = "DET002"
-
-    def check(self, ctx) -> List[Finding]:
-        findings = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            canonical = canonicalize(dotted, ctx.imports)
-            if canonical == "random.Random" and not node.args \
-                    and not node.keywords:
-                findings.append(self.finding(
-                    ctx, node,
-                    "unseeded random.Random() is non-reproducible; "
-                    "seed it or use RngRegistry.stream()"))
-                continue
-            head, _, tail = canonical.partition(".")
-            if head == "random" and tail in GLOBAL_RANDOM_CALLS:
-                findings.append(self.finding(
-                    ctx, node,
-                    f"global random.{tail}() shares hidden state across "
-                    f"components; draw from an RngRegistry stream"))
         return findings
 
 
@@ -249,8 +225,6 @@ class InterruptSwallowRule(Rule):
         An early ``return`` counts as completing (it swallows the
         exception just as surely as falling off the end does).
         """
-        from repro.staticcheck.cfg import build_block_cfg
-
         cfg = build_block_cfg(handler.body)
         raise_nodes = {n.index for n in cfg.nodes
                        if isinstance(n.stmt, ast.Raise)}
@@ -305,163 +279,126 @@ class InterruptSwallowRule(Rule):
         return findings
 
 
-class NonEventYieldRule(Rule):
-    """SAF002: process generators may only yield Event subclasses.
+def _assigned_names(stmt: ast.AST) -> Set[str]:
+    """Local names this node (re)binds, from its own expressions."""
+    names: Set[str] = set()
+    for node in walk_own(own_expr_roots(stmt)):
+        if isinstance(node, ast.Name) and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+    if isinstance(stmt, ast.ExceptHandler) and stmt.name:
+        names.add(stmt.name)
+    return names
 
-    A generator counts as a simulation process if it yields at least one
-    ``env.timeout/event/process/any_of/all_of(...)`` call (receiver whose
-    dotted path ends in ``env``).  Within such a generator, yielding a
-    bare ``yield`` or a literal would crash the kernel at runtime with a
-    non-deterministic stack; this rule moves the failure to lint time.
+
+def _var_release_and_escape(stmt: ast.AST, var: str) -> Tuple[bool, bool]:
+    """(released, escaped) for ``var`` in this node's own expressions.
+
+    A load of ``var`` as the receiver of a non-release method call
+    (``var.get()``) is plain *use* — neither.  A release-method call on
+    it releases.  Any other load (argument, alias, return/yield value,
+    container element, attribute read such as ``var.id`` passed along)
+    makes the resource escape the function's responsibility.
+    """
+    released = False
+    receiver_uses: Set[int] = set()
+    for node in walk_own(own_expr_roots(stmt)):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                isinstance(node.func.value, ast.Name) and \
+                node.func.value.id == var:
+            if node.func.attr in RELEASE_METHODS:
+                released = True
+            receiver_uses.add(id(node.func.value))
+    escaped = any(
+        isinstance(node, ast.Name) and node.id == var
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in receiver_uses
+        for node in walk_own(own_expr_roots(stmt)))
+    return released, escaped
+
+
+def _acquire_call(value: ast.AST) -> Optional[str]:
+    """Dotted text of an acquire call, unwrapping ``yield <call>``."""
+    if isinstance(value, (ast.Yield, ast.YieldFrom)):
+        value = value.value
+    if isinstance(value, ast.Call) and \
+            isinstance(value.func, ast.Attribute) and \
+            value.func.attr in ACQUIRE_METHODS:
+        dotted = dotted_name(value.func)
+        return dotted if dotted is not None else value.func.attr
+    return None
+
+
+def _held_resources(node, fact):
+    """RES001's transfer: facts are (var, def node index, acquire-call
+    text) for each resource still held after ``node``."""
+    stmt = node.stmt
+    live = set(fact)
+    for entry in fact:
+        var = entry[0]
+        released, escaped = _var_release_and_escape(stmt, var)
+        if released or escaped:
+            live.discard(entry)
+    assigned = _assigned_names(stmt)
+    if assigned:
+        live = {f for f in live if f[0] not in assigned}
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+            and isinstance(stmt.targets[0], ast.Name):
+        acquired = _acquire_call(stmt.value)
+        if acquired is not None:
+            live.add((stmt.targets[0].id, node.index, acquired))
+    return frozenset(live)
+
+
+class ResourceLeakRule(Rule):
+    """RES001: an acquired resource must be released on every exit path.
+
+    Tracks locals bound from acquire-vocabulary calls (``watch``,
+    ``watch_prefix``, ``grant_lease``, ``acquire``, ``claim``, ...).
+    Passing the resource (or one of its attributes) to another call,
+    storing it, returning or yielding it hands ownership elsewhere and
+    ends tracking; a release-method call (``cancel``, ``revoke``,
+    ``release``, ``close``, ...) discharges it.  If any path out of the
+    function — including an early ``return`` or ``raise`` — still holds
+    the resource untouched, the acquisition site is flagged.  The
+    canonical fix is ``try/finally`` around the use.
     """
 
-    code = "SAF002"
-
-    _LITERALS = (ast.Constant, ast.List, ast.Tuple, ast.Dict, ast.Set,
-                 ast.JoinedStr)
-
-    @staticmethod
-    def _own_yields(func: ast.AST) -> List[ast.Yield]:
-        """Yield nodes of ``func`` itself, excluding nested functions."""
-        yields: List[ast.Yield] = []
-        stack = list(ast.iter_child_nodes(func))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            if isinstance(node, ast.Yield):
-                yields.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        return yields
-
-    @classmethod
-    def _is_env_factory_call(cls, node: Optional[ast.AST]) -> bool:
-        if not isinstance(node, ast.Call) \
-                or not isinstance(node.func, ast.Attribute):
-            return False
-        if node.func.attr not in ENV_FACTORY_METHODS:
-            return False
-        receiver = dotted_name(node.func.value)
-        return receiver is not None and \
-            receiver.rsplit(".", 1)[-1] == "env"
+    code = "RES001"
 
     def check(self, ctx) -> List[Finding]:
         findings = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            yields = self._own_yields(node)
-            if not any(self._is_env_factory_call(y.value) for y in yields):
-                continue
-            for y in yields:
-                if y.value is None:
-                    findings.append(self.finding(
-                        ctx, y,
-                        "bare yield in a simulation process yields None, "
-                        "not an Event; the kernel will reject it"))
-                elif isinstance(y.value, self._LITERALS):
-                    findings.append(self.finding(
-                        ctx, y,
-                        "process yields a literal, not an Event; yield "
-                        "env.timeout(...) or another Event subclass"))
+        for func in ast.walk(ctx.tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                findings.extend(self._check_function(ctx, func))
         return findings
 
-
-class UnboundedRetryRule(Rule):
-    """SAF003: retry loops must be bounded.
-
-    The shape this hunts is ``while True:`` wrapped around a
-    try/except whose handler sleeps (``yield env.timeout(...)``) and
-    loops again — a retry loop with no attempt cap, which under a
-    permanent outage spins forever and hides the failure instead of
-    surfacing it.  The loop is considered bounded when anything in it
-    references an attempt counter or deadline (a name containing
-    ``attempt``/``deadline``/``retries``/``remaining``/``expired``);
-    the canonical compliant shape is
-    ``for attempt in range(policy.max_attempts)`` (see
-    :func:`repro.resilience.retry_call`).  Pure waiter loops (drain
-    loops, samplers) are not flagged: only a *handler* that sleeps
-    marks the loop as a retry loop.
-    """
-
-    code = "SAF003"
-
-    _BOUND_TOKENS = ("attempt", "deadline", "retries", "remaining",
-                     "expired")
-
-    @staticmethod
-    def _walk_in_scope(roots):
-        """Walk nodes without descending into nested function bodies."""
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    @classmethod
-    def _handler_sleeps(cls, handler: ast.ExceptHandler) -> bool:
-        for node in cls._walk_in_scope(handler.body):
-            if isinstance(node, ast.Yield) \
-                    and isinstance(node.value, ast.Call) \
-                    and isinstance(node.value.func, ast.Attribute) \
-                    and node.value.func.attr == "timeout":
-                receiver = dotted_name(node.value.func.value)
-                if receiver is not None and \
-                        receiver.rsplit(".", 1)[-1] == "env":
-                    return True
-        return False
-
-    @classmethod
-    def _has_bound_signal(cls, loop: ast.While) -> bool:
-        for node in cls._walk_in_scope([loop]):
-            name = None
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            if name is not None and any(token in name.lower()
-                                        for token in cls._BOUND_TOKENS):
-                return True
-        return False
-
-    def check(self, ctx) -> List[Finding]:
+    def _check_function(self, ctx, func) -> List[Finding]:
+        cfg = build_cfg(func)
+        has_acquire = any(
+            _acquire_call(node.stmt.value) is not None
+            for node in cfg.stmt_nodes()
+            if isinstance(node.stmt, ast.Assign))
+        if not has_acquire:
+            return []
+        leaked_at = solve_forward(cfg, _held_resources)[cfg.exit]
         findings = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.While):
-                continue
-            if not (isinstance(node.test, ast.Constant)
-                    and node.test.value is True):
-                continue
-            sleeping_handlers = [
-                sub for sub in self._walk_in_scope(node.body)
-                if isinstance(sub, ast.ExceptHandler)
-                and self._handler_sleeps(sub)]
-            if not sleeping_handlers:
-                continue
-            if self._has_bound_signal(node):
-                continue
+        for var, def_index, call_text in sorted(
+                leaked_at, key=lambda f: (cfg.node(f[1]).line, f[0])):
             findings.append(self.finding(
-                ctx, node,
-                "'while True' retry loop backs off in its except handler "
-                "but has no attempt cap or deadline; use 'for attempt in "
-                "range(policy.max_attempts)' (repro.resilience.retry_call)"
-            ))
+                ctx, cfg.node(def_index).stmt,
+                f"{var!r} acquired via {call_text}() is not released on "
+                f"every path out of this function; release it in a "
+                f"try/finally (cancel/revoke/release/close)"))
         return findings
 
 
-#: The purely syntactic rules, in catalog order.  The flow-sensitive
-#: rules live in :mod:`repro.staticcheck.flowrules`; the combined
-#: ``ALL_RULES`` tuple is assembled by the engine.
-SYNTACTIC_RULES = (
+#: Every Python rule, in catalog order; the engine appends the manifest
+#: rules to form ``ALL_RULES``.
+PYTHON_RULES = (
     WallClockRule(),
-    GlobalRandomRule(),
     UnorderedIterationRule(),
+    ResourceLeakRule(),
     InterruptSwallowRule(),
-    NonEventYieldRule(),
-    UnboundedRetryRule(),
 )

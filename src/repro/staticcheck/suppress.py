@@ -7,7 +7,8 @@ Syntax (one per line, reason mandatory)::
 
 A suppression with no reason is inert *and* reported as ``SUP001`` — an
 unexplained suppression is exactly the kind of silent drift this tool
-exists to prevent.
+exists to prevent.  So is one naming a code outside ``RULE_CATALOG`` (a
+typo, or a retired rule): it can never silence anything.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def apply_suppressions(raw: List[Finding], source: str,
     """Split raw findings by the source's suppression comments.
 
     Returns ``(findings, suppressed)``, both sorted.  Reasonless
-    suppressions stay inert and add a ``SUP001`` finding.  The comment
+    suppressions stay inert and add a ``SUP001`` finding, as does each
+    code a suppression names that no rule has.  The comment
     syntax is line-based, so this works identically for Python modules
     and YAML manifests.
     """
@@ -68,6 +70,11 @@ def apply_suppressions(raw: List[Finding], source: str,
             findings.append(Finding(
                 "SUP001", display_path, suppression.line,
                 RULE_CATALOG["SUP001"]))
+        for code in sorted(suppression.codes.difference(RULE_CATALOG)):
+            findings.append(Finding(
+                "SUP001", display_path, suppression.line,
+                f"suppression names unknown code {code}; it silences "
+                f"nothing (see --list-rules)"))
     findings.sort(key=Finding.sort_key)
     suppressed.sort(key=Finding.sort_key)
     return findings, suppressed

@@ -5,8 +5,12 @@ import textwrap
 
 import pytest
 
-from repro.staticcheck.cfg import CFG, build_block_cfg, build_cfg
-from repro.staticcheck.dataflow import ForwardAnalysis, solve_forward
+from repro.staticcheck.cfg import (
+    CFG,
+    build_block_cfg,
+    build_cfg,
+    solve_forward,
+)
 
 
 def func_cfg(source: str) -> CFG:
@@ -231,18 +235,6 @@ def test_nested_function_body_excluded():
     lines = {n.line for n in cfg.stmt_nodes()}
     assert 3 in lines and 5 in lines and 8 in lines
     assert 6 not in lines and 7 not in lines
-    # inner's yield must not mark the enclosing def as a yield point.
-    assert cfg.yield_nodes() == []
-
-
-def test_yield_detection_in_own_statements():
-    cfg = func_cfg("""
-        def gen(env):
-            before = 1
-            yield env.timeout(1)
-            after = 2
-    """)
-    assert [n.line for n in cfg.yield_nodes()] == [4]
 
 
 def test_path_exists_respects_blocked_nodes():
@@ -278,15 +270,13 @@ def test_build_cfg_rejects_non_function():
         build_cfg(ast.parse("x = 1").body[0])
 
 
-class _GenKill(ForwardAnalysis):
+def _gen_kill(node, fact):
     """Toy reaching-assignments analysis: facts are assigned names."""
-
-    def transfer(self, node, fact):
-        stmt = node.stmt
-        if isinstance(stmt, ast.Assign) and \
-                isinstance(stmt.targets[0], ast.Name):
-            return fact | {stmt.targets[0].id}
-        return fact
+    stmt = node.stmt
+    if isinstance(stmt, ast.Assign) and \
+            isinstance(stmt.targets[0], ast.Name):
+        return fact | {stmt.targets[0].id}
+    return fact
 
 
 def test_solve_forward_joins_over_branches():
@@ -298,8 +288,7 @@ def test_solve_forward_joins_over_branches():
                 b = 2
             done()
     """)
-    solution = solve_forward(cfg, _GenKill())
-    fact_in, _ = solution[node_at(cfg, 7).index]
+    fact_in = solve_forward(cfg, _gen_kill)[node_at(cfg, 7).index]
     assert fact_in == frozenset({"a", "b"})
 
 
@@ -310,8 +299,7 @@ def test_solve_forward_reaches_fixpoint_through_loop():
                 a = 1
             done()
     """)
-    solution = solve_forward(cfg, _GenKill())
     # The loop-body assignment flows around the back edge to the head
     # and out of the loop.
-    fact_in, _ = solution[node_at(cfg, 5).index]
+    fact_in = solve_forward(cfg, _gen_kill)[node_at(cfg, 5).index]
     assert "a" in fact_in

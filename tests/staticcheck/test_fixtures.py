@@ -26,9 +26,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture file -> the rule it exercises (other codes may legitimately
 #: co-fire, and every co-firing is marked too).
 VIOLATION_FIXTURES = {
-    "conc001_violations.py": "CONC001",
     "res001_violations.py": "RES001",
-    "saf004_violations.py": "SAF004",
     "saf001_path_violations.py": "SAF001",
     "man001_violations.yaml": "MAN001",
     "man002_violations.yaml": "MAN002",
@@ -38,9 +36,7 @@ VIOLATION_FIXTURES = {
 }
 
 CLEAN_FIXTURES = [
-    "conc001_clean.py",
     "res001_clean.py",
-    "saf004_clean.py",
     "saf001_path_clean.py",
     "man001_clean.yaml",
     "man002_clean.yaml",

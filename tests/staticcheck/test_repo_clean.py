@@ -27,12 +27,6 @@ VIOLATIONS = {
         def f():
             return time.time()
     """,
-    "DET002": """
-        import random
-
-        def f():
-            return random.random()
-    """,
     "DET003": """
         def f(xs):
             for x in set(xs):
@@ -45,29 +39,6 @@ VIOLATIONS = {
             except Exception:
                 pass
     """,
-    "SAF002": """
-        def proc(env):
-            yield env.timeout(1)
-            yield 5
-    """,
-    "SAF003": """
-        def fetch(env, client):
-            while True:
-                try:
-                    return client.get()
-                except OSError:
-                    yield env.timeout(1.0)
-    """,
-    "CONC001": """
-        class Watcher:
-            def elect(self, node):
-                self.leader = node
-
-            def run(self, env, message):
-                leader = self.leader
-                yield env.timeout(1.0)
-                leader.send(message)
-    """,
     "RES001": """
         def f(store, flag):
             watcher = store.watch("k")
@@ -75,10 +46,6 @@ VIOLATIONS = {
                 return 0
             watcher.cancel()
             return 1
-    """,
-    "SAF004": """
-        def f(env):
-            env.event()
     """,
 }
 
@@ -129,11 +96,11 @@ def test_cli_without_strict_reports_but_exits_zero(tmp_path, capsys):
 
 def test_cli_markdown_report(tmp_path, capsys):
     bad = tmp_path / "injected.py"
-    bad.write_text(textwrap.dedent(VIOLATIONS["DET002"]))
+    bad.write_text(textwrap.dedent(VIOLATIONS["DET003"]))
     assert main(["--format", "md", str(bad)]) == 0
     out = capsys.readouterr().out
     assert "## staticcheck findings" in out
-    assert "DET002" in out
+    assert "DET003" in out
 
 
 def test_cli_json_report(tmp_path, capsys):
@@ -150,13 +117,13 @@ def test_cli_json_report(tmp_path, capsys):
 
 def test_cli_github_annotations(tmp_path, capsys):
     bad = tmp_path / "injected.py"
-    bad.write_text(textwrap.dedent(VIOLATIONS["SAF004"]))
+    bad.write_text(textwrap.dedent(VIOLATIONS["RES001"]))
     assert main(["--strict", "--format", "github", str(bad)]) == 1
     out = capsys.readouterr().out
     line = next(li for li in out.splitlines() if li.startswith("::error"))
     assert line.startswith("::error file=")
     assert "line=3," in line
-    assert "title=staticcheck SAF004::" in line
+    assert "title=staticcheck RES001::" in line
 
 
 def test_cli_github_green_run_emits_no_annotations(capsys):
