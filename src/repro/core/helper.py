@@ -8,18 +8,21 @@ pods, but both share a common NFS filesystem" (Section 3.8).
 
 The controller reads learner status/exit files from NFS and records
 per-learner status in etcd (under a lease, so stale state self-erases if
-the whole job vanishes); the Guardian aggregates from etcd.
+the whole job vanishes); the Guardian aggregates from etcd.  It wakes
+only for those two files: a learner's ``iterations`` and ``log`` writes
+never resume it.  Its lease keepalive is a timer chain of its own, as
+an etcd client's background KeepAlive is, not a step of the relay loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.manifest import JobManifest
 from repro.etcd.client import EtcdClient
 from repro.nfs.volume import NFSVolume
-from repro.sim.core import Environment, Interrupt
+from repro.sim.core import Environment, Event
 
 #: etcd layout for one job.
 def job_prefix(job_id: str) -> str:
@@ -42,11 +45,25 @@ def halt_key(job_id: str) -> str:
     return f"/jobs/{job_id}/halt"
 
 
-#: The controller's poll interval over NFS (its reaction latency).
+#: The controller's poll interval over NFS: a status or exit file is
+#: relayed this long after its own write (plus one etcd round trip).
 CONTROLLER_POLL_S = 0.5
-#: Lease TTL on controller-written keys; refreshed while the controller
-#: lives, so keys vanish soon after the whole job does.
+#: Lease TTL on controller-written keys; a keepalive goes out a third of
+#: it after the previous one completed, so keys vanish soon after the
+#: whole job does.
 CONTROLLER_LEASE_TTL_S = 60.0
+
+#: The learner files the controller relays into etcd.
+RELAYED_FILES = ("status", "exit")
+
+
+def _relayed_index(path: str) -> Optional[int]:
+    """Learner index of a relayed file (``learners/<i>/status|exit``)."""
+    parts = path.split("/")
+    if len(parts) == 3 and parts[0] == "learners" \
+            and parts[2] in RELAYED_FILES:
+        return int(parts[1])
+    return None
 
 
 @dataclass
@@ -59,65 +76,117 @@ class ControllerState:
     lease_id: Optional[int] = None
 
 
+class LeaseKeepalive:
+    """Keep one lease alive from a timer chain, not from a process.
+
+    ``CONTROLLER_LEASE_TTL_S / 3`` after the chain starts, and again that
+    long after each keepalive completes, it sends ``etcd.keepalive``.  A
+    keepalive that fails (the client's retry budget is spent) ends the
+    chain and hands the error to ``on_error``.  :meth:`stop` ends it
+    too: a timer or reply already in flight then fires dead.
+    """
+
+    #: Profiler family: booked with the etcd client ops it issues.
+    name = "etcd-op"
+
+    def __init__(self, env: Environment, etcd: EtcdClient, lease_id: int,
+                 on_error: Callable[[BaseException], None]):
+        self.env = env
+        self.etcd = etcd
+        self.lease_id = lease_id
+        self.on_error = on_error
+        self.stopped = False
+        self._arm()
+
+    def stop(self) -> None:
+        self.stopped = True
+
+    def _arm(self) -> None:
+        self.env.timeout(CONTROLLER_LEASE_TTL_S / 3).callbacks.append(
+            self._send)
+
+    def _send(self, _timer: Event) -> None:
+        if not self.stopped:
+            self.etcd.keepalive(self.lease_id).callbacks.append(self._done)
+
+    def _done(self, reply: Event) -> None:
+        if self.stopped:
+            return
+        if reply.ok:
+            self._arm()
+        else:
+            self.stopped = True
+            self.on_error(reply.value)
+
+
 def make_controller_workload(env: Environment, manifest: JobManifest,
                              job_id: str, volume: NFSVolume,
                              etcd: EtcdClient, state: ControllerState):
-    """Controller container: NFS -> etcd status relay."""
+    """Controller container: NFS -> etcd status relay.
+
+    Idle, it waits on one ``wake`` event that only a status or exit
+    write succeeds.  Woken, it sleeps ``CONTROLLER_POLL_S`` and relays
+    every such file written meanwhile, each at its latest content.  A
+    failed lease keepalive fails the container with the etcd error: at
+    once if the controller is idle, else before it waits again.  A
+    volume the Guardian has released ends it cleanly (exit 0).
+    """
 
     def workload(container):
         lease = yield etcd.grant_lease(CONTROLLER_LEASE_TTL_S)
         state.lease_id = lease.lease_id
-        dirty = {"paths": set()}
-        wake = [env.event()]
+        dirty = set()
+        wake = env.event()
+        failure = []
 
         def on_change(path: str) -> None:
-            dirty["paths"].add(path)
-            if not wake[0].triggered:
-                wake[0].succeed()
+            if _relayed_index(path) is not None:
+                dirty.add(path)
+                if not wake.triggered:
+                    wake.succeed()
 
+        def on_keepalive_error(err: BaseException) -> None:
+            failure.append(err)
+            if not wake.triggered:
+                wake.fail(err)
+
+        keepalive = LeaseKeepalive(env, etcd, lease.lease_id,
+                                   on_keepalive_error)
         volume.subscribe(on_change)
-        # Pick up anything written before we subscribed (controller can
-        # start after learners under unfortunate scheduling).
-        for path in volume.listdir("learners/"):
-            dirty["paths"].add(path)
-
-        keepalive_due = env.now + CONTROLLER_LEASE_TTL_S / 3
         try:
+            # Pick up anything written before we subscribed (controller
+            # can start after learners under unfortunate scheduling).
+            if not volume.released:
+                dirty.update(path for path in volume.listdir("learners/")
+                             if _relayed_index(path) is not None)
             while True:
-                if not dirty["paths"]:
-                    wake[0] = env.event()
-                    timeout = max(0.1, keepalive_due - env.now)
-                    yield env.any_of([wake[0], env.timeout(timeout)])
-                if env.now >= keepalive_due:
-                    yield etcd.keepalive(lease.lease_id)
-                    keepalive_due = env.now + CONTROLLER_LEASE_TTL_S / 3
-                if not dirty["paths"]:
-                    continue
+                if failure:
+                    raise failure[0]
+                if not dirty:
+                    wake = env.event()
+                    yield wake
                 # React within the poll interval.
                 yield env.timeout(CONTROLLER_POLL_S)
-                paths, dirty["paths"] = dirty["paths"], set()
-                for path in sorted(paths):
+                paths, dirty = sorted(dirty), set()
+                for path in paths:
+                    if volume.released:
+                        return 0  # the Guardian garbage-collected the job
                     yield from _relay(path)
-        except Interrupt:
-            raise
-
-        return 0
+        finally:
+            keepalive.stop()
+            volume.unsubscribe(on_change)
 
     def _relay(path: str):
-        parts = path.split("/")
-        if len(parts) != 3 or parts[0] != "learners":
-            return
-        index = int(parts[1])
-        kind = parts[2]
+        index = _relayed_index(path)
         content = volume.read(path)
         if content is None:
             return
-        if kind == "status":
+        if path.endswith("/status"):
             state.statuses[index] = content
             state.updates_written += 1
             yield etcd.put(learner_status_key(job_id, index), content,
                            lease_id=state.lease_id)
-        elif kind == "exit":
+        else:
             state.exits[index] = content
             state.updates_written += 1
             yield etcd.put(learner_exit_key(job_id, index), content,
@@ -142,18 +211,21 @@ def make_log_collector_workload(env: Environment, job_id: str,
                     wake[0].succeed()
 
         volume.subscribe(on_change)
-        while True:
-            if not pending["dirty"]:
-                wake[0] = env.event()
-                yield wake[0]
-            yield env.timeout(1.0)  # shipping batch latency
-            paths, pending["dirty"] = pending["dirty"], set()
-            for path in sorted(paths):
-                content = volume.read(path) or ""
-                start = shipped.get(path, 0)
-                for line in content[start:].splitlines():
-                    log_sink.ingest(job_id, path, line, env.now)
-                shipped[path] = len(content)
+        try:
+            while True:
+                if not pending["dirty"]:
+                    wake[0] = env.event()
+                    yield wake[0]
+                yield env.timeout(1.0)  # shipping batch latency
+                paths, pending["dirty"] = pending["dirty"], set()
+                for path in sorted(paths):
+                    content = volume.read(path) or ""
+                    start = shipped.get(path, 0)
+                    for line in content[start:].splitlines():
+                        log_sink.ingest(job_id, path, line, env.now)
+                    shipped[path] = len(content)
+        finally:
+            volume.unsubscribe(on_change)
 
     return workload
 

@@ -16,11 +16,12 @@ from typing import Callable, Dict, List, Optional
 class NFSVolume:
     """A tiny shared filesystem: path -> string content, with append.
 
-    ``subscribe`` registers a change callback; this stands in for the
-    helper controller's fast polling loop over status files without
-    simulating every poll tick (the observable behaviour — the controller
-    reacts to file changes within its poll interval — is preserved by the
-    consumer adding its poll latency).
+    ``subscribe`` registers a change callback (``unsubscribe`` drops
+    it); this stands in for the helper controller's fast polling loop
+    over status files without simulating every poll tick (the
+    observable behaviour — the controller reacts to file changes within
+    its poll interval — is preserved by the consumer adding its poll
+    latency).
     """
 
     def __init__(self, name: str, capacity_bytes: float = 1e9):
@@ -32,6 +33,10 @@ class NFSVolume:
 
     def subscribe(self, callback: Callable[[str], None]) -> None:
         self._subscribers.append(callback)
+
+    def unsubscribe(self, callback: Callable[[str], None]) -> None:
+        """Drop a callback ``subscribe`` registered (a dead helper's)."""
+        self._subscribers.remove(callback)
 
     def _changed(self, path: str) -> None:
         for callback in list(self._subscribers):

@@ -194,6 +194,20 @@ def test_helper_crash_recovers_and_statuses_keep_flowing():
     assert status == st.COMPLETED
 
 
+def test_helper_restart_leaves_no_dead_volume_subscribers():
+    env, platform = make_platform()
+    job_id = submit(env, platform, make_manifest(iterations=2500))
+    assert wait_phase(env, platform, job_id, st.PROCESSING)
+    helper = platform.helper_pod(job_id)
+    platform.kill_pod_containers(helper.name)
+    env.run(until=env.now + 30)
+    kubelet = platform.cluster.kubelets[helper.node_name]
+    assert all(c.is_running for c in kubelet.containers_for(helper.name))
+    # The restarted controller and log collector; the killed pair
+    # unsubscribed on their way out.
+    assert len(platform.job(job_id).volume._subscribers) == 2
+
+
 def test_failing_user_code_marks_job_failed():
     env, platform = make_platform()
     manifest = make_manifest(iterations=100)

@@ -1,7 +1,11 @@
 """Unit tests for learner checkpoint mechanics and the helper containers."""
 
 
+import pytest
+
 from repro.core.helper import (
+    CONTROLLER_LEASE_TTL_S,
+    CONTROLLER_POLL_S,
     ControllerState,
     make_controller_workload,
     make_log_collector_workload,
@@ -13,9 +17,15 @@ from repro.core.logging_service import LogIndex
 from repro.core.manifest import JobManifest
 from repro.docker import Container, Image
 from repro.etcd import EtcdClient, EtcdStore
+from repro.etcd.client import DEFAULT_ETCD_LATENCY_S
 from repro.nfs import NFSVolume
 from repro.objectstore import BucketMount, ObjectStorageService
+from repro.perf import profile
+from repro.resilience import RetryPolicy
 from repro.sim import Environment
+from tests.core.conftest import (
+    make_manifest, make_platform, run_to_terminal, submit,
+)
 
 
 def make_ctx(env, job_id="job-x"):
@@ -150,3 +160,145 @@ def test_log_collector_ignores_non_log_files():
     volume.write("learners/0/status", "PROCESSING")
     env.run(until=3.0)
     assert index.logs_for("job-5") == []
+
+
+# -- the relay contract ---------------------------------------------------
+
+
+def start_controller(env, etcd, volume, job_id="job-r"):
+    state = ControllerState()
+    manifest = JobManifest(name="j", user="u", framework="tensorflow",
+                           model="resnet50")
+    container = Container(env, Image("helper"), "h/controller",
+                          make_controller_workload(env, manifest, job_id,
+                                                   volume, etcd, state))
+    container.start()
+    return container, state
+
+
+def record_calls(store, method):
+    """Wrap ``store.<method>`` to log ``(env.now, args)`` per call."""
+    calls = []
+    original = getattr(store, method)
+
+    def recording(*args, **kwargs):
+        calls.append((store.env.now, args))
+        return original(*args, **kwargs)
+
+    setattr(store, method, recording)
+    return calls
+
+
+def test_progress_and_log_writes_never_resume_the_controller():
+    env = Environment()
+    volume = NFSVolume("shared")
+    etcd = EtcdClient(env, EtcdStore(env))
+    profiler = profile(env)
+    start_controller(env, etcd, volume)
+    env.run(until=1.0)
+    resumed = profiler.sites["process:workload"].calls
+    for chunk in range(1, 40):
+        volume.write("learners/0/iterations", str(50 * chunk))
+        volume.append("learners/0/log", f"chunk {chunk}\n")
+        env.run(until=env.now + 3.0)
+    assert profiler.sites["process:workload"].calls == resumed
+    # A status write does wake it: on the write, after the poll, and
+    # when its etcd put completes.
+    volume.write("learners/0/status", "PROCESSING")
+    env.run(until=env.now + 3.0)
+    assert profiler.sites["process:workload"].calls == resumed + 3
+
+
+def test_status_reaches_etcd_one_poll_and_one_round_trip_after_its_write():
+    env = Environment()
+    volume = NFSVolume("shared")
+    store = EtcdStore(env)
+    puts = record_calls(store, "put")
+    start_controller(env, EtcdClient(env, store), volume)
+    env.run(until=3.3)
+    # Progress writes before and after must not shift the relay's phase.
+    volume.write("learners/0/iterations", "50")
+    env.run(until=3.45)
+    volume.write("learners/0/status", "PROCESSING")
+    written_at = env.now
+    env.run(until=3.6)
+    volume.write("learners/0/iterations", "100")
+    env.run(until=10.0)
+    assert [(args[0], args[1]) for _, args in puts] == \
+        [("/jobs/job-r/learners/0/status", "PROCESSING")]
+    assert puts[0][0] == pytest.approx(
+        written_at + CONTROLLER_POLL_S + DEFAULT_ETCD_LATENCY_S)
+
+
+def test_idle_controller_moves_the_lease_deadline_every_third_of_ttl():
+    env = Environment()
+    volume = NFSVolume("shared")
+    store = EtcdStore(env)
+    keepalives = record_calls(store, "keepalive")
+    start_controller(env, EtcdClient(env, store), volume)
+    env.run(until=1.0)
+    volume.write("learners/0/status", "PROCESSING")
+    env.run(until=10 * CONTROLLER_LEASE_TTL_S)
+    times = [now for now, _ in keepalives]
+    assert len(times) >= 25
+    # Each keepalive goes out TTL/3 after the previous one completed.
+    period = CONTROLLER_LEASE_TTL_S / 3 + DEFAULT_ETCD_LATENCY_S
+    assert times[0] == pytest.approx(period + DEFAULT_ETCD_LATENCY_S)
+    for earlier, later in zip(times, times[1:]):
+        assert later - earlier == pytest.approx(period)
+    assert store.get("/jobs/job-r/learners/0/status").value == "PROCESSING"
+
+
+def test_etcd_outage_past_the_retry_budget_fails_the_controller():
+    env = Environment()
+    volume = NFSVolume("shared")
+    etcd = EtcdClient(env, EtcdStore(env),
+                      retry=RetryPolicy(max_attempts=3, jitter=False))
+    container, _state = start_controller(env, etcd, volume)
+    env.run(until=5.0)
+    etcd.set_available(False)
+    env.run(until=CONTROLLER_LEASE_TTL_S / 3 - 1.0)
+    assert container.is_running  # idle: nothing has touched etcd yet
+    env.run(until=CONTROLLER_LEASE_TTL_S / 3 + 5.0)
+    assert container.exit_code == 1
+    assert "StoreUnavailableError" in container.logs[-1][1]
+
+
+# -- on the platform ------------------------------------------------------
+
+
+def test_no_helper_workload_fails_in_a_completed_job():
+    env, platform = make_platform()
+    spawn = env.process
+    workloads = []
+
+    def recording_process(generator, name="process"):
+        workloads.append(spawn(generator, name))
+        return workloads[-1]
+
+    env.process = recording_process
+    job_id = submit(env, platform, make_manifest(iterations=300))
+    assert run_to_terminal(env, platform, job_id) == "COMPLETED"
+    relays = [proc for proc in workloads if proc.name.startswith("lazyvol:")]
+    assert sorted(proc.name.rsplit("/", 1)[1] for proc in relays) == \
+        ["controller", "log-collector"]
+    # The exit the controller relays lets the Guardian release the volume
+    # in the same instant; the controller then ends cleanly, not on a
+    # read of the released volume.
+    assert [(proc.name, proc.value) for proc in relays if not proc.ok] == []
+
+
+def controller_resumptions(iterations):
+    env, platform = make_platform()
+    profiler = profile(env)
+    job_id = submit(env, platform, make_manifest(iterations=iterations))
+    assert run_to_terminal(env, platform, job_id) == "COMPLETED"
+    # Both relay containers of the helper pod run inside ``lazyvol:``.
+    return profiler.sites["process:lazyvol"].calls
+
+
+def test_controller_callbacks_do_not_grow_with_iterations():
+    # Ten times the chunks, and so ten times the progress writes: the
+    # relay loops still resume only for statuses, exits and log lines.
+    assert controller_resumptions(300) == 19
+    assert controller_resumptions(3000) == 19
