@@ -53,15 +53,13 @@ CONTROLLER_POLL_S = 0.5
 #: whole job does.
 CONTROLLER_LEASE_TTL_S = 60.0
 
-#: The learner files the controller relays into etcd.
-RELAYED_FILES = ("status", "exit")
-
 
 def _relayed_index(path: str) -> Optional[int]:
-    """Learner index of a relayed file (``learners/<i>/status|exit``)."""
+    """Learner index of a file the controller relays into etcd
+    (``learners/<i>/status`` or ``learners/<i>/exit``), else None."""
     parts = path.split("/")
     if len(parts) == 3 and parts[0] == "learners" \
-            and parts[2] in RELAYED_FILES:
+            and parts[2] in ("status", "exit"):
         return int(parts[1])
     return None
 
@@ -156,9 +154,8 @@ def make_controller_workload(env: Environment, manifest: JobManifest,
         try:
             # Pick up anything written before we subscribed (controller
             # can start after learners under unfortunate scheduling).
-            if not volume.released:
-                dirty.update(path for path in volume.listdir("learners/")
-                             if _relayed_index(path) is not None)
+            dirty.update(path for path in volume.listdir("learners/")
+                         if _relayed_index(path) is not None)
             while True:
                 if failure:
                     raise failure[0]
