@@ -173,7 +173,7 @@ def start_controller(env, etcd, volume, job_id="job-r"):
                           make_controller_workload(env, manifest, job_id,
                                                    volume, etcd, state))
     container.start()
-    return container, state
+    return container
 
 
 def record_calls(store, method):
@@ -254,13 +254,35 @@ def test_etcd_outage_past_the_retry_budget_fails_the_controller():
     volume = NFSVolume("shared")
     etcd = EtcdClient(env, EtcdStore(env),
                       retry=RetryPolicy(max_attempts=3, jitter=False))
-    container, _state = start_controller(env, etcd, volume)
+    container = start_controller(env, etcd, volume)
     env.run(until=5.0)
     etcd.set_available(False)
     env.run(until=CONTROLLER_LEASE_TTL_S / 3 - 1.0)
     assert container.is_running  # idle: nothing has touched etcd yet
     env.run(until=CONTROLLER_LEASE_TTL_S / 3 + 5.0)
     assert container.exit_code == 1
+    assert "StoreUnavailableError" in container.logs[-1][1]
+
+
+def test_keepalive_failure_mid_relay_fails_the_controller_after_it():
+    env = Environment()
+    volume = NFSVolume("shared")
+    store = EtcdStore(env)
+    etcd = EtcdClient(env, store)  # single-shot: no retry budget
+    container = start_controller(env, etcd, volume)
+    keepalive_at = CONTROLLER_LEASE_TTL_S / 3 + DEFAULT_ETCD_LATENCY_S
+    env.run(until=keepalive_at - 0.2)
+    volume.write("learners/0/status", "PROCESSING")  # opens a window
+    etcd.set_available(False)
+    env.run(until=keepalive_at + 0.1)  # the keepalive has failed
+    etcd.set_available(True)
+    assert container.is_running  # mid-relay: the error waits
+    env.run(until=keepalive_at + 5.0)
+    # The window's status still lands; then the controller fails.
+    assert store.get("/jobs/job-r/learners/0/status").value == "PROCESSING"
+    assert container.exit_code == 1
+    assert container.finished_at == pytest.approx(
+        keepalive_at - 0.2 + CONTROLLER_POLL_S + DEFAULT_ETCD_LATENCY_S)
     assert "StoreUnavailableError" in container.logs[-1][1]
 
 
