@@ -12,7 +12,7 @@ import argparse
 from typing import List, Optional
 
 from repro.chaos.engine import ChaosReport, run_scenario
-from repro.chaos.registry import get_registered_scenario, scenario_registry
+from repro.chaos.scenarios import SCENARIOS, get_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,21 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
-        for entry in scenario_registry().values():
-            tag = "" if entry.kind == "chaos" \
-                else f"[{entry.kind}] "
-            print(f"{entry.name} ({entry.origins}): "
-                  f"{tag}{entry.description}")
+        for scenario in SCENARIOS.values():
+            tag = "" if scenario.kind == "chaos" \
+                else f"[{scenario.kind}] "
+            print(f"{scenario.name}: {tag}{scenario.description}")
         return 0
-    from repro.manifest import ManifestError
-
     try:
-        scenario = get_registered_scenario(args.scenario).resolve()
+        scenario = get_scenario(args.scenario)
     except KeyError as err:
         print(err.args[0])
-        return 2
-    except ManifestError as err:
-        print(err.render())
         return 2
 
     def run_once(tiebreak_seed: int) -> ChaosReport:

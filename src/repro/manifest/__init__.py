@@ -1,8 +1,10 @@
 """Declarative scenario manifests.
 
-A scenario is a ~20-line YAML document (topology, workload, fault plan,
-run window, steady-state hypotheses) instead of a hand-written Python
-module.  The package splits into:
+A manifest is a ~20-line YAML document (topology, workload, fault plan,
+run window, steady-state hypotheses) that lowers onto a scenario
+dataclass; every field it accepts lowers.  The named scenarios are
+Python data (:mod:`repro.chaos.scenarios`), and ``manifest_source``
+prints any of them as a manifest.  The package splits into:
 
 * :mod:`repro.manifest.yamlpos` — position-aware YAML loading (every
   value knows its line/column, so findings anchor precisely);
@@ -12,7 +14,7 @@ module.  The package splits into:
   lowering onto the :class:`~repro.chaos.engine.Scenario` /
   :class:`~repro.chaos.federation.FederationScenario` dataclasses,
   topology included, which the one
-  :class:`~repro.chaos.engine.ChaosEngine` runs.
+  :class:`~repro.chaos.engine.ChaosEngine` runs, and the printer back.
 
 The static analyzer itself lives with its rule family in
 :mod:`repro.staticcheck.manifest`; ``repro validate <manifest>`` is the
@@ -27,8 +29,7 @@ from repro.manifest.compiler import (
     ManifestError,
     compile_manifest,
     compile_manifest_file,
-    default_scenario_dir,
-    discover_manifests,
+    manifest_source,
 )
 from repro.manifest.schema import (
     CounterAssertion,
@@ -52,7 +53,6 @@ __all__ = [
     "YamlPosError",
     "compile_manifest",
     "compile_manifest_file",
-    "default_scenario_dir",
-    "discover_manifests",
+    "manifest_source",
     "parse_manifest_source",
 ]

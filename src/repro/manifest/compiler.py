@@ -1,29 +1,27 @@
-"""Lowering a validated manifest into a chaos scenario.
+"""Lowering a validated manifest into a chaos scenario, and back.
 
 ``compile_manifest`` runs the MAN static pass first (so a manifest that
 would lower into nonsense is rejected with file:line:column findings,
 never a mid-run crash), then lowers the typed model into the exact
-dataclasses the hand-written scenarios use, topology included:
+dataclasses the named scenarios are, topology included:
 
 * ``kind: chaos`` → :class:`repro.chaos.engine.Scenario`;
 * ``kind: federation`` → :class:`repro.chaos.federation.FederationScenario`.
 
 Only the fields a manifest declares are passed, so the dataclass
-defaults are the manifest defaults.  Because the lowering targets the
-same frozen dataclasses, a ported manifest compiles to an object *equal*
-to its hand-written twin — which is what makes the byte-identical
-regression tests in ``tests/manifest/test_parity.py`` possible: equal
-scenario in, equal audit log and end state out of the one
-:class:`~repro.chaos.engine.ChaosEngine`.
+defaults are the manifest defaults.  ``manifest_source`` is the inverse:
+it prints the manifest a scenario compiles from, through the same
+``_LOWERING`` table, so ``compile_manifest(manifest_source(s)).scenario
+== s`` for every scenario.  A scenario is defined once, as Python data;
+a manifest is an input format onto it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
-
-import yaml
+from typing import List, Optional, Tuple, Union
 
 from repro.chaos import (
     ChaosEngine,
@@ -157,6 +155,43 @@ def _lower(model: ManifestModel, path: str) -> CompiledScenario:
         seed_override=model.seed_override, source_path=path)
 
 
+def _declared(data) -> dict:
+    """A dataclass's fields that differ from their defaults: what a
+    manifest must write for :func:`_lower` to rebuild it."""
+    return {f.name: getattr(data, f.name) for f in fields(data)
+            if f.default is MISSING or getattr(data, f.name) != f.default}
+
+
+def manifest_source(scenario: Union[Scenario, FederationScenario]) -> str:
+    """The manifest ``scenario`` compiles from: :func:`_lower` inverted.
+
+    Fields left at their dataclass default are not written.  The text is
+    JSON, which is YAML, so it reads as any manifest does.
+    """
+    _type, topology, workload_fields = _LOWERING[scenario.kind]
+    declared = _declared(scenario)
+    # A chaos step names a node under ``target``; a federation step
+    # names its cell under ``cell``.
+    where = "target" if scenario.kind == "chaos" else "cell"
+    document = {
+        "kind": scenario.kind,
+        "name": scenario.name,
+        "description": scenario.description,
+        "topology": {topology: [_declared(entry) for entry
+                                in getattr(scenario, topology)]},
+        "workload": {key: declared[name]
+                     for key, name in workload_fields.items()
+                     if name in declared},
+        "faults": [{where if key == "target" else key: value
+                    for key, value in _declared(step).items()}
+                   for step in scenario.steps],
+        "run": {name: declared[name] for name in ("horizon_s", "settle_s")
+                if name in declared},
+    }
+    return json.dumps({key: value for key, value in document.items()
+                       if value not in ({}, [])}, indent=2) + "\n"
+
+
 def compile_manifest(source: str,
                      display_path: str = "<manifest>",
                      ) -> CompiledScenario:
@@ -186,60 +221,3 @@ def compile_manifest_file(path: Path) -> CompiledScenario:
     except OSError as err:
         raise ManifestError(f"cannot read {path}: {err}") from None
     return compile_manifest(source, path.as_posix())
-
-
-# -- discovery ---------------------------------------------------------------
-
-def default_scenario_dir() -> Optional[Path]:
-    """The repo's ``scenarios/`` directory, if one can be found.
-
-    Tried in order: ``$REPRO_SCENARIO_DIR``, ``./scenarios``, and
-    ``scenarios/`` next to the source tree this package runs from.
-    """
-    import os
-
-    override = os.environ.get("REPRO_SCENARIO_DIR")
-    if override:
-        path = Path(override)
-        return path if path.is_dir() else None
-    cwd_dir = Path("scenarios")
-    if cwd_dir.is_dir():
-        return cwd_dir
-    import repro
-
-    repo_dir = Path(repro.__file__).resolve().parents[2] / "scenarios"
-    return repo_dir if repo_dir.is_dir() else None
-
-
-def discover_manifests(scenario_dir: Optional[Path] = None,
-                       ) -> Dict[str, Path]:
-    """``{scenario name: manifest path}`` for every manifest under the
-    scenario directory (sorted by file name; fixtures skipped).
-
-    Discovery is deliberately shallow and forgiving: it only reads the
-    ``name:`` field, so a broken manifest still *lists* (under its file
-    stem) and fails with findings when someone tries to run it.
-    """
-    directory = scenario_dir if scenario_dir is not None \
-        else default_scenario_dir()
-    if directory is None:
-        return {}
-    manifests: Dict[str, Path] = {}
-    for path in sorted(Path(directory).glob("*.yaml")) \
-            + sorted(Path(directory).glob("*.yml")):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        if "# staticcheck: fixture" in source[:200]:
-            continue
-        name = path.stem
-        try:
-            document = yaml.safe_load(source)
-        except yaml.YAMLError:
-            document = None
-        if isinstance(document, dict) and \
-                isinstance(document.get("name"), str):
-            name = document["name"]
-        manifests[name] = path
-    return manifests

@@ -8,8 +8,8 @@ A scenario manifest is a small YAML document with five sections:
 ``workload``
     the seeded job churn / trace parameters driven against it;
 ``faults``
-    the fault plan — inline injection steps and/or ``use:`` references
-    that splice a named scenario's schedule;
+    the fault plan — a list of inline injection steps and/or ``use:``
+    references that splice a named scenario's schedule;
 ``run``
     the observation window (horizon + settle);
 ``hypotheses``
@@ -19,7 +19,9 @@ A scenario manifest is a small YAML document with five sections:
 This module is the *single source of truth* for that schema: the field
 tables below drive both the static analyzer (MAN001 unknown field /
 wrong type / missing required, see :mod:`repro.staticcheck.manifest`)
-and the compiler (:mod:`repro.manifest.compiler`).  Fault kinds and
+and the compiler (:mod:`repro.manifest.compiler`).  Every field they
+accept lowers onto a scenario dataclass field (``workload.seed`` onto
+the run's seed); there is no field that is checked and then ignored.  Fault kinds and
 hypothesis names are read from the chaos targets themselves; the counter
 catalogs mirror what their reports carry, and
 ``tests/chaos/test_perturbation.py`` pins them against real reports.
@@ -35,15 +37,16 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.chaos.engine import NodeGroup, PlatformTarget
 from repro.chaos.federation import CellDef, FederationTarget
+from repro.workloads.federation_trace import FederationTraceConfig
 
 MANIFEST_KINDS = ("chaos", "federation")
 
-#: ``workload.seed`` / ``faults.seed`` values that mean "derive from the
-#: run's master seed" — the deterministic default.
+#: The ``workload.seed`` value that means "derive from the run's master
+#: seed" — the deterministic default.
 SEED_INHERIT = "inherit"
 
-#: Seed spellings that couple a section to the host machine; each one
-#: is a MAN004 determinism hazard.
+#: Seed spellings that couple a run to the host machine; each one is a
+#: MAN004 determinism hazard.
 UNSEEDED_SEED_VALUES = ("wall-clock", "random", "auto", "time", "now")
 
 
@@ -86,7 +89,7 @@ ROOT_FIELDS: Dict[str, Field] = {
     "description": _str(required=True),
     "topology": Field((dict,), True, "mapping"),
     "workload": Field((dict,), False, "mapping"),
-    "faults": Field((dict, list), False, "list or mapping"),
+    "faults": Field((list,), False, "list"),
     "run": Field((dict,), False, "mapping"),
     "hypotheses": Field((dict,), False, "mapping"),
 }
@@ -132,15 +135,7 @@ FEDERATION_WORKLOAD_FIELDS: Dict[str, Field] = {
     "min_iterations": _int(),
     "max_iterations": _int(),
     "tenant_quota_gpus": _int(),
-    "gpu_types": Field((list,), False, "list"),
-    "tenants": Field((list,), False, "list"),
-    "global_quota_gpus": _int(),
     "seed": _SEED,
-}
-
-TENANT_FIELDS: Dict[str, Field] = {
-    "name": _str(required=True),
-    "quota_gpus": _int(required=True),
 }
 
 #: An inline chaos injection step (federation adds ``cell``, drops
@@ -165,13 +160,6 @@ FEDERATION_STEP_FIELDS: Dict[str, Field] = {
 USE_STEP_FIELDS: Dict[str, Field] = {
     "use": _str(required=True),
     "shift_s": _num(),
-}
-
-#: ``faults:`` written as a mapping ({seed: ..., steps: [...]}); the
-#: bare-list shorthand is equivalent to {steps: [...]}.
-FAULTS_SECTION_FIELDS: Dict[str, Field] = {
-    "seed": _SEED,
-    "steps": Field((list,), True, "list"),
 }
 
 RUN_FIELDS: Dict[str, Field] = {
@@ -240,9 +228,11 @@ FEDERATION_COUNTERS = (
 #: Suffixes of the per-cell counters the federation report derives.
 FEDERATION_CELL_COUNTER_SUFFIXES = ("-jobs", "-completed")
 
-#: GPU types the federated trace generator has production weights for
-#: (:class:`~repro.workloads.federation_trace.FederationTraceConfig`).
-FEDERATION_TRACE_GPU_TYPES = ("K80", "V100")
+#: GPU types the federated trace generator has production weights for;
+#: a run draws from those some cell has
+#: (:meth:`~repro.chaos.federation.FederationTarget._gpu_type_mix`).
+FEDERATION_TRACE_GPU_TYPES = tuple(
+    gpu_type for gpu_type, _weight in FederationTraceConfig().gpu_type_mix)
 
 #: Largest learner shape the federated trace can draw per GPU type:
 #: the size mix tops out at 4 GPUs/learner x 4 learners, and >2-GPU

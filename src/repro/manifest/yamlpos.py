@@ -10,13 +10,16 @@ values: plain Python scalars/dicts/lists annotated with 1-based
 ``line`` and ``column``.
 
 Only the YAML subset manifests need is resolved (mappings, sequences,
-strings, ints, floats, booleans, null).  Anything more exotic stays a
+strings, ints, floats, booleans, null), with floats as YAML 1.2 reads
+them, so JSON (which :func:`repro.manifest.manifest_source` prints)
+loads as the numbers it wrote.  Anything more exotic stays a
 plain string scalar, which the schema checker then reports with a
 precise location instead of a parse crash.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -102,6 +105,11 @@ _SCALAR_CASTS = {
 
 _BOOL_TRUE = {"true", "yes", "on"}
 
+#: A float with an exponent and no dot (``1e-05``, as JSON and Python
+#: print them): YAML 1.2 reads it as a number, PyYAML's 1.1 resolver as
+#: a string.
+_EXPONENT_FLOAT_RE = re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$")
+
 
 def _scalar_value(node: yaml.ScalarNode) -> Any:
     tag = node.tag
@@ -109,6 +117,9 @@ def _scalar_value(node: yaml.ScalarNode) -> Any:
         return None
     if tag == "tag:yaml.org,2002:bool":
         return node.value.strip().lower() in _BOOL_TRUE
+    if tag == "tag:yaml.org,2002:str" and node.style is None \
+            and _EXPONENT_FLOAT_RE.match(node.value):
+        return float(node.value)
     cast = _SCALAR_CASTS.get(tag)
     if cast is None:
         return node.value  # unknown tag: keep the raw string

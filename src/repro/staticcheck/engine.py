@@ -89,11 +89,8 @@ def iter_manifest_files(root: Path) -> List[Path]:
 def _display(path: Path) -> str:
     """Repo-relative posix path when possible, else the path as given."""
     text = path.as_posix()
-    for marker in ("src/repro/", "scenarios/"):
-        index = text.rfind(marker)
-        if index >= 0:
-            return text[index:]
-    return text
+    index = text.rfind("src/repro/")
+    return text[index:] if index >= 0 else text
 
 
 def analyze_paths(paths: Iterable[Path], rules: Sequence = ALL_RULES,

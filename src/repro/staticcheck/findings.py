@@ -24,17 +24,17 @@ RULE_CATALOG = {
                "broad catch, or an Interrupt handler that does not "
                "re-raise on every path"),
     "MAN001": ("manifest schema violation: unknown field, wrong type, "
-               "or missing required field in a scenario manifest"),
+               "missing required field, or a brownout param outside "
+               "the range its target reads"),
     "MAN002": ("dangling manifest cross-reference: fault plan targets "
                "an undeclared node/cell/scenario, or a hypothesis "
                "names an unknown check or counter"),
     "MAN003": ("statically infeasible manifest: declared workload "
                "demand provably exceeds declared GPU/memory capacity "
-               "(bin-packing lower bound), or tenant quotas exceed "
-               "the global quota"),
-    "MAN004": ("manifest determinism hazard: unseeded trace/fault "
-               "section or absolute wall-clock timestamp in a "
-               "relative-time schedule"),
+               "(bin-packing lower bound)"),
+    "MAN004": ("manifest determinism hazard: unseeded workload or "
+               "absolute wall-clock timestamp in a relative-time "
+               "schedule"),
     "MAN005": ("dead or shadowed manifest declaration: fault past the "
                "run window or inside a blackout window of its own "
                "target, duplicate key, unreferenced topology block"),
@@ -101,8 +101,10 @@ RULE_EXPLANATIONS = {
         "scenario that silently runs something other than what was "
         "declared — a typo'd 'interarival_s' would leave the default "
         "in force.  The schema check rejects unknown fields, "
-        "mis-typed values, and missing required fields at the YAML "
-        "token that is wrong.  "
+        "mis-typed values, missing required fields, and a brownout "
+        "param its target would read as something else (an explicit 0 "
+        "is the default; a cell-brownout factor below 1 is a speed-up) "
+        "at the YAML token that is wrong.  "
         "Guards: a manifest that passes runs exactly the fields it "
         "declares, which is the contract of repro validate and of any "
         "scenario printed by a tool rather than a person.",
@@ -126,8 +128,8 @@ RULE_EXPLANATIONS = {
         "A gang that provably cannot fit the declared capacity queues "
         "forever; the run then 'passes' by measuring an idle cluster. "
         "A bin-packing lower bound (largest item vs largest bin, "
-        "total placeable learners) and quota-sum checks reject such "
-        "manifests before any sim event runs.  "
+        "total placeable learners) rejects such manifests before any "
+        "sim event runs.  "
         "Guards: an admitted manifest's demand can fit its declared "
         "capacity, so its queue times and pass verdicts describe a "
         "cluster that was able to run the work.",
@@ -138,12 +140,10 @@ RULE_EXPLANATIONS = {
     ),
     "MAN004": (
         "Scenario runs must replay byte-identically from a seed.  A "
-        "trace or fault section seeded from the wall clock, or an "
+        "workload seeded from the wall clock, or an "
         "absolute timestamp in a schedule that is otherwise relative "
         "seconds, couples the run to the host machine.  "
-        "Guards: deterministic replay, the manifest half of DET001; "
-        "the byte-identical parity between manifests and their Python "
-        "twins depends on it.",
+        "Guards: deterministic replay, the manifest half of DET001.",
         "workload:\n  seed: wall-clock",
         "workload:\n  seed: inherit   # derived from the run seed",
     ),

@@ -5,15 +5,15 @@ scenario manifest (:mod:`repro.manifest.yamlpos`) against the declared
 schema (:mod:`repro.manifest.schema`) *before a single sim event runs*:
 
 * **MAN001** — schema violations: unknown field, wrong type, missing
-  required field, invalid ``kind``;
+  required field, invalid ``kind``, a brownout ``param`` outside the
+  range its target reads;
 * **MAN002** — dangling cross-references: fault plans targeting
   nodes/cells the topology never declares, ``use:`` references to
   unknown scenarios, hypotheses naming unknown checks or counters;
 * **MAN003** — static infeasibility: workload demand provably exceeding
-  declared GPU/memory capacity (bin-packing lower bound), per-tenant
-  quota sums exceeding the global quota;
-* **MAN004** — determinism hazards: unseeded trace/fault sections,
-  absolute wall-clock timestamps in a relative-time schedule;
+  declared GPU/memory capacity (bin-packing lower bound);
+* **MAN004** — determinism hazards: an unseeded workload, absolute
+  wall-clock timestamps in a relative-time schedule;
 * **MAN005** — dead or shadowed declarations: faults scheduled after
   the observation window, faults inside a whole-cell blackout (or
   node-crash) window of their own target, duplicate mapping keys,
@@ -32,7 +32,13 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos import CellDef, NodeGroup, SCENARIOS
+from repro.chaos import (
+    CellDef,
+    FederationScenario,
+    NodeGroup,
+    SCENARIOS,
+    Scenario,
+)
 from repro.manifest.schema import (
     CHAOS_COUNTERS,
     CHAOS_STEP_FIELDS,
@@ -41,7 +47,6 @@ from repro.manifest.schema import (
     CELL_FIELDS,
     COUNTER_ASSERTION_FIELDS,
     CounterAssertion,
-    FAULTS_SECTION_FIELDS,
     FEDERATION_CELL_COUNTER_SUFFIXES,
     FEDERATION_COUNTERS,
     FEDERATION_MAX_SHAPE,
@@ -58,7 +63,6 @@ from repro.manifest.schema import (
     ROOT_FIELDS,
     RUN_FIELDS,
     SEED_INHERIT,
-    TENANT_FIELDS,
     USE_STEP_FIELDS,
     known_fault_kinds,
     known_hypotheses,
@@ -68,8 +72,21 @@ from repro.manifest.yamlpos import YamlNode, YamlPosError, \
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 from repro.staticcheck.suppress import apply_suppressions
 
-#: Default observation windows (mirror the scenario dataclass defaults).
-_DEFAULT_WINDOW = {"chaos": (900.0, 240.0), "federation": (1500.0, 600.0)}
+#: Default observation windows: the scenario dataclass defaults.
+_DEFAULT_WINDOW = {scenario_type.kind: (scenario_type.horizon_s,
+                                        scenario_type.settle_s)
+                   for scenario_type in (Scenario, FederationScenario)}
+
+#: Fault kinds whose target reads ``param``, the values that mean what
+#: they say, and what they mean.  The targets read ``param or default``,
+#: so an explicit 0 silently means the default, and a cell-brownout
+#: factor below 1 speeds the cell up.
+_PARAM_RANGES = {
+    "cell-brownout": (lambda param: param > 1,
+                      "a latency inflation factor > 1"),
+    "oss-brownout": (lambda param: 0 < param <= 1,
+                     "a bandwidth fraction in (0, 1]"),
+}
 
 #: An absolute date(-time) literal — a wall-clock anchor in a schedule
 #: that is otherwise entirely relative seconds.
@@ -313,48 +330,8 @@ class _Analysis:
         for key, child in node.items():
             if key in fields and _matches(child.value, fields[key]):
                 self._workload[key] = child.value
-        self._check_seed(node, "workload")
+        self._check_seed(node)
         self._check_wallclock(node, "workload")
-        if self.kind == "federation":
-            self._walk_tenants(node.get("tenants"))
-            self._walk_gpu_types(node.get("gpu_types"))
-
-    def _walk_tenants(self, node: Optional[YamlNode]) -> None:
-        if node is None or not node.is_sequence:
-            return
-        tenants = []
-        for tenant in node:
-            if not tenant.is_mapping:
-                self._emit("MAN001", tenant, 0,
-                           "workload.tenants entry must be a mapping")
-                continue
-            self._check_mapping(tenant, TENANT_FIELDS,
-                                "workload.tenants entry")
-            name = self._typed(tenant, "name", TENANT_FIELDS)
-            quota = self._typed(tenant, "quota_gpus", TENANT_FIELDS)
-            if name is not None and quota is not None:
-                tenants.append((name, quota, tenant))
-        self._workload["_tenants"] = tenants
-
-    def _walk_gpu_types(self, node: Optional[YamlNode]) -> None:
-        if node is None or not node.is_sequence:
-            return
-        declared = []
-        for item in node:
-            if not item.is_scalar or not isinstance(item.value, str):
-                self._emit("MAN001", item, 0,
-                           "workload.gpu_types entries must be strings")
-                continue
-            if item.value not in FEDERATION_TRACE_GPU_TYPES:
-                self._emit(
-                    "MAN002", item, 0,
-                    f"workload.gpu_types names {item.value!r}, which "
-                    f"the trace generator has no production weights "
-                    f"for; known: "
-                    f"{', '.join(FEDERATION_TRACE_GPU_TYPES)}")
-                continue
-            declared.append(item.value)
-        self._workload["_gpu_types"] = declared
 
     def _walk_run(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_mapping:
@@ -364,24 +341,10 @@ class _Analysis:
         self._settle = self._typed(node, "settle_s", RUN_FIELDS)
 
     def _walk_faults(self, node: Optional[YamlNode]) -> None:
-        if node is None:
-            return
-        steps: Optional[YamlNode]
-        if node.is_mapping:
-            self._check_mapping(node, FAULTS_SECTION_FIELDS, "faults")
-            self._check_seed(node, "faults")
-            self._check_wallclock(node, "faults")
-            steps = node.get("steps")
-            if steps is not None and not steps.is_sequence:
-                steps = None
-        elif node.is_sequence:
-            self._check_wallclock(node, "faults")
-            steps = node
-        else:
-            return  # MAN001 already reported by the root walk
-        if steps is None:
-            return
-        for step in steps:
+        if node is None or not node.is_sequence:
+            return  # a wrong type is MAN001 from the root walk
+        self._check_wallclock(node, "faults")
+        for step in node:
             if not step.is_mapping:
                 self._emit("MAN001", step, 0,
                            "faults entry must be a mapping")
@@ -431,6 +394,13 @@ class _Analysis:
                     "MAN002", node, 0,
                     f"fault targets undeclared cell {cell!r}; "
                     f"declared: {', '.join(sorted(declared_cells))}")
+        param = self._typed(step, "param", fields)
+        if param is not None and kind in _PARAM_RANGES:
+            in_range, meaning = _PARAM_RANGES[kind]
+            if not in_range(param):
+                self._emit("MAN001", step.get("param"), 0,
+                           f"{kind} param {param!r} is out of range: it "
+                           f"is {meaning}")
         if at_s is None or kind is None:
             return
         self._steps.append(_FaultStep(
@@ -439,7 +409,7 @@ class _Analysis:
                 cell=cell or "",
                 duration_s=float(self._typed(step, "duration_s",
                                              fields, 0.0)),
-                param=float(self._typed(step, "param", fields, 0.0))),
+                param=float(param or 0.0)),
             step.line, step.column))
 
     def _walk_use_step(self, step: YamlNode) -> None:
@@ -536,8 +506,8 @@ class _Analysis:
 
     # -- MAN004 -------------------------------------------------------------
 
-    def _check_seed(self, node: YamlNode, section: str) -> None:
-        seed = node.get("seed")
+    def _check_seed(self, workload: YamlNode) -> None:
+        seed = workload.get("seed")
         if seed is None:
             return
         value = seed.value
@@ -546,9 +516,9 @@ class _Analysis:
                  and value != SEED_INHERIT):
             self._emit(
                 "MAN004", seed, 0,
-                f"{section}.seed {value!r} is not deterministic; use "
+                f"workload.seed {value!r} is not deterministic; use "
                 f"an integer or 'inherit' (derive from the run seed)")
-        elif isinstance(value, int) and section == "workload":
+        elif isinstance(value, int):
             self._seed_override = value
 
     def _check_wallclock(self, node: YamlNode, section: str) -> None:
@@ -574,7 +544,6 @@ class _Analysis:
             self._check_chaos_capacity()
         else:
             self._check_federation_capacity()
-            self._check_quota_sums()
 
     def _anchor(self) -> YamlNode:
         """Workload section if declared, else topology, else root."""
@@ -624,10 +593,10 @@ class _Analysis:
                     f"declared node has {max_memory:g} GB")
 
     def _effective_gpu_types(self) -> List[str]:
+        """The GPU types the run's trace draws: those it has weights
+        for that some cell has."""
         available = {c.gpu_type for c, _node in self._cells}
-        declared = self._workload.get("_gpu_types")
-        pool = declared if declared else FEDERATION_TRACE_GPU_TYPES
-        return [t for t in pool if t in available]
+        return [t for t in FEDERATION_TRACE_GPU_TYPES if t in available]
 
     def _check_federation_capacity(self) -> None:
         if not self._cells:
@@ -663,19 +632,6 @@ class _Analysis:
             return False
         per_node = cell.gpus_per_node // per_learner
         return math.ceil(learners / per_node) <= cell.gpu_nodes
-
-    def _check_quota_sums(self) -> None:
-        tenants = self._workload.get("_tenants") or []
-        global_quota = self._workload.get("global_quota_gpus")
-        if not tenants or global_quota is None:
-            return
-        total = sum(quota for _name, quota, _node in tenants)
-        if total > global_quota:
-            first = tenants[0][2]
-            self._emit(
-                "MAN003", first, 0,
-                f"per-tenant quotas sum to {total} GPUs, exceeding "
-                f"the declared global quota of {global_quota}")
 
     # -- MAN005 -------------------------------------------------------------
 
@@ -758,8 +714,7 @@ class _Analysis:
             description=str(root.scalar("description", "")),
             node_groups=tuple(g for g, _node in self._node_groups),
             cells=tuple(c for c, _node in self._cells),
-            workload={k: v for k, v in self._workload.items()
-                      if not k.startswith("_")},
+            workload=dict(self._workload),
             faults=tuple(sorted(
                 (s.entry for s in self._steps),
                 key=lambda e: (e.at_s, e.kind, e.target, e.cell))),
@@ -772,7 +727,7 @@ class _Analysis:
 
 
 def _resolve_use(name: str, kind: str):
-    """Steps of the named builtin scenario of this ``kind``, as
+    """Steps of the named scenario of this ``kind``, as
     FaultEntry records; ``None`` when there is no such scenario."""
     scenario = SCENARIOS.get(name)
     if scenario is None or scenario.kind != kind:

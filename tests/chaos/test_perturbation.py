@@ -8,7 +8,6 @@ order the kernel happens to pick between same-``(time, priority)``
 events — a modelling bug, not chaos.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -16,7 +15,7 @@ import pytest
 from repro.chaos import SCENARIOS, get_scenario
 from repro.chaos.cli import main
 from repro.chaos.engine import ChaosEngine
-from repro.manifest import schema
+from repro.manifest import manifest_source, schema
 from repro.staticcheck.manifest import analyze_manifest
 
 from tests.golden import check, next_draw
@@ -119,22 +118,16 @@ def test_manifests_may_assert_every_counter_and_hypothesis_reported(name):
     """MAN002 rejects a counter or check the report "will never carry":
     its catalogs must know everything a report does carry."""
     scenario, report = get_scenario(name), baseline(name)
-    topology = {"cells": [dataclasses.asdict(cell)
-                          for cell in scenario.cells]} \
-        if scenario.kind == "federation" \
-        else {"nodes": [dataclasses.asdict(group)
-                        for group in scenario.nodes]}
     checks = [h.name for h in report.hypotheses
               if h.phase == "steady-state:after"]
-    # JSON is YAML: the analyzer reads this as it reads scenarios/*.yaml.
-    source = json.dumps({
-        "kind": scenario.kind, "name": name,
-        "description": "catalog probe",
-        "topology": topology,
-        "hypotheses": {"checks": checks,
-                       "counters": [{"name": counter, "min": 0}
-                                    for counter in report.counters]}})
-    findings, _suppressed, _model = analyze_manifest(source)
+    # The printed manifest is JSON, so the probe adds its hypotheses
+    # section as JSON too.
+    document = json.loads(manifest_source(scenario))
+    document["hypotheses"] = {
+        "checks": checks,
+        "counters": [{"name": counter, "min": 0}
+                     for counter in report.counters]}
+    findings, _suppressed, _model = analyze_manifest(json.dumps(document))
     assert [finding.render() for finding in findings] == []
     assert tuple(checks) == schema.known_hypotheses(scenario.kind)
 

@@ -1,16 +1,19 @@
-"""Unit tests for the manifest compiler: gating, lowering, verify."""
+"""Unit tests for the manifest compiler: gating, lowering, printing,
+verify."""
 
 import textwrap
 
 import pytest
 
-from repro.chaos.engine import Scenario
+from repro.chaos import SCENARIOS
+from repro.chaos.engine import InjectionStep, Scenario
 from repro.manifest import (
     ManifestError,
     compile_manifest,
     compile_manifest_file,
-    discover_manifests,
+    manifest_source,
 )
+from repro.staticcheck.manifest import analyze_manifest
 
 MINIMAL_CHAOS = textwrap.dedent("""\
     kind: chaos
@@ -20,6 +23,30 @@ MINIMAL_CHAOS = textwrap.dedent("""\
       nodes:
         - {count: 4, gpus_per_node: 4, gpu_type: K80}
     """)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_manifest_source_round_trips(name):
+    """Each scenario is defined once, in Python; its printed manifest
+    lints clean and compiles back to the same dataclass."""
+    scenario = SCENARIOS[name]
+    source = manifest_source(scenario)
+    findings, _suppressed, _model = analyze_manifest(source, name)
+    assert [finding.render() for finding in findings] == []
+    assert compile_manifest(source, name).scenario == scenario
+
+
+def test_manifest_source_round_trips_exponent_floats():
+    # Python and JSON print 1e-05 without a dot, which PyYAML's own
+    # resolver would read as a string.
+    scenario = Scenario(
+        name="tiny-times", description="exponent floats",
+        steps=(InjectionStep(at_s=1e-05, kind="etcd-leader-kill",
+                             duration_s=2e+16),),
+        horizon_s=1e+20)
+    source = manifest_source(scenario)
+    assert '"at_s": 1e-05' in source
+    assert compile_manifest(source).scenario == scenario
 
 
 def test_compile_rejects_manifests_with_findings():
@@ -117,13 +144,59 @@ def test_verify_checks_counter_bounds():
     assert "write-errors=5" in results[0].detail
 
 
-def test_discover_manifests_skips_fixtures_and_reads_names(tmp_path):
-    (tmp_path / "real.yaml").write_text(
-        "kind: chaos\nname: my-scenario\ndescription: \"x\"\n"
-        "topology: {nodes: []}\n")
-    (tmp_path / "fix.yaml").write_text(
-        "# staticcheck: fixture\nkind: chaos\nname: fixture-scenario\n")
-    (tmp_path / "broken.yaml").write_text("kind: [unclosed\n")
-    found = discover_manifests(tmp_path)
-    assert set(found) == {"my-scenario", "broken"}
-    assert found["my-scenario"] == tmp_path / "real.yaml"
+@pytest.mark.parametrize("field, value", [
+    ("gpu_types", "[K80]"),
+    ("tenants", "[{name: team-a, quota_gpus: 8}]"),
+    ("global_quota_gpus", "16"),
+])
+def test_fields_nothing_lowers_are_unknown(field, value):
+    """A federation workload accepts only what its scenario reads."""
+    source = textwrap.dedent(f"""\
+        kind: federation
+        name: fed
+        description: "one cell"
+        topology:
+          cells:
+            - {{name: cell-a, zone: z, gpu_nodes: 4, gpus_per_node: 4,
+               gpu_type: K80}}
+        workload:
+          {field}: {value}
+        """)
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(source, "fed.yaml")
+    assert [finding.render() for finding in excinfo.value.findings] == [
+        f"fed.yaml:9:3: MAN001 unknown field {field!r} in workload"]
+
+
+def test_faults_mapping_form_is_gone():
+    source = MINIMAL_CHAOS + textwrap.dedent("""\
+        faults:
+          seed: inherit
+          steps:
+            - {at_s: 10.0, kind: etcd-leader-kill}
+        """)
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(source, "mapping.yaml")
+    assert [finding.render() for finding in excinfo.value.findings] == [
+        "mapping.yaml:8:3: MAN001 field 'faults' in manifest root "
+        "expects list, got mapping"]
+
+
+def test_a_cell_brownout_that_speeds_the_cell_up_is_rejected():
+    source = textwrap.dedent("""\
+        kind: federation
+        name: fed
+        description: "one cell"
+        topology:
+          cells:
+            - {name: cell-a, zone: z, gpu_nodes: 4, gpus_per_node: 4,
+               gpu_type: K80}
+        faults:
+          - {at_s: 100.0, kind: cell-brownout, cell: cell-a,
+             duration_s: 200.0, param: 0.5}
+        """)
+    with pytest.raises(ManifestError) as excinfo:
+        compile_manifest(source, "fast.yaml")
+    assert [finding.render() for finding in excinfo.value.findings] == [
+        "fast.yaml:10:32: MAN001 cell-brownout param 0.5 is out of "
+        "range: it is a latency inflation factor > 1"]

@@ -1,12 +1,18 @@
-"""``repro validate <manifest> [--run]`` and the chaos CLI registry."""
+"""``repro validate <manifest> [--run]`` and the chaos CLI's names."""
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
+from repro.chaos import get_scenario
 from repro.chaos.cli import main as chaos_main
 from repro.cli import main as repro_main
+from repro.manifest import manifest_source
 
-SCENARIO_DIR = Path(__file__).resolve().parents[2] / "scenarios"
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN_MANIFEST = ROOT / "tests" / "staticcheck" / "fixtures" / \
+    "golden_manifest.yaml"
 
 #: Small enough to run as part of the unit suite (~1s simulated setup).
 TINY_CHAOS = textwrap.dedent("""\
@@ -31,8 +37,9 @@ TINY_CHAOS = textwrap.dedent("""\
     """)
 
 
-def test_validate_clean_manifest_exits_zero(capsys):
-    path = SCENARIO_DIR / "etcd-leader-kill.yaml"
+def test_validate_clean_manifest_exits_zero(tmp_path, capsys):
+    path = tmp_path / "etcd-leader-kill.yaml"
+    path.write_text(manifest_source(get_scenario("etcd-leader-kill")))
     assert repro_main(["validate", str(path)]) == 0
     out = capsys.readouterr().out
     assert "static pass clean" in out
@@ -75,12 +82,40 @@ def test_validate_run_fails_on_impossible_assertion(tmp_path, capsys):
     assert "run FAIL" in out
 
 
-def test_chaos_list_shows_manifest_origins(capsys):
+def test_validate_run_passes_on_the_golden_manifest(capsys):
+    """The golden fixture lints clean *and* its run passes: a brownout
+    factor below 1 used to speed the cell up, so no brownout was ever
+    classified and the recovery timed out."""
+    assert repro_main(["validate", str(GOLDEN_MANIFEST), "--run"]) == 0
+    assert "run PASS" in capsys.readouterr().out
+
+
+def test_chaos_list_tags_kinds_without_origins(capsys):
     assert chaos_main(["--list"]) == 0
     out = capsys.readouterr().out
-    assert "etcd-leader-kill (builtin+manifest:" in out
-    assert "federation-brownout-migration (builtin+manifest:" in out
-    assert "[federation]" in out
+    assert "etcd-leader-kill: Kill the Raft leader" in out
+    assert "federation-brownout-migration: [federation] Three cells" in out
+    assert "manifest" not in out and "builtin" not in out
+
+
+def test_chaos_cli_needs_no_pyyaml():
+    """Listing and running named scenarios never reads YAML."""
+    probe = textwrap.dedent("""\
+        import sys
+        sys.modules["yaml"] = None
+        from repro.chaos import SCENARIOS
+        from repro.chaos.cli import main
+        from tests.chaos.test_engine import TINY
+        SCENARIOS["tiny"] = TINY
+        assert main(["--list"]) == 0
+        sys.exit(main(["--scenario", "tiny", "--no-audit"]))
+        """)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT}"},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    assert result.returncode == 0, result.stdout
+    assert "chaos scenario 'tiny' seed=0 tiebreak=0: PASS" in result.stdout
 
 
 def test_chaos_unknown_scenario_exits_two(capsys):

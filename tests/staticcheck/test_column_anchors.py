@@ -10,7 +10,7 @@ import json
 from repro.staticcheck.cli import render_github, render_sarif
 from repro.staticcheck.findings import Finding
 
-YAML_FINDING = Finding("MAN002", "scenarios/demo.yaml", 14,
+YAML_FINDING = Finding("MAN002", "demo.yaml", 14,
                        "fault targets undeclared node 'node-K80-9'",
                        column=38)
 PY_FINDING = Finding("DET001", "src/repro/sim/clock.py", 7,
@@ -18,14 +18,14 @@ PY_FINDING = Finding("DET001", "src/repro/sim/clock.py", 7,
 
 
 def test_finding_location_renders_column_when_known():
-    assert YAML_FINDING.location == "scenarios/demo.yaml:14:38"
+    assert YAML_FINDING.location == "demo.yaml:14:38"
     assert PY_FINDING.location == "src/repro/sim/clock.py:7"
 
 
 def test_github_format_carries_column_for_manifest_findings():
     out = render_github([YAML_FINDING, PY_FINDING], [])
     lines = out.splitlines()
-    assert lines[0] == ("::error file=scenarios/demo.yaml,line=14,"
+    assert lines[0] == ("::error file=demo.yaml,line=14,"
                         "col=38,title=staticcheck MAN002::fault targets "
                         "undeclared node 'node-K80-9'")
     assert lines[1] == ("::error file=src/repro/sim/clock.py,line=7,"
@@ -45,14 +45,3 @@ def test_sarif_format_carries_start_column_for_manifest_findings():
         "physicalLocation"]["region"]
     assert suppressed_region == {"startLine": 14, "startColumn": 38}
 
-
-def test_repo_scenarios_are_strict_clean():
-    """The shipped scenarios/ directory must lint clean — the same
-    invariant CI enforces with --strict."""
-    from pathlib import Path
-
-    from repro.staticcheck import analyze_paths
-
-    scenario_dir = Path(__file__).resolve().parents[2] / "scenarios"
-    findings, _suppressed = analyze_paths([scenario_dir])
-    assert findings == []

@@ -1,8 +1,7 @@
-"""``src/repro`` takes no behaviour switch from the process environment.
+"""``src/repro`` reads nothing from the process environment.
 
-A simulation must be a function of its arguments and seed.  The one
-read that stays is a deployment setting: ``REPRO_SCENARIO_DIR`` in
-``manifest/compiler.py`` is a path.
+A simulation must be a function of its arguments and seed, and a
+scenario is named by its Python definition, not found on a path.
 """
 
 import ast
@@ -10,7 +9,6 @@ from pathlib import Path
 
 import repro
 
-ALLOWED = {"manifest/compiler.py"}
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -25,9 +23,9 @@ def reads_environment(tree: ast.AST) -> bool:
     return False
 
 
-def test_only_the_manifest_compiler_reads_the_environment():
+def test_no_module_reads_the_environment():
     root = Path(repro.__file__).parent
     readers = {path.relative_to(root).as_posix()
                for path in sorted(root.rglob("*.py"))
                if reads_environment(ast.parse(path.read_text()))}
-    assert readers == ALLOWED
+    assert readers == set()
