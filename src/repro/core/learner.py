@@ -156,6 +156,7 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
             # checkpoint load.  Otherwise, resume from the newest
             # checkpoint in the results bucket (or start over).
             ps_progress = None
+            saved = None  # the checkpoint this run has loaded or written
             if manifest.parameter_servers > 0:
                 recorded = ctx.volume.read(ctx.progress_path(index))
                 if recorded is not None:
@@ -171,7 +172,7 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
                     obj_key = checkpoint_key(ctx.job_id, index, resume_at)
                     yield ctx.result_mount.read(obj_key)
                     state.checkpoints_loaded += 1
-                    state.iterations_done = resume_at
+                    state.iterations_done = saved = resume_at
                     container.log(
                         f"resumed from checkpoint iter={resume_at}")
                 else:
@@ -203,7 +204,8 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
                     # User-driven HALT: checkpoint current progress so
                     # RESUME continues from here, then stop cleanly.
                     if manifest.checkpoint_interval_iterations and \
-                            state.iterations_done:
+                            state.iterations_done and \
+                            state.iterations_done != saved:
                         key = checkpoint_key(ctx.job_id, index,
                                              state.iterations_done)
                         yield ctx.result_mount.write(
@@ -241,14 +243,13 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
                     (iters_per_object * manifest.dataset_objects)
                 ctx.volume.write(ctx.progress_path(index),
                                  str(state.iterations_done))
-                # -- periodic checkpoint ------------------------------
+                # -- periodic checkpoint, when a chunk crosses a multiple --
                 interval = manifest.checkpoint_interval_iterations
-                if interval and state.iterations_done % interval < \
-                        CHUNK_ITERATIONS and state.iterations_done >= \
-                        interval:
-                    ckpt_iter = (state.iterations_done // interval) \
-                        * interval
-                    key = checkpoint_key(ctx.job_id, index, ckpt_iter)
+                done = state.iterations_done
+                if interval and \
+                        done // interval > (done - chunk) // interval:
+                    saved = done // interval * interval
+                    key = checkpoint_key(ctx.job_id, index, saved)
                     yield ctx.result_mount.write(
                         key, manifest.checkpoint_bytes)
                     state.checkpoints_written += 1
