@@ -514,6 +514,7 @@ class FfDLPlatform:
             compute_slowdown=self.config.compute_slowdown)
         ctx.halt_requested = (lambda: self.etcd_store().get(
             halt_key(job.job_id)) is not None)
+        ctx.watch_halt = lambda: self.etcd_store().watch(halt_key(job.job_id))
         states = job.learner_states
 
         def dispatching_workload(container):

@@ -72,9 +72,11 @@ class NFSVolume:
         return sum(len(content) for content in self._files.values())
 
     def release(self) -> None:
-        """Tear the volume down (Guardian garbage collection)."""
+        """Tear the volume down (Guardian garbage collection); the
+        subscribers hear it as a change of the root path ``""``."""
         self.released = True
         self._files.clear()
+        self._changed("")
 
     def _check_live(self) -> None:
         if self.released:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, repeat
-from math import inf
+from math import inf, nextafter
 from typing import Optional
 
 from repro.errors import NoSuchObjectError, ObjectStorageUnavailableError
@@ -113,67 +113,176 @@ class MountCache:
         return self.hits / total if total else 0.0
 
 
-class _HitRun:
-    """Consecutive cache hits by one reader on one timer, not one each.
+class _Fetch:
+    """The plan of a plain ``read_all`` run: one chunk that reads the
+    ring once in order, and no compute after it."""
 
-    Read *j* is issued at ``times[j]`` and the run ends at ``times[n]``,
-    each ``cached_read_latency_s`` after the one before **by repeated
-    addition** - the additions the kernel makes for a ``Timeout`` per
-    hit; ``t0 + j * latency`` is another float.  Stamps, ``hits``,
-    ``reads`` and ``bytes_read`` move when the timer fires, or earlier
-    if the cache has to settle.
+    __slots__ = ("count",)
+
+    chunks = 1
+    overlap = 0.0
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def chunk(self, chunk: int) -> tuple:
+        return 0, self.count, 0.0
+
+
+class _HitRun:
+    """Cache hits by one reader, in chunks, on one timer, not one each.
+
+    The reader's objects are a *ring* (``entries``, ``sizes``); a
+    ``plan`` says which of them each chunk reads and how long the reader
+    computes after it: ``plan.chunk(c)`` is ``(first, count,
+    compute_s)``, reading positions ``first .. first + count - 1``
+    modulo the ring.  Chunk *c*'s reads are issued from its start
+    ``T_c``, each ``cached_read_latency_s`` after the one before **by
+    repeated addition** - the additions the kernel makes for a
+    ``Timeout`` per hit; ``t0 + j * latency`` is another float - and its
+    fetch ends one latency after the last, at ``F_c``.  The next chunk
+    starts at ``F_c + max(0.0, compute_s - plan.overlap * (F_c - T_c))``,
+    the compute less the part of the fetch it hides, as a reader's
+    ``Timeout`` would end.  A plain ``read_all`` is one chunk and no
+    compute (:class:`_Fetch`).  The run ends at ``stop``, a ``(chunk,
+    read)`` position: after the last chunk, or earlier if cut.  Stamps,
+    ``hits``, ``reads`` and ``bytes_read`` move when the timer fires,
+    or earlier if the cache or the reader has to settle; settling walks
+    the chain once per chunk and writes one stamp per ring position, so
+    a run's state is O(ring) however many reads it makes.
     """
 
-    __slots__ = ("mount", "entries", "objs", "times", "serial", "applied",
-                 "timer", "done")
+    __slots__ = ("mount", "entries", "sizes", "plan", "serial", "stop",
+                 "chunk", "issued", "t", "start", "reads", "timer", "done")
 
     #: KernelProfiler site family of the firing callback.
     name = "mount-hit"
 
-    def __init__(self, mount: "BucketMount", entries: list, objs: list):
+    def __init__(self, mount: "BucketMount", entries: list, objs: list,
+                 plan):
         self.mount = mount
         self.entries = entries
-        self.objs = objs
-        now, self.serial = mount.cache._stamp(mount.env.now, len(entries))
-        self.times = list(accumulate(
-            repeat(mount.cached_read_latency_s, len(entries)), initial=now))
-        self.applied = 0
+        self.sizes = [obj.size_bytes for obj in objs]
+        self.plan = plan
+        now, self.serial = mount.cache._stamp(mount.env.now,
+                                              plan.chunks * len(entries))
+        #: Settled position: ``issued`` reads of chunk ``chunk`` (which
+        #: started at ``start``) are applied, and ``t`` is when the next
+        #: read is issued - or, all issued, when the fetch ends.
+        self.chunk, self.issued, self.t, self.start = 0, 0, now, now
+        self.reads = 0  # applied so far
+        self.stop = (plan.chunks, 0)
         #: Resolves with the number of reads served.
         self.done = Event(mount.env)
         mount.cache._runs[self] = None
         self._arm()
-        self.apply(self.times[1])  # read 0, and only it, is issued now
+        self.apply(nextafter(now, inf))  # the reads issued now, by the reader
+
+    def _walk(self, before: float, stop: tuple, visit=None) -> tuple:
+        """Follow the chain from the settled position to ``stop``,
+        halting at the first read or chunk end at or after ``before``,
+        or when ``visit(chunk, first, from, to, t_from)``, called with
+        each chunk's reads passed, returns true.  Returns the position
+        reached."""
+        plan, latency = self.plan, self.mount.cached_read_latency_s
+        chunk, issued, t, start = self.chunk, self.issued, self.t, self.start
+        stop_chunk, stop_read = stop
+        while chunk < stop_chunk or issued < stop_read:
+            first, count, compute_s = plan.chunk(chunk)
+            last = count if chunk < stop_chunk else stop_read
+            begun, t_begun = issued, t
+            while issued < last and t < before:
+                t += latency
+                issued += 1
+            if visit is not None and issued > begun and \
+                    visit(chunk, first, begun, issued, t_begun):
+                break
+            if issued < last or chunk == stop_chunk:
+                break
+            end = t + max(0.0, compute_s - plan.overlap * (t - start))
+            if not end < before:
+                break
+            chunk, issued, t, start = chunk + 1, 0, end, end
+        return chunk, issued, t, start
 
     def _arm(self) -> None:
-        self.timer = self.mount.env.timeout_at(self.times[len(self.entries)])
+        self.timer = self.mount.env.timeout_at(self._walk(inf, self.stop)[2])
         self.timer.callbacks.append(self._fire)
 
     def _fire(self, timer: Event) -> None:
-        if timer is self.timer:  # else superseded by a cut, or cancelled
+        if timer is self.timer:  # else superseded by an earlier end
             self.apply()
             del self.mount.cache._runs[self]
-            self.done.succeed(len(self.entries))
+            self.done.succeed(self.reads)
 
     def apply(self, before: float = inf) -> None:
-        """Apply the reads issued strictly before ``before``."""
-        mount, entries, times = self.mount, self.entries, self.times
-        upto = self.applied
-        while upto < len(entries) and times[upto] < before:
-            entry, stamp = entries[upto], (times[upto], self.serial + upto)
+        """Apply the reads issued, and end the chunks that end,
+        strictly before ``before``."""
+        mount, entries, sizes = self.mount, self.entries, self.sizes
+        ring = len(entries)
+        # Per ring position, the reads of the chunk that used it last:
+        # only that use can raise the entry's stamp.
+        last = {}
+        bytes_read, serial = mount.bytes_read, self.serial + self.reads
+
+        def visit(_chunk, first, begun, issued, t):
+            nonlocal bytes_read, serial
+            reads = (first, begun, issued, t, serial)
+            for read in range(begun, issued):
+                position = (first + read) % ring
+                bytes_read += sizes[position]
+                last[position] = reads
+            serial += issued - begun
+
+        self.chunk, self.issued, self.t, self.start = \
+            self._walk(before, self.stop, visit)
+        count = serial - self.serial - self.reads
+        self.reads += count
+        mount.reads += count
+        mount.cache.hits += count
+        mount.bytes_read = bytes_read
+        latency, timelines = mount.cached_read_latency_s, {}
+        for position, reads in last.items():
+            first, begun, issued, t, base = reads
+            times = timelines.get(reads)
+            if times is None:
+                times = timelines[reads] = list(accumulate(
+                    repeat(latency, issued - begun - 1), initial=t))
+            read = (position - first) % ring - begun
+            entry, stamp = entries[position], (times[read], base + read)
             if stamp > entry.stamp:
                 entry.stamp = stamp
-            mount.bytes_read += self.objs[upto].size_bytes
-            upto += 1
-        mount.reads += upto - self.applied
-        mount.cache.hits += upto - self.applied
-        self.applied = upto
+
+    def _end_at(self, stop: tuple) -> None:
+        if stop < self.stop:
+            self.stop = stop
+            self._arm()
 
     def cut(self, entry: _Entry) -> None:
         """``entry`` left the cache: a read of it still ahead is a miss,
         so the run ends when that read is issued."""
-        if entry in self.entries[self.applied:]:
-            del self.entries[self.entries.index(entry, self.applied):]
-            self._arm()
+        if entry not in self.entries:
+            return
+        entries, ring = self.entries, len(self.entries)
+
+        def visit(chunk, first, begun, issued, _t):
+            for read in range(begun, issued):
+                if entries[(first + read) % ring] is entry:
+                    self._end_at((chunk, read))
+                    return True
+            return False
+
+        self._walk(inf, self.stop, visit)
+
+    def end_at_next_chunk(self) -> None:
+        """Something the reader looks at between chunks changed: the run
+        ends where the next chunk starts.  (Settled to now, the chunk in
+        progress has begun: a chunk that starts before now has issued its
+        first read, and the first chunk began with the run.)"""
+        if self.done.triggered or self.timer is None:
+            return
+        self.apply(self.mount.env.now)
+        self._end_at((self.chunk + 1, 0))
 
     def cancel(self) -> None:
         """The reader was interrupted: reads issued before now happened,
@@ -288,16 +397,39 @@ class BucketMount:
         if self.cache is None or len(keys) - start < 2 or \
                 (self.bucket, keys[start]) not in self.cache._entries:
             return None  # the last is the usual reason; then any bucket exists
+        entries, objs = self._cached(keys[start:])
+        return _HitRun(self, entries, objs, _Fetch(len(entries))) \
+            if len(entries) > 1 else None
+
+    def _cached(self, keys) -> tuple:
+        """Cache entries and stored objects of the longest prefix of
+        ``keys`` that is cached and stored right now."""
         cached = self.cache._entries.get
         stored = self.service.bucket(self.bucket)._objects.get
         entries, objs = [], []
-        for key in keys[start:]:
+        for key in keys:
             entry, obj = cached((self.bucket, key)), stored(key)
             if entry is None or obj is None:
                 break
             entries.append(entry)
             objs.append(obj)
-        return _HitRun(self, entries, objs) if len(entries) > 1 else None
+        return entries, objs
+
+    def cached(self, keys) -> bool:
+        """Whether every key is cached and stored right now."""
+        return self.cache is not None and \
+            len(self._cached(keys)[0]) == len(keys)
+
+    def stretch(self, keys, plan) -> Optional[_HitRun]:
+        """A run that reads the ring ``keys`` in ``plan``'s chunks (see
+        :class:`_HitRun`), or None unless every key is cached and stored
+        right now.  Wait on its ``done``; an ``Interrupt`` meanwhile
+        must ``cancel`` it."""
+        if self.cache is None:
+            return None
+        entries, objs = self._cached(keys)
+        return _HitRun(self, entries, objs, plan) \
+            if len(entries) == len(keys) else None
 
     def write(self, key: str, size_bytes: float, payload=None) -> Event:
         """Write a file through to the bucket (checkpoints, results)."""

@@ -37,6 +37,7 @@ def start_learner(iterations, interval, checkpoint_bytes=1e6):
         data_mount=BucketMount(env, oss, "data", cache=MountCache(1e12)),
         result_mount=BucketMount(env, oss, "results"))
     ctx.halt_requested = lambda: etcd.get(halt_key("job-x")) is not None
+    ctx.watch_halt = lambda: etcd.watch(halt_key("job-x"))
     state = LearnerState(index=0)
     container = Container(env, Image("learner"), "learner-0",
                           make_learner_workload(ctx, state))
