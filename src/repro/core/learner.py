@@ -218,8 +218,9 @@ class _Chunks:
         return (*self.reads(done, size), size * self.iter_s)
 
     def begins(self, done: int) -> bool:
-        """At a chunk start: whether a stretch begins with this chunk -
-        two chunks or more, and the whole dataset cached now."""
+        """At a chunk start: plan the stretch from this chunk to the
+        next checkpoint's, and say whether it begins - two chunks or
+        more, and the whole dataset cached now."""
         end = self.total
         interval = self.ctx.manifest.checkpoint_interval_iterations
         if interval:
