@@ -13,7 +13,7 @@ from repro.core.admission import (
     PAID_TIER,
     Tenant,
 )
-from repro.core.job import TrainingJob, new_job_id
+from repro.core.job import TrainingJob
 from repro.core.learner import LearnerState
 from repro.core.logging_service import LogEntry, LogIndex
 from repro.core.manifest import JobManifest
@@ -66,6 +66,5 @@ __all__ = [
     "TrainingJob",
     "TrainingMetricsService",
     "derive_cpus",
-    "new_job_id",
     "recommend",
 ]

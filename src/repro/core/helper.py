@@ -37,10 +37,6 @@ def learner_exit_key(job_id: str, index: int) -> str:
     return f"/jobs/{job_id}/learners/{index}/exit"
 
 
-def job_status_key(job_id: str) -> str:
-    return f"/jobs/{job_id}/status"
-
-
 def halt_key(job_id: str) -> str:
     return f"/jobs/{job_id}/halt"
 

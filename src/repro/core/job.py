@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -11,13 +10,6 @@ from repro.core.learner import LearnerState
 from repro.core.manifest import JobManifest
 from repro.core.statuses import StatusHistory
 from repro.nfs.volume import NFSVolume
-
-_job_counter = itertools.count(1)
-
-
-def new_job_id(prefix: str = "job") -> str:
-    return f"{prefix}-{next(_job_counter):06d}"
-
 
 @dataclass
 class TrainingJob:
@@ -59,19 +51,7 @@ class TrainingJob:
                                    for i in range(self.manifest.learners)]
 
     @property
-    def total_iterations_done(self) -> int:
-        return sum(s.iterations_done for s in self.learner_states)
-
-    @property
     def runtime_s(self) -> Optional[float]:
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at
-
-    def queue_time_s(self) -> Optional[float]:
-        """Time from submission to the start of real execution."""
-        from repro.core.statuses import DOWNLOADING
-        start = self.status.time_of(DOWNLOADING)
-        if start is None:
-            return None
-        return start - self.submitted_at

@@ -78,24 +78,15 @@ class PlatformConfig:
     mount_cache_bytes: float = 200e9
     use_volume_pool: bool = False
     guardian_backoff_limit: int = 3
-    api_replicas: int = 2
-    lcm_replicas: int = 2
-    metrics_replicas: int = 2
-    #: Component recovery calibration (Table 3).
-    api_recovery_s: tuple = (3.0, 5.0)
-    lcm_recovery_s: tuple = (4.0, 6.0)
-    guardian_pod_setup_s: float = 0.3
-    helper_pod_setup_s: float = 2.0
-    learner_pod_setup_s: tuple = (8.0, 16.0)
     node_detection_latency_s: float = 40.0
     pod_eviction_timeout_s: float = 60.0
     #: Slowdown multiplier hook applied to all learners (load modelling).
     compute_slowdown: float = 1.0
     #: -- resilience layer (see repro.resilience) ------------------------
-    #: Retry policies for the backend clients; None restores the legacy
-    #: single-shot behaviour for that client.
+    #: Retry policy of the etcd client; None restores the legacy
+    #: single-shot behaviour.  The Mongo client always retries under
+    #: ``RetryPolicy()``.
     etcd_retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
-    mongo_retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
     #: Retries for learner data/result mounts (object-store brownouts).
     mount_retry: Optional[RetryPolicy] = None
     #: Guard the etcd/mongo clients with circuit breakers.
@@ -104,11 +95,6 @@ class PlatformConfig:
     #: (deadline misses against a fully-crashed replica set trip them;
     #: the federation health probes read the same breakers).
     service_breakers: bool = False
-    breaker_failure_threshold: int = 5
-    breaker_reset_timeout_s: float = 10.0
-    #: How long the status writer waits after exhausting a write's
-    #: retries before re-probing the store (graceful degradation).
-    status_flush_cooldown_s: float = 1.0
     #: Primary-less window after a Mongo primary crash (0 = instant
     #: failover, the legacy behaviour).
     mongo_election_delay_s: float = 0.0
@@ -123,6 +109,14 @@ FRAMEWORK_IMAGES = {
 }
 HELPER_IMAGE = Image("ffdl-helper", framework=None, size_bytes=4e8)
 GUARDIAN_IMAGE = Image("ffdl-guardian", framework=None, size_bytes=2e8)
+
+#: Component recovery calibration (Table 3): the LCM restarts slower
+#: than the API service (``Microservice``'s default range), and a pod's
+#: setup latency grows with what it binds to.
+LCM_RECOVERY_S = (4.0, 6.0)
+GUARDIAN_POD_SETUP_S = 0.3
+HELPER_POD_SETUP_S = 2.0
+LEARNER_POD_SETUP_S = (8.0, 16.0)
 
 
 class FfDLPlatform:
@@ -160,10 +154,8 @@ class FfDLPlatform:
                 ReplicatedEtcd(env, rng, size=cfg.etcd_replicas)
         else:
             self.etcd = EtcdStore(env)
-        self.etcd_breaker = CircuitBreaker(
-            env, failure_threshold=cfg.breaker_failure_threshold,
-            reset_timeout_s=cfg.breaker_reset_timeout_s,
-            name="etcd") if cfg.client_breakers else None
+        self.etcd_breaker = CircuitBreaker(env, name="etcd") \
+            if cfg.client_breakers else None
         self.etcd_client = EtcdClient(env, self.etcd, rng=rng,
                                       retry=cfg.etcd_retry,
                                       breaker=self.etcd_breaker)
@@ -173,20 +165,17 @@ class FfDLPlatform:
                                 election_delay_s=cfg.mongo_election_delay_s)
         else:
             self.mongo = MongoDatabase()
-        self.mongo_breaker = CircuitBreaker(
-            env, failure_threshold=cfg.breaker_failure_threshold,
-            reset_timeout_s=cfg.breaker_reset_timeout_s,
-            name="mongo") if cfg.client_breakers else None
+        self.mongo_breaker = CircuitBreaker(env, name="mongo") \
+            if cfg.client_breakers else None
         self.mongo_client = MongoClient(env, self.mongo, rng=rng,
-                                        retry=cfg.mongo_retry,
+                                        retry=RetryPolicy(),
                                         breaker=self.mongo_breaker)
         #: Write-behind queue for job records: while MongoDB is degraded
         #: the platform buffers status updates and queued submissions in
         #: memory, then flushes on recovery with no lost records.
         self.status_writer = BufferedJobWriter(
             env, self.mongo_client,
-            stream=rng.stream("resilience:status-writer"),
-            cooldown_s=cfg.status_flush_cooldown_s)
+            stream=rng.stream("resilience:status-writer"))
 
         # -- core services -----------------------------------------------------
         self.metrics = TrainingMetricsService(env)
@@ -194,21 +183,16 @@ class FfDLPlatform:
         def service_breaker(name: str) -> Optional[CircuitBreaker]:
             if not cfg.service_breakers:
                 return None
-            return CircuitBreaker(
-                env, failure_threshold=cfg.breaker_failure_threshold,
-                reset_timeout_s=cfg.breaker_reset_timeout_s, name=name)
+            return CircuitBreaker(env, name=name)
 
         self.api_service = Microservice(env, rng, "api",
-                                        replicas=cfg.api_replicas,
-                                        recovery_range_s=cfg.api_recovery_s,
                                         metrics=self.metrics,
                                         breaker=service_breaker("api"))
-        self.lcm = Microservice(env, rng, "lcm", replicas=cfg.lcm_replicas,
-                                recovery_range_s=cfg.lcm_recovery_s,
+        self.lcm = Microservice(env, rng, "lcm",
+                                recovery_range_s=LCM_RECOVERY_S,
                                 metrics=self.metrics,
                                 breaker=service_breaker("lcm"))
         self.metrics_service = Microservice(env, rng, "training-metrics",
-                                            replicas=cfg.metrics_replicas,
                                             metrics=self.metrics)
         self.admission = AdmissionController()
         self.jobs: Dict[str, TrainingJob] = {}
@@ -232,11 +216,6 @@ class FfDLPlatform:
         self.cluster.add_nodes(count, NodeCapacity(
             cpus=cpus, memory_gb=memory_gb, gpus=gpus_per_node,
             gpu_type=gpu_type))
-
-    def add_cpu_nodes(self, count: int, cpus: float = 32,
-                      memory_gb: float = 128) -> None:
-        self.cluster.add_nodes(count, NodeCapacity(cpus=cpus,
-                                                   memory_gb=memory_gb))
 
     def ensure_dataset(self, manifest: JobManifest) -> None:
         """Create the training-data bucket/objects if absent (stands in for
@@ -536,7 +515,7 @@ class FfDLPlatform:
                 raise
 
         image = FRAMEWORK_IMAGES[manifest.framework]
-        lo, hi = self.config.learner_pod_setup_s
+        lo, hi = LEARNER_POD_SETUP_S
         setup = lo + (hi - lo) * self.rng.stream("learner-setup").random()
         template = PodTemplate(
             containers=[ContainerSpec("learner", image.reference,
@@ -598,15 +577,14 @@ class FfDLPlatform:
             if pod_type == "learner":
                 setup = pod.meta.labels.get("pod-setup") or \
                     pod.spec.node_selector.get("pod-setup", "")
-                setup = setup or str(sum(
-                    self.config.learner_pod_setup_s) / 2)
+                setup = setup or str(sum(LEARNER_POD_SETUP_S) / 2)
                 pod.meta.annotations["pod-setup-seconds"] = setup
             elif pod_type == "lhelper":
                 pod.meta.annotations["pod-setup-seconds"] = str(
-                    self.config.helper_pod_setup_s)
+                    HELPER_POD_SETUP_S)
             elif pod_type == "jobmonitor":
                 pod.meta.annotations["pod-setup-seconds"] = str(
-                    self.config.guardian_pod_setup_s)
+                    GUARDIAN_POD_SETUP_S)
         # Detect Guardians whose K8S Job exhausted its retries.  A guardian
         # pod can end as Failed (crash) or simply vanish (node eviction).
         if (verb == "MODIFIED" and pod.phase == "Failed") or \

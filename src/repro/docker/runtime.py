@@ -174,7 +174,3 @@ class Container:
         end = self.finished_at if self.finished_at is not None \
             else self.env.now
         return end - self.started_at
-
-    def __repr__(self) -> str:
-        return (f"Container({self.name!r}, image={self.image.reference!r}, "
-                f"state={self.state!r}, exit_code={self.exit_code})")

@@ -10,14 +10,13 @@ giving the two stores their measured latency profiles (see the
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.errors import ConsensusError, StoreUnavailableError
-from repro.etcd.kv import Compare, EtcdStore, Op, Watcher
+from repro.etcd.kv import EtcdStore, Watcher
 from repro.etcd.replicated import ReplicatedEtcd
-from repro.resilience import CircuitBreaker, RetryPolicy, TimedCall
-from repro.sim.core import Environment, Event
-from repro.sim.rng import RngRegistry
+from repro.resilience import StoreClient
+from repro.sim.core import Event
 
 #: Request latency of a lightly loaded etcd (single-digit milliseconds).
 DEFAULT_ETCD_LATENCY_S = 0.002
@@ -29,41 +28,21 @@ RETRYABLE_ETCD_ERRORS = (StoreUnavailableError, ConsensusError)
 Backend = Union[EtcdStore, ReplicatedEtcd]
 
 
-class EtcdClient:
+class EtcdClient(StoreClient):
     """Issue etcd operations that take simulated time.
 
     Every operation is one :class:`~repro.resilience.TimedCall`: a
     latency timer whose callback acts on the store and resolves the
-    returned event.  With ``retry`` set, it runs under the policy's
-    bounded exponential backoff (jitter drawn from the registry's
-    ``resilience:etcd-client`` stream), optionally guarded by a
-    ``breaker`` and a per-call deadline (``deadline_s``, checked between
-    attempts).  The defaults keep the legacy single-shot behaviour.
+    returned event.  ``set_available(False)`` models a dead standalone
+    etcd; replicated outages go through Raft faults.
     """
 
-    def __init__(self, env: Environment, backend: Backend,
-                 latency_s: float = DEFAULT_ETCD_LATENCY_S,
-                 rng: Optional[RngRegistry] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 deadline_s: Optional[float] = None):
-        self.env = env
-        self.backend = backend
-        self.latency_s = latency_s
-        self.retry = retry
-        self.breaker = breaker
-        self.default_deadline_s = deadline_s
-        self.retry_stream = rng.stream("resilience:etcd-client") \
-            if rng is not None else None
-        self.ops_issued = 0
-        self.retries = 0
-        #: Chaos hook: while False every request fails with
-        #: StoreUnavailableError after the request latency (a dead
-        #: standalone etcd; replicated outages go through Raft faults).
-        self.available = True
-
-    def set_available(self, available: bool) -> None:
-        self.available = available
+    backend: Backend
+    latency_s = DEFAULT_ETCD_LATENCY_S
+    stream = "resilience:etcd-client"
+    retryable = RETRYABLE_ETCD_ERRORS
+    unavailable = "etcd is unavailable"
+    site = "etcd-op"
 
     @property
     def _replicated(self) -> bool:
@@ -74,28 +53,14 @@ class EtcdClient:
             return self.backend.hub
         return self.backend
 
-    def _call(self, action) -> Event:
-        """Run ``action`` after the request latency; resolve with its result."""
-        self.ops_issued += 1
-        return TimedCall(self, action, "etcd-op", RETRYABLE_ETCD_ERRORS,
-                         "etcd is unavailable").done
-
     # -- writes ----------------------------------------------------------------
 
     def put(self, key: str, value: Any,
             lease_id: Optional[int] = None) -> Event:
         return self._call(lambda: self.backend.put(key, value, lease_id))
 
-    def delete(self, key: str) -> Event:
-        return self._call(lambda: self.backend.delete(key))
-
     def delete_prefix(self, prefix: str) -> Event:
         return self._call(lambda: self.backend.delete_prefix(prefix))
-
-    def txn(self, compares: List[Compare], on_success: List[Op],
-            on_failure: List[Op] = ()) -> Event:
-        return self._call(
-            lambda: self.backend.txn(compares, on_success, on_failure))
 
     # -- reads ------------------------------------------------------------------
 
@@ -136,4 +101,4 @@ class EtcdClient:
         return self._call(lambda: self.backend.revoke(lease_id))
 
     def lease_alive(self, lease_id: int) -> bool:
-        return self.backend.lease_alive(lease_id)
+        return self._read_store().lease_alive(lease_id)

@@ -127,23 +127,14 @@ class ReplicatedEtcd:
     def get(self, key: str):
         return self.hub.get(key)
 
-    def range(self, prefix: str):
-        return self.hub.range(prefix)
-
     def watch(self, key: str) -> Watcher:
         return self.hub.watch(key)
-
-    def watch_prefix(self, prefix: str) -> Watcher:
-        return self.hub.watch_prefix(prefix)
 
     def grant_lease(self, ttl_s: float) -> Lease:
         return self.hub.grant_lease(ttl_s)
 
     def keepalive(self, lease_id: int) -> bool:
         return self.hub.keepalive(lease_id)
-
-    def lease_alive(self, lease_id: int) -> bool:
-        return self.hub.lease_alive(lease_id)
 
     # -- fault hooks ----------------------------------------------------------------
 

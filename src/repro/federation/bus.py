@@ -29,7 +29,7 @@ directly.  Three properties make the federation byte-reproducible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError, SimulationError
 from repro.sim.core import Environment, Event
@@ -78,9 +78,6 @@ class FederationBus:
         mailbox = Mailbox(self.env, name=f"bus:{name}")
         self._mailboxes[name] = mailbox
         self.env.process(self._drain(name, mailbox), name=f"bus-drain:{name}")
-
-    def members(self) -> List[str]:
-        return sorted(self._mailboxes)
 
     def link_latency_s(self, src: str, dst: str) -> float:
         """One-way latency of the (src, dst) link; fixed per link and

@@ -125,14 +125,6 @@ class Cell:
     def total_gpus(self) -> int:
         return self.platform.cluster.total_gpus()
 
-    @property
-    def allocated_gpus(self) -> int:
-        return self.platform.cluster.allocated_gpus()
-
-    @property
-    def free_gpus(self) -> int:
-        return self.total_gpus - self.allocated_gpus
-
     def register_tenant(self, user: str) -> None:
         """Cells never enforce quota locally (the dispatcher does)."""
         self.platform.admission.register(user, gpu_quota=_CELL_LOCAL_QUOTA)
@@ -194,11 +186,6 @@ class Cell:
             return
         self.platform.preempt_job(job_id, reason=reason)
 
-    def job_status(self, job_id: str) -> Optional[str]:
-        self._check_reachable()
-        job = self.platform.jobs.get(job_id)
-        return None if job is None else job.status.current
-
     # -- whole-cell failure modes ------------------------------------------
 
     def begin_blackout(self) -> None:
@@ -252,15 +239,3 @@ class Cell:
         return sorted(
             job_id for job_id, job in self.platform.jobs.items()
             if job.status.current not in (st.COMPLETED, st.FAILED, st.HALTED))
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "zone": self.zone,
-            "gpu_type": self.spec.gpu_type,
-            "total_gpus": self.total_gpus,
-            "allocated_gpus": self.allocated_gpus,
-            "blacked_out": self.blacked_out,
-            "browned_out": self.browned_out,
-            "breaker": self.breaker.state,
-        }

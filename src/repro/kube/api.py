@@ -234,23 +234,14 @@ class KubeAPI:
     def delete_replicaset(self, name: str) -> ReplicaSet:
         return self._delete("replicasets", name)
 
-    def list_replicasets(self) -> List[ReplicaSet]:
-        return self._list("replicasets")
-
     def create_statefulset(self, ss: StatefulSet) -> StatefulSet:
         return self._create("statefulsets", ss.name, ss)
 
     def delete_statefulset(self, name: str) -> StatefulSet:
         return self._delete("statefulsets", name)
 
-    def list_statefulsets(self) -> List[StatefulSet]:
-        return self._list("statefulsets")
-
     def create_job(self, job: KubeJob) -> KubeJob:
         return self._create("jobs", job.name, job)
-
-    def get_job(self, name: str) -> KubeJob:
-        return self._get("jobs", name)
 
     def delete_job(self, name: str) -> KubeJob:
         return self._delete("jobs", name)

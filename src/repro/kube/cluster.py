@@ -110,9 +110,6 @@ class Cluster:
     def push_image(self, image: Image) -> None:
         self.registry.push(image)
 
-    def allocation(self, node_name: str) -> NodeAllocation:
-        return self.allocations[node_name]
-
     def node_is_alive(self, node_name: str) -> bool:
         return node_name not in self._dead_nodes
 
@@ -130,11 +127,6 @@ class Cluster:
     def bind_reserved(self, pod: Pod, node_name: str) -> None:
         """Commit a previously reserved placement."""
         self.api.bind_pod(pod, node_name)
-
-    def assign(self, pod: Pod, node_name: str) -> None:
-        """Allocate resources and bind in one step."""
-        self.reserve(pod, node_name)
-        self.bind_reserved(pod, node_name)
 
     def release(self, pod: Pod) -> None:
         assignment = self._assignments.pop(pod.meta.uid, None)

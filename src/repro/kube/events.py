@@ -78,6 +78,3 @@ class EventLog:
 
     def failed_scheduling(self) -> List[KubeEvent]:
         return self.of_kind(FAILED_SCHEDULING)
-
-    def __len__(self) -> int:
-        return len(self.events)

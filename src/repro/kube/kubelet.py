@@ -253,22 +253,8 @@ class Kubelet:
     def recover(self) -> None:
         self.alive = True
 
-    def running_pod_names(self) -> List[str]:
-        names = []
-        for uid in self._pod_containers:
-            pod = self._find_pod_by_uid(uid)
-            if pod is not None:
-                names.append(pod.name)
-        return sorted(names)
-
     def containers_for(self, pod_name: str) -> List[Container]:
         pod = self.api.try_get_pod(pod_name)
         if pod is None:
             return []
         return list(self._pod_containers.get(pod.meta.uid, []))
-
-    def _find_pod_by_uid(self, uid: str):
-        for pod in self.api.list_pods(node_name=self.node.name):
-            if pod.meta.uid == uid:
-                return pod
-        return None

@@ -57,14 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SchedulerConfig:
     policy: str = PACK
     gang: bool = False
-    #: Coalescing delay before a scheduling pass after a wake-up.
-    batch_delay_s: float = 0.01
     #: Cost of considering one pod (predicate + priority evaluation).
     per_pod_latency_s: float = 0.003
-    #: API round-trip between choosing a node and the binding committing;
-    #: deletions landing in this window are rejected at binding time
-    #: (Table 8's "Binding Rejected" row).
-    bind_latency_s: float = 0.05
     #: BSA gang-placement objective: "pack" (FfDL's choice) or "balance".
     bsa_objective: str = OBJECTIVE_PACK
     #: Informer-cache staleness: for this long after a deletion is
@@ -73,7 +67,6 @@ class SchedulerConfig:
     #: API server — the dominant mechanism behind production's 17%
     #: "Binding Rejected" share.
     informer_staleness_s: float = 0.5
-    bsa_rounds: int = 8
     #: Probabilities of the rare scheduler races observed in production
     #: (Table 8): API-server timeouts and stale assume-cache failures.
     timeout_race_probability: float = 0.0
@@ -98,24 +91,30 @@ class SchedulerConfig:
     #: (pods land near, but not exactly at, their creation position) — the
     #: mechanism behind temporary deadlocks without the gang scheduler.
     nondeterministic_order: bool = True
-    #: Median queue-position displacement of the reordering.  The severity
-    #: is redrawn (lognormally) for every submission burst: some bursts
-    #: arrive nearly in order, others heavily shuffled — reproducing both
-    #: the paper's 40% zero-deadlock runs and its worst-case 46% idle GPUs.
-    order_jitter: float = 7.0
-    order_jitter_sigma: float = 1.6
 
     def __post_init__(self) -> None:
         check_policy(self.policy)
-        # BSA reads any other objective as pack, and with no round it
-        # places nothing: every gang would stay Pending without an error.
+        # BSA reads any other objective as pack: a typo would pack
+        # every gang without an error.
         if self.bsa_objective not in (OBJECTIVE_PACK, OBJECTIVE_BALANCE):
             raise KubeError(f"bsa_objective must be {OBJECTIVE_PACK!r} or "
                             f"{OBJECTIVE_BALANCE!r}, not "
                             f"{self.bsa_objective!r}")
-        if not self.bsa_rounds >= 1:
-            raise KubeError(f"bsa_rounds must be >= 1, not "
-                            f"{self.bsa_rounds!r}")
+
+
+#: Coalescing delay before a scheduling pass after a wake-up.
+BATCH_DELAY_S = 0.01
+#: API round-trip between choosing a node and the binding committing;
+#: deletions landing in this window are rejected at binding time
+#: (Table 8's "Binding Rejected" row).
+BIND_LATENCY_S = 0.05
+#: Median queue-position displacement of the nondeterministic reordering.
+#: The severity is redrawn (lognormally, with this sigma) for every
+#: submission burst: some bursts arrive nearly in order, others heavily
+#: shuffled — reproducing both the paper's 40% zero-deadlock runs and its
+#: worst-case 46% idle GPUs.
+ORDER_JITTER = 7.0
+ORDER_JITTER_SIGMA = 1.6
 
 
 @dataclass
@@ -144,7 +143,7 @@ class Scheduler(Placement):
         self.rng = rng.stream("scheduler")
         self._queue: Dict[str, tuple] = {}  # pod name -> (time, tiebreak)
         self._enqueue_seq = 0
-        self._burst_jitter = self.config.order_jitter
+        self._burst_jitter = ORDER_JITTER
         self._gangs: Dict[str, _GangEntry] = {}
         self._wake = env.event()
         self.pods_scheduled = 0
@@ -174,8 +173,8 @@ class Scheduler(Placement):
             return
         if not self._queue and self.config.nondeterministic_order:
             # A new submission burst: redraw the reorder severity.
-            self._burst_jitter = self.config.order_jitter * \
-                self.rng.lognormvariate(0.0, self.config.order_jitter_sigma)
+            self._burst_jitter = ORDER_JITTER * \
+                self.rng.lognormvariate(0.0, ORDER_JITTER_SIGMA)
         self._enqueue_seq += 1
         tiebreak = float(self._enqueue_seq)
         if self.config.nondeterministic_order:
@@ -255,7 +254,7 @@ class Scheduler(Placement):
                 self._wake = self.env.event()
                 yield self._wake
                 continue
-            yield self.env.timeout(self.config.batch_delay_s)
+            yield self.env.timeout(BATCH_DELAY_S)
             # Arm the next wake before the pass so kicks during it are kept.
             self._wake = self.env.event()
             if self.config.gang:
@@ -376,8 +375,7 @@ class Scheduler(Placement):
         for pod, node_name in placements:
             self.cluster.reserve(pod, node_name)
             self._dequeue(pod.name)
-        if self.config.bind_latency_s:
-            yield self.env.timeout(self.config.bind_latency_s)
+        yield self.env.timeout(BIND_LATENCY_S)
         for pod, node_name in placements:
             if pod.meta.deletion_requested or \
                     not self.api.exists("pods", pod.name):
@@ -436,8 +434,7 @@ class Scheduler(Placement):
                 self._record_no_nodes(pod)
             return
         assignment = bsa_place(pods, self.cluster.allocations, eligible,
-                               self.rng, rounds=self.config.bsa_rounds,
-                               objective=self.config.bsa_objective)
+                               self.rng, objective=self.config.bsa_objective)
         if assignment is None:
             for pod in pods:
                 self._record_no_nodes(pod)

@@ -11,9 +11,8 @@ from typing import Any, Dict, List, Optional, Union
 from repro.errors import StoreUnavailableError
 from repro.mongo.collection import Collection
 from repro.mongo.database import MongoDatabase, MongoReplicaSet
-from repro.resilience import CircuitBreaker, RetryPolicy, TimedCall
-from repro.sim.core import Environment, Event
-from repro.sim.rng import RngRegistry
+from repro.resilience import StoreClient
+from repro.sim.core import Event
 
 #: Request latency of MongoDB for small documents (an order of magnitude
 #: slower than etcd for the coordination workload, per the paper's rationale).
@@ -24,45 +23,23 @@ DEFAULT_MONGO_LATENCY_S = 0.015
 RETRYABLE_MONGO_ERRORS = (StoreUnavailableError,)
 
 
-class MongoClient:
+class MongoClient(StoreClient):
     """Issue MongoDB operations that take simulated time.
 
-    Mirrors :class:`~repro.etcd.client.EtcdClient`: an optional
-    ``retry`` policy (jitter from the ``resilience:mongo-client``
-    stream), circuit ``breaker`` and per-call ``deadline_s`` turn each
-    operation into a bounded retry loop across replica-set failovers.
+    Mirrors :class:`~repro.etcd.client.EtcdClient`; ``retry`` carries an
+    operation across replica-set failovers, and ``set_available`` is the
+    chaos hook for standalone (non-replica-set) backends.
     """
 
-    def __init__(self, env: Environment,
-                 backend: Union[MongoDatabase, MongoReplicaSet],
-                 latency_s: float = DEFAULT_MONGO_LATENCY_S,
-                 rng: Optional[RngRegistry] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 deadline_s: Optional[float] = None):
-        self.env = env
-        self.backend = backend
-        self.latency_s = latency_s
-        self.retry = retry
-        self.breaker = breaker
-        self.default_deadline_s = deadline_s
-        self.retry_stream = rng.stream("resilience:mongo-client") \
-            if rng is not None else None
-        self.ops_issued = 0
-        self.retries = 0
-        #: Chaos hook for standalone (non-replica-set) backends.
-        self.available = True
-
-    def set_available(self, available: bool) -> None:
-        self.available = available
+    backend: Union[MongoDatabase, MongoReplicaSet]
+    latency_s = DEFAULT_MONGO_LATENCY_S
+    stream = "resilience:mongo-client"
+    retryable = RETRYABLE_MONGO_ERRORS
+    unavailable = "mongodb is unavailable"
+    site = "mongo-op"
 
     def _collection(self, name: str) -> Collection:
         return self.backend.collection(name)
-
-    def _call(self, action) -> Event:
-        self.ops_issued += 1
-        return TimedCall(self, action, "mongo-op", RETRYABLE_MONGO_ERRORS,
-                         "mongodb is unavailable").done
 
     def insert_one(self, collection: str, document: Dict[str, Any]) -> Event:
         return self._call(lambda: self._collection(collection)

@@ -198,9 +198,6 @@ class Collection:
                 seen.append(value)
         return copy.deepcopy(seen)
 
-    def __len__(self) -> int:
-        return len(self._documents)
-
     def _iter_matches(self, query: Dict[str, Any]):
         """Yield the stored documents satisfying ``query``, in insertion
         order.  ``_id`` constrained by plain equality names at most one

@@ -81,9 +81,6 @@ class Bucket:
     def __contains__(self, key: str) -> bool:
         return key in self._objects
 
-    def __len__(self) -> int:
-        return len(self._objects)
-
 
 class ObjectStorageService:
     """The OSS control plane plus its shared bandwidth pool."""
@@ -104,9 +101,6 @@ class ObjectStorageService:
         self.available = True
 
     # -- chaos hooks -------------------------------------------------------
-
-    def set_available(self, available: bool) -> None:
-        self.available = available
 
     def begin_outage(self) -> None:
         self.available = False

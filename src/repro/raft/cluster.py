@@ -86,20 +86,6 @@ class RaftCluster:
 
         return self.env.process(attempt(), name=f"{self.name}:propose")
 
-    def wait_for_leader(self, timeout_s: float = 10.0):
-        """Process: wait until a leader exists; returns the leader node."""
-
-        def wait():
-            deadline = self.env.now + timeout_s
-            while self.env.now < deadline:
-                leader = self.leader()
-                if leader is not None:
-                    return leader
-                yield self.env.timeout(0.02)
-            raise ConsensusError("no leader elected within timeout")
-
-        return self.env.process(wait(), name=f"{self.name}:wait-leader")
-
     # -- fault injection -----------------------------------------------------------
 
     def crash(self, node_id: str) -> None:

@@ -112,6 +112,3 @@ class Network:
             self._handlers[dst](src, message)
         else:
             self.messages_dropped += 1
-
-    def endpoints(self) -> Set[str]:
-        return set(self._handlers)

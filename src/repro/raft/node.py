@@ -40,12 +40,6 @@ class StateMachine:
     discarded and rebuilt by replaying the log from index 1.
     """
 
-    def apply(self, index: int, command: Any) -> Any:  # pragma: no cover
-        raise NotImplementedError
-
-    def reset(self) -> None:  # pragma: no cover
-        raise NotImplementedError
-
 
 class CallbackStateMachine(StateMachine):
     """Adapter turning plain callables into a :class:`StateMachine`."""

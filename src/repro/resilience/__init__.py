@@ -9,7 +9,8 @@ shared vocabulary those clients use:
   from a named :class:`~repro.sim.rng.RngRegistry` stream, so retried
   schedules replay deterministically (the chaos draw goldens pin each
   stream's positions).
-* :class:`Deadline` — a per-call budget in simulated time.
+* :class:`Deadline` — a budget in simulated time for a
+  :class:`~repro.core.services.Microservice` call's wait for a replica.
 * :class:`CircuitBreaker` — fail-fast once a backend is clearly down, with
   half-open probing on a reset timeout.
 * :func:`retry_call` — the retry loop itself, written as a *bounded*
@@ -29,6 +30,7 @@ from repro.resilience.policy import (
     CircuitBreaker,
     Deadline,
     RetryPolicy,
+    StoreClient,
     TimedCall,
     retry_call,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "RetryPolicy",
+    "StoreClient",
     "TRANSIENT_ERRORS",
     "TimedCall",
     "retry_call",

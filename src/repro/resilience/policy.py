@@ -15,7 +15,6 @@ from typing import Callable, Optional, Tuple
 from repro.errors import (
     CircuitOpenError,
     ConsensusError,
-    DeadlineExceededError,
     ObjectStorageUnavailableError,
     ResilienceError,
     RetryExhaustedError,
@@ -23,6 +22,7 @@ from repro.errors import (
     StoreUnavailableError,
 )
 from repro.sim.core import Environment, Event, Interrupt, Timeout
+from repro.sim.rng import RngRegistry
 
 #: The errors every layer agrees are transient: worth retrying, worth
 #: buffering behind, never worth surfacing as a semantic failure.
@@ -164,7 +164,6 @@ def retry_call(env: Environment,
                policy: RetryPolicy,
                retry_on: Tuple[type, ...] = TRANSIENT_ERRORS,
                breaker: Optional[CircuitBreaker] = None,
-               deadline: Optional[Deadline] = None,
                on_retry: Optional[Callable[[int, BaseException], None]]
                = None):
     """Generator: run ``make_attempt`` under ``policy``; ``yield from`` it.
@@ -174,16 +173,11 @@ def retry_call(env: Environment,
     otherwise its return value (or synchronous raise) is the outcome.
     Only ``retry_on`` exceptions are retried; everything else propagates
     on the first attempt.  Raises :class:`RetryExhaustedError` when the
-    budget runs out, :class:`CircuitOpenError` when the breaker rejects
-    the call and :class:`DeadlineExceededError` when the deadline passes
-    between attempts.
+    budget runs out and :class:`CircuitOpenError` when the breaker
+    rejects the call.
     """
     last_error: Optional[BaseException] = None
     for attempt in range(policy.max_attempts):
-        if deadline is not None and deadline.expired:
-            raise DeadlineExceededError(
-                f"deadline of {deadline.timeout_s}s exceeded after "
-                f"{attempt} attempt(s)") from last_error
         if breaker is not None and not breaker.allow():
             raise CircuitOpenError(
                 f"circuit {breaker.name!r} is {breaker.state}"
@@ -200,10 +194,7 @@ def retry_call(env: Environment,
                 break
             if on_retry is not None:
                 on_retry(attempt, err)
-            delay = policy.backoff_s(attempt, stream)
-            if deadline is not None:
-                delay = min(delay, deadline.remaining_s)
-            yield env.timeout(delay)
+            yield env.timeout(policy.backoff_s(attempt, stream))
             continue
         if breaker is not None:
             breaker.record_success()
@@ -213,53 +204,81 @@ def retry_call(env: Environment,
         f"{last_error!r}") from last_error
 
 
+class StoreClient:
+    """The half of a store client that :class:`TimedCall` reads.
+
+    A subclass sets its default ``latency_s``, its jitter ``stream``
+    name, its ``retryable`` errors, its ``unavailable`` message and its
+    KernelProfiler ``site``, and adds the operations, each a
+    :meth:`_call`.  ``retry`` and ``breaker`` guard every operation;
+    without either it is the legacy single shot.
+    """
+
+    def __init__(self, env: Environment, backend,
+                 latency_s: Optional[float] = None,
+                 rng: Optional[RngRegistry] = None,
+                 retry: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None):
+        self.env = env
+        self.backend = backend
+        if latency_s is not None:
+            self.latency_s = latency_s
+        self.retry = retry
+        self.breaker = breaker
+        self.retry_stream = rng.stream(self.stream) \
+            if rng is not None else None
+        self.ops_issued = 0
+        self.retries = 0
+        #: Chaos hook: while False every request fails with
+        #: StoreUnavailableError after the request latency.
+        self.available = True
+
+    def set_available(self, available: bool) -> None:
+        self.available = available
+
+    def _call(self, action: Callable[[], object]) -> Event:
+        """Run ``action`` after the request latency; resolve with its result."""
+        self.ops_issued += 1
+        return TimedCall(self, action).done
+
+
 class TimedCall:
     """One store-client operation: a latency ``Timeout`` whose callback
     acts and resolves ``done`` - two kernel events, no process.
 
-    ``client`` is an ``EtcdClient`` / ``MongoClient``: an attempt made
-    while its ``available`` is false fails with ``unavailable``, and its
-    ``retry`` / ``breaker`` / ``default_deadline_s``, when any is set,
-    guard the call as ``env.process(retry_call(...))`` would (jitter
-    from its ``retry_stream``, counted in its ``retries``) - the same
-    checks in the same order, so the action still runs in the ``NORMAL``
-    slot at ``now + latency`` and instants, jitter draws and breaker
-    transitions are the process form's (DESIGN.md, "When a ``Process``
-    is warranted").  ``done`` is a plain event: nothing to interrupt.
+    An attempt made while ``client.available`` is false fails with the
+    client's ``unavailable`` message, and its ``retry`` / ``breaker``,
+    when either is set, guard the call as ``env.process(retry_call(...))``
+    would (jitter from its ``retry_stream``, counted in its ``retries``)
+    - the same checks in the same order, so the action still runs in the
+    ``NORMAL`` slot at ``now + latency`` and instants, jitter draws and
+    breaker transitions are the process form's (DESIGN.md, "When a
+    ``Process`` is warranted").  ``done`` is a plain event: nothing to
+    interrupt.
     """
 
-    __slots__ = ("client", "action", "name", "retry_on", "unavailable",
-                 "policy", "deadline", "done", "attempt", "last_error")
+    __slots__ = ("client", "action", "name", "policy", "done", "attempt",
+                 "last_error")
 
-    def __init__(self, client, action: Callable[[], object], name: str,
-                 retry_on: Tuple[type, ...], unavailable: str):
+    def __init__(self, client: StoreClient, action: Callable[[], object]):
         self.client = client
         self.action = action
-        self.name = name  # KernelProfiler site family of the callbacks
-        self.unavailable = unavailable
+        self.name = client.site  # KernelProfiler site family of callbacks
         self.done = Event(client.env)
         self.attempt = 0
         self.last_error: Optional[BaseException] = None
-        self.deadline = Deadline(client.env, client.default_deadline_s) \
-            if client.default_deadline_s is not None else None
-        if client.retry is None and client.breaker is None \
-                and self.deadline is None:
+        if client.retry is None and client.breaker is None:
             # Unguarded: a transient error is the caller's, as raised.
-            self.policy, self.retry_on = None, ()
+            self.policy = None
         else:
             self.policy = client.retry or RetryPolicy(max_attempts=1)
-            self.retry_on = retry_on
         self._open()
 
     def _open(self, _backoff: Optional[Event] = None) -> None:
-        """Start an attempt: deadline, breaker, then the request latency."""
-        client, deadline = self.client, self.deadline
+        """Start an attempt: breaker, then the request latency."""
+        client = self.client
         breaker = client.breaker
-        if deadline is not None and deadline.expired:
-            self._give_up(DeadlineExceededError(
-                f"deadline of {deadline.timeout_s}s exceeded after "
-                f"{self.attempt} attempt(s)"))
-        elif breaker is not None and not breaker.allow():
+        if breaker is not None and not breaker.allow():
             self._give_up(CircuitOpenError(
                 f"circuit {breaker.name!r} is {breaker.state}"))
         else:
@@ -267,7 +286,7 @@ class TimedCall:
 
     def _act(self, _latency: Event) -> None:
         if not self.client.available:
-            self._failed(StoreUnavailableError(self.unavailable))
+            self._failed(StoreUnavailableError(self.client.unavailable))
             return
         try:
             result = self.action()
@@ -295,10 +314,10 @@ class TimedCall:
         self.done.succeed(value)
 
     def _failed(self, err: BaseException) -> None:
-        if not isinstance(err, self.retry_on):
-            self.done.fail(err)  # semantic: would fail the same way again
-            return
         client, policy = self.client, self.policy
+        if policy is None or not isinstance(err, client.retryable):
+            self.done.fail(err)  # unguarded, or would fail again the same way
+            return
         if client.breaker is not None:
             client.breaker.record_failure()
         self.last_error = err
@@ -309,8 +328,6 @@ class TimedCall:
             return
         client.retries += 1
         delay = policy.backoff_s(self.attempt, client.retry_stream)
-        if self.deadline is not None:
-            delay = min(delay, self.deadline.remaining_s)
         self.attempt += 1
         Timeout(client.env, delay).callbacks.append(self._open)
 

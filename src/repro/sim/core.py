@@ -120,7 +120,7 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+    """Base for AnyOf / AllOf composite events; each defines ``_done``."""
 
     __slots__ = ("events", "_n_fired")
 
@@ -146,9 +146,6 @@ class _Condition(Event):
         self._n_fired += 1
         if self._done():
             self.succeed(self._collect())
-
-    def _done(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _collect(self) -> dict:
         return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}

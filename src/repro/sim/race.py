@@ -87,11 +87,6 @@ class VectorClock:
     def concurrent_with(self, other: "VectorClock") -> bool:
         return not (self <= other) and not (other <= self)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{pid}:{count}" for pid, count
-                          in sorted(self._counts.items()))
-        return f"<VC {inner}>"
-
 
 @dataclass(frozen=True)
 class Access:
@@ -105,10 +100,6 @@ class Access:
     site: str  # code location label, e.g. "EtcdStore.put"
     time: float
     clock: VectorClock
-
-    def render(self) -> str:
-        return (f"{self.kind} of {self.store}[{self.key!r}] by "
-                f"{self.actor!r} at {self.site} (t={self.time:g})")
 
 
 @dataclass(frozen=True)

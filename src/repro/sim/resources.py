@@ -118,11 +118,6 @@ class FairShareLink:
     def active_transfers(self) -> int:
         return len(self._remaining)
 
-    def current_rate_per_transfer(self) -> float:
-        """Bandwidth each in-flight transfer currently receives (bps)."""
-        n = len(self._remaining)
-        return self.capacity_bps / n if n else self.capacity_bps
-
     def transfer(self, size_bytes: float) -> Event:
         """Start a transfer; the returned event fires on completion."""
         if not 0 <= size_bytes < inf:  # also catches NaN

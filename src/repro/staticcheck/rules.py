@@ -103,9 +103,6 @@ class Rule:
     def description(self) -> str:
         return RULE_CATALOG[self.code]
 
-    def check(self, ctx) -> List[Finding]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def finding(self, ctx, node: ast.AST, message: str) -> Finding:
         return Finding(self.code, ctx.display_path,
                        getattr(node, "lineno", 0), message)

@@ -22,7 +22,7 @@ so the failing trace points at the exact simulated moment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import InvariantViolation
 
@@ -156,9 +156,6 @@ class KubeStateMachineChecker(_CheckerBase):
     def attach(self, api) -> "KubeStateMachineChecker":
         api.subscribe("pods", self._on_pod_change)
         return self
-
-    def phase_of(self, uid: str) -> Optional[str]:
-        return self._phase.get(uid)
 
     def _on_pod_change(self, verb: str, pod) -> None:
         uid = pod.meta.uid

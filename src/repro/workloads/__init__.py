@@ -27,7 +27,6 @@ from repro.workloads.federation_trace import (
     FederationTrace,
     FederationTraceConfig,
     FederationTraceJob,
-    demand_gpus,
 )
 from repro.workloads.trace import (
     ProductionTrace,
@@ -60,7 +59,6 @@ __all__ = [
     "arrivals_by_day",
     "build_platform",
     "degradation_percent",
-    "demand_gpus",
     "run_failure_study",
     "run_gang_experiment",
 ]

@@ -149,7 +149,3 @@ class FederationTrace:
                 gpu_type=gpu_type, iterations=iterations))
         jobs.sort(key=lambda job: (job.arrival_s, job.trace_id))
         return jobs
-
-
-def demand_gpus(jobs: List[FederationTraceJob]) -> int:
-    return sum(job.total_gpus for job in jobs)

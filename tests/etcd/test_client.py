@@ -133,8 +133,8 @@ def test_client_over_replicated_backend():
 
 def _events_for_one_put(guarded):
     env = Environment()
-    guards = dict(retry=RetryPolicy(), breaker=CircuitBreaker(env),
-                  deadline_s=5.0) if guarded else {}
+    guards = dict(retry=RetryPolicy(), breaker=CircuitBreaker(env)) \
+        if guarded else {}
     client = EtcdClient(env, EtcdStore(env), rng=RngRegistry(0), **guards)
     done = client.put("k", "v")
     env.run()

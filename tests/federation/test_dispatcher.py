@@ -155,6 +155,28 @@ def test_blackout_migrates_and_fences_without_double_execution():
     assert dispatcher.lost_intents() == []
 
 
+def test_a_submit_answered_after_the_timeout_is_fenced():
+    """A cell that answers a dispatch only after ``SUBMIT_TIMEOUT_S``
+    has started a job nobody wants any more: the intent is requeued
+    under a new generation, and the late job is fenced when its reply
+    lands."""
+    env, cells, dispatcher = make_federation()
+    dispatcher.SUBMIT_TIMEOUT_S = 1e-4  # shorter than one bus round trip
+    intent_id = submit(env, dispatcher, make_manifest("late"))
+    intent = intent_of(dispatcher, intent_id)
+    while dispatcher.counters["fenced"] == 0 and env.now < 100:
+        env.run(until=env.now + 0.5)
+    assert dispatcher.counters["fenced"] == 1
+    del dispatcher.SUBMIT_TIMEOUT_S  # the class's window again
+    assert wait_state(env, intent, st.COMPLETED)
+    jobs = cells[0].platform.jobs
+    assert [job.status.current for job in jobs.values()] == [
+        st.HALTED, st.COMPLETED]
+    assert intent.completions == 1
+    assert dispatcher.counters["double_executions"] == 0
+    assert dispatcher.lost_intents() == []
+
+
 def test_committed_gpus_return_to_zero_when_work_drains():
     env, cells, dispatcher = make_federation()
     ids = [submit(env, dispatcher, make_manifest(f"job-{n}"))

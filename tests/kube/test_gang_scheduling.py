@@ -221,15 +221,7 @@ def test_scheduler_config_rejects_an_unknown_bsa_objective(objective):
         SchedulerConfig(gang=True, bsa_objective=objective)
 
 
-@pytest.mark.parametrize("rounds", [0, -1, float("nan")])
-def test_scheduler_config_rejects_fewer_than_one_bsa_round(rounds):
-    # With no round BSA places nothing, and every gang stayed Pending
-    # without an error.
-    with pytest.raises(KubeError, match="bsa_rounds"):
-        SchedulerConfig(gang=True, bsa_rounds=rounds)
-
-
 def test_scheduler_config_accepts_both_objectives():
     for objective in ("pack", "balance"):
-        assert SchedulerConfig(bsa_objective=objective,
-                               bsa_rounds=1).bsa_objective == objective
+        assert SchedulerConfig(
+            bsa_objective=objective).bsa_objective == objective

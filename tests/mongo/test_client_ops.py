@@ -75,7 +75,7 @@ def test_upsert_through_client(client):
 
 
 def test_an_operation_is_two_kernel_events_with_or_without_a_policy():
-    for kwargs in ({}, {"retry": RetryPolicy(), "deadline_s": 5.0}):
+    for kwargs in ({}, {"retry": RetryPolicy()}):
         env = Environment()
         mongo = MongoClient(env, MongoDatabase(), rng=RngRegistry(0),
                             **kwargs)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     CircuitOpenError,
-    DeadlineExceededError,
     KeyNotFoundError,
     RetryExhaustedError,
     SimulationError,
@@ -188,21 +187,6 @@ def test_retry_call_awaits_event_attempts():
                        RetryPolicy(max_attempts=3, jitter=False))
     assert result == "done"
     assert len(attempts) == 2
-
-
-def test_retry_call_respects_deadline():
-    env, stream = make_env()
-
-    def attempt():
-        raise StoreUnavailableError("down")
-
-    deadline = Deadline(env, 0.15)
-    with pytest.raises(DeadlineExceededError):
-        run_retry(env, stream, attempt,
-                  RetryPolicy(max_attempts=100, base_delay_s=0.1,
-                              jitter=False),
-                  deadline=deadline)
-    assert env.now <= 0.5
 
 
 def test_retry_call_raises_when_breaker_open():

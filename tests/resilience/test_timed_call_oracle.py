@@ -3,12 +3,12 @@
 The reference is ``EtcdClient._call`` as it stood before the store
 clients lost their processes, kept verbatim below: an attempt process
 (sleep the latency, check ``available``, act, wait for a returned
-event) wrapped, whenever a policy, breaker or deadline is set, in an
+event) wrapped, whenever a policy or breaker is set, in an
 ``env.process(retry_call(...))``.  Random scripts - what each attempt
 of each call does (a value, a transient or a semantic error, raised or
 carried by a returned event), several calls on one client (some in the
 same instant), the store flipping unavailable and back, every mix of
-retry policy, breaker and deadline - are played through both on twin
+retry policy and breaker - are played through both on twin
 environments.  Every outcome with its ``__cause__``, every resolve
 instant (by ``==``), ``retries``, the breaker's state and transition
 times and the next draw of the jitter stream must be equal.
@@ -32,7 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import ConsensusError, StoreError, StoreUnavailableError
 from repro.etcd import EtcdClient
 from repro.etcd.client import RETRYABLE_ETCD_ERRORS
-from repro.resilience import CircuitBreaker, Deadline, RetryPolicy, retry_call
+from repro.resilience import CircuitBreaker, RetryPolicy, retry_call
 from repro.sim import Environment, RngRegistry
 from repro.sim.core import Event
 
@@ -41,7 +41,8 @@ from tests.conftest import examples
 
 def process_form_call(self, action):
     """``EtcdClient._call`` of the parent commit, verbatim (but for the
-    name of ``retry_stream``, private then)."""
+    name of ``retry_stream``, private then, and the per-call deadline
+    the store clients no longer take)."""
     self.ops_issued += 1
 
     def attempt() -> Event:
@@ -56,20 +57,17 @@ def process_form_call(self, action):
 
         return self.env.process(op(), name="etcd-op")
 
-    if self.retry is None and self.breaker is None \
-            and self.default_deadline_s is None:
+    if self.retry is None and self.breaker is None:
         return attempt()
 
     def count_retry(_attempt: int, _err: BaseException) -> None:
         self.retries += 1
 
-    deadline = Deadline(self.env, self.default_deadline_s) \
-        if self.default_deadline_s is not None else None
     return self.env.process(
         retry_call(self.env, self.retry_stream, attempt,
                    self.retry or RetryPolicy(max_attempts=1),
                    retry_on=RETRYABLE_ETCD_ERRORS,
-                   breaker=self.breaker, deadline=deadline,
+                   breaker=self.breaker,
                    on_retry=count_retry),
         name="etcd-op")
 
@@ -98,8 +96,6 @@ def scripts(draw):
         "policy": draw(_POLICY),
         "breaker": draw(st.one_of(st.none(), st.tuples(
             st.integers(1, 3), st.sampled_from([0.0, 0.05, 0.5])))),
-        "deadline_s": draw(st.one_of(st.none(), st.sampled_from(
-            [0.0, 0.002, 0.06, 1.0]))),
         # (start delay after the previous call, one entry per attempt)
         "calls": draw(st.lists(st.tuples(
             _CALL_GAPS, st.lists(_ATTEMPT, max_size=4)),
@@ -116,7 +112,7 @@ def play(script, call):
     breaker = CircuitBreaker(env, *script["breaker"]) \
         if script["breaker"] is not None else None
     client = EtcdClient(env, backend=None, rng=rng, retry=script["policy"],
-                        breaker=breaker, deadline_s=script["deadline_s"])
+                        breaker=breaker)
     fired = env.timeout(0.0, "fired")
     env.run()  # ``fired`` is now a processed event
     outcomes = []
@@ -184,7 +180,7 @@ def play(script, call):
 @given(script=scripts())
 @example(script={  # the store goes down during the first backoff
     "policy": RetryPolicy(max_attempts=3, jitter=False), "breaker": (2, 0.05),
-    "deadline_s": 1.0, "flips": [0.0309, 0.41],
+    "flips": [0.0309, 0.41],
     "calls": [(0.0, [("unavailable", "sync")]), (0.0, [("ok", 0.002)])]})
 def test_timed_call_is_the_process_form(script):
     assert play(script, EtcdClient._call) == play(script, process_form_call)

@@ -31,6 +31,7 @@ VIOLATION_FIXTURES = {
     "man001_violations.yaml": "MAN001",
     "man002_violations.yaml": "MAN002",
     "man003_violations.yaml": "MAN003",
+    "man003_chaos_violations.yaml": "MAN003",
     "man004_violations.yaml": "MAN004",
     "man005_violations.yaml": "MAN005",
 }

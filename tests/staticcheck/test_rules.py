@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.staticcheck import analyze_source
+from repro.staticcheck import analyze_manifest_source, analyze_source
 
 
 def codes(source):
@@ -232,3 +232,12 @@ def test_suppression_naming_an_unknown_code_is_reported():
 def test_syntax_error_is_reported_not_raised():
     findings, _suppressed = analyze_source("def broken(:\n    pass\n")
     assert [f.code for f in findings] == ["SYNTAX"]
+
+
+def test_manifest_yaml_errors_are_positioned_syntax_findings():
+    for source, line, message in (
+            ("kind: chaos\nname: [x\n", 3, "cannot parse"),
+            ("kind: chaos\n---\nkind: chaos\n", 3, "single YAML document")):
+        findings, _suppressed = analyze_manifest_source(source, "m.yaml")
+        assert [(f.code, f.line) for f in findings] == [("SYNTAX", line)]
+        assert message in findings[0].message
