@@ -40,6 +40,7 @@ from repro.sim.core import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.platform import FfDLPlatform
+    from repro.kube.api import KubeAPI
 
 #: Ordering of learner statuses for aggregation: the job is only as far
 #: along as its slowest learner.
@@ -128,9 +129,9 @@ def _deploy(platform: "FfDLPlatform", job: TrainingJob, container):
     container.log("deployment complete")
 
 
-def _rollback(platform: "FfDLPlatform", job: TrainingJob):
-    """Delete any partially created objects of a previous attempt."""
-    api = platform.cluster.api
+def delete_workloads(api: "KubeAPI", job: TrainingJob) -> None:
+    """Delete whichever of the job's learner and PS sets, helper
+    deployment and network policy exist, in that order."""
     for set_name in (job.statefulset_name, job.ps_set_name):
         if api.exists("statefulsets", set_name):
             api.delete_statefulset(set_name)
@@ -138,11 +139,21 @@ def _rollback(platform: "FfDLPlatform", job: TrainingJob):
         api.delete_deployment(job.helper_name)
     if api.exists("networkpolicies", job.netpol_name):
         api.delete_network_policy(job.netpol_name)
+
+
+def release_claim(api: "KubeAPI", job: TrainingJob) -> None:
+    """Release the job's volume and delete its claim, if it has one."""
     if api.exists("pvcs", job.pvc_name):
         pvc = api.get_pvc(job.pvc_name)
         if pvc.volume is not None:
             pvc.volume.release()
         api.delete_pvc(job.pvc_name)
+
+
+def _rollback(platform: "FfDLPlatform", job: TrainingJob):
+    """Delete any partially created objects of a previous attempt."""
+    delete_workloads(platform.cluster.api, job)
+    release_claim(platform.cluster.api, job)
     job.volume = None
     yield platform.env.timeout(0.2)  # API round-trips
 
@@ -193,8 +204,7 @@ def _monitor(platform: "FfDLPlatform", job: TrainingJob, container):
                 # terminal status is recorded; garbage collection that
                 # follows must not shift the user-visible timestamp.
                 platform.record_status(job, status)
-                yield from _garbage_collect(platform, job,
-                                            keep_volume=False)
+                yield from _garbage_collect(platform, job)
                 if job.finished_at is None:
                     job.finished_at = env.now
                 return 0
@@ -203,21 +213,9 @@ def _monitor(platform: "FfDLPlatform", job: TrainingJob, container):
             yield watcher.get()
 
 
-def _garbage_collect(platform: "FfDLPlatform", job: TrainingJob,
-                     keep_volume: bool):
-    api = platform.cluster.api
-    for set_name in (job.statefulset_name, job.ps_set_name):
-        if api.exists("statefulsets", set_name):
-            api.delete_statefulset(set_name)
-    if api.exists("deployments", job.helper_name):
-        api.delete_deployment(job.helper_name)
-    if api.exists("networkpolicies", job.netpol_name):
-        api.delete_network_policy(job.netpol_name)
-    if api.exists("pvcs", job.pvc_name) and not keep_volume:
-        pvc = api.get_pvc(job.pvc_name)
-        if pvc.volume is not None:
-            pvc.volume.release()
-        api.delete_pvc(job.pvc_name)
+def _garbage_collect(platform: "FfDLPlatform", job: TrainingJob):
+    delete_workloads(platform.cluster.api, job)
+    release_claim(platform.cluster.api, job)
     # Let the pod deletions complete their API round-trip before clearing
     # the job's etcd state: a still-dying controller holds lease-backed
     # status keys, and a put it issued before the kill must land before —

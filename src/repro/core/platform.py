@@ -26,7 +26,11 @@ from typing import Dict, List, Optional, Union
 
 from repro.core import statuses as st
 from repro.core.admission import AdmissionController
-from repro.core.guardian import make_guardian_workload
+from repro.core.guardian import (
+    delete_workloads,
+    make_guardian_workload,
+    release_claim,
+)
 from repro.core.helper import (
     halt_key,
     job_prefix,
@@ -613,19 +617,8 @@ class FfDLPlatform:
     def _cleanup_job_objects(self, job: TrainingJob) -> None:
         """Best-effort teardown of a job's Kubernetes objects (used when
         the Guardian can no longer do it)."""
-        api = self.cluster.api
-        for set_name in (job.statefulset_name, job.ps_set_name):
-            if api.exists("statefulsets", set_name):
-                api.delete_statefulset(set_name)
-        if api.exists("deployments", job.helper_name):
-            api.delete_deployment(job.helper_name)
-        if api.exists("networkpolicies", job.netpol_name):
-            api.delete_network_policy(job.netpol_name)
-        if api.exists("pvcs", job.pvc_name):
-            pvc = api.get_pvc(job.pvc_name)
-            if pvc.volume is not None:
-                pvc.volume.release()
-            api.delete_pvc(job.pvc_name)
+        delete_workloads(self.cluster.api, job)
+        release_claim(self.cluster.api, job)
         self.etcd_store().delete_prefix(job_prefix(job.job_id))
 
     # -- preemption (driven by the admission-control layer) ----------------------------
@@ -649,24 +642,14 @@ class FfDLPlatform:
                        for i in range(1, job.guardian_attempts + 1))):
             if api.exists("jobs", name):
                 api.delete_job(name)
-        if api.exists("pvcs", job.pvc_name):
-            pvc = api.get_pvc(job.pvc_name)
-            if pvc.volume is not None:
-                pvc.volume.release()
-            api.delete_pvc(job.pvc_name)
+        release_claim(api, job)
 
         def teardown_sets():
             # PVC reclaim settles before the workload sets are deleted
             # (the production teardown pace); queued pods can observe the
             # missing claim in between.
             yield self.env.timeout(5.0)
-            for set_name in (job.statefulset_name, job.ps_set_name):
-                if api.exists("statefulsets", set_name):
-                    api.delete_statefulset(set_name)
-            if api.exists("deployments", job.helper_name):
-                api.delete_deployment(job.helper_name)
-            if api.exists("networkpolicies", job.netpol_name):
-                api.delete_network_policy(job.netpol_name)
+            delete_workloads(api, job)
 
         self.env.process(teardown_sets(), name=f"preempt:{job.job_id}")
         self.etcd_store().delete_prefix(job_prefix(job.job_id))

@@ -57,16 +57,8 @@ class StoreUnavailableError(StoreError):
 
     This is the *transient* store failure: retry policies treat it as
     retryable, unlike its :class:`StoreError` siblings which signal
-    semantic errors (missing keys, failed compares) that a retry cannot
-    fix."""
-
-
-class KeyNotFoundError(StoreError):
-    """A key or document was not found."""
-
-
-class CompareFailedError(StoreError):
-    """An etcd transaction's compare guard failed."""
+    semantic errors (duplicate keys, malformed updates) that a retry
+    cannot fix."""
 
 
 class LeaseExpiredError(StoreError):
@@ -74,7 +66,7 @@ class LeaseExpiredError(StoreError):
 
 
 class DuplicateKeyError(StoreError):
-    """A unique index would be violated by an insert."""
+    """An insert named an ``_id`` that already exists."""
 
 
 class ObjectStorageError(ReproError):

@@ -2,12 +2,10 @@
 
 from repro.etcd.client import DEFAULT_ETCD_LATENCY_S, EtcdClient
 from repro.etcd.kv import (
-    Compare,
     DELETE,
     EtcdStore,
     KeyValue,
     Lease,
-    Op,
     PUT,
     WatchEvent,
     Watcher,
@@ -15,14 +13,12 @@ from repro.etcd.kv import (
 from repro.etcd.replicated import ReplicatedEtcd
 
 __all__ = [
-    "Compare",
     "DEFAULT_ETCD_LATENCY_S",
     "DELETE",
     "EtcdClient",
     "EtcdStore",
     "KeyValue",
     "Lease",
-    "Op",
     "PUT",
     "ReplicatedEtcd",
     "Watcher",

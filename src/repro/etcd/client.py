@@ -76,9 +76,6 @@ class EtcdClient(StoreClient):
 
         return self._call(read)
 
-    def range(self, prefix: str) -> Event:
-        return self._call(lambda: self._read_store().range(prefix))
-
     # -- watches -----------------------------------------------------------------
 
     def watch(self, key: str) -> Watcher:

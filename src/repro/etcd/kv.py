@@ -1,18 +1,21 @@
-"""The etcd key-value core: revisions, ranges, transactions, watches, leases.
+"""The etcd key-value core: revisions, watches, leases.
 
-:class:`EtcdStore` is a faithful single-node model of the etcd v3 data
-model subset that FfDL relies on (Section 3.2 of the paper): small values,
-per-key *streaming watches*, leases with TTL, and compare-and-swap
-transactions.  Replication is layered on separately
-(:mod:`repro.etcd.replicated`) via Raft.
+:class:`EtcdStore` is a single-node model of the etcd v3 data model
+subset that FfDL relies on (Section 3.2 of the paper): small values with
+revisions, per-key and per-prefix *streaming watches*, and leases with
+TTL.  It serves the operations FfDL issues (DESIGN.md "Store
+operations"): get, put, delete, delete a prefix, watch, and grant, keep
+alive and revoke a lease; ``range`` and ``keys`` are for inspection.
+Replication is layered on separately (:mod:`repro.etcd.replicated`) via
+Raft.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import CompareFailedError, LeaseExpiredError, StoreError
+from repro.errors import LeaseExpiredError, StoreError
 from repro.sim.core import Environment
 from repro.sim.race import note_read, note_write
 from repro.sim.resources import Store as EventQueue
@@ -42,31 +45,6 @@ class WatchEvent:
     value: Any
     revision: int
     prev_value: Any = None
-
-
-@dataclass
-class Compare:
-    """A transaction guard: compare a key's field against a target value.
-
-    ``field`` is one of ``value``, ``version``, ``mod_revision``,
-    ``create_revision``; ``op`` is one of ``==``, ``!=``, ``<``, ``>``.
-    A ``version`` of 0 means "key does not exist", matching etcd semantics.
-    """
-
-    key: str
-    field: str = "value"
-    op: str = "=="
-    target: Any = None
-
-
-@dataclass
-class Op:
-    """A transaction operation: ('put', key, value) or ('delete', key)."""
-
-    kind: str
-    key: str
-    value: Any = None
-    lease_id: Optional[int] = None
 
 
 @dataclass
@@ -124,10 +102,6 @@ class Watcher:
         store, self._store = self._store, None
         if store is not None:
             store._remove_watcher(self)
-
-    def cancel(self) -> None:
-        """Historical name; identical to :meth:`close`."""
-        self.close()
 
     def __enter__(self) -> "Watcher":
         return self
@@ -242,62 +216,6 @@ class EtcdStore:
         for key in [k for k in self._data if k.startswith(prefix)]:
             count += self.delete(key)
         return count
-
-    # -- transactions --------------------------------------------------------
-
-    def check(self, compare: Compare) -> bool:
-        if self.env.race_detector is not None:
-            note_read(self.env, self._race_label, compare.key,
-                      "EtcdStore.check")
-        kv = self._data.get(compare.key)
-        if compare.field == "value":
-            actual = kv.value if kv else None
-        elif compare.field == "version":
-            actual = kv.version if kv else 0
-        elif compare.field == "mod_revision":
-            actual = kv.mod_revision if kv else 0
-        elif compare.field == "create_revision":
-            actual = kv.create_revision if kv else 0
-        else:
-            raise StoreError(f"unknown compare field {compare.field!r}")
-        if compare.op == "==":
-            return actual == compare.target
-        if compare.op == "!=":
-            return actual != compare.target
-        if compare.op == "<":
-            return actual < compare.target
-        if compare.op == ">":
-            return actual > compare.target
-        raise StoreError(f"unknown compare op {compare.op!r}")
-
-    def txn(self, compares: Iterable[Compare],
-            on_success: Iterable[Op],
-            on_failure: Iterable[Op] = ()) -> Tuple[bool, List[Any]]:
-        """Atomically: if all compares hold, apply on_success, else on_failure.
-
-        Returns ``(succeeded, results)``.
-        """
-        succeeded = all(self.check(c) for c in compares)
-        ops = on_success if succeeded else on_failure
-        results = []
-        for op in ops:
-            if op.kind == "put":
-                results.append(self.put(op.key, op.value, op.lease_id))
-            elif op.kind == "delete":
-                results.append(self.delete(op.key))
-            else:
-                raise StoreError(f"unknown txn op {op.kind!r}")
-        return succeeded, results
-
-    def cas(self, key: str, expected_value: Any, new_value: Any) -> KeyValue:
-        """Compare-and-swap convenience; raises on mismatch."""
-        ok, results = self.txn(
-            [Compare(key, "value", "==", expected_value)],
-            [Op("put", key, new_value)])
-        if not ok:
-            raise CompareFailedError(
-                f"cas on {key!r}: value != {expected_value!r}")
-        return results[0]
 
     # -- watches --------------------------------------------------------------
 

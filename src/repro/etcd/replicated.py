@@ -12,10 +12,10 @@ the replicas stay byte-identical to the hub.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import StoreError
-from repro.etcd.kv import Compare, EtcdStore, Lease, Op, Watcher
+from repro.etcd.kv import EtcdStore, Lease, Watcher
 from repro.raft import RaftCluster, StateMachine
 from repro.sim.core import Environment, Event
 from repro.sim.rng import RngRegistry
@@ -34,9 +34,6 @@ def apply_command(store: EtcdStore, command: dict,
         return store.delete(command["key"])
     if op == "delete_prefix":
         return store.delete_prefix(command["prefix"])
-    if op == "txn":
-        return store.txn(command["compares"], command["on_success"],
-                         command.get("on_failure", ()))
     raise StoreError(f"unknown etcd command {op!r}")
 
 
@@ -115,12 +112,6 @@ class ReplicatedEtcd:
 
     def delete_prefix(self, prefix: str) -> Event:
         return self.submit({"op": "delete_prefix", "prefix": prefix})
-
-    def txn(self, compares: List[Compare], on_success: List[Op],
-            on_failure: List[Op] = ()) -> Event:
-        return self.submit({"op": "txn", "compares": compares,
-                            "on_success": on_success,
-                            "on_failure": list(on_failure)})
 
     # -- read / watch / lease path (hub-served) -----------------------------------
 

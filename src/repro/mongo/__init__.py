@@ -1,9 +1,8 @@
-"""MongoDB substrate: document store with query subset and replica sets."""
+"""MongoDB substrate: documents by ``_id`` in replica sets."""
 
 from repro.mongo.client import DEFAULT_MONGO_LATENCY_S, MongoClient
 from repro.mongo.collection import Collection
 from repro.mongo.database import MongoDatabase, MongoReplicaSet
-from repro.mongo.query import apply_update, matches, sort_documents
 
 __all__ = [
     "Collection",
@@ -11,7 +10,4 @@ __all__ = [
     "MongoClient",
     "MongoDatabase",
     "MongoReplicaSet",
-    "apply_update",
-    "matches",
-    "sort_documents",
 ]

@@ -6,7 +6,7 @@ per-op latency relative to etcd is what the status-store ablation measures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.errors import StoreUnavailableError
 from repro.mongo.collection import Collection
@@ -19,7 +19,7 @@ from repro.sim.core import Event
 DEFAULT_MONGO_LATENCY_S = 0.015
 
 #: Only unreachability is retryable; semantic errors (duplicate key,
-#: malformed update) would fail identically on every attempt.
+#: malformed update or query) would fail identically on every attempt.
 RETRYABLE_MONGO_ERRORS = (StoreUnavailableError,)
 
 
@@ -50,27 +50,6 @@ class MongoClient(StoreClient):
         return self._call(lambda: self._collection(collection)
                           .update_one(query, update, upsert=upsert))
 
-    def update_many(self, collection: str, query: Dict[str, Any],
-                    update: Dict[str, Any]) -> Event:
+    def find_one(self, collection: str, query: Dict[str, Any]) -> Event:
         return self._call(lambda: self._collection(collection)
-                          .update_many(query, update))
-
-    def find(self, collection: str, query: Optional[Dict[str, Any]] = None,
-             sort: Optional[List] = None,
-             limit: Optional[int] = None) -> Event:
-        return self._call(lambda: self._collection(collection)
-                          .find(query, sort=sort, limit=limit))
-
-    def find_one(self, collection: str,
-                 query: Optional[Dict[str, Any]] = None,
-                 sort: Optional[List] = None) -> Event:
-        return self._call(lambda: self._collection(collection)
-                          .find_one(query, sort=sort))
-
-    def delete_many(self, collection: str, query: Dict[str, Any]) -> Event:
-        return self._call(lambda: self._collection(collection)
-                          .delete_many(query))
-
-    def count(self, collection: str,
-              query: Optional[Dict[str, Any]] = None) -> Event:
-        return self._call(lambda: self._collection(collection).count(query))
+                          .find_one(query))

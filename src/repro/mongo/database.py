@@ -42,9 +42,6 @@ class MongoDatabase:
                 oplog=self.oplog)
         return self._collections[name]
 
-    def __getitem__(self, name: str) -> Collection:
-        return self.collection(name)
-
 
 class MongoReplicaSet:
     """A primary plus N secondaries tailing the primary's oplog."""

@@ -73,9 +73,8 @@ class BufferedJobWriter:
     def insert(self, collection: str, document: dict) -> Event:
         return self._enqueue("insert", collection, (document,))
 
-    def update(self, collection: str, query: dict, update: dict,
-               upsert: bool = False) -> Event:
-        return self._enqueue("update", collection, (query, update, upsert))
+    def update(self, collection: str, query: dict, update: dict) -> Event:
+        return self._enqueue("update", collection, (query, update))
 
     def _enqueue(self, op: str, collection: str, args) -> Event:
         if self._closed:
@@ -228,6 +227,5 @@ class BufferedJobWriter:
         if item.op == "insert":
             (document,) = item.args
             return self.client.insert_one(item.collection, document)
-        query, update, upsert = item.args
-        return self.client.update_one(item.collection, query, update,
-                                      upsert=upsert)
+        query, update = item.args
+        return self.client.update_one(item.collection, query, update)

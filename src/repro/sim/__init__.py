@@ -18,7 +18,7 @@ from repro.sim.race import (
     note_read,
     note_write,
 )
-from repro.sim.resources import FairShareLink, Resource, Store
+from repro.sim.resources import FairShareLink, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RaceDetector",
     "RaceError",
     "RaceReport",
-    "Resource",
     "RngRegistry",
     "Store",
     "Timeout",

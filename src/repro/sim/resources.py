@@ -1,9 +1,8 @@
 """Synchronization and resource-contention primitives for the sim kernel.
 
-These are the building blocks for modelling queues (:class:`Store`),
-capacity-limited services (:class:`Resource`) and shared network / storage
-bandwidth (:class:`FairShareLink`, used to reproduce the heavy-load
-degradation in Figure 5 of the paper).
+These are the building blocks for modelling queues (:class:`Store`) and
+shared network / storage bandwidth (:class:`FairShareLink`, used to
+reproduce the heavy-load degradation in Figure 5 of the paper).
 """
 
 from __future__ import annotations
@@ -17,43 +16,6 @@ from typing import Any, Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import NORMAL, URGENT, Environment, Event, Timeout
-
-
-class Resource:
-    """A counted resource; ``request()`` events fire FIFO as capacity frees."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Return an event that fires once a unit is acquired."""
-        ev = self.env.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Release one unit; hands it to the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError("release without acquire")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed(self)
-                return
-        self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for w in self._waiters if not w.triggered)
 
 
 class Store:

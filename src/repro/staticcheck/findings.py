@@ -75,12 +75,12 @@ RULE_EXPLANATIONS = {
         "dead owner.",
         "w = store.watch_prefix(p)\n"
         "if bad: return           # leaks the watcher\n"
-        "w.cancel()",
+        "w.close()",
         "w = store.watch_prefix(p)\n"
         "try:\n"
         "    ...\n"
         "finally:\n"
-        "    w.cancel()",
+        "    w.close()",
     ),
     "SAF001": (
         "Crash injection is delivered as sim.core.Interrupt; a handler "

@@ -48,18 +48,6 @@ def test_get_value_resolves_bare_value_or_none():
     assert env.run_until_complete(env.process(flow())) == (42, None)
 
 
-def test_range_through_client():
-    env, store, client = standalone_client()
-    store.put("a/1", 1)
-    store.put("a/2", 2)
-
-    def flow():
-        kvs = yield client.range("a/")
-        return [kv.key for kv in kvs]
-
-    assert env.run_until_complete(env.process(flow())) == ["a/1", "a/2"]
-
-
 def test_delete_prefix_through_client():
     env, store, client = standalone_client()
     store.put("a/1", 1)
@@ -82,7 +70,7 @@ def test_watch_is_synchronous_and_streams():
         return ev.key
 
     assert env.run_until_complete(env.process(flow())) == "jobs/1"
-    watcher.cancel()
+    watcher.close()
 
 
 def test_lease_grant_keepalive_revoke():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import CompareFailedError, LeaseExpiredError, StoreError
-from repro.etcd import Compare, EtcdStore, Op
+from repro.errors import LeaseExpiredError
+from repro.etcd import EtcdStore
 from repro.sim import Environment
 
 
@@ -65,71 +65,6 @@ def test_delete_prefix(store):
     store.put("keep", 3)
     assert store.delete_prefix("jobs/") == 2
     assert store.keys() == ["keep"]
-
-
-def test_txn_success_branch(store):
-    store.put("status", "PENDING")
-    ok, _results = store.txn(
-        [Compare("status", "value", "==", "PENDING")],
-        [Op("put", "status", "RUNNING")],
-        [Op("put", "status", "CONFLICT")])
-    assert ok
-    assert store.get("status").value == "RUNNING"
-
-
-def test_txn_failure_branch(store):
-    store.put("status", "FAILED")
-    ok, _results = store.txn(
-        [Compare("status", "value", "==", "PENDING")],
-        [Op("put", "status", "RUNNING")],
-        [Op("put", "marker", "fell-through")])
-    assert not ok
-    assert store.get("status").value == "FAILED"
-    assert store.get("marker").value == "fell-through"
-
-
-def test_txn_version_zero_means_absent(store):
-    ok, _ = store.txn([Compare("new-key", "version", "==", 0)],
-                      [Op("put", "new-key", "created")])
-    assert ok
-    # Second attempt: key now exists, guard fails.
-    ok2, _ = store.txn([Compare("new-key", "version", "==", 0)],
-                       [Op("put", "new-key", "clobbered")])
-    assert not ok2
-    assert store.get("new-key").value == "created"
-
-
-def test_txn_delete_op(store):
-    store.put("a", 1)
-    ok, results = store.txn([], [Op("delete", "a")])
-    assert ok and results == [1]
-
-
-def test_txn_unknown_op_rejected(store):
-    with pytest.raises(StoreError):
-        store.txn([], [Op("frobnicate", "a")])
-
-
-def test_check_unknown_field_rejected(store):
-    with pytest.raises(StoreError):
-        store.check(Compare("a", "colour", "==", 1))
-
-
-def test_check_comparison_operators(store):
-    store.put("a", 5)
-    assert store.check(Compare("a", "value", ">", 4))
-    assert store.check(Compare("a", "value", "<", 6))
-    assert store.check(Compare("a", "value", "!=", 9))
-    with pytest.raises(StoreError):
-        store.check(Compare("a", "value", "~=", 1))
-
-
-def test_cas_success_and_failure(store):
-    store.put("k", "old")
-    store.cas("k", "old", "new")
-    assert store.get("k").value == "new"
-    with pytest.raises(CompareFailedError):
-        store.cas("k", "old", "newer")
 
 
 def test_put_with_dead_lease_rejected(store):

@@ -86,7 +86,7 @@ def test_watch_replays_every_effective_change(ops):
         else:
             effective += store.delete(key)
     assert watcher.pending() == effective
-    watcher.cancel()
+    watcher.close()
 
 
 @settings(max_examples=examples(40), deadline=None)

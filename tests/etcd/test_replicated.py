@@ -50,7 +50,7 @@ def test_watch_fires_exactly_once_per_commit(setup):
     env.run_until_complete(etcd.put("status", "B"), limit=env.now + 10)
     env.run(until=env.now + 1.0)
     assert watcher.pending() == 2
-    watcher.cancel()
+    watcher.close()
 
 
 def test_restarted_replica_converges(setup):
@@ -76,20 +76,6 @@ def test_lease_expiry_deletes_via_consensus(setup):
     assert etcd.get("guarded") is None
     for sm in etcd.replicas.values():
         assert sm.store.get("guarded") is None
-
-
-def test_txn_replicates(setup):
-    from repro.etcd import Compare, Op
-    env, etcd = setup
-    env.run_until_complete(etcd.put("s", "PENDING"), limit=env.now + 10)
-    env.run_until_complete(
-        etcd.txn([Compare("s", "value", "==", "PENDING")],
-                 [Op("put", "s", "RUNNING")]),
-        limit=env.now + 10)
-    env.run(until=env.now + 1.0)
-    assert etcd.get("s").value == "RUNNING"
-    for sm in etcd.replicas.values():
-        assert sm.store.get("s").value == "RUNNING"
 
 
 def test_hub_revision_matches_command_count(setup):

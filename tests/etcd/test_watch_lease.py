@@ -31,7 +31,7 @@ def test_watch_single_key_receives_puts():
     env.process(producer())
     env.run()
     assert got == [(PUT, "DOWNLOADING"), (PUT, "PROCESSING")]
-    watcher.cancel()
+    watcher.close()
 
 
 def test_watch_receives_delete_with_prev_value():
@@ -49,7 +49,7 @@ def test_watch_receives_delete_with_prev_value():
     ev = env.run_until_complete(env.process(consume()))
     assert ev.type == DELETE
     assert ev.prev_value == "v1"
-    watcher.cancel()
+    watcher.close()
 
 
 def test_watch_prefix_sees_all_children():
@@ -60,14 +60,14 @@ def test_watch_prefix_sees_all_children():
     store.put("learners/1", "RUNNING")
     store.put("other", "x")
     assert watcher.pending() == 2
-    watcher.cancel()
+    watcher.close()
 
 
 def test_cancelled_watcher_gets_nothing():
     env = Environment()
     store = EtcdStore(env)
     watcher = store.watch("k")
-    watcher.cancel()
+    watcher.close()
     store.put("k", 1)
     assert watcher.pending() == 0
 
@@ -161,7 +161,7 @@ def test_watch_events_carry_monotonic_revisions():
     env.run_until_complete(env.process(consume()))
     assert revisions == sorted(revisions)
     assert len(set(revisions)) == 3
-    watcher.cancel()
+    watcher.close()
 
 
 def test_lease_expiry_deletes_attached_keys():
@@ -212,7 +212,7 @@ def test_revoke_deletes_keys_and_fires_watch():
     assert store.get("a") is None
     assert watcher.pending() == 1
     assert not store.revoke(lease.lease_id)
-    watcher.cancel()
+    watcher.close()
 
 
 def test_lease_ttl_must_be_positive():

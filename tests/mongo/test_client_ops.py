@@ -1,4 +1,4 @@
-"""Coverage for the remaining MongoClient operations."""
+"""Coverage for the MongoClient operations."""
 
 import pytest
 
@@ -17,45 +17,6 @@ def client():
 
 def run(env, gen):
     return env.run_until_complete(env.process(gen), limit=env.now + 100)
-
-
-def test_update_many_through_client(client):
-    env, mongo = client
-
-    def flow():
-        for i in range(4):
-            yield mongo.insert_one("jobs", {"user": "a", "seq": i})
-        modified = yield mongo.update_many(
-            "jobs", {"user": "a"}, {"$set": {"status": "FAILED"}})
-        count = yield mongo.count("jobs", {"status": "FAILED"})
-        return modified, count
-
-    assert run(env, flow()) == (4, 4)
-
-
-def test_delete_many_through_client(client):
-    env, mongo = client
-
-    def flow():
-        for user in ("a", "a", "b"):
-            yield mongo.insert_one("jobs", {"user": user})
-        deleted = yield mongo.delete_many("jobs", {"user": "a"})
-        remaining = yield mongo.count("jobs")
-        return deleted, remaining
-
-    assert run(env, flow()) == (2, 1)
-
-
-def test_find_with_sort_and_limit_through_client(client):
-    env, mongo = client
-
-    def flow():
-        for i in (3, 1, 2):
-            yield mongo.insert_one("jobs", {"seq": i})
-        top = yield mongo.find("jobs", sort=[("seq", -1)], limit=2)
-        return [doc["seq"] for doc in top]
-
-    assert run(env, flow()) == [3, 2]
 
 
 def test_upsert_through_client(client):
@@ -92,11 +53,11 @@ def test_each_retry_costs_a_backoff_timer_and_a_latency_timer():
     mongo = MongoClient(env, MongoDatabase(),
                         retry=RetryPolicy(max_attempts=3, jitter=False))
     mongo.set_available(False)
-    done = mongo.count("jobs")
+    done = mongo.find_one("jobs", {"_id": 1})
     env.run(until=0.02)  # the attempt at 0.015 found it down
     mongo.set_available(True)
     env.run()
-    assert (done.value, mongo.retries) == (0, 1)
+    assert (done.value, mongo.retries) == (None, 1)
     assert env.events_processed == 2 + 2 * mongo.retries
 
 

@@ -6,8 +6,8 @@ ran it, kept verbatim below (``ProcessReplicaSet``: ``__init__``,
 crashes, restarts and elections are inherited), over members as they
 were then: one oplog per collection, and a secondary that stores a deep
 copy of every entry it applies (``CopyingDatabase``).  Random programs -
-inserts, updates, deletes and reads (which create a collection, empty or
-not) over three collections, primary and
+inserts, updates and reads (which create a collection, empty or not)
+over three collections, primary and
 secondary crashes and restarts (also both in one kernel event),
 ``election_delay_s`` of zero and above, steps at exact tick instants -
 are played on twin environments under tie-break seeds 0 and 1: from
@@ -170,8 +170,8 @@ def applied(rs) -> List[int]:
 
 COLLECTIONS = ("jobs", "users", "intents")
 HORIZON = 2.0
-VERBS = ("insert", "insert", "update", "update", "update-many", "delete",
-         "find", "crash", "restart", "bounce")
+VERBS = ("insert", "insert", "update", "update", "find", "crash", "restart",
+         "bounce")
 #: An instant: a float, or the index of a replication tick (its exact
 #: float, the process form's running sum of lags).
 _AT = st.one_of(st.floats(min_value=0.0, max_value=HORIZON),
@@ -207,10 +207,6 @@ def play(rs_class, via, secondaries, lag, delay, tiebreak, program):
                 rs.collection(coll).update_one(
                     {"_id": doc_id}, {"$set": {"v": value},
                                       "$push": {"h": value}})
-            elif verb == "update-many":
-                rs.collection(coll).update_many({}, {"$inc": {"n": 1}})
-            elif verb == "delete":
-                rs.collection(coll).delete_one({"_id": doc_id})
             elif verb == "find":  # creates the collection, empty or not
                 rs.collection(coll).find_one({"_id": doc_id})
             elif verb == "crash":

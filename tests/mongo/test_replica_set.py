@@ -63,7 +63,7 @@ def test_restarted_member_resyncs():
     assert rs.members[2].collection("jobs").count() == 1
 
 
-@pytest.mark.parametrize("method", ["update_one", "update_many"])
+@pytest.mark.parametrize("method", ["update_one"])
 def test_an_update_stores_none_of_the_callers_objects(method):
     env, rs = make_rs()
     jobs = rs.collection("jobs")
@@ -75,11 +75,37 @@ def test_an_update_stores_none_of_the_callers_objects(method):
     meta["owner"], event["status"] = "mallory", "FAILED"
     expected = {"_id": "j1", "history": [{"status": "RUNNING"}],
                 "meta": {"owner": "alice"}}
-    assert jobs.get("j1") == expected
+    assert jobs.find_one({"_id": "j1"}) == expected
     assert entry[1] == expected
     env.run(until=rs.replication_lag_s * 1.5)  # one tick
     for member in rs.members:
-        assert member.collection("jobs").get("j1") == expected
+        assert member.collection("jobs").find_one({"_id": "j1"}) == expected
+
+
+@pytest.mark.parametrize("update, upsert", [
+    ({"$set": {"status": "RUNNING"},
+      "$push": {"history": {"status": "RUNNING"}}}, False),
+    ({"state": "RUNNING", "generation": 2}, False),
+    ({"$set": {"version": 1, "written_at": 0.5}}, True),
+], ids=["set-and-push", "replacement", "set-with-upsert"])
+def test_each_update_form_reaches_the_secondaries(update, upsert):
+    """The three update forms FfDL sends: the job status (``$set`` +
+    ``$push``), the dispatcher's intent log (replacement), and the
+    status-store ablation (``$set`` with upsert, here of a new id)."""
+    env, rs = make_rs()
+    jobs = rs.collection("jobs")
+    jobs.insert_one({"_id": "j1", "history": []})
+    doc_id = "j2" if upsert else "j1"
+    assert jobs.update_one({"_id": doc_id}, update, upsert=upsert) == 1
+    env.run(until=rs.replication_lag_s * 1.5)  # one tick
+    primary = rs.primary.collection("jobs")
+    for member in rs.members:
+        secondary = member.collection("jobs")
+        assert secondary.count() == primary.count()
+        for each in ("j1", "j2"):
+            assert repr(secondary.find_one({"_id": each})) \
+                == repr(primary.find_one({"_id": each}))
+    assert primary.find_one({"_id": doc_id})["_id"] == doc_id
 
 
 def test_total_outage_raises():
@@ -115,8 +141,7 @@ def test_client_over_database_and_replica_set():
             yield client.update_one("jobs", {"_id": "a"},
                                     {"$set": {"v": 2}})
             doc = yield client.find_one("jobs", {"_id": "a"})
-            count = yield client.count("jobs")
-            return doc["v"], count
+            return doc["v"], backend.collection("jobs").count()
 
         assert env.run_until_complete(
             env.process(flow()), limit=env.now + 10) == (2, 1)
@@ -127,7 +152,7 @@ def test_client_latency_applied():
     client = MongoClient(env, MongoDatabase(), latency_s=0.02)
 
     def flow():
-        yield client.insert_one("c", {"x": 1})
+        yield client.insert_one("c", {"_id": "x"})
         return env.now
 
     assert env.run_until_complete(env.process(flow())) == pytest.approx(0.02)

@@ -43,8 +43,8 @@ class FakeMongoClient:
     def insert_one(self, collection, document):
         return self._op("insert", collection, (document,))
 
-    def update_one(self, collection, query, update, upsert=False):
-        return self._op("update", collection, (query, update, upsert))
+    def update_one(self, collection, query, update):
+        return self._op("update", collection, (query, update))
 
 
 def make_writer(seed=0, cooldown_s=0.5):
@@ -141,9 +141,9 @@ def test_semantic_errors_are_dropped_not_retried_forever():
 
 
 @pytest.mark.parametrize("malformed", [
-    {"$inc": {"status": 1}},      # a string field
-    {"$inc": {"finished": 1}},    # a None field
-    {"$unset": 5},                # not a document of fields
+    {"$inc": {"status": 1}},      # an unknown operator
+    {"$push": {"finished": 1}},   # onto a None field
+    {"$set": 5},                  # not a document of fields
 ])
 def test_malformed_update_is_counted_and_the_drain_moves_on(malformed):
     """A malformed update against a real store is a semantic error: the
@@ -160,7 +160,8 @@ def test_malformed_update_is_counted_and_the_drain_moves_on(malformed):
     assert writer.pending == 0
     assert writer.write_errors == 1
     assert writer.total_flushed == 2
-    assert db["jobs"].get("j1")["status"] == "RUNNING"
+    assert db.collection("jobs").find_one({"_id": "j1"})["status"] \
+        == "RUNNING"
 
 
 def test_duplicate_insert_is_suppressed_not_an_error():

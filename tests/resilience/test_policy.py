@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import (
     CircuitOpenError,
-    KeyNotFoundError,
+    DuplicateKeyError,
     RetryExhaustedError,
     SimulationError,
     StoreUnavailableError,
@@ -163,9 +163,9 @@ def test_retry_call_does_not_retry_semantic_errors():
 
     def attempt():
         calls.append(env.now)
-        raise KeyNotFoundError("missing")
+        raise DuplicateKeyError("j1")
 
-    with pytest.raises(KeyNotFoundError):
+    with pytest.raises(DuplicateKeyError):
         run_retry(env, stream, attempt, RetryPolicy(max_attempts=5))
     assert len(calls) == 1
 

@@ -374,6 +374,6 @@ def test_mongo_without_env_records_nothing():
     detector = RaceDetector(env)
     db = MongoDatabase("plain")
     db.collection("jobs").insert_one({"_id": "j1"})
-    db.collection("jobs").find({"_id": "j1"})
+    db.collection("jobs").find_one({"_id": "j1"})
     assert detector.races == []
     assert "mongo:plain" not in detector.stores

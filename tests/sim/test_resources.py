@@ -1,74 +1,9 @@
-"""Unit tests for Resource, Store and FairShareLink."""
+"""Unit tests for Store and FairShareLink."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, FairShareLink, Resource, Store
-
-
-def test_resource_serializes_access():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    trace = []
-
-    def worker(label, hold):
-        yield res.request()
-        trace.append((label, "in", env.now))
-        yield env.timeout(hold)
-        res.release()
-        trace.append((label, "out", env.now))
-
-    env.process(worker("a", 5))
-    env.process(worker("b", 3))
-    env.run()
-    assert trace == [("a", "in", 0.0), ("a", "out", 5.0),
-                     ("b", "in", 5.0), ("b", "out", 8.0)]
-
-
-def test_resource_capacity_two_runs_concurrently():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    done = []
-
-    def worker(label):
-        yield res.request()
-        yield env.timeout(4)
-        res.release()
-        done.append((label, env.now))
-
-    for label in "abc":
-        env.process(worker(label))
-    env.run()
-    assert done == [("a", 4.0), ("b", 4.0), ("c", 8.0)]
-
-
-def test_resource_release_without_acquire():
-    env = Environment()
-    res = Resource(env)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_queue_length():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def holder():
-        yield res.request()
-        yield env.timeout(10)
-        res.release()
-
-    def waiter():
-        yield res.request()
-        res.release()
-
-    env.process(holder())
-    env.process(waiter())
-    env.process(waiter())
-    env.run(until=5)
-    assert res.queue_length == 2
-    env.run()
-    assert res.queue_length == 0
+from repro.sim import Environment, FairShareLink, Store
 
 
 def test_store_fifo_order():
