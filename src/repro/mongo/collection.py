@@ -2,10 +2,10 @@
 
 It serves the operations FfDL issues (DESIGN.md "Store operations"):
 insert a document that carries its ``_id``; update one by ``_id`` with
-``$set`` / ``$push``, a whole-document replacement, or ``$set`` with
-upsert; find one by ``_id``.  A query is exactly ``{"_id": value}``;
-anything else raises :class:`StoreError` rather than match the wrong
-document.  A write stores a fresh document, never mutated in place
+``$set`` / ``$push``, a whole-document replacement that keeps the
+``_id``, or ``$set`` with upsert; find one by ``_id``.  A query is
+exactly ``{"_id": value}``; anything else raises :class:`StoreError`
+rather than match the wrong document.  A write stores a fresh document, never mutated in place
 afterwards, which the oplog and every secondary share; reads return
 copies.
 """
@@ -36,7 +36,10 @@ def _updated(document: Dict[str, Any],
     operators = [key for key in update if key.startswith("$")]
     if not operators:
         replacement = copy.deepcopy(update)
-        replacement.setdefault("_id", document["_id"])
+        doc_id = replacement.setdefault("_id", document["_id"])
+        if doc_id is not document["_id"] and doc_id != document["_id"]:
+            raise StoreError(f"a replacement cannot change _id "
+                             f"{document['_id']!r} to {doc_id!r}")
         return replacement
     if len(operators) != len(update):
         raise StoreError("cannot mix update operators with replacement")

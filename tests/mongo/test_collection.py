@@ -3,7 +3,10 @@
 import copy
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+import repro.mongo.collection as collection_module
 from repro.errors import DuplicateKeyError, StoreError
 from repro.mongo import Collection
 
@@ -80,20 +83,6 @@ def test_a_query_other_than_id_equality_is_a_store_error(coll, query):
     assert len(coll.oplog) == 1
 
 
-@pytest.mark.parametrize("update", [
-    {"$set": {"a": 1}, "b": 2},
-    {"$inc": {"n": 1}},
-    {"$set": ["status"]},
-    {"$push": {"status": "FAILED"}},
-], ids=["mixed", "unknown-operator", "not-a-document", "push-onto-non-list"])
-def test_a_malformed_update_is_a_store_error(coll, update):
-    coll.insert_one({"_id": "a", "status": "RUNNING"})
-    with pytest.raises(StoreError):
-        coll.update_one({"_id": "a"}, update)
-    assert coll.find_one({"_id": "a"}) == {"_id": "a", "status": "RUNNING"}
-    assert len(coll.oplog) == 1
-
-
 def test_oplog_records_all_writes(coll):
     """Every write appends one entry; the document an entry shares with
     the collection is never mutated afterwards, by a later write, a
@@ -125,3 +114,106 @@ def test_oplog_records_all_writes(coll):
             {entry[1]["_id"]: entry[1] for entry in appended})
     ops = [entry[0] for entry in coll.oplog]
     assert ops == ["insert", "update", "update", "insert", "update"]
+
+
+# -- the lookup by _id -----------------------------------------------------------
+
+
+class ScanCollection:
+    """The oracle: the documents in a list, each lookup a brute-force scan
+    for a stored ``_id`` equal to the query's as a dict key is (the same
+    object, or ``==``), with the collection's query check and updates."""
+
+    def __init__(self):
+        self.documents, self.oplog = [], []
+
+    def _position(self, doc_id):
+        return next((n for n, doc in enumerate(self.documents)
+                     if doc["_id"] is doc_id or doc["_id"] == doc_id), None)
+
+    def insert_one(self, document):
+        doc = copy.deepcopy(document)
+        if self._position(doc["_id"]) is not None:
+            raise DuplicateKeyError(doc["_id"])
+        self.documents.append(doc)
+        self.oplog.append(("insert", doc, "jobs"))
+        return doc["_id"]
+
+    def update_one(self, query, update, upsert=False):
+        doc_id = collection_module._document_id(query)
+        n = self._position(doc_id)
+        if n is not None:
+            self.documents[n] = collection_module._updated(
+                self.documents[n], update)
+            self.oplog.append(("update", self.documents[n], "jobs"))
+            return 1
+        if upsert:
+            self.documents.append(
+                collection_module._updated({"_id": doc_id}, update))
+            self.oplog.append(("insert", self.documents[-1], "jobs"))
+            return 1
+        return 0
+
+    def find_one(self, query):
+        n = self._position(collection_module._document_id(query))
+        return None if n is None else copy.deepcopy(self.documents[n])
+
+
+# 1, 1.0 and True are one key; NaN equals nothing, itself included, but a
+# dict finds the very NaN object it holds.
+_SMALL = hs.integers(0, 2)
+_IDS = hs.one_of(
+    hs.integers(0, 3), hs.sampled_from([0.0, 1.0, 2.5, float("nan")]),
+    hs.booleans(), hs.sampled_from(["a", "b", "1"]), hs.none(),
+    hs.frozensets(_SMALL, max_size=1))
+_DOCS = hs.fixed_dictionaries(
+    {"_id": _IDS},
+    optional={"k": _SMALL, "tags": hs.lists(_SMALL, max_size=2)})
+_QUERIES = hs.builds(lambda i: {"_id": i}, _IDS)
+_UPDATES = hs.one_of(
+    hs.builds(lambda v: {"$set": {"k": v}}, _SMALL),
+    hs.builds(lambda v, t: {"$set": {"k": v}, "$push": {"tags": t}},
+              _SMALL, _SMALL),
+    hs.builds(lambda v: {"$push": {"k": v}}, _SMALL),  # onto an int: error
+    hs.builds(lambda v: {"k": v, "replaced": True}, _SMALL),
+    hs.builds(lambda i: {"_id": i, "replaced": True}, _IDS))
+_OPS = hs.one_of(
+    hs.tuples(hs.just("insert_one"), _DOCS),
+    hs.tuples(hs.just("find_one"), _QUERIES),
+    hs.tuples(hs.just("update_one"), _QUERIES, _UPDATES, hs.booleans()))
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*copy.deepcopy(args)))
+    except (DuplicateKeyError, StoreError) as err:
+        return type(err).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(_DOCS, max_size=8), hs.lists(_OPS, max_size=8))
+@example([{"_id": 1, "k": 0}], [("update_one", {"_id": True},
+                                 {"$set": {"k": 2}}, True),
+                                ("insert_one", {"_id": 1.0})])
+@example([{"_id": None}], [("update_one", {"_id": None},
+                            {"k": 0, "replaced": True}, False),
+                           ("find_one", {"_id": None})])
+@example([{"_id": "a"}, {"_id": "b"}],
+         [("update_one", {"_id": "a"}, {"_id": "b", "replaced": True},
+           False)])
+def test_query_plan_is_equivalent_to_a_brute_force_scan(docs, ops):
+    planned, oracle = Collection("jobs"), ScanCollection()
+    for doc in docs:
+        assert _outcome(planned.insert_one, doc) \
+            == _outcome(oracle.insert_one, doc)
+    # Each oplog entry as it was appended: the stored documents it shares
+    # with the collection are never mutated afterwards.
+    appended = copy.deepcopy(planned.oplog)
+    for name, *args in ops:
+        assert _outcome(getattr(planned, name), *args) \
+            == _outcome(getattr(oracle, name), *args), (name, args)
+        appended += copy.deepcopy(planned.oplog[len(appended):])
+        # repr, not ==: it tells 1 from 1.0 and lets NaN equal NaN.
+        assert repr(planned.oplog) == repr(oracle.oplog) == repr(appended)
+        assert repr(list(planned._documents.values())) \
+            == repr(oracle.documents)
