@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.core.manifest import JobManifest
+from repro.errors import LeaseExpiredError
 from repro.etcd.client import EtcdClient
 from repro.nfs.volume import NFSVolume
 from repro.sim.core import Environment, Event
@@ -76,7 +77,9 @@ class LeaseKeepalive:
     ``CONTROLLER_LEASE_TTL_S / 3`` after the chain starts, and again that
     long after each keepalive completes, it sends ``etcd.keepalive``.  A
     keepalive that fails (the client's retry budget is spent) ends the
-    chain and hands the error to ``on_error``.  :meth:`stop` ends it
+    chain and hands the error to ``on_error``; so does one that finds the
+    lease revoked or expired, with :class:`LeaseExpiredError`, as etcd's
+    client closes its KeepAlive stream on ``ErrLeaseNotFound``.  :meth:`stop` ends it
     too: a timer or reply already in flight then fires dead.
     """
 
@@ -106,11 +109,15 @@ class LeaseKeepalive:
     def _done(self, reply: Event) -> None:
         if self.stopped:
             return
-        if reply.ok:
-            self._arm()
+        if not reply.ok:
+            error = reply.value
+        elif not reply.value:  # revoked or expired: etcd ends the stream
+            error = LeaseExpiredError(f"lease {self.lease_id} not alive")
         else:
-            self.stopped = True
-            self.on_error(reply.value)
+            self._arm()
+            return
+        self.stopped = True
+        self.on_error(error)
 
 
 def make_controller_workload(env: Environment, manifest: JobManifest,

@@ -286,6 +286,24 @@ def test_keepalive_failure_mid_relay_fails_the_controller_after_it():
     assert "StoreUnavailableError" in container.logs[-1][1]
 
 
+def test_a_keepalive_on_a_revoked_lease_fails_the_controller():
+    env = Environment()
+    volume = NFSVolume("shared")
+    store = EtcdStore(env)
+    keepalives = record_calls(store, "keepalive")
+    container = start_controller(env, EtcdClient(env, store), volume)
+    env.run(until=5.0)
+    assert store.revoke(1)  # the controller's lease
+    env.run(until=10 * CONTROLLER_LEASE_TTL_S)
+    # The first keepalive finds the lease gone and ends the chain, as
+    # etcd's client closes its KeepAlive stream on ErrLeaseNotFound.
+    assert len(keepalives) == 1
+    assert container.exit_code == 1
+    assert container.finished_at == pytest.approx(
+        CONTROLLER_LEASE_TTL_S / 3 + 2 * DEFAULT_ETCD_LATENCY_S)
+    assert "LeaseExpiredError" in container.logs[-1][1]
+
+
 # -- on the platform ------------------------------------------------------
 
 
