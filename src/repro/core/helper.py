@@ -10,8 +10,10 @@ The controller reads learner status/exit files from NFS and records
 per-learner status in etcd (under a lease, so stale state self-erases if
 the whole job vanishes); the Guardian aggregates from etcd.  It wakes
 only for those two files: a learner's ``iterations`` and ``log`` writes
-never resume it.  Its lease keepalive is a timer chain of its own, as
-an etcd client's background KeepAlive is, not a step of the relay loop.
+never resume it.  Its lease keepalive is a chain of its own, as an
+etcd client's background KeepAlive is, not a step of the relay loop;
+while nothing can fail a keepalive the chain is float arithmetic that
+moves the lease's deadline, not kernel events.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Callable, Dict, Optional
 from repro.core.manifest import JobManifest
 from repro.errors import LeaseExpiredError
 from repro.etcd.client import EtcdClient
+from repro.etcd.kv import Lease
 from repro.nfs.volume import NFSVolume
 from repro.sim.core import Environment, Event
 
@@ -49,6 +52,7 @@ CONTROLLER_POLL_S = 0.5
 #: it after the previous one completed, so keys vanish soon after the
 #: whole job does.
 CONTROLLER_LEASE_TTL_S = 60.0
+KEEPALIVE_PERIOD_S = CONTROLLER_LEASE_TTL_S / 3
 
 
 def _relayed_index(path: str) -> Optional[int]:
@@ -72,39 +76,103 @@ class ControllerState:
 
 
 class LeaseKeepalive:
-    """Keep one lease alive from a timer chain, not from a process.
+    """Keep one lease alive: a keepalive ``KEEPALIVE_PERIOD_S`` after the
+    chain starts, and again that long after each reply.
 
-    ``CONTROLLER_LEASE_TTL_S / 3`` after the chain starts, and again that
-    long after each keepalive completes, it sends ``etcd.keepalive``.  A
-    keepalive that fails (the client's retry budget is spent) ends the
+    A keepalive that fails (the client's retry budget is spent) ends the
     chain and hands the error to ``on_error``; so does one that finds the
     lease revoked or expired, with :class:`LeaseExpiredError`, as etcd's
-    client closes its KeepAlive stream on ``ErrLeaseNotFound``.  :meth:`stop` ends it
-    too: a timer or reply already in flight then fires dead.
+    client closes its KeepAlive stream on ``ErrLeaseNotFound``.
+    :meth:`stop` ends it too; a keepalive already in flight still lands.
+
+    While nothing can fail a keepalive or see one - the client is
+    available, its breaker counts no failure, no race detector is
+    attached - the chain is arithmetic, not events (DESIGN.md, "A
+    healthy lease is a deadline").  Send *k* goes out a period after
+    reply *k-1*, its reply lands one client latency later and moves the
+    deadline to that instant plus the TTL: chained float additions that
+    :meth:`settle` applies when the client's ``ops_issued`` or the
+    lease's ``deadline`` is read.  :meth:`fall_back` turns the chain back
+    into timers at the first instant that could change a keepalive's
+    outcome (``set_available``, a breaker failure, a revoke, a stop); the
+    next successful reply resumes the arithmetic.
     """
 
     #: Profiler family: booked with the etcd client ops it issues.
     name = "etcd-op"
 
-    def __init__(self, env: Environment, etcd: EtcdClient, lease_id: int,
+    def __init__(self, env: Environment, etcd: EtcdClient, lease: Lease,
                  on_error: Callable[[BaseException], None]):
         self.env = env
         self.etcd = etcd
-        self.lease_id = lease_id
+        self.lease = lease
         self.on_error = on_error
         self.stopped = False
+        #: Arithmetic form: the next send's instant, and whether it has
+        #: gone out (and been counted) with its reply still to land.
+        self._send_at = env.now + KEEPALIVE_PERIOD_S
+        self._sent = False
         self._arm()
 
     def stop(self) -> None:
         self.stopped = True
+        if self.lease.keeper is self:
+            self.fall_back()
+
+    def settle(self) -> None:
+        """Apply the chain's sends and replies before now: count each
+        send in the client's ``ops_issued``, and set the deadline from
+        the last reply."""
+        now, latency = self.env.now, self.etcd.latency_s
+        send, sent = self._send_at, self._sent
+        sends, replied = 0, None
+        while send < now:
+            if not sent:
+                sends += 1
+            reply = send + latency
+            if reply >= now:
+                sent = True
+                break
+            replied, send, sent = reply, reply + KEEPALIVE_PERIOD_S, False
+        self._send_at, self._sent = send, sent
+        self.etcd._ops_issued += sends
+        if replied is not None:
+            self.lease._deadline = replied + self.lease.ttl_s
+
+    def fall_back(self) -> None:
+        """Leave the arithmetic: queue what is due as the timer chain."""
+        self.settle()
+        del self.etcd.chains[self]
+        self.lease.release()
+        if self._sent:
+            self.etcd.keepalive(
+                self.lease.lease_id,
+                lands_at=self._send_at + self.etcd.latency_s,
+            ).callbacks.append(self._done)
+        elif not self.stopped:
+            self.env.timeout_at(self._send_at).callbacks.append(self._send)
 
     def _arm(self) -> None:
-        self.env.timeout(CONTROLLER_LEASE_TTL_S / 3).callbacks.append(
-            self._send)
+        etcd, lease = self.etcd, self.lease
+        if etcd.available and not lease.revoked \
+                and (etcd.breaker is None
+                     or etcd.breaker.consecutive_failures == 0) \
+                and self.env.race_detector is None \
+                and KEEPALIVE_PERIOD_S + etcd.latency_s < lease.ttl_s:
+            # Nothing can fail the next keepalive, and each reply lands
+            # before the deadline the previous one set.
+            self._send_at = self.env.now + KEEPALIVE_PERIOD_S
+            self._sent = False
+            lease.keeper = self
+            etcd.chains[self] = None
+        else:
+            self.env.timeout(KEEPALIVE_PERIOD_S).callbacks.append(
+                self._send)
 
     def _send(self, _timer: Event) -> None:
         if not self.stopped:
-            self.etcd.keepalive(self.lease_id).callbacks.append(self._done)
+            self.etcd.keepalive(self.lease.lease_id).callbacks.append(
+                self._done)
 
     def _done(self, reply: Event) -> None:
         if self.stopped:
@@ -112,7 +180,8 @@ class LeaseKeepalive:
         if not reply.ok:
             error = reply.value
         elif not reply.value:  # revoked or expired: etcd ends the stream
-            error = LeaseExpiredError(f"lease {self.lease_id} not alive")
+            error = LeaseExpiredError(
+                f"lease {self.lease.lease_id} not alive")
         else:
             self._arm()
             return
@@ -151,8 +220,7 @@ def make_controller_workload(env: Environment, manifest: JobManifest,
             if not wake.triggered:
                 wake.fail(err)
 
-        keepalive = LeaseKeepalive(env, etcd, lease.lease_id,
-                                   on_keepalive_error)
+        keepalive = LeaseKeepalive(env, etcd, lease, on_keepalive_error)
         volume.subscribe(on_change)
         try:
             # Pick up anything written before we subscribed (controller

@@ -89,8 +89,10 @@ class EtcdClient(StoreClient):
     def grant_lease(self, ttl_s: float) -> Event:
         return self._call(lambda: self.backend.grant_lease(ttl_s))
 
-    def keepalive(self, lease_id: int) -> Event:
-        return self._call(lambda: self.backend.keepalive(lease_id))
+    def keepalive(self, lease_id: int,
+                  lands_at: Optional[float] = None) -> Event:
+        return self._call(lambda: self.backend.keepalive(lease_id),
+                          lands_at)
 
     def revoke(self, lease_id: int) -> Event:
         if self._replicated:

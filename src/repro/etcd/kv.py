@@ -12,11 +12,11 @@ Raft.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import LeaseExpiredError, StoreError
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event, Timeout
 from repro.sim.race import note_read, note_write
 from repro.sim.resources import Store as EventQueue
 
@@ -47,15 +47,65 @@ class WatchEvent:
     prev_value: Any = None
 
 
-@dataclass
 class Lease:
-    """A TTL lease; keys attached to it are deleted when it expires."""
+    """A TTL lease; keys attached to it are deleted when it expires.
 
-    lease_id: int
-    ttl_s: float
-    deadline: float
-    keys: set = field(default_factory=set)
-    revoked: bool = False
+    One timer watches the deadline.  It wakes at the deadline it last
+    read: a keepalive has moved it, and it sleeps the rest, or the lease
+    expires.  While a keepalive chain runs as arithmetic for the lease
+    (``keeper``, a ``core.helper.LeaseKeepalive``), reading ``deadline``
+    settles the chain first, and the timer, finding the lease kept, is
+    not re-armed; :meth:`release` arms it at the deadline the chain
+    leaves (DESIGN.md, "A healthy lease is a deadline").
+    """
+
+    #: Profiler family of the expiry timer.
+    name = "lease"
+
+    def __init__(self, store: "EtcdStore", lease_id: int, ttl_s: float):
+        self.store = store
+        self.lease_id = lease_id
+        self.ttl_s = ttl_s
+        self._deadline = store.env.now + ttl_s
+        self.keys: set = set()
+        self.revoked = False
+        self.keeper = None
+        self._armed = False
+        self._sleep(self._deadline - store.env.now)  # the process's first
+
+    @property
+    def deadline(self) -> float:
+        if self.keeper is not None:
+            self.keeper.settle()
+        return self._deadline
+
+    @deadline.setter
+    def deadline(self, when: float) -> None:
+        if self.keeper is not None:
+            self.keeper.settle()
+        self._deadline = when
+
+    def release(self) -> None:
+        """The keeper's chain is events again: the timer watches."""
+        self.keeper = None
+        if not (self._armed or self.revoked):
+            self._armed = True
+            self.store.env.timeout_at(self._deadline).callbacks.append(
+                self._wake)
+
+    def _sleep(self, delay: float) -> None:
+        self._armed = True
+        Timeout(self.store.env, delay).callbacks.append(self._wake)
+
+    def _wake(self, _timer: Event) -> None:
+        self._armed = False
+        if self.revoked or self.keeper is not None:
+            return
+        remaining = self._deadline - self.store.env.now
+        if remaining > 0:
+            self._sleep(remaining)
+        else:
+            self.store._expire(self)
 
 
 class Watcher:
@@ -288,14 +338,12 @@ class EtcdStore:
     # -- leases ----------------------------------------------------------------
 
     def grant_lease(self, ttl_s: float) -> Lease:
-        """Grant a lease; an expiry process deletes its keys at the deadline."""
+        """Grant a lease; its timer deletes its keys at the deadline."""
         if ttl_s <= 0:
             raise StoreError("lease ttl must be positive")
-        lease = Lease(self._next_lease_id, ttl_s, self.env.now + ttl_s)
+        lease = Lease(self, self._next_lease_id, ttl_s)
         self._next_lease_id += 1
         self._leases[lease.lease_id] = lease
-        self.env.process(self._expiry_watchdog(lease),
-                         name=f"lease:{lease.lease_id}")
         return lease
 
     def keepalive(self, lease_id: int) -> bool:
@@ -318,6 +366,9 @@ class EtcdStore:
             note_write(self.env, self._race_label, f"lease/{lease_id}",
                        "EtcdStore.revoke")
         lease.revoked = True
+        if lease.keeper is not None:
+            # A keepalive in flight lands on the revoked lease.
+            lease.keeper.fall_back()
         for key in list(lease.keys):
             self.delete(key)
         return True
@@ -326,14 +377,9 @@ class EtcdStore:
         lease = self._leases.get(lease_id)
         return lease is not None and not lease.revoked
 
-    def _expiry_watchdog(self, lease: Lease):
-        while not lease.revoked:
-            remaining = lease.deadline - self.env.now
-            if remaining <= 0:
-                if self.on_lease_expired is not None:
-                    self.on_lease_expired(lease)
-                    if lease.revoked:
-                        return
-                self.revoke(lease.lease_id)
+    def _expire(self, lease: Lease) -> None:
+        if self.on_lease_expired is not None:
+            self.on_lease_expired(lease)
+            if lease.revoked:
                 return
-            yield self.env.timeout(remaining)
+        self.revoke(lease.lease_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     CircuitOpenError,
@@ -123,6 +123,10 @@ class CircuitBreaker:
         self._probe_in_flight = False
         #: (time, from_state, to_state) — for the chaos audit log.
         self.transitions: list = []
+        #: Called before each failure is counted: a store client turns
+        #: its arithmetic keepalive chains back into events there, since
+        #: their next success resets the count.
+        self.before_failure: List[Callable[[], None]] = []
 
     def _move(self, to_state: str) -> None:
         if to_state != self.state:
@@ -150,6 +154,8 @@ class CircuitBreaker:
         self._move(CLOSED)
 
     def record_failure(self) -> None:
+        for hook in self.before_failure:
+            hook()
         self.consecutive_failures += 1
         if self.state == HALF_OPEN or \
                 self.consecutive_failures >= self.failure_threshold:
@@ -212,6 +218,12 @@ class StoreClient:
     KernelProfiler ``site``, and adds the operations, each a
     :meth:`_call`.  ``retry`` and ``breaker`` guard every operation;
     without either it is the legacy single shot.
+
+    ``chains`` holds the keepalive chains over this client that run as
+    arithmetic (``core.helper.LeaseKeepalive``), in the order they
+    started: reading ``ops_issued`` settles them, and ``set_available``
+    and a failure counted by ``breaker`` turn them back into events
+    first (DESIGN.md, "A healthy lease is a deadline").
     """
 
     def __init__(self, env: Environment, backend,
@@ -227,19 +239,44 @@ class StoreClient:
         self.breaker = breaker
         self.retry_stream = rng.stream(self.stream) \
             if rng is not None else None
-        self.ops_issued = 0
+        self._ops_issued = 0
         self.retries = 0
         #: Chaos hook: while False every request fails with
         #: StoreUnavailableError after the request latency.
         self.available = True
+        self.chains: Dict[object, None] = {}
+        if breaker is not None:
+            breaker.before_failure.append(self.fall_back)
+
+    @property
+    def ops_issued(self) -> int:
+        """Operations issued so far, the chains' keepalives included."""
+        for chain in self.chains:
+            chain.settle()
+        return self._ops_issued
+
+    @ops_issued.setter
+    def ops_issued(self, count: int) -> None:
+        self._ops_issued = count
 
     def set_available(self, available: bool) -> None:
+        self.fall_back()
         self.available = available
 
-    def _call(self, action: Callable[[], object]) -> Event:
-        """Run ``action`` after the request latency; resolve with its result."""
-        self.ops_issued += 1
-        return TimedCall(self, action).done
+    def fall_back(self) -> None:
+        """Turn every arithmetic chain over this client into events, now."""
+        for chain in list(self.chains):
+            chain.fall_back()
+
+    def _call(self, action: Callable[[], object],
+              lands_at: Optional[float] = None) -> Event:
+        """Run ``action`` after the request latency; resolve with its result.
+
+        ``lands_at`` is for a call an arithmetic chain sent, and counted,
+        earlier: its latency ends at that instant."""
+        if lands_at is None:
+            self._ops_issued += 1
+        return TimedCall(self, action, lands_at).done
 
 
 class TimedCall:
@@ -260,7 +297,8 @@ class TimedCall:
     __slots__ = ("client", "action", "name", "policy", "done", "attempt",
                  "last_error")
 
-    def __init__(self, client: StoreClient, action: Callable[[], object]):
+    def __init__(self, client: StoreClient, action: Callable[[], object],
+                 lands_at: Optional[float] = None):
         self.client = client
         self.action = action
         self.name = client.site  # KernelProfiler site family of callbacks
@@ -272,7 +310,10 @@ class TimedCall:
             self.policy = None
         else:
             self.policy = client.retry or RetryPolicy(max_attempts=1)
-        self._open()
+        if lands_at is None:
+            self._open()
+        else:  # its breaker let it through when it was sent
+            client.env.timeout_at(lands_at).callbacks.append(self._act)
 
     def _open(self, _backoff: Optional[Event] = None) -> None:
         """Start an attempt: breaker, then the request latency."""

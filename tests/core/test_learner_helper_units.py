@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.core import helper
 from repro.core.helper import (
     CONTROLLER_LEASE_TTL_S,
     CONTROLLER_POLL_S,
@@ -26,6 +27,7 @@ from repro.sim import Environment
 from tests.core.conftest import (
     make_manifest, make_platform, run_to_terminal, submit,
 )
+from tests.etcd.test_lease_keepalive_oracle import EventLeaseKeepalive
 
 
 def make_ctx(env, job_id="job-x"):
@@ -234,12 +236,20 @@ def test_idle_controller_moves_the_lease_deadline_every_third_of_ttl():
     env = Environment()
     volume = NFSVolume("shared")
     store = EtcdStore(env)
-    keepalives = record_calls(store, "keepalive")
     start_controller(env, EtcdClient(env, store), volume)
     env.run(until=1.0)
     volume.write("learners/0/status", "PROCESSING")
-    env.run(until=10 * CONTROLLER_LEASE_TTL_S)
-    times = [now for now, _ in keepalives]
+    env.run(until=2.0)
+    # The chain runs as arithmetic: read the deadline it settles once a
+    # second, and each keepalive's reply instant off each new value.
+    lease = store._leases[
+        store.get("/jobs/job-r/learners/0/status").lease_id]
+    deadlines = [lease.deadline]
+    for second in range(3, 10 * int(CONTROLLER_LEASE_TTL_S) + 1):
+        env.run(until=float(second))
+        if lease.deadline != deadlines[-1]:
+            deadlines.append(lease.deadline)
+    times = [deadline - CONTROLLER_LEASE_TTL_S for deadline in deadlines[1:]]
     assert len(times) >= 25
     # Each keepalive goes out TTL/3 after the previous one completed.
     period = CONTROLLER_LEASE_TTL_S / 3 + DEFAULT_ETCD_LATENCY_S
@@ -247,6 +257,30 @@ def test_idle_controller_moves_the_lease_deadline_every_third_of_ttl():
     for earlier, later in zip(times, times[1:]):
         assert later - earlier == pytest.approx(period)
     assert store.get("/jobs/job-r/learners/0/status").value == "PROCESSING"
+
+
+def idle_controller(horizon_s):
+    """Kernel events and etcd operations of a controller idle for
+    ``horizon_s``."""
+    env = Environment()
+    etcd = EtcdClient(env, EtcdStore(env))
+    start_controller(env, etcd, NFSVolume("shared"))
+    env.run(until=horizon_s)
+    return env.events_processed, etcd.ops_issued
+
+
+def test_an_idle_controller_costs_no_kernel_event_per_keepalive(monkeypatch):
+    events, ops = zip(*(idle_controller(n * CONTROLLER_LEASE_TTL_S)
+                        for n in (10, 100)))
+    assert events[0] == events[1]
+    assert ops[1] > ops[0] > 25
+    # As many keepalives as the timer chain sends.
+    monkeypatch.setattr(
+        helper, "LeaseKeepalive",
+        lambda env, etcd, lease, on_error: EventLeaseKeepalive(
+            env, etcd, lease.lease_id, on_error))
+    assert ops == tuple(idle_controller(n * CONTROLLER_LEASE_TTL_S)[1]
+                        for n in (10, 100))
 
 
 def test_etcd_outage_past_the_retry_budget_fails_the_controller():
