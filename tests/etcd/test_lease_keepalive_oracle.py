@@ -183,17 +183,6 @@ class ProcessReplicatedEtcd(ReplicatedEtcd):
         self.hub.on_lease_expired = self._on_lease_expired
 
 
-class Recording(EventLeaseKeepalive):
-    """The reference chain, noting each send's instant."""
-
-    sends: list = []
-
-    def _send(self, _timer: Event) -> None:
-        if not self.stopped:
-            self.sends.append(self.env.now)
-        super()._send(_timer)
-
-
 HORIZON = 240.0
 END = 420.0
 VERBS = ("start", "start", "start", "status", "status", "finish", "kill",
@@ -239,7 +228,15 @@ def play(form, config, program, probes=()):
     store.grant_lease = granting
     if reference:
         store.keepalive = keeping
-    Recording.sends = []
+    sends = []
+
+    class Recording(EventLeaseKeepalive):
+        """The reference chain, noting each send's instant."""
+
+        def _send(self, _timer: Event) -> None:
+            if not self.stopped:
+                sends.append(self.env.now)
+            super()._send(_timer)
 
     def watch():
         with store.watch_prefix("/jobs/") as watcher:
@@ -349,7 +346,7 @@ def play(form, config, program, probes=()):
         "next_draw": peek.random(), "now": env.now,
         "breaker": breaker and (breaker.state, breaker.transitions,
                                 breaker.consecutive_failures)}
-    chain = sorted(set(Recording.sends + replies)) if reference else []
+    chain = sorted(set(sends + replies)) if reference else []
     return observed, chain
 
 
