@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional, Sequence
+from dataclasses import MISSING, fields
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from repro.core import FfDLPlatform, JobManifest, PlatformConfig
 from repro.core.tshirt import TSHIRT_SIZES
@@ -36,12 +37,29 @@ _MANIFEST_FIELDS = {
 
 
 def load_manifest(path: str) -> JobManifest:
+    """The manifest a JSON file holds; anything malformed in it is a
+    :class:`ReproError`."""
     with open(path) as handle:
-        raw: Dict[str, Any] = json.load(handle)
+        raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ReproError(f"a manifest is a JSON object, not "
+                         f"{type(raw).__name__}")
     unknown = set(raw) - _MANIFEST_FIELDS
     if unknown:
         raise ReproError(
             f"unknown manifest fields: {', '.join(sorted(unknown))}")
+    missing = [field.name for field in fields(JobManifest)
+               if field.default is MISSING and field.name not in raw]
+    if missing:
+        raise ReproError(f"missing manifest fields: {', '.join(missing)}")
+    hints = get_type_hints(JobManifest)
+    for name, value in raw.items():
+        allowed = get_args(hints[name]) or (hints[name],)
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ReproError(f"manifest field {name!r} has the wrong "
+                             f"type: {value!r}")
     return JobManifest(**raw)
 
 
@@ -210,7 +228,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ReproError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ReproError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -48,6 +48,25 @@ def test_validate_command_flags_without_manifest(capsys):
     assert "2 K80 GPU" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", [
+    "[1, 2]",
+    json.dumps({"name": "x", "user": "u", "framework": "tensorflow"}),
+    json.dumps({"name": "x", "user": "u", "framework": "tensorflow",
+                "model": "resnet50", "learners": "two"}),
+    None,  # the path is a directory
+], ids=["array", "missing-model", "learners-string", "directory"])
+@pytest.mark.parametrize("command", ["validate", "demo"])
+def test_malformed_manifest_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                        command, content):
+    path = tmp_path / "job.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main([command, "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_command_bad_manifest(tmp_path, capsys):
     path = write_manifest(tmp_path, iterations=0)
     assert main(["validate", "--manifest", path]) == 2
