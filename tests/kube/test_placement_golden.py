@@ -69,21 +69,14 @@ def _fingerprint(cluster, pods):
             for event in cluster.api.event_log.failed_scheduling()]}
 
 
-def run_sweep(gap, policy="pack", owners=(None,), burst=0,
-              late_selector=False, config_kwargs=None):
+def run_sweep(gap, policy="pack", owners=(None,), late_selector=False):
     """The e2e ``sched-sweep`` pod mix on a fifth of its cluster.  ``gap``
-    (arrival spacing) sets the GPU occupancy; ``burst`` whole-node pods
-    land at once half-way through."""
+    (arrival spacing) sets the GPU occupancy."""
     env, cluster = make_cluster(
         policy=policy, nodes=NODES, gpus_per_node=4,
-        config_kwargs=config_kwargs, node_detection_latency_s=4.0,
-        pod_eviction_timeout_s=6.0)
+        node_detection_latency_s=4.0, pod_eviction_timeout_s=6.0)
     rng = RngRegistry(0).stream("placement-golden")
     created = []
-
-    def create(pod):
-        created.append(pod)
-        cluster.api.create_pod(pod)
 
     def submit():
         for index in range(PODS):
@@ -95,11 +88,8 @@ def run_sweep(gap, policy="pack", owners=(None,), burst=0,
             if late_selector and index >= SELECTOR_FROM \
                     and index % SELECTOR_EVERY == 0:
                 pod.spec.node_selector = {"pool": "late"}
-            create(pod)
-            if index == PODS // 2:
-                for extra in range(burst):
-                    create(make_pod(env, f"burst-{extra}", cpus=1,
-                                    duration=30.0, gpus=4))
+            created.append(pod)
+            cluster.api.create_pod(pod)
 
     env.process(submit(), name="submit")
     _disturb(env, cluster, at=60.0, step_s=10.0)
@@ -108,14 +98,12 @@ def run_sweep(gap, policy="pack", owners=(None,), burst=0,
     return _fingerprint(cluster, created)
 
 
-def run_gang_arm(gang, sample_pct=100):
+def run_gang_arm(gang):
     """Figure 4's (2 learners, 2 GPUs) workload, built as
     ``run_gang_experiment`` builds it, with the disturbances inside the
     settle window."""
     env = Environment()
     cluster = build_cluster(env, RngRegistry(17), gang=gang)
-    cluster.scheduler.config.percentage_of_nodes_to_score = sample_pct
-    cluster.scheduler.config.min_feasible_nodes_to_find = 2
     cluster.node_controller.detection_latency_s = 0.2
     cluster.node_controller.eviction_timeout_s = 0.3
     by_job = submit_gang_jobs(env, cluster, learners=2, gpus_per_learner=2)
@@ -138,15 +126,8 @@ SCENARIOS = {
     "spread-three-owners": lambda: run_sweep(
         gap=(0.02, 0.3), policy="spread", late_selector=True,
         owners=("set-a", "set-b", "set-c")),
-    # ~30 % occupancy, so the window of 100 feasible nodes closes before
-    # the walk has gone round; the burst then empties it.
-    "sampled-50pct": lambda: run_sweep(
-        gap=(0.1, 0.5), burst=150,
-        config_kwargs={"percentage_of_nodes_to_score": 50,
-                       "min_feasible_nodes_to_find": 2}),
     "fig4-default": lambda: run_gang_arm(gang=False),
     "fig4-gang": lambda: run_gang_arm(gang=True),
-    "fig4-gang-sampled": lambda: run_gang_arm(gang=True, sample_pct=50),
 }
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
