@@ -11,6 +11,7 @@ of capacity by small jobs.
 
 from repro.analysis import print_table
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
+from repro.kube.scheduling.framework import PER_POD_LATENCY_S
 from repro.sim import Environment, RngRegistry
 from repro.workloads.synthetic import submit_gang_jobs
 
@@ -41,7 +42,7 @@ def run_burst(largest_first):
             for entry in order:
                 if entry.key not in scheduler._gangs:
                     continue
-                yield env.timeout(config.per_pod_latency_s *
+                yield env.timeout(PER_POD_LATENCY_S *
                                   max(1, len(entry.pod_names)))
                 yield from scheduler._attempt_gang(entry)
 

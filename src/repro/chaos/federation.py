@@ -40,7 +40,6 @@ from repro.federation import (
     FederationBus,
     FederationDispatcher,
     HEALTHY,
-    HealthConfig,
 )
 from repro.sim.failure import FaultEvent
 from repro.workloads.federation_trace import (
@@ -107,7 +106,6 @@ class FederationTarget:
             self.cells[cell.name] = cell
         self.dispatcher = FederationDispatcher(
             self.env, engine.rng, self.bus, list(self.cells.values()),
-            health_config=HealthConfig(),
             audit=engine.log)
         self.trace = FederationTrace(engine.rng, FederationTraceConfig(
             jobs=scenario.jobs,

@@ -115,8 +115,6 @@ class LearnerContext:
     #: Opens a watch on that flag (an etcd ``Watcher``; None: no HALT
     #: can come).
     watch_halt = staticmethod(lambda: None)
-    #: Throughput degradation multiplier hook (heavy-load contention etc.).
-    compute_slowdown: float = 1.0
 
     def status_path(self, index: int) -> str:
         return f"learners/{index}/status"
@@ -297,7 +295,7 @@ def make_learner_workload(ctx: LearnerContext, state: LearnerState):
         # gradient-exchange barrier, so per-learner speed drops with the
         # number of peers (the same efficiency the throughput model uses).
         iter_s /= DISTRIBUTED_EFFICIENCY ** (manifest.learners - 1)
-        iter_s *= ctx.compute_slowdown / (1.0 - overhead)
+        iter_s *= 1.0 / (1.0 - overhead)
 
         def report(status):
             ctx.volume.write(ctx.status_path(index), status)

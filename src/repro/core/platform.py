@@ -80,12 +80,9 @@ class PlatformConfig:
     mongo_secondaries: int = 0
     oss_bandwidth_bps: float = 1.25e9
     mount_cache_bytes: float = 200e9
-    use_volume_pool: bool = False
     guardian_backoff_limit: int = 3
     node_detection_latency_s: float = 40.0
     pod_eviction_timeout_s: float = 60.0
-    #: Slowdown multiplier hook applied to all learners (load modelling).
-    compute_slowdown: float = 1.0
     #: -- resilience layer (see repro.resilience) ------------------------
     #: Retry policy of the etcd client; None restores the legacy
     #: single-shot behaviour.  The Mongo client always retries under
@@ -151,8 +148,10 @@ class FfDLPlatform:
         self.mount_cache = MountCache(cfg.mount_cache_bytes) \
             if cfg.mount_cache_bytes > 0 else None
         self.nfs = NFSProvisioner(env, rng)
-        self.volume_pool = VolumePool(env, self.nfs) \
-            if cfg.use_volume_pool else None
+        #: Always None: the platform provisions a volume per job, and the
+        #: pool workaround is measured on its own (the storage-pool
+        #: ablation).  Kept because ``benchmarks/e2e`` reads it.
+        self.volume_pool: Optional[VolumePool] = None
         if cfg.etcd_replicas > 0:
             self.etcd: Union[EtcdStore, ReplicatedEtcd] = \
                 ReplicatedEtcd(env, rng, size=cfg.etcd_replicas)
@@ -409,8 +408,6 @@ class FfDLPlatform:
         return done
 
     def provision_volume(self, job: TrainingJob) -> Event:
-        if self.volume_pool is not None:
-            return self.volume_pool.acquire()
         return self.nfs.provision(job.pvc_name)
 
     def _mount_stream(self):
@@ -493,8 +490,7 @@ class FfDLPlatform:
             env=self.env, manifest=manifest, job_id=job.job_id,
             volume=None,  # bound by the time any learner starts
             data_mount=self._data_mount(manifest),
-            result_mount=self._result_mount(manifest),
-            compute_slowdown=self.config.compute_slowdown)
+            result_mount=self._result_mount(manifest))
         ctx.halt_requested = (lambda: self.etcd_store().get(
             halt_key(job.job_id)) is not None)
         ctx.watch_halt = lambda: self.etcd_store().watch(halt_key(job.job_id))

@@ -25,6 +25,11 @@ from typing import Dict, List, Optional, Sequence
 
 INTERNAL = "internal"
 EXTERNAL = "external"
+#: Priority of an idle internal user, and of an external one bidding at
+#: the going rate.
+BASE_PRIORITY = 100.0
+#: How steeply the price multiplier rises with cluster utilization.
+PRICE_SENSITIVITY = 2.0
 
 
 @dataclass
@@ -46,14 +51,10 @@ class PricedBid:
 class PriorityManager:
     """Computes dispatch priorities for queued jobs."""
 
-    def __init__(self, half_life_hours: float = 24.0,
-                 base_priority: float = 100.0,
-                 price_sensitivity: float = 2.0):
+    def __init__(self, half_life_hours: float = 24.0):
         if half_life_hours <= 0:
             raise ValueError("half life must be positive")
         self.half_life_hours = half_life_hours
-        self.base_priority = base_priority
-        self.price_sensitivity = price_sensitivity
         self._usage: Dict[str, UsageRecord] = {}
         self._kind: Dict[str, str] = {}
         self._bids: Dict[str, float] = {}
@@ -101,7 +102,7 @@ class PriorityManager:
         """Demand-driven price multiplier: 1.0 when idle, rising steeply
         as the cluster saturates."""
         utilization = min(1.0, max(0.0, cluster_utilization))
-        return 1.0 + self.price_sensitivity * utilization ** 2
+        return 1.0 + PRICE_SENSITIVITY * utilization ** 2
 
     # -- priorities ----------------------------------------------------------------
 
@@ -113,12 +114,11 @@ class PriorityManager:
             bid = self._bids.get(user, 1.0)
             # Users bidding at or above the going rate keep full priority;
             # underbidders fall off proportionally.
-            return self.base_priority * min(1.5, bid / price)
+            return BASE_PRIORITY * min(1.5, bid / price)
         usage = self.decayed_usage(user, now_s)
         # Exponentially decreasing priority for heavy internal users: each
         # "half-life worth" of recent consumption halves the priority.
-        return self.base_priority * math.exp(-usage /
-                                             (self.half_life_hours * 4))
+        return BASE_PRIORITY * math.exp(-usage / (self.half_life_hours * 4))
 
     def dispatch_order(self, queued: Sequence[tuple], now_s: float,
                        cluster_utilization: float = 0.0) -> List[str]:

@@ -18,6 +18,9 @@ from repro.resilience import CircuitBreaker, Deadline
 from repro.sim.core import Environment, Event
 from repro.sim.rng import RngRegistry
 
+#: One request's service time; a cell brownout multiplies it.
+REQUEST_LATENCY_S = 0.003
+
 
 class Microservice:
     """A load-balanced replica set of one FfDL core service.
@@ -33,7 +36,6 @@ class Microservice:
     def __init__(self, env: Environment, rng: RngRegistry, name: str,
                  replicas: int = 2,
                  recovery_range_s: Tuple[float, float] = (3.0, 5.0),
-                 request_latency_s: float = 0.003,
                  metrics: Optional[TrainingMetricsService] = None,
                  breaker: Optional[CircuitBreaker] = None):
         if replicas < 1:
@@ -44,7 +46,7 @@ class Microservice:
         self.replicas = replicas
         self.replicas_up = replicas
         self.recovery_range_s = recovery_range_s
-        self.request_latency_s = request_latency_s
+        self.request_latency_s = REQUEST_LATENCY_S
         self.metrics = metrics
         self.breaker = breaker
         self._recovered = env.event()

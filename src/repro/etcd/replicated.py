@@ -58,8 +58,7 @@ class _ReplicaStateMachine(StateMachine):
 class ReplicatedEtcd:
     """An etcd service replicated over a from-scratch Raft group."""
 
-    def __init__(self, env: Environment, rng: RngRegistry, size: int = 3,
-                 name: str = "etcd"):
+    def __init__(self, env: Environment, rng: RngRegistry, size: int = 3):
         self.env = env
         self.hub = EtcdStore(env)
         self.hub.on_lease_expired = self._on_lease_expired
@@ -71,7 +70,7 @@ class ReplicatedEtcd:
             self.replicas[node_id] = sm
             return sm
 
-        self.cluster = RaftCluster(env, rng, factory, size=size, name=name)
+        self.cluster = RaftCluster(env, rng, factory, size=size, name="etcd")
 
     # -- consensus plumbing -------------------------------------------------
 

@@ -26,7 +26,6 @@ from repro.federation.health import (
     BROWNOUT,
     HEALTHY,
     CellHealthMonitor,
-    HealthConfig,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "FederationBus",
     "FederationDispatcher",
     "HEALTHY",
-    "HealthConfig",
     "Intent",
     "INTENT_DISPATCHED",
     "INTENT_DISPATCHING",

@@ -36,6 +36,11 @@ from repro.sim.core import Environment, Event
 from repro.sim.mailbox import Mailbox
 from repro.sim.rng import RngRegistry
 
+#: Every link's one-way latency: this floor (strictly positive, see
+#: above) plus up to this jitter, drawn once per link.
+BASE_LATENCY_S = 0.004
+JITTER_S = 0.004
+
 
 @dataclass
 class _Message:
@@ -56,16 +61,9 @@ class BusStats:
 class FederationBus:
     """Point-to-point RPC and one-way sends between federation members."""
 
-    def __init__(self, env: Environment, rng: RngRegistry,
-                 base_latency_s: float = 0.004,
-                 jitter_s: float = 0.004):
-        if base_latency_s <= 0.0:
-            raise ValueError("bus latency must be strictly positive "
-                             "(race epochs must not collapse)")
+    def __init__(self, env: Environment, rng: RngRegistry):
         self.env = env
         self._rng = rng
-        self.base_latency_s = base_latency_s
-        self.jitter_s = jitter_s
         self._mailboxes: Dict[str, Mailbox] = {}
         self._send_seq: Dict[str, int] = {}
         self._latencies: Dict[Tuple[str, str], float] = {}
@@ -85,8 +83,8 @@ class FederationBus:
         key = (src, dst)
         if key not in self._latencies:
             stream = self._rng.stream(f"federation:bus:{src}->{dst}")
-            self._latencies[key] = (self.base_latency_s
-                                    + self.jitter_s * stream.random())
+            self._latencies[key] = BASE_LATENCY_S \
+                + JITTER_S * stream.random()
         return self._latencies[key]
 
     def call(self, src: str, dst: str,

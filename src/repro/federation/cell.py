@@ -37,6 +37,10 @@ from repro.sim.rng import RngRegistry
 #: Effectively-unlimited per-cell quota: global quota accounting lives
 #: in the dispatcher; cells must never reject on local quota grounds.
 _CELL_LOCAL_QUOTA = 10 ** 9
+#: The per-cell breaker the health probes feed: open after this many
+#: consecutive probe failures, half-open again after this long.
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_RESET_TIMEOUT_S = 20.0
 
 
 def default_cell_config() -> PlatformConfig:
@@ -90,9 +94,7 @@ class Cell:
     into the platform directly.
     """
 
-    def __init__(self, env: Environment, rng: RngRegistry, spec: CellSpec,
-                 breaker_failure_threshold: int = 3,
-                 breaker_reset_timeout_s: float = 20.0):
+    def __init__(self, env: Environment, rng: RngRegistry, spec: CellSpec):
         self.env = env
         self.spec = spec
         self.name = spec.name
@@ -107,8 +109,8 @@ class Cell:
         #: Per-cell breaker, fed by the federation health probes; the
         #: dispatcher reads its state (never allow(), which mutates).
         self.breaker = CircuitBreaker(
-            env, failure_threshold=breaker_failure_threshold,
-            reset_timeout_s=breaker_reset_timeout_s,
+            env, failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            reset_timeout_s=BREAKER_RESET_TIMEOUT_S,
             name=f"cell:{spec.name}")
         self.blacked_out = False
         self.browned_out = False

@@ -50,7 +50,6 @@ from repro.federation.health import (
     BROWNOUT,
     CellHealthMonitor,
     HEALTHY,
-    HealthConfig,
 )
 from repro.mongo.client import MongoClient
 from repro.mongo.database import MongoDatabase
@@ -63,6 +62,8 @@ INTENT_DISPATCHING = "DISPATCHING"
 INTENT_DISPATCHED = "DISPATCHED"
 
 _TERMINAL = (st.COMPLETED, st.FAILED, st.HALTED)
+#: Cadence of the loop that re-kicks QUEUED intents.
+RECONCILE_INTERVAL_S = 10.0
 
 
 @dataclass
@@ -103,15 +104,12 @@ class FederationDispatcher:
 
     def __init__(self, env: Environment, rng: RngRegistry,
                  bus: FederationBus, cells: List[Cell],
-                 health_config: Optional[HealthConfig] = None,
-                 reconcile_interval_s: float = 10.0,
                  audit: Optional[Callable[[str], None]] = None):
         self.env = env
         self.bus = bus
         self.name = "dispatcher"
         self.cells: Dict[str, Cell] = {c.name: c for c in cells}
         self.audit = audit
-        self.reconcile_interval_s = reconcile_interval_s
 
         # Durable intent log: the dispatcher's own control-plane store,
         # buffered so a store outage degrades instead of rejecting.
@@ -166,8 +164,7 @@ class FederationDispatcher:
             # sequence numbers, and the mailbox merge key is
             # (sender, seq).
             self.monitors[cell.name] = CellHealthMonitor(
-                env, bus, cell, config=health_config,
-                on_transition=self._on_health_transition,
+                env, bus, cell, on_transition=self._on_health_transition,
                 monitor_name=f"monitor:{cell.name}")
         env.process(self._control_loop(), name="fed-control")
         env.process(self._reconcile_loop(), name="fed-reconcile")
@@ -428,7 +425,7 @@ class FederationDispatcher:
         """Periodically re-kick QUEUED intents (capacity freed, cells
         recovered, breakers closed)."""
         while True:
-            yield self.env.timeout(self.reconcile_interval_s)
+            yield self.env.timeout(RECONCILE_INTERVAL_S)
             for intent_id in sorted(self._queued):
                 self._kick_dispatch(intent_id)
 

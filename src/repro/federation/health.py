@@ -4,13 +4,13 @@ Per cell, a monitor fires a no-op API probe over the federation bus on
 a fixed cadence and classifies the cell from nothing but probe
 outcomes — the cell never self-reports:
 
-* ``blackout_failures`` *consecutive* probe failures (deadline misses,
+* ``BLACKOUT_FAILURES`` *consecutive* probe failures (deadline misses,
   open circuits, unreachable cell) → **BLACKOUT**.  A dead cell cannot
   say it is dead; only silence is observable.
-* ``brownout_probes`` of the last ``window`` probes slower than
-  ``brownout_latency_s`` → **BROWNOUT**.  Elevated round-trip latency
+* ``BROWNOUT_PROBES`` of the last ``LATENCY_WINDOW`` probes slower than
+  ``BROWNOUT_LATENCY_S`` → **BROWNOUT**.  Elevated round-trip latency
   is the crash-storm/overload signature; one slow probe is noise.
-* ``recover_probes`` consecutive fast successes from a degraded state
+* ``RECOVER_PROBES`` consecutive fast successes from a degraded state
   → back to **HEALTHY** (hysteresis, so a flapping cell does not cause
   migration storms).
 
@@ -23,7 +23,6 @@ for long about a dead cell.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.errors import ReproError
@@ -39,30 +38,26 @@ BLACKOUT = "BLACKOUT"
 TransitionHook = Callable[[Cell, str, str], None]
 
 
-@dataclass
-class HealthConfig:
-    probe_interval_s: float = 5.0
-    probe_timeout_s: float = 3.0
-    #: Rolling window of recent probe round-trips considered for
-    #: brownout classification.
-    window: int = 6
-    brownout_latency_s: float = 0.5
-    brownout_probes: int = 3
-    blackout_failures: int = 3
-    recover_probes: int = 3
+PROBE_INTERVAL_S = 5.0
+PROBE_TIMEOUT_S = 3.0
+#: Rolling window of recent probe round-trips considered for brownout
+#: classification.
+LATENCY_WINDOW = 6
+BROWNOUT_LATENCY_S = 0.5
+BROWNOUT_PROBES = 3
+BLACKOUT_FAILURES = 3
+RECOVER_PROBES = 3
 
 
 class CellHealthMonitor:
     """Probe loop + classifier for one cell."""
 
     def __init__(self, env: Environment, bus: FederationBus, cell: Cell,
-                 config: Optional[HealthConfig] = None,
                  on_transition: Optional[TransitionHook] = None,
                  monitor_name: str = "dispatcher"):
         self.env = env
         self.bus = bus
         self.cell = cell
-        self.config = config or HealthConfig()
         self.on_transition = on_transition
         self.monitor_name = monitor_name
         self.state = HEALTHY
@@ -71,7 +66,7 @@ class CellHealthMonitor:
         self.probes_failed = 0
         self._consecutive_failures = 0
         self._consecutive_ok = 0
-        self._latencies: Deque[float] = deque(maxlen=self.config.window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._stopped = False
         self.process = env.process(self._probe_loop(),
                                    name=f"health:{cell.name}")
@@ -83,12 +78,12 @@ class CellHealthMonitor:
 
     def _probe_loop(self):
         while not self._stopped:
-            yield self.env.timeout(self.config.probe_interval_s)
+            yield self.env.timeout(PROBE_INTERVAL_S)
             if self._stopped:
                 return
             self.probes_sent += 1
             started = self.env.now
-            deadline_s = self.config.probe_timeout_s
+            deadline_s = PROBE_TIMEOUT_S
             reply = self.bus.call(self.monitor_name, self.cell.name,
                                   lambda: self.cell.probe(
                                       deadline_s=deadline_s))
@@ -114,19 +109,17 @@ class CellHealthMonitor:
         self._consecutive_failures = 0
         self._latencies.append(latency_s)
         self.cell.breaker.record_success()
-        cfg = self.config
-        slow = sum(1 for lat in self._latencies
-                   if lat > cfg.brownout_latency_s)
-        if slow >= cfg.brownout_probes:
+        slow = sum(1 for lat in self._latencies if lat > BROWNOUT_LATENCY_S)
+        if slow >= BROWNOUT_PROBES:
             self._consecutive_ok = 0
             self._transition(BROWNOUT)
             return
-        if latency_s <= cfg.brownout_latency_s:
+        if latency_s <= BROWNOUT_LATENCY_S:
             self._consecutive_ok += 1
         else:
             self._consecutive_ok = 0
         if self.state != HEALTHY \
-                and self._consecutive_ok >= cfg.recover_probes:
+                and self._consecutive_ok >= RECOVER_PROBES:
             self._transition(HEALTHY)
 
     def _on_probe_failure(self) -> None:
@@ -137,7 +130,7 @@ class CellHealthMonitor:
         # *successful-but-slow* signature; outright failures drive the
         # blackout counter instead.
         self.cell.breaker.record_failure()
-        if self._consecutive_failures >= self.config.blackout_failures:
+        if self._consecutive_failures >= BLACKOUT_FAILURES:
             self._transition(BLACKOUT)
 
     def _transition(self, new_state: str) -> None:

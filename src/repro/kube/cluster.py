@@ -35,7 +35,6 @@ class Cluster:
 
     def __init__(self, env: Environment, rng: RngRegistry,
                  scheduler_config: Optional[SchedulerConfig] = None,
-                 registry: Optional[Registry] = None,
                  node_detection_latency_s: float = 40.0,
                  pod_eviction_timeout_s: float = 60.0,
                  deletion_grace_s: float = DELETION_GRACE_S,
@@ -43,7 +42,7 @@ class Cluster:
         self.env = env
         self.rng = rng
         self.api = KubeAPI(env)
-        self.registry = registry or Registry(env)
+        self.registry = Registry(env)
         self.allocations: Dict[str, NodeAllocation] = {}
         self.kubelets: Dict[str, Kubelet] = {}
         self._assignments: Dict[str, Tuple[str, ResourceRequest]] = {}

@@ -31,6 +31,9 @@ from repro.sim.core import Environment, Interrupt, Process
 #: credentials.  Learners bind object storage + NFS, which the paper reports
 #: dominates their 10-20s restart time (Table 3).
 DEFAULT_POD_SETUP_S = 1.0
+#: Back-off before a failed (or, under ``Always``, exited) container
+#: restarts.
+RESTART_DELAY_S = 2.0
 
 
 class Kubelet:
@@ -38,13 +41,11 @@ class Kubelet:
 
     def __init__(self, env: Environment, api: KubeAPI, node: Node,
                  registry: Registry,
-                 on_pod_terminal: Optional[Callable[[Pod, str], None]] = None,
-                 restart_delay_s: float = 2.0):
+                 on_pod_terminal: Optional[Callable[[Pod, str], None]] = None):
         self.env = env
         self.api = api
         self.node = node
         self.registry = registry
-        self.restart_delay_s = restart_delay_s
         #: Called with (pod, outcome) when a pod reaches a terminal phase or
         #: is torn down; the cluster uses it to release resources.
         self.on_pod_terminal = on_pod_terminal
@@ -150,13 +151,13 @@ class Kubelet:
             failed = [c for c in exited if c.exit_code != 0]
             policy = pod.spec.restart_policy
             if failed and policy in (RESTART_ALWAYS, RESTART_ON_FAILURE):
-                yield self.env.timeout(self.restart_delay_s)
+                yield self.env.timeout(RESTART_DELAY_S)
                 if not self.alive or pod.meta.deletion_requested:
                     return
                 self._restart_containers(pod, failed)
                 continue
             if not failed and policy == RESTART_ALWAYS and exited:
-                yield self.env.timeout(self.restart_delay_s)
+                yield self.env.timeout(RESTART_DELAY_S)
                 if not self.alive or pod.meta.deletion_requested:
                     return
                 self._restart_containers(pod, exited)

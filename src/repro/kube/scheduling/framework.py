@@ -11,8 +11,10 @@ The scheduler is event-driven: it wakes when pods arrive, when resources
 free up, and when PVCs bind, so multi-month simulations need no polling.
 
 Steps (1) to (3) are the candidate index's (``placement.Placement``, the
-base class); the scheduler adds the queue, the bind window, the races,
-gangs and the FailedScheduling messages.
+base class), over every node for every attempt, as in the paper; the
+scheduler adds the queue, the bind window, the races, gangs and the
+FailedScheduling messages.  What no caller varies is a module constant
+here (batch delay, per-pod cost, bind latency, order jitter).
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SchedulerConfig:
     policy: str = PACK
     gang: bool = False
-    #: Cost of considering one pod (predicate + priority evaluation).
-    per_pod_latency_s: float = 0.003
     #: BSA gang-placement objective: "pack" (FfDL's choice) or "balance".
     bsa_objective: str = OBJECTIVE_PACK
     #: Informer-cache staleness: for this long after a deletion is
@@ -71,20 +71,6 @@ class SchedulerConfig:
     #: (Table 8): API-server timeouts and stale assume-cache failures.
     timeout_race_probability: float = 0.0
     assume_race_probability: float = 0.0
-    #: Node-scoring sample size, as in upstream Kubernetes'
-    #: percentageOfNodesToScore: 100 (the default) filters and scores
-    #: every node.  Below 100 the filter stops at the first
-    #: ``max(min_feasible_nodes_to_find, pct/100 * cluster_size)``
-    #: feasible nodes found from a deterministic round-robin cursor
-    #: (*sampled mode*): placements may legitimately differ from
-    #: exhaustive mode, but quality metrics (fragmentation, gang wait,
-    #: pending depth) must stay within the envelopes declared in
-    #: ``tests/kube/test_sampling.py``.
-    percentage_of_nodes_to_score: int = 100
-    #: Sampling floor: below this many feasible nodes the percentage is
-    #: ignored (k8s' minFeasibleNodesToFind), so small clusters always
-    #: schedule exhaustively.
-    min_feasible_nodes_to_find: int = 100
     #: The paper observes that "the order in which learner pods are queued
     #: by K8S for scheduling is non deterministic".  When True (default),
     #: same-instant arrivals are reordered by a bounded random displacement
@@ -104,6 +90,8 @@ class SchedulerConfig:
 
 #: Coalescing delay before a scheduling pass after a wake-up.
 BATCH_DELAY_S = 0.01
+#: Cost of considering one pod (predicate + priority evaluation).
+PER_POD_LATENCY_S = 0.003
 #: API round-trip between choosing a node and the binding committing;
 #: deletions landing in this window are rejected at binding time
 #: (Table 8's "Binding Rejected" row).
@@ -268,7 +256,7 @@ class Scheduler(Placement):
         for name in sorted(self._queue, key=self._queue.get):
             if name not in self._queue:
                 continue
-            yield self.env.timeout(self.config.per_pod_latency_s)
+            yield self.env.timeout(PER_POD_LATENCY_S)
             yield from self._attempt_pod(name)
 
     def _gang_pass(self):
@@ -279,7 +267,7 @@ class Scheduler(Placement):
         for entry in order:
             if entry.key not in self._gangs:
                 continue
-            yield self.env.timeout(self.config.per_pod_latency_s *
+            yield self.env.timeout(PER_POD_LATENCY_S *
                                    max(1, len(entry.pod_names)))
             yield from self._attempt_gang(entry)
 
@@ -354,20 +342,6 @@ class Scheduler(Placement):
             if not pvc.bound:
                 return claim
         return None
-
-    def _nodes_to_find(self, total: int) -> int:
-        """How many feasible nodes one scheduling attempt collects.
-
-        Upstream k8s' percentage-of-nodes-to-score: exhaustive at 100,
-        otherwise ``max(min_feasible_nodes_to_find, pct% of the
-        cluster)``, never more than the cluster itself.
-        """
-        pct = self.config.percentage_of_nodes_to_score
-        if pct >= 100:
-            return total
-        wanted = max(self.config.min_feasible_nodes_to_find,
-                     total * pct // 100)
-        return min(wanted, total)
 
     def _bind_with_window(self, placements) -> None:
         """Reserve resources, wait out the binding API round-trip, then

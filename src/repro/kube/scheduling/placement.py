@@ -4,8 +4,9 @@ Filter and score (steps 1 and 2 of the pipeline in ``framework``) are
 answered per pod class — everything they read: request, node selector,
 owner — from a table of feasible nodes and scores, patched before each
 read by re-evaluating only the nodes the invalidation journal names, so
-an attempt costs O(changed nodes) and step (3) is one ``max()``.  The
-index knows nothing of pods, queues or time: the scheduler
+an attempt considers every node, as the paper's pipeline does (there is
+no sampling), yet costs O(changed nodes), and step (3) is one ``max()``.
+The index knows nothing of pods, queues or time: the scheduler
 (``framework.Scheduler``, a subclass) and the Figure 3 replayer
 (``repro.analysis.schedreplay``) drive it.  DESIGN.md, "Scheduler
 candidate index".
@@ -54,21 +55,16 @@ class Placement:
         #: (owner, node name) -> placed count, kept by the caller with
         #: :meth:`count_owner`, so ``_score`` never scans anything.
         self._owner_node_counts: Dict[tuple, int] = {}
-        #: Round-robin start position for sampled filtering, as in
-        #: upstream k8s' ``lastScoredNodeIndex``: successive pods start
-        #: their feasibility walk at different cluster offsets so the
-        #: sample window rotates instead of hammering the same prefix.
-        self.last_scored_node_index = 0
         #: Full predicate evaluations vs verdicts taken from the index:
-        #: per attempt they add up to the cluster (sampled: the walk).
+        #: per attempt they add up to the cluster.
         self.filter_evals = 0
         self.filter_cache_hits = 0
         #: Full score computations vs scores taken from the index, over
         #: the nodes an attempt chose among.
         self.score_evals = 0
         self.score_cache_hits = 0
-        #: Nodes an attempt visited one by one: the re-evaluated ones
-        #: when exhaustive, the walked ones when sampling.
+        #: Nodes an attempt visited one by one, the re-evaluated ones:
+        #: always ``filter_evals``, kept as the yardstick's name for it.
         self.nodes_examined = 0
 
     def add_node(self, node) -> None:
@@ -115,28 +111,18 @@ class Placement:
                   owner: Optional[str] = None) -> Optional[str]:
         """The feasible node of highest ``(score, name)`` — node names are
         unique, so the order is total — or None."""
-        ranked, window = self._feasible_candidates(request, selector, owner,
-                                                   scored=True)
-        choices = ranked.values() if window is None \
-            else [ranked[name] for name in window]
-        return max(choices)[1] if choices else None
+        ranked = self._feasible_candidates(request, selector, owner,
+                                           scored=True)
+        return max(ranked.values())[1] if ranked else None
 
     def feasible_nodes(self, request: ResourceRequest,
                        selector: Mapping) -> List[str]:
-        """Feasible node names in node order (BSA draws by position), or
-        window order if sampling."""
-        ranked, window = self._feasible_candidates(request, selector, None,
-                                                   scored=False)
-        if window is None:
-            return [name for name in self._nodes if name in ranked]
-        return window
+        """Feasible node names in node order (BSA draws by position)."""
+        ranked = self._feasible_candidates(request, selector, None,
+                                           scored=False)
+        return [name for name in self._nodes if name in ranked]
 
     # -- the index ------------------------------------------------------------
-
-    def _nodes_to_find(self, total: int) -> int:
-        """How many feasible nodes one attempt collects: every one here;
-        the scheduler samples."""
-        return total
 
     def _pod_class(self, request: ResourceRequest, selector: Mapping,
                    owner: Optional[str], scored: bool) -> _PodClass:
@@ -159,55 +145,21 @@ class Placement:
 
     def _feasible_candidates(self, request: ResourceRequest,
                              selector: Mapping, owner: Optional[str],
-                             scored: bool) -> tuple:
-        """``(ranked, window)``: the class table brought up to date, and
-        the nodes this attempt may choose among — ``None`` for all of
-        ``ranked``.
-
-        Exhaustive mode (the default) re-evaluates every stale node of
-        the class.  Sampled mode walks the node list cyclically from
-        ``last_scored_node_index``, re-evaluating a stale node only when
-        the walk visits it, and stops at the ``_nodes_to_find``-th
-        feasible one; the cursor then advances past the walked stretch
-        so successive pods sample rotating slices of the cluster.
-        """
+                             scored: bool) -> Dict[str, object]:
+        """The class table brought up to date: every stale node of the
+        class re-evaluated, every other verdict taken as it stands."""
         entry = self._pod_class(request, selector, owner, scored)
         ranked, stale = entry.ranked, entry.stale
-        total = len(self._nodes)
-        limit = self._nodes_to_find(total)
-        if limit >= total:
-            window = None
-            examined = evaluated = len(stale)
-            rescored = 0
-            for name in stale:
-                rescored += self._refresh(ranked, request, selector, owner,
-                                          name, scored)
-            stale.clear()
-            hits, chosen_among = total - evaluated, len(ranked)
-        else:
-            names = list(self._nodes)
-            start = self.last_scored_node_index % total
-            window = []
-            examined = evaluated = rescored = 0
-            for offset in range(total):
-                name = names[(start + offset) % total]
-                examined += 1
-                if name in stale:
-                    del stale[name]
-                    evaluated += 1
-                    rescored += self._refresh(ranked, request, selector,
-                                              owner, name, scored)
-                if name in ranked:
-                    window.append(name)
-                    if len(window) >= limit:
-                        break
-            self.last_scored_node_index = (start + examined) % total
-            hits, chosen_among = examined - evaluated, len(window)
-        self.nodes_examined += examined
-        self.filter_cache_hits += hits
+        rescored = 0
+        for name in stale:
+            rescored += self._refresh(ranked, request, selector, owner,
+                                      name, scored)
+        self.nodes_examined += len(stale)
+        self.filter_cache_hits += len(self._nodes) - len(stale)
         if scored:
-            self.score_cache_hits += chosen_among - rescored
-        return ranked, window
+            self.score_cache_hits += len(ranked) - rescored
+        stale.clear()
+        return ranked
 
     def _refresh(self, ranked: dict, request: ResourceRequest,
                  selector: Mapping, owner: Optional[str], name: str,

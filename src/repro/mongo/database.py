@@ -47,7 +47,7 @@ class MongoReplicaSet:
     """A primary plus N secondaries tailing the primary's oplog."""
 
     def __init__(self, env: Environment, secondaries: int = 2,
-                 replication_lag_s: float = 0.05, name: str = "rs0",
+                 replication_lag_s: float = 0.05,
                  election_delay_s: float = 0.0):
         if secondaries < 0:
             raise StoreError("secondaries must be >= 0")
@@ -57,7 +57,7 @@ class MongoReplicaSet:
         if not replication_lag_s > 0:
             raise StoreError("replication_lag_s must be > 0")
         self.env = env
-        self.name = name
+        self.name = "rs0"
         self.replication_lag_s = replication_lag_s
         #: How long the set is primary-less after losing its primary
         #: (real MongoDB elections take ~2-12s; the default 0 keeps the
@@ -67,7 +67,7 @@ class MongoReplicaSet:
         #: (primary_lost_at, new_primary_elected_at, new_primary_index)
         self.failover_log: List[tuple] = []
         self.members: List[MongoDatabase] = [
-            MongoDatabase(f"{name}-{i}", env=env)
+            MongoDatabase(f"{self.name}-{i}", env=env)
             for i in range(secondaries + 1)]
         self._primary_index = 0
         self._down: set[int] = set()

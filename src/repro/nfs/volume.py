@@ -24,9 +24,8 @@ class NFSVolume:
     latency).
     """
 
-    def __init__(self, name: str, capacity_bytes: float = 1e9):
+    def __init__(self, name: str):
         self.name = name
-        self.capacity_bytes = capacity_bytes
         self._files: Dict[str, str] = {}
         self._subscribers: List[Callable[[str], None]] = []
         self.released = False

@@ -143,8 +143,8 @@ class RaftInvariantChecker(_CheckerBase):
 class KubeStateMachineChecker(_CheckerBase):
     """Validates pod phase transitions on a live API server."""
 
-    def __init__(self, api=None, strict: bool = True):
-        super().__init__(strict)
+    def __init__(self, api=None):
+        super().__init__()
         #: pod uid -> last observed phase.
         self._phase: Dict[str, str] = {}
         #: uids that have been DELETED and must never reappear.

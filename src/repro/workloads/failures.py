@@ -28,6 +28,18 @@ from repro.sim.failure import FaultEvent, FaultInjector, FaultSpec
 from repro.sim.rng import RngRegistry
 from repro.workloads.trace import SECONDS_PER_DAY
 
+#: The study's cluster: deliberately CPU-tight nodes, so four 4-CPU
+#: learners leave ~3.4 CPUs for helper/guardian pods and lhelper pods
+#: also contend (Figure 6's ~15% lhelper share).
+GPU_NODES = 20
+GPUS_PER_NODE = 4
+NODE_CPUS = 19.4
+NODE_MEMORY_GB = 256.0
+#: Mean outage of a crashed node (seconds).
+NODE_OUTAGE_MEAN_S = 900.0
+#: A cancelled job is cancelled within this long of its submission.
+CANCELLATION_DELAY_S = 120.0
+
 
 @dataclass
 class FailureStudyConfig:
@@ -36,20 +48,10 @@ class FailureStudyConfig:
     #: cluster — the regime in which the production scheduler actually
     #: emitted its FailedScheduling mix (Table 8).
     jobs_per_day: float = 550.0
-    #: Cluster: deliberately CPU-tight nodes so helper pods also contend.
-    gpu_nodes: int = 20
-    gpus_per_node: int = 4
-    #: Deliberately CPU-tight: four 4-CPU learners leave ~3.4 CPUs for
-    #: helper/guardian pods, so lhelper pods also contend (Figure 6's
-    #: ~15% lhelper share).
-    node_cpus: float = 19.4
-    node_memory_gb: float = 256.0
-    #: Per-node crash MTBF (days) and mean outage duration (seconds).
+    #: Per-node crash MTBF (days).
     node_crash_mtbf_days: float = 45.0
-    node_outage_mean_s: float = 900.0
     #: Probability a submitted job is cancelled while queued/deploying.
     cancellation_probability: float = 0.12
-    cancellation_delay_s: float = 120.0
     #: Rare scheduler races (Table 8's Timeout / Assume rows).
     timeout_race_probability: float = 0.002
     assume_race_probability: float = 0.002
@@ -161,10 +163,9 @@ def run_failure_study(config: FailureStudyConfig) -> FailureStudyResult:
     platform.cluster.scheduler.config.assume_race_probability = \
         config.assume_race_probability
     platform.cluster.add_nodes(
-        config.gpu_nodes,
-        NodeCapacity(cpus=config.node_cpus,
-                     memory_gb=config.node_memory_gb,
-                     gpus=config.gpus_per_node, gpu_type="K80"))
+        GPU_NODES,
+        NodeCapacity(cpus=NODE_CPUS, memory_gb=NODE_MEMORY_GB,
+                     gpus=GPUS_PER_NODE, gpu_type="K80"))
     platform.admission.register("study", gpu_quota=10**6)
     result = FailureStudyResult(config=config)
     stream = rng.stream("failure-study")
@@ -177,7 +178,7 @@ def run_failure_study(config: FailureStudyConfig) -> FailureStudyResult:
     crash_spec = FaultSpec(
         kind="node-crash",
         mtbf_s=config.node_crash_mtbf_days * SECONDS_PER_DAY,
-        duration_s=config.node_outage_mean_s,
+        duration_s=NODE_OUTAGE_MEAN_S,
         # A crashed node stays down at least as long as detection+eviction.
         min_duration_s=120.0)
 
@@ -220,8 +221,7 @@ def run_failure_study(config: FailureStudyConfig) -> FailureStudyResult:
         job_id = yield platform.submit_job(manifest)
         result.jobs_submitted += 1
         if stream.random() < config.cancellation_probability:
-            yield env.timeout(stream.random() *
-                              config.cancellation_delay_s)
+            yield env.timeout(stream.random() * CANCELLATION_DELAY_S)
             job = platform.job(job_id)
             if not job.status.is_terminal:
                 platform.preempt_job(job_id, reason="user cancelled")

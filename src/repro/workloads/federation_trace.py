@@ -22,9 +22,20 @@ from typing import List, Tuple
 
 from repro.core.manifest import JobManifest
 from repro.sim.rng import RngRegistry
+from repro.workloads.trace import SIZE_MIX, WEEKDAY_FACTORS
 
-#: Weekday intensity, Monday-first — same shape as TraceConfig.
-_WEEKDAY_FACTORS = (1.15, 1.2, 1.25, 1.2, 1.1, 0.55, 0.45)
+#: (user, preferred_zone, weight) — tenants with a home zone.
+TENANTS = (
+    ("vision-team", "zone-a", 0.35),
+    ("speech-team", "zone-b", 0.30),
+    ("ai-research", "zone-a", 0.25),
+    ("hackday", "zone-b", 0.10),
+)
+MODEL_MIX = (
+    (("resnet50", "tensorflow"), 0.5),
+    (("vgg16", "tensorflow"), 0.3),
+    (("inceptionv3", "tensorflow"), 0.2),
+)
 
 
 @dataclass(frozen=True)
@@ -64,33 +75,10 @@ class FederationTraceConfig:
     jobs: int = 48
     #: Arrivals land inside [0, arrival_window_s).
     arrival_window_s: float = 420.0
-    #: (user, preferred_zone, weight) — tenants with a home zone.
-    tenants: Tuple[Tuple[str, str, float], ...] = (
-        ("vision-team", "zone-a", 0.35),
-        ("speech-team", "zone-b", 0.30),
-        ("ai-research", "zone-a", 0.25),
-        ("hackday", "zone-b", 0.10),
-    )
-    #: (learners, gpus_per_learner) -> probability; the production mix.
-    size_mix: Tuple[Tuple[Tuple[int, int], float], ...] = (
-        ((1, 1), 0.48),
-        ((1, 2), 0.17),
-        ((1, 4), 0.12),
-        ((2, 1), 0.08),
-        ((2, 2), 0.06),
-        ((2, 4), 0.04),
-        ((4, 1), 0.03),
-        ((4, 2), 0.02),
-    )
     #: K80/V100 split of the production cluster.  4-GPU learners only
     #: have a K80 t-shirt size (Table 5), enforced in generate().
     gpu_type_mix: Tuple[Tuple[str, float], ...] = (
         ("K80", 0.45), ("V100", 0.55))
-    model_mix: Tuple[Tuple[Tuple[str, str], float], ...] = (
-        (("resnet50", "tensorflow"), 0.5),
-        (("vgg16", "tensorflow"), 0.3),
-        (("inceptionv3", "tensorflow"), 0.2),
-    )
     #: Uniform iteration range (length stands in for duration).
     min_iterations: int = 80
     max_iterations: int = 240
@@ -107,10 +95,10 @@ class FederationTrace:
     def _arrival(self, rng) -> float:
         """Inverse-CDF sample of the compressed weekday intensity."""
         cfg = self.config
-        total = sum(_WEEKDAY_FACTORS)
+        total = sum(WEEKDAY_FACTORS)
         roll = rng.random() * total
-        slice_s = cfg.arrival_window_s / len(_WEEKDAY_FACTORS)
-        for index, factor in enumerate(_WEEKDAY_FACTORS):
+        slice_s = cfg.arrival_window_s / len(WEEKDAY_FACTORS)
+        for index, factor in enumerate(WEEKDAY_FACTORS):
             if roll < factor:
                 return (index + roll / factor) * slice_s
             roll -= factor
@@ -132,12 +120,12 @@ class FederationTrace:
         jobs: List[FederationTraceJob] = []
         for index in range(1, cfg.jobs + 1):
             user, zone = self._pick(
-                rng, tuple(((u, z), w) for u, z, w in cfg.tenants))
-            learners, gpus = self._pick(rng, cfg.size_mix)
+                rng, tuple(((u, z), w) for u, z, w in TENANTS))
+            learners, gpus = self._pick(rng, SIZE_MIX)
             gpu_type = self._pick(rng, cfg.gpu_type_mix)
             if gpus > 2 and gpu_type == "V100":
                 gpu_type = "K80"  # no 4xV100 t-shirt size (Table 5)
-            model, framework = self._pick(rng, cfg.model_mix)
+            model, framework = self._pick(rng, MODEL_MIX)
             iterations = rng.randint(cfg.min_iterations,
                                      cfg.max_iterations)
             jobs.append(FederationTraceJob(

@@ -14,7 +14,7 @@ bytes per second, so when the link saturates they lose the most.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import ClassVar, Dict, List
 
 from repro.core import FfDLPlatform, JobManifest, PlatformConfig
 from repro.core import statuses as st
@@ -52,18 +52,19 @@ class ScaleTestConfig:
     """
 
     scale: float = 1.0
-    k80_nodes: int = 130   # x4 GPUs = 520
-    p100_nodes: int = 55   # x2 GPUs = 110
-    v100_nodes: int = 25   # x2 GPUs = 50
-    iterations: int = 5150
-    batch_size: int = 64
-    dataset_objects: int = 30
-    dataset_object_bytes: float = 352e6
-    checkpoint_interval: int = 0
+    #: What no caller varies is a class constant, not a field:
+    #: ``benchmarks/e2e`` reads these off a config.
+    iterations: ClassVar[int] = 5150
+    dataset_objects: ClassVar[int] = 30
+    k80_nodes: ClassVar[int] = 130   # x4 GPUs = 520
+    p100_nodes: ClassVar[int] = 55   # x2 GPUs = 110
+    v100_nodes: ClassVar[int] = 25   # x2 GPUs = 50
+    batch_size: ClassVar[int] = 64
+    dataset_object_bytes: ClassVar[float] = 352e6
     #: Aggregate OSS bandwidth; scales with the cluster.  Calibrated so the
     #: heavy-load degradation lands near the paper's Figure 5 (K80 ~8%,
     #: P100 ~26%, V100 ~35-50%).
-    oss_bandwidth_bps: float = 6.5e9
+    oss_bandwidth_bps: ClassVar[float] = 6.5e9
 
     def scaled(self, value: float) -> int:
         return max(1, int(round(value * self.scale)))
@@ -120,8 +121,7 @@ def job_manifest(config: ScaleTestConfig, batch: BatchSpec,
         learners=1, gpus_per_learner=1, gpu_type=batch.gpu_type,
         iterations=config.iterations, batch_size=config.batch_size,
         dataset_objects=config.dataset_objects,
-        dataset_object_bytes=config.dataset_object_bytes,
-        checkpoint_interval_iterations=config.checkpoint_interval)
+        dataset_object_bytes=config.dataset_object_bytes)
 
 
 def run_scale_test(load: str, config: ScaleTestConfig,

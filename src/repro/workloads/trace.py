@@ -39,6 +39,30 @@ class TraceJob:
         return int(self.arrival_s // SECONDS_PER_DAY)
 
 
+#: Weekday multipliers, Monday-first (weekends are quiet).
+WEEKDAY_FACTORS = (1.15, 1.2, 1.25, 1.2, 1.1, 0.55, 0.45)
+#: Job-size mix: (learners, gpus_per_learner) -> probability.
+SIZE_MIX = (
+    ((1, 1), 0.48),
+    ((1, 2), 0.17),
+    ((1, 4), 0.12),
+    ((2, 1), 0.08),
+    ((2, 2), 0.06),
+    ((2, 4), 0.04),
+    ((4, 1), 0.03),
+    ((4, 2), 0.02),
+)
+#: GPU-type mix on the production cluster (180 K80 / 220 V100).
+GPU_TYPE_MIX = (("K80", 0.45), ("V100", 0.55))
+#: Lognormal job duration parameters (median ~3h, heavy tail), sized so
+#: the 400-GPU cluster runs at ~80% average offered load with weekday
+#: peaks near saturation — the regime in which the paper's Figure 3b
+#: queueing percentages (2-20% of jobs delayed >15 min) arise.
+DURATION_MU = math.log(7_800.0)
+DURATION_SIGMA = 1.15
+MAX_DURATION_S = 2 * SECONDS_PER_DAY
+
+
 @dataclass
 class TraceConfig:
     """Knobs of the synthetic production trace."""
@@ -48,28 +72,6 @@ class TraceConfig:
     base_jobs_per_day: float = 650.0
     #: Linear growth of demand over the trace (the service was ramping).
     trend_per_day: float = 4.0
-    #: Weekday multipliers, Monday-first (weekends are quiet).
-    weekday_factors: tuple = (1.15, 1.2, 1.25, 1.2, 1.1, 0.55, 0.45)
-    #: Job-size mix: (learners, gpus_per_learner) -> probability.
-    size_mix: tuple = (
-        ((1, 1), 0.48),
-        ((1, 2), 0.17),
-        ((1, 4), 0.12),
-        ((2, 1), 0.08),
-        ((2, 2), 0.06),
-        ((2, 4), 0.04),
-        ((4, 1), 0.03),
-        ((4, 2), 0.02),
-    )
-    #: GPU-type mix on the production cluster (180 K80 / 220 V100).
-    gpu_type_mix: tuple = (("K80", 0.45), ("V100", 0.55))
-    #: Lognormal job duration parameters (median ~3h, heavy tail), sized so
-    #: the 400-GPU cluster runs at ~80% average offered load with weekday
-    #: peaks near saturation — the regime in which the paper's Figure 3b
-    #: queueing percentages (2-20% of jobs delayed >15 min) arise.
-    duration_mu: float = math.log(7_800.0)
-    duration_sigma: float = 1.15
-    max_duration_s: float = 2 * SECONDS_PER_DAY
 
 
 class ProductionTrace:
@@ -82,7 +84,7 @@ class ProductionTrace:
 
     def expected_arrivals(self, day: int) -> float:
         cfg = self.config
-        weekday = cfg.weekday_factors[day % 7]
+        weekday = WEEKDAY_FACTORS[day % 7]
         trend = cfg.base_jobs_per_day + cfg.trend_per_day * (
             day - cfg.days / 2)
         return max(50.0, trend * weekday)
@@ -100,11 +102,11 @@ class ProductionTrace:
                 counter += 1
                 arrival = day * SECONDS_PER_DAY + \
                     rng.random() * SECONDS_PER_DAY
-                duration = min(cfg.max_duration_s,
-                               rng.lognormvariate(cfg.duration_mu,
-                                                  cfg.duration_sigma))
-                size = self._pick(rng, cfg.size_mix)
-                gpu_type = self._pick(rng, cfg.gpu_type_mix)
+                duration = min(MAX_DURATION_S,
+                               rng.lognormvariate(DURATION_MU,
+                                                  DURATION_SIGMA))
+                size = self._pick(rng, SIZE_MIX)
+                gpu_type = self._pick(rng, GPU_TYPE_MIX)
                 jobs.append(TraceJob(
                     job_id=f"trace-{counter:06d}",
                     arrival_s=arrival, duration_s=duration,

@@ -67,7 +67,7 @@ def chunk_loop_workload(ctx: LearnerContext, state: LearnerState):
         # gradient-exchange barrier, so per-learner speed drops with the
         # number of peers (the same efficiency the throughput model uses).
         iter_s /= DISTRIBUTED_EFFICIENCY ** (manifest.learners - 1)
-        iter_s *= ctx.compute_slowdown / (1.0 - overhead)
+        iter_s *= 1.0 / (1.0 - overhead)
 
         def report(status):
             ctx.volume.write(ctx.status_path(index), status)

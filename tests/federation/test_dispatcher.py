@@ -16,13 +16,13 @@ from repro.federation import (
     CellSpec,
     FederationBus,
     FederationDispatcher,
-    HealthConfig,
     INTENT_QUEUED,
 )
+from repro.federation.health import BLACKOUT_FAILURES, RECOVER_PROBES
 from repro.sim import Environment, RngRegistry
 
 
-def make_federation(specs=None, seed=0, quota=64, health=None):
+def make_federation(specs=None, seed=0, quota=64):
     env = Environment()
     rng = RngRegistry(seed)
     bus = FederationBus(env, rng)
@@ -31,8 +31,7 @@ def make_federation(specs=None, seed=0, quota=64, health=None):
         CellSpec("cell-b", zone="zone-b", gpu_nodes=2, gpus_per_node=4),
     ]
     cells = [Cell(env, rng, spec) for spec in specs]
-    dispatcher = FederationDispatcher(env, rng, bus, cells,
-                                      health_config=health)
+    dispatcher = FederationDispatcher(env, rng, bus, cells)
     dispatcher.register_tenant("alice", gpu_quota=quota)
     return env, cells, dispatcher
 
@@ -123,9 +122,8 @@ def test_blackout_migrates_and_fences_without_double_execution():
     cell migrates the intent (generation bump), the surviving cell runs
     it to completion, and the orphan is fenced at recovery — never run
     to a second completion."""
-    health = HealthConfig(probe_interval_s=2.0, probe_timeout_s=1.0,
-                          blackout_failures=3, recover_probes=3)
-    env, cells, dispatcher = make_federation(health=health)
+    assert (BLACKOUT_FAILURES, RECOVER_PROBES) == (3, 3)
+    env, cells, dispatcher = make_federation()
     cell_a = cells[0]
     intent_id = submit(env, dispatcher,
                        make_manifest("victim", iterations=2000),

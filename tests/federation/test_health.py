@@ -10,7 +10,15 @@ from repro.federation import (
     CellHealthMonitor,
     FederationBus,
     HEALTHY,
-    HealthConfig,
+)
+from repro.federation.health import (
+    BLACKOUT_FAILURES,
+    BROWNOUT_LATENCY_S,
+    BROWNOUT_PROBES,
+    LATENCY_WINDOW,
+    PROBE_INTERVAL_S,
+    PROBE_TIMEOUT_S,
+    RECOVER_PROBES,
 )
 from repro.resilience import CircuitBreaker
 from repro.sim import Environment, RngRegistry
@@ -38,7 +46,7 @@ class FakeCell:
         return self.env.process(run(), name="fake-probe")
 
 
-def make_monitor(seed=0, config=None):
+def make_monitor(seed=0):
     env = Environment()
     bus = FederationBus(env, RngRegistry(seed))
     cell = FakeCell(env)
@@ -46,7 +54,6 @@ def make_monitor(seed=0, config=None):
     transitions = []
     monitor = CellHealthMonitor(
         env, bus, cell,
-        config=config or HealthConfig(),
         on_transition=lambda c, old, new: transitions.append((old, new)),
         monitor_name=f"monitor:{cell.name}")
     return env, cell, monitor, transitions
@@ -73,8 +80,8 @@ def test_three_consecutive_failures_classify_blackout():
 
 
 def test_two_failures_are_not_a_blackout():
-    cfg = HealthConfig(probe_interval_s=5.0, blackout_failures=3)
-    env, cell, monitor, transitions = make_monitor(config=cfg)
+    assert (PROBE_INTERVAL_S, BLACKOUT_FAILURES) == (5.0, 3)
+    env, cell, monitor, transitions = make_monitor()
     cell.dark = True
     env.run(until=11.0)  # exactly two probes fire (t=5, t=10)
     assert monitor.probes_failed == 2
@@ -87,10 +94,10 @@ def test_two_failures_are_not_a_blackout():
 
 
 def test_slow_probes_classify_brownout_then_recover():
-    cfg = HealthConfig(probe_interval_s=5.0, probe_timeout_s=3.0,
-                       brownout_latency_s=0.5, brownout_probes=3,
-                       window=6, recover_probes=3)
-    env, cell, monitor, transitions = make_monitor(config=cfg)
+    assert (PROBE_INTERVAL_S, PROBE_TIMEOUT_S, BROWNOUT_LATENCY_S,
+            BROWNOUT_PROBES, LATENCY_WINDOW, RECOVER_PROBES) == \
+        (5.0, 3.0, 0.5, 3, 6, 3)
+    env, cell, monitor, transitions = make_monitor()
     env.run(until=11.0)
     cell.probe_latency_s = 1.0  # successful but slow
     env.run(until=40.0)
@@ -107,9 +114,9 @@ def test_failures_do_not_feed_the_brownout_window():
     """Outright failures drive the blackout counter, never the latency
     window: two failures plus two slow probes must not read as a
     3-of-6 brownout."""
-    cfg = HealthConfig(probe_interval_s=5.0, brownout_latency_s=0.5,
-                       brownout_probes=3, blackout_failures=3)
-    env, cell, monitor, transitions = make_monitor(config=cfg)
+    assert (PROBE_INTERVAL_S, BROWNOUT_LATENCY_S, BROWNOUT_PROBES,
+            BLACKOUT_FAILURES) == (5.0, 0.5, 3, 3)
+    env, cell, monitor, transitions = make_monitor()
     cell.dark = True
     env.run(until=11.0)  # two failures
     cell.dark = False
@@ -123,8 +130,8 @@ def test_failures_do_not_feed_the_brownout_window():
 
 
 def test_blackout_recovers_through_fast_probes():
-    cfg = HealthConfig(probe_interval_s=5.0, recover_probes=3)
-    env, cell, monitor, transitions = make_monitor(config=cfg)
+    assert (PROBE_INTERVAL_S, RECOVER_PROBES) == (5.0, 3)
+    env, cell, monitor, transitions = make_monitor()
     cell.dark = True
     env.run(until=40.0)
     assert monitor.state == BLACKOUT

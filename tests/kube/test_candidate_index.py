@@ -1,11 +1,8 @@
-"""Sampled node scoring: knob math, cursor rotation, index exactness,
-and the declared quality envelopes.
+"""The candidate index: exhaustive examination, the (owner, node) count
+index, invalidation, gang order and the node-indexed kubelet fanout.
 
-``percentage_of_nodes_to_score=100`` (the default) is exhaustive.
-These tests cover the sampled mode itself: the ``_nodes_to_find``
-arithmetic, the round-robin cursor, the incrementally-maintained
-(owner, node) count index, and the placement-quality envelopes
-(fragmentation, gang wait) at 50% and 5% sampling.
+Every scheduling attempt considers every node; the index re-evaluates
+only the nodes that changed since the pod's class was last read.
 """
 
 from repro.kube.api import KubeAPI
@@ -19,62 +16,6 @@ def _submit_and_run(env, cluster, pods):
     for pod in pods:
         cluster.api.create_pod(pod)
     env.run()
-
-
-# -- knob arithmetic --------------------------------------------------------
-
-
-def test_default_config_is_exhaustive():
-    env, cluster = make_cluster(nodes=3)
-    scheduler = cluster.scheduler
-    assert scheduler.config.percentage_of_nodes_to_score == 100
-    assert scheduler._nodes_to_find(1000) == 1000
-
-
-def test_nodes_to_find_percentage_and_floor():
-    env, cluster = make_cluster(
-        nodes=2, config_kwargs={"percentage_of_nodes_to_score": 5,
-                                "min_feasible_nodes_to_find": 100})
-    scheduler = cluster.scheduler
-    # 5% of 1000 = 50 < the floor of 100.
-    assert scheduler._nodes_to_find(1000) == 100
-    # 5% of 10000 = 500 > the floor.
-    assert scheduler._nodes_to_find(10000) == 500
-    # Never more than the cluster itself.
-    assert scheduler._nodes_to_find(60) == 60
-
-
-def test_nodes_to_find_fifty_percent():
-    env, cluster = make_cluster(
-        nodes=2, config_kwargs={"percentage_of_nodes_to_score": 50,
-                                "min_feasible_nodes_to_find": 2})
-    assert cluster.scheduler._nodes_to_find(20) == 10
-
-
-# -- round-robin cursor -----------------------------------------------------
-
-
-def test_sampled_cursor_rotates_across_attempts():
-    """Successive pods start their feasibility scan where the previous
-    one stopped, so the sample window walks the whole cluster instead
-    of hammering one prefix."""
-    env, cluster = make_cluster(
-        nodes=12, gpus_per_node=4,
-        config_kwargs={"percentage_of_nodes_to_score": 5,
-                       "min_feasible_nodes_to_find": 2,
-                       "nondeterministic_order": False})
-    pods = [make_pod(env, f"p{i}", gpus=1, duration=500.0)
-            for i in range(8)]
-    _submit_and_run(env, cluster, pods)
-    assert cluster.scheduler.pods_scheduled == 8
-    placed_on = {pod.node_name for pod in pods}
-    # Exhaustive pack scoring would pile everything onto a couple of
-    # nodes; the rotating two-node window must spread further.
-    assert len(placed_on) >= 4
-    # The cursor ended somewhere inside the ring, and far fewer nodes
-    # were examined than 8 pods x 12 nodes exhaustive.
-    assert 0 <= cluster.scheduler.last_scored_node_index < 12
-    assert cluster.scheduler.nodes_examined < 8 * 12
 
 
 def test_exhaustive_mode_examines_every_node():
@@ -246,71 +187,3 @@ def test_pod_events_reach_only_the_matching_nodes_kubelet():
     n2 = [entry for entry in seen if entry[0] == "n2"]
     assert [verb for _, verb in n1] == ["MODIFIED", "DELETED"]
     assert n2 == []
-
-
-# -- sampled-mode quality envelopes ----------------------------------------
-
-
-def _fragmentation(cluster):
-    occupied = partial = 0
-    for allocation in cluster.allocations.values():
-        if allocation.free_gpus < allocation.capacity.gpus:
-            occupied += 1
-            if allocation.free_gpus > 0:
-                partial += 1
-    return partial / occupied if occupied else 0.0
-
-
-def _run_quality(pct):
-    env, cluster = make_cluster(
-        nodes=20, gpus_per_node=4,
-        config_kwargs={"percentage_of_nodes_to_score": pct,
-                       "min_feasible_nodes_to_find": 2,
-                       "nondeterministic_order": False})
-    pods = [make_pod(env, f"q{i}", gpus=1 + (i % 2), duration=5000.0)
-            for i in range(40)]
-    for pod in pods:
-        cluster.api.create_pod(pod)
-    env.run(until=200.0)
-    assert cluster.scheduler.pods_scheduled == 40
-    waits = [pod.scheduled_at - pod.meta.creation_time for pod in pods]
-    return _fragmentation(cluster), sum(waits) / len(waits)
-
-
-def test_sampled_quality_within_declared_envelopes():
-    """Fragmentation may grow by at most +0.5 and mean wait by at most
-    +0.25s versus exhaustive."""
-    frag_100, wait_100 = _run_quality(100)
-    for pct in (50, 5):
-        frag, wait = _run_quality(pct)
-        assert frag <= frag_100 + 0.50, f"pct={pct}"
-        assert wait <= wait_100 + 0.25, f"pct={pct}"
-
-
-def _run_gang_quality(pct):
-    env, cluster = make_cluster(
-        gang=True, nodes=20, gpus_per_node=4,
-        config_kwargs={"percentage_of_nodes_to_score": pct,
-                       "min_feasible_nodes_to_find": 2,
-                       "nondeterministic_order": False})
-    pods = []
-    for g in range(6):
-        for m in range(4):
-            pods.append(make_pod(env, f"g{g}-m{m}", gpus=1,
-                                 duration=5000.0,
-                                 gang_name=f"gang-{g}", gang_size=4))
-    for pod in pods:
-        cluster.api.create_pod(pod)
-    env.run(until=200.0)
-    assert cluster.scheduler.pods_scheduled == 24
-    waits = [pod.scheduled_at - pod.meta.creation_time for pod in pods]
-    return sum(waits) / len(waits)
-
-
-def test_sampled_gang_wait_within_declared_envelope():
-    """Gang placement under sampling must not stall: BSA still sees
-    enough feasible nodes per member to place whole gangs promptly."""
-    wait_100 = _run_gang_quality(100)
-    for pct in (50, 5):
-        wait = _run_gang_quality(pct)
-        assert wait <= wait_100 + 1.0, f"pct={pct}"

@@ -2,6 +2,7 @@
 
 
 from repro.kube import FAILED, RUNNING
+from repro.kube.kubelet import RESTART_DELAY_S
 
 from tests.kube.conftest import make_cluster, make_pod
 
@@ -52,7 +53,6 @@ def test_first_pull_pays_image_transfer_cached_after():
 
 def test_restart_delay_paces_container_restarts():
     env, cluster = make_cluster()
-    kubelet = next(iter(cluster.kubelets.values()))
     attempts = []
 
     def always_fails(container):
@@ -67,7 +67,7 @@ def test_restart_delay_paces_container_restarts():
     assert len(attempts) >= 3
     gaps = [b - a for a, b in zip(attempts, attempts[1:])]
     # Each restart waits at least the restart delay.
-    assert all(gap >= kubelet.restart_delay_s for gap in gaps)
+    assert all(gap >= RESTART_DELAY_S for gap in gaps)
 
 
 def test_deletion_during_setup_aborts_start():

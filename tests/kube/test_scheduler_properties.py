@@ -40,20 +40,15 @@ POD_SPECS = st.lists(
     ),
     min_size=1, max_size=15,
 )
-#: percentage_of_nodes_to_score; at 50 a 3-node cluster looks for one
-#: feasible node per attempt, a 4-node cluster for two.
-SAMPLING = st.sampled_from([100, 50])
 CAPACITY = NodeCapacity(cpus=16, memory_gb=64, gpus=4, gpu_type="K80")
 
 
-def build(seed, gang=False, policy="pack", sample_pct=100):
+def build(seed, gang=False, policy="pack"):
     """Three nodes: the invalidation journal is cut after 22 entries, so
     a run of a few pods already retires classes."""
     env = Environment()
     cluster = Cluster(env, RngRegistry(seed),
-                      SchedulerConfig(policy=policy, gang=gang,
-                                      percentage_of_nodes_to_score=sample_pct,
-                                      min_feasible_nodes_to_find=1),
+                      SchedulerConfig(policy=policy, gang=gang),
                       node_detection_latency_s=4.0,
                       pod_eviction_timeout_s=4.0,
                       terminal_pod_gc_ttl_s=30.0)
@@ -82,9 +77,8 @@ def fresh_table(cluster, request, selector, owner, scored):
 def check_index_at_every_attempt(cluster):
     """Wrap the scheduler's two reads of the candidate index.  Each time
     an attempt reads it, the table handed out must equal a fresh
-    evaluation of every node it claims to be current for, the sampled
-    window the fresh cyclic walk from the recorded cursor, the gang view
-    the fresh list in node order, and the (owner, node) index a recount
+    evaluation of every node, the gang view the fresh list in node
+    order, and the (owner, node) index a recount
     of the pod store.  Each failed attempt's memoised summary must be
     what a fresh scan of every node says."""
     scheduler, api = cluster.scheduler, cluster.api
@@ -93,8 +87,7 @@ def check_index_at_every_attempt(cluster):
 
     def checked_read(request, selector, owner, scored):
         assert scheduler._owner_node_counts == recount_owner_nodes(api)
-        cursor = scheduler.last_scored_node_index
-        ranked, window = read(request, selector, owner, scored)
+        ranked = read(request, selector, owner, scored)
         fresh = fresh_table(cluster, request, selector, owner, scored)
         names = [node.name for node in api.list_nodes()]
         assert list(scheduler._nodes) == names
@@ -102,26 +95,14 @@ def check_index_at_every_attempt(cluster):
         for name in names:
             if name not in stale:
                 assert ranked.get(name) == fresh.get(name), name
-        total, limit = len(names), scheduler._nodes_to_find(len(names))
-        if limit >= total:
-            assert window is None and not stale
-            assert ranked == fresh
-            return ranked, window
-        start = cursor % total
-        walk = names[start:] + names[:start]
-        assert window == [name for name in walk if name in fresh][:limit]
-        assert not stale.keys() & set(window)
-        walked = walk.index(window[-1]) + 1 if len(window) == limit \
-            else total
-        assert scheduler.last_scored_node_index == (start + walked) % total
-        return ranked, window
+        assert not stale
+        assert ranked == fresh
+        return ranked
 
     def checked_read_names(request, selector):
         names = read_names(request, selector)
-        if scheduler._nodes_to_find(len(scheduler._nodes)) >= \
-                len(scheduler._nodes):
-            assert names == list(fresh_table(cluster, request, selector,
-                                             None, scored=False))
+        assert names == list(fresh_table(cluster, request, selector,
+                                         None, scored=False))
         return names
 
     summary = scheduler._predicate_summary
@@ -162,34 +143,31 @@ def owned_pod(env, name, gpus, cpus, duration, owner=None):
 @settings(max_examples=examples(30), deadline=None)
 @given(specs=POD_SPECS, seed=st.integers(min_value=0, max_value=50),
        policy=st.sampled_from(["pack", "spread"]), gang=st.booleans(),
-       sample_pct=SAMPLING, cordon=st.booleans(), fail=st.booleans(),
-       grow=st.booleans())
+       cordon=st.booleans(), fail=st.booleans(), grow=st.booleans())
 # Two owners of one shape under Spread: their scores differ, so they
 # must not share a class.
 @example(specs=[(1, 1.0, 60, False, "set-a")] * 3 +
          [(1, 1.0, 60, False, "set-b")] * 3, seed=0, policy="spread",
-         gang=False, sample_pct=100, cordon=False, fail=False, grow=False)
+         gang=False, cordon=False, fail=False, grow=False)
 # A node filled for a while re-enters the table behind the others; BSA
 # (every pod a gang of one) must still get the nodes in node order.
 @example(specs=[(1, 1.0, 100, False, None), (4, 1.0, 5, False, None)] +
          [(1, 1.0, 100, False, None)] * 4, seed=1, policy="pack",
-         gang=True, sample_pct=100, cordon=False, fail=False, grow=False)
+         gang=True, cordon=False, fail=False, grow=False)
 # A finished pod's object is collected long after its resources were
 # released: the same-owner count moves with no allocation change.
 @example(specs=[(1, 1.0, 15, False, "set-a")] +
          [(1, 1.0, 100, False, "set-a")] * 3, seed=0, policy="spread",
-         gang=False, sample_pct=100, cordon=False, fail=False, grow=False)
+         gang=False, cordon=False, fail=False, grow=False)
 # Two dozen journal entries between two whole-node pods: the first
 # one's class falls off the journal and must be rebuilt, not patched.
 @example(specs=[(4, 1.0, 100, False, None)] +
          [(1, 1.0, 5, False, None)] * 13 + [(4, 1.0, 100, False, None)],
-         seed=0, policy="pack", gang=False, sample_pct=100, cordon=False,
-         fail=False, grow=False)
+         seed=0, policy="pack", gang=False, cordon=False, fail=False,
+         grow=False)
 def test_no_overallocation_under_random_churn(specs, seed, policy, gang,
-                                              sample_pct, cordon, fail,
-                                              grow):
-    env, cluster = build(seed, gang=gang, policy=policy,
-                         sample_pct=sample_pct)
+                                              cordon, fail, grow):
+    env, cluster = build(seed, gang=gang, policy=policy)
     pods = [(owned_pod(env, f"p{i}", gpus, cpus, duration, owner), delete)
             for i, (gpus, cpus, duration, delete, owner)
             in enumerate(specs)]
@@ -291,12 +269,11 @@ def test_a_failed_attempts_summary_is_current_for_its_shape():
 @given(seed=st.integers(min_value=0, max_value=100),
        jobs=st.integers(min_value=1, max_value=10),
        learners=st.integers(min_value=1, max_value=4),
-       gpus=st.integers(min_value=1, max_value=2), sample_pct=SAMPLING)
-def test_gang_all_or_nothing_invariant(seed, jobs, learners, gpus,
-                                       sample_pct):
+       gpus=st.integers(min_value=1, max_value=2))
+def test_gang_all_or_nothing_invariant(seed, jobs, learners, gpus):
     """At any observation point, a gang is either fully placed or fully
     pending (bind windows aside, which resolve within a tick)."""
-    env, cluster = build(seed, gang=True, sample_pct=sample_pct)
+    env, cluster = build(seed, gang=True)
 
     def sleeper(container):
         yield env.timeout(10_000)

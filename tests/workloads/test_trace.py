@@ -3,6 +3,7 @@
 
 from repro.sim import RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig, arrivals_by_day
+from repro.workloads.trace import MAX_DURATION_S
 
 
 def make_trace(days=14, seed=0, **kwargs):
@@ -61,9 +62,8 @@ def test_job_fields_sane():
 
 
 def test_durations_capped():
-    config = TraceConfig(days=5)
     jobs = make_trace(days=5).generate()
-    assert all(j.duration_s <= config.max_duration_s for j in jobs)
+    assert all(j.duration_s <= MAX_DURATION_S for j in jobs)
 
 
 def test_size_mix_roughly_respected():
