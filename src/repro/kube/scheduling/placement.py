@@ -63,9 +63,12 @@ class Placement:
         #: the nodes an attempt chose among.
         self.score_evals = 0
         self.score_cache_hits = 0
-        #: Nodes an attempt visited one by one, the re-evaluated ones:
-        #: always ``filter_evals``, kept as the yardstick's name for it.
-        self.nodes_examined = 0
+
+    @property
+    def nodes_examined(self) -> int:
+        """Nodes the attempts visited one by one: the re-evaluated ones,
+        so ``filter_evals`` under the name the e2e layer report reads."""
+        return self.filter_evals
 
     def add_node(self, node) -> None:
         self._nodes[node.name] = node
@@ -154,7 +157,6 @@ class Placement:
         for name in stale:
             rescored += self._refresh(ranked, request, selector, owner,
                                       name, scored)
-        self.nodes_examined += len(stale)
         self.filter_cache_hits += len(self._nodes) - len(stale)
         if scored:
             self.score_cache_hits += len(ranked) - rescored
