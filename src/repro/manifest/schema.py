@@ -234,15 +234,6 @@ FEDERATION_CELL_COUNTER_SUFFIXES = ("-jobs", "-completed")
 FEDERATION_TRACE_GPU_TYPES = tuple(
     gpu_type for gpu_type, _weight in FederationTraceConfig().gpu_type_mix)
 
-#: Largest learner shape the federated trace can draw per GPU type:
-#: the size mix tops out at 4 GPUs/learner x 4 learners, and >2-GPU
-#: learners are forced onto K80 (no 4xV100 t-shirt size).
-FEDERATION_MAX_SHAPE = {
-    "K80": (4, 4),   # (max learners, max gpus_per_learner)
-    "V100": (4, 2),
-}
-
-
 def known_hypotheses(kind: str) -> Tuple[str, ...]:
     return tuple(name for name, _check in _TARGETS[kind].HYPOTHESES)
 

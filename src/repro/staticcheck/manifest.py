@@ -49,7 +49,6 @@ from repro.manifest.schema import (
     CounterAssertion,
     FEDERATION_CELL_COUNTER_SUFFIXES,
     FEDERATION_COUNTERS,
-    FEDERATION_MAX_SHAPE,
     FEDERATION_STEP_FIELDS,
     FEDERATION_TOPOLOGY_FIELDS,
     FEDERATION_TRACE_GPU_TYPES,
@@ -67,10 +66,13 @@ from repro.manifest.schema import (
     known_fault_kinds,
     known_hypotheses,
 )
+from repro.chaos.federation import FederationTarget
+from repro.errors import SimulationError
 from repro.manifest.yamlpos import YamlNode, YamlPosError, \
     parse_manifest_source
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 from repro.staticcheck.suppress import apply_suppressions
+from repro.workloads.federation_trace import drawn_shapes
 
 #: Default observation windows: the scenario dataclass defaults.
 _DEFAULT_WINDOW = {scenario_type.kind: (scenario_type.horizon_s,
@@ -592,17 +594,21 @@ class _Analysis:
                     f"a learner needs {memory:g} GB but the largest "
                     f"declared node has {max_memory:g} GB")
 
-    def _effective_gpu_types(self) -> List[str]:
-        """The GPU types the run's trace draws: those it has weights
-        for that some cell has."""
-        available = {c.gpu_type for c, _node in self._cells}
-        return [t for t in FEDERATION_TRACE_GPU_TYPES if t in available]
+    def _trace_gpu_type_mix(self):
+        """The run's trace GPU-type mix (the types it has weights for
+        that some cell has), or ``None`` when there are none."""
+        try:
+            return FederationTarget._gpu_type_mix(FederationScenario(
+                name="", description="", steps=(),
+                cells=tuple(c for c, _node in self._cells)))
+        except SimulationError:
+            return None
 
     def _check_federation_capacity(self) -> None:
         if not self._cells:
             return
-        effective = self._effective_gpu_types()
-        if not effective:
+        mix = self._trace_gpu_type_mix()
+        if mix is None:
             declared = sorted({c.gpu_type for c, _node in self._cells})
             self._emit(
                 "MAN003", self._anchor(), 0,
@@ -611,19 +617,29 @@ class _Analysis:
                 f"trace knows: "
                 f"{', '.join(FEDERATION_TRACE_GPU_TYPES)})")
             return
-        for gpu_type in effective:
-            learners, per_learner = FEDERATION_MAX_SHAPE[gpu_type]
+        for gpu_type, shapes in drawn_shapes(mix).items():
             cells = [(c, node) for c, node in self._cells
                      if c.gpu_type == gpu_type]
-            if any(self._cell_fits(c, learners, per_learner)
-                   for c, _node in cells):
+            stuck = ", ".join(
+                f"{learners}x{per_learner}" for learners, per_learner
+                in shapes if not any(self._cell_fits(c, learners,
+                                                     per_learner)
+                                     for c, _node in cells))
+            if not stuck:
                 continue
-            self._emit(
-                "MAN003", cells[0][1], 0,
-                f"the largest trace job shape ({learners} learners x "
-                f"{per_learner} {gpu_type} GPUs) cannot be placed in "
-                f"any declared {gpu_type} cell (bin-packing lower "
-                f"bound); it would queue forever")
+            if cells:
+                self._emit(
+                    "MAN003", cells[0][1], 0,
+                    f"trace job shapes {stuck} (learners x {gpu_type} "
+                    f"GPUs each) cannot be placed in any declared "
+                    f"{gpu_type} cell (bin-packing lower bound); they "
+                    f"would queue forever")
+            else:
+                self._emit(
+                    "MAN003", self._anchor(), 0,
+                    f"trace job shapes {stuck} (learners x {gpu_type} "
+                    f"GPUs each) run on {gpu_type}, which no declared "
+                    f"cell offers; they would queue forever")
 
     @staticmethod
     def _cell_fits(cell: CellDef, learners: int,
@@ -693,7 +709,8 @@ class _Analysis:
                     f"{group.gpu_type} node(s) serve no workload "
                     f"demand and no fault targets them")
         else:
-            effective = set(self._effective_gpu_types())
+            effective = {gpu_type for gpu_type, _weight
+                         in self._trace_gpu_type_mix() or ()}
             for cell, node in self._cells:
                 if cell.gpu_type in effective:
                     continue

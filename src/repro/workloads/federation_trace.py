@@ -18,7 +18,7 @@ fixing runtimes by fiat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.manifest import JobManifest
 from repro.sim.rng import RngRegistry
@@ -36,6 +36,25 @@ MODEL_MIX = (
     (("vgg16", "tensorflow"), 0.3),
     (("inceptionv3", "tensorflow"), 0.2),
 )
+
+
+def drawn_gpu_type(gpus_per_learner: int, gpu_type: str) -> str:
+    """The GPU type a draw runs on: 4-GPU learners only have a K80
+    t-shirt size (Table 5), so a >2-GPU V100 draw becomes K80."""
+    if gpus_per_learner > 2 and gpu_type == "V100":
+        return "K80"
+    return gpu_type
+
+
+def drawn_shapes(gpu_type_mix) -> Dict[str, Tuple[Tuple[int, int], ...]]:
+    """Every ``(learners, gpus_per_learner)`` shape a trace over
+    ``gpu_type_mix`` can draw, keyed by the GPU type it runs on."""
+    shapes: Dict[str, Dict[Tuple[int, int], None]] = {}
+    for gpu_type, _weight in gpu_type_mix:
+        for (learners, gpus), _probability in SIZE_MIX:
+            shapes.setdefault(drawn_gpu_type(gpus, gpu_type), {})[
+                (learners, gpus)] = None
+    return {gpu_type: tuple(found) for gpu_type, found in shapes.items()}
 
 
 @dataclass(frozen=True)
@@ -75,8 +94,8 @@ class FederationTraceConfig:
     jobs: int = 48
     #: Arrivals land inside [0, arrival_window_s).
     arrival_window_s: float = 420.0
-    #: K80/V100 split of the production cluster.  4-GPU learners only
-    #: have a K80 t-shirt size (Table 5), enforced in generate().
+    #: K80/V100 split of the production cluster (a draw's type goes
+    #: through drawn_gpu_type()).
     gpu_type_mix: Tuple[Tuple[str, float], ...] = (
         ("K80", 0.45), ("V100", 0.55))
     #: Uniform iteration range (length stands in for duration).
@@ -122,9 +141,8 @@ class FederationTrace:
             user, zone = self._pick(
                 rng, tuple(((u, z), w) for u, z, w in TENANTS))
             learners, gpus = self._pick(rng, SIZE_MIX)
-            gpu_type = self._pick(rng, cfg.gpu_type_mix)
-            if gpus > 2 and gpu_type == "V100":
-                gpu_type = "K80"  # no 4xV100 t-shirt size (Table 5)
+            gpu_type = drawn_gpu_type(gpus,
+                                      self._pick(rng, cfg.gpu_type_mix))
             model, framework = self._pick(rng, MODEL_MIX)
             iterations = rng.randint(cfg.min_iterations,
                                      cfg.max_iterations)

@@ -200,3 +200,37 @@ def test_a_cell_brownout_that_speeds_the_cell_up_is_rejected():
     assert [finding.render() for finding in excinfo.value.findings] == [
         "fast.yaml:10:32: MAN001 cell-brownout param 0.5 is out of "
         "range: it is a latency inflation factor > 1"]
+
+
+def _federation(*cells: str) -> str:
+    return textwrap.dedent("""\
+        kind: federation
+        name: fed
+        description: "trace shapes against the declared cells"
+        topology:
+          cells:
+        """) + "".join(f"    - {{{cell}}}\n" for cell in cells) + \
+        "workload:\n  jobs: 20\n  seed: inherit\n"
+
+
+def test_man003_passes_a_k80_cell_that_places_every_drawn_shape():
+    """The trace never draws 4 learners x 4 GPUs, so one 3 x 4 K80
+    cell places every job it can draw; the run completes them all."""
+    compiled = compile_manifest(_federation(
+        "name: cell-a, zone: z, gpu_nodes: 3, gpus_per_node: 4, "
+        "gpu_type: K80"), "k80.yaml")
+    report = compiled.run()
+    assert report.passed
+    assert report.counters["fed-completed"] == 20
+
+
+def test_man003_flags_v100_cells_when_the_trace_draws_k80_jobs():
+    """A >2-GPU V100 draw runs on K80, which no cell here offers: the
+    run would leave those intents unresolved."""
+    cell = ("zone: z, gpu_nodes: 8, gpus_per_node: 4, gpu_type: V100")
+    findings, _suppressed, _model = analyze_manifest(_federation(
+        f"name: cell-a, {cell}", f"name: cell-b, {cell}"), "v100.yaml")
+    assert [finding.render() for finding in findings] == [
+        "v100.yaml:9:3: MAN003 trace job shapes 1x4, 2x4 (learners x "
+        "K80 GPUs each) run on K80, which no declared cell offers; they "
+        "would queue forever"]

@@ -71,3 +71,23 @@ def test_size_mix_roughly_respected():
     single = sum(1 for j in jobs
                  if (j.learners, j.gpus_per_learner) == (1, 1))
     assert 0.40 < single / len(jobs) < 0.56
+
+
+def test_federation_trace_draws_only_the_shapes_drawn_shapes_lists():
+    """MAN003 checks a federation against ``drawn_shapes``; the
+    generator must never draw a shape (or a GPU type) it omits."""
+    from repro.workloads.federation_trace import (
+        FederationTrace,
+        FederationTraceConfig,
+        drawn_shapes,
+    )
+
+    for mix in ((("K80", 0.45), ("V100", 0.55)), (("V100", 1.0),)):
+        config = FederationTraceConfig(jobs=400, gpu_type_mix=mix)
+        shapes = drawn_shapes(mix)
+        drawn = {(job.gpu_type, (job.learners, job.gpus_per_learner))
+                 for job in FederationTrace(RngRegistry(0),
+                                            config).generate()}
+        assert drawn == {(gpu_type, shape)
+                         for gpu_type, listed in shapes.items()
+                         for shape in listed}
