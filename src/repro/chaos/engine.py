@@ -114,14 +114,14 @@ class Scenario:
     #: Extra quiet time after the horizon for recoveries and flushes.
     settle_s: float = 240.0
     jobs: int = 6
-    job_interarrival_s: float = 20.0
-    job_iterations: int = 150
+    interarrival_s: float = 20.0
+    iterations: int = 150
     #: Shape of each churn job (defaults match the historical engine
     #: hard-coding, so existing scenarios are unchanged).
-    job_learners: int = 1
-    job_gpus_per_learner: int = 1
-    job_gpu_type: str = "K80"
-    job_memory_gb: Optional[float] = None
+    learners: int = 1
+    gpus_per_learner: int = 1
+    gpu_type: str = "K80"
+    memory_gb_per_learner: Optional[float] = None
     #: The GPU nodes the platform is provisioned with.
     nodes: Tuple[NodeGroup, ...] = (NodeGroup(4, 4, "K80"),)
 
@@ -420,7 +420,7 @@ class PlatformTarget:
     def churn(self):
         for index in range(self.scenario.jobs):
             yield self.env.timeout(self.stream.expovariate(
-                1.0 / self.scenario.job_interarrival_s))
+                1.0 / self.scenario.interarrival_s))
             self.env.process(self._one_job(index),
                              name=f"chaos-job:{index}")
 
@@ -429,11 +429,11 @@ class PlatformTarget:
             name=f"chaos-{index}", user="chaos", framework="tensorflow",
             model="resnet50", data_bucket=f"chaos-data-{index}",
             result_bucket="chaos-results",
-            learners=self.scenario.job_learners,
-            gpus_per_learner=self.scenario.job_gpus_per_learner,
-            gpu_type=self.scenario.job_gpu_type,
-            memory_gb_per_learner=self.scenario.job_memory_gb,
-            iterations=self.scenario.job_iterations,
+            learners=self.scenario.learners,
+            gpus_per_learner=self.scenario.gpus_per_learner,
+            gpu_type=self.scenario.gpu_type,
+            memory_gb_per_learner=self.scenario.memory_gb_per_learner,
+            iterations=self.scenario.iterations,
             dataset_objects=2, dataset_object_bytes=32e6)
         try:
             job_id = yield self.platform.submit_job(manifest)

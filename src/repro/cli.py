@@ -89,10 +89,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _validate_scenario(args: argparse.Namespace) -> int:
     """``repro validate <manifest.yaml> [--run]``: static MAN pass,
-    then (optionally) compile, run, and check declared hypotheses."""
+    then (optionally) run the scenario it built and check the declared
+    hypotheses."""
     from pathlib import Path
 
-    from repro.manifest import compile_manifest
     from repro.staticcheck.manifest import analyze_manifest
 
     path = Path(args.scenario_manifest)
@@ -102,7 +102,7 @@ def _validate_scenario(args: argparse.Namespace) -> int:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return 2
     display = path.as_posix()
-    findings, suppressed, _model = analyze_manifest(source, display)
+    findings, suppressed, compiled = analyze_manifest(source, display)
     for finding in findings:
         print(finding.render())
     if findings:
@@ -112,11 +112,14 @@ def _validate_scenario(args: argparse.Namespace) -> int:
     print(f"{display}: static pass clean{note}")
     if not args.run:
         return 0
+    if compiled is None:  # its findings were all suppressed
+        print(f"{display}: not a scenario manifest")
+        return 1
 
-    compiled = compile_manifest(source, display)
+    scenario = compiled.scenario
     seed = args.seed if args.seed is not None \
         else (compiled.seed_override or 0)
-    print(f"running {compiled.name} [{compiled.kind}] seed={seed} "
+    print(f"running {scenario.name} [{scenario.kind}] seed={seed} "
           f"tiebreak={args.tiebreak_seed} ...")
     report = compiled.run(seed=seed, tiebreak_seed=args.tiebreak_seed)
     results = compiled.verify(report)

@@ -1,20 +1,21 @@
 """Declarative scenario manifests.
 
 A manifest is a ~20-line YAML document (topology, workload, fault plan,
-run window, steady-state hypotheses) that lowers onto a scenario
-dataclass; every field it accepts lowers.  The named scenarios are
+run window, steady-state hypotheses) that spells a scenario dataclass:
+apart from ``workload.seed``, every field it accepts is a field of one.  The named scenarios are
 Python data (:mod:`repro.chaos.scenarios`), and ``manifest_source``
 prints any of them as a manifest.  The package splits into:
 
 * :mod:`repro.manifest.yamlpos` — position-aware YAML loading (every
   value knows its line/column, so findings anchor precisely);
-* :mod:`repro.manifest.schema` — the schema field tables, the
-  hypothesis/counter catalogs, and the typed model;
-* :mod:`repro.manifest.compiler` — the MAN static pass followed by
-  lowering onto the :class:`~repro.chaos.engine.Scenario` /
-  :class:`~repro.chaos.federation.FederationScenario` dataclasses,
-  topology included, which the one
-  :class:`~repro.chaos.engine.ChaosEngine` runs, and the printer back.
+* :mod:`repro.manifest.schema` — the field tables, derived from the
+  :class:`~repro.chaos.engine.Scenario` /
+  :class:`~repro.chaos.federation.FederationScenario` dataclasses and
+  their topology and step records, plus the hypothesis/counter
+  catalogs;
+* :mod:`repro.manifest.compiler` — the MAN-gated scenario, which the
+  one :class:`~repro.chaos.engine.ChaosEngine` runs, and the printer
+  back.
 
 The static analyzer itself lives with its rule family in
 :mod:`repro.staticcheck.manifest`; ``repro validate <manifest>`` is the
@@ -31,11 +32,7 @@ from repro.manifest.compiler import (
     compile_manifest_file,
     manifest_source,
 )
-from repro.manifest.schema import (
-    CounterAssertion,
-    FaultEntry,
-    ManifestModel,
-)
+from repro.manifest.schema import CounterAssertion
 from repro.manifest.yamlpos import (
     YamlNode,
     YamlPosError,
@@ -46,9 +43,7 @@ __all__ = [
     "CheckResult",
     "CompiledScenario",
     "CounterAssertion",
-    "FaultEntry",
     "ManifestError",
-    "ManifestModel",
     "YamlNode",
     "YamlPosError",
     "compile_manifest",

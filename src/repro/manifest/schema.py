@@ -16,28 +16,38 @@ A scenario manifest is a small YAML document with five sections:
     the steady-state checks and counter assertions ``repro validate
     --run`` verifies after the run.
 
-This module is the *single source of truth* for that schema: the field
-tables below drive both the static analyzer (MAN001 unknown field /
-wrong type / missing required, see :mod:`repro.staticcheck.manifest`)
-and the compiler (:mod:`repro.manifest.compiler`).  Every field they
-accept lowers onto a scenario dataclass field (``workload.seed`` onto
-the run's seed); there is no field that is checked and then ignored.  Fault kinds and
-hypothesis names are read from the chaos targets themselves; the counter
-catalogs mirror what their reports carry, and
-``tests/chaos/test_perturbation.py`` pins them against real reports.
-The topology dataclasses (:class:`NodeGroup`, :class:`CellDef`) are the
-chaos package's own, so a manifest lowers to a scenario without
-conversion.
+The chaos dataclasses are the schema.  A topology entry is a
+:class:`NodeGroup` or :class:`CellDef`, a fault is an
+:class:`InjectionStep` (a federation spells its ``target`` as ``cell``),
+``run`` holds the scenario's ``horizon_s`` / ``settle_s`` and
+``workload`` every other scalar scenario field, plus ``seed``.  The
+field tables the static analyzer (MAN001 unknown field / wrong type /
+missing required, :mod:`repro.staticcheck.manifest`) and the printer
+read are derived from those dataclasses with :func:`dataclass_fields`,
+so a new field is one edit to its dataclass.  Only the sections with no
+dataclass behind them (root, ``use:`` steps, hypotheses) are written
+out here.  Fault kinds and hypothesis names are read from the chaos
+targets themselves; the counter catalogs mirror what their reports
+carry, and ``tests/chaos/test_perturbation.py`` pins them against real
+reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Dict, Optional, Tuple, get_type_hints
 
-from repro.chaos.engine import NodeGroup, PlatformTarget
-from repro.chaos.federation import CellDef, FederationTarget
-from repro.workloads.federation_trace import FederationTraceConfig
+from repro.chaos.engine import (
+    InjectionStep,
+    NodeGroup,
+    PlatformTarget,
+    Scenario,
+)
+from repro.chaos.federation import (
+    CellDef,
+    FederationScenario,
+    FederationTarget,
+)
 
 MANIFEST_KINDS = ("chaos", "federation")
 
@@ -45,138 +55,126 @@ MANIFEST_KINDS = ("chaos", "federation")
 #: seed" — the deterministic default.
 SEED_INHERIT = "inherit"
 
-#: Seed spellings that couple a run to the host machine; each one is a
-#: MAN004 determinism hazard.
-UNSEEDED_SEED_VALUES = ("wall-clock", "random", "auto", "time", "now")
-
 
 @dataclass(frozen=True)
 class Field:
-    """One mapping field: accepted scalar types + requiredness."""
+    """One mapping field: its name in messages, the YAML values it
+    accepts, and whether it is required."""
 
+    typename: str
     types: Tuple[type, ...]
     required: bool = False
-    #: Human name for messages ("number", "string", ...).
-    typename: str = ""
-
-    def describe(self) -> str:
-        if self.typename:
-            return self.typename
-        return self.types[0].__name__
 
 
-def _num(required: bool = False) -> Field:
-    return Field((int, float), required, "number")
+@dataclass(frozen=True)
+class CounterAssertion:
+    name: str
+    max: Optional[float] = None
+    min: Optional[float] = None
+    equals: Optional[float] = None
+
+    def check(self, value: float) -> Tuple[bool, str]:
+        clauses = []
+        ok = True
+        if self.equals is not None:
+            ok = ok and value == self.equals
+            clauses.append(f"== {self.equals:g}")
+        if self.max is not None:
+            ok = ok and value <= self.max
+            clauses.append(f"<= {self.max:g}")
+        if self.min is not None:
+            ok = ok and value >= self.min
+            clauses.append(f">= {self.min:g}")
+        return ok, f"{self.name}={value:g} {' and '.join(clauses)}"
 
 
-def _int(required: bool = False) -> Field:
-    return Field((int,), required, "integer")
+#: How a scalar dataclass annotation reads in a manifest.
+_SCALARS = {
+    int: Field("integer", (int,)),
+    float: Field("number", (int, float)),
+    Optional[float]: Field("number", (int, float)),
+    str: Field("string", (str,)),
+}
 
 
-def _str(required: bool = False) -> Field:
-    return Field((str,), required, "string")
+def dataclass_fields(cls, rename: Optional[Dict[str, str]] = None,
+                     required: Tuple[str, ...] = ()) -> Dict[str, Field]:
+    """The manifest fields of dataclass ``cls``: each scalar field, in
+    declaration order, required when it has no default (or is named in
+    ``required``).  ``rename`` maps a field to the key a manifest
+    spells it as."""
+    hints = get_type_hints(cls)
+    return {(rename or {}).get(f.name, f.name): replace(
+                _SCALARS[hints[f.name]],
+                required=f.default is MISSING or f.name in required)
+            for f in fields(cls) if hints[f.name] in _SCALARS}
 
-
-#: ``seed`` accepts an integer or the string "inherit"; anything else
-#: is reported by MAN004, not MAN001, so the schema stays permissive.
-_SEED = Field((int, str), False, "integer or 'inherit'")
 
 # -- section field tables ---------------------------------------------------
 
+_LIST = Field("list", (list,))
+_MAPPING = Field("mapping", (dict,))
+_STRING = _SCALARS[str]
+
 ROOT_FIELDS: Dict[str, Field] = {
-    "kind": _str(required=True),
-    "name": _str(required=True),
-    "description": _str(required=True),
-    "topology": Field((dict,), True, "mapping"),
-    "workload": Field((dict,), False, "mapping"),
-    "faults": Field((list,), False, "list"),
-    "run": Field((dict,), False, "mapping"),
-    "hypotheses": Field((dict,), False, "mapping"),
-}
-
-NODE_GROUP_FIELDS: Dict[str, Field] = {
-    "count": _int(required=True),
-    "gpus_per_node": _int(required=True),
-    "gpu_type": _str(required=True),
-    "cpus": _num(),
-    "memory_gb": _num(),
-}
-
-CELL_FIELDS: Dict[str, Field] = {
-    "name": _str(required=True),
-    "zone": _str(required=True),
-    "gpu_nodes": _int(required=True),
-    "gpus_per_node": _int(required=True),
-    "gpu_type": _str(required=True),
-}
-
-CHAOS_TOPOLOGY_FIELDS: Dict[str, Field] = {
-    "nodes": Field((list,), True, "list"),
-}
-
-FEDERATION_TOPOLOGY_FIELDS: Dict[str, Field] = {
-    "cells": Field((list,), True, "list"),
-}
-
-CHAOS_WORKLOAD_FIELDS: Dict[str, Field] = {
-    "jobs": _int(),
-    "interarrival_s": _num(),
-    "iterations": _int(),
-    "learners": _int(),
-    "gpus_per_learner": _int(),
-    "gpu_type": _str(),
-    "memory_gb_per_learner": _num(),
-    "seed": _SEED,
-}
-
-FEDERATION_WORKLOAD_FIELDS: Dict[str, Field] = {
-    "jobs": _int(),
-    "arrival_window_s": _num(),
-    "min_iterations": _int(),
-    "max_iterations": _int(),
-    "tenant_quota_gpus": _int(),
-    "seed": _SEED,
-}
-
-#: An inline chaos injection step (federation adds ``cell``, drops
-#: ``target``).
-CHAOS_STEP_FIELDS: Dict[str, Field] = {
-    "at_s": _num(required=True),
-    "kind": _str(required=True),
-    "target": _str(),
-    "duration_s": _num(),
-    "param": _num(),
-}
-
-FEDERATION_STEP_FIELDS: Dict[str, Field] = {
-    "at_s": _num(required=True),
-    "kind": _str(required=True),
-    "cell": _str(required=True),
-    "duration_s": _num(),
-    "param": _num(),
+    "kind": replace(_STRING, required=True),
+    "name": replace(_STRING, required=True),
+    "description": replace(_STRING, required=True),
+    "topology": replace(_MAPPING, required=True),
+    "workload": _MAPPING,
+    "faults": _LIST,
+    "run": _MAPPING,
+    "hypotheses": _MAPPING,
 }
 
 #: A fault-plan reference splicing a named scenario's schedule.
 USE_STEP_FIELDS: Dict[str, Field] = {
-    "use": _str(required=True),
-    "shift_s": _num(),
-}
-
-RUN_FIELDS: Dict[str, Field] = {
-    "horizon_s": _num(),
-    "settle_s": _num(),
+    "use": replace(_STRING, required=True),
+    "shift_s": _SCALARS[float],
 }
 
 HYPOTHESES_FIELDS: Dict[str, Field] = {
-    "checks": Field((list,), False, "list"),
-    "counters": Field((list,), False, "list"),
+    "checks": _LIST,
+    "counters": _LIST,
 }
 
-COUNTER_ASSERTION_FIELDS: Dict[str, Field] = {
-    "name": _str(required=True),
-    "max": _num(),
-    "min": _num(),
-    "equals": _num(),
+COUNTER_ASSERTION_FIELDS = dataclass_fields(CounterAssertion)
+
+#: Manifest ``kind`` -> the scenario dataclass it builds.
+SCENARIO_TYPES = {"chaos": Scenario, "federation": FederationScenario}
+
+#: Manifest ``kind`` -> the ``topology:`` key and the dataclass of each
+#: of its entries.
+TOPOLOGY = {"chaos": ("nodes", NodeGroup), "federation": ("cells", CellDef)}
+
+#: Manifest ``kind`` -> the key a fault names its target under.  Every
+#: federation fault kind breaks a cell, so a federation step must name
+#: one; a chaos step needs a target only for a node crash.
+STEP_TARGET = {"chaos": "target", "federation": "cell"}
+
+#: The scenario fields ``run:`` sets; ``name`` and ``description`` sit
+#: at the root, and ``workload:`` holds every other scalar field.
+RUN_FIELDS = {key: spec for key, spec in dataclass_fields(Scenario).items()
+              if key in ("horizon_s", "settle_s")}
+
+TOPOLOGY_FIELDS = {kind: {key: replace(_LIST, required=True)}
+                   for kind, (key, _entry) in TOPOLOGY.items()}
+TOPOLOGY_ENTRY_FIELDS = {kind: dataclass_fields(entry)
+                         for kind, (_key, entry) in TOPOLOGY.items()}
+
+#: ``seed`` accepts an integer or the string "inherit"; anything else
+#: is reported by MAN004, not MAN001, so the schema stays permissive.
+WORKLOAD_FIELDS = {
+    kind: {**{key: spec for key, spec
+              in dataclass_fields(scenario_type).items()
+              if key not in ROOT_FIELDS and key not in RUN_FIELDS},
+           "seed": Field("integer or 'inherit'", (int, str))}
+    for kind, scenario_type in SCENARIO_TYPES.items()}
+
+STEP_FIELDS = {
+    "chaos": dataclass_fields(InjectionStep),
+    "federation": dataclass_fields(InjectionStep, {"target": "cell"},
+                                   required=("target",)),
 }
 
 # -- catalogs (what the engine's targets actually expose) -------------------
@@ -228,11 +226,6 @@ FEDERATION_COUNTERS = (
 #: Suffixes of the per-cell counters the federation report derives.
 FEDERATION_CELL_COUNTER_SUFFIXES = ("-jobs", "-completed")
 
-#: GPU types the federated trace generator has production weights for;
-#: a run draws from those some cell has
-#: (:meth:`~repro.chaos.federation.FederationTarget._gpu_type_mix`).
-FEDERATION_TRACE_GPU_TYPES = tuple(
-    gpu_type for gpu_type, _weight in FederationTraceConfig().gpu_type_mix)
 
 def known_hypotheses(kind: str) -> Tuple[str, ...]:
     return tuple(name for name, _check in _TARGETS[kind].HYPOTHESES)
@@ -240,57 +233,3 @@ def known_hypotheses(kind: str) -> Tuple[str, ...]:
 
 def known_fault_kinds(kind: str) -> Tuple[str, ...]:
     return tuple(_TARGETS[kind].FAULT_KINDS)
-
-
-# -- typed model (what the compiler consumes) -------------------------------
-
-@dataclass(frozen=True)
-class CounterAssertion:
-    name: str
-    max: Optional[float] = None
-    min: Optional[float] = None
-    equals: Optional[float] = None
-
-    def check(self, value: float) -> Tuple[bool, str]:
-        clauses = []
-        ok = True
-        if self.equals is not None:
-            ok = ok and value == self.equals
-            clauses.append(f"== {self.equals:g}")
-        if self.max is not None:
-            ok = ok and value <= self.max
-            clauses.append(f"<= {self.max:g}")
-        if self.min is not None:
-            ok = ok and value >= self.min
-            clauses.append(f">= {self.min:g}")
-        return ok, f"{self.name}={value:g} {' and '.join(clauses)}"
-
-
-@dataclass(frozen=True)
-class FaultEntry:
-    """One fault-plan entry, inline or spliced (after resolution)."""
-
-    at_s: float
-    kind: str
-    target: str = ""      # chaos node target
-    cell: str = ""        # federation cell target
-    duration_s: float = 0.0
-    param: float = 0.0
-
-
-@dataclass
-class ManifestModel:
-    """The typed view of one valid manifest."""
-
-    kind: str
-    name: str
-    description: str
-    node_groups: Tuple[NodeGroup, ...] = ()
-    cells: Tuple[CellDef, ...] = ()
-    workload: Dict[str, Any] = field(default_factory=dict)
-    faults: Tuple[FaultEntry, ...] = ()
-    horizon_s: Optional[float] = None
-    settle_s: Optional[float] = None
-    checks: Tuple[str, ...] = ()
-    counter_assertions: Tuple[CounterAssertion, ...] = ()
-    seed_override: Optional[int] = None

@@ -1,8 +1,9 @@
 """Static analysis of scenario manifests — the MAN rule family.
 
 Python rules walk ASTs; these rules walk the positioned YAML tree of a
-scenario manifest (:mod:`repro.manifest.yamlpos`) against the declared
-schema (:mod:`repro.manifest.schema`) *before a single sim event runs*:
+scenario manifest (:mod:`repro.manifest.yamlpos`) against the schema the
+scenario dataclasses declare (:mod:`repro.manifest.schema`) *before a
+single sim event runs*, and build the scenario as they go:
 
 * **MAN001** — schema violations: unknown field, wrong type, missing
   required field, invalid ``kind``, a brownout ``param`` outside the
@@ -29,55 +30,44 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos import (
-    CellDef,
-    FederationScenario,
-    NodeGroup,
-    SCENARIOS,
-    Scenario,
-)
+from repro.chaos import SCENARIOS, InjectionStep
+from repro.chaos.federation import FederationTarget
+from repro.errors import SimulationError
+from repro.manifest.compiler import CompiledScenario
 from repro.manifest.schema import (
     CHAOS_COUNTERS,
-    CHAOS_STEP_FIELDS,
-    CHAOS_TOPOLOGY_FIELDS,
-    CHAOS_WORKLOAD_FIELDS,
-    CELL_FIELDS,
     COUNTER_ASSERTION_FIELDS,
     CounterAssertion,
     FEDERATION_CELL_COUNTER_SUFFIXES,
     FEDERATION_COUNTERS,
-    FEDERATION_STEP_FIELDS,
-    FEDERATION_TOPOLOGY_FIELDS,
-    FEDERATION_TRACE_GPU_TYPES,
-    FEDERATION_WORKLOAD_FIELDS,
     Field,
-    FaultEntry,
     HYPOTHESES_FIELDS,
     MANIFEST_KINDS,
-    ManifestModel,
-    NODE_GROUP_FIELDS,
     ROOT_FIELDS,
     RUN_FIELDS,
+    SCENARIO_TYPES,
     SEED_INHERIT,
+    STEP_FIELDS,
+    STEP_TARGET,
+    TOPOLOGY,
+    TOPOLOGY_ENTRY_FIELDS,
+    TOPOLOGY_FIELDS,
     USE_STEP_FIELDS,
+    WORKLOAD_FIELDS,
     known_fault_kinds,
     known_hypotheses,
 )
-from repro.chaos.federation import FederationTarget
-from repro.errors import SimulationError
 from repro.manifest.yamlpos import YamlNode, YamlPosError, \
     parse_manifest_source
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 from repro.staticcheck.suppress import apply_suppressions
-from repro.workloads.federation_trace import drawn_shapes
-
-#: Default observation windows: the scenario dataclass defaults.
-_DEFAULT_WINDOW = {scenario_type.kind: (scenario_type.horizon_s,
-                                        scenario_type.settle_s)
-                   for scenario_type in (Scenario, FederationScenario)}
+from repro.workloads.federation_trace import (
+    FederationTraceConfig,
+    drawn_shapes,
+)
 
 #: Fault kinds whose target reads ``param``, the values that mean what
 #: they say, and what they mean.  The targets read ``param or default``,
@@ -117,52 +107,33 @@ def _typename(value: Any) -> str:
 def _matches(value: Any, spec: Field) -> bool:
     if isinstance(value, bool):
         return bool in spec.types
-    if isinstance(value, YamlNode):  # mappings/sequences arrive wrapped
-        value = value.value
-    for accepted in spec.types:
-        if accepted is dict and isinstance(value, dict):
-            return True
-        if accepted is list and isinstance(value, list):
-            return True
-        if accepted in (int, float, str) and isinstance(value, accepted):
-            return True
-        if accepted is float and isinstance(value, int):
-            return True
-    return False
-
-
-@dataclass
-class _FaultStep:
-    """One resolved fault entry plus its source anchor."""
-
-    entry: FaultEntry
-    line: int
-    column: int
-    spliced: bool = False  # came from a use: reference
+    return isinstance(value, spec.types)
 
 
 class _Analysis:
     """Single walk over one manifest; collects findings for every MAN
-    code and builds the best-effort typed model the compiler uses."""
+    code and builds the scenario from what is well-typed."""
 
     def __init__(self, root: Optional[YamlNode], path: str):
         self.root = root
         self.path = path
         self.findings: List[Finding] = []
         self.kind: Optional[str] = None
-        self.model: Optional[ManifestModel] = None
-        #: (typed block, its source node) — the node is the finding
-        #: anchor for capacity/unreferenced diagnostics.
-        self._node_groups: List[Tuple[NodeGroup, YamlNode]] = []
-        self._cells: List[Tuple[CellDef, YamlNode]] = []
+        self.scenario = None
+        self.compiled: Optional[CompiledScenario] = None
+        #: (NodeGroup or CellDef, its source node) — the node is the
+        #: finding anchor for capacity/unreferenced diagnostics.
+        self._blocks: List[Tuple[Any, YamlNode]] = []
         self._topology_node: Optional[YamlNode] = None
         self._workload_node: Optional[YamlNode] = None
-        self._workload: Dict[str, Any] = {}
-        self._steps: List[_FaultStep] = []
+        #: Scenario fields the workload and run sections declare.
+        self._values: Dict[str, Any] = {}
+        #: Every step, inline and spliced from ``use:`` references.
+        self._steps: List[InjectionStep] = []
+        #: The inline steps, with the entry each is written as.
+        self._inline: List[Tuple[InjectionStep, YamlNode]] = []
         self._checks: List[str] = []
         self._assertions: List[CounterAssertion] = []
-        self._horizon: Optional[float] = None
-        self._settle: Optional[float] = None
         self._seed_override: Optional[int] = None
 
     # -- helpers ------------------------------------------------------------
@@ -177,32 +148,29 @@ class _Analysis:
                                      column=column))
 
     def _check_mapping(self, node: YamlNode, fields: Dict[str, Field],
-                       section: str) -> None:
-        """MAN001 over one mapping: unknown keys, types, required."""
+                       section: str) -> Dict[str, Any]:
+        """MAN001 over one mapping: unknown keys, types, required.
+        Returns the well-typed values, numbers as floats."""
+        values = {}
         for key, child in node.items():
             spec = fields.get(key)
             line, column = node.key_mark(key)
             if spec is None:
                 self._emit("MAN001", line, column,
                            f"unknown field {key!r} in {section}")
-                continue
-            if not _matches(child.value, spec):
+            elif not _matches(child.value, spec):
                 self._emit(
                     "MAN001", child.line, child.column,
                     f"field {key!r} in {section} expects "
-                    f"{spec.describe()}, got {_typename(child.value)}")
+                    f"{spec.typename}, got {_typename(child.value)}")
+            else:
+                values[key] = float(child.value) \
+                    if float in spec.types else child.value
         for key, spec in fields.items():
             if spec.required and node.get(key) is None:
                 self._emit("MAN001", node.line, node.column,
                            f"missing required field {key!r} in {section}")
-
-    def _typed(self, node: YamlNode, key: str, fields: Dict[str, Field],
-               default: Any = None) -> Any:
-        """The value for ``key`` when present *and* well-typed."""
-        child = node.get(key)
-        if child is None or not _matches(child.value, fields[key]):
-            return default
-        return child.value
+        return values
 
     def _duplicates(self, node: YamlNode) -> None:
         """MAN005: a re-declared key silently shadows the earlier one."""
@@ -217,6 +185,18 @@ class _Analysis:
         elif node.is_sequence:
             for child in node:
                 self._duplicates(child)
+
+    def _add_step(self, build, anchor: YamlNode, inline: bool) -> None:
+        """Build one step; its own validation (negative times) is a
+        MAN001 finding at ``anchor``."""
+        try:
+            step = build()
+        except ValueError as err:
+            self._emit("MAN001", anchor, 0, str(err))
+            return
+        self._steps.append(step)
+        if inline:
+            self._inline.append((step, anchor))
 
     # -- drive --------------------------------------------------------------
 
@@ -248,10 +228,28 @@ class _Analysis:
         self._walk_run(root.get("run"))
         self._walk_faults(root.get("faults"))
         self._walk_hypotheses(root.get("hypotheses"))
+        self.scenario = self._build_scenario(root)
 
         self._check_infeasibility()
         self._check_dead_and_shadowed()
-        self._build_model(root)
+        self.compiled = CompiledScenario(
+            self.scenario, tuple(self._checks), tuple(self._assertions),
+            self._seed_override)
+
+    def _build_scenario(self, root: YamlNode):
+        """What the manifest declares, over the dataclass defaults."""
+        topology, _entry = TOPOLOGY[self.kind]
+        blocks = tuple(block for block, _node in self._blocks)
+        values = dict(self._values)
+        # A federation has no default cells (an empty list is MAN001).
+        if blocks or self.kind == "federation":
+            values[topology] = blocks
+        return SCENARIO_TYPES[self.kind](
+            name=str(root.scalar("name", "")),
+            description=str(root.scalar("description", "")),
+            steps=tuple(sorted(self._steps, key=lambda step: (
+                step.at_s, step.kind, step.target))),
+            **values)
 
     # -- sections -----------------------------------------------------------
 
@@ -259,88 +257,53 @@ class _Analysis:
         if node is None or not node.is_mapping:
             return
         self._topology_node = node
-        if self.kind == "chaos":
-            self._check_mapping(node, CHAOS_TOPOLOGY_FIELDS, "topology")
-            groups = node.get("nodes")
-            if groups is None or not groups.is_sequence:
-                return
-            for group in groups:
-                if not group.is_mapping:
-                    self._emit("MAN001", group, 0,
-                               "topology.nodes entry must be a mapping")
-                    continue
-                self._check_mapping(group, NODE_GROUP_FIELDS,
-                                    "topology.nodes entry")
-                count = self._typed(group, "count", NODE_GROUP_FIELDS)
-                gpus = self._typed(group, "gpus_per_node",
-                                   NODE_GROUP_FIELDS)
-                gpu_type = self._typed(group, "gpu_type",
-                                       NODE_GROUP_FIELDS)
-                if count is None or gpus is None or gpu_type is None:
-                    continue
-                if any(g.gpu_type == gpu_type
-                       for g, _node in self._node_groups):
-                    self._emit(
-                        "MAN001", group, 0,
-                        f"duplicate topology.nodes group for gpu_type "
-                        f"{gpu_type!r}: node names are derived as "
-                        f"node-{gpu_type}-<i> and would collide")
-                    continue
-                self._node_groups.append((NodeGroup(
-                    count=count, gpus_per_node=gpus, gpu_type=gpu_type,
-                    cpus=float(self._typed(group, "cpus",
-                                           NODE_GROUP_FIELDS, 64.0)),
-                    memory_gb=float(self._typed(
-                        group, "memory_gb", NODE_GROUP_FIELDS, 512.0))),
-                    group))
-        else:
-            self._check_mapping(node, FEDERATION_TOPOLOGY_FIELDS,
-                                "topology")
-            cells = node.get("cells")
-            if cells is None or not cells.is_sequence:
-                return
-            if not cells.value:
-                line, column = node.key_mark("cells")
-                self._emit("MAN001", line, column,
-                           "a federation topology needs at least one cell")
-                return
-            for cell in cells:
-                if not cell.is_mapping:
-                    self._emit("MAN001", cell, 0,
-                               "topology.cells entry must be a mapping")
-                    continue
-                self._check_mapping(cell, CELL_FIELDS,
-                                    "topology.cells entry")
-                name = self._typed(cell, "name", CELL_FIELDS)
-                zone = self._typed(cell, "zone", CELL_FIELDS)
-                nodes = self._typed(cell, "gpu_nodes", CELL_FIELDS)
-                gpus = self._typed(cell, "gpus_per_node", CELL_FIELDS)
-                gpu_type = self._typed(cell, "gpu_type", CELL_FIELDS)
-                if None in (name, zone, nodes, gpus, gpu_type):
-                    continue
-                self._cells.append((CellDef(
-                    name=name, zone=zone, gpu_nodes=nodes,
-                    gpus_per_node=gpus, gpu_type=gpu_type), cell))
+        self._check_mapping(node, TOPOLOGY_FIELDS[self.kind], "topology")
+        key, entry_type = TOPOLOGY[self.kind]
+        entries = node.get(key)
+        if entries is None or not entries.is_sequence:
+            return
+        if self.kind == "federation" and not entries.value:
+            line, column = node.key_mark(key)
+            self._emit("MAN001", line, column,
+                       "a federation topology needs at least one cell")
+            return
+        fields = TOPOLOGY_ENTRY_FIELDS[self.kind]
+        section = f"topology.{key} entry"
+        for entry in entries:
+            if not entry.is_mapping:
+                self._emit("MAN001", entry, 0, f"{section} must be a mapping")
+                continue
+            values = self._check_mapping(entry, fields, section)
+            if any(spec.required and name not in values
+                   for name, spec in fields.items()):
+                continue
+            block = entry_type(**values)
+            if self.kind == "chaos" and any(
+                    group.gpu_type == block.gpu_type
+                    for group, _node in self._blocks):
+                self._emit(
+                    "MAN001", entry, 0,
+                    f"duplicate topology.nodes group for gpu_type "
+                    f"{block.gpu_type!r}: node names are derived as "
+                    f"node-{block.gpu_type}-<i> and would collide")
+                continue
+            self._blocks.append((block, entry))
 
     def _walk_workload(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_mapping:
             return
         self._workload_node = node
-        fields = CHAOS_WORKLOAD_FIELDS if self.kind == "chaos" \
-            else FEDERATION_WORKLOAD_FIELDS
-        self._check_mapping(node, fields, "workload")
-        for key, child in node.items():
-            if key in fields and _matches(child.value, fields[key]):
-                self._workload[key] = child.value
+        values = self._check_mapping(node, WORKLOAD_FIELDS[self.kind],
+                                     "workload")
+        values.pop("seed", None)
+        self._values.update(values)
         self._check_seed(node)
         self._check_wallclock(node, "workload")
 
     def _walk_run(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_mapping:
             return
-        self._check_mapping(node, RUN_FIELDS, "run")
-        self._horizon = self._typed(node, "horizon_s", RUN_FIELDS)
-        self._settle = self._typed(node, "settle_s", RUN_FIELDS)
+        self._values.update(self._check_mapping(node, RUN_FIELDS, "run"))
 
     def _walk_faults(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_sequence:
@@ -357,91 +320,68 @@ class _Analysis:
                 self._walk_inline_step(step)
 
     def _walk_inline_step(self, step: YamlNode) -> None:
-        fields = CHAOS_STEP_FIELDS if self.kind == "chaos" \
-            else FEDERATION_STEP_FIELDS
-        self._check_mapping(step, fields, "faults entry")
-        at_s = self._typed(step, "at_s", fields)
-        kind = self._typed(step, "kind", fields)
+        where = STEP_TARGET[self.kind]
+        values = self._check_mapping(step, STEP_FIELDS[self.kind],
+                                     "faults entry")
+        if where in values:
+            values["target"] = values.pop(where)
+        kind = values.get("kind")
         if kind is not None and kind not in known_fault_kinds(self.kind):
-            node = step.get("kind")
             self._emit(
-                "MAN002", node, 0,
+                "MAN002", step.get("kind"), 0,
                 f"fault kind {kind!r} is not a registered {self.kind} "
                 f"fault kind; known: "
                 f"{', '.join(known_fault_kinds(self.kind))}")
             kind = None
-        target = self._typed(step, "target", CHAOS_STEP_FIELDS, "") \
-            if self.kind == "chaos" else ""
-        cell = self._typed(step, "cell", FEDERATION_STEP_FIELDS, "") \
-            if self.kind == "federation" else ""
+        target = values.get("target")
         if self.kind == "chaos" and kind == "node-crash" and not target:
             self._emit("MAN001", step, 0,
                        "missing required field 'target' for a "
                        "node-crash fault")
         if target:
-            declared = {name for group, _node in self._node_groups
-                        for name in group.node_names()}
+            if self.kind == "chaos":
+                declared = {name for group, _node in self._blocks
+                            for name in group.node_names()}
+                message = (f"fault targets undeclared node {target!r}; "
+                           f"the topology provisions: ")
+            else:
+                declared = {cell.name for cell, _node in self._blocks}
+                message = (f"fault targets undeclared cell {target!r}; "
+                           f"declared: ")
             if declared and target not in declared:
-                node = step.get("target")
-                self._emit(
-                    "MAN002", node, 0,
-                    f"fault targets undeclared node {target!r}; the "
-                    f"topology provisions: "
-                    f"{', '.join(sorted(declared))}")
-        if cell:
-            declared_cells = {c.name for c, _node in self._cells}
-            if declared_cells and cell not in declared_cells:
-                node = step.get("cell")
-                self._emit(
-                    "MAN002", node, 0,
-                    f"fault targets undeclared cell {cell!r}; "
-                    f"declared: {', '.join(sorted(declared_cells))}")
-        param = self._typed(step, "param", fields)
-        if param is not None and kind in _PARAM_RANGES:
+                self._emit("MAN002", step.get(where), 0,
+                           message + ", ".join(sorted(declared)))
+        param = step.get("param")
+        if "param" in values and kind in _PARAM_RANGES:
             in_range, meaning = _PARAM_RANGES[kind]
-            if not in_range(param):
-                self._emit("MAN001", step.get("param"), 0,
-                           f"{kind} param {param!r} is out of range: it "
-                           f"is {meaning}")
-        if at_s is None or kind is None:
-            return
-        self._steps.append(_FaultStep(
-            FaultEntry(
-                at_s=float(at_s), kind=kind, target=target or "",
-                cell=cell or "",
-                duration_s=float(self._typed(step, "duration_s",
-                                             fields, 0.0)),
-                param=float(param or 0.0)),
-            step.line, step.column))
+            if not in_range(values["param"]):
+                self._emit("MAN001", param, 0,
+                           f"{kind} param {param.value!r} is out of "
+                           f"range: it is {meaning}")
+        if "at_s" in values and kind is not None:
+            self._add_step(lambda: InjectionStep(**values), step,
+                           inline=True)
 
     def _walk_use_step(self, step: YamlNode) -> None:
-        self._check_mapping(step, USE_STEP_FIELDS, "faults entry")
-        name = self._typed(step, "use", USE_STEP_FIELDS)
-        shift = float(self._typed(step, "shift_s", USE_STEP_FIELDS, 0.0))
+        values = self._check_mapping(step, USE_STEP_FIELDS, "faults entry")
+        name = values.get("use")
         if name is None:
             return
-        resolved = _resolve_use(name, self.kind)
-        if resolved is None:
-            node = step.get("use")
-            wrong_kind = _resolve_use(
-                name, "federation" if self.kind == "chaos" else "chaos")
-            if wrong_kind is not None:
-                self._emit(
-                    "MAN002", node, 0,
-                    f"use: scenario {name!r} is a "
-                    f"{'federation' if self.kind == 'chaos' else 'chaos'}"
-                    f" scenario; this manifest is kind: {self.kind}")
-            else:
-                self._emit("MAN002", node, 0,
-                           f"use: references unknown scenario {name!r}")
+        scenario = SCENARIOS.get(name)
+        if scenario is None:
+            self._emit("MAN002", step.get("use"), 0,
+                       f"use: references unknown scenario {name!r}")
             return
-        for entry in resolved:
-            shifted = FaultEntry(
-                at_s=entry.at_s + shift, kind=entry.kind,
-                target=entry.target, cell=entry.cell,
-                duration_s=entry.duration_s, param=entry.param)
-            self._steps.append(_FaultStep(shifted, step.line,
-                                          step.column, spliced=True))
+        if scenario.kind != self.kind:
+            self._emit(
+                "MAN002", step.get("use"), 0,
+                f"use: scenario {name!r} is a {scenario.kind} scenario; "
+                f"this manifest is kind: {self.kind}")
+            return
+        shift = values.get("shift_s", 0.0)
+        for spliced in scenario.steps:
+            self._add_step(lambda: replace(
+                spliced, at_s=spliced.at_s + shift), step, inline=False)
 
     def _walk_hypotheses(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_mapping:
@@ -476,7 +416,7 @@ class _Analysis:
         for suffix in FEDERATION_CELL_COUNTER_SUFFIXES:
             if name.endswith(suffix):
                 cell = name[:-len(suffix)]
-                return cell in {c.name for c, _node in self._cells}
+                return cell in {c.name for c, _node in self._blocks}
         return False
 
     def _walk_counter_assertion(self, item: YamlNode) -> None:
@@ -484,27 +424,22 @@ class _Analysis:
             self._emit("MAN001", item, 0,
                        "hypotheses.counters entry must be a mapping")
             return
-        self._check_mapping(item, COUNTER_ASSERTION_FIELDS,
-                            "hypotheses.counters entry")
-        name = self._typed(item, "name", COUNTER_ASSERTION_FIELDS)
-        bounds = {key: self._typed(item, key, COUNTER_ASSERTION_FIELDS)
-                  for key in ("max", "min", "equals")}
-        if all(value is None for value in bounds.values()):
+        values = self._check_mapping(item, COUNTER_ASSERTION_FIELDS,
+                                     "hypotheses.counters entry")
+        if not values.keys() - {"name"}:
             self._emit("MAN001", item, 0,
                        "counter assertion needs at least one of "
                        "'max', 'min', 'equals'")
+        name = values.get("name")
         if name is None:
             return
         if not self._known_counter(name):
-            node = item.get("name")
             self._emit(
-                "MAN002", node, 0,
+                "MAN002", item.get("name"), 0,
                 f"unknown counter {name!r} for kind {self.kind}; the "
                 f"report will never carry it")
             return
-        self._assertions.append(CounterAssertion(
-            name=name, max=bounds["max"], min=bounds["min"],
-            equals=bounds["equals"]))
+        self._assertions.append(CounterAssertion(**values))
 
     # -- MAN004 -------------------------------------------------------------
 
@@ -552,17 +487,14 @@ class _Analysis:
         return self._workload_node or self._topology_node or self.root
 
     def _check_chaos_capacity(self) -> None:
-        if not self._node_groups:
+        if not self._blocks:
             return
-        gpu_type = self._workload.get("gpu_type", "K80")
-        learners = self._workload.get("learners", 1)
-        per_learner = self._workload.get("gpus_per_learner", 1)
-        memory = self._workload.get("memory_gb_per_learner")
-        groups = [g for g, _node in self._node_groups
-                  if g.gpu_type == gpu_type]
+        scenario = self.scenario
+        gpu_type = scenario.gpu_type
+        per_learner = scenario.gpus_per_learner
+        groups = [g for g, _node in self._blocks if g.gpu_type == gpu_type]
         if not groups:
-            declared = sorted({g.gpu_type
-                               for g, _node in self._node_groups})
+            declared = sorted({g.gpu_type for g, _node in self._blocks})
             self._emit(
                 "MAN003", self._anchor(), 0,
                 f"workload demands gpu_type {gpu_type!r} but the "
@@ -579,13 +511,14 @@ class _Analysis:
             return
         placeable = sum(g.count * (g.gpus_per_node // per_learner)
                         for g in groups)
-        if learners > placeable:
+        if scenario.learners > placeable:
             self._emit(
                 "MAN003", self._anchor(), 0,
-                f"a {learners}-learner gang at {per_learner} GPUs each "
-                f"can never place: the topology fits at most "
+                f"a {scenario.learners}-learner gang at {per_learner} "
+                f"GPUs each can never place: the topology fits at most "
                 f"{placeable} such learners simultaneously "
                 f"(bin-packing lower bound)")
+        memory = scenario.memory_gb_per_learner
         if memory is not None:
             max_memory = max(g.memory_gb for g in groups)
             if memory > max_memory:
@@ -598,27 +531,25 @@ class _Analysis:
         """The run's trace GPU-type mix (the types it has weights for
         that some cell has), or ``None`` when there are none."""
         try:
-            return FederationTarget._gpu_type_mix(FederationScenario(
-                name="", description="", steps=(),
-                cells=tuple(c for c, _node in self._cells)))
+            return FederationTarget._gpu_type_mix(self.scenario)
         except SimulationError:
             return None
 
     def _check_federation_capacity(self) -> None:
-        if not self._cells:
+        if not self._blocks:
             return
         mix = self._trace_gpu_type_mix()
         if mix is None:
-            declared = sorted({c.gpu_type for c, _node in self._cells})
+            declared = sorted({c.gpu_type for c, _node in self._blocks})
+            known = [t for t, _w in FederationTraceConfig().gpu_type_mix]
             self._emit(
                 "MAN003", self._anchor(), 0,
                 f"the trace has no production weights for any declared "
                 f"cell GPU type (declared: {', '.join(declared)}; "
-                f"trace knows: "
-                f"{', '.join(FEDERATION_TRACE_GPU_TYPES)})")
+                f"trace knows: {', '.join(known)})")
             return
         for gpu_type, shapes in drawn_shapes(mix).items():
-            cells = [(c, node) for c, node in self._cells
+            cells = [(c, node) for c, node in self._blocks
                      if c.gpu_type == gpu_type]
             stuck = ", ".join(
                 f"{learners}x{per_learner}" for learners, per_learner
@@ -642,8 +573,7 @@ class _Analysis:
                     f"cell offers; they would queue forever")
 
     @staticmethod
-    def _cell_fits(cell: CellDef, learners: int,
-                   per_learner: int) -> bool:
+    def _cell_fits(cell, learners: int, per_learner: int) -> bool:
         if per_learner > cell.gpus_per_node:
             return False
         per_node = cell.gpus_per_node // per_learner
@@ -652,41 +582,32 @@ class _Analysis:
     # -- MAN005 -------------------------------------------------------------
 
     def _check_dead_and_shadowed(self) -> None:
-        horizon, settle = _DEFAULT_WINDOW[self.kind]
-        if self._horizon is not None:
-            horizon = float(self._horizon)
-        if self._settle is not None:
-            settle = float(self._settle)
-        end = horizon + settle
-        inline = [s for s in self._steps if not s.spliced]
-        for step in inline:
-            if step.entry.at_s >= end:
+        end = self.scenario.horizon_s + self.scenario.settle_s
+        for step, node in self._inline:
+            if step.at_s >= end:
                 self._emit(
-                    "MAN005", step.line, step.column,
-                    f"dead fault: t={step.entry.at_s:g}s is past the "
-                    f"end of the run (horizon+settle = {end:g}s); it "
-                    f"never fires")
+                    "MAN005", node, 0,
+                    f"dead fault: t={step.at_s:g}s is past the end of "
+                    f"the run (horizon+settle = {end:g}s); it never "
+                    f"fires")
         # A fault inside an earlier whole-cell blackout (or node-crash)
         # window of its own target hits a component that is already
         # dark — it is shadowed, not composed.
         blackout_kind = "node-crash" if self.kind == "chaos" \
             else "cell-blackout"
-        windows: List[Tuple[str, float, float]] = [
-            (s.entry.target or s.entry.cell, s.entry.at_s,
-             s.entry.at_s + s.entry.duration_s)
-            for s in inline if s.entry.kind == blackout_kind
-            and s.entry.duration_s > 0]
-        for step in inline:
-            target = step.entry.target or step.entry.cell
-            if not target:
+        windows = [(step.target, step.at_s, step.at_s + step.duration_s)
+                   for step, _node in self._inline
+                   if step.kind == blackout_kind and step.duration_s > 0]
+        for step, node in self._inline:
+            if not step.target:
                 continue
             for w_target, w_start, w_end in windows:
-                if w_target == target and \
-                        w_start < step.entry.at_s < w_end:
+                if w_target == step.target and \
+                        w_start < step.at_s < w_end:
                     self._emit(
-                        "MAN005", step.line, step.column,
-                        f"fault at t={step.entry.at_s:g}s on "
-                        f"{target!r} is shadowed by the "
+                        "MAN005", node, 0,
+                        f"fault at t={step.at_s:g}s on "
+                        f"{step.target!r} is shadowed by the "
                         f"{blackout_kind} window "
                         f"[{w_start:g}s, {w_end:g}s] on the same "
                         f"target (already dark)")
@@ -694,14 +615,11 @@ class _Analysis:
         self._check_unreferenced_topology()
 
     def _check_unreferenced_topology(self) -> None:
-        targets = {s.entry.target for s in self._steps if s.entry.target}
-        cells_hit = {s.entry.cell for s in self._steps if s.entry.cell}
+        targets = {step.target for step in self._steps if step.target}
         if self.kind == "chaos":
-            demanded = {self._workload.get("gpu_type", "K80")}
-            for group, node in self._node_groups:
-                if group.gpu_type in demanded:
-                    continue
-                if targets & set(group.node_names()):
+            for group, node in self._blocks:
+                if group.gpu_type == self.scenario.gpu_type or \
+                        targets & set(group.node_names()):
                     continue
                 self._emit(
                     "MAN005", node, 0,
@@ -709,12 +627,10 @@ class _Analysis:
                     f"{group.gpu_type} node(s) serve no workload "
                     f"demand and no fault targets them")
         else:
-            effective = {gpu_type for gpu_type, _weight
-                         in self._trace_gpu_type_mix() or ()}
-            for cell, node in self._cells:
-                if cell.gpu_type in effective:
-                    continue
-                if cell.name in cells_hit:
+            served = {gpu_type for gpu_type, _weight
+                      in self._trace_gpu_type_mix() or ()}
+            for cell, node in self._blocks:
+                if cell.gpu_type in served or cell.name in targets:
                     continue
                 self._emit(
                     "MAN005", node, 0,
@@ -722,48 +638,15 @@ class _Analysis:
                     f"{cell.name!r} ({cell.gpu_type}) serves no trace "
                     f"demand and no fault targets it")
 
-    # -- model --------------------------------------------------------------
-
-    def _build_model(self, root: YamlNode) -> None:
-        self.model = ManifestModel(
-            kind=self.kind,
-            name=str(root.scalar("name", "")),
-            description=str(root.scalar("description", "")),
-            node_groups=tuple(g for g, _node in self._node_groups),
-            cells=tuple(c for c, _node in self._cells),
-            workload=dict(self._workload),
-            faults=tuple(sorted(
-                (s.entry for s in self._steps),
-                key=lambda e: (e.at_s, e.kind, e.target, e.cell))),
-            horizon_s=self._horizon,
-            settle_s=self._settle,
-            checks=tuple(self._checks),
-            counter_assertions=tuple(self._assertions),
-            seed_override=self._seed_override,
-        )
-
-
-def _resolve_use(name: str, kind: str):
-    """Steps of the named scenario of this ``kind``, as
-    FaultEntry records; ``None`` when there is no such scenario."""
-    scenario = SCENARIOS.get(name)
-    if scenario is None or scenario.kind != kind:
-        return None
-    # The FaultEntry field is the YAML key a step's target goes under.
-    where = "target" if kind == "chaos" else "cell"
-    return [FaultEntry(at_s=s.at_s, kind=s.kind, duration_s=s.duration_s,
-                       param=s.param, **{where: s.target})
-            for s in scenario.steps]
-
 
 def analyze_manifest(source: str, display_path: str = "<manifest>",
                      ) -> Tuple[List[Finding], List[Finding],
-                                Optional[ManifestModel]]:
+                                Optional[CompiledScenario]]:
     """Run the MAN rules over one manifest's YAML source.
 
-    Returns ``(findings, suppressed, model)``.  ``model`` is the typed
-    view the compiler consumes; it is only trustworthy when no MAN001
-    or SYNTAX finding was reported.
+    Returns ``(findings, suppressed, compiled)``.  ``compiled`` holds
+    the scenario built from the manifest's well-typed fields; it is only
+    trustworthy when no finding was reported.
     """
     try:
         root = parse_manifest_source(source)
@@ -774,7 +657,7 @@ def analyze_manifest(source: str, display_path: str = "<manifest>",
     analysis.run()
     findings, suppressed = apply_suppressions(
         analysis.findings, source, display_path)
-    return findings, suppressed, analysis.model
+    return findings, suppressed, analysis.compiled
 
 
 def analyze_manifest_source(source: str,

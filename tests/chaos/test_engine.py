@@ -33,8 +33,8 @@ TINY = Scenario(
     horizon_s=240.0,
     settle_s=120.0,
     jobs=2,
-    job_interarrival_s=10.0,
-    job_iterations=20,
+    interarrival_s=10.0,
+    iterations=20,
 )
 
 

@@ -94,7 +94,7 @@ def test_unspecified_workload_fields_lower_to_scenario_defaults():
     defaults = Scenario(name="minimal", description="defaults everywhere",
                         steps=())
     assert compiled.scenario == defaults
-    assert compiled.kind == "chaos"
+    assert compiled.scenario.kind == "chaos"
     assert compiled.seed_override is None
     assert [g.node_names() for g in compiled.scenario.nodes] == \
         [tuple(f"node-K80-{i}" for i in range(4))]
