@@ -11,7 +11,7 @@ of capacity by small jobs.
 
 from repro.analysis import print_table
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
-from repro.kube.scheduling.framework import PER_POD_LATENCY_S
+from repro.kube.scheduling import framework
 from repro.sim import Environment, RngRegistry
 from repro.workloads.synthetic import submit_gang_jobs
 
@@ -26,35 +26,22 @@ def run_burst(largest_first):
     cluster.push_image(Image("learner", size_bytes=1e6))
     cluster.add_nodes(2, NodeCapacity(cpus=64, memory_gb=512, gpus=4,
                                       gpu_type="K80"))
+    ordering = framework.gang_order
     if not largest_first:
-        # Plain FCFS: disable the size tiebreak by patching the pass
-        # ordering to arrival-then-name.
-        scheduler = cluster.scheduler
-
-        def plain_order():
-            return sorted(scheduler._gangs.values(),
-                          key=lambda g: (g.arrival_time, g.key))
-
-        original = scheduler._gang_pass
-
-        def patched_pass():
-            order = plain_order()
-            for entry in order:
-                if entry.key not in scheduler._gangs:
-                    continue
-                yield env.timeout(PER_POD_LATENCY_S *
-                                  max(1, len(entry.pod_names)))
-                yield from scheduler._attempt_gang(entry)
-
-        scheduler._gang_pass = patched_pass
+        # Plain FCFS: drop the size tiebreak from the gang pass's
+        # ordering, leaving arrival-then-name.
+        framework.gang_order = lambda entry: (entry.arrival_time, entry.key)
     # Simultaneous burst: one 2Lx4G job ("aaa" sorts first under plain
     # FCFS? no: small jobs named syn-1x2-*, big named syn-2x4-0; plain
     # FCFS ties on arrival_time and falls back to name order).
-    small = submit_gang_jobs(env, cluster, learners=1, gpus_per_learner=2,
-                             jobs=4)
-    big = submit_gang_jobs(env, cluster, learners=2, gpus_per_learner=4,
-                           jobs=1)
-    env.run(until=60)
+    try:
+        small = submit_gang_jobs(env, cluster, learners=1,
+                                 gpus_per_learner=2, jobs=4)
+        big = submit_gang_jobs(env, cluster, learners=2,
+                               gpus_per_learner=4, jobs=1)
+        env.run(until=60)
+    finally:
+        framework.gang_order = ordering
     big_pods = next(iter(big.values()))
     big_running = all(p.phase == "Running" for p in big_pods)
     small_running = sum(1 for pods in small.values()

@@ -20,7 +20,7 @@ here (batch delay, per-pod cost, bind latency, order jitter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import KubeError
 from repro.kube.api import ADDED, DELETED, KubeAPI
@@ -115,6 +115,12 @@ class _GangEntry:
     @property
     def complete(self) -> bool:
         return len(self.pod_names) >= self.size
+
+
+def gang_order(entry: _GangEntry) -> Tuple[float, int, str]:
+    """A gang pass's order: FCFS over gangs, same-instant arrivals
+    resolved largest-first (Section 3.6)."""
+    return (entry.arrival_time, -entry.size, entry.key)
 
 
 class Scheduler(Placement):
@@ -260,11 +266,7 @@ class Scheduler(Placement):
             yield from self._attempt_pod(name)
 
     def _gang_pass(self):
-        # FCFS over gangs; same-instant arrivals resolved largest-first
-        # (Section 3.6).
-        order = sorted(self._gangs.values(),
-                       key=lambda g: (g.arrival_time, -g.size, g.key))
-        for entry in order:
+        for entry in sorted(self._gangs.values(), key=gang_order):
             if entry.key not in self._gangs:
                 continue
             yield self.env.timeout(PER_POD_LATENCY_S *
