@@ -19,13 +19,13 @@ class TrainingJob:
     manifest: JobManifest
     submitted_at: float
     status: StatusHistory = field(default_factory=StatusHistory)
-    #: Kubernetes object names owned by this job.
-    statefulset_name: str = ""
-    ps_set_name: str = ""
-    helper_name: str = ""
-    netpol_name: str = ""
-    pvc_name: str = ""
-    guardian_job_name: str = ""
+    #: Kubernetes object names owned by this job, derived from job_id.
+    statefulset_name: str = field(init=False)
+    ps_set_name: str = field(init=False)
+    helper_name: str = field(init=False)
+    netpol_name: str = field(init=False)
+    pvc_name: str = field(init=False)
+    guardian_job_name: str = field(init=False)
     #: Runtime handles.
     volume: Optional[NFSVolume] = None
     learner_states: List[LearnerState] = field(default_factory=list)
@@ -38,14 +38,12 @@ class TrainingJob:
     preempted: bool = False
 
     def __post_init__(self) -> None:
-        self.statefulset_name = self.statefulset_name or \
-            f"{self.job_id}-learner"
-        self.ps_set_name = self.ps_set_name or f"{self.job_id}-ps"
-        self.helper_name = self.helper_name or f"{self.job_id}-helper"
-        self.netpol_name = self.netpol_name or f"{self.job_id}-netpol"
-        self.pvc_name = self.pvc_name or f"{self.job_id}-nfs"
-        self.guardian_job_name = self.guardian_job_name or \
-            f"{self.job_id}-guardian"
+        self.statefulset_name = f"{self.job_id}-learner"
+        self.ps_set_name = f"{self.job_id}-ps"
+        self.helper_name = f"{self.job_id}-helper"
+        self.netpol_name = f"{self.job_id}-netpol"
+        self.pvc_name = f"{self.job_id}-nfs"
+        self.guardian_job_name = f"{self.job_id}-guardian"
         if not self.learner_states:
             self.learner_states = [LearnerState(i)
                                    for i in range(self.manifest.learners)]
