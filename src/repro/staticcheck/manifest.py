@@ -186,18 +186,6 @@ class _Analysis:
             for child in node:
                 self._duplicates(child)
 
-    def _add_step(self, build, anchor: YamlNode, inline: bool) -> None:
-        """Build one step; its own validation (negative times) is a
-        MAN001 finding at ``anchor``."""
-        try:
-            step = build()
-        except ValueError as err:
-            self._emit("MAN001", anchor, 0, str(err))
-            return
-        self._steps.append(step)
-        if inline:
-            self._inline.append((step, anchor))
-
     # -- drive --------------------------------------------------------------
 
     def run(self) -> None:
@@ -358,9 +346,15 @@ class _Analysis:
                 self._emit("MAN001", param, 0,
                            f"{kind} param {param.value!r} is out of "
                            f"range: it is {meaning}")
-        if "at_s" in values and kind is not None:
-            self._add_step(lambda: InjectionStep(**values), step,
-                           inline=True)
+        if "at_s" not in values or kind is None:
+            return
+        try:  # the dataclass rejects negative times
+            built = InjectionStep(**values)
+        except ValueError as err:
+            self._emit("MAN001", step, 0, str(err))
+            return
+        self._steps.append(built)
+        self._inline.append((built, step))
 
     def _walk_use_step(self, step: YamlNode) -> None:
         values = self._check_mapping(step, USE_STEP_FIELDS, "faults entry")
@@ -379,9 +373,11 @@ class _Analysis:
                 f"this manifest is kind: {self.kind}")
             return
         shift = values.get("shift_s", 0.0)
-        for spliced in scenario.steps:
-            self._add_step(lambda: replace(
-                spliced, at_s=spliced.at_s + shift), step, inline=False)
+        try:
+            self._steps.extend([replace(spliced, at_s=spliced.at_s + shift)
+                                for spliced in scenario.steps])
+        except ValueError as err:
+            self._emit("MAN001", step, 0, str(err))
 
     def _walk_hypotheses(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_mapping:

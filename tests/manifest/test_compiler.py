@@ -234,3 +234,15 @@ def test_man003_flags_v100_cells_when_the_trace_draws_k80_jobs():
         "v100.yaml:9:3: MAN003 trace job shapes 1x4, 2x4 (learners x "
         "K80 GPUs each) run on K80, which no declared cell offers; they "
         "would queue forever"]
+
+
+def test_a_step_the_dataclass_rejects_is_a_finding_not_a_crash():
+    source = MINIMAL_CHAOS + textwrap.dedent("""\
+        faults:
+          - {at_s: -5.0, kind: etcd-leader-kill}
+          - {use: etcd-leader-kill, shift_s: -1000.0}
+        """)
+    findings, _suppressed, _model = analyze_manifest(source, "neg.yaml")
+    assert [finding.render() for finding in findings] == [
+        f"neg.yaml:{line}:5: MAN001 at_s and duration_s must be "
+        f"non-negative" for line in (8, 9)]

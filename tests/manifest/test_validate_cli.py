@@ -60,6 +60,16 @@ def test_validate_missing_file_exits_two(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_validate_run_refuses_a_manifest_whose_findings_are_suppressed(
+        tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text("# staticcheck: ignore[MAN001] nothing declared yet\n")
+    assert repro_main(["validate", str(path), "--run"]) == 1
+    out = capsys.readouterr().out
+    assert "static pass clean (1 suppressed)" in out
+    assert "not a scenario manifest" in out
+
+
 def test_validate_run_passes_on_tiny_manifest(tmp_path, capsys):
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY_CHAOS)

@@ -3,6 +3,11 @@
 
 from repro.sim import RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig, arrivals_by_day
+from repro.workloads.federation_trace import (
+    FederationTrace,
+    FederationTraceConfig,
+    drawn_shapes,
+)
 from repro.workloads.trace import MAX_DURATION_S
 
 
@@ -74,14 +79,8 @@ def test_size_mix_roughly_respected():
 
 
 def test_federation_trace_draws_only_the_shapes_drawn_shapes_lists():
-    """MAN003 checks a federation against ``drawn_shapes``; the
-    generator must never draw a shape (or a GPU type) it omits."""
-    from repro.workloads.federation_trace import (
-        FederationTrace,
-        FederationTraceConfig,
-        drawn_shapes,
-    )
-
+    """MAN003 checks a federation against ``drawn_shapes``, so it must
+    list exactly the (GPU type, shape) pairs the generator draws."""
     for mix in ((("K80", 0.45), ("V100", 0.55)), (("V100", 1.0),)):
         config = FederationTraceConfig(jobs=400, gpu_type_mix=mix)
         shapes = drawn_shapes(mix)
