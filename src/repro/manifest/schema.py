@@ -173,8 +173,9 @@ WORKLOAD_FIELDS = {
 
 STEP_FIELDS = {
     "chaos": dataclass_fields(InjectionStep),
-    "federation": dataclass_fields(InjectionStep, {"target": "cell"},
-                                   required=("target",)),
+    "federation": dataclass_fields(
+        InjectionStep, {"target": STEP_TARGET["federation"]},
+        required=("target",)),
 }
 
 # -- catalogs (what the engine's targets actually expose) -------------------
