@@ -79,8 +79,9 @@ class Network:
                 self.cut(a, b)
 
     def heal_all(self) -> None:
+        """Heal every cut link.  A node taken down stays down: its
+        endpoint returns at ``bring_up`` (a node's ``restart``)."""
         self._cut_links.clear()
-        self._down.clear()
 
     def is_reachable(self, src: str, dst: str) -> bool:
         return (src not in self._down and dst not in self._down

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.raft import Network
+from repro.raft import CallbackStateMachine, Network, RaftCluster
 from repro.sim import Environment, RaceDetector, RngRegistry
 from repro.sim.race import note_read, note_write
 
@@ -219,3 +219,26 @@ def test_heal_restores_partitioned_pair():
     net.send("a", "b", "after-heal")
     env.run()
     assert got == ["after-heal"]
+
+
+def test_heal_all_leaves_a_crashed_node_down():
+    # heal_all used to clear the down set too: a crashed follower's
+    # endpoint came back, and a send to it drew a latency and reached a
+    # handler that ignored it instead of counting as dropped.
+    env = Environment()
+    cluster = RaftCluster(env, RngRegistry(0), lambda _node_id:
+                          CallbackStateMachine(lambda index, command: None))
+    env.run(until=2.0)
+    net, leader = cluster.network, cluster.leader()
+    follower = next(node_id for node_id in cluster.node_ids()
+                    if node_id != leader.node_id)
+    cluster.crash(follower)
+    net.partition({leader.node_id}, {follower})
+    net.heal_all()
+    assert net.is_reachable(leader.node_id, leader.node_id)
+    dropped, position = net.messages_dropped, net.rng.getstate()
+    net.send(leader.node_id, follower, "ping")
+    assert net.messages_dropped == dropped + 1
+    assert net.rng.getstate() == position
+    cluster.restart(follower)
+    assert net.is_reachable(leader.node_id, follower)
