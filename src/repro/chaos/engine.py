@@ -568,6 +568,13 @@ class PlatformTarget:
         return {job_id: job.status.current
                 for job_id, job in sorted(self.platform.jobs.items())}
 
+    def settle(self) -> None:
+        """Apply the idle etcd group's heartbeat rounds up to now, so the
+        report and the RNG positions read what the timers would have
+        drawn (DESIGN.md "An idle Raft group is a deadline")."""
+        if isinstance(self.platform.etcd, ReplicatedEtcd):
+            self.platform.etcd.cluster.network.settle()
+
 
 class ChaosEngine:
     """Runs one scenario against its freshly built target."""
@@ -720,6 +727,7 @@ class ChaosEngine:
             self.env.process(self._check_hypotheses("steady-state:after"),
                              name=f"{prefix}-final"),
             limit=self.env.now + 120.0)
+        self.target.settle()
         return self._report()
 
     def _report(self) -> ChaosReport:

@@ -2,11 +2,16 @@
 
 Supports per-link latency, message drops, and named partitions, which the
 tests use to drive the protocol through leader failures and healing.
+
+While the group on it is idle, its heartbeat rounds are float arithmetic
+(``node.IdleRounds``, DESIGN.md "An idle Raft group is a deadline"):
+reading ``messages_sent`` settles them, and every fault-control call and
+send first turns them back into events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, Timeout
@@ -33,21 +38,49 @@ class Network:
         self._handlers: Dict[str, Handler] = {}
         self._down: Set[str] = set()
         self._cut_links: Set[Tuple[str, str]] = set()
-        self.messages_sent = 0
+        self._sent = 0
         self.messages_dropped = 0
+        #: Deliveries scheduled and not yet due.
+        self.in_flight = 0
+        #: The idle group's ``node.IdleRounds`` while its heartbeats are
+        #: arithmetic, else None.
+        self.idle: Optional[Any] = None
+
+    @property
+    def messages_sent(self) -> int:
+        self.settle()
+        return self._sent
+
+    def settle(self) -> None:
+        """Apply the idle rounds' sends and deliveries strictly before now."""
+        if self.idle is not None:
+            self.idle.settle(self.env.now)
+
+    def wake(self) -> None:
+        """Settle, then turn the idle rounds back into the leader's timer,
+        the followers' timers and the deliveries still in flight."""
+        idle = self.idle
+        if idle is not None:
+            self.idle = None
+            idle.resume(self.env.now)
 
     def register(self, node_id: str, handler: Handler) -> None:
         if node_id in self._handlers:
             raise SimulationError(f"duplicate endpoint {node_id!r}")
         self._handlers[node_id] = handler
 
+    def handler(self, node_id: str) -> Optional[Handler]:
+        return self._handlers.get(node_id)
+
     # -- fault control -------------------------------------------------------
 
     def take_down(self, node_id: str) -> None:
         """Isolate a node: all traffic to/from it is dropped."""
+        self.wake()
         self._down.add(node_id)
 
     def bring_up(self, node_id: str) -> None:
+        self.wake()
         self._down.discard(node_id)
 
     def cut(self, a: str, b: str) -> None:
@@ -59,10 +92,12 @@ class Network:
         """
         if a == b:
             return
+        self.wake()
         self._cut_links.add((a, b))
         self._cut_links.add((b, a))
 
     def heal(self, a: str, b: str) -> None:
+        self.wake()
         self._cut_links.discard((a, b))
         self._cut_links.discard((b, a))
 
@@ -81,6 +116,7 @@ class Network:
     def heal_all(self) -> None:
         """Heal every cut link.  A node taken down stays down: its
         endpoint returns at ``bring_up`` (a node's ``restart``)."""
+        self.wake()
         self._cut_links.clear()
 
     def is_reachable(self, src: str, dst: str) -> bool:
@@ -91,7 +127,8 @@ class Network:
 
     def send(self, src: str, dst: str, message: Any) -> None:
         """Asynchronously deliver ``message`` from ``src`` to ``dst``."""
-        self.messages_sent += 1
+        self.wake()
+        self._sent += 1
         if dst not in self._handlers:
             self.messages_dropped += 1
             return
@@ -101,11 +138,23 @@ class Network:
         if self.drop_probability and self.rng.random() < self.drop_probability:
             self.messages_dropped += 1
             return
-        latency = self.base_latency_s + self.rng.random() * self.jitter_s
-        self.env.timeout(latency, (src, dst, message)).callbacks.append(
+        self.in_flight += 1
+        self.env.timeout(self.latency(), (src, dst, message)).callbacks.append(
+            self._deliver)
+
+    def latency(self) -> float:
+        """One link latency, drawn from ``raft-network``."""
+        return self.base_latency_s + self.rng.random() * self.jitter_s
+
+    def deliver_at(self, when: float, src: str, dst: str,
+                   message: Any) -> None:
+        """Put a message sent earlier in flight, landing at ``when``."""
+        self.in_flight += 1
+        self.env.timeout_at(when, (src, dst, message)).callbacks.append(
             self._deliver)
 
     def _deliver(self, timeout: Timeout) -> None:
+        self.in_flight -= 1
         src, dst, message = timeout.value
         # Re-check reachability at delivery time (partition may have
         # happened while the message was in flight).

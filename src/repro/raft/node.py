@@ -8,6 +8,10 @@ committed commands are applied in log order to a user-supplied ``apply_fn``
 Crash-stop failures are modelled with :meth:`crash` / :meth:`restart`:
 persistent state (term, vote, log) survives; volatile state is rebuilt by
 the protocol, exactly as with an on-disk Raft implementation.
+
+While a group is idle its heartbeat rounds are float arithmetic, not
+kernel events (:class:`IdleRounds`; DESIGN.md "An idle Raft group is a
+deadline").
 """
 
 from __future__ import annotations
@@ -137,6 +141,7 @@ class RaftNode:
         It fails with :class:`NotLeaderError` if leadership is lost before
         commitment.
         """
+        self.network.wake()
         done = self.env.event()
         if not self.is_leader:
             done.fail(NotLeaderError(self.node_id, self.leader_hint))
@@ -151,8 +156,8 @@ class RaftNode:
 
     def crash(self) -> None:
         """Crash-stop: drop volatile state and go silent."""
-        self._crashed = True
         self.network.take_down(self.node_id)
+        self._crashed = True
         self._fail_pending(NotLeaderError(self.node_id))
         self.state = FOLLOWER
         self._votes.clear()
@@ -260,11 +265,59 @@ class RaftNode:
         self._kicked = (self.env.events_processed, self.env.now)
         if self.state != LEADER:
             self._become_candidate()
+        else:
+            followers = self._idle_followers()
+            if followers is not None:
+                self.network.idle = IdleRounds(self, followers)
+                return
         self._settle()
+
+    def _idle_followers(self) -> Optional[List["RaftNode"]]:
+        """At a heartbeat of this leader: the followers, in peer order, if
+        the group is idle and its rounds can be arithmetic, else None.
+
+        Idle: no proposal pending and nothing in flight; every follower
+        live, reachable both ways, in this term under this leader, caught
+        up on log and commit index, and not due an election before this
+        round's AppendEntries lands.  Arithmetic: no random drops, a
+        round's replies land before the next round, and one round's
+        AppendEntries lands before the election timeout the previous one
+        drew.  Every endpoint must be the node itself: a wrapped handler
+        sees deliveries the rounds do not make.
+        """
+        net = self.network
+        lo = self.election_timeout_s[0]
+        heartbeat = self.heartbeat_interval_s
+        flight = net.base_latency_s + net.jitter_s
+        if (self._pending or net.in_flight or net.drop_probability
+                or not heartbeat + net.jitter_s < lo
+                or not heartbeat > 2 * flight
+                or _endpoint(net, self.node_id) is not self):
+            return None
+        lands_by = self.env.now + flight
+        last, last_term = self.last_log_index, self.last_log_term
+        followers = []
+        for peer in self.peer_ids:
+            node = _endpoint(net, peer)
+            if (node is None or node._crashed or node.state != FOLLOWER
+                    or node.current_term != self.current_term
+                    or node.leader_hint != self.node_id
+                    or node.last_log_index != last
+                    or node.last_log_term != last_term
+                    or node.commit_index != self.commit_index
+                    or self.match_index.get(peer) != last
+                    or self.next_index.get(peer) != last + 1
+                    or not net.is_reachable(self.node_id, peer)
+                    or not net.is_reachable(peer, self.node_id)
+                    or not node._due > lands_by):
+                return None
+            followers.append(node)
+        return followers
 
     # -- message handling --------------------------------------------------------
 
     def _on_message(self, src: str, msg: Any) -> None:
+        self.network.wake()  # idle only if handed in from outside
         if self._crashed:
             return
         term = getattr(msg, "term", 0)
@@ -399,3 +452,90 @@ class RaftNode:
             if not event.triggered:
                 event.fail(error)
         self._pending.clear()
+
+
+def _endpoint(network: Network, node_id: str) -> Optional[RaftNode]:
+    """The node registered as ``node_id``'s endpoint, if its handler is
+    the node's own ``_on_message`` (not a wrapper)."""
+    handler = network.handler(node_id)
+    if getattr(handler, "__func__", None) is RaftNode._on_message:
+        return handler.__self__
+    return None
+
+
+class IdleRounds:
+    """An idle group's heartbeat rounds as float arithmetic.
+
+    Round *k* goes out at ``t_k = t_(k-1) + heartbeat``: the AppendEntries
+    latencies are drawn from ``raft-network`` in peer order and the send
+    counter advances; at each arrival, in arrival order (ties in send
+    order), the follower draws its election timeout and its reply
+    latency.  A reply changes nothing at the leader.  :meth:`settle`
+    applies what happened strictly before ``now``; :meth:`resume` then
+    hands the group back to its timers and schedules the messages still
+    in flight at their exact instants.  ``Network.idle`` holds the
+    rounds: reading ``messages_sent`` settles them, and a fault-control
+    call, a send, a proposal, a crash or a message handed to a node from
+    outside the network resumes them.
+    """
+
+    def __init__(self, leader: RaftNode, followers: List[RaftNode]):
+        self.leader = leader
+        self.followers = followers
+        self.network = leader.network
+        for follower in followers:
+            follower._timer = None  # it fires dead; resume() re-arms
+        self._send(leader.env.now)
+
+    def _send(self, at: float) -> None:
+        """Round out at ``at``: arrivals as ``(instant, peer position)``."""
+        net = self.network
+        self.sent_at = at
+        net._sent += len(self.followers)
+        self.arrivals = sorted(
+            (at + net.latency(), i) for i in range(len(self.followers)))
+        self.delivered = 0
+        self.replies: List[tuple] = []  # (lands at, peer position)
+
+    def settle(self, now: float) -> None:
+        """Apply the sends and arrivals strictly before ``now``."""
+        net = self.network
+        latency = net.latency
+        followers = self.followers
+        heartbeat = self.leader.heartbeat_interval_s
+        while True:
+            arrivals, replies = self.arrivals, self.replies
+            for at, i in arrivals[self.delivered:]:
+                if not at < now:
+                    return
+                follower = followers[i]
+                follower._due = at + follower._election_timeout()
+                net._sent += 1
+                replies.append((at + latency(), i))
+                self.delivered += 1
+            at = self.sent_at + heartbeat
+            if not at < now:
+                return
+            self._send(at)
+
+    def resume(self, now: float) -> None:
+        """Settle, then arm the nodes' timers at their deadlines and put
+        the messages landing at or after ``now`` back in flight."""
+        self.settle(now)
+        leader, net = self.leader, self.network
+        term, leader_id = leader.current_term, leader.node_id
+        last, last_term = leader.last_log_index, leader.last_log_term
+        leader._due = self.sent_at + leader.heartbeat_interval_s
+        leader._arm(leader._due)
+        for at, i in self.arrivals[self.delivered:]:
+            net.deliver_at(at, leader_id, self.followers[i].node_id,
+                           AppendEntries(term, leader_id, last, last_term,
+                                         [], leader.commit_index))
+        for at, i in self.replies:
+            if at >= now:
+                follower_id = self.followers[i].node_id
+                net.deliver_at(at, follower_id, leader_id,
+                               AppendEntriesReply(term, follower_id, True,
+                                                  last))
+        for follower in self.followers:
+            follower._arm(follower._due)

@@ -2,9 +2,11 @@
 
 A node's timer is a deadline and at most one live ``Timeout``
 (``RaftNode._due`` / ``_timer``); ``tests/raft/test_ticker_oracle.py``
-compares it with the ticker process it replaced.  Here: what it costs
-in kernel events, which timing parameters a node accepts, and that an
-exception raised on the timer's path stops the run.
+compares it with the ticker process it replaced, and
+``tests/raft/test_heartbeat_oracle.py`` an idle group's arithmetic
+rounds with the events they replaced.  Here: what it costs in kernel
+events, which timing parameters a node accepts, and that an exception
+raised on the timer's path stops the run.
 """
 
 import math
@@ -23,6 +25,9 @@ from repro.raft import (
 )
 from repro.sim import Environment, RngRegistry
 from repro.staticcheck import RaftInvariantChecker
+
+from tests.golden import next_draw
+from tests.raft.test_heartbeat_oracle import EventNetwork, EventNode
 
 
 def machine(_node_id=None):
@@ -47,29 +52,28 @@ def after_draws(stream, n):
 # -- kernel events ------------------------------------------------------------
 
 
-def test_a_leader_heartbeat_is_one_kernel_event_plus_its_deliveries():
-    env, cluster = idle_group()
-    leader = cluster.leader()
-    followers = [n for n in cluster.nodes.values() if n is not leader]
-    timers = [n._timer for n in followers]
-    due = leader._due
-    env.run(until=due - 1e-9)
-    processed, scheduled = env.events_processed, env.events_scheduled
-    sent = cluster.network.messages_sent
-    env.run(until=due)
-    assert env.events_processed - processed == 1
-    # Two AppendEntries in flight and the next heartbeat: nothing else.
-    assert cluster.network.messages_sent - sent == 2
-    assert env.events_scheduled - scheduled == 3
-    # A follower's AppendEntries costs its delivery and its reply.  The
-    # follower keeps its timer, unless the deadline it draws is earlier
-    # than that timer: then one new timer, at the deadline.
-    env.run(until=due + 0.0031)  # both land; no reply is back yet
-    assert env.events_processed - processed == 3
-    moved = [n for n, timer in zip(followers, timers) if n._timer is not timer]
-    assert env.events_scheduled - scheduled == 3 + 2 + len(moved)
-    for follower in moved:
-        assert follower._timer_at == follower._due
+def test_an_idle_group_costs_no_kernel_event_per_heartbeat():
+    # 1 000 idle seconds are 20 000 heartbeat rounds: arithmetic, and
+    # sending and drawing exactly what the event form sent and drew.
+    def idle_seconds(node_class, network_class):
+        env, rng = Environment(), RngRegistry(0)
+        network = network_class(env, rng)
+        ids = ["n0", "n1", "n2"]
+        for node_id in ids:
+            node_class(env, rng, network, node_id, ids, machine())
+        env.run(until=2.0)
+        processed = env.events_processed
+        env.run(until=1002.0)
+        return (env.events_processed - processed, network.messages_sent,
+                {name: next_draw(stream)
+                 for name, stream in sorted(rng._streams.items())
+                 if name.startswith("raft")})
+
+    events, sent, draws = idle_seconds(RaftNode, Network)
+    reference_events, *reference = idle_seconds(EventNode, EventNetwork)
+    assert events == 0
+    assert reference_events > 100_000
+    assert [sent, draws] == reference
 
 
 def test_three_kicks_in_one_kernel_event_draw_the_election_timeout_once():
@@ -85,6 +89,8 @@ def test_three_kicks_in_one_kernel_event_draw_the_election_timeout_once():
         for _ in range(times):
             follower._on_message(leader.node_id, heartbeat)
 
+    # The idle rounds before now drew from follower.rng too: apply them.
+    cluster.network.settle()
     once = after_draws(follower.rng, 1)
     env.timeout(0.0).callbacks.append(lambda timer: deliver(3, timer))
     env.run(until=env.now)
