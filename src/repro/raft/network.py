@@ -5,8 +5,8 @@ tests use to drive the protocol through leader failures and healing.
 
 While the group on it is idle, its heartbeat rounds are float arithmetic
 (``node.IdleRounds``, DESIGN.md "An idle Raft group is a deadline"):
-reading ``messages_sent`` settles them, and every fault-control call and
-send first turns them back into events.
+reading ``messages_sent`` settles them, and every fault-control call,
+change of a link setting and send first turns them back into events.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class Network:
                  drop_probability: float = 0.0):
         self.env = env
         self.rng = rng.stream("raft-network")
-        self.base_latency_s = base_latency_s
-        self.jitter_s = jitter_s
-        self.drop_probability = drop_probability
+        self._base_latency_s = base_latency_s
+        self._jitter_s = jitter_s
+        self._drop_probability = drop_probability
         self._handlers: Dict[str, Handler] = {}
         self._down: Set[str] = set()
         self._cut_links: Set[Tuple[str, str]] = set()
@@ -50,6 +50,36 @@ class Network:
     def messages_sent(self) -> int:
         self.settle()
         return self._sent
+
+    # Whether an idle group's rounds can be arithmetic depends on these
+    # three, so setting one first turns the rounds back into events.
+
+    @property
+    def base_latency_s(self) -> float:
+        return self._base_latency_s
+
+    @base_latency_s.setter
+    def base_latency_s(self, value: float) -> None:
+        self.wake()
+        self._base_latency_s = value
+
+    @property
+    def jitter_s(self) -> float:
+        return self._jitter_s
+
+    @jitter_s.setter
+    def jitter_s(self, value: float) -> None:
+        self.wake()
+        self._jitter_s = value
+
+    @property
+    def drop_probability(self) -> float:
+        return self._drop_probability
+
+    @drop_probability.setter
+    def drop_probability(self, value: float) -> None:
+        self.wake()
+        self._drop_probability = value
 
     def settle(self) -> None:
         """Apply the idle rounds' sends and deliveries strictly before now."""
@@ -135,7 +165,8 @@ class Network:
         if not self.is_reachable(src, dst):
             self.messages_dropped += 1
             return
-        if self.drop_probability and self.rng.random() < self.drop_probability:
+        if self._drop_probability and \
+                self.rng.random() < self._drop_probability:
             self.messages_dropped += 1
             return
         self.in_flight += 1
@@ -144,7 +175,7 @@ class Network:
 
     def latency(self) -> float:
         """One link latency, drawn from ``raft-network``."""
-        return self.base_latency_s + self.rng.random() * self.jitter_s
+        return self._base_latency_s + self.rng.random() * self._jitter_s
 
     def deliver_at(self, when: float, src: str, dst: str,
                    message: Any) -> None:

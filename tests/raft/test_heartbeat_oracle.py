@@ -12,8 +12,9 @@ that was still crashed).
 Random programs over 1-, 3- and 5-node groups leave the group alone for
 10-500 heartbeats between steps: proposals to the leader and to any
 node, ``crash`` / ``restart`` (also both in one kernel event), ``cut`` /
-``heal`` / ``partition`` / ``heal_all``, and reads of the counters and
-stream positions in the middle of a stretch.  The steps run from timer
+``heal`` / ``partition`` / ``heal_all``, turning the network lossy or
+back, and reads of the counters and stream positions in the middle of a
+stretch.  The steps run from timer
 callbacks or from outside the kernel between ``run()`` calls, on the
 default timing, on a wider election window, on links too slow for a
 round to be arithmetic, and on a lossy network.  Every observable that
@@ -278,7 +279,7 @@ PROFILES = (
     ((0.06, 0.09), 0.02, 0.01, 0.03),
 )
 VERBS = ("propose", "propose", "propose-to", "crash", "restart", "bounce",
-         "cut", "heal", "partition", "heal-all", "read", "read")
+         "cut", "heal", "partition", "heal-all", "lossy", "read", "read")
 #: (heartbeats since the previous step, fraction of one, verb, a, b).
 _STEP = st.tuples(st.integers(10, 500), st.floats(0.0, 1.0),
                   st.sampled_from(VERBS), st.integers(0, 4),
@@ -339,6 +340,8 @@ def play(node_class, net_class, via, size, profile, drop, seed, program):
             net.partition(set(ids[:split]), set(ids[split:]))
         elif verb == "heal-all":
             net.heal_all()
+        elif verb == "lossy":  # toggled: an idle group may form again
+            net.drop_probability = 0.0 if net.drop_probability else 0.2
         else:
             reads.append(state())
 
@@ -414,3 +417,18 @@ def test_idle_rounds_are_the_events_they_replace(via, size, profile, drop,
     reference, reference_deliveries = play(EventNode, EventTap, *args)
     assert seen == reference
     assert_left_out_only_idle_rounds(seen_deliveries, reference_deliveries)
+
+
+def test_a_group_idle_when_the_network_turns_lossy_drops():
+    # Idle from about t = 1 until the network turns lossy at t = 20: its
+    # next rounds must draw drops and, losing heartbeats, elect again.
+    for via in ("timers", "main"):
+        args = (via, 3, PROFILES[0], 0.0, 0,
+                [(380, 0.0, "lossy", 0, 0), (800, 0.0, "read", 0, 0)])
+        seen, seen_deliveries = play(RaftNode, SettledTap, *args)
+        reference, reference_deliveries = play(EventNode, EventTap, *args)
+        assert seen == reference
+        assert_left_out_only_idle_rounds(seen_deliveries,
+                                         reference_deliveries)
+        _now, _sent, dropped, nodes, *_rest = reference[0]
+        assert dropped > 0 and max(node[2] for node in nodes) > 1
