@@ -51,6 +51,9 @@ class KubeAPI:
         #: kind -> uid -> object: the stores by uid, for owner lookups.
         self._by_uid: Dict[str, Dict[str, object]] = {
             kind: {} for kind in _KINDS}
+        #: owner uid -> name -> owned pod, in creation order: the owner
+        #: filter of ``list_pods`` without a scan of every pod.
+        self._pods_by_owner: Dict[str, Dict[str, Pod]] = {}
         #: kind -> [(seq, listener)]: every subscriber of a kind, in
         #: registration order (``seq`` is unique across the server).
         self._listeners: Dict[str, List[Tuple[int, Listener]]] = {
@@ -117,6 +120,8 @@ class KubeAPI:
             raise ConflictError(f"{kind}/{name} already exists")
         store[name] = obj
         self._by_uid[kind][obj.meta.uid] = obj
+        if kind == "pods" and obj.meta.owner is not None:
+            self._pods_by_owner.setdefault(obj.meta.owner, {})[name] = obj
         self._notify(kind, ADDED, obj)
         return obj
 
@@ -134,6 +139,11 @@ class KubeAPI:
         if obj is None:
             raise ObjectNotFoundError(f"{kind}/{name}")
         del self._by_uid[kind][obj.meta.uid]
+        if kind == "pods" and obj.meta.owner is not None:
+            owned = self._pods_by_owner[obj.meta.owner]
+            del owned[name]
+            if not owned:
+                del self._pods_by_owner[obj.meta.owner]
         self._notify(kind, DELETED, obj)
         return obj
 
@@ -175,7 +185,7 @@ class KubeAPI:
                   node_name: Optional[str] = None) -> List[Pod]:
         pods: Iterable[Pod] = self._stores["pods"].values()
         if owner is not None:
-            pods = [p for p in pods if p.meta.owner == owner]
+            pods = self._pods_by_owner.get(owner, {}).values()
         if phase is not None:
             pods = [p for p in pods if p.phase == phase]
         if node_name is not None:

@@ -75,8 +75,8 @@ class Bucket:
         return self._objects.pop(key, None) is not None
 
     def list(self, prefix: str = "") -> List[StoredObject]:
-        return [self._objects[k] for k in sorted(self._objects)
-                if k.startswith(prefix)]
+        return [self._objects[k] for k in
+                sorted(k for k in self._objects if k.startswith(prefix))]
 
     def __contains__(self, key: str) -> bool:
         return key in self._objects

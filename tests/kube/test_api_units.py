@@ -189,3 +189,24 @@ def test_pod_listeners_run_in_registration_order(registrations, bound_to):
         del calls[:]
         call(*args)
         assert calls == expected(verb, obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                                st.sampled_from(["a", "b", None])),
+                      max_size=30))
+def test_list_pods_by_owner_is_the_scan_over_every_pod(steps):
+    # Create (True) or delete (False) pod p<i>: a name deleted and
+    # created again comes back last, under whatever owner it has now.
+    api = KubeAPI(Environment())
+    for create, index, owner in steps:
+        name = f"p{index}"
+        if create and not api.exists("pods", name):
+            new = pod(name)
+            new.meta.owner = owner
+            api.create_pod(new)
+        elif not create and api.exists("pods", name):
+            api.delete_pod(name)
+        for who in ("a", "b"):
+            assert api.list_pods(owner=who) == \
+                [p for p in api.list_pods() if p.meta.owner == who]

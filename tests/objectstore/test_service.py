@@ -1,6 +1,7 @@
 """Unit tests for the object storage service."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     AccessDeniedError,
@@ -148,3 +149,21 @@ def test_download_counters(oss):
     env.run_until_complete(env.process(flow()))
     assert service.downloads_started == 1
     assert service.uploads_started == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(st.booleans(),
+                                st.sampled_from(["a/1", "a/2", "ab", "b/1",
+                                                 "", "a"])),
+                      max_size=20))
+def test_list_is_the_sorted_scan_after_put_delete_put(steps):
+    bucket = ObjectStorageService(Environment()).create_bucket("b")
+    for put, key in steps:
+        if put:
+            bucket.put(key, 1.0)
+        else:
+            bucket.delete(key)
+        for prefix in ("", "a", "a/", "b/1", "z"):
+            assert bucket.list(prefix) == \
+                [bucket.get(k) for k in sorted(bucket._objects)
+                 if k.startswith(prefix)]
