@@ -32,6 +32,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 from repro.core.manifest import JobManifest
@@ -89,8 +90,13 @@ class LearnerState:
 
     @property
     def epochs_completed(self) -> int:
-        if self.stretch is not None:
-            return self.stretch.epochs(self.stretch.settle())
+        # Until a chunk of the stretch ends, the count the chunk before
+        # it left - after a restart, from before the kill.
+        stretch = self.stretch
+        if stretch is not None:
+            done = stretch.settle()
+            if done > stretch.first:
+                return stretch.epochs(done)
         return self._epochs
 
     @epochs_completed.setter
@@ -184,6 +190,12 @@ class _Chunks:
         self.per_object = per_object
         self.offset = offset
         self.iter_s = iter_s
+        #: Full chunks ``period`` apart read as many objects, from
+        #: positions a constant apart: their iterations start at the
+        #: same offset into an object.
+        self.period = per_object // gcd(CHUNK_ITERATIONS, per_object)
+        #: Run chunks ``1 .. regular - 1`` are full-size.
+        self.regular = 0
         self.first = self.chunks = 0
         self.gap0 = 0.0
         self.run = self.watcher = self.volume = None
@@ -224,6 +236,7 @@ class _Chunks:
         if interval:
             end = min(end, (done // interval + 1) * interval)
         self.first, self.chunks = done, -(-(end - done) // CHUNK_ITERATIONS)
+        self.regular = (self.total - done) // CHUNK_ITERATIONS
         return self.chunks >= 2 and self.ctx.data_mount.cached(self.part_keys)
 
     def start(self, gap0: float) -> bool:

@@ -11,14 +11,60 @@ the epoch-reuse win the paper's "lessons learned" section argues for.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import accumulate, repeat
-from math import inf, nextafter
+from math import floor, inf, nextafter, ulp
 from typing import Optional
 
 from repro.errors import NoSuchObjectError, ObjectStorageUnavailableError
 from repro.objectstore.service import ObjectStorageService
 from repro.resilience import RetryPolicy, retry_call
 from repro.sim.core import Environment, Event, Interrupt
+
+
+#: Ulps in a binade: a float ``t`` in ``[2**k, 2**(k+1))``, ``k`` at least
+#: the smallest normal exponent, is ``n * ulp(t)`` for one integer ``n``
+#: in ``[2**52, 2**53)``.
+_BINADE = 1 << 53
+_NORMAL = sys.float_info.min
+
+
+def _ulps(d: float, u: float) -> Optional[int]:
+    """``d`` rounded to the nearest whole number of ``u``, a power of two,
+    or None on a tie - then ``t + d`` rounds to even, which depends on
+    ``t`` - or when the step is a binade or more."""
+    q = d / u  # exact: u is a power of two
+    if not q < _BINADE:
+        return None
+    whole = floor(q)
+    rest = q - whole
+    return None if rest == 0.5 else whole + (rest > 0.5)
+
+
+def _chain(t: float, d: float, n: int, before: float) -> tuple:
+    """``(k, t)`` after ``while k < n and t < before: t += d; k += 1``.
+
+    In ``t``'s binade every float is a multiple of ``u = ulp(t)``, so
+    each addition moves ``t`` by the same whole number of ulps,
+    ``_ulps(d, u)``, while the sum stays below the binade's top: the
+    chain is one multiplication, and ``before`` an integer ceiling.  A
+    tie, a chain that leaves the binade, a subnormal ``t`` or a
+    ``d < 0`` take the loop.
+    """
+    if n and _NORMAL <= t < before and d >= 0.0:
+        u = ulp(t)
+        step = _ulps(d, u)
+        if step is not None:
+            base = int(t / u)
+            limit = _BINADE if before >= u * _BINADE else int(before / u)
+            k = min(n, -((base - limit) // step)) if step else n
+            if base + k * step < _BINADE:
+                return k, (base + k * step) * u
+    k = 0
+    while k < n and t < before:
+        t += d
+        k += 1
+    return k, t
 
 
 class _Entry:
@@ -121,6 +167,8 @@ class _Fetch:
 
     chunks = 1
     overlap = 0.0
+    #: No period: its one chunk is walked read by read.
+    period = regular = 0
 
     def __init__(self, count: int):
         self.count = count
@@ -147,13 +195,16 @@ class _HitRun:
     compute (:class:`_Fetch`).  The run ends at ``stop``, a ``(chunk,
     read)`` position: after the last chunk, or earlier if cut.  Stamps,
     ``hits``, ``reads`` and ``bytes_read`` move when the timer fires,
-    or earlier if the cache or the reader has to settle; settling walks
-    the chain once per chunk and writes one stamp per ring position, so
-    a run's state is O(ring) however many reads it makes.
+    or earlier if the cache or the reader has to settle.  A walk along
+    the chain jumps whole periods of the plan's full chunks at once
+    (:meth:`_jump`) and settling writes one stamp per ring position, so
+    a run's state is O(ring) and a walk costs O(binades crossed)
+    however many reads the run makes.
     """
 
     __slots__ = ("mount", "entries", "sizes", "plan", "serial", "stop",
-                 "chunk", "issued", "t", "start", "reads", "timer", "done")
+                 "chunk", "issued", "t", "start", "reads", "timer", "done",
+                 "periods")
 
     #: KernelProfiler site family of the firing callback.
     name = "mount-hit"
@@ -172,28 +223,47 @@ class _HitRun:
         self.chunk, self.issued, self.t, self.start = 0, 0, now, now
         self.reads = 0  # applied so far
         self.stop = (plan.chunks, 0)
+        #: Per binade, by its ulp: ``(ulps, reads)`` of one period of
+        #: full chunks, or None if one of its additions rounds a tie.
+        self.periods = {}
         #: Resolves with the number of reads served.
         self.done = Event(mount.env)
         mount.cache._runs[self] = None
         self._arm()
         self.apply(nextafter(now, inf))  # the reads issued now, by the reader
 
-    def _walk(self, before: float, stop: tuple, visit=None) -> tuple:
+    def _walk(self, before: float, stop: tuple, visit=None,
+              skip=None) -> tuple:
         """Follow the chain from the settled position to ``stop``,
         halting at the first read or chunk end at or after ``before``,
         or when ``visit(chunk, first, from, to, t_from)``, called with
         each chunk's reads passed, returns true.  Returns the position
-        reached."""
+        reached.
+
+        Without ``visit``, or with ``skip``, the walk jumps whole
+        periods of full chunks (:meth:`_jump`); ``skip(chunk, chunks,
+        reads)`` hears of each jump, and ``visit`` still sees the chunks
+        at its end that read every ring position the jump passed."""
         plan, latency = self.plan, self.mount.cached_read_latency_s
         chunk, issued, t, start = self.chunk, self.issued, self.t, self.start
         stop_chunk, stop_read = stop
+        period = plan.period if visit is None or skip is not None else 0
+        regular, retry = min(plan.regular, stop_chunk), 1
         while chunk < stop_chunk or issued < stop_read:
+            if period and chunk >= retry and not issued and \
+                    chunk + period <= regular:
+                chunks, reads, t, retry = self._jump(
+                    chunk, t, before, regular, visit is not None)
+                if chunks:
+                    if skip is not None:
+                        skip(chunk, chunks, reads)
+                    chunk, start = chunk + chunks, t
+                    continue
             first, count, compute_s = plan.chunk(chunk)
             last = count if chunk < stop_chunk else stop_read
             begun, t_begun = issued, t
-            while issued < last and t < before:
-                t += latency
-                issued += 1
+            reads, t = _chain(t, latency, last - issued, before)
+            issued += reads
             if visit is not None and issued > begun and \
                     visit(chunk, first, begun, issued, t_begun):
                 break
@@ -204,6 +274,80 @@ class _HitRun:
                 break
             chunk, issued, t, start = chunk + 1, 0, end, end
         return chunk, issued, t, start
+
+    def _jump(self, chunk: int, t: float, before: float, end: int,
+              tail: bool) -> tuple:
+        """Whole periods of full chunks from ``chunk``, which starts at
+        ``t``: as many as end before ``before``, by chunk ``end`` and in
+        ``t``'s binade, less with ``tail`` those at the end that read
+        every ring position the others read.  Returns ``(chunks,
+        reads, t, retry)``: the chunks and reads jumped, the start of
+        the chunk after them, and the chunk to try again from.
+
+        In the binade of ``t``, every addition of the chain rounds to
+        the same whole number of ulps whatever its operand (no tie, no
+        sum past the binade's top): a chunk's reads move ``t`` by
+        ``count x`` the latency's ulps, ``F - T`` is exact, so the
+        compute after them is one float per chunk shape, and so is the
+        chunk's end.  A period's chunk shapes repeat, so periods add up
+        to integers: ``before`` and the binade's top are integer
+        ceilings on ``t``'s ulps."""
+        period = self.plan.period
+        retry = chunk + period
+        if not _NORMAL <= t < before:
+            return 0, 0, t, retry
+        u = ulp(t)
+        steps = self.periods.get(u, False)
+        if steps is False:
+            steps = self.periods[u] = self._period(chunk, u)
+        if steps is None:
+            return 0, 0, t, retry
+        ulps, reads = steps
+        base = int(t / u)
+        periods = (end - chunk) // period
+        if ulps:
+            limit = _BINADE if before >= u * _BINADE else int(before / u)
+            periods = min(periods, (limit - 1 - base) // ulps)
+        if periods <= 0:
+            return 0, 0, t, retry
+        retry = chunk + periods * period
+        if tail:
+            periods -= self._tail(chunk, retry)
+            if periods <= 0:
+                return 0, 0, t, retry
+        return periods * period, periods * reads, \
+            (base + periods * ulps) * u, retry
+
+    def _period(self, chunk: int, u: float) -> Optional[tuple]:
+        """``(ulps, reads)`` of the period of full chunks from ``chunk``
+        in the binade whose ulp is ``u``, or None on a tie."""
+        plan = self.plan
+        step = _ulps(self.mount.cached_read_latency_s, u)
+        if step is None:
+            return None
+        ulps = reads = 0
+        for at in range(chunk, chunk + plan.period):
+            _first, count, compute_s = plan.chunk(at)
+            fetch = count * step
+            gap = _ulps(max(0.0, compute_s - plan.overlap * (fetch * u)), u)
+            if gap is None:
+                return None
+            ulps += fetch + gap
+            reads += count
+        return ulps, reads
+
+    def _tail(self, chunk: int, end: int) -> int:
+        """Periods at the end of full chunks ``chunk .. end - 1`` that
+        read every ring position the others read: all of the ring, or
+        every shift of the period's reads (after ``ring`` periods at
+        most they repeat)."""
+        plan, ring = self.plan, len(self.entries)
+        seen, at, bound = set(), end, max(chunk, end - ring * plan.period)
+        while at > bound and len(seen) < ring:
+            at -= 1
+            first, count, _compute_s = plan.chunk(at)
+            seen.update((first + read) % ring for read in range(count))
+        return -(-(end - at) // plan.period)
 
     def _arm(self) -> None:
         self.timer = self.mount.env.timeout_at(self._walk(inf, self.stop)[2])
@@ -218,7 +362,8 @@ class _HitRun:
     def apply(self, before: float = inf) -> None:
         """Apply the reads issued, and end the chunks that end,
         strictly before ``before``."""
-        mount, entries, sizes = self.mount, self.entries, self.sizes
+        mount, entries, sizes, plan = \
+            self.mount, self.entries, self.sizes, self.plan
         ring = len(entries)
         # Per ring position, the reads of the chunk that used it last:
         # only that use can raise the entry's stamp.
@@ -234,8 +379,23 @@ class _HitRun:
                 last[position] = reads
             serial += issued - begun
 
+        def skip(chunk, chunks, reads):
+            # Sums of equal integers below 2**53 are exact in any order.
+            nonlocal bytes_read, serial
+            serial += reads
+            size = sizes[0]
+            if bytes_read.is_integer() and size.is_integer() and \
+                    bytes_read + reads * size < _BINADE and \
+                    sizes.count(size) == ring:
+                bytes_read += reads * size
+                return
+            for at in range(chunk, chunk + chunks):
+                first, count, _compute_s = plan.chunk(at)
+                for read in range(count):
+                    bytes_read += sizes[(first + read) % ring]
+
         self.chunk, self.issued, self.t, self.start = \
-            self._walk(before, self.stop, visit)
+            self._walk(before, self.stop, visit, skip)
         count = serial - self.serial - self.reads
         self.reads += count
         mount.reads += count

@@ -5,8 +5,10 @@ a learner spends most of its events waiting on cache hits.  These tests
 pin that path's simulated timing and its behaviour under a kill.
 """
 
+from math import floor, log2
+
 from repro.core.learner import (
-    LearnerContext, LearnerState, make_learner_workload,
+    LearnerContext, LearnerState, _Chunks, make_learner_workload,
 )
 from repro.core.manifest import JobManifest
 from repro.docker import Container, Image
@@ -124,6 +126,30 @@ def test_a_warm_learner_costs_as_many_events_at_ten_times_the_length():
         assert state.iterations_done == iterations
         counts.append(env.events_processed)
     assert counts[0] == counts[1]
+
+
+def test_a_warm_stretch_walks_as_many_steps_at_ten_times_the_length(
+        monkeypatch):
+    # The stretch's hit run walks its chain a whole period of chunks at
+    # a time within a binade: ten times the chunks cost a group of steps
+    # per binade the longer run crosses, not ten times the steps.
+    steps, ends = [], []
+    chunk = _Chunks.chunk
+
+    def counted(plan, at):
+        steps[-1] += 1
+        return chunk(plan, at)
+
+    monkeypatch.setattr(_Chunks, "chunk", counted)
+    for iterations in (4_000, 40_000):
+        steps.append(0)
+        env, _ctx, state, container = start_learner(iterations=iterations)
+        env.run()
+        assert state.iterations_done == iterations
+        ends.append(env.now)
+    binades = floor(log2(ends[1])) - floor(log2(ends[0]))
+    assert binades == 4
+    assert steps[1] <= steps[0] + 8 * binades
 
 
 def test_epochs_completed_counts_the_last_chunk():

@@ -4,15 +4,18 @@ The reference is the learner's PROCESSING loop as it was before warm
 stretches existed - one fetch, one compute timeout and one halt check
 per 50-iteration chunk - copied verbatim below, reading key by key.
 Random programs draw the dataset shape, iteration count and checkpoint
-interval, a second reader whose misses evict from a small shared mount
-cache, and a kill (followed by a restart), a HALT and a release of the
-job volume at random instants; each is played through the reference
-and through ``make_learner_workload``.  At quiescence every status and
-exit write with its instant, ``iterations_done`` and the epoch count at
-the kill, what the restart finds (the progress file a parameter-server
-rejoin reads, every mount counter), the final learner state, the
-container logs, the checkpoints in the bucket and the cache's LRU order
-must be equal, exactly.
+interval (some with three periods of chunks or more, which a stretch
+jumps a period at a time), a start that may put a stretch across a
+power-of-two instant, a second reader whose misses evict from a small
+shared mount cache, and a kill (followed by a restart), a HALT, a
+release of the job volume and a read of the learner's progress at
+random instants; each is played through the reference and through
+``make_learner_workload``.  At quiescence every status and exit write
+with its instant, ``iterations_done`` and the epoch count at the kill
+and at the read, what the restart finds (the progress file a
+parameter-server rejoin reads, every mount counter), the final learner
+state, the container logs, the checkpoints in the bucket and the
+cache's LRU order must be equal, exactly.
 
 As in ``tests/objectstore/test_read_all_oracle.py``, a schedule where
 two different actors act at the same float instant is discarded: the
@@ -21,8 +24,9 @@ place in line when the stretch starts.
 """
 
 import zlib
+from math import gcd, lcm
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.helper import halt_key
 from repro.core.learner import (
@@ -276,7 +280,10 @@ def play(program, stretched):
 
     containers = [Container(env, Image("learner"), "learner-0",
                             factory(ctx, state))]
-    containers[0].start()
+
+    def starter(at):
+        yield env.timeout(at)
+        containers[0].start()
 
     def other_reader():
         for delay, key in program["other_reads"]:
@@ -298,6 +305,12 @@ def play(program, stretched):
                                         factory(ctx, state)))
             containers[-1].start()
 
+    def peeker(at):
+        yield env.timeout(at)
+        touch("peek")
+        seen.append((env.now, "peek", (state.iterations_done,
+                                       state.epochs_completed)))
+
     def halter(at):
         yield env.timeout(at)
         touch("halt")
@@ -308,7 +321,10 @@ def play(program, stretched):
         touch("release")
         volume.release()
 
+    env.process(starter(program["start_at"]))
     env.process(other_reader())
+    if program["peek_at"] is not None:
+        env.process(peeker(program["peek_at"]))
     if program["kill_at"] is not None:
         env.process(killer(program["kill_at"]))
     if program["halt_at"] is not None:
@@ -346,11 +362,33 @@ def assert_stretches_are_the_chunk_loop(program):
 UNIT_S = 0.7313
 
 
+#: Iterations per object whose chunks repeat every four chunks or fewer.
+SHORT_PERIODS = [per for per in range(1, 71)
+                 if per // gcd(CHUNK_ITERATIONS, per) <= 4]
+
+
 @st.composite
 def programs(draw):
     objects = draw(st.integers(1, 6))
-    iterations = draw(st.integers(1, 900))
-    horizon = int(iterations * 2.0 / UNIT_S) + 100
+    # A stretch jumps whole periods of chunks, as many as fit in a
+    # binade: give some three periods or more, of at most four chunks,
+    # and checkpoints too far apart to stop the stretch first.
+    if draw(st.booleans()):
+        per_object = draw(st.sampled_from(SHORT_PERIODS))
+        period = lcm(CHUNK_ITERATIONS, per_object)
+        iterations = draw(st.integers(3 * period, 3 * period + 5000))
+        interval = draw(st.sampled_from([0, 0, 2 * period]))
+    else:
+        per_object = draw(st.integers(1, 70))
+        iterations = draw(st.integers(1, 900))
+        interval = draw(st.sampled_from([0, 0, 30, 100, 130, 500]))
+    # Some start just before a power of two, so a stretch crosses it.
+    start_at = draw(st.sampled_from([0.0, 0.0, None]))
+    if start_at is None:
+        start_at = 2.0 ** draw(st.integers(9, 14)) - \
+            draw(st.integers(0, 2000)) * UNIT_S - 0.0000229
+        start_at = max(0.0, start_at)
+    horizon = int((start_at + iterations * 2.0) / UNIT_S) + 100
     other_reads = [(draw(st.integers(0, horizon // 4)) * UNIT_S + 0.000173,
                     draw(st.integers(0, 3)))
                    for _ in range(draw(st.integers(0, 8)))]
@@ -362,9 +400,10 @@ def programs(draw):
 
     return {
         "objects": objects,
-        "per_object": draw(st.integers(1, 70)),
+        "per_object": per_object,
         "iterations": iterations,
-        "interval": draw(st.sampled_from([0, 0, 30, 100, 130, 500])),
+        "start_at": start_at,
+        "interval": interval,
         "ps": draw(st.integers(0, 1)),
         # In quarters of a dataset object: room for the dataset and at
         # most one and a half objects more, so the second reader's
@@ -375,10 +414,33 @@ def programs(draw):
         "kill_at": instant(0.0000291, odds=3),
         "halt_at": instant(0.0000447, odds=2),
         "release_at": instant(0.0000613, odds=1),
+        "peek_at": instant(0.0000839, odds=2),
     }
 
 
+#: Five objects of 20 iterations: a chunk reads 2.5 objects, and chunks
+#: repeat every two.  One stretch from about 3 s to 5 700 s, crossing
+#: 1 024 s, 2 048 s and 4 096 s, walks whole periods in each binade.
+WARM = {"objects": 5, "per_object": 20, "iterations": 3000,
+        "start_at": 0.0, "interval": 0, "ps": 0, "capacity": 21,
+        "other_sizes": [2, 1, 1, 1], "other_reads": [], "kill_at": None,
+        "halt_at": None, "release_at": None, "peek_at": None}
+
+
 @settings(max_examples=examples(150), deadline=None)
+@example(program=WARM)
+# At 3 000 s, settling jumps periods in two binades and stops mid-period:
+# a miss of the second reader evicts an object the stretch reads next,
+# a HALT lands, or a reader asks for the iterations done.
+@example(program={**WARM, "other_reads": [(3000.000173, 0)]})
+@example(program={**WARM, "halt_at": 3000.0000447})
+@example(program={**WARM, "peek_at": 3000.0000839})
+# Killed at 150 iterations, restarted from zero, read mid-stretch before
+# its first chunk ends: the chunk loop still shows the 3 epochs of before
+# the kill.
+@example(program={**WARM, "objects": 1, "per_object": 40,
+                  "iterations": 2016, "interval": 400, "capacity": 4,
+                  "kill_at": 352.4866291, "peek_at": 414.6471839})
 @given(program=programs())
 def test_a_warm_stretch_is_the_chunk_loop(program):
     assert_stretches_are_the_chunk_loop(program)
