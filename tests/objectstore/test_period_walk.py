@@ -195,7 +195,9 @@ def test_a_walk_by_periods_is_the_walk_by_chunks(spec, bounds, stop):
     run, reference = world(spec), world(spec)
     assert run._walk(inf, run.stop) == \
         reference_walk(reference, inf, reference.stop)
-    if stop is not None and stop < run.stop:  # as a cut or a halt sets it
+    # As a cut or a halt sets it: ahead of the settled position, never
+    # behind it (the walks would run on past it without end).
+    if stop is not None and (run.chunk, run.issued) <= stop < run.stop:
         chunk, read = stop
         count = run.plan.chunk(chunk)[1]
         run.stop = reference.stop = (chunk, read % count if count else 0)
