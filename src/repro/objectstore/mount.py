@@ -67,6 +67,25 @@ def _chain(t: float, d: float, n: int, before: float) -> tuple:
     return k, t
 
 
+def _inline(env: Environment, steps, target: Event, name: str):
+    """``yield from steps``, suspended on ``target``, in the caller's
+    process - except that an ``Interrupt`` there first hands the rest
+    of ``steps`` to a process of its own, ``name``, which waits on
+    ``target`` in its place: what the steps started still runs to its
+    end, as it would had they been a process from the start.  (A miss
+    waits on a timeout and a transfer, which never fail.)"""
+    while True:
+        try:
+            value = yield target
+        except Interrupt:
+            env.process(_inline(env, steps, target, name), name=name)
+            raise
+        try:
+            target = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+
 class _Entry:
     """One cached object: its size and the stamp of its last use."""
 
@@ -491,6 +510,14 @@ class BucketMount:
         Cache hits cost only local-disk latency; misses stream the object
         over the shared OSS bandwidth and then admit it to the cache.
         """
+        obj = self._hit(key)
+        if obj is not None:
+            return self.env.timeout(self.cached_read_latency_s, obj)
+        return self.env.process(self._miss(key), name=f"mount-miss:{key}")
+
+    def _hit(self, key: str):
+        """Count a read of ``key``: its object if the cache serves it,
+        else None and the read is a miss."""
         self.reads += 1
         if self.cache is not None and \
                 self.cache.lookup(self.bucket, key, self.env.now):
@@ -499,29 +526,27 @@ class BucketMount:
             except NoSuchObjectError:
                 # Deleted behind the cache: drop the stale entry, count
                 # the read as the miss it turns out to be, and let the
-                # miss path fail the returned event.
+                # miss path fail.
                 self.cache.invalidate(self.bucket, key, self.env.now)
                 self.cache.hits -= 1
                 self.cache.misses += 1
             else:
                 self.bytes_read += obj.size_bytes
-                return self.env.timeout(self.cached_read_latency_s, obj)
+                return obj
+        return None
 
-        def miss():
-            if self.retry is not None:
-                obj = yield from self._with_retry(
-                    lambda: self.service.download(self.bucket, key,
-                                                  self.token))
-            else:
-                obj = yield self.service.download(self.bucket, key,
-                                                  self.token)
-            self.bytes_read += obj.size_bytes
-            if self.cache is not None:
-                self.cache.admit(self.bucket, key, obj.size_bytes,
-                                 self.env.now)
-            return obj
-
-        return self.env.process(miss(), name=f"mount-miss:{key}")
+    def _miss(self, key: str):
+        """The steps of a miss: stream ``key``, then admit it."""
+        if self.retry is not None:
+            obj = yield from self._with_retry(
+                lambda: self.service.download(self.bucket, key, self.token))
+        else:
+            obj = yield from self.service.download_steps(
+                self.bucket, key, self.token)
+        self.bytes_read += obj.size_bytes
+        if self.cache is not None:
+            self.cache.admit(self.bucket, key, obj.size_bytes, self.env.now)
+        return obj
 
     def read_all(self, keys):
         """Read ``keys`` one after another; drive it with ``yield from``.
@@ -530,20 +555,30 @@ class BucketMount:
         self.read(key)``, but a maximal stretch of two or more keys that
         are cached (and stored) right now is carried by one
         :class:`_HitRun`; the rest - no cache, a miss, a stale entry, a
-        lone hit - goes through :meth:`read`.  A run that loses a key
-        before reading it ends there and the loop carries on from that
-        key; an ``Interrupt`` while waiting cancels it.  Counters of a
-        *pending* run lag, and ``bytes_read`` is summed in apply order
-        across readers of one mount (equal for integer-valued sizes below
-        2**53); an object deleted behind the cache during a run is
-        noticed by the first read after it.
+        lone hit - is read one key at a time, a miss without a retry
+        policy as steps of the caller's own process (:func:`_inline`).
+        A run that loses a key before reading it ends there and the loop
+        carries on from that key; an ``Interrupt`` while waiting cancels
+        it.  Counters of a *pending* run lag, and ``bytes_read`` is
+        summed in apply order across readers of one mount (equal for
+        integer-valued sizes below 2**53); an object deleted behind the
+        cache during a run is noticed by the first read after it.
         """
         done = 0
         while done < len(keys):
             run = self._start_run(keys, done)
             if run is None:
-                yield self.read(keys[done])
-                done += 1
+                key, done = keys[done], done + 1
+                if self.retry is not None:
+                    yield self.read(key)
+                    continue
+                obj = self._hit(key)
+                if obj is None:
+                    miss = self._miss(key)
+                    yield from _inline(self.env, miss, next(miss),
+                                       f"mount-miss:{key}")
+                else:
+                    yield self.env.timeout(self.cached_read_latency_s, obj)
                 continue
             try:
                 done += yield run.done
@@ -600,8 +635,8 @@ class BucketMount:
                     lambda: self.service.upload(self.bucket, key, size_bytes,
                                                 payload, self.token))
             else:
-                obj = yield self.service.upload(self.bucket, key, size_bytes,
-                                                payload, self.token)
+                obj = yield from self.service.upload_steps(
+                    self.bucket, key, size_bytes, payload, self.token)
             if self.cache is not None:
                 self.cache.invalidate(self.bucket, key, self.env.now)
             return obj

@@ -146,36 +146,47 @@ class ObjectStorageService:
     def download(self, bucket_name: str, key: str,
                  token: Optional[str] = None) -> Event:
         """Stream an object; the event resolves with the StoredObject."""
+        return self.env.process(self.download_steps(bucket_name, key, token),
+                                name=f"oss-get:{key}")
+
+    def download_steps(self, bucket_name: str, key: str,
+                       token: Optional[str] = None):
+        """The steps of :meth:`download`, for a process to ``yield
+        from``: access, the object and the count are settled at the
+        call, the rest as the steps run."""
         self._authorize(token, bucket_name)
         obj = self.bucket(bucket_name).get(key)
         self.downloads_started += 1
-
-        def stream():
-            yield self.env.timeout(self.request_latency_s)
-            if not self.available:
-                raise ObjectStorageUnavailableError(
-                    f"object storage unavailable: GET {bucket_name}/{key}")
-            yield self.link.transfer(obj.size_bytes)
-            return obj
-
-        return self.env.process(stream(), name=f"oss-get:{key}")
+        return self._stream("GET", bucket_name, key, obj.size_bytes,
+                            lambda: obj)
 
     def upload(self, bucket_name: str, key: str, size_bytes: float,
                payload: Any = None, token: Optional[str] = None) -> Event:
         """Stream an object in; the event resolves with the StoredObject."""
+        return self.env.process(
+            self.upload_steps(bucket_name, key, size_bytes, payload, token),
+            name=f"oss-put:{key}")
+
+    def upload_steps(self, bucket_name: str, key: str, size_bytes: float,
+                     payload: Any = None, token: Optional[str] = None):
+        """The steps of :meth:`upload`, settled at the call as
+        :meth:`download_steps` are."""
         self._authorize(token, bucket_name)
         bucket = self.bucket(bucket_name)
         self.uploads_started += 1
+        return self._stream("PUT", bucket_name, key, size_bytes,
+                            lambda: bucket.put(key, size_bytes, payload))
 
-        def stream():
-            yield self.env.timeout(self.request_latency_s)
-            if not self.available:
-                raise ObjectStorageUnavailableError(
-                    f"object storage unavailable: PUT {bucket_name}/{key}")
-            yield self.link.transfer(size_bytes)
-            return bucket.put(key, size_bytes, payload)
-
-        return self.env.process(stream(), name=f"oss-put:{key}")
+    def _stream(self, verb: str, bucket_name: str, key: str,
+                size_bytes: float, result):
+        """Request latency, the outage check, the transfer; returns
+        ``result()``."""
+        yield self.env.timeout(self.request_latency_s)
+        if not self.available:
+            raise ObjectStorageUnavailableError(
+                f"object storage unavailable: {verb} {bucket_name}/{key}")
+        yield self.link.transfer(size_bytes)
+        return result()
 
     def list_objects(self, bucket_name: str, prefix: str = "",
                      token: Optional[str] = None) -> List[StoredObject]:

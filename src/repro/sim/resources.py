@@ -7,9 +7,10 @@ reproduce the heavy-load degradation in Figure 5 of the paper).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import reduce
-from itertools import repeat
+from itertools import count, repeat
 from math import inf
 from operator import add
 from typing import Any, Optional
@@ -55,10 +56,18 @@ class FairShareLink:
     bandwidth whose saturation causes the V100 slowdown in Figure 5.
 
     No process runs the link: every transfer has made the same progress
-    since ``_settled_at``, so the state is two parallel lists and that
+    since ``_settled_at``, so the state is three parallel lists and that
     instant.  A state change queues one ``URGENT`` settle for its instant
     (the arrivals of an instant are judged as one batch), and a settle
     arms the one timer of the next completion.
+
+    The lists are sorted by remaining bytes, ascending, and carry each
+    transfer's arrival number beside it.  Progress subtracts one
+    ``moved`` from every residual (floored at zero), and ``fl(x -
+    moved)`` is monotone in ``x``, so it never reorders them: the
+    nearest completion is the first, the finished transfers are a
+    prefix (succeeded in arrival order, as an arrival-ordered list
+    would), and an arrival is one ``bisect``.
     """
 
     def __init__(self, env: Environment, capacity_bps: float,
@@ -70,6 +79,8 @@ class FairShareLink:
         self.name = name  # KernelProfiler site family of the callbacks
         self._remaining: list[float] = []
         self._done: list[Event] = []
+        self._arrival: list[int] = []
+        self._arrivals = count()
         self._settled_at = env.now
         #: The queued settle (delay 0) or the completion timer that
         #: counts; a timer a state change superseded fires dead.
@@ -89,8 +100,11 @@ class FairShareLink:
             done.succeed(0.0)
             return done
         self._progress()
-        self._remaining.append(float(size_bytes))
-        self._done.append(done)
+        size = float(size_bytes)
+        at = bisect_right(self._remaining, size)
+        self._remaining.insert(at, size)
+        self._done.insert(at, done)
+        self._arrival.insert(at, next(self._arrivals))
         self._changed()
         return done
 
@@ -140,23 +154,19 @@ class FairShareLink:
         if not remaining:
             return
         rate = self.capacity_bps / len(remaining)
-        nearest = min(remaining)
         # A transfer is done when its residual would complete within a
         # nanosecond at the current rate: a pure byte epsilon can leave
         # residuals whose completion time is below the clock's float
         # resolution, which would stall the simulation.
-        epsilon = max(1e-9, rate * 1e-9)
-        if nearest <= epsilon:
-            finished = [done for left, done in zip(remaining, self._done)
-                        if left <= epsilon]
-            self._done = [done for left, done in zip(remaining, self._done)
-                          if left > epsilon]
-            self._remaining = remaining = [left for left in remaining
-                                           if left > epsilon]
-            for done in finished:
+        finished = bisect_right(remaining, max(1e-9, rate * 1e-9))
+        if finished:
+            completed = sorted(zip(self._arrival[:finished],
+                                   self._done[:finished]))
+            del remaining[:finished], self._done[:finished], \
+                self._arrival[:finished]
+            for _arrival, done in completed:
                 done.succeed(self.env.now)
             if not remaining:
                 return
             rate = self.capacity_bps / len(remaining)
-            nearest = min(remaining)
-        self._arm(max(1e-9, nearest / rate), NORMAL)
+        self._arm(max(1e-9, remaining[0] / rate), NORMAL)

@@ -6,9 +6,13 @@ pin that path's simulated timing and its behaviour under a kill.
 """
 
 from math import floor, log2
+from types import SimpleNamespace
+
+import pytest
 
 from repro.core.learner import (
-    LearnerContext, LearnerState, _Chunks, make_learner_workload,
+    CHUNK_ITERATIONS, LearnerContext, LearnerState, _Chunks,
+    make_learner_workload,
 )
 from repro.core.manifest import JobManifest
 from repro.docker import Container, Image
@@ -159,3 +163,20 @@ def test_epochs_completed_counts_the_last_chunk():
         env.run()
         assert container.exit_code == 0
         assert state.epochs_completed == epochs
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_Chunks.reads counts the objects a chunk spans modulo the dataset: "
+    "with 2 objects and 2 iterations per object (fed-trace and chaos "
+    "jobs) a 50-iteration chunk consumes both objects yet reads one; "
+    "fixing it moves the fed-trace and chaos sim_* (a model change)"))
+def test_a_chunk_reads_every_object_its_iterations_consume():
+    part_keys = ("part-0", "part-1")
+    ctx = SimpleNamespace(manifest=SimpleNamespace(iterations=200))
+    for offset in range(len(part_keys)):
+        chunks = _Chunks(ctx, part_keys, per_object=2, offset=offset,
+                         iter_s=1.0)
+        for done in range(0, 200, CHUNK_ITERATIONS):
+            consumed = {part_keys[(offset + it // 2) % len(part_keys)]
+                        for it in range(done, done + CHUNK_ITERATIONS)}
+            assert consumed <= set(chunks.keys(done, CHUNK_ITERATIONS))

@@ -79,14 +79,33 @@ def test_read_all_leaves_what_the_per_key_loop_leaves(latency_s):
 
 
 def test_without_a_cache_read_all_is_the_per_key_loop_event_for_event():
-    costs = []
+    # Same instants, values and counters; read_all's misses are steps of
+    # the reader rather than a process each, so it takes fewer events.
+    costs, events = [], []
     for one_by_one in (True, False):
         env, mount = make_mount(cache_bytes=None, warm=False)
         done = read(env, mount, KEYS, one_by_one=one_by_one)
         env.run()
-        costs.append((env.events_processed, env.now, done.value,
-                      mount.reads, mount.bytes_read))
+        costs.append((env.now, done.value, mount.reads, mount.bytes_read))
+        events.append(env.events_processed)
     assert costs[0] == costs[1]
+    assert events[1] < events[0]
+
+
+@pytest.mark.parametrize("misses", [1, 7])
+def test_a_cold_read_costs_its_reader_no_process(misses):
+    # Per miss: the request latency, the link's settle, its completion
+    # timer and the transfer's done event - four events, where a
+    # ``mount-miss`` process over an ``oss-get`` one took six.  The
+    # reader is the one process, and its start and end the two others.
+    env, mount = make_mount(cache_bytes=None, warm=False)
+    pids = next(env._pids)
+    done = read(env, mount, KEYS[:misses])
+    env.run()
+    assert done.value == env.now
+    assert mount.service.downloads_started == mount.reads == misses
+    assert env.events_processed == 2 + 4 * misses
+    assert next(env._pids) == pids + 2  # one process between: the reader
 
 
 def test_a_lone_hit_between_misses_is_still_one_event():

@@ -17,12 +17,19 @@ line when the run starts rather than at each hit.  Such examples are
 discarded (the oracle run detects them); lockstep twins, whose every
 instant is a tie, are compared separately under a cache that never
 evicts.
+
+Without a cache, ``read_all`` runs each miss as steps of the reader's
+own process.  There the reference is the read as it stood with a
+``mount-miss`` process over an ``oss-get`` one (``two_process_read``,
+verbatim), and kills land in a miss's request latency or mid-transfer:
+the interrupted miss must still start, finish and count its transfer.
 """
 
 from collections import OrderedDict
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.errors import NoSuchObjectError, ObjectStorageUnavailableError
 from repro.objectstore import BucketMount, MountCache, ObjectStorageService
 from repro.sim import Environment
 
@@ -68,16 +75,72 @@ class ListOrderCache:
             self.used_bytes -= size
 
 
+def download(self, bucket_name, key, token=None):
+    """``ObjectStorageService.download`` as it stood, verbatim."""
+    self._authorize(token, bucket_name)
+    obj = self.bucket(bucket_name).get(key)
+    self.downloads_started += 1
+
+    def stream():
+        yield self.env.timeout(self.request_latency_s)
+        if not self.available:
+            raise ObjectStorageUnavailableError(
+                f"object storage unavailable: GET {bucket_name}/{key}")
+        yield self.link.transfer(obj.size_bytes)
+        return obj
+
+    return self.env.process(stream(), name=f"oss-get:{key}")
+
+
+def two_process_read(self, key):
+    """``BucketMount.read`` as it stood, verbatim but for the call of
+    ``download`` above: a miss is a process waiting on another."""
+    self.reads += 1
+    if self.cache is not None and \
+            self.cache.lookup(self.bucket, key, self.env.now):
+        try:
+            obj = self.service.bucket(self.bucket).get(key)
+        except NoSuchObjectError:
+            # Deleted behind the cache: drop the stale entry, count
+            # the read as the miss it turns out to be, and let the
+            # miss path fail the returned event.
+            self.cache.invalidate(self.bucket, key, self.env.now)
+            self.cache.hits -= 1
+            self.cache.misses += 1
+        else:
+            self.bytes_read += obj.size_bytes
+            return self.env.timeout(self.cached_read_latency_s, obj)
+
+    def miss():
+        if self.retry is not None:
+            obj = yield from self._with_retry(
+                lambda: download(self.service, self.bucket, key,
+                                 self.token))
+        else:
+            obj = yield download(self.service, self.bucket, key,
+                                 self.token)
+        self.bytes_read += obj.size_bytes
+        if self.cache is not None:
+            self.cache.admit(self.bucket, key, obj.size_bytes,
+                             self.env.now)
+        return obj
+
+    return self.env.process(miss(), name=f"mount-miss:{key}")
+
+
 def lru_order(cache):
+    if cache is None:
+        return []
     if isinstance(cache, ListOrderCache):
         return list(cache._entries)
     return sorted(cache._entries, key=lambda k: cache._entries[k].stamp)
 
 
-def play(program, cache_class, batched):
-    """Run ``program`` to quiescence.  Returns what could be observed,
-    and for each instant the actors that touched the cache then (reads
-    are only traceable one by one, i.e. when not ``batched``)."""
+def play(program, cache_class, batched, read=BucketMount.read):
+    """Run ``program`` to quiescence, reading one key at a time with
+    ``read`` unless ``batched``.  Returns what could be observed, and
+    for each instant the actors that touched the cache then (reads are
+    only traceable one by one, i.e. when not ``batched``)."""
     env = Environment()
     service = ObjectStorageService(env, bandwidth_bps=1e5,
                                    request_latency_s=0.00037)
@@ -85,11 +148,21 @@ def play(program, cache_class, batched):
         stored = service.create_bucket(f"b{bucket}")
         for key, size in zip(KEYS, sizes):
             stored.put(key, size)
-    cache = cache_class(program["capacity"])
+    cache = None if program["capacity"] is None else \
+        cache_class(program["capacity"])
     mounts = [BucketMount(env, service, f"b{bucket}", cache=cache)
               for bucket in program["mounts"]]
     seen = []      # (actor, instant, what)
     touches = {}   # instant -> actors
+    transfers = []  # completion instants of the link's transfers
+    link_transfer = service.link.transfer
+
+    def transfer(size_bytes):
+        done = link_transfer(size_bytes)
+        done.callbacks.append(lambda _done: transfers.append(env.now))
+        return done
+
+    service.link.transfer = transfer
 
     def touch(actor):
         touches.setdefault(env.now, set()).add(actor)
@@ -102,7 +175,7 @@ def play(program, cache_class, batched):
             else:
                 for key in keys:  # the reference loop
                     touch(actor)
-                    yield mount.read(key)
+                    yield read(mount, key)
             seen.append((actor, env.now, "fetched"))
             yield env.timeout(think)
 
@@ -110,7 +183,8 @@ def play(program, cache_class, batched):
         yield env.timeout(at)
         if victim.is_alive:
             touch(actor)
-            seen.append((actor, env.now, "kill"))
+            seen.append((actor, env.now, "kill",
+                         service.link.active_transfers))
             victim.interrupt("kill")
 
     def writer(actor, mount, at, key, size):
@@ -130,9 +204,11 @@ def play(program, cache_class, batched):
     env.run()
     return {
         "seen": seen,
-        "cache": (cache.hits, cache.misses, cache.used_bytes),
+        "cache": None if cache is None else
+        (cache.hits, cache.misses, cache.used_bytes),
         "mounts": [(m.reads, m.bytes_read) for m in mounts],
         "downloads": service.downloads_started,
+        "link": (transfers, service.link.bytes_transferred),
         "lru": lru_order(cache),
     }, touches
 
@@ -145,6 +221,17 @@ def assert_all_forms_agree(program, tie_free=True):
     assert play(program, MountCache, batched=True)[0] == oracle
 
 
+def assert_cacheless_forms_agree(program, tie_free=True):
+    """Two processes per miss (the oracle), one, and none."""
+    oracle, touches = play(program, None, batched=False,
+                           read=two_process_read)
+    if tie_free:
+        assume(all(len(actors) == 1 for actors in touches.values()))
+    assert play(program, None, batched=False)[0] == oracle
+    assert play(program, None, batched=True)[0] == oracle
+    return oracle
+
+
 # -- random programs ---------------------------------------------------------
 
 
@@ -155,7 +242,7 @@ def _instant(actor, ticks):
 
 
 @st.composite
-def programs(draw):
+def programs(draw, capacities=(500, 700, 1000, 1500, UNBOUNDED)):
     buckets = draw(st.integers(1, 2))
     objects = [[draw(st.integers(100, 400)) for _ in KEYS]
                for _ in range(buckets)]
@@ -179,7 +266,7 @@ def programs(draw):
                _instant(20 + index, draw(st.integers(0, 500))),
                draw(st.sampled_from(KEYS)), draw(st.integers(100, 400)))
               for index in range(draw(st.integers(0, 3)))]
-    capacity = draw(st.sampled_from([500, 700, 1000, 1500, UNBOUNDED]))
+    capacity = draw(st.sampled_from(capacities))
     return {"capacity": capacity, "objects": objects, "mounts": mounts,
             "readers": readers, "writes": writes}
 
@@ -241,3 +328,43 @@ def test_lockstep_twins_keep_their_kernel_order(objects, twins, start,
                "readers": [(0, start * 0.000137, plan, None)] * twins,
                "writes": []}
     assert_all_forms_agree(program, tie_free=False)
+
+
+# -- cache-less mounts: a miss is a step of its reader -----------------------
+
+
+def _killed_read(kill_at):
+    """One reader of k0 then k1 (100 B each: 0.37 ms of request latency,
+    then 1 ms alone on the link), killed at ``kill_at``."""
+    return {"capacity": None, "objects": [[100, 100, 100, 100, 100, 100]],
+            "mounts": [0], "readers": [(0, 0.0, [(["k0", "k1"], 0.0)],
+                                        kill_at)],
+            "writes": []}
+
+
+#: Killed 0.2 ms into k0's request latency: its transfer has not begun.
+KILLED_IN_THE_REQUEST_LATENCY = _killed_read(0.0002)
+#: Killed 0.63 ms into k0's 1 ms transfer.
+KILLED_MID_TRANSFER = _killed_read(0.001)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(program=programs(capacities=(None,)))
+@example(program=KILLED_IN_THE_REQUEST_LATENCY)
+@example(program=KILLED_MID_TRANSFER)
+def test_a_cacheless_read_all_is_the_two_process_read(program):
+    assert_cacheless_forms_agree(program)
+
+
+def test_a_killed_cold_read_still_finishes_its_transfer():
+    # The kill finds the link idle (request latency) or carrying k0;
+    # either way k0's transfer starts, ends at 1.37 ms and counts, and
+    # k1 is never requested.
+    for program, active in ((KILLED_IN_THE_REQUEST_LATENCY, 0),
+                            (KILLED_MID_TRANSFER, 1)):
+        observed = assert_cacheless_forms_agree(program, tie_free=False)
+        assert observed["seen"] == [("x0", program["readers"][0][3],
+                                     "kill", active)]
+        assert observed["link"] == ([0.00037 + 0.001], 100.0)
+        assert observed["downloads"] == 1
+        assert observed["mounts"] == [(1, 100.0)]

@@ -10,6 +10,10 @@ completion, ``set_capacity`` mid-flight - are played through both.
 Every completion instant and value, the order completions are seen in
 and ``bytes_transferred`` must be equal by ``==``: the arithmetic is
 the same additions in the same order, not an approximation of them.
+Crowded programs put a hundred transfers or more in flight, most of
+equal size, so one settle completes many at once: the link keeps its
+flows sorted by residual, and must still complete them in arrival
+order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -159,3 +163,33 @@ def test_link_completes_when_the_runner_did(base, program):
     assert (seen, probes, active, moved) == play(RunnerLink, base, program)
     assert active == 0
     assert len(seen) == sum(verb == "transfer" for verb, _ in program)
+
+
+#: Few sizes, so many flows tie and finish in one settle; ``1.0 +
+#: 1e-12`` is within every crowd's done-epsilon of ``1.0``, so the two
+#: finish together, in arrival order, not in order of size.
+_CROWD_S = st.sampled_from([0.25, 0.5, 0.5 + 1e-9, 1.0, 1.0 + 1e-12,
+                            1.0 + 2.5e-9])
+
+
+@st.composite
+def crowded(draw):
+    """A burst of 100-160 transfers in one instant, with a few steps
+    spliced into it (arrivals onto part-done flows) and a tail."""
+    program = [("transfer", draw(_CROWD_S))
+               for _ in range(draw(st.integers(100, 160)))]
+    for at, step in draw(st.lists(st.tuples(st.integers(0, len(program)),
+                                            _STEP), max_size=6)):
+        program.insert(at, step)
+    return program + draw(st.lists(_STEP, max_size=10))
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(base=st.sampled_from(BASES), program=crowded())
+def test_a_crowded_link_completes_when_the_runner_did(base, program):
+    seen, probes, active, moved = play(FairShareLink, base, program)
+    assert (seen, probes, active, moved) == play(RunnerLink, base, program)
+    assert len(seen) == sum(verb == "transfer" for verb, _ in program)
+    # Some settle completed several transfers at one instant.
+    instants = [now for _index, now, _value in seen]
+    assert len(set(instants)) < len(instants)
