@@ -10,17 +10,26 @@ production cluster:
   schedule deleting pod, 1.94% persistentvolumeclaim not found, 1.6% pods
   not found, 0.17% timeouts, 0.17% assume-pod races.
 
-Reproduction: a multi-day, fault-injected, heavily loaded run of the full
-platform; events are classified from the same log-message taxonomy.  The
+Reproduction: the ``fig6-table8-failures`` chaos scenario run for
+``DAYS`` simulated days (a heavily loaded platform under recurring node
+crashes and scheduler races); events are classified from the same
+log-message taxonomy by ``repro.analysis``.  The
 operational pod types of the production cluster (validation-gpu,
 dvt-testbox, ...) do not exist here, so the type distribution is over
 learner / lhelper / jobmonitor.
 """
 
 import os
+from dataclasses import replace
 from functools import lru_cache
 
-from repro.analysis import print_table
+from repro.analysis import (
+    failed_pods_by_reason,
+    failed_pods_by_type,
+    print_table,
+    shares,
+)
+from repro.chaos import ChaosEngine, get_scenario
 from repro.kube.events import (
     REASON_ASSUME_FAILED,
     REASON_BINDING_REJECTED,
@@ -30,7 +39,7 @@ from repro.kube.events import (
     REASON_SKIP_DELETING,
     REASON_TIMEOUT,
 )
-from repro.workloads import FailureStudyConfig, run_failure_study
+from repro.workloads import SECONDS_PER_DAY
 
 from tests.golden import check
 
@@ -49,35 +58,34 @@ PAPER_REASONS = {
 
 @lru_cache(maxsize=1)
 def run_study():
-    # Both tests analyse the same run; compute it once.
-    config = FailureStudyConfig(days=DAYS, seed=1,
-                                timeout_race_probability=3e-5,
-                                assume_race_probability=3e-5)
-    return run_failure_study(config)
+    """The run's scheduler event log; both tests analyse the same run."""
+    scenario = replace(get_scenario("fig6-table8-failures"),
+                       horizon_s=DAYS * SECONDS_PER_DAY)
+    engine = ChaosEngine(scenario, seed=1)
+    engine.run()
+    return engine.target.platform.cluster.api.event_log
 
 
 def test_fig6_pod_type_distribution():
-    result = run_study()
-    fractions = result.failed_type_fractions()
+    by_type = failed_pods_by_type(run_study())
+    fractions = shares(by_type)
     rows = [[pod_type, f"{100 * fraction:.1f}%"]
             for pod_type, fraction in
             sorted(fractions.items(), key=lambda kv: -kv[1])]
     print_table(["pod type", "% of failed-scheduling pods"],
                 rows, title="Figure 6: scheduling failures by pod type "
-                            f"({sum(result.failed_pods_by_type().values())}"
-                            " unique pods)")
+                            f"({sum(by_type.values())} unique pods)")
     # Paper: "more than 60% of failed scheduling pods are learners".
     assert fractions.get("learner", 0.0) > 0.60
     # Helper and guardian pods appear in the tail.
     assert fractions.get("lhelper", 0.0) > 0.0
     check(f"paper/fig6-days{DAYS}", {
-        "failed_pods_by_type": result.failed_pods_by_type(),
+        "failed_pods_by_type": by_type,
         "fractions": fractions})
 
 
 def test_table8_failure_reasons():
-    result = run_study()
-    fractions = result.reason_fractions()
+    fractions = shares(failed_pods_by_reason(run_study()))
     rows = []
     for reason, paper_pct in sorted(PAPER_REASONS.items(),
                                     key=lambda kv: -kv[1]):

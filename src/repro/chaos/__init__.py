@@ -1,13 +1,13 @@
 """Deterministic chaos engine for the FfDL platform.
 
 Composes the per-substrate fault hooks that already exist across the tree
-(:class:`~repro.sim.failure.FaultInjector` specs, Raft network partitions,
-MongoDB primary kills, object-store outage/brownout windows, kubelet crash
-injection, whole-cell blackouts and brownouts) into declarative, seeded
-scenarios.  One :class:`ChaosEngine` runs them all: it builds the
-scenario's target (a fully replicated platform, or a federation of
-cells), drives a job churn against it, injects the faults on a fixed
-schedule, checks steady-state hypotheses before and after the
+(Raft leader kills and partitions, MongoDB primary kills, object-store
+outage/brownout windows, kubelet node crashes, scheduler races,
+whole-cell blackouts and brownouts) into declarative, seeded scenarios.
+One :class:`ChaosEngine` runs them all: it builds the scenario's target
+(a platform, or a federation of cells), drives a job churn against it,
+fires each fault once or recurring at a mean time between faults,
+checks steady-state hypotheses before and after the
 injections, and emits a merged audit log that is byte-identical across
 runs with the same seed — the property ``--check-determinism`` verifies.
 
@@ -19,6 +19,7 @@ from repro.chaos.engine import (
     ChaosReport,
     HypothesisResult,
     InjectionStep,
+    JobShape,
     NodeGroup,
     RecoveryRecord,
     Scenario,
@@ -39,6 +40,7 @@ __all__ = [
     "FederationScenario",
     "HypothesisResult",
     "InjectionStep",
+    "JobShape",
     "NodeGroup",
     "RecoveryRecord",
     "SCENARIOS",

@@ -2,11 +2,11 @@
 
 A scenario is pure data: a topology, a workload shape and a schedule of
 :class:`InjectionStep` records against named fault kinds.
-:class:`ChaosEngine` is the one loop that runs any of them: it schedules
-every step through a :class:`~repro.sim.failure.FaultInjector` so each
-occurrence lands in the injector's audit log, watches each fault's
-recovery, checks steady-state hypotheses before the first injection and
-after the last recovery, and assembles the report.
+:class:`ChaosEngine` is the one loop that runs any of them: it fires
+every step, once or recurring, records each occurrence as a
+:class:`FaultEvent` in its audit log, watches each fault's recovery,
+checks steady-state hypotheses before the first injection and after the
+last recovery, and assembles the report.
 
 What differs between attacking one platform and attacking a federation
 of them lives behind the scenario's *target*: :class:`PlatformTarget`
@@ -16,14 +16,15 @@ brownout windows, kubelet node crashes, microservice replica kills) and
 target builds the substrate, binds a step to its hooks, drives the job
 churn, and says which hypotheses, counters and job states judge the run.
 
-Everything — churn arrivals, outage durations, retry jitter — draws from
+Everything — churn arrivals, recurring faults, retry jitter — draws from
 named :class:`~repro.sim.rng.RngRegistry` streams, so a scenario's merged
 audit log is identical across runs with the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.core import statuses as st
@@ -31,10 +32,10 @@ from repro.core.manifest import JobManifest
 from repro.core.platform import FfDLPlatform, PlatformConfig
 from repro.errors import SimulationError, StoreUnavailableError
 from repro.etcd.replicated import ReplicatedEtcd
+from repro.kube.events import REASON_ASSUME_FAILED, REASON_TIMEOUT
 from repro.mongo.database import MongoReplicaSet
 from repro.resilience import RetryPolicy, TRANSIENT_ERRORS
-from repro.sim.core import Environment, OBSERVER
-from repro.sim.failure import FaultEvent, FaultInjector
+from repro.sim.core import Environment, OBSERVER, Process
 from repro.sim.race import RaceDetector
 from repro.sim.rng import RngRegistry
 
@@ -57,30 +58,79 @@ PLATFORM_FAULT_KINDS = (
     "node-crash",
     "api-crash",
     "lcm-crash",
+    "scheduler-timeout",
+    "scheduler-assume",
 )
 CELL_FAULT_KINDS = ("cell-blackout", "cell-brownout")
 FAULT_KINDS = PLATFORM_FAULT_KINDS + CELL_FAULT_KINDS
 
+#: A cancelled churn job is cancelled within this long of its submission.
+CANCELLATION_DELAY_S = 120.0
+#: The fewest iterations a drawn churn job runs.
+MIN_DRAWN_ITERATIONS = 100
+
+#: Table 8's rare scheduler races, by the fault kind that injects one.
+SCHEDULER_RACES = {"scheduler-timeout": REASON_TIMEOUT,
+                   "scheduler-assume": REASON_ASSUME_FAILED}
+
 
 @dataclass(frozen=True)
 class InjectionStep:
-    """One scheduled injection: *what* to break, *when*, for *how long*."""
+    """One scheduled injection: *what* to break, *when*, for *how long*.
+
+    Without ``mtbf_s`` the step fires once, at ``at_s``.  With it the
+    step recurs per target from ``at_s`` on, at exponential gaps of
+    that mean (each target draws from its own ``fault:<kind>:<target>``
+    stream), until the scenario's horizon.  Every outage lasts exactly
+    ``duration_s``, and the next gap starts when it ends.
+    """
 
     at_s: float
     kind: str
-    #: The node (platform kinds) or the cell (cell kinds) to break.
+    #: The node (platform kinds) or the cell (cell kinds) to break.  An
+    #: untargeted ``node-crash`` breaks every provisioned node.
     target: str = ""
     duration_s: float = 0.0
     #: Kind-specific knob (brownout bandwidth fraction; cell-brownout
     #: latency inflation factor).
     param: float = 0.0
+    #: Mean time between faults of a recurring step.
+    mtbf_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"known: {', '.join(FAULT_KINDS)}")
+        if not (math.isfinite(self.at_s) and math.isfinite(self.duration_s)):
+            raise ValueError("at_s and duration_s must be finite")
         if self.at_s < 0 or self.duration_s < 0:
             raise ValueError("at_s and duration_s must be non-negative")
+        if self.param < 0:
+            raise ValueError("param must be non-negative")
+        if self.kind == "oss-brownout" and self.param > 1:
+            raise ValueError("an oss-brownout param is a bandwidth "
+                             "fraction of at most 1")
+        if self.mtbf_s is not None and not 0 < self.mtbf_s < math.inf:
+            raise ValueError("mtbf_s must be positive and finite")
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One fired fault, as the audit log records it."""
+
+    time: float
+    kind: str
+    target: str
+    duration_s: float
+
+
+@dataclass(frozen=True)
+class JobShape:
+    """One job shape of the churn's size mix and its share of arrivals."""
+
+    learners: int = 1
+    gpus_per_learner: int = 1
+    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -113,13 +163,20 @@ class Scenario:
     horizon_s: float = 900.0
     #: Extra quiet time after the horizon for recoveries and flushes.
     settle_s: float = 240.0
+    #: Churn jobs at most; none arrives after the horizon.
     jobs: int = 6
     interarrival_s: float = 20.0
+    #: Iterations of each churn job: exactly this many, or with
+    #: ``draw_iterations`` an exponential draw of this mean (at least
+    #: ``MIN_DRAWN_ITERATIONS``).
     iterations: int = 150
-    #: Shape of each churn job (defaults match the historical engine
-    #: hard-coding, so existing scenarios are unchanged).
-    learners: int = 1
-    gpus_per_learner: int = 1
+    draw_iterations: bool = False
+    #: The shapes churn jobs are drawn from, by weight.  A one-shape mix
+    #: draws nothing.
+    size_mix: Tuple[JobShape, ...] = (JobShape(),)
+    #: Chance that the user cancels a job within
+    #: ``CANCELLATION_DELAY_S`` of its submission (0 draws nothing).
+    cancel_probability: float = 0.0
     gpu_type: str = "K80"
     memory_gb_per_learner: Optional[float] = None
     #: The GPU nodes the platform is provisioned with.
@@ -270,7 +327,13 @@ class ChaosReport:
 
 
 class PlatformTarget:
-    """One fully replicated FfDL platform under a seeded job churn."""
+    """One FfDL platform under a seeded job churn.
+
+    The stores are replicated only where a step breaks them: etcd runs
+    as a Raft group when a step kills its leader or partitions it, and
+    MongoDB as a replica set when a step kills its primary.  Otherwise
+    each is one standalone store, which costs a long run nothing.
+    """
 
     #: How a step's target reads in the audit log, and the prefix of
     #: the engine's process names.
@@ -282,9 +345,11 @@ class PlatformTarget:
         self.engine = engine
         self.env = engine.env
         self.scenario = engine.scenario
+        kinds = {step.kind for step in self.scenario.steps}
         self.platform = FfDLPlatform(self.env, engine.rng, PlatformConfig(
-            etcd_replicas=3,
-            mongo_secondaries=2,
+            etcd_replicas=3 if kinds & {"etcd-leader-kill",
+                                        "etcd-partition"} else 0,
+            mongo_secondaries=2 if "mongo-primary-kill" in kinds else 0,
             mongo_election_delay_s=4.0,
             client_breakers=True,
             mount_retry=RetryPolicy(max_attempts=6, base_delay_s=0.2,
@@ -300,20 +365,25 @@ class PlatformTarget:
 
     # -- fault binding ------------------------------------------------------
 
+    def expand(self, step: InjectionStep) -> List[InjectionStep]:
+        """The steps ``step`` stands for: an untargeted node crash is
+        one step per provisioned node."""
+        if step.kind != "node-crash" or step.target:
+            return [step]
+        return [replace(step, target=name) for group in self.scenario.nodes
+                for name in group.node_names()]
+
     def bind(self, step: InjectionStep):
-        """(inject, recover, healthy) callables for one step."""
+        """(inject, recover, healthy) callables for one step; ``healthy``
+        is None for a fault that leaves nothing to recover."""
         platform = self.platform
         state: Dict[str, object] = {}
 
         if step.kind == "etcd-leader-kill":
-            if not isinstance(platform.etcd, ReplicatedEtcd):
-                raise SimulationError(
-                    "etcd-leader-kill needs etcd_replicas > 0")
-
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 state["node"] = platform.etcd.crash_leader()
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 node = state.get("node")
                 if node:
                     platform.etcd.restart_replica(node)
@@ -322,12 +392,9 @@ class PlatformTarget:
                 return platform.etcd.cluster.leader() is not None
 
         elif step.kind == "etcd-partition":
-            if not isinstance(platform.etcd, ReplicatedEtcd):
-                raise SimulationError(
-                    "etcd-partition needs etcd_replicas > 0")
             raft = platform.etcd.cluster
 
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 leader = raft.leader()
                 state["term"] = leader.current_term if leader else 0
                 if leader is not None:
@@ -335,7 +402,7 @@ class PlatformTarget:
                               if node_id != leader.node_id}
                     raft.network.partition({leader.node_id}, others)
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 raft.network.heal_all()
 
             def healthy() -> bool:
@@ -345,25 +412,21 @@ class PlatformTarget:
                     leader.current_term > int(state.get("term", 0))
 
         elif step.kind == "mongo-primary-kill":
-            if not isinstance(platform.mongo, MongoReplicaSet):
-                raise SimulationError(
-                    "mongo-primary-kill needs mongo_secondaries > 0")
-
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 state["index"] = platform.mongo.primary_index
                 platform.mongo.crash_member(state["index"])
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 platform.mongo.restart_member(int(state["index"]))
 
             def healthy() -> bool:
                 return platform.mongo.has_primary
 
         elif step.kind == "oss-outage":
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 platform.oss.begin_outage()
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 platform.oss.end_outage()
 
             def healthy() -> bool:
@@ -372,11 +435,11 @@ class PlatformTarget:
         elif step.kind == "oss-brownout":
             fraction = step.param or 0.1
 
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 platform.oss.set_bandwidth(
                     platform.oss.nominal_bandwidth_bps * fraction)
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 platform.oss.restore_bandwidth()
 
             def healthy() -> bool:
@@ -384,30 +447,37 @@ class PlatformTarget:
                     platform.oss.nominal_bandwidth_bps
 
         elif step.kind == "node-crash":
-            if not step.target:
-                raise SimulationError("node-crash needs a target node")
-
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 platform.cluster.fail_node(step.target)
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 platform.cluster.recover_node(step.target)
 
             def healthy() -> bool:
                 return platform.cluster.node_is_up(step.target)
 
+        elif step.kind in SCHEDULER_RACES:
+            def inject() -> None:
+                platform.cluster.scheduler.inject_race(
+                    SCHEDULER_RACES[step.kind])
+
+            def recover() -> None:
+                pass  # the race fails one placement attempt
+
+            healthy = None
+
         else:  # api-crash / lcm-crash
             service = platform.api_service if step.kind == "api-crash" \
                 else platform.lcm
 
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 # Kill the whole replica set so availability actually
                 # drops; recovery time is the fastest replica's restart
                 # (the quantity Table 3 reports).
                 for _ in range(service.replicas_up):
                     service.crash_replica()
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 pass  # replicas restart themselves
 
             def healthy() -> bool:
@@ -418,22 +488,43 @@ class PlatformTarget:
     # -- workload -----------------------------------------------------------
 
     def churn(self):
-        for index in range(self.scenario.jobs):
-            yield self.env.timeout(self.stream.expovariate(
-                1.0 / self.scenario.interarrival_s))
-            self.env.process(self._one_job(index),
-                             name=f"chaos-job:{index}")
+        """Arrivals at exponential gaps until ``jobs`` or the horizon.
 
-    def _one_job(self, index: int):
+        Every draw of a job (its gap, shape, iterations, cancellation)
+        is made here, in arrival order, so no two job processes ever
+        draw from the stream at the same instant."""
+        scenario, stream = self.scenario, self.stream
+        weights = [shape.weight for shape in scenario.size_mix]
+        for index in range(scenario.jobs):
+            gap = stream.expovariate(1.0 / scenario.interarrival_s)
+            if self.env.now + gap >= scenario.horizon_s:
+                return
+            yield self.env.timeout(gap)
+            shape = scenario.size_mix[0] if len(weights) == 1 \
+                else stream.choices(scenario.size_mix, weights)[0]
+            iterations = scenario.iterations
+            if scenario.draw_iterations:
+                iterations = max(MIN_DRAWN_ITERATIONS, int(
+                    stream.expovariate(1.0 / iterations)))
+            cancel_after = None
+            if scenario.cancel_probability and \
+                    stream.random() < scenario.cancel_probability:
+                cancel_after = stream.random() * CANCELLATION_DELAY_S
+            self.env.process(
+                self._one_job(index, shape, iterations, cancel_after),
+                name=f"chaos-job:{index}")
+
+    def _one_job(self, index: int, shape: JobShape, iterations: int,
+                 cancel_after: Optional[float]):
         manifest = JobManifest(
             name=f"chaos-{index}", user="chaos", framework="tensorflow",
             model="resnet50", data_bucket=f"chaos-data-{index}",
             result_bucket="chaos-results",
-            learners=self.scenario.learners,
-            gpus_per_learner=self.scenario.gpus_per_learner,
+            learners=shape.learners,
+            gpus_per_learner=shape.gpus_per_learner,
             gpu_type=self.scenario.gpu_type,
             memory_gb_per_learner=self.scenario.memory_gb_per_learner,
-            iterations=self.scenario.iterations,
+            iterations=iterations,
             dataset_objects=2, dataset_object_bytes=32e6)
         try:
             job_id = yield self.platform.submit_job(manifest)
@@ -444,6 +535,12 @@ class PlatformTarget:
             return
         self.engine.submitted.append(job_id)
         self.engine.log(f"submitted {job_id} (chaos-{index})")
+        if cancel_after is None:
+            return
+        yield self.env.timeout(cancel_after)
+        if not self.platform.job(job_id).status.is_terminal:
+            self.platform.preempt_job(job_id, reason="user cancelled")
+            self.engine.log(f"cancelled {job_id}")
 
     # -- hypotheses ---------------------------------------------------------
 
@@ -558,7 +655,7 @@ class PlatformTarget:
             "degraded-windows": len(writer.degraded_periods),
             "mongo-retries": platform.mongo_client.retries,
             "etcd-retries": platform.etcd_client.retries,
-            "faults-injected": len(self.engine.injector.log),
+            "faults-injected": len(self.engine.faults),
         }
         if isinstance(platform.mongo, MongoReplicaSet):
             counters["mongo-failovers"] = len(platform.mongo.failover_log)
@@ -600,15 +697,18 @@ class ChaosEngine:
         self.race_detector = RaceDetector(self.env) if detect_races else None
         self.rng = RngRegistry(seed)
         self._engine_log: List[Tuple[float, str]] = []
+        #: Every fault fired, in firing order.
+        self.faults: List[FaultEvent] = []
         self.hypotheses: List[HypothesisResult] = []
         self.recoveries: List[RecoveryRecord] = []
         #: Fired faults nobody has seen recover yet: (step, fired at).
         self._unrecovered: List[Tuple[InjectionStep, float]] = []
+        #: The fault and watch processes; one that raised fails the run.
+        self._fault_procs: List[Process] = []
         self.submitted: List[str] = []
         self.submit_failures = 0
         self._ran = False
         self.target = scenario.target(self)
-        self.injector = FaultInjector(self.env, self.rng)
 
     # -- audit --------------------------------------------------------------
 
@@ -616,20 +716,19 @@ class ChaosEngine:
         self._engine_log.append((self.env.now, text))
 
     def audit_lines(self) -> List[str]:
-        """Engine events merged with the injector's own audit log.
+        """Fired faults merged with the engine's own events.
 
-        At equal timestamps the injector record comes first (it is
-        written before the fault callback runs); *within* one source and
-        timestamp, lines sort canonically by text.  Within-tick append
-        order is exactly what the kernel is free to permute when two
-        events tie (see :class:`~repro.sim.core.Environment`), so the
-        witness treats one instant's lines as an unordered set.  The
-        merged log is the determinism contract: two runs with the same
-        scenario seed must produce identical lines under *every*
-        tie-break seed.
+        At equal timestamps the fault record comes first (it is written
+        before the fault is applied); *within* one source and timestamp,
+        lines sort canonically by text.  Within-tick append order is
+        exactly what the kernel is free to permute when two events tie
+        (see :class:`~repro.sim.core.Environment`), so the witness treats
+        one instant's lines as an unordered set.  The merged log is the
+        determinism contract: two runs with the same scenario seed must
+        produce identical lines under *every* tie-break seed.
         """
         entries: List[Tuple[float, int, str, int]] = []
-        for seq, fault in enumerate(self.injector.log):
+        for seq, fault in enumerate(self.faults):
             entries.append((fault.time, 0,
                             f"fault {fault.kind} target={fault.target} "
                             f"duration={fault.duration_s:.3f}", seq))
@@ -650,28 +749,55 @@ class ChaosEngine:
                 f"scenario {self.scenario.name!r} cannot inject "
                 f"{step.kind!r}; its target binds: "
                 f"{', '.join(self.target.FAULT_KINDS)}")
-        inject, recover, healthy = self.target.bind(step)
+        label = step.target or step.kind
+        bound = self.target.bind(step)
+        if step.mtbf_s is None:
+            fault, name = self._once(step, label, bound), "fault-once"
+        else:
+            fault, name = self._recurring(step, label, bound), "fault"
+        self._fault_procs.append(self.env.process(
+            fault, name=f"{name}:{step.kind}:{label}"))
 
-        def on_fault(event: FaultEvent) -> None:
-            inject(event)
-            self.log(f"inject {step.kind} {self._where(step)} "
-                     f"duration={step.duration_s:g}")
+    def _once(self, step: InjectionStep, label: str, bound):
+        yield self.env.timeout(step.at_s)
+        yield from self._fire(step, label, *bound)
+
+    def _recurring(self, step: InjectionStep, label: str, bound):
+        stream = self.rng.stream(f"fault:{step.kind}:{label}")
+        yield self.env.timeout(step.at_s)
+        while True:
+            gap = stream.expovariate(1.0 / step.mtbf_s)
+            if self.env.now + gap >= self.scenario.horizon_s:
+                return
+            yield self.env.timeout(gap)
+            yield from self._fire(step, label, *bound)
+
+    def _fire(self, step: InjectionStep, label: str, inject, recover,
+              healthy):
+        """One occurrence: record, apply, watch, and recover after
+        ``duration_s``."""
+        self.faults.append(FaultEvent(self.env.now, step.kind, label,
+                                      step.duration_s))
+        inject()
+        self.log(f"inject {step.kind} {self._where(step)} "
+                 f"duration={step.duration_s:g}")
+        if healthy is not None:
             fired = (step, self.env.now)
             self._unrecovered.append(fired)
-            self.env.process(self._watch_recovery(fired, healthy),
-                             name=f"{self.target.PREFIX}-watch:{step.kind}")
-
-        def on_recover(event: FaultEvent) -> None:
-            recover(event)
-            self.log(f"recover {step.kind} {self._where(step)}")
-
-        self.injector.inject_once(
-            step.kind, step.target or step.kind, step.at_s, on_fault,
-            duration_s=step.duration_s, on_recover=on_recover)
+            self._fault_procs.append(self.env.process(
+                self._watch_recovery(fired, healthy),
+                name=f"{self.target.PREFIX}-watch:{step.kind}"))
+        if step.duration_s > 0:
+            yield self.env.timeout(step.duration_s)
+        recover()
+        self.log(f"recover {step.kind} {self._where(step)}")
 
     def _watch_recovery(self, fired, healthy):
         step, started = fired
-        while self.env.now - started < self.RECOVERY_TIMEOUT_S:
+        # The deadline counts from the end of the outage: a fault cannot
+        # recover while it is still being applied.
+        deadline = started + step.duration_s + self.RECOVERY_TIMEOUT_S
+        while self.env.now < deadline:
             # OBSERVER priority: sample the tick's settled state, so a
             # recovery landing exactly on a poll boundary is measured
             # identically under every legal tie-breaking order.
@@ -684,6 +810,16 @@ class ChaosEngine:
                 self.log(f"recovered {step.kind} {self._where(step)} "
                          f"after {duration:.2f}s")
                 return
+
+    def _raise_fault_errors(self) -> None:
+        """Fail the run if applying, recovering or watching a fault
+        raised: nothing waits on those processes, so the kernel keeps
+        their exception to itself."""
+        for proc in self._fault_procs:
+            if proc.triggered and not proc.ok:
+                raise SimulationError(
+                    f"scenario {self.scenario.name!r}: {proc.name} "
+                    f"raised {proc.value!r}") from proc.value
 
     # -- hypotheses ---------------------------------------------------------
 
@@ -720,9 +856,11 @@ class ChaosEngine:
         self.env.process(baseline(), name=f"{prefix}-baseline")
         self.env.process(self.target.churn(), name=f"{prefix}-churn")
         for step in self.scenario.steps:
-            self._schedule_step(step)
+            for one in self.target.expand(step):
+                self._schedule_step(one)
         self.env.run(until=self.scenario.horizon_s
                      + self.scenario.settle_s)
+        self._raise_fault_errors()
         self.env.run_until_complete(
             self.env.process(self._check_hypotheses("steady-state:after"),
                              name=f"{prefix}-final"),

@@ -41,7 +41,6 @@ from repro.federation import (
     FederationDispatcher,
     HEALTHY,
 )
-from repro.sim.failure import FaultEvent
 from repro.workloads.federation_trace import (
     FederationTrace,
     FederationTraceConfig,
@@ -131,6 +130,10 @@ class FederationTarget:
 
     # -- fault binding -----------------------------------------------------
 
+    def expand(self, step: InjectionStep):
+        """Every cell fault names its one cell."""
+        return [step]
+
     def bind(self, step: InjectionStep):
         cell = self.cells.get(step.target)
         if cell is None:
@@ -139,18 +142,18 @@ class FederationTarget:
         monitor = self.dispatcher.monitors[cell.name]
 
         if step.kind == "cell-blackout":
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 cell.begin_blackout()
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 cell.end_blackout()
         else:  # cell-brownout
             factor = step.param or 200.0
 
-            def inject(event: FaultEvent) -> None:
+            def inject() -> None:
                 cell.begin_brownout(latency_factor=factor)
 
-            def recover(event: FaultEvent) -> None:
+            def recover() -> None:
                 cell.end_brownout()
 
         noticed = False
@@ -299,7 +302,7 @@ class FederationTarget:
             counters[f"{name}-completed"] = sum(
                 1 for job in platform.jobs.values()
                 if job.status.current == st.COMPLETED)
-        counters["faults-injected"] = len(self.engine.injector.log)
+        counters["faults-injected"] = len(self.engine.faults)
         return counters
 
     def job_states(self) -> Dict[str, str]:

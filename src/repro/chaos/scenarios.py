@@ -5,14 +5,20 @@ Each scenario is pure data (:class:`~repro.chaos.engine.Scenario` or
 the fault kinds to the substrate hooks at run time.  Node targets follow
 the cluster naming convention ``node-<gpu_type>-<index>`` for the four
 K80 nodes a :class:`~repro.chaos.engine.Scenario` provisions by default.
+
+The two failure-study scenarios run at the paper's rates for one
+simulated hour; ``benchmarks/test_fig6_table8_failures.py`` and
+``benchmarks/test_fig7_fig8_node_failures.py`` lengthen the horizon to
+days with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Union
 
-from repro.chaos.engine import InjectionStep, Scenario
+from repro.chaos.engine import InjectionStep, JobShape, NodeGroup, Scenario
 from repro.chaos.federation import CellDef, FederationScenario
+from repro.workloads.trace import SECONDS_PER_DAY
 
 ETCD_LEADER_KILL = Scenario(
     name="etcd-leader-kill",
@@ -97,6 +103,63 @@ EVERYTHING_AT_ONCE = Scenario(
     horizon_s=1100.0,
     settle_s=300.0,
     jobs=8,
+)
+
+#: The failure study's cluster: deliberately CPU-tight nodes, so four
+#: 4-CPU learners leave ~3.4 CPUs for helper and guardian pods and
+#: lhelper pods also contend (Figure 6's lhelper share).
+FAILURE_STUDY_NODES = (NodeGroup(20, 4, "K80", cpus=19.4, memory_gb=256.0),)
+FAILURE_STUDY_SIZE_MIX = (JobShape(1, 1, 0.62), JobShape(1, 2, 0.18),
+                          JobShape(2, 1, 0.12), JobShape(2, 2, 0.08))
+#: How long a crashed node stays down.
+NODE_OUTAGE_S = 900.0
+
+FIG6_TABLE8_FAILURES = Scenario(
+    name="fig6-table8-failures",
+    description="Section 5.6's scheduler logs (Fig 6, Table 8): 20 "
+                "CPU-tight K80 nodes at 80-90% GPU load, 550 jobs a day "
+                "of which 12% are cancelled, every node crashing at a "
+                "45-day MTBF, and Table 8's scheduler timeout and "
+                "assume races once a day each.",
+    steps=(
+        InjectionStep(at_s=0.0, kind="node-crash", duration_s=NODE_OUTAGE_S,
+                      mtbf_s=45 * SECONDS_PER_DAY),
+        InjectionStep(at_s=0.0, kind="scheduler-assume",
+                      mtbf_s=SECONDS_PER_DAY),
+        InjectionStep(at_s=0.0, kind="scheduler-timeout",
+                      mtbf_s=SECONDS_PER_DAY),
+    ),
+    horizon_s=3600.0,
+    settle_s=1200.0,
+    jobs=10 ** 6,
+    interarrival_s=SECONDS_PER_DAY / 550,
+    iterations=6500,
+    draw_iterations=True,
+    size_mix=FAILURE_STUDY_SIZE_MIX,
+    cancel_probability=0.12,
+    nodes=FAILURE_STUDY_NODES,
+)
+
+FIG7_FIG8_NODE_FAILURES = Scenario(
+    name="fig7-fig8-node-failures",
+    description="Section 5.6's pod deletions (Figs 7-8): the failure "
+                "study's cluster at production's churn-to-crash ratio, "
+                "320 jobs a day of which 6% are cancelled and every "
+                "node crashing at a 40-day MTBF, so crashes are a few "
+                "per ten days against thousands of routine deletions.",
+    steps=(
+        InjectionStep(at_s=0.0, kind="node-crash", duration_s=NODE_OUTAGE_S,
+                      mtbf_s=40 * SECONDS_PER_DAY),
+    ),
+    horizon_s=3600.0,
+    settle_s=1200.0,
+    jobs=10 ** 6,
+    interarrival_s=SECONDS_PER_DAY / 320,
+    iterations=4000,
+    draw_iterations=True,
+    size_mix=FAILURE_STUDY_SIZE_MIX,
+    cancel_probability=0.06,
+    nodes=FAILURE_STUDY_NODES,
 )
 
 FEDERATION_CELL_OUTAGE = FederationScenario(
@@ -190,6 +253,8 @@ SCENARIOS: Dict[str, Union[Scenario, FederationScenario]] = {
         OBJECTSTORE_BROWNOUT,
         ROLLING_NODE_CRASHES,
         EVERYTHING_AT_ONCE,
+        FIG6_TABLE8_FAILURES,
+        FIG7_FIG8_NODE_FAILURES,
         FEDERATION_CELL_OUTAGE,
         FEDERATION_BROWNOUT_MIGRATION,
         FEDERATION_TRACE_3K,

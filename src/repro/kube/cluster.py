@@ -23,10 +23,10 @@ from repro.kube.scheduling.framework import Scheduler, SchedulerConfig
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 
-#: Default grace period between a deletion request and object removal,
-#: during which the scheduler can observe the 'skip schedule deleting pod'
-#: condition.  (Kubernetes' default termination grace is 30s; tests use a
-#: shorter default for speed.)
+#: Grace period between a deletion request and object removal, during
+#: which the scheduler can observe the 'skip schedule deleting pod'
+#: condition.  (Kubernetes' default termination grace is 30s; 1 s keeps
+#: every Fig 6-8 and Table 8 claim.)
 DELETION_GRACE_S = 1.0
 
 
@@ -37,7 +37,6 @@ class Cluster:
                  scheduler_config: Optional[SchedulerConfig] = None,
                  node_detection_latency_s: float = 40.0,
                  pod_eviction_timeout_s: float = 60.0,
-                 deletion_grace_s: float = DELETION_GRACE_S,
                  terminal_pod_gc_ttl_s: float = 600.0):
         self.env = env
         self.rng = rng
@@ -47,7 +46,6 @@ class Cluster:
         self.kubelets: Dict[str, Kubelet] = {}
         self._assignments: Dict[str, Tuple[str, ResourceRequest]] = {}
         self._dead_nodes: set = set()
-        self.deletion_grace_s = deletion_grace_s
         self.scheduler = Scheduler(env, self.api, self, rng,
                                    scheduler_config)
         self.controllers = WorkloadControllers(env, self.api, self)
@@ -151,7 +149,7 @@ class Cluster:
                                   pod.meta.labels.get("type"), cause))
 
         def finalize():
-            yield self.env.timeout(self.deletion_grace_s)
+            yield self.env.timeout(DELETION_GRACE_S)
             # The name may have been reused by a replacement pod by now:
             # only finalize the exact object this deletion targeted.
             current = self.api.try_get_pod(name)

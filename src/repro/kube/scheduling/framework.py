@@ -31,13 +31,11 @@ from repro.kube.events import (
     PREDICATE_INSUFFICIENT_GPU,
     PREDICATE_MATCH_NODE_SELECTOR,
     PREDICATE_NODE_UNSCHEDULABLE,
-    REASON_ASSUME_FAILED,
     REASON_BINDING_REJECTED,
     REASON_NO_NODES,
     REASON_POD_NOT_FOUND,
     REASON_PVC_NOT_FOUND,
     REASON_SKIP_DELETING,
-    REASON_TIMEOUT,
     SCHEDULED,
 )
 from repro.kube.objects import PENDING, Pod
@@ -61,16 +59,6 @@ class SchedulerConfig:
     gang: bool = False
     #: BSA gang-placement objective: "pack" (FfDL's choice) or "balance".
     bsa_objective: str = OBJECTIVE_PACK
-    #: Informer-cache staleness: for this long after a deletion is
-    #: requested, the scheduler still sees the pod as live, proceeds to
-    #: select a node, and has the binding rejected by the (authoritative)
-    #: API server — the dominant mechanism behind production's 17%
-    #: "Binding Rejected" share.
-    informer_staleness_s: float = 0.5
-    #: Probabilities of the rare scheduler races observed in production
-    #: (Table 8): API-server timeouts and stale assume-cache failures.
-    timeout_race_probability: float = 0.0
-    assume_race_probability: float = 0.0
     #: The paper observes that "the order in which learner pods are queued
     #: by K8S for scheduling is non deterministic".  When True (default),
     #: same-instant arrivals are reordered by a bounded random displacement
@@ -88,6 +76,12 @@ class SchedulerConfig:
                             f"{self.bsa_objective!r}")
 
 
+#: Informer-cache staleness: for this long after a deletion is
+#: requested, the scheduler still sees the pod as live, proceeds to
+#: select a node, and has the binding rejected by the (authoritative)
+#: API server — the dominant mechanism behind production's 17%
+#: "Binding Rejected" share.
+INFORMER_STALENESS_S = 0.5
 #: Coalescing delay before a scheduling pass after a wake-up.
 BATCH_DELAY_S = 0.01
 #: Cost of considering one pod (predicate + priority evaluation).
@@ -142,8 +136,11 @@ class Scheduler(Placement):
         self._wake = env.event()
         self.pods_scheduled = 0
         #: PVC deletions the informer may not have observed yet, oldest
-        #: first; an entry lives for ``informer_staleness_s``.
+        #: first; an entry lives for ``INFORMER_STALENESS_S``.
         self._pvc_deleted_at: Dict[str, float] = {}
+        #: Injected races (FailedScheduling reasons), each failing the
+        #: next placement attempt that gets past the other checks.
+        self._races: List[str] = []
         #: ``_predicate_summary`` by (sorted selector items, wanted
         #: GPUs), valid while the journal ends at ``_summaries_at``.
         self._summaries: Dict[tuple, str] = {}
@@ -216,7 +213,7 @@ class Scheduler(Placement):
         deleted, now = self._pvc_deleted_at, self.env.now
         while deleted:
             oldest = next(iter(deleted))
-            if now - deleted[oldest] < self.config.informer_staleness_s:
+            if now - deleted[oldest] < INFORMER_STALENESS_S:
                 break
             del deleted[oldest]
         deleted.pop(pvc.name, None)  # re-insert: keep oldest-first order
@@ -230,6 +227,11 @@ class Scheduler(Placement):
             self.add_node(node)
         else:
             self.invalidate(node.name)
+
+    def inject_race(self, reason: str) -> None:
+        """Fail the next placement attempt with ``reason``: Table 8's
+        rare rows, an API-server timeout or a stale assume-cache entry."""
+        self._races.append(reason)
 
     def kick(self) -> None:
         """Wake the scheduling loop (new pod, freed resources, bound PVC)."""
@@ -298,7 +300,7 @@ class Scheduler(Placement):
             return None
         if pod.meta.deletion_requested:
             staleness = self.env.now - pod.meta.deletion_requested_at
-            if staleness < self.config.informer_staleness_s:
+            if staleness < INFORMER_STALENESS_S:
                 # The scheduler's informer cache has not seen the deletion
                 # yet: proceed; the API server will reject the binding.
                 return pod
@@ -316,16 +318,10 @@ class Scheduler(Placement):
                        MESSAGE_TEMPLATES[REASON_PVC_NOT_FOUND].format(
                            claim=missing_claim, n=1), pod)
             return None
-        if self.config.timeout_race_probability and \
-                self.rng.random() < self.config.timeout_race_probability:
-            self._emit(name, REASON_TIMEOUT,
-                       MESSAGE_TEMPLATES[REASON_TIMEOUT], pod)
-            return None
-        if self.config.assume_race_probability and \
-                self.rng.random() < self.config.assume_race_probability:
-            self._emit(name, REASON_ASSUME_FAILED,
-                       MESSAGE_TEMPLATES[REASON_ASSUME_FAILED].format(
-                           pod=name), pod)
+        if self._races:
+            reason = self._races.pop(0)
+            self._emit(name, reason,
+                       MESSAGE_TEMPLATES[reason].format(pod=name), pod)
             return None
         return pod
 
@@ -336,7 +332,7 @@ class Scheduler(Placement):
                 deleted_at = self._pvc_deleted_at.get(claim)
                 if deleted_at is not None and \
                         self.env.now - deleted_at < \
-                        self.config.informer_staleness_s:
+                        INFORMER_STALENESS_S:
                     # The informer still shows the claim as bound; the
                     # binding API call will be the one to reject it.
                     continue

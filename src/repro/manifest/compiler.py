@@ -124,7 +124,8 @@ def manifest_source(scenario: Union[Scenario, FederationScenario]) -> str:
         "description": scenario.description,
         "topology": {topology: [_declared(entry) for entry
                                 in getattr(scenario, topology)]},
-        "workload": {key: declared[key]
+        "workload": {key: [_declared(shape) for shape in declared[key]]
+                     if key == "size_mix" else declared[key]
                      for key in WORKLOAD_FIELDS[scenario.kind]
                      if key in declared},
         "faults": [{where if key == "target" else key: value

@@ -20,7 +20,8 @@ The chaos dataclasses are the schema.  A topology entry is a
 :class:`NodeGroup` or :class:`CellDef`, a fault is an
 :class:`InjectionStep` (a federation spells its ``target`` as ``cell``),
 ``run`` holds the scenario's ``horizon_s`` / ``settle_s`` and
-``workload`` every other scalar scenario field, plus ``seed``.  The
+``workload`` every other scalar scenario field, plus ``seed`` and (for
+``kind: chaos``) the ``size_mix`` list of :class:`JobShape` entries.  The
 field tables the static analyzer (MAN001 unknown field / wrong type /
 missing required, :mod:`repro.staticcheck.manifest`) and the printer
 read are derived from those dataclasses with :func:`dataclass_fields`,
@@ -39,6 +40,7 @@ from typing import Dict, Optional, Tuple, get_type_hints
 
 from repro.chaos.engine import (
     InjectionStep,
+    JobShape,
     NodeGroup,
     PlatformTarget,
     Scenario,
@@ -90,6 +92,7 @@ class CounterAssertion:
 
 #: How a scalar dataclass annotation reads in a manifest.
 _SCALARS = {
+    bool: Field("boolean", (bool,)),
     int: Field("integer", (int,)),
     float: Field("number", (int, float)),
     Optional[float]: Field("number", (int, float)),
@@ -170,6 +173,8 @@ WORKLOAD_FIELDS = {
               if key not in ROOT_FIELDS and key not in RUN_FIELDS},
            "seed": Field("integer or 'inherit'", (int, str))}
     for kind, scenario_type in SCENARIO_TYPES.items()}
+WORKLOAD_FIELDS["chaos"]["size_mix"] = _LIST
+SIZE_MIX_FIELDS = dataclass_fields(JobShape)
 
 STEP_FIELDS = {
     "chaos": dataclass_fields(InjectionStep),

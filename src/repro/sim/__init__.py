@@ -9,7 +9,6 @@ from repro.sim.core import (
     Process,
     Timeout,
 )
-from repro.sim.failure import FaultEvent, FaultInjector, FaultSpec
 from repro.sim.mailbox import Mailbox
 from repro.sim.race import (
     RaceDetector,
@@ -27,9 +26,6 @@ __all__ = [
     "Environment",
     "Event",
     "FairShareLink",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSpec",
     "Interrupt",
     "Mailbox",
     "Process",

@@ -33,7 +33,7 @@ import re
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos import SCENARIOS, InjectionStep
+from repro.chaos import InjectionStep, JobShape, SCENARIOS
 from repro.chaos.federation import FederationTarget
 from repro.errors import SimulationError
 from repro.manifest.compiler import CompiledScenario
@@ -50,6 +50,7 @@ from repro.manifest.schema import (
     RUN_FIELDS,
     SCENARIO_TYPES,
     SEED_INHERIT,
+    SIZE_MIX_FIELDS,
     STEP_FIELDS,
     STEP_TARGET,
     TOPOLOGY,
@@ -284,9 +285,26 @@ class _Analysis:
         values = self._check_mapping(node, WORKLOAD_FIELDS[self.kind],
                                      "workload")
         values.pop("seed", None)
+        if "size_mix" in values:
+            values["size_mix"] = self._size_mix(node.get("size_mix"))
         self._values.update(values)
         self._check_seed(node)
         self._check_wallclock(node, "workload")
+
+    def _size_mix(self, node: YamlNode) -> Tuple[JobShape, ...]:
+        """The well-typed shapes of ``workload.size_mix``."""
+        section = "workload.size_mix entry"
+        shapes = []
+        for entry in node:
+            if entry.is_mapping:
+                shapes.append(JobShape(**self._check_mapping(
+                    entry, SIZE_MIX_FIELDS, section)))
+            else:
+                self._emit("MAN001", entry, 0, f"{section} must be a mapping")
+        if not node.value:
+            self._emit("MAN001", node, 0,
+                       "workload.size_mix needs at least one shape")
+        return tuple(shapes) or (JobShape(),)
 
     def _walk_run(self, node: Optional[YamlNode]) -> None:
         if node is None or not node.is_mapping:
@@ -322,10 +340,6 @@ class _Analysis:
                 f"{', '.join(known_fault_kinds(self.kind))}")
             kind = None
         target = values.get("target")
-        if self.kind == "chaos" and kind == "node-crash" and not target:
-            self._emit("MAN001", step, 0,
-                       "missing required field 'target' for a "
-                       "node-crash fault")
         if target:
             if self.kind == "chaos":
                 declared = {name for group, _node in self._blocks
@@ -339,20 +353,20 @@ class _Analysis:
             if declared and target not in declared:
                 self._emit("MAN002", step.get(where), 0,
                            message + ", ".join(sorted(declared)))
-        param = step.get("param")
-        if "param" in values and kind in _PARAM_RANGES:
-            in_range, meaning = _PARAM_RANGES[kind]
-            if not in_range(values["param"]):
-                self._emit("MAN001", param, 0,
-                           f"{kind} param {param.value!r} is out of "
-                           f"range: it is {meaning}")
         if "at_s" not in values or kind is None:
             return
-        try:  # the dataclass rejects negative times
+        try:  # the dataclass rejects values no run can mean
             built = InjectionStep(**values)
         except ValueError as err:
             self._emit("MAN001", step, 0, str(err))
             return
+        if "param" in values and kind in _PARAM_RANGES:
+            in_range, meaning = _PARAM_RANGES[kind]
+            if not in_range(built.param):
+                param = step.get("param")
+                self._emit("MAN001", param, 0,
+                           f"{kind} param {param.value!r} is out of "
+                           f"range: it is {meaning}")
         self._steps.append(built)
         self._inline.append((built, step))
 
@@ -487,7 +501,6 @@ class _Analysis:
             return
         scenario = self.scenario
         gpu_type = scenario.gpu_type
-        per_learner = scenario.gpus_per_learner
         groups = [g for g, _node in self._blocks if g.gpu_type == gpu_type]
         if not groups:
             declared = sorted({g.gpu_type for g, _node in self._blocks})
@@ -498,22 +511,24 @@ class _Analysis:
                 f"(declared: {', '.join(declared)})")
             return
         largest = max(g.gpus_per_node for g in groups)
-        if per_learner > largest:
-            self._emit(
-                "MAN003", self._anchor(), 0,
-                f"a learner needs {per_learner} {gpu_type} GPUs but "
-                f"the largest declared node has {largest} (no bin fits "
-                f"the item)")
-            return
-        placeable = sum(g.count * (g.gpus_per_node // per_learner)
-                        for g in groups)
-        if scenario.learners > placeable:
-            self._emit(
-                "MAN003", self._anchor(), 0,
-                f"a {scenario.learners}-learner gang at {per_learner} "
-                f"GPUs each can never place: the topology fits at most "
-                f"{placeable} such learners simultaneously "
-                f"(bin-packing lower bound)")
+        for shape in scenario.size_mix:
+            per_learner = shape.gpus_per_learner
+            if per_learner > largest:
+                self._emit(
+                    "MAN003", self._anchor(), 0,
+                    f"a learner needs {per_learner} {gpu_type} GPUs but "
+                    f"the largest declared node has {largest} (no bin "
+                    f"fits the item)")
+                continue
+            placeable = sum(g.count * (g.gpus_per_node // per_learner)
+                            for g in groups)
+            if shape.learners > placeable:
+                self._emit(
+                    "MAN003", self._anchor(), 0,
+                    f"a {shape.learners}-learner gang at {per_learner} "
+                    f"GPUs each can never place: the topology fits at "
+                    f"most {placeable} such learners simultaneously "
+                    f"(bin-packing lower bound)")
         memory = scenario.memory_gb_per_learner
         if memory is not None:
             max_memory = max(g.memory_gb for g in groups)
@@ -586,6 +601,13 @@ class _Analysis:
                     f"dead fault: t={step.at_s:g}s is past the end of "
                     f"the run (horizon+settle = {end:g}s); it never "
                     f"fires")
+            elif step.mtbf_s is not None and \
+                    step.at_s >= self.scenario.horizon_s:
+                self._emit(
+                    "MAN005", node, 0,
+                    f"dead fault: a recurring fault from "
+                    f"t={step.at_s:g}s starts at or after the horizon "
+                    f"({self.scenario.horizon_s:g}s); it never fires")
         # A fault inside an earlier whole-cell blackout (or node-crash)
         # window of its own target hits a component that is already
         # dark — it is shadowed, not composed.
@@ -593,9 +615,10 @@ class _Analysis:
             else "cell-blackout"
         windows = [(step.target, step.at_s, step.at_s + step.duration_s)
                    for step, _node in self._inline
-                   if step.kind == blackout_kind and step.duration_s > 0]
+                   if step.kind == blackout_kind and step.duration_s > 0
+                   and step.mtbf_s is None]
         for step, node in self._inline:
-            if not step.target:
+            if not step.target or step.mtbf_s is not None:
                 continue
             for w_target, w_start, w_end in windows:
                 if w_target == step.target and \

@@ -1,10 +1,5 @@
-"""Workload generators: production trace, gang bursts, scale test, churn."""
+"""Workload generators: production trace, gang bursts, scale test."""
 
-from repro.workloads.failures import (
-    FailureStudyConfig,
-    FailureStudyResult,
-    run_failure_study,
-)
 from repro.workloads.scaletest import (
     BATCHES,
     BatchResult,
@@ -41,8 +36,6 @@ __all__ = [
     "BatchResult",
     "BatchSpec",
     "CLUSTER_MACHINES",
-    "FailureStudyConfig",
-    "FailureStudyResult",
     "FederationTrace",
     "FederationTraceConfig",
     "FederationTraceJob",
@@ -59,6 +52,5 @@ __all__ = [
     "arrivals_by_day",
     "build_platform",
     "degradation_percent",
-    "run_failure_study",
     "run_gang_experiment",
 ]

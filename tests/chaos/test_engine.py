@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from repro.chaos import (
     ChaosEngine,
     InjectionStep,
+    JobShape,
     SCENARIOS,
     Scenario,
     get_scenario,
@@ -57,6 +59,16 @@ def test_injection_step_rejects_negative_times():
         InjectionStep(at_s=1.0, kind="oss-outage", duration_s=-1.0)
 
 
+@pytest.mark.parametrize("values", [
+    {"at_s": math.nan}, {"at_s": math.inf}, {"duration_s": math.nan},
+    {"duration_s": math.inf}, {"param": -0.5},
+    {"kind": "oss-brownout", "param": 2.0}, {"mtbf_s": 0.0},
+    {"mtbf_s": -60.0}, {"mtbf_s": math.inf}])
+def test_injection_step_rejects_values_no_run_can_mean(values):
+    with pytest.raises(ValueError):
+        InjectionStep(**{"at_s": 1.0, "kind": "oss-outage", **values})
+
+
 def test_get_scenario_resolves_and_rejects():
     assert get_scenario("everything-at-once").name == "everything-at-once"
     with pytest.raises(KeyError):
@@ -66,16 +78,21 @@ def test_get_scenario_resolves_and_rejects():
 def test_named_scenarios_are_consistent():
     expected = {"etcd-leader-kill", "mongo-failover-under-churn",
                 "objectstore-brownout", "rolling-node-crashes",
-                "everything-at-once", "federation-cell-outage",
+                "everything-at-once", "fig6-table8-failures",
+                "fig7-fig8-node-failures", "federation-cell-outage",
                 "federation-brownout-migration", "federation-trace-3k"}
     assert set(SCENARIOS) == expected
     for name, scenario in SCENARIOS.items():
         assert scenario.name == name
         assert scenario.steps
-    # The combined scenario exercises every fault kind of a platform.
+    # The combined scenario exercises every fault kind of a platform
+    # but Table 8's scheduler races, which the failure study injects.
     combined = {step.kind for step in
                 SCENARIOS["everything-at-once"].steps}
-    assert combined == set(PlatformTarget.FAULT_KINDS)
+    races = {step.kind for step in
+             SCENARIOS["fig6-table8-failures"].steps} - {"node-crash"}
+    assert combined | races == set(PlatformTarget.FAULT_KINDS)
+    assert not combined & races
 
 
 # -- engine runs -----------------------------------------------------------
@@ -163,6 +180,96 @@ def test_target_binds_only_its_own_fault_kinds():
         InjectionStep(at_s=30.0, kind="cell-blackout", target="cell-a"),))
     with pytest.raises(SimulationError, match="cannot inject"):
         ChaosEngine(scenario, seed=0).run()
+
+
+def test_recovery_deadline_counts_from_the_outage_end():
+    # A node down for 1000 s recovers at its scheduled end; the 900 s
+    # watch deadline must not expire while the fault is still applied.
+    scenario = dataclasses.replace(TINY, settle_s=1200.0, steps=(
+        InjectionStep(at_s=30.0, kind="node-crash", target="node-K80-0",
+                      duration_s=1000.0),))
+    report = ChaosEngine(scenario, seed=0).run()
+    assert [(rec.kind, rec.timed_out) for rec in report.recoveries] == [
+        ("node-crash", False)]
+    assert report.recoveries[0].duration_s == pytest.approx(1000.0,
+                                                            abs=0.25)
+    assert report.passed, report.render(audit=False)
+
+
+def test_a_fault_that_raises_fails_the_run():
+    # The topology has no node-K80-9: applying the crash raises, and the
+    # run must not report PASS over a fault that never happened.
+    scenario = dataclasses.replace(TINY, steps=(
+        InjectionStep(at_s=30.0, kind="node-crash", target="node-K80-9",
+                      duration_s=10.0),))
+    with pytest.raises(SimulationError, match="fault-once:node-crash:"
+                                              "node-K80-9 raised KeyError"):
+        ChaosEngine(scenario, seed=0).run()
+
+
+def test_stores_are_replicated_only_where_a_step_breaks_them():
+    def stores(*kinds):
+        scenario = dataclasses.replace(TINY, steps=tuple(
+            InjectionStep(at_s=30.0, kind=kind) for kind in kinds))
+        platform = ChaosEngine(scenario, seed=0).target.platform
+        return (type(platform.etcd).__name__,
+                type(platform.mongo).__name__)
+
+    assert stores("oss-outage") == ("EtcdStore", "MongoDatabase")
+    assert stores("etcd-partition") == ("ReplicatedEtcd", "MongoDatabase")
+    assert stores("etcd-leader-kill", "mongo-primary-kill") == \
+        ("ReplicatedEtcd", "MongoReplicaSet")
+
+
+def test_an_untargeted_node_crash_recurs_on_every_node():
+    scenario = dataclasses.replace(TINY, horizon_s=2000.0, settle_s=300.0,
+                                   steps=(InjectionStep(
+                                       at_s=0.0, kind="node-crash",
+                                       duration_s=60.0, mtbf_s=400.0),))
+    engine = ChaosEngine(scenario, seed=0)
+    report = engine.run()
+    nodes = {f"node-K80-{i}" for i in range(4)}
+    assert {fault.target for fault in engine.faults} == nodes
+    assert {name for name in engine.rng._streams
+            if name.startswith("fault:")} == \
+        {f"fault:node-crash:{node}" for node in nodes}
+    assert all(fault.time < 2000.0 for fault in engine.faults)
+    assert len(report.recoveries) == len(engine.faults)
+    assert report.passed, report.render(audit=False)
+
+
+def test_scheduler_race_kinds_fail_placement_attempts():
+    scenario = dataclasses.replace(TINY, jobs=4, steps=(
+        InjectionStep(at_s=0.0, kind="scheduler-timeout", mtbf_s=30.0),
+        InjectionStep(at_s=0.0, kind="scheduler-assume", mtbf_s=30.0)))
+    engine = ChaosEngine(scenario, seed=0)
+    report = engine.run()
+    reasons = {event.reason for event in engine.target.platform.cluster
+               .api.event_log.failed_scheduling()}
+    assert {"Timeout", "Assume Pod failed"} <= reasons
+    # An injected race leaves nothing to recover or watch.
+    assert report.recoveries == []
+    assert report.passed, report.render(audit=False)
+
+
+def test_the_churn_draws_shapes_and_cancellations_until_the_horizon():
+    scenario = dataclasses.replace(
+        TINY, steps=(), jobs=1000, interarrival_s=4.0, iterations=40,
+        draw_iterations=True, cancel_probability=0.5,
+        size_mix=(JobShape(1, 1, 0.5), JobShape(2, 2, 0.5)))
+    engine = ChaosEngine(scenario, seed=0)
+    report = engine.run()
+    jobs = engine.target.platform.jobs.values()
+    submitted = [float(line[2:].split()[0]) for line in report.audit_lines
+                 if " submitted " in line]
+    assert 30 < len(submitted) < 1000
+    assert max(submitted) < scenario.horizon_s
+    assert {(job.manifest.learners, job.manifest.gpus_per_learner)
+            for job in jobs} == {(1, 1), (2, 2)}
+    assert len({job.manifest.iterations for job in jobs}) > 1
+    assert min(job.manifest.iterations for job in jobs) >= 100
+    assert any(" cancelled " in line for line in report.audit_lines)
+    assert report.passed, report.render(audit=False)
 
 
 def test_engine_is_single_use():

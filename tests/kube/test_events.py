@@ -83,17 +83,22 @@ def test_pvc_not_found_event():
     assert REASON_PVC_NOT_FOUND in failed_reasons(cluster)
 
 
-def test_race_probabilities_emit_timeout_and_assume_events():
+def test_injected_races_emit_timeout_and_assume_events():
+    # What the scheduler-timeout / scheduler-assume fault kinds do: each
+    # injected race fails one placement attempt, which is retried.
     from repro.kube.events import REASON_ASSUME_FAILED, REASON_TIMEOUT
     env, cluster = make_cluster(nodes=1, gpus_per_node=1)
-    cluster.scheduler.config.timeout_race_probability = 0.5
-    cluster.scheduler.config.assume_race_probability = 0.5
-    for i in range(20):
+    cluster.scheduler.inject_race(REASON_TIMEOUT)
+    cluster.scheduler.inject_race(REASON_ASSUME_FAILED)
+    for i in range(3):
         cluster.api.create_pod(make_pod(env, f"p{i}", gpus=1, duration=1))
     env.run(until=300)
-    reasons = set(failed_reasons(cluster))
-    assert REASON_TIMEOUT in reasons
-    assert REASON_ASSUME_FAILED in reasons
+    assert failed_reasons(cluster)[:2] == [REASON_TIMEOUT,
+                                           REASON_ASSUME_FAILED]
+    assert failed_reasons(cluster).count(REASON_TIMEOUT) == 1
+    assert failed_reasons(cluster).count(REASON_ASSUME_FAILED) == 1
+    assert all(cluster.api.get_pod(f"p{i}").phase == "Succeeded"
+               for i in range(3))
 
 
 def test_scheduled_event_recorded():

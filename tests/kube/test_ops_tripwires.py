@@ -103,7 +103,7 @@ def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
     env.process(submit(), name="submit")
     env.run()
     assert scheduler.pods_scheduled == owners
-    # Deletions 0.4 s apart, remembered for informer_staleness_s = 0.5 s.
+    # Deletions 0.4 s apart, remembered for INFORMER_STALENESS_S = 0.5 s.
     assert 0 < peak["claims"] <= 2
     assert nodes < peak["journal"] <= 2 * nodes + 16
     # A placement journals its node at least once, so the classes read

@@ -2,8 +2,9 @@
 back as themselves.
 
 Random :class:`Scenario` / :class:`FederationScenario` values - node
-groups or cells, steps drawn from their target's ``FAULT_KINDS``,
-workload and run values - go through ``manifest_source``.  The printed
+groups or cells, one-shot and recurring steps drawn from their target's
+``FAULT_KINDS``, size mixes, workload and run values - go through
+``manifest_source``.  The printed
 manifest never draws a schema finding (unknown field, wrong type,
 missing required field): the printer and the checker read the same
 dataclasses.  The static pass builds the scenario it was printed from,
@@ -20,6 +21,7 @@ from repro.chaos import (
     CellDef,
     FederationScenario,
     InjectionStep,
+    JobShape,
     NodeGroup,
     Scenario,
 )
@@ -47,11 +49,14 @@ def _steps(draw, kinds, targets, need_target):
         kind = draw(st.sampled_from(kinds))
         target = draw(st.sampled_from(targets)) if need_target(kind) \
             else draw(st.sampled_from(("",) + targets))
+        fraction = st.floats(min_value=0.0, max_value=1.0)
         steps.append(InjectionStep(
             at_s=draw(_SECONDS), kind=kind, target=target,
             duration_s=draw(_SECONDS),
-            param=draw(st.floats(min_value=0.0, max_value=1.0)
-                       | st.floats(min_value=1.0, max_value=300.0))))
+            param=draw(fraction if kind == "oss-brownout" else fraction
+                       | st.floats(min_value=1.0, max_value=300.0)),
+            mtbf_s=draw(st.none() | st.floats(min_value=1.0,
+                                               max_value=1e7))))
     return tuple(sorted(steps, key=lambda s: (s.at_s, s.kind, s.target)))
 
 
@@ -69,13 +74,18 @@ def chaos_scenarios(draw):
     return Scenario(
         name=draw(_TEXT), description=draw(_TEXT),
         steps=draw(_steps(PlatformTarget.FAULT_KINDS, names,
-                          lambda kind: kind == "node-crash")),
+                          lambda kind: False)),
         horizon_s=draw(st.floats(min_value=60.0, max_value=2000.0)),
         settle_s=draw(_SECONDS), jobs=draw(st.integers(0, 8)),
         interarrival_s=draw(st.floats(min_value=0.5, max_value=60.0)),
         iterations=draw(st.integers(1, 300)),
-        learners=draw(st.integers(1, 4)),
-        gpus_per_learner=draw(st.sampled_from((1, 2, 4))),
+        draw_iterations=draw(st.booleans()),
+        size_mix=tuple(draw(st.lists(st.builds(
+            JobShape, learners=st.integers(1, 4),
+            gpus_per_learner=st.sampled_from((1, 2, 4)),
+            weight=st.floats(min_value=0.01, max_value=1.0)),
+            min_size=1, max_size=3))),
+        cancel_probability=draw(st.floats(min_value=0.0, max_value=1.0)),
         gpu_type=draw(st.sampled_from(types)),
         memory_gb_per_learner=draw(st.none() | st.floats(
             min_value=1.0, max_value=64.0)),

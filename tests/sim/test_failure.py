@@ -1,162 +1,126 @@
-"""Unit tests for the fault injector."""
+"""The chaos engine's fault loop: one-shot and recurring steps.
+
+Each test runs a platform with no churn under a few object-store
+outages, the cheapest fault kind, and reads what fired from the engine's
+fault log and the report's audit log.
+"""
 
 import pytest
 
-from repro.sim import Environment, FaultInjector, FaultSpec, RngRegistry
+from repro.chaos import ChaosEngine, InjectionStep, Scenario
+from repro.chaos.engine import FaultEvent
 
 
-def make_injector(seed=0):
-    env = Environment()
-    return env, FaultInjector(env, RngRegistry(seed))
+def run_steps(*steps, horizon_s=1000.0, settle_s=0.0, seed=0):
+    engine = ChaosEngine(Scenario(
+        name="fault-loop", description="fault loop", steps=steps,
+        horizon_s=horizon_s, settle_s=settle_s, jobs=0), seed=seed)
+    report = engine.run()
+    return engine, report
+
+
+def outages(report):
+    """(down, up) times of every object-store outage, in firing order."""
+    downs, ups = [], []
+    for line in report.audit_lines:
+        time, text = line[2:].lstrip().split(" ", 1)
+        if text.startswith("inject oss-outage"):
+            downs.append(float(time))
+        elif text.startswith("recover oss-outage"):
+            ups.append(float(time))
+    return list(zip(downs, ups))
 
 
 def test_inject_once_fires_at_delay():
-    env, inj = make_injector()
-    hits = []
-    inj.inject_once("crash", "node-1", delay_s=12.0,
-                    on_fault=lambda ev: hits.append((ev.kind, env.now)))
-    env.run()
-    assert hits == [("crash", 12.0)]
+    engine, _report = run_steps(InjectionStep(at_s=12.0, kind="oss-outage"))
+    assert engine.faults == [FaultEvent(12.0, "oss-outage", "oss-outage",
+                                        0.0)]
 
 
 def test_inject_once_recovery_after_duration():
-    env, inj = make_injector()
-    trace = []
-    inj.inject_once("outage", "node-1", delay_s=5.0, duration_s=3.0,
-                    on_fault=lambda ev: trace.append(("down", env.now)),
-                    on_recover=lambda ev: trace.append(("up", env.now)))
-    env.run()
-    assert trace == [("down", 5.0), ("up", 8.0)]
+    _engine, report = run_steps(InjectionStep(
+        at_s=5.0, kind="oss-outage", duration_s=3.0))
+    assert outages(report) == [(5.0, 8.0)]
 
 
 def test_recurring_faults_accumulate_in_log():
-    env, inj = make_injector()
-    spec = FaultSpec(kind="blip", mtbf_s=10.0)
-    inj.inject_recurring(spec, "node-1", on_fault=lambda ev: None)
-    env.run(until=1000)
-    count = len(inj.events_of_kind("blip"))
+    engine, _report = run_steps(InjectionStep(
+        at_s=0.0, kind="oss-outage", mtbf_s=10.0))
     # Expect roughly 100 events over 1000s with MTBF 10s.
-    assert 60 <= count <= 150
+    assert 60 <= len(engine.faults) <= 150
 
 
 def test_recurring_faults_deterministic_given_seed():
-    def run(seed):
-        env, inj = make_injector(seed)
-        inj.inject_recurring(FaultSpec("blip", mtbf_s=7.0), "n",
-                             on_fault=lambda ev: None)
-        env.run(until=200)
-        return [e.time for e in inj.log]
+    def fired(seed):
+        engine, _report = run_steps(InjectionStep(
+            at_s=0.0, kind="oss-outage", mtbf_s=7.0),
+            horizon_s=200.0, seed=seed)
+        return [fault.time for fault in engine.faults]
 
-    assert run(4) == run(4)
-    assert run(4) != run(5)
+    assert fired(4) == fired(4)
+    assert fired(4) != fired(5)
 
 
 def test_stop_halts_new_faults():
-    env, inj = make_injector()
-    inj.inject_recurring(FaultSpec("blip", mtbf_s=5.0), "n",
-                         on_fault=lambda ev: None)
-
-    def stopper():
-        yield env.timeout(100)
-        inj.stop()
-
-    env.process(stopper())
-    env.run(until=1000)
-    assert all(e.time <= 110 for e in inj.log)
+    # A recurring step stops at the horizon; the settle window after it
+    # sees no new fault.
+    engine, _report = run_steps(InjectionStep(
+        at_s=0.0, kind="oss-outage", mtbf_s=5.0),
+        horizon_s=100.0, settle_s=900.0)
+    assert engine.faults
+    assert all(fault.time < 100.0 for fault in engine.faults)
 
 
 def test_fault_spec_validation():
     with pytest.raises(ValueError):
-        FaultSpec("bad", mtbf_s=0)
+        InjectionStep(at_s=0.0, kind="oss-outage", mtbf_s=0.0)
     with pytest.raises(ValueError):
-        FaultSpec("bad", mtbf_s=1, duration_s=-1)
+        InjectionStep(at_s=0.0, kind="oss-outage", mtbf_s=1.0,
+                      duration_s=-1.0)
 
 
 def test_record_appends_detail():
-    env, inj = make_injector()
-    ev = inj.record("manual", "pod-7", extra="info")
-    assert ev.detail == {"extra": "info"}
-    assert inj.log == [ev]
+    engine, report = run_steps(InjectionStep(
+        at_s=7.0, kind="oss-brownout", duration_s=30.0, param=0.5))
+    assert engine.faults == [FaultEvent(7.0, "oss-brownout",
+                                        "oss-brownout", 30.0)]
+    assert "t=     7.000 fault oss-brownout target=oss-brownout " \
+        "duration=30.000" in report.audit_lines
+
 
 def test_stop_cancels_pending_one_shot():
-    # Regression: stop() used to let a fault whose delay timeout was
-    # already pending still fire; it must be cancelled outright.
-    env, inj = make_injector()
-    hits = []
-    inj.inject_once("crash", "n", delay_s=10.0,
-                    on_fault=lambda ev: hits.append(ev))
-
-    def stopper():
-        yield env.timeout(5.0)
-        inj.stop()
-
-    env.process(stopper())
-    env.run()
-    assert hits == []
-    assert inj.log == []
+    # A one-shot step due after the run ends never fires.
+    engine, _report = run_steps(InjectionStep(at_s=2000.0,
+                                              kind="oss-outage"))
+    assert engine.faults == []
 
 
 def test_stop_cancels_pending_recurring_fault():
-    env, inj = make_injector()
-    inj.inject_recurring(FaultSpec("blip", mtbf_s=50.0), "n",
-                         on_fault=lambda ev: None)
-
-    def stopper():
-        # Stop while the first inter-arrival timeout is still pending.
-        yield env.timeout(0.001)
-        inj.stop()
-
-    env.process(stopper())
-    env.run(until=10_000)
-    assert inj.log == []
+    # The first gap lands past the horizon: nothing fires, even in the
+    # settle window.
+    engine, _report = run_steps(InjectionStep(
+        at_s=99.0, kind="oss-outage", mtbf_s=50_000.0),
+        horizon_s=100.0, settle_s=900.0)
+    assert engine.faults == []
 
 
 def test_stop_lets_inflight_outage_recover():
-    # A fault that already fired must still run its recovery callback —
-    # stop() never leaves an outage half-applied.
-    env, inj = make_injector()
-    trace = []
-    inj.inject_once("outage", "n", delay_s=1.0, duration_s=10.0,
-                    on_fault=lambda ev: trace.append(("down", env.now)),
-                    on_recover=lambda ev: trace.append(("up", env.now)))
-
-    def stopper():
-        yield env.timeout(5.0)
-        inj.stop()
-
-    env.process(stopper())
-    env.run()
-    assert trace == [("down", 1.0), ("up", 11.0)]
-
-
-def test_fault_spec_deterministic_duration_must_be_bool():
-    with pytest.raises(TypeError):
-        FaultSpec("k", mtbf_s=1.0, deterministic_duration=0.5)
+    # An outage that began before the horizon still recovers after it:
+    # a fault is never left half-applied.
+    _engine, report = run_steps(InjectionStep(
+        at_s=0.0, kind="oss-outage", duration_s=50.0, mtbf_s=10.0),
+        horizon_s=100.0, settle_s=100.0)
+    down, up = outages(report)[-1]
+    assert down < 100.0 < up
+    assert up - down == pytest.approx(50.0)
+    assert report.passed
 
 
 def test_deterministic_duration_yields_fixed_outages():
-    env, inj = make_injector()
-    spec = FaultSpec("outage", mtbf_s=30.0, duration_s=3.0,
-                     deterministic_duration=True)
-    downs, ups = [], []
-    inj.inject_recurring(spec, "n",
-                         on_fault=lambda ev: downs.append(env.now),
-                         on_recover=lambda ev: ups.append(env.now))
-    env.run(until=2000)
-    assert len(downs) >= 3
-    for down, up in zip(downs, ups):
+    _engine, report = run_steps(InjectionStep(
+        at_s=0.0, kind="oss-outage", duration_s=3.0, mtbf_s=30.0),
+        horizon_s=2000.0)
+    fired = outages(report)
+    assert len(fired) >= 3
+    for down, up in fired:
         assert up - down == pytest.approx(3.0)
-
-
-def test_min_duration_floor_applies_to_sampled_outages():
-    env, inj = make_injector()
-    spec = FaultSpec("outage", mtbf_s=20.0, duration_s=0.5,
-                     min_duration_s=5.0)
-    downs, ups = [], []
-    inj.inject_recurring(spec, "n",
-                         on_fault=lambda ev: downs.append(env.now),
-                         on_recover=lambda ev: ups.append(env.now))
-    env.run(until=2000)
-    assert len(downs) >= 3
-    for down, up in zip(downs, ups):
-        assert up - down >= 5.0

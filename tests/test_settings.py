@@ -5,9 +5,9 @@ A value stays settable only when some caller needs a second value
 The settings are each ``*Config`` dataclass field and each ``__init__``
 keyword default in ``src/repro``.  A file of ``src``, ``tests``,
 ``benchmarks`` or ``examples`` sets one by keyword, by position, as a key
-of a dict passed with ``**``, by an attribute store (``failures.py``
-sets ``cluster.deletion_grace_s``), or through a subclass or a function
-that forwards it (``super().__init__(x)``, ``**kwargs``).
+of a dict passed with ``**``, by an attribute store (``obj.knob = x``),
+or through a subclass or a function that forwards it
+(``super().__init__(x)``, ``**kwargs``).
 """
 
 import ast
