@@ -123,13 +123,10 @@ def _scalar_value(node: yaml.ScalarNode) -> Any:
     cast = _SCALAR_CASTS.get(tag)
     if cast is None:
         return node.value  # unknown tag: keep the raw string
-    text = node.value
-    if cast is float and text.lower().lstrip("+-") in (".inf", ".nan"):
-        text = text.replace(".", "", 1)  # YAML's ".inf" is Python's "inf"
     try:
         if cast is int:
-            return int(text, 0)
-        return cast(text)
+            return int(node.value, 0)
+        return cast(node.value)
     except ValueError:
         return node.value
 

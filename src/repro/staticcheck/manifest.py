@@ -601,13 +601,6 @@ class _Analysis:
                     f"dead fault: t={step.at_s:g}s is past the end of "
                     f"the run (horizon+settle = {end:g}s); it never "
                     f"fires")
-            elif step.mtbf_s is not None and \
-                    step.at_s >= self.scenario.horizon_s:
-                self._emit(
-                    "MAN005", node, 0,
-                    f"dead fault: a recurring fault from "
-                    f"t={step.at_s:g}s starts at or after the horizon "
-                    f"({self.scenario.horizon_s:g}s); it never fires")
         # A fault inside an earlier whole-cell blackout (or node-crash)
         # window of its own target hits a component that is already
         # dark — it is shadowed, not composed.

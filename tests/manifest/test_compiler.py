@@ -241,13 +241,13 @@ def test_a_step_the_dataclass_rejects_is_a_finding_not_a_crash():
         faults:
           - {at_s: -5.0, kind: etcd-leader-kill}
           - {use: etcd-leader-kill, shift_s: -1000.0}
-          - {at_s: .nan, kind: oss-outage}
-          - {at_s: 5.0, kind: oss-outage, duration_s: .inf}
+          - {at_s: 1e999, kind: oss-outage}
+          - {at_s: 5.0, kind: oss-outage, duration_s: 1e999}
           - {at_s: 5.0, kind: etcd-leader-kill, param: -0.5}
           - {at_s: 5.0, kind: oss-brownout, param: 2.0}
           - {at_s: 5.0, kind: oss-outage, mtbf_s: 0}
           - {at_s: 5.0, kind: oss-outage, mtbf_s: -60.0}
-          - {at_s: 5.0, kind: oss-outage, mtbf_s: .inf}
+          - {at_s: 5.0, kind: oss-outage, mtbf_s: 1e999}
         """)
     findings, _suppressed, _model = analyze_manifest(source, "neg.yaml")
     assert [finding.render() for finding in findings] == [
@@ -260,8 +260,3 @@ def test_a_step_the_dataclass_rejects_is_a_finding_not_a_crash():
         "fraction of at most 1",
         *(f"neg.yaml:{line}:5: MAN001 mtbf_s must be positive and "
           f"finite" for line in (14, 15, 16))]
-
-
-def test_the_dataclass_rejects_a_brownout_fraction_above_one():
-    with pytest.raises(ValueError, match="at most 1"):
-        InjectionStep(at_s=5.0, kind="oss-brownout", param=2.0)
