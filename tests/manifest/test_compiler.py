@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from repro.chaos import SCENARIOS
-from repro.chaos.engine import InjectionStep, Scenario
+from repro.chaos.engine import InjectionStep, JobShape, Scenario
 from repro.manifest import (
     ManifestError,
     compile_manifest,
@@ -234,6 +234,25 @@ def test_man003_flags_v100_cells_when_the_trace_draws_k80_jobs():
         "v100.yaml:9:3: MAN003 trace job shapes 1x4, 2x4 (learners x "
         "K80 GPUs each) run on K80, which no declared cell offers; they "
         "would queue forever"]
+
+
+def test_man003_checks_every_shape_of_the_size_mix():
+    source = MINIMAL_CHAOS + textwrap.dedent("""\
+        workload:
+          size_mix:
+            - {weight: 0.5}
+            - {learners: 1, gpus_per_learner: 8, weight: 0.3}
+            - {learners: 20, gpus_per_learner: 1, weight: 0.2}
+        """)
+    findings, _suppressed, compiled = analyze_manifest(source, "mix.yaml")
+    assert [finding.render() for finding in findings] == [
+        "mix.yaml:8:3: MAN003 a learner needs 8 K80 GPUs but the largest "
+        "declared node has 4 (no bin fits the item)",
+        "mix.yaml:8:3: MAN003 a 20-learner gang at 1 GPUs each can never "
+        "place: the topology fits at most 16 such learners simultaneously "
+        "(bin-packing lower bound)"]
+    assert compiled.scenario.size_mix == (
+        JobShape(weight=0.5), JobShape(1, 8, 0.3), JobShape(20, 1, 0.2))
 
 
 def test_a_step_the_dataclass_rejects_is_a_finding_not_a_crash():
