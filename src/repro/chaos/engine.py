@@ -610,6 +610,10 @@ class PlatformTarget:
             return True, "leader elected", leader.node_id
         return True, "standalone etcd"
 
+    def stores_ready(self) -> bool:
+        """Whether every replicated store has a leader or primary."""
+        return self._hyp_mongo_primary()[0] and self._hyp_etcd_leader()[0]
+
     def _hyp_no_overallocation(self) -> Tuple[bool, str]:
         over = [name for name, alloc in
                 sorted(self.platform.cluster.allocations.items())
@@ -705,6 +709,9 @@ class ChaosEngine:
         self._unrecovered: List[Tuple[InjectionStep, float]] = []
         #: The fault and watch processes; one that raised fails the run.
         self._fault_procs: List[Process] = []
+        #: Succeeds when the first fault fires: the baseline check
+        #: waits for the stores' election no longer than that.
+        self._first_fire = self.env.event()
         self.submitted: List[str] = []
         self.submit_failures = 0
         self._ran = False
@@ -776,6 +783,8 @@ class ChaosEngine:
               healthy):
         """One occurrence: record, apply, watch, and recover after
         ``duration_s``."""
+        if not self._first_fire.triggered:
+            self._first_fire.succeed()
         self.faults.append(FaultEvent(self.env.now, step.kind, label,
                                       step.duration_s))
         inject()
@@ -851,6 +860,13 @@ class ChaosEngine:
 
         def baseline():
             yield self.env.timeout(max(0.0, first_fault - 1.0))
+            # Replicated stores elect in their first seconds; a baseline
+            # taken before that measures the election, not the steady
+            # state.  Wait for it, but not past the first fault.
+            while not (self.target.stores_ready()
+                       or self._first_fire.triggered):
+                yield self.env.any_of([self._first_fire, self.env.timeout(
+                    self.POLL_S, priority=OBSERVER)])
             yield from self._check_hypotheses("steady-state:before")
 
         self.env.process(baseline(), name=f"{prefix}-baseline")

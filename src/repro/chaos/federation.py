@@ -266,6 +266,10 @@ class FederationTarget:
             return False, f"over-allocated: {over[:3]}"
         return True, "no cell over-allocates GPUs"
 
+    def stores_ready(self) -> bool:
+        """Cells run standalone stores: nothing elects."""
+        return True
+
     HYPOTHESES = (
         ("no-lost-intent-records", _hyp_no_lost_intents),
         ("no-double-execution", _hyp_no_double_execution),

@@ -207,6 +207,35 @@ def test_a_fault_that_raises_fails_the_run():
         ChaosEngine(scenario, seed=0).run()
 
 
+def test_the_baseline_waits_for_the_stores_to_elect():
+    # A recurring etcd step from t=0 replicates etcd, and Raft has no
+    # leader at t=0: the baseline waits for one instead of failing on
+    # the election, and still checks before the first fault fires.
+    scenario = dataclasses.replace(TINY, steps=(InjectionStep(
+        at_s=0.0, kind="etcd-leader-kill", duration_s=15.0,
+        mtbf_s=100.0),))
+    engine = ChaosEngine(scenario, seed=0)
+    report = engine.run()
+    before = [h for h in report.hypotheses
+              if h.phase == "steady-state:before"]
+    assert [h.name for h in before if not h.ok] == []
+    assert 0.0 < before[0].time < engine.faults[0].time
+    assert report.passed, report.render(audit=False)
+
+
+def test_the_baseline_waits_no_longer_than_the_first_fault():
+    # A fault at t=0.1 fires before Raft elects (about t=0.25): the
+    # baseline checks when it fires, and reports the missing leader.
+    scenario = dataclasses.replace(TINY, steps=(InjectionStep(
+        at_s=0.1, kind="etcd-partition", duration_s=30.0),))
+    engine = ChaosEngine(scenario, seed=0)
+    report = engine.run()
+    before = {h.name: h for h in report.hypotheses
+              if h.phase == "steady-state:before"}
+    assert before["etcd-leader-elected"].time == engine.faults[0].time
+    assert not before["etcd-leader-elected"].ok
+
+
 def test_stores_are_replicated_only_where_a_step_breaks_them():
     def stores(*kinds):
         scenario = dataclasses.replace(TINY, steps=tuple(
