@@ -26,8 +26,12 @@ def check_policy(policy: str) -> None:
 
 def score_reads_owner(policy: str) -> bool:
     """Whether ``score_node`` reads ``same_owner_pods`` under ``policy``.
-    Pack never does, so the scheduler lets pods of every owner share one
-    set of scores; a policy that starts reading it must say so here."""
+    Pack never does.  Spread does, as a penalty of 100 per pod that no
+    load difference (at most 1) outweighs, so the candidate index keeps
+    one set of scores per pod class for every owner and
+    ``Placement.best_node`` steps past the owner's nodes.  A policy that
+    starts reading the count must say so here, with a penalty that
+    dominates the rest of its score the same way."""
     return policy == SPREAD
 
 

@@ -69,9 +69,9 @@ def test_per_pod_work_does_not_grow_with_the_cluster():
 
 def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
     """2 000 single-pod owners, each with a claim that is deleted when
-    the pod is done, under Spread (where an owner is a class): what the
-    scheduler keeps afterwards is sized by the 10 nodes and the
-    informer-staleness window, not by the 2 000."""
+    the pod is done, under Spread: what the scheduler keeps afterwards
+    is sized by the 10 nodes, the informer-staleness window and the
+    request shapes, not by the 2 000 owners."""
     nodes, owners = 10, 2000
     env, cluster = make_cluster(policy="spread", nodes=nodes,
                                 gpus_per_node=4)
@@ -84,12 +84,15 @@ def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
         pod = make_pod(env, f"solo-{index}", gpus=1, duration=5.0,
                        volume_claims=[claim])
         pod.meta.owner = f"owner-{index}"
+        shapes.add((pod.spec.resources,
+                    tuple(sorted(pod.spec.node_selector.items()))))
         api.create_pod(pod)
         yield env.timeout(8.0)
         assert pod.phase == "Succeeded"
         api.delete_pvc(claim)
 
     peak = {"claims": 0, "journal": 0, "classes": 0}
+    shapes = set()
 
     def submit():
         for index in range(owners):
@@ -106,6 +109,5 @@ def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
     # Deletions 0.4 s apart, remembered for INFORMER_STALENESS_S = 0.5 s.
     assert 0 < peak["claims"] <= 2
     assert nodes < peak["journal"] <= 2 * nodes + 16
-    # A placement journals its node at least once, so the classes read
-    # inside one journal's length are fewer than its entries.
-    assert 1 < peak["classes"] <= 2 * nodes + 16
+    # An owner is not a class: one class per request shape.
+    assert 0 < peak["classes"] <= len(shapes)

@@ -7,7 +7,8 @@ never violate:
 * every Running pod is bound to a Ready node that fits it,
 * released resources return exactly to capacity once the cluster drains,
 * at every scheduling attempt the candidate index hands out what a fresh
-  evaluation of every node gives, and the (owner, node) index a recount,
+  evaluation of every node gives, in ``(score, name)`` order, the
+  (owner, node) index a recount, and ``best_node`` the brute-force best,
 * at every failed attempt the memoised FailedScheduling summary is what
   a fresh scan of every node says.
 """
@@ -22,6 +23,7 @@ from repro.kube.events import (
 )
 from repro.kube.objects import ContainerSpec, ObjectMeta, Pod, PodSpec
 from repro.kube.resources import ResourceRequest
+from repro.kube.scheduling.policies import score_node
 from repro.sim import Environment, RngRegistry
 
 from tests.conftest import examples
@@ -58,9 +60,10 @@ def build(seed, gang=False, policy="pack"):
     return env, cluster
 
 
-def fresh_table(cluster, request, selector, owner, scored):
+def fresh_table(cluster, request, selector, scored):
     """The exhaustive loop the index replaced, kept as the reference:
-    every node through the predicates (and the score), in node order."""
+    every node through the predicates (and the score, for an owner with
+    no pod on it), in node order."""
     scheduler = cluster.scheduler
     counters = scheduler.filter_evals, scheduler.score_evals
     table = {}
@@ -68,41 +71,70 @@ def fresh_table(cluster, request, selector, owner, scored):
         allocation = scheduler._node_fits(request, selector, node.name)
         if allocation is not None:
             table[node.name] = (
-                scheduler._score(request, owner, node.name, allocation),
+                scheduler._score(request, allocation),
                 node.name) if scored else True
     scheduler.filter_evals, scheduler.score_evals = counters
     return table
 
 
-def check_index_at_every_attempt(cluster):
-    """Wrap the scheduler's two reads of the candidate index.  Each time
-    an attempt reads it, the table handed out must equal a fresh
-    evaluation of every node, the gang view the fresh list in node
-    order, and the (owner, node) index a recount
-    of the pod store.  Each failed attempt's memoised summary must be
-    what a fresh scan of every node says."""
-    scheduler, api = cluster.scheduler, cluster.api
-    read, read_names = (scheduler._feasible_candidates,
-                        scheduler.feasible_nodes)
+def brute_force_best(cluster, request, selector, owner):
+    """The node ``best_node`` must return: the highest ``(score, name)``
+    over every node that fits, each scored with the same-owner count a
+    recount of the pod store gives."""
+    scheduler = cluster.scheduler
+    counts = recount_owner_nodes(cluster.api)
+    filter_evals = scheduler.filter_evals
+    best = None
+    for node in cluster.api.list_nodes():
+        allocation = scheduler._node_fits(request, selector, node.name)
+        if allocation is not None:
+            candidate = (score_node(scheduler.policy, request, allocation,
+                                    counts.get((owner, node.name), 0)),
+                         node.name)
+            best = candidate if best is None else max(best, candidate)
+    scheduler.filter_evals = filter_evals
+    return best and best[1]
 
-    def checked_read(request, selector, owner, scored):
+
+def check_index_at_every_attempt(cluster):
+    """Wrap the scheduler's reads of the candidate index.  Each time an
+    attempt reads it, the table handed out must equal a fresh
+    evaluation of every node, a scored class's order the sorted fresh
+    table, the gang view the fresh list in node order, the (owner, node)
+    index a recount of the pod store, and the node ``best_node`` picks
+    the brute-force best for the pod's owner.  Each failed attempt's
+    memoised summary must be what a fresh scan of every node says."""
+    scheduler, api = cluster.scheduler, cluster.api
+    read, read_names, best = (scheduler._feasible_candidates,
+                              scheduler.feasible_nodes,
+                              scheduler.best_node)
+
+    def checked_read(request, selector, scored):
         assert scheduler._owner_node_counts == recount_owner_nodes(api)
-        ranked = read(request, selector, owner, scored)
-        fresh = fresh_table(cluster, request, selector, owner, scored)
+        entry = read(request, selector, scored)
+        ranked = entry.ranked
+        fresh = fresh_table(cluster, request, selector, scored)
         names = [node.name for node in api.list_nodes()]
         assert list(scheduler._nodes) == names
-        stale = scheduler._pod_class(request, selector, owner, scored).stale
+        stale = scheduler._pod_class(request, selector, scored).stale
         for name in names:
             if name not in stale:
                 assert ranked.get(name) == fresh.get(name), name
         assert not stale
         assert ranked == fresh
-        return ranked
+        if scored:
+            assert entry.order == sorted(fresh.values())
+        return entry
+
+    def checked_best(request, selector, owner=None):
+        name = best(request, selector, owner)
+        assert name == brute_force_best(cluster, request, selector, owner)
+        return name
 
     def checked_read_names(request, selector):
         names = read_names(request, selector)
         assert names == list(fresh_table(cluster, request, selector,
-                                         None, scored=False))
+                                         scored=False))
         return names
 
     summary = scheduler._predicate_summary
@@ -113,6 +145,7 @@ def check_index_at_every_attempt(cluster):
         return memoised
 
     scheduler._feasible_candidates = checked_read
+    scheduler.best_node = checked_best
     scheduler.feasible_nodes = checked_read_names
     scheduler._predicate_summary = checked_summary
 
@@ -144,8 +177,8 @@ def owned_pod(env, name, gpus, cpus, duration, owner=None):
 @given(specs=POD_SPECS, seed=st.integers(min_value=0, max_value=50),
        policy=st.sampled_from(["pack", "spread"]), gang=st.booleans(),
        cordon=st.booleans(), fail=st.booleans(), grow=st.booleans())
-# Two owners of one shape under Spread: their scores differ, so they
-# must not share a class.
+# Two owners of one shape under Spread share a class, but each must be
+# kept off its own nodes.
 @example(specs=[(1, 1.0, 60, False, "set-a")] * 3 +
          [(1, 1.0, 60, False, "set-b")] * 3, seed=0, policy="spread",
          gang=False, cordon=False, fail=False, grow=False)
