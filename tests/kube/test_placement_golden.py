@@ -1,11 +1,14 @@
 """Golden placements: which node every pod got, when, and why not.
 
 Recorded before the scheduler's caches were replaced by the candidate
-index (PR 21), which moved no digest.  Re-recorded with it:
-``nodes_examined`` where scheduling is exhaustive (it now counts the
-nodes an attempt visits one by one), and the four other counters of the
-Spread run, because under Spread an owner is a pod class of its own and
-is filtered on its own.  Each scenario
+index, which moved no digest.  Re-recorded with it: ``nodes_examined``
+where scheduling is exhaustive (it counts the nodes an attempt visits
+one by one).  The Spread run's five counters were re-recorded again
+when an owner stopped being a pod class of its own: the owners of one
+shape share a class's filter verdicts and scores, and ``best_node``
+scores an owner's own nodes with their counts only when it occupies
+every feasible node.  No placement and no FailedScheduling record
+moved either time.  Each scenario
 pins every pod's ``[node_name, scheduled_at]`` and every
 ``FailedScheduling`` record (Table 8's taxonomy reads those strings),
 and the scheduler's work counters beside them.  Every run has a
