@@ -35,7 +35,7 @@ from repro.etcd.replicated import ReplicatedEtcd
 from repro.kube.events import REASON_ASSUME_FAILED, REASON_TIMEOUT
 from repro.mongo.database import MongoReplicaSet
 from repro.resilience import RetryPolicy, TRANSIENT_ERRORS
-from repro.sim.core import Environment, OBSERVER, Process
+from repro.sim.core import Environment, Event, OBSERVER, Process
 from repro.sim.race import RaceDetector
 from repro.sim.rng import RngRegistry
 
@@ -709,9 +709,9 @@ class ChaosEngine:
         self._unrecovered: List[Tuple[InjectionStep, float]] = []
         #: The fault and watch processes; one that raised fails the run.
         self._fault_procs: List[Process] = []
-        #: Succeeds when the first fault fires: the baseline check
-        #: waits for the stores' election no longer than that.
-        self._first_fire = self.env.event()
+        #: Made only while the baseline waits for the stores to elect;
+        #: the first fault to fire succeeds it and ends the wait.
+        self._first_fire: Optional[Event] = None
         self.submitted: List[str] = []
         self.submit_failures = 0
         self._ran = False
@@ -783,7 +783,8 @@ class ChaosEngine:
               healthy):
         """One occurrence: record, apply, watch, and recover after
         ``duration_s``."""
-        if not self._first_fire.triggered:
+        if self._first_fire is not None and \
+                not self._first_fire.triggered:
             self._first_fire.succeed()
         self.faults.append(FaultEvent(self.env.now, step.kind, label,
                                       step.duration_s))
@@ -863,10 +864,11 @@ class ChaosEngine:
             # Replicated stores elect in their first seconds; a baseline
             # taken before that measures the election, not the steady
             # state.  Wait for it, but not past the first fault.
-            while not (self.target.stores_ready()
-                       or self._first_fire.triggered):
-                yield self.env.any_of([self._first_fire, self.env.timeout(
-                    self.POLL_S, priority=OBSERVER)])
+            if not (self.faults or self.target.stores_ready()):
+                fired = self._first_fire = self.env.event()
+                while not (fired.triggered or self.target.stores_ready()):
+                    yield self.env.any_of([fired, self.env.timeout(
+                        self.POLL_S, priority=OBSERVER)])
             yield from self._check_hypotheses("steady-state:before")
 
         self.env.process(baseline(), name=f"{prefix}-baseline")
