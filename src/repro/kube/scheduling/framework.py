@@ -190,7 +190,7 @@ class Scheduler(Placement):
         ``len(api.list_pods(owner=o, node_name=n))`` exactly for owned
         pods, also through the bind commit and the pod object's removal,
         which no ``reserve``/``release`` journals.  Owner-less pods are
-        skipped: ``_score`` never asks for them.
+        skipped: ``best_node`` never asks for them.
         """
         new = None
         if verb != DELETED and pod.node_name is not None \

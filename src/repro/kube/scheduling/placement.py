@@ -10,10 +10,9 @@ nodes).  A scored class keeps its nodes in ``(score, name)`` order, so
 step (3) reads the top; under Spread, whose score penalises the nodes
 the pod's owner already occupies, it reads down to the first node the
 owner does not occupy.  The index knows nothing of pods, queues or
-time: the scheduler
-(``framework.Scheduler``, a subclass) and the Figure 3 replayer
-(``repro.analysis.schedreplay``) drive it.  DESIGN.md, "Scheduler
-candidate index".
+time: the scheduler (``framework.Scheduler``, a subclass) and the
+Figure 3 replayer (``repro.analysis.schedreplay``) drive it.  DESIGN.md,
+"Scheduler candidate index".
 """
 
 from __future__ import annotations
