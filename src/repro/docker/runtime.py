@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ContainerError, ImageNotFoundError
-from repro.sim.core import Environment, Event, Interrupt, Process
+from repro.sim.core import Environment, Event, Process
 
 CREATED = "created"
 RUNNING = "running"
@@ -59,22 +59,18 @@ class Registry:
         return image
 
     def pull(self, node_name: str, reference: str) -> Event:
-        """Pull an image onto a node; near-instant when already cached."""
+        """Pull an image onto a node: an event resolving with the image,
+        near-instant when the node has it cached."""
         image = self.get(reference)
         cache = self._node_caches.setdefault(node_name, set())
         self.pulls += 1
-
-        def fetch():
-            if reference in cache:
-                self.cache_hits += 1
-                yield self.env.timeout(0.1)  # docker inspect overhead
-            else:
-                yield self.env.timeout(image.size_bytes /
-                                       self.pull_bandwidth_bps)
-                cache.add(reference)
-            return image
-
-        return self.env.process(fetch(), name=f"pull:{reference}")
+        if reference in cache:
+            self.cache_hits += 1
+            return self.env.timeout(0.1, image)  # docker inspect overhead
+        done = self.env.timeout(image.size_bytes / self.pull_bandwidth_bps,
+                                image)
+        done.callbacks.append(lambda _done: cache.add(reference))
+        return done
 
 
 class Container:
@@ -95,7 +91,6 @@ class Container:
         self.finished_at: Optional[float] = None
         self.logs: List[Tuple[float, str]] = []
         self._workload = workload
-        self._process: Optional[Process] = None
         self._workload_process: Optional[Process] = None
         self._exit_event: Event = env.event()
 
@@ -112,25 +107,20 @@ class Container:
             return
         self._workload_process = self.env.process(
             self._workload(self), name=f"workload:{self.name}")
-        self._process = self.env.process(self._run(),
-                                         name=f"container:{self.name}")
 
-    def _run(self):
-        try:
-            result = yield self._workload_process
-        except Interrupt:
-            # Crash injection against the container itself: record the
-            # kill and re-raise — the Interrupt must stay observable.
-            self._finish(SIGKILL_EXIT_CODE)
-            raise
-        except Exception as err:  # noqa: BLE001 - user workload crash
-            self.log(f"workload crashed: {err!r}")
-            self._finish(1)
-            return
-        if self.state == EXITED:
-            return  # killed while the workload was winding down
-        code = result if isinstance(result, int) else 0
-        self._finish(code)
+        # A closure, not a bound method: the profiler books a bound
+        # method under its owner's ``name``, one site per container.
+        # ``_finish`` keeps the exit of a container killed while its
+        # workload was winding down.
+        def exited(workload: Process) -> None:
+            if not workload.ok:  # the user workload crashed
+                self.log(f"workload crashed: {workload.value!r}")
+                self._finish(1)
+                return
+            code = workload.value
+            self._finish(code if isinstance(code, int) else 0)
+
+        self._workload_process.callbacks.append(exited)
 
     def _finish(self, code: int) -> None:
         if self.state == EXITED:

@@ -69,14 +69,13 @@ class Cluster:
             return
         pod.meta.annotations["gc-scheduled"] = "true"
 
-        def collect():
-            yield self.env.timeout(self.terminal_pod_gc_ttl_s)
+        def collect(_timer) -> None:
             current = self.api.try_get_pod(pod.name)
             if current is not None and current.meta.uid == pod.meta.uid \
                     and current.is_terminal:
                 self.delete_pod(pod.name, cause="gc")
 
-        self.env.process(collect(), name=f"podgc:{pod.name}")
+        self.env.timeout(self.terminal_pod_gc_ttl_s).callbacks.append(collect)
 
     # -- topology ------------------------------------------------------------
 
@@ -148,8 +147,7 @@ class Cluster:
         self.deletion_log.append((self.env.now, name,
                                   pod.meta.labels.get("type"), cause))
 
-        def finalize():
-            yield self.env.timeout(DELETION_GRACE_S)
+        def finalize(_timer) -> None:
             # The name may have been reused by a replacement pod by now:
             # only finalize the exact object this deletion targeted.
             current = self.api.try_get_pod(name)
@@ -157,7 +155,7 @@ class Cluster:
                 self.release(pod)
                 self.api.delete_pod(name)
 
-        self.env.process(finalize(), name=f"pod-finalize:{name}")
+        self.env.timeout(DELETION_GRACE_S).callbacks.append(finalize)
 
     # -- fault injection -----------------------------------------------------------------
 

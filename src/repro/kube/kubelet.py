@@ -53,8 +53,9 @@ class Kubelet:
         #: Containers keyed by pod uid (names are reused by
         #: StatefulSets; uids are unique).
         self._pod_containers: Dict[str, List[Container]] = {}
-        #: The live lifecycle process (setup or monitor) per pod uid, so
-        #: crash injection can interrupt a pod mid-image-pull.
+        #: The live lifecycle process per pod uid (one for set-up and the
+        #: container watch), so crash injection can interrupt a pod
+        #: mid-image-pull as well as mid-run.
         self._pod_processes: Dict[str, Process] = {}
         # Node-indexed subscription: this kubelet only acts on pods
         # bound to its own node.  The handler below still checks
@@ -81,12 +82,17 @@ class Kubelet:
     # -- pod lifecycle -----------------------------------------------------------
 
     def _run_pod(self, pod: Pod):
+        """The pod's one lifecycle process: set-up, then the container
+        watch."""
         try:
             yield from self._setup_pod(pod)
+            # Returns at once if set-up ended the pod or found it gone.
+            yield from self._watch_containers(pod)
         except Interrupt:
-            # Crash injection: mark the pod failed (it must not linger in
-            # Pending) and re-raise so the injected kill stays visible to
-            # the kernel instead of being swallowed.
+            # Crash injection (mid-pull or against a running pod): the
+            # containers die with it, the pod fails (it must not linger
+            # in Pending) and the Interrupt propagates, so the injected
+            # kill stays visible to the kernel instead of being swallowed.
             self._kill_pod(pod)
             self._finish_pod(pod, FAILED, "Interrupted")
             raise
@@ -120,20 +126,6 @@ class Kubelet:
         self.api.record_event(KubeEvent(self.env.now, STARTED, "Pod",
                                         pod.name,
                                         pod_type=pod.meta.labels.get("type")))
-        self._pod_processes[pod.meta.uid] = self.env.process(
-            self._monitor_pod(pod),
-            name=f"podmon:{self.node.name}:{pod.name}")
-
-    def _monitor_pod(self, pod: Pod):
-        """Wait for container exits; apply the restart policy."""
-        try:
-            yield from self._watch_containers(pod)
-        except Interrupt:
-            # Crash injection against a running pod: the containers die
-            # with it, the pod fails, and the Interrupt propagates.
-            self._kill_pod(pod)
-            self._finish_pod(pod, FAILED, "Interrupted")
-            raise
 
     def _watch_containers(self, pod: Pod):
         while self.alive and not pod.meta.deletion_requested:
@@ -195,11 +187,10 @@ class Kubelet:
             container.kill()
 
     def interrupt_pod(self, pod: Pod, cause: str = "crash") -> bool:
-        """Inject a crash into the pod's live lifecycle process.
-
-        Interrupts whichever process currently owns the pod (image pull /
-        setup or container monitoring).  Returns ``False`` when the pod
-        has no live process on this node.
+        """Inject a crash into the pod's live lifecycle process, in
+        set-up, image pull, container watch or restart back-off alike.
+        Returns ``False`` when the pod has no live process on this
+        node.
         """
         process = self._pod_processes.get(pod.meta.uid)
         if process is None or not process.is_alive:

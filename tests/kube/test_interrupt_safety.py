@@ -92,7 +92,8 @@ def test_container_runtime_interrupt_records_sigkill():
     container = Container(env, image, "c/main", workload)
     container.start()
     env.run(until=5)
-    container._process.interrupt("crash-injection")
+    container.kill()
     env.run(until=10)
     assert container.state == "exited"
     assert container.exit_code == SIGKILL_EXIT_CODE
+    assert not container._workload_process.is_alive

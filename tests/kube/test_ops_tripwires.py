@@ -1,15 +1,17 @@
-"""Deterministic work counters of the scheduler, pinned.
+"""Deterministic work counters of the scheduler and the kubelet, pinned.
 
 Wall-clock is measured by ``benchmarks/e2e``; these counters are the
 cheap tripwire that runs in tier-1.  A cluster takes 400 single pods
 that really run (image pull, container, exit), at the occupancy of the
 e2e ``sched-sweep`` workload, so every pod is placed at its first
-attempt.
+attempt.  One pod's whole life is pinned by its kernel events and
+processes.
 """
 
 from repro.kube.objects import ObjectMeta, PersistentVolumeClaim
-from repro.sim import RngRegistry
+from repro.sim import Environment, RngRegistry
 
+from tests.kube import conftest
 from tests.kube.conftest import make_cluster, make_pod
 
 NODES = 100
@@ -111,3 +113,34 @@ def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
     assert nodes < peak["journal"] <= 2 * nodes + 16
     # An owner is not a class: one class per request shape.
     assert 0 < peak["classes"] <= len(shapes)
+
+
+class CountingEnvironment(Environment):
+    """Records the family (name up to the first ``:``) of every process
+    started."""
+
+    def __init__(self):
+        super().__init__()
+        self.families = []
+
+    def process(self, generator, name="process"):
+        self.families.append(name.split(":", 1)[0])
+        return super().process(generator, name=name)
+
+
+def test_a_pod_costs_one_kubelet_process_and_its_workload(monkeypatch):
+    """Bind, set-up, a cached pull, a 30 s run, exit, pod GC and
+    finalize.  The image pull, the container's exit, the GC and the
+    finalize ride on timers; before that a pod took 27 events and seven
+    processes (kubelet, pull, workload, container, podmon, podgc,
+    pod-finalize)."""
+    monkeypatch.setattr(conftest, "Environment", CountingEnvironment)
+    env, cluster = make_cluster(nodes=1)
+    assert env.families == ["scheduler"]
+    pod = make_pod(env, "solo", duration=30.0)
+    cluster.api.create_pod(pod)
+    env.run()
+    assert pod.phase == "Succeeded"
+    assert cluster.api.try_get_pod("solo") is None  # collected
+    assert env.families == ["scheduler", "kubelet", "workload"]
+    assert env.events_processed == 17
