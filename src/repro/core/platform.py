@@ -596,9 +596,8 @@ class FfDLPlatform:
             job = self.jobs.get(job_id)
             if job is None:
                 return
-            kube_job = next(
-                (kj for kj in self.cluster.api._list("jobs")
-                 if kj.meta.uid == pod.meta.owner), None)
+            kube_job = self.cluster.api.find_by_uid(("jobs",),
+                                                    pod.meta.owner)
             if kube_job is None:
                 return
             if kube_job.succeeded == 0 and \

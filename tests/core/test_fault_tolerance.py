@@ -8,6 +8,7 @@ updates that survive component crashes.
 
 
 from repro.core import PlatformConfig, statuses as st
+from repro.core.helper import job_prefix
 
 from tests.core.conftest import (
     make_manifest,
@@ -268,3 +269,26 @@ def test_nfs_provisioning_failures_exhaust_guardian_then_fail_job():
     status = run_to_terminal(env, platform, job_id, limit=1e6)
     assert status == st.FAILED
     assert platform.nfs.failures >= 1
+
+
+def test_guardian_exhausted_retries_fails_the_job_and_cleans_up():
+    """Every Guardian attempt crashes with the learners deployed, so the
+    last one leaves them behind: the failed jobmonitor pod's handler
+    finds the K8S Job by its uid, marks the job FAILED and reclaims
+    its objects."""
+    env, platform = make_platform()
+    platform.crash_guardian_after_step = 4  # learners exist
+    job_id = submit(env, platform, make_manifest(iterations=100))
+    status = run_to_terminal(env, platform, job_id, limit=1e6)
+    assert status == st.FAILED
+    job = platform.job(job_id)
+    assert job.status.records[-1].message == "guardian exhausted retries"
+    assert job.guardian_attempts > platform.config.guardian_backoff_limit
+    env.run(until=env.now + 30)
+    api = platform.cluster.api
+    assert not api.exists("statefulsets", job.statefulset_name)
+    assert not api.exists("deployments", job.helper_name)
+    assert not api.exists("networkpolicies", job.netpol_name)
+    assert not api.exists("pvcs", job.pvc_name)
+    assert platform.etcd_store().range(job_prefix(job_id)) == []
+    assert platform.cluster.allocated_gpus() == 0
