@@ -143,7 +143,8 @@ class Placement:
         load``, the load in [0, 1]), every node the owner does not
         occupy outscores every node it does, so the first such node down
         from the class's top is the best; only when the owner occupies
-        every feasible node are those nodes scored with their counts."""
+        every feasible node are the nodes holding the fewest of its pods
+        scored with that count (the penalty rules out every other)."""
         order = self._feasible_candidates(request, selector,
                                           scored=True).order
         if not order:
@@ -154,10 +155,13 @@ class Placement:
             for _score, name in reversed(order):
                 if name not in occupied:
                     return name
-            self.score_evals += len(order)
+            fewest = min(occupied[name] for _score, name in order)
+            names = [name for _score, name in order
+                     if occupied[name] == fewest]
+            self.score_evals += len(names)
             return max((score_node(self.policy, request,
-                                   self.allocations[name], occupied[name]),
-                        name) for _score, name in order)[1]
+                                   self.allocations[name], fewest), name)
+                       for name in names)[1]
         return order[-1][1]
 
     def feasible_nodes(self, request: ResourceRequest,
