@@ -43,7 +43,10 @@ def _updated(document: Dict[str, Any],
         return replacement
     if len(operators) != len(update):
         raise StoreError("cannot mix update operators with replacement")
-    new = copy.deepcopy(document)
+    # A stored document is never mutated, so the fresh one shares every
+    # value it does not change: a shallow copy, a fresh list per pushed
+    # field, and the update's values copied once.
+    new = dict(document)
     for op, spec in copy.deepcopy(update).items():
         if not isinstance(spec, dict):
             raise StoreError(f"{op} needs a document of fields, not {spec!r}")
@@ -51,10 +54,10 @@ def _updated(document: Dict[str, Any],
             new.update(spec)
         elif op == "$push":
             for field, value in spec.items():
-                current = new.setdefault(field, [])
+                current = new.get(field, [])
                 if not isinstance(current, list):
                     raise StoreError(f"$push target {field!r} is not a list")
-                current.append(value)
+                new[field] = current + [value]
         else:
             raise StoreError(f"unknown update operator {op!r}")
     return new
