@@ -429,21 +429,21 @@ def observe(cluster_class, nodes, program):
             run.cluster.deletion_log)
 
 
-# Two pods pull the cold image on one node at once; one is interrupted
-# mid-pull, the other deleted and its name reused inside the grace
-# period; a restarting pod is interrupted in back-off; a node crashes
-# under a running pod and recovers.
+# On one node: two pods pull the cold image at once and the first is
+# interrupted mid-pull; a running pod is deleted, its lingering
+# container winding down, and its name reused inside the grace period;
+# the other cold-pull pod is interrupted in restart back-off; the node
+# crashes under a running idle pod and recovers.
 COLD_PULLS = [
-    (0.0, ("create", 0, RESTART_NEVER, 1.0, [(1, 2.0, 0)])),
-    (0.0, ("create", 1, RESTART_ON_FAILURE, 1.0, [(1, 0.5, 1)])),
+    (0.0, ("create", 0, RESTART_ON_FAILURE, 1.0, [(1, 0.5, 1)])),
+    (0.0, ("create", 1, RESTART_NEVER, 1.0, [(1, 2.0, 0)])),
     (0.0, ("create", 2, RESTART_ALWAYS, 0.5, [(0, 0.5, 2),
                                               (0, 6.0, "linger")])),
     (3.0, ("interrupt", 0)),
-    (1.0, ("delete", 1)),
-    (0.05, ("create", 1, RESTART_NEVER, 0.5, [(0, 0.5, "raise")])),
-    (0.5, ("delete", 1)),
-    (1.2, ("interrupt", 2)),
+    (1.0, ("delete", 2)),
+    (0.05, ("create", 2, RESTART_NEVER, 0.5, [(0, 0.5, "raise")])),
     (10.5, ("create", 3, RESTART_NEVER, 0.5, [(0, 6.0, "idle")])),
+    (1.0, ("interrupt", 0)),
     (2.0, ("crash", 0)),
     (7.0, ("recover", 0)),
 ]
