@@ -669,13 +669,6 @@ class PlatformTarget:
         return {job_id: job.status.current
                 for job_id, job in sorted(self.platform.jobs.items())}
 
-    def settle(self) -> None:
-        """Apply the idle etcd group's heartbeat rounds up to now, so the
-        report and the RNG positions read what the timers would have
-        drawn (DESIGN.md "An idle Raft group is a deadline")."""
-        if isinstance(self.platform.etcd, ReplicatedEtcd):
-            self.platform.etcd.cluster.network.settle()
-
 
 class ChaosEngine:
     """Runs one scenario against its freshly built target."""
@@ -883,7 +876,7 @@ class ChaosEngine:
             self.env.process(self._check_hypotheses("steady-state:after"),
                              name=f"{prefix}-final"),
             limit=self.env.now + 120.0)
-        self.target.settle()
+        self.env.settle()
         return self._report()
 
     def _report(self) -> ChaosReport:

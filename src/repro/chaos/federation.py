@@ -319,7 +319,3 @@ class FederationTarget:
                     self.cells[name].platform.jobs.items()):
                 job_states[f"{name}/{job_id}"] = job.status.current
         return job_states
-
-    def settle(self) -> None:
-        """Nothing to settle: a cell's etcd is one store, not a Raft
-        group."""

@@ -91,8 +91,7 @@ class LeaseKeepalive:
     healthy lease is a deadline").  Send *k* goes out a period after
     reply *k-1*, its reply lands one client latency later and moves the
     deadline to that instant plus the TTL: chained float additions that
-    :meth:`settle` applies when the client's ``ops_issued`` or the
-    lease's ``deadline`` is read.  :meth:`fall_back` turns the chain back
+    :meth:`settle` applies.  :meth:`fall_back` turns the chain back
     into timers at the first instant that could change a keepalive's
     outcome (``set_available``, a breaker failure, a revoke, a stop); the
     next successful reply resumes the arithmetic.
@@ -119,11 +118,11 @@ class LeaseKeepalive:
         if self.lease.keeper is self:
             self.fall_back()
 
-    def settle(self) -> None:
-        """Apply the chain's sends and replies before now: count each
+    def settle(self, now: float) -> None:
+        """Apply the chain's sends and replies before ``now``: count each
         send in the client's ``ops_issued``, and set the deadline from
         the last reply."""
-        now, latency = self.env.now, self.etcd.latency_s
+        latency = self.etcd.latency_s
         send, sent = self._send_at, self._sent
         sends, replied = 0, None
         while send < now:
@@ -141,8 +140,8 @@ class LeaseKeepalive:
 
     def fall_back(self) -> None:
         """Leave the arithmetic: queue what is due as the timer chain."""
-        self.settle()
-        del self.etcd.chains[self]
+        self.settle(self.env.now)
+        del self.env.chains[self]
         self.lease.release()
         if self._sent:
             self.etcd.keepalive(
@@ -160,11 +159,14 @@ class LeaseKeepalive:
                 and self.env.race_detector is None \
                 and KEEPALIVE_PERIOD_S + etcd.latency_s < lease.ttl_s:
             # Nothing can fail the next keepalive, and each reply lands
-            # before the deadline the previous one set.
+            # before the deadline the previous one set.  A keepalive
+            # writes lease/<id>, a store the race detector watches, so
+            # under it the chain stays events (DESIGN.md, "Arithmetic
+            # until something could change it").
             self._send_at = self.env.now + KEEPALIVE_PERIOD_S
             self._sent = False
             lease.keeper = self
-            etcd.chains[self] = None
+            self.env.chains[self] = etcd
         else:
             self.env.timeout(KEEPALIVE_PERIOD_S).callbacks.append(
                 self._send)

@@ -53,10 +53,10 @@ class Lease:
     One timer watches the deadline.  It wakes at the deadline it last
     read: a keepalive has moved it, and it sleeps the rest, or the lease
     expires.  While a keepalive chain runs as arithmetic for the lease
-    (``keeper``, a ``core.helper.LeaseKeepalive``), reading ``deadline``
-    settles the chain first, and the timer, finding the lease kept, is
-    not re-armed; :meth:`release` arms it at the deadline the chain
-    leaves (DESIGN.md, "A healthy lease is a deadline").
+    (``keeper``, a ``core.helper.LeaseKeepalive``), the timer, finding
+    the lease kept, is not re-armed; :meth:`release` arms it at the
+    deadline the chain leaves (DESIGN.md, "A healthy lease is a
+    deadline").
     """
 
     #: Profiler family of the expiry timer.
@@ -75,14 +75,14 @@ class Lease:
 
     @property
     def deadline(self) -> float:
-        if self.keeper is not None:
-            self.keeper.settle()
+        self.store.env.settle()
         return self._deadline
 
     @deadline.setter
     def deadline(self, when: float) -> None:
+        # A write, not an observation: only this lease's chain moves.
         if self.keeper is not None:
-            self.keeper.settle()
+            self.keeper.settle(self.store.env.now)
         self._deadline = when
 
     def release(self) -> None:

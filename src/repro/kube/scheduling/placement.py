@@ -47,7 +47,7 @@ class _PodClass:
 #: an ``insort`` each) while its stale nodes are at most this share of
 #: its feasible ones, and re-sorts the order otherwise: one patch costs
 #: what a ``sorted()`` of 15–24 % of the class does, for classes of 8 to
-#: 4 000 nodes (EXPERIMENTS.md, "eighteenth").
+#: 4 000 nodes.
 PATCH_SHARE = 1 / 6
 
 

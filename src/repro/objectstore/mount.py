@@ -248,6 +248,7 @@ class _HitRun:
         #: Resolves with the number of reads served.
         self.done = Event(mount.env)
         mount.cache._runs[self] = None
+        mount.env.chains[self] = mount
         self._arm()
         self.apply(nextafter(now, inf))  # the reads issued now, by the reader
 
@@ -376,6 +377,7 @@ class _HitRun:
         if timer is self.timer:  # else superseded by an earlier end
             self.apply()
             del self.mount.cache._runs[self]
+            del self.mount.env.chains[self]
             self.done.succeed(self.reads)
 
     def apply(self, before: float = inf) -> None:
@@ -432,6 +434,8 @@ class _HitRun:
             if stamp > entry.stamp:
                 entry.stamp = stamp
 
+    settle = apply  # as Environment.settle calls it
+
     def _end_at(self, stop: tuple) -> None:
         if stop < self.stop:
             self.stop = stop
@@ -469,6 +473,7 @@ class _HitRun:
         self.apply(self.mount.env.now)
         self.timer = None
         del self.mount.cache._runs[self]
+        del self.mount.env.chains[self]
 
 
 class BucketMount:

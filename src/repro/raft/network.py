@@ -5,8 +5,8 @@ tests use to drive the protocol through leader failures and healing.
 
 While the group on it is idle, its heartbeat rounds are float arithmetic
 (``node.IdleRounds``, DESIGN.md "An idle Raft group is a deadline"):
-reading ``messages_sent`` settles them, and every fault-control call,
-change of a link setting and send first turns them back into events.
+every fault-control call, change of a link setting and send first turns
+them back into events.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Network:
 
     @property
     def messages_sent(self) -> int:
-        self.settle()
+        self.env.settle()
         return self._sent
 
     # Whether an idle group's rounds can be arithmetic depends on these
@@ -80,11 +80,6 @@ class Network:
     def drop_probability(self, value: float) -> None:
         self.wake()
         self._drop_probability = value
-
-    def settle(self) -> None:
-        """Apply the idle rounds' sends and deliveries strictly before now."""
-        if self.idle is not None:
-            self.idle.settle(self.env.now)
 
     def wake(self) -> None:
         """Settle, then turn the idle rounds back into the leader's timer,

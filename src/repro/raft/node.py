@@ -474,15 +474,15 @@ class IdleRounds:
     applies what happened strictly before ``now``; :meth:`resume` then
     hands the group back to its timers and schedules the messages still
     in flight at their exact instants.  ``Network.idle`` holds the
-    rounds: reading ``messages_sent`` settles them, and a fault-control
-    call, a send, a proposal, a crash or a message handed to a node from
-    outside the network resumes them.
+    rounds, and a fault-control call, a send, a proposal, a crash or a
+    message handed to a node from outside the network resumes them.
     """
 
     def __init__(self, leader: RaftNode, followers: List[RaftNode]):
         self.leader = leader
         self.followers = followers
         self.network = leader.network
+        leader.env.chains[self] = self.network
         for follower in followers:
             follower._timer = None  # it fires dead; resume() re-arms
         self._send(leader.env.now)
@@ -523,6 +523,7 @@ class IdleRounds:
         the messages landing at or after ``now`` back in flight."""
         self.settle(now)
         leader, net = self.leader, self.network
+        del leader.env.chains[self]
         term, leader_id = leader.current_term, leader.node_id
         last, last_term = leader.last_log_index, leader.last_log_term
         leader._due = self.sent_at + leader.heartbeat_interval_s

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
     CircuitOpenError,
@@ -219,11 +219,9 @@ class StoreClient:
     :meth:`_call`.  ``retry`` and ``breaker`` guard every operation;
     without either it is the legacy single shot.
 
-    ``chains`` holds the keepalive chains over this client that run as
-    arithmetic (``core.helper.LeaseKeepalive``), in the order they
-    started: reading ``ops_issued`` settles them, and ``set_available``
-    and a failure counted by ``breaker`` turn them back into events
-    first (DESIGN.md, "A healthy lease is a deadline").
+    ``set_available`` and a failure counted by ``breaker`` first turn the
+    keepalive chains over this client back into events (DESIGN.md, "A
+    healthy lease is a deadline").
     """
 
     def __init__(self, env: Environment, backend,
@@ -244,15 +242,13 @@ class StoreClient:
         #: Chaos hook: while False every request fails with
         #: StoreUnavailableError after the request latency.
         self.available = True
-        self.chains: Dict[object, None] = {}
         if breaker is not None:
             breaker.before_failure.append(self.fall_back)
 
     @property
     def ops_issued(self) -> int:
         """Operations issued so far, the chains' keepalives included."""
-        for chain in self.chains:
-            chain.settle()
+        self.env.settle()
         return self._ops_issued
 
     @ops_issued.setter
@@ -265,7 +261,8 @@ class StoreClient:
 
     def fall_back(self) -> None:
         """Turn every arithmetic chain over this client into events, now."""
-        for chain in list(self.chains):
+        for chain in [chain for chain, over in self.env.chains.items()
+                      if over is self]:
             chain.fall_back()
 
     def _call(self, action: Callable[[], object],

@@ -307,6 +307,9 @@ class Environment:
         self.events_processed = 0
         #: label -> substrate; see :meth:`register_shared_store`.
         self.shared_stores: dict[str, object] = {}
+        #: The chains now running as arithmetic, in start order, each
+        #: mapped to the object it runs over.
+        self.chains: dict[Any, Any] = {}
 
     @property
     def now(self) -> float:
@@ -336,6 +339,13 @@ class Environment:
             suffix += 1
         self.shared_stores[label] = store
         return label
+
+    def settle(self) -> None:
+        """Apply each chain's steps strictly before now, so a report, a
+        counter or an RNG position reads what the event form would
+        (DESIGN.md, "Arithmetic until something could change it")."""
+        for chain in self.chains:
+            chain.settle(self._now)
 
     # -- scheduling ---------------------------------------------------------
 

@@ -90,7 +90,7 @@ def test_three_kicks_in_one_kernel_event_draw_the_election_timeout_once():
             follower._on_message(leader.node_id, heartbeat)
 
     # The idle rounds before now drew from follower.rng too: apply them.
-    cluster.network.settle()
+    env.settle()
     once = after_draws(follower.rng, 1)
     env.timeout(0.0).callbacks.append(lambda timer: deliver(3, timer))
     env.run(until=env.now)
