@@ -84,9 +84,9 @@ class PlatformConfig:
     node_detection_latency_s: float = 40.0
     pod_eviction_timeout_s: float = 60.0
     #: -- resilience layer (see repro.resilience) ------------------------
-    #: Retry policy of the etcd client; None restores the legacy
-    #: single-shot behaviour.  The Mongo client always retries under
-    #: ``RetryPolicy()``.
+    #: Retry policy of the etcd client; None: one attempt, and a
+    #: transient error reaches the caller.  The Mongo client always
+    #: retries under ``RetryPolicy()``.
     etcd_retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
     #: Retries for learner data/result mounts (object-store brownouts).
     mount_retry: Optional[RetryPolicy] = None
@@ -96,8 +96,8 @@ class PlatformConfig:
     #: (deadline misses against a fully-crashed replica set trip them;
     #: the federation health probes read the same breakers).
     service_breakers: bool = False
-    #: Primary-less window after a Mongo primary crash (0 = instant
-    #: failover, the legacy behaviour).
+    #: Primary-less window after a Mongo primary crash (0: a new
+    #: primary is elected in the instant the old one is lost).
     mongo_election_delay_s: float = 0.0
 
 

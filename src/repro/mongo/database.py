@@ -60,8 +60,8 @@ class MongoReplicaSet:
         self.name = "rs0"
         self.replication_lag_s = replication_lag_s
         #: How long the set is primary-less after losing its primary
-        #: (real MongoDB elections take ~2-12s; the default 0 keeps the
-        #: legacy instant-failover behaviour for existing callers).
+        #: (real MongoDB elections take ~2-12s; at 0 a new primary is
+        #: elected in the instant the old one is lost).
         self.election_delay_s = election_delay_s
         self._election_until: float = 0.0
         #: (primary_lost_at, new_primary_elected_at, new_primary_index)
@@ -125,9 +125,9 @@ class MongoReplicaSet:
     def _begin_election(self) -> None:
         """Elect a new primary, after ``election_delay_s`` of downtime.
 
-        With the default zero delay failover is instantaneous (legacy
-        behaviour); chaos scenarios set a positive delay so that writes
-        issued mid-election actually observe an unavailable primary.
+        With a zero delay the new primary is elected at once; chaos
+        scenarios set a positive delay so that writes issued mid-election
+        actually observe an unavailable primary.
         """
         lost_at = self.env.now
         if self.election_delay_s <= 0:

@@ -217,7 +217,7 @@ class StoreClient:
     name, its ``retryable`` errors, its ``unavailable`` message and its
     KernelProfiler ``site``, and adds the operations, each a
     :meth:`_call`.  ``retry`` and ``breaker`` guard every operation;
-    without either it is the legacy single shot.
+    without either, one attempt: a transient error reaches the caller.
 
     ``set_available`` and a failure counted by ``breaker`` first turn the
     keepalive chains over this client back into events (DESIGN.md, "A

@@ -6,14 +6,14 @@ apart from ``workload.seed``, every field it accepts is a field of one.  The nam
 Python data (:mod:`repro.chaos.scenarios`), and ``manifest_source``
 prints any of them as a manifest.  The package splits into:
 
-* :mod:`repro.manifest.yamlpos` — position-aware YAML loading (every
+* :mod:`repro.scenario.yamlpos` — position-aware YAML loading (every
   value knows its line/column, so findings anchor precisely);
-* :mod:`repro.manifest.schema` — the field tables, derived from the
+* :mod:`repro.scenario.schema` — the field tables, derived from the
   :class:`~repro.chaos.engine.Scenario` /
   :class:`~repro.chaos.federation.FederationScenario` dataclasses and
   their topology and step records, plus the hypothesis/counter
   catalogs;
-* :mod:`repro.manifest.compiler` — the MAN-gated scenario, which the
+* :mod:`repro.scenario.compiler` — the MAN-gated scenario, which the
   one :class:`~repro.chaos.engine.ChaosEngine` runs, and the printer
   back.
 
@@ -24,7 +24,7 @@ CLI front-end (:mod:`repro.cli`).
 
 from __future__ import annotations
 
-from repro.manifest.compiler import (
+from repro.scenario.compiler import (
     CheckResult,
     CompiledScenario,
     ManifestError,
@@ -32,8 +32,8 @@ from repro.manifest.compiler import (
     compile_manifest_file,
     manifest_source,
 )
-from repro.manifest.schema import CounterAssertion
-from repro.manifest.yamlpos import (
+from repro.scenario.schema import CounterAssertion
+from repro.scenario.yamlpos import (
     YamlNode,
     YamlPosError,
     parse_manifest_source,

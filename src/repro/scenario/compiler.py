@@ -14,7 +14,7 @@ scenario out only when the pass reports nothing, so a manifest that
 would build into nonsense is rejected with file:line:column findings,
 never a mid-run crash.  ``manifest_source`` is the inverse: it prints
 the manifest a scenario compiles from, through the same
-:mod:`~repro.manifest.schema` tables, so
+:mod:`~repro.scenario.schema` tables, so
 ``compile_manifest(manifest_source(s)).scenario == s`` for every
 scenario.  A scenario is defined once, as Python data; a manifest is an
 input format onto it.
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.chaos import ChaosEngine, FederationScenario, Scenario
-from repro.manifest.schema import (
+from repro.scenario.schema import (
     CounterAssertion,
     RUN_FIELDS,
     STEP_TARGET,

@@ -11,7 +11,7 @@ values: plain Python scalars/dicts/lists annotated with 1-based
 
 Only the YAML subset manifests need is resolved (mappings, sequences,
 strings, ints, floats, booleans, null), with floats as YAML 1.2 reads
-them, so JSON (which :func:`repro.manifest.manifest_source` prints)
+them, so JSON (which :func:`repro.scenario.manifest_source` prints)
 loads as the numbers it wrote.  Anything more exotic stays a
 plain string scalar, which the schema checker then reports with a
 precise location instead of a parse crash.

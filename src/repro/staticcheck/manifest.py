@@ -1,8 +1,8 @@
 """Static analysis of scenario manifests — the MAN rule family.
 
 Python rules walk ASTs; these rules walk the positioned YAML tree of a
-scenario manifest (:mod:`repro.manifest.yamlpos`) against the schema the
-scenario dataclasses declare (:mod:`repro.manifest.schema`) *before a
+scenario manifest (:mod:`repro.scenario.yamlpos`) against the schema the
+scenario dataclasses declare (:mod:`repro.scenario.schema`) *before a
 single sim event runs*, and build the scenario as they go:
 
 * **MAN001** — schema violations: unknown field, wrong type, missing
@@ -36,8 +36,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chaos import InjectionStep, JobShape, SCENARIOS
 from repro.chaos.federation import FederationTarget
 from repro.errors import SimulationError
-from repro.manifest.compiler import CompiledScenario
-from repro.manifest.schema import (
+from repro.scenario.compiler import CompiledScenario
+from repro.scenario.schema import (
     CHAOS_COUNTERS,
     COUNTER_ASSERTION_FIELDS,
     CounterAssertion,
@@ -61,7 +61,7 @@ from repro.manifest.schema import (
     known_fault_kinds,
     known_hypotheses,
 )
-from repro.manifest.yamlpos import YamlNode, YamlPosError, \
+from repro.scenario.yamlpos import YamlNode, YamlPosError, \
     parse_manifest_source
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 from repro.staticcheck.suppress import apply_suppressions

@@ -366,7 +366,7 @@ def test_importing_chaos_does_not_import_the_manifest_stack():
     """``benchmarks/e2e`` times ``import repro.chaos`` inside ``setup_s``:
     YAML, the manifest compiler and the analyzer stay out of it."""
     probe = ("import sys, repro.chaos; print([m for m in "
-             "('yaml', 'repro.manifest', 'repro.staticcheck') "
+             "('yaml', 'repro.scenario', 'repro.staticcheck') "
              "if m in sys.modules])")
     src = Path(__file__).resolve().parents[2] / "src"
     result = subprocess.run([sys.executable, "-c", probe], check=True,

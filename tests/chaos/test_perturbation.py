@@ -15,7 +15,7 @@ import pytest
 from repro.chaos import SCENARIOS, get_scenario
 from repro.chaos.cli import main
 from repro.chaos.engine import ChaosEngine
-from repro.manifest import manifest_source, schema
+from repro.scenario import manifest_source, schema
 from repro.staticcheck.manifest import analyze_manifest
 
 from tests.golden import STORE, check, next_draw

@@ -1,7 +1,7 @@
 """Determinism regression: identical seeds produce identical histories.
 
 The entire point of the discrete-event substrate is exact replayability —
-every benchmark number in EXPERIMENTS.md must reproduce bit-for-bit.
+every simulated number in EXPERIMENTS.md must reproduce bit-for-bit.
 """
 
 

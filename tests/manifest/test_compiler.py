@@ -7,7 +7,7 @@ import pytest
 
 from repro.chaos import SCENARIOS
 from repro.chaos.engine import InjectionStep, JobShape, Scenario
-from repro.manifest import (
+from repro.scenario import (
     ManifestError,
     compile_manifest,
     compile_manifest_file,

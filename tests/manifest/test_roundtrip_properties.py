@@ -27,7 +27,7 @@ from repro.chaos import (
 )
 from repro.chaos.engine import PlatformTarget
 from repro.chaos.federation import FederationTarget
-from repro.manifest import compile_manifest, manifest_source
+from repro.scenario import compile_manifest, manifest_source
 from repro.staticcheck.manifest import analyze_manifest
 
 from tests.conftest import examples

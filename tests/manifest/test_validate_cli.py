@@ -8,7 +8,7 @@ from pathlib import Path
 from repro.chaos import get_scenario
 from repro.chaos.cli import main as chaos_main
 from repro.cli import main as repro_main
-from repro.manifest import manifest_source
+from repro.scenario import manifest_source
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_MANIFEST = ROOT / "tests" / "staticcheck" / "fixtures" / \
