@@ -13,7 +13,7 @@ copies.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import DuplicateKeyError, StoreError
 from repro.sim.race import note_read, note_write
@@ -69,17 +69,21 @@ class Collection:
     ``env``/``race_label`` (threaded in by :class:`MongoDatabase` when
     it is bound to a simulation) let document accesses feed the runtime
     race detector; both default to None and cost nothing when unset.
+    ``on_write`` is called after each write (a replica set's tail wakes
+    on it).
     """
 
     def __init__(self, name: str, env=None,
                  race_label: Optional[str] = None,
-                 oplog: Optional[List[tuple]] = None):
+                 oplog: Optional[List[tuple]] = None,
+                 on_write: Optional[Callable[[], None]] = None):
         self.name = name
         self._env = env
         self._race_label = race_label
         self._documents: Dict[Any, Dict[str, Any]] = {}
         #: Change log for replication: (op, document, collection name).
         self.oplog: List[tuple] = [] if oplog is None else oplog
+        self._on_write = on_write
 
     def _note_write(self, doc_id: Any, site: str) -> None:
         if self._race_label is not None:
@@ -105,6 +109,8 @@ class Collection:
         self._note_write(doc["_id"], site)
         self._documents[doc["_id"]] = doc
         self.oplog.append((op, doc, self.name))
+        if self._on_write is not None:
+            self._on_write()
 
     def update_one(self, query: Dict[str, Any], update: Dict[str, Any],
                    upsert: bool = False) -> int:

@@ -9,11 +9,13 @@ etcd vs MongoDB as the status-coordination store.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from math import inf
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import StoreError, StoreUnavailableError
 from repro.mongo.collection import Collection
-from repro.sim.core import Environment, Event, Timeout
+from repro.sim.core import Environment, Event
+from repro.sim.floatchain import chain
 
 
 class MongoDatabase:
@@ -22,25 +24,36 @@ class MongoDatabase:
 
     Passing ``env`` registers the database as a shared store so that
     document accesses feed the runtime race detector; without it the
-    database is a plain in-memory bag (replica-set secondaries and unit
-    tests use it that way).
+    database is a plain in-memory bag (the platform's standalone store
+    and unit tests use it that way).  ``on_change`` is called after
+    every write and every new collection, and by :meth:`changed`: a
+    replica set passes its tail's wake.
     """
 
     def __init__(self, name: str = "ffdl",
-                 env: Optional[Environment] = None):
+                 env: Optional[Environment] = None,
+                 on_change: Optional[Callable[[], None]] = None):
         self.name = name
         self._env = env
         self._race_label = (env.register_shared_store(f"mongo:{name}", self)
                             if env is not None else None)
         self._collections: Dict[str, Collection] = {}
         self.oplog: List[tuple] = []
+        self._on_change = on_change
 
     def collection(self, name: str) -> Collection:
         if name not in self._collections:
             self._collections[name] = Collection(
                 name, env=self._env, race_label=self._race_label,
-                oplog=self.oplog)
+                oplog=self.oplog, on_write=self._on_change)
+            self.changed()
         return self._collections[name]
+
+    def changed(self) -> None:
+        """Tell ``on_change`` that this database changed (its replica set
+        calls it when the member goes down, comes back or is elected)."""
+        if self._on_change is not None:
+            self._on_change()
 
 
 class MongoReplicaSet:
@@ -66,8 +79,9 @@ class MongoReplicaSet:
         self._election_until: float = 0.0
         #: (primary_lost_at, new_primary_elected_at, new_primary_index)
         self.failover_log: List[tuple] = []
+        tail = _ReplicationTail(self)
         self.members: List[MongoDatabase] = [
-            MongoDatabase(f"{self.name}-{i}", env=env)
+            MongoDatabase(f"{self.name}-{i}", env=env, on_change=tail.wake)
             for i in range(secondaries + 1)]
         self._primary_index = 0
         self._down: set[int] = set()
@@ -83,7 +97,6 @@ class MongoReplicaSet:
         #: one primary - when every live member, the primary's position
         #: too, was last caught up; None after a restart or a failover.
         self._synced_at: Optional[tuple] = (0, 0)
-        _ReplicationTimer(self)
 
     @property
     def primary(self) -> MongoDatabase:
@@ -109,6 +122,7 @@ class MongoReplicaSet:
 
     def crash_member(self, index: int) -> None:
         self._down.add(index)
+        self.members[index].changed()
         if index == self._primary_index:
             self._begin_election()
 
@@ -117,6 +131,7 @@ class MongoReplicaSet:
         or resyncs from the primary's full state if it missed a failover."""
         self._down.discard(index)
         self._synced_at = None
+        self.members[index].changed()
         if all(i in self._down for i in range(len(self.members))):
             return
         if self._primary_index in self._down:
@@ -156,22 +171,30 @@ class MongoReplicaSet:
             self._member_epochs[new_primary] = self._epoch
             self._synced_at = None
             self.failover_log.append((lost_at, self.env.now, new_primary))
+            self.members[new_primary].changed()
 
     # -- replication tail ----------------------------------------------------------
 
-    def _tick(self) -> None:
+    def _tick(self) -> bool:
+        """Catch every live secondary up to the primary; returns whether
+        the next tick could change anything while no member changes."""
         primary_idx = self._primary_index
         if primary_idx in self._down:
-            return
+            return False
         primary = self.members[primary_idx]
         shape = (len(primary.oplog), len(primary._collections))
         if shape == self._synced_at:
-            return
+            return False
+        caught = False
         for member_idx in range(len(self.members)):
             if member_idx != primary_idx and member_idx not in self._down:
                 self._catch_up(primary_idx, member_idx, shape[0])
+                caught = True
         synced = self._positions[primary_idx] == shape[0]
         self._synced_at = shape if synced else None
+        # Unsynced, every member caught up was resynced, and the next
+        # tick's catch-ups move the primary's own position.
+        return caught and not synced
 
     def _catch_up(self, primary_idx: int, member_idx: int, head: int) -> None:
         primary, member = self.members[primary_idx], self.members[member_idx]
@@ -191,17 +214,41 @@ class MongoReplicaSet:
         self._positions[member_idx] = head
 
 
-class _ReplicationTimer:
-    """The replication tail: a timer every ``replication_lag_s``, armed first
-    where the replaced process's init event sat; ``name`` is its family."""
+class _ReplicationTail:
+    """The replication tail: a tick every ``replication_lag_s``, on the
+    grid the set's construction instant starts.  While a tick leaves
+    nothing for the next one to do, the tail is arithmetic (DESIGN.md,
+    "Arithmetic until something could change it"): ``due``, its next
+    tick, is in ``env.chains``, and a change to any member wakes it back
+    onto timers.  ``name`` is its profiler family."""
 
     def __init__(self, replica_set: MongoReplicaSet):
         self.name = f"mongo-repl:{replica_set.name}"
         self._replica_set = replica_set
-        replica_set.env.event().succeed().callbacks.append(self._fire)
+        self._idle()
 
-    def _fire(self, event: Event) -> None:
+    def _idle(self) -> None:
         rs = self._replica_set
-        if isinstance(event, Timeout):  # a tick, not the start event
-            rs._tick()
-        rs.env.timeout(rs.replication_lag_s).callbacks.append(self._fire)
+        self.due = rs.env.now + rs.replication_lag_s
+        rs.env.chains[self] = rs
+
+    def settle(self, now: float) -> None:
+        """Pass the ticks strictly before ``now``: idle, they change
+        nothing, so ``due`` becomes the first tick at or after ``now``."""
+        self.due = chain(self.due, self._replica_set.replication_lag_s, inf,
+                         now)[1]
+
+    def wake(self) -> None:
+        """Back onto timers: the next tick fires at its grid instant."""
+        env = self._replica_set.env
+        if self in env.chains:
+            self.settle(env.now)
+            del env.chains[self]
+            env.timeout_at(self.due).callbacks.append(self._fire)
+
+    def _fire(self, _timer: Event) -> None:
+        rs = self._replica_set
+        if rs._tick():
+            rs.env.timeout(rs.replication_lag_s).callbacks.append(self._fire)
+        else:
+            self._idle()

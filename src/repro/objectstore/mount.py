@@ -11,60 +11,15 @@ the epoch-reuse win the paper's "lessons learned" section argues for.
 from __future__ import annotations
 
 import random
-import sys
 from itertools import accumulate, repeat
-from math import floor, inf, nextafter, ulp
+from math import inf, nextafter, ulp
 from typing import Optional
 
 from repro.errors import NoSuchObjectError, ObjectStorageUnavailableError
 from repro.objectstore.service import ObjectStorageService
 from repro.resilience import RetryPolicy, retry_call
 from repro.sim.core import Environment, Event, Interrupt
-
-
-#: Ulps in a binade: a float ``t`` in ``[2**k, 2**(k+1))``, ``k`` at least
-#: the smallest normal exponent, is ``n * ulp(t)`` for one integer ``n``
-#: in ``[2**52, 2**53)``.
-_BINADE = 1 << 53
-_NORMAL = sys.float_info.min
-
-
-def _ulps(d: float, u: float) -> Optional[int]:
-    """``d`` rounded to the nearest whole number of ``u``, a power of two,
-    or None on a tie - then ``t + d`` rounds to even, which depends on
-    ``t`` - or when the step is a binade or more."""
-    q = d / u  # exact: u is a power of two
-    if not q < _BINADE:
-        return None
-    whole = floor(q)
-    rest = q - whole
-    return None if rest == 0.5 else whole + (rest > 0.5)
-
-
-def _chain(t: float, d: float, n: int, before: float) -> tuple:
-    """``(k, t)`` after ``while k < n and t < before: t += d; k += 1``.
-
-    In ``t``'s binade every float is a multiple of ``u = ulp(t)``, so
-    each addition moves ``t`` by the same whole number of ulps,
-    ``_ulps(d, u)``, while the sum stays below the binade's top: the
-    chain is one multiplication, and ``before`` an integer ceiling.  A
-    tie, a chain that leaves the binade, a subnormal ``t`` or a
-    ``d < 0`` take the loop.
-    """
-    if n and _NORMAL <= t < before and d >= 0.0:
-        u = ulp(t)
-        step = _ulps(d, u)
-        if step is not None:
-            base = int(t / u)
-            limit = _BINADE if before >= u * _BINADE else int(before / u)
-            k = min(n, -((base - limit) // step)) if step else n
-            if base + k * step < _BINADE:
-                return k, (base + k * step) * u
-    k = 0
-    while k < n and t < before:
-        t += d
-        k += 1
-    return k, t
+from repro.sim.floatchain import BINADE, NORMAL, chain, whole_ulps
 
 
 def _inline(env: Environment, steps, target: Event, name: str):
@@ -282,7 +237,7 @@ class _HitRun:
             first, count, compute_s = plan.chunk(chunk)
             last = count if chunk < stop_chunk else stop_read
             begun, t_begun = issued, t
-            reads, t = _chain(t, latency, last - issued, before)
+            reads, t = chain(t, latency, last - issued, before)
             issued += reads
             if visit is not None and issued > begun and \
                     visit(chunk, first, begun, issued, t_begun):
@@ -314,7 +269,7 @@ class _HitRun:
         ceilings on ``t``'s ulps."""
         period = self.plan.period
         retry = chunk + period
-        if not _NORMAL <= t < before:
+        if not NORMAL <= t < before:
             return 0, 0, t, retry
         u = ulp(t)
         steps = self.periods.get(u, False)
@@ -326,7 +281,7 @@ class _HitRun:
         base = int(t / u)
         periods = (end - chunk) // period
         if ulps:
-            limit = _BINADE if before >= u * _BINADE else int(before / u)
+            limit = BINADE if before >= u * BINADE else int(before / u)
             periods = min(periods, (limit - 1 - base) // ulps)
         if periods <= 0:
             return 0, 0, t, retry
@@ -342,14 +297,15 @@ class _HitRun:
         """``(ulps, reads)`` of the period of full chunks from ``chunk``
         in the binade whose ulp is ``u``, or None on a tie."""
         plan = self.plan
-        step = _ulps(self.mount.cached_read_latency_s, u)
+        step = whole_ulps(self.mount.cached_read_latency_s, u)
         if step is None:
             return None
         ulps = reads = 0
         for at in range(chunk, chunk + plan.period):
             _first, count, compute_s = plan.chunk(at)
             fetch = count * step
-            gap = _ulps(max(0.0, compute_s - plan.overlap * (fetch * u)), u)
+            gap = whole_ulps(
+                max(0.0, compute_s - plan.overlap * (fetch * u)), u)
             if gap is None:
                 return None
             ulps += fetch + gap
@@ -406,7 +362,7 @@ class _HitRun:
             serial += reads
             size = sizes[0]
             if bytes_read.is_integer() and size.is_integer() and \
-                    bytes_read + reads * size < _BINADE and \
+                    bytes_read + reads * size < BINADE and \
                     sizes.count(size) == ring:
                 bytes_read += reads * size
                 return

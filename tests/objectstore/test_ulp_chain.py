@@ -1,9 +1,11 @@
-"""``mount._chain`` against the loop of float additions it replaces.
+"""``repro.sim.floatchain.chain`` against the loop of float additions
+it replaces.
 
-A warm hit run issues each read one latency after the one before, by
-repeated addition.  ``_chain`` computes that chain in closed form while
-it stays in one binade, as a whole number of ulps per addition; a tie,
-a chain that leaves the binade and a subnormal start take the loop.
+A warm hit run issues each read one latency after the one before, and
+an idle replication tail ticks one lag after the last, by repeated
+addition.  ``chain`` computes that chain in closed form one binade at a
+time, as a whole number of ulps per addition, with a float addition
+where it leaves a binade; a tie and a subnormal start take the loop.
 Whatever the start, step, count and bound, it must return the count
 and the float the literal loop ends with, bit for bit.
 """
@@ -13,7 +15,7 @@ from math import inf, nextafter, ulp
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.objectstore.mount import _chain
+from repro.sim.floatchain import chain as walk
 
 from tests.conftest import examples
 
@@ -81,8 +83,12 @@ def chains(draw):
 @example(chain=(5e-324, 2.0 ** -1070, 9, inf))
 @example(chain=(1.0, 0.0, 4, 2.0))
 @example(chain=(3.0, 0.001, 4, 3.0))
+# An idle tail's walk across seventeen binades, to its first tick at or
+# after 1e5 s, and one that stops halfway by count.
+@example(chain=(0.05, 0.05, inf, 1e5))
+@example(chain=(1.0, 0.03, 700_000, inf))
 @given(chain=chains())
 def test_chain_is_the_loop(chain):
-    k, end = _chain(*chain)
+    k, end = walk(*chain)
     expected_k, expected_end = loop(*chain)
     assert (k, end.hex()) == (expected_k, expected_end.hex())

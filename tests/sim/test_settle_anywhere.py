@@ -5,10 +5,12 @@ before now (DESIGN.md, "Arithmetic until something could change it").
 A named chaos scenario runs twice, the second time with ``env.settle()``
 called from timers at instants drawn over the whole run; the end state,
 the audit log, the state of every RNG stream and the counters a chain
-moves (store ops, cache hits, Raft messages) must be equal.  Tier-1
-tries forty instants on three scenarios: idle Raft with arithmetic
+moves (store ops, cache hits, Raft messages, each Mongo replica's
+applied oplog position and document count) must be equal.  Tier-1
+tries forty instants on four scenarios: idle Raft with arithmetic
 keepalives (``etcd-leader-kill``), warm training stretches
-(``fig6-table8-failures``) and a federation (``federation-cell-outage``).
+(``fig6-table8-failures``), a federation (``federation-cell-outage``)
+and an idle replication tail (``mongo-failover-under-churn``).
 The ``long`` profile (tests/conftest.py) tries every named scenario.
 """
 
@@ -24,12 +26,22 @@ from tests.core.conftest import make_manifest, make_platform, submit
 
 LONG = examples(1) > 1
 NAMES = sorted(SCENARIOS) if LONG else (
-    "etcd-leader-kill", "fig6-table8-failures", "federation-cell-outage")
+    "etcd-leader-kill", "fig6-table8-failures", "federation-cell-outage",
+    "mongo-failover-under-churn")
 #: Extra settles per run.
 INSTANTS = 100 if LONG else 40
 
 #: name -> what the run without extra settles observed.
 _PLAIN = {}
+
+
+def replicas(mongo):
+    """Each replica-set member's applied oplog position and document
+    count (none for a standalone database)."""
+    return [(position, sum(collection.count()
+                           for collection in member._collections.values()))
+            for position, member in zip(getattr(mongo, "_positions", ()),
+                                        getattr(mongo, "members", ()))]
 
 
 def observe(name, instants=(), settled=None):
@@ -58,7 +70,8 @@ def observe(name, instants=(), settled=None):
                  platform.mongo_client.ops_issued,
                  platform.mount_cache.hits, platform.mount_cache.misses,
                  getattr(platform.etcd, "cluster", None)
-                 and platform.etcd.cluster.network.messages_sent)
+                 and platform.etcd.cluster.network.messages_sent,
+                 replicas(platform.mongo))
                 for platform in platforms]
     return report.end_state(), report.audit_lines, streams, counters
 
