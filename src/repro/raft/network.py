@@ -6,11 +6,14 @@ tests use to drive the protocol through leader failures and healing.
 While the group on it is idle, its heartbeat rounds are float arithmetic
 (``node.IdleRounds``, DESIGN.md "An idle Raft group is a deadline"):
 every fault-control call, change of a link setting and send first turns
-them back into events.
+them back into events.  So does a second live ``Network`` on the same
+``raft-network`` stream, and the rounds of neither are arithmetic while
+both draw from it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import SimulationError
@@ -18,6 +21,9 @@ from repro.sim.core import Environment, Timeout
 from repro.sim.rng import RngRegistry
 
 Handler = Callable[[str, Any], None]
+
+#: The live networks drawing from each ``raft-network`` stream.
+_DRAWING = weakref.WeakKeyDictionary()
 
 
 class Network:
@@ -45,11 +51,21 @@ class Network:
         #: The idle group's ``node.IdleRounds`` while its heartbeats are
         #: arithmetic, else None.
         self.idle: Optional[Any] = None
+        drawing = _DRAWING.setdefault(self.rng, weakref.WeakSet())
+        for other in list(drawing):  # at most one of them is idle
+            other.wake()
+        drawing.add(self)
 
     @property
     def messages_sent(self) -> int:
         self.env.settle()
         return self._sent
+
+    @property
+    def shares_stream(self) -> bool:
+        """Whether another live network draws from ``raft-network`` too:
+        the settle order of two groups' rounds is not their event order."""
+        return len(_DRAWING[self.rng]) > 1
 
     # Whether an idle group's rounds can be arithmetic depends on these
     # three, so setting one first turns the rounds back into events.

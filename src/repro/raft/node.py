@@ -29,7 +29,8 @@ from repro.raft.messages import (
 )
 from repro.raft.network import Network
 from repro.sim.core import Environment, Event, Timeout
-from repro.sim.rng import RngRegistry
+from repro.sim.floatchain import chain
+from repro.sim.rng import RngRegistry, advance
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
@@ -283,13 +284,15 @@ class RaftNode:
         round's replies land before the next round, and one round's
         AppendEntries lands before the election timeout the previous one
         drew.  Every endpoint must be the node itself: a wrapped handler
-        sees deliveries the rounds do not make.
+        sees deliveries the rounds do not make.  No other live network
+        draws from ``raft-network``.
         """
         net = self.network
         lo = self.election_timeout_s[0]
         heartbeat = self.heartbeat_interval_s
         flight = net.base_latency_s + net.jitter_s
         if (self._pending or net.in_flight or net.drop_probability
+                or net.shares_stream
                 or not heartbeat + net.jitter_s < lo
                 or not heartbeat > 2 * flight
                 or _endpoint(net, self.node_id) is not self):
@@ -497,26 +500,55 @@ class IdleRounds:
         self.delivered = 0
         self.replies: List[tuple] = []  # (lands at, peer position)
 
-    def settle(self, now: float) -> None:
-        """Apply the sends and arrivals strictly before ``now``."""
+    def _arrive(self, now: float) -> bool:
+        """Apply this round's arrivals strictly before ``now``; True if
+        every one has landed."""
         net = self.network
         latency = net.latency
-        followers = self.followers
-        heartbeat = self.leader.heartbeat_interval_s
-        while True:
-            arrivals, replies = self.arrivals, self.replies
-            for at, i in arrivals[self.delivered:]:
-                if not at < now:
-                    return
-                follower = followers[i]
-                follower._due = at + follower._election_timeout()
-                net._sent += 1
-                replies.append((at + latency(), i))
-                self.delivered += 1
-            at = self.sent_at + heartbeat
+        followers, replies = self.followers, self.replies
+        for at, i in self.arrivals[self.delivered:]:
             if not at < now:
-                return
+                return False
+            follower = followers[i]
+            follower._due = at + follower._election_timeout()
+            net._sent += 1
+            replies.append((at + latency(), i))
+            self.delivered += 1
+        return True
+
+    def _skip(self, rounds: int) -> None:
+        """The next ``rounds`` rounds, applied as what they leave behind:
+        the last one's send instant, each stream's draws and the sends.
+        Which follower drew which value is overwritten by a later round."""
+        net, followers = self.network, self.followers
+        draws = 2 * len(followers) * rounds  # AppendEntries and replies
+        net._sent += draws
+        advance(net.rng, draws)
+        for follower in followers:
+            advance(follower.rng, rounds)  # one election timeout a round
+        self.sent_at = chain(self.sent_at, self.leader.heartbeat_interval_s,
+                             rounds, inf)[1]
+
+    def settle(self, now: float) -> None:
+        """Apply the sends and arrivals strictly before ``now``.  Of the
+        rounds sent since, all but the last two are skipped: a round
+        lands whole before the next goes out, so only the last two can
+        leave a follower's deadline or a message in flight."""
+        heartbeat = self.leader.heartbeat_interval_s
+        if not self._arrive(now):
+            return
+        at = self.sent_at + heartbeat
+        if not at < now:
+            return
+        sent = chain(self.sent_at, heartbeat, inf, now)[0] - 1
+        if sent > 2:
+            self._skip(sent - 2)
+            at = self.sent_at + heartbeat
+        while at < now:
             self._send(at)
+            if not self._arrive(now):
+                return
+            at = self.sent_at + heartbeat
 
     def resume(self, now: float) -> None:
         """Settle, then arm the nodes' timers at their deadlines and put

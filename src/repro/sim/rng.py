@@ -11,6 +11,9 @@ import hashlib
 import random
 from typing import Dict
 
+#: ``random()`` calls skipped per ``getrandbits`` in :func:`advance`.
+_ADVANCE_CHUNK = 1 << 12
+
 
 class RngRegistry:
     """Hands out independent ``random.Random`` streams keyed by name."""
@@ -39,3 +42,18 @@ class RngRegistry:
         digest = hashlib.sha256(
             f"{self.master_seed}:fork:{name}".encode()).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))
+
+
+def advance(stream: random.Random, calls: int) -> None:
+    """Leave ``stream`` where ``calls`` calls of ``random()`` leave it.
+
+    CPython's ``random()`` takes two 32-bit Mersenne Twister words and
+    ``getrandbits(64 * m)`` takes exactly ``2 * m``, so the skip is made
+    in C, a chunk at a time, without building a float per call
+    (``tests/sim/test_rng_advance.py`` pins this on each Python version
+    CI tests).
+    """
+    while calls > 0:
+        chunk = min(calls, _ADVANCE_CHUNK)
+        stream.getrandbits(64 * chunk)
+        calls -= chunk

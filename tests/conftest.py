@@ -2,8 +2,8 @@
 
 Tier-1 runs each property test with the example budget written beside
 it.  ``--hypothesis-profile=long`` - the weekly CI job over the oracle
-suites, together with ``--hypothesis-seed=random`` - runs ten times as
-many, without a deadline.  A budget that should scale is written
+suites, with a new integer ``--hypothesis-seed`` each week - runs ten
+times as many, without a deadline.  A budget that should scale is written
 ``max_examples=examples(60)``.
 """
 

@@ -32,6 +32,14 @@ is compared too, except for the instant it ends at.  A superseded timer
 stays queued until its instant and fires dead, and the two forms leave
 different ones: the settled form's rounds arm no follower timer, and
 they arm each at its deadline when they resume.
+
+The same comparison runs over stretches of 10**3 - 10**4 heartbeats
+(10**5 under the ``long`` profile), where a settle skips whole rounds,
+with reads halfway into a stretch and reads on the exact float of a
+round's send and of an arrival.  A tripwire counts the latency draws
+one settle of a 10**5-heartbeat stretch makes one by one.  Two groups
+on one registry draw from one ``raft-network`` stream, so their rounds
+must stay events; they are compared with two event-form groups.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from repro.raft import (
     CallbackStateMachine,
     LogEntry,
     Network,
+    RaftCluster,
     RaftNode,
     RequestVote,
     RequestVoteReply,
@@ -225,11 +234,18 @@ class EventNetwork:
 
 
 class Tap:
-    """Records every delivery that reaches a handler."""
+    """Records every delivery that reaches a handler, and the instant of
+    every send of an AppendEntries that carries no entry."""
 
-    def tap(self, log):
+    def tap(self, log, sends=None):
         self.log = log
+        self.sends = [] if sends is None else sends
         return self
+
+    def send(self, src, dst, message):
+        if isinstance(message, AppendEntries) and not message.entries:
+            self.sends.append(self.env.now)
+        super().send(src, dst, message)
 
     def _deliver(self, timeout):
         src, dst, message = timeout.value
@@ -286,7 +302,11 @@ _STEP = st.tuples(st.integers(10, 500), st.floats(0.0, 1.0),
                   st.integers(0, 4))
 
 
-def play(node_class, net_class, via, size, profile, drop, seed, program):
+def play(node_class, net_class, via, size, profile, drop, seed, program,
+         pinned=(), mark=None, sends=None):
+    """Run ``program``; ``pinned`` adds reads at those exact instants,
+    ``mark(env, net)`` runs at each "mark" step (else a no-op), and
+    ``sends`` collects the tap's send instants."""
     (lo, hi), heartbeat, base, jitter = profile
     env = Environment()
     rng = RngRegistry(seed)
@@ -342,6 +362,9 @@ def play(node_class, net_class, via, size, profile, drop, seed, program):
             net.heal_all()
         elif verb == "lossy":  # toggled: an idle group may form again
             net.drop_probability = 0.0 if net.drop_probability else 0.2
+        elif verb == "mark":
+            if mark is not None:
+                mark(env, net)
         else:
             reads.append(state())
 
@@ -350,12 +373,13 @@ def play(node_class, net_class, via, size, profile, drop, seed, program):
         at += (beats + fraction) * heartbeat
         steps.append((at, verb, a, b))
     horizon = at + 5.0
+    steps = sorted(steps + [(instant, "read", 0, 0) for instant in pinned])
     if via == "timers":
         for instant, *step in steps:
             env.timeout_at(instant).callbacks.append(partial(act, *step))
 
     net = net_class(env, rng, base_latency_s=base, jitter_s=jitter,
-                    drop_probability=drop).tap(deliveries)
+                    drop_probability=drop).tap(deliveries, sends)
 
     def state_machine(node_id):
         def apply(index, command):
@@ -432,3 +456,189 @@ def test_a_group_idle_when_the_network_turns_lossy_drops():
                                          reference_deliveries)
         _now, _sent, dropped, nodes, *_rest = reference[0]
         assert dropped > 0 and max(node[2] for node in nodes) > 1
+
+
+#: Stretches of 10**3 - 10**4 heartbeats, up to 10**5 under ``long``.
+_STRETCH = st.tuples(st.integers(10 ** 3,
+                                 10 ** 5 if examples(1) > 1 else 10 ** 4),
+                     st.floats(0.0, 1.0), st.sampled_from(VERBS),
+                     st.integers(0, 4), st.integers(0, 4))
+
+
+def landmarks(sends, arrivals, heartbeat):
+    """A mark for ``play``: in an idle group whose round has landed, the
+    next round's send instant and its first AppendEntries' arrival."""
+    def mark(env, net):
+        env.settle()
+        idle = net.idle
+        if idle is None or not idle.followers \
+                or idle.delivered < len(idle.arrivals):
+            return
+        send = idle.sent_at + heartbeat
+        sends.append(send)
+        arrivals.append(send + (net.base_latency_s
+                                + next_draw(net.rng) * net.jitter_s))
+    return mark
+
+
+def compare_stretches(via, size, profile, drop, seed, program):
+    """Both forms over ``program``'s long stretches, with a mark halfway
+    into each; under timers, reads pinned on the floats the marks find
+    (a read timer was armed first, so it runs before a send or an
+    arrival at its instant, as a settle counts only what came strictly
+    before).  Returns how many reads were pinned."""
+    marked = []
+    for beats, fraction, verb, a, b in program:
+        marked += [(beats // 2, 0.5, "mark", 0, 0),
+                   (beats - beats // 2, fraction, verb, a, b)]
+    args = (via, size, profile, drop, seed, marked)
+    send_floats, arrival_floats = [], []
+    if via == "timers":
+        play(RaftNode, SettledTap, *args,
+             mark=landmarks(send_floats, arrival_floats, profile[1]))
+    pinned = send_floats + arrival_floats
+    seen, seen_deliveries = play(RaftNode, SettledTap, *args, pinned=pinned)
+    sends = []
+    reference, reference_deliveries = play(EventNode, EventTap, *args,
+                                           pinned=pinned, sends=sends)
+    assert seen == reference
+    assert_left_out_only_idle_rounds(seen_deliveries, reference_deliveries)
+    assert set(send_floats) <= set(sends)
+    assert set(arrival_floats) <= {at for at, _s, _d, kind, *_rest
+                                   in reference_deliveries
+                                   if kind == "AppendEntries"}
+    return len(pinned)
+
+
+@settings(max_examples=examples(4), deadline=None)
+@given(via=st.sampled_from(["timers", "main"]),
+       size=st.sampled_from([3, 5]),
+       profile=st.sampled_from(PROFILES),
+       drop=st.sampled_from([0.0, 0.0, 0.1]),
+       seed=st.integers(min_value=0, max_value=2 ** 16),
+       program=st.lists(_STRETCH, min_size=1, max_size=3))
+def test_long_stretches_are_the_events_they_replace(via, size, profile, drop,
+                                                    seed, program):
+    compare_stretches(via, size, profile, drop, seed, program)
+
+
+def test_reads_on_a_rounds_send_and_arrival_floats():
+    pinned = compare_stretches(
+        "timers", 3, PROFILES[0], 0.0, 7,
+        [(4000, 0.25, "read", 0, 0), (3000, 0.5, "propose", 0, 0),
+         (2000, 0.0, "read", 0, 0)])
+    assert pinned == 6  # a send and an arrival in each idle stretch
+
+
+def inert(_node_id=None):
+    """A state machine that applies nothing."""
+    return CallbackStateMachine(lambda index, command: None)
+
+
+def test_a_long_idle_stretch_settles_at_most_three_rounds_one_by_one():
+    # One settle after 10**5 idle heartbeats draws the latencies of at
+    # most three rounds one by one, and leaves the send counter and
+    # every stream where the event form leaves them.
+    _window, heartbeat, base, jitter = PROFILES[0]
+    ids = ["n0", "n1", "n2"]
+    names = ["raft-network"] + [f"raft:{node_id}" for node_id in ids]
+    idle_at, read_at = 2.0, 2.0 + (10 ** 5 + 0.5) * heartbeat
+
+    def stretch(node_class, net_class):
+        env, rng = Environment(), RngRegistry(0)
+        seen = []
+        env.timeout_at(read_at).callbacks.append(lambda _timer: seen.append(
+            (net.messages_sent,
+             [next_draw(rng.stream(name)) for name in names])))
+        net = net_class(env, rng, base_latency_s=base, jitter_s=jitter)
+        for node_id in ids:
+            node_class(env, rng, net, node_id, ids, inert(),
+                       heartbeat_interval_s=heartbeat)
+        env.run(until=idle_at)
+        return env, net, seen
+
+    env, net, seen = stretch(RaftNode, Network)
+    assert net.idle is not None
+    draws, latency = [], net.latency
+
+    def counted():
+        draws.append(None)
+        return latency()
+
+    net.latency = counted
+    env.run(until=read_at)
+    assert len(draws) <= 3 * 2 * (len(ids) - 1)
+    event_env, _net, reference = stretch(EventNode, EventNetwork)
+    event_env.run(until=read_at)
+    assert seen == reference and len(seen) == 1
+
+
+class Elections:
+    """A tracer recording each election with its instant."""
+
+    def __init__(self, env, log):
+        self.env, self.log = env, log
+
+    def on_leader_elected(self, node):
+        self.log.append((node.current_term, node.node_id, self.env.now))
+
+    def on_apply(self, node, index, entry):
+        pass
+
+
+def one_registry_two_groups(build):
+    """Group "a" alone on a registry until t = 3, then group "b" on the
+    same one; a proposal to a's leader, a crash of b's, reads between.
+    ``build(env, rng, name)`` returns a group's network and nodes.  The
+    elections' instants rest on the deadlines the idle rounds drew."""
+    env, rng = Environment(), RngRegistry(11)
+    groups, reads, idle, elections = {}, [], [], []
+
+    def add(name):
+        groups[name] = build(env, rng, name)
+        for node in groups[name][1]:
+            node.tracer = Elections(env, elections)
+
+    def add_b(_timer):
+        add("b")
+
+    def read(_timer):
+        reads.append((env.now, [
+            (net.messages_sent, [(n.state, n.current_term, n.commit_index,
+                                  n.leader_hint) for n in nodes])
+            for net, nodes in groups.values()],
+            [next_draw(stream) for _name, stream
+             in sorted(rng._streams.items())]))
+        idle.append([getattr(net, "idle", None) is not None
+                     for net, _nodes in groups.values()])
+
+    def first_leader(name):
+        return next(n for n in groups[name][1] if n.is_leader)
+
+    for at, step in ((2.01, read), (3.0, add_b), (9.02, read),
+                     (12.03, lambda _t: first_leader("a").propose("x")),
+                     (20.04, read),
+                     (25.05, lambda _t: first_leader("b").crash()),
+                     (40.06, read)):
+        env.timeout_at(at).callbacks.append(step)
+    add("a")
+    env.run(until=45.0)
+    return reads + elections, idle
+
+
+def test_two_groups_on_one_registry_keep_their_rounds_on_events():
+    def clusters(env, rng, name):
+        cluster = RaftCluster(env, rng, inert, name=name)
+        return cluster.network, list(cluster.nodes.values())
+
+    def event_groups(env, rng, name):
+        net = EventNetwork(env, rng)
+        ids = [f"{name}-{i}" for i in range(3)]
+        return net, [EventNode(env, rng, net, node_id, ids, inert())
+                     for node_id in ids]
+
+    seen, idle = one_registry_two_groups(clusters)
+    reference, _idle = one_registry_two_groups(event_groups)
+    assert seen == reference
+    # Alone, "a" idles; beside "b", neither does.
+    assert idle == [[True], [False, False], [False, False], [False, False]]
