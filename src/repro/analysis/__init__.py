@@ -15,7 +15,6 @@ from repro.analysis.failures import (
     shares,
 )
 from repro.analysis.schedreplay import (
-    NodeSpec,
     PRODUCTION_NODES,
     PlacementReplayer,
     QUEUE_THRESHOLD_S,
@@ -25,7 +24,6 @@ from repro.analysis.schedreplay import (
 from repro.analysis.tables import format_table, print_table
 
 __all__ = [
-    "NodeSpec",
     "PRODUCTION_NODES",
     "PlacementReplayer",
     "QUEUE_THRESHOLD_S",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.kube.objects import Node, ObjectMeta
-from repro.kube.resources import NodeAllocation, NodeCapacity, ResourceRequest
+from repro.kube.resources import NodeAllocation, NodeGroup, ResourceRequest
 from repro.kube.scheduling.placement import Placement
 from repro.kube.scheduling.policies import PACK, SPREAD, check_policy
 from repro.workloads.trace import TraceJob
@@ -28,17 +28,8 @@ from repro.workloads.trace import TraceJob
 QUEUE_THRESHOLD_S = 15 * 60.0  # the paper's user-satisfaction threshold
 
 
-@dataclass
-class NodeSpec:
-    count: int
-    gpus: int
-    gpu_type: str
-    cpus: float = 64.0
-    memory_gb: float = 512.0
-
-
 #: The production cluster of Section 5.2: 400 GPUs (180 K80s, 220 V100s).
-PRODUCTION_NODES = (NodeSpec(45, 4, "K80"), NodeSpec(55, 4, "V100"))
+PRODUCTION_NODES = (NodeGroup(45, 4, "K80"), NodeGroup(55, 4, "V100"))
 
 
 @dataclass
@@ -67,17 +58,17 @@ class PlacementReplayer:
     """Replays a trace under one placement policy."""
 
     def __init__(self, policy: str,
-                 nodes: Tuple[NodeSpec, ...] = PRODUCTION_NODES):
+                 nodes: Tuple[NodeGroup, ...] = PRODUCTION_NODES):
         check_policy(policy)
         self.policy = policy
         self.allocations: Dict[str, NodeAllocation] = {}
         self.placement = Placement(policy, self.allocations)
-        for spec_index, spec in enumerate(nodes):
-            for i in range(spec.count):
-                name = f"n{spec_index}-{spec.gpu_type}-{i}"
-                capacity = NodeCapacity(
-                    cpus=spec.cpus, memory_gb=spec.memory_gb,
-                    gpus=spec.gpus, gpu_type=spec.gpu_type)
+        # Names of the replayer's own, ``n<group>-<type>-<index>``: the
+        # placement breaks score ties by name, and Figure 3 by these.
+        for group_index, group in enumerate(nodes):
+            capacity = group.capacity
+            for i in range(group.count):
+                name = f"n{group_index}-{group.gpu_type}-{i}"
                 self.allocations[name] = NodeAllocation(capacity)
                 # An explicit uid: the default draws from the process-wide
                 # counter, and would shift every later run's uids.
@@ -158,7 +149,7 @@ class PlacementReplayer:
 
 
 def compare_policies(jobs: List[TraceJob], days: int,
-                     nodes: Tuple[NodeSpec, ...] = PRODUCTION_NODES
+                     nodes: Tuple[NodeGroup, ...] = PRODUCTION_NODES
                      ) -> Dict[str, ReplayResult]:
     """Replay the same trace under Spread and Pack (Figure 3b)."""
     return {policy: PlacementReplayer(policy, nodes).replay(jobs, days)

@@ -20,13 +20,14 @@ from repro.chaos.engine import (
     HypothesisResult,
     InjectionStep,
     JobShape,
-    NodeGroup,
     RecoveryRecord,
     Scenario,
     run_scenario,
 )
-from repro.chaos.federation import CellDef, FederationScenario
+from repro.chaos.federation import FederationScenario
 from repro.chaos.scenarios import SCENARIOS, get_scenario
+from repro.federation.cell import CellSpec
+from repro.kube.resources import NodeGroup
 
 #: The names federation scenarios were fetched and run under while they
 #: had an engine of their own (``benchmarks/e2e`` resolves them).
@@ -34,7 +35,7 @@ get_federation_scenario = get_scenario
 run_federation_scenario = run_scenario
 
 __all__ = [
-    "CellDef",
+    "CellSpec",
     "ChaosEngine",
     "ChaosReport",
     "FederationScenario",

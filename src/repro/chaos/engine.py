@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.core import statuses as st
@@ -33,6 +34,7 @@ from repro.core.platform import FfDLPlatform, PlatformConfig
 from repro.errors import SimulationError, StoreUnavailableError
 from repro.etcd.replicated import ReplicatedEtcd
 from repro.kube.events import REASON_ASSUME_FAILED, REASON_TIMEOUT
+from repro.kube.resources import NodeGroup
 from repro.mongo.database import MongoReplicaSet
 from repro.resilience import RetryPolicy, TRANSIENT_ERRORS
 from repro.sim.core import Environment, Event, OBSERVER, Process
@@ -63,6 +65,9 @@ PLATFORM_FAULT_KINDS = (
 )
 CELL_FAULT_KINDS = ("cell-blackout", "cell-brownout")
 FAULT_KINDS = PLATFORM_FAULT_KINDS + CELL_FAULT_KINDS
+#: The counter the engine adds to a report run under the race detector:
+#: how many schedule conflicts it found.
+RACE_COUNTER = "schedule-conflicts"
 
 #: A cancelled churn job is cancelled within this long of its submission.
 CANCELLATION_DELAY_S = 120.0
@@ -131,23 +136,6 @@ class JobShape:
     learners: int = 1
     gpus_per_learner: int = 1
     weight: float = 1.0
-
-
-@dataclass(frozen=True)
-class NodeGroup:
-    """``count`` identical GPU nodes of one type."""
-
-    count: int
-    gpus_per_node: int
-    gpu_type: str
-    cpus: float = 64.0
-    memory_gb: float = 512.0
-
-    def node_names(self) -> Tuple[str, ...]:
-        """Provisioned node names (cluster convention
-        ``node-<gpu_type>-<index>``)."""
-        return tuple(f"node-{self.gpu_type}-{index}"
-                     for index in range(self.count))
 
 
 @dataclass(frozen=True)
@@ -356,10 +344,7 @@ class PlatformTarget:
                                     max_delay_s=5.0),
         ))
         for group in self.scenario.nodes:
-            self.platform.add_gpu_nodes(
-                group.count, gpus_per_node=group.gpus_per_node,
-                gpu_type=group.gpu_type, cpus=group.cpus,
-                memory_gb=group.memory_gb)
+            self.platform.cluster.add_nodes(group.count, group.capacity)
         self.platform.admission.register("chaos", gpu_quota=10 ** 6)
         self.stream = engine.rng.stream("chaos:arrivals")
 
@@ -640,30 +625,41 @@ class PlatformTarget:
 
     # -- report -------------------------------------------------------------
 
+    def _mongo_failovers(self) -> Optional[int]:
+        mongo = self.platform.mongo
+        if isinstance(mongo, MongoReplicaSet):
+            return len(mongo.failover_log)
+        return None  # a standalone store cannot fail over
+
+    #: (name, read) in report order; the names are the catalog the
+    #: manifest schema validates ``hypotheses.counters`` against.  A
+    #: counter that reads None is left out of the report.
+    COUNTERS = (
+        ("jobs-submitted", lambda target: len(target.engine.submitted)),
+        ("submit-failures", attrgetter("engine.submit_failures")),
+        ("jobs-completed", lambda target: sum(
+            1 for job in target.platform.jobs.values()
+            if job.status.current == st.COMPLETED)),
+        ("jobs-terminal", lambda target: sum(
+            1 for job in target.platform.jobs.values()
+            if job.status.is_terminal)),
+        ("writes-enqueued",
+         attrgetter("platform.status_writer.total_enqueued")),
+        ("writes-flushed", attrgetter("platform.status_writer.total_flushed")),
+        ("write-errors", attrgetter("platform.status_writer.write_errors")),
+        ("peak-buffered-writes",
+         attrgetter("platform.status_writer.peak_pending")),
+        ("degraded-windows", lambda target: len(
+            target.platform.status_writer.degraded_periods)),
+        ("mongo-retries", attrgetter("platform.mongo_client.retries")),
+        ("etcd-retries", attrgetter("platform.etcd_client.retries")),
+        ("faults-injected", lambda target: len(target.engine.faults)),
+        ("mongo-failovers", _mongo_failovers),
+    )
+
     def counters(self) -> Dict[str, float]:
-        platform = self.platform
-        completed = sum(1 for job in platform.jobs.values()
-                        if job.status.current == st.COMPLETED)
-        terminal = sum(1 for job in platform.jobs.values()
-                       if job.status.is_terminal)
-        writer = platform.status_writer
-        counters: Dict[str, float] = {
-            "jobs-submitted": len(self.engine.submitted),
-            "submit-failures": self.engine.submit_failures,
-            "jobs-completed": completed,
-            "jobs-terminal": terminal,
-            "writes-enqueued": writer.total_enqueued,
-            "writes-flushed": writer.total_flushed,
-            "write-errors": writer.write_errors,
-            "peak-buffered-writes": writer.peak_pending,
-            "degraded-windows": len(writer.degraded_periods),
-            "mongo-retries": platform.mongo_client.retries,
-            "etcd-retries": platform.etcd_client.retries,
-            "faults-injected": len(self.engine.faults),
-        }
-        if isinstance(platform.mongo, MongoReplicaSet):
-            counters["mongo-failovers"] = len(platform.mongo.failover_log)
-        return counters
+        read = ((name, counter(self)) for name, counter in self.COUNTERS)
+        return {name: value for name, value in read if value is not None}
 
     def job_states(self) -> Dict[str, str]:
         return {job_id: job.status.current
@@ -890,7 +886,7 @@ class ChaosEngine:
         race_lines: List[str] = []
         if self.race_detector is not None:
             race_lines = self.race_detector.render()
-            counters["schedule-conflicts"] = len(race_lines)
+            counters[RACE_COUNTER] = len(race_lines)
         return ChaosReport(
             scenario=self.scenario.name,
             seed=self.seed,

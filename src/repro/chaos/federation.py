@@ -25,6 +25,8 @@ permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import ClassVar, Dict, Tuple
 
 from repro.chaos.engine import (
@@ -41,21 +43,11 @@ from repro.federation import (
     FederationDispatcher,
     HEALTHY,
 )
+from repro.federation.dispatcher import COUNTERS as DISPATCHER_COUNTERS
 from repro.workloads.federation_trace import (
     FederationTrace,
-    FederationTraceConfig,
+    trace_gpu_type_mix,
 )
-
-
-@dataclass(frozen=True)
-class CellDef:
-    """Declarative cell shape inside a scenario (pure data)."""
-
-    name: str
-    zone: str
-    gpu_nodes: int
-    gpus_per_node: int
-    gpu_type: str
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class FederationScenario:
 
     name: str
     description: str
-    cells: Tuple[CellDef, ...]
+    cells: Tuple[CellSpec, ...]
     steps: Tuple[InjectionStep, ...]
     horizon_s: float = 1500.0
     settle_s: float = 600.0
@@ -99,34 +91,14 @@ class FederationTarget:
         self.bus = FederationBus(self.env, engine.rng)
         self.cells: Dict[str, Cell] = {}
         for spec in scenario.cells:
-            cell = Cell(self.env, engine.rng, CellSpec(
-                name=spec.name, zone=spec.zone, gpu_nodes=spec.gpu_nodes,
-                gpus_per_node=spec.gpus_per_node, gpu_type=spec.gpu_type))
-            self.cells[cell.name] = cell
+            self.cells[spec.name] = Cell(self.env, engine.rng, spec)
         self.dispatcher = FederationDispatcher(
             self.env, engine.rng, self.bus, list(self.cells.values()),
             audit=engine.log)
-        self.trace = FederationTrace(engine.rng, FederationTraceConfig(
-            jobs=scenario.jobs,
-            arrival_window_s=scenario.arrival_window_s,
-            min_iterations=scenario.min_iterations,
-            max_iterations=scenario.max_iterations,
-            gpu_type_mix=self._gpu_type_mix(scenario)))
-
-    @staticmethod
-    def _gpu_type_mix(scenario: FederationScenario):
-        """Restrict the trace's GPU-type mix to types some cell actually
-        has (a job demanding a type no cell offers would queue forever),
-        renormalized to preserve the relative production weights."""
-        available = {spec.gpu_type for spec in scenario.cells}
-        mix = tuple((gpu_type, weight) for gpu_type, weight
-                    in FederationTraceConfig().gpu_type_mix
-                    if gpu_type in available)
-        if not mix:
-            raise SimulationError(
-                f"no trace weights for cell GPU types {sorted(available)}")
-        total = sum(weight for _, weight in mix)
-        return tuple((gpu_type, weight / total) for gpu_type, weight in mix)
+        self.trace = FederationTrace(
+            engine.rng, scenario.jobs, scenario.arrival_window_s,
+            trace_gpu_type_mix(spec.gpu_type for spec in scenario.cells),
+            scenario.min_iterations, scenario.max_iterations)
 
     # -- fault binding -----------------------------------------------------
 
@@ -289,24 +261,38 @@ class FederationTarget:
 
     # -- report ------------------------------------------------------------
 
+    #: (name, read) in report order; the names are the catalog the
+    #: manifest schema validates ``hypotheses.counters`` against.  A
+    #: ``{cell}`` counter reads one cell, and the run of them is
+    #: reported once per cell, in cell-name order.
+    COUNTERS = (
+        ("cells", lambda target: len(target.cells)),
+        ("total-gpus", attrgetter("scenario.total_gpus")),
+        ("intents-submitted", lambda target: len(target.engine.submitted)),
+        ("submit-rejections", attrgetter("engine.submit_failures")),
+        ("bus-messages", attrgetter("bus.stats.messages")),
+        *((f"fed-{key.replace('_', '-')}",
+           lambda target, key=key: target.dispatcher.counters[key])
+          for key in sorted(DISPATCHER_COUNTERS)),
+        ("{cell}-jobs", lambda cell: len(cell.platform.jobs)),
+        ("{cell}-completed", lambda cell: sum(
+            1 for job in cell.platform.jobs.values()
+            if job.status.current == st.COMPLETED)),
+        ("faults-injected", lambda target: len(target.engine.faults)),
+    )
+
     def counters(self) -> Dict[str, float]:
-        counters: Dict[str, float] = {
-            "cells": len(self.cells),
-            "total-gpus": self.scenario.total_gpus,
-            "intents-submitted": len(self.engine.submitted),
-            "submit-rejections": self.engine.submit_failures,
-            "bus-messages": self.bus.stats.messages,
-        }
-        for key in sorted(self.dispatcher.counters):
-            counters[f"fed-{key.replace('_', '-')}"] = \
-                self.dispatcher.counters[key]
-        for name in sorted(self.cells):
-            platform = self.cells[name].platform
-            counters[f"{name}-jobs"] = len(platform.jobs)
-            counters[f"{name}-completed"] = sum(
-                1 for job in platform.jobs.values()
-                if job.status.current == st.COMPLETED)
-        counters["faults-injected"] = len(self.engine.faults)
+        counters: Dict[str, float] = {}
+        for per_cell, rows in groupby(self.COUNTERS,
+                                      lambda row: "{cell}" in row[0]):
+            if not per_cell:
+                counters.update((name, read(self)) for name, read in rows)
+                continue
+            rows = tuple(rows)
+            for cell in sorted(self.cells):
+                counters.update((name.format(cell=cell),
+                                 read(self.cells[cell]))
+                                for name, read in rows)
         return counters
 
     def job_states(self) -> Dict[str, str]:

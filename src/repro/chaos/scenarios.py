@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, Union
 
-from repro.chaos.engine import InjectionStep, JobShape, NodeGroup, Scenario
-from repro.chaos.federation import CellDef, FederationScenario
+from repro.chaos.engine import InjectionStep, JobShape, Scenario
+from repro.chaos.federation import FederationScenario
+from repro.federation.cell import CellSpec
+from repro.kube.resources import NodeGroup
 from repro.workloads.trace import SECONDS_PER_DAY
 
 ETCD_LEADER_KILL = Scenario(
@@ -169,10 +171,10 @@ FEDERATION_CELL_OUTAGE = FederationScenario(
                 "recovered cell is fenced, and no intent is lost or run "
                 "twice.  (CI smoke scenario.)",
     cells=(
-        CellDef("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-        CellDef("cell-b", "zone-b", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
+        CellSpec("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
+                 gpu_type="K80"),
+        CellSpec("cell-b", "zone-b", gpu_nodes=4, gpus_per_node=4,
+                 gpu_type="K80"),
     ),
     steps=(
         InjectionStep(at_s=120.0, kind="cell-blackout", target="cell-a",
@@ -193,12 +195,12 @@ FEDERATION_BROWNOUT_MIGRATION = FederationScenario(
                 "brownout from probe latency alone and migrate work to "
                 "the healthy cells.",
     cells=(
-        CellDef("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-        CellDef("cell-b", "zone-a", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
-        CellDef("cell-c", "zone-b", gpu_nodes=4, gpus_per_node=4,
-                gpu_type="K80"),
+        CellSpec("cell-a", "zone-a", gpu_nodes=4, gpus_per_node=4,
+                 gpu_type="K80"),
+        CellSpec("cell-b", "zone-a", gpu_nodes=4, gpus_per_node=4,
+                 gpu_type="K80"),
+        CellSpec("cell-c", "zone-b", gpu_nodes=4, gpus_per_node=4,
+                 gpu_type="K80"),
     ),
     steps=(
         InjectionStep(at_s=100.0, kind="cell-brownout", target="cell-a",
@@ -220,14 +222,14 @@ FEDERATION_TRACE_3K = FederationScenario(
                 "intents, zero double executions, byte-identical audit "
                 "across runs.",
     cells=(
-        CellDef("cell-a", "zone-a", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="K80"),
-        CellDef("cell-b", "zone-b", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="K80"),
-        CellDef("cell-c", "zone-a", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="V100"),
-        CellDef("cell-d", "zone-b", gpu_nodes=24, gpus_per_node=32,
-                gpu_type="V100"),
+        CellSpec("cell-a", "zone-a", gpu_nodes=24, gpus_per_node=32,
+                 gpu_type="K80"),
+        CellSpec("cell-b", "zone-b", gpu_nodes=24, gpus_per_node=32,
+                 gpu_type="K80"),
+        CellSpec("cell-c", "zone-a", gpu_nodes=24, gpus_per_node=32,
+                 gpu_type="V100"),
+        CellSpec("cell-d", "zone-b", gpu_nodes=24, gpus_per_node=32,
+                 gpu_type="V100"),
     ),
     steps=(
         InjectionStep(at_s=180.0, kind="cell-blackout", target="cell-a",

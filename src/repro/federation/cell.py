@@ -23,7 +23,7 @@ draws of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core import statuses as st
@@ -55,33 +55,15 @@ def default_cell_config() -> PlatformConfig:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellSpec:
-    """Declarative shape of one cell."""
+    """Declarative shape of one cell (pure data)."""
 
     name: str
-    zone: str = "zone-a"
-    gpu_nodes: int = 4
-    gpus_per_node: int = 4
-    gpu_type: str = "K80"
-    #: None -> sized so CPU never starves the GPUs (t-shirt sizing puts
-    #: up to 26 CPUs behind one V100).
-    cpus_per_node: Optional[float] = None
-    memory_gb_per_node: Optional[float] = None
-    config: Optional[PlatformConfig] = None
-    tags: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def effective_cpus_per_node(self) -> float:
-        if self.cpus_per_node is not None:
-            return self.cpus_per_node
-        return max(64.0, 28.0 * self.gpus_per_node)
-
-    @property
-    def effective_memory_gb_per_node(self) -> float:
-        if self.memory_gb_per_node is not None:
-            return self.memory_gb_per_node
-        return max(512.0, 48.0 * self.gpus_per_node)
+    zone: str
+    gpu_nodes: int
+    gpus_per_node: int
+    gpu_type: str
 
 
 class Cell:
@@ -100,12 +82,13 @@ class Cell:
         self.name = spec.name
         self.zone = spec.zone
         self.rng = rng.fork(f"cell:{spec.name}")
-        self.platform = FfDLPlatform(env, self.rng,
-                                     spec.config or default_cell_config())
+        self.platform = FfDLPlatform(env, self.rng, default_cell_config())
+        # Sized so CPU never starves the GPUs: t-shirt sizing puts up to
+        # 26 CPUs behind one V100.
+        gpus = spec.gpus_per_node
         self.platform.add_gpu_nodes(
-            spec.gpu_nodes, spec.gpus_per_node, spec.gpu_type,
-            cpus=spec.effective_cpus_per_node,
-            memory_gb=spec.effective_memory_gb_per_node)
+            spec.gpu_nodes, gpus, spec.gpu_type, cpus=max(64.0, 28.0 * gpus),
+            memory_gb=max(512.0, 48.0 * gpus))
         #: Per-cell breaker, fed by the federation health probes; the
         #: dispatcher reads its state (never allow(), which mutates).
         self.breaker = CircuitBreaker(

@@ -64,6 +64,10 @@ INTENT_DISPATCHED = "DISPATCHED"
 _TERMINAL = (st.COMPLETED, st.FAILED, st.HALTED)
 #: Cadence of the loop that re-kicks QUEUED intents.
 RECONCILE_INTERVAL_S = 10.0
+#: What the dispatcher counts (``FederationDispatcher.counters``).
+COUNTERS = ("submitted", "rejected_quota", "dispatched", "spillovers",
+            "migrations", "fenced", "stale_notifications",
+            "double_executions", "completed", "failed")
 
 
 @dataclass
@@ -141,18 +145,7 @@ class FederationDispatcher:
         self._work: set = set()
         self._wakeup = env.event()
 
-        self.counters = {
-            "submitted": 0,
-            "rejected_quota": 0,
-            "dispatched": 0,
-            "spillovers": 0,
-            "migrations": 0,
-            "fenced": 0,
-            "stale_notifications": 0,
-            "double_executions": 0,
-            "completed": 0,
-            "failed": 0,
-        }
+        self.counters = dict.fromkeys(COUNTERS, 0)
 
         bus.register(self.name)
         self.monitors: Dict[str, CellHealthMonitor] = {}

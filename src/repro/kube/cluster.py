@@ -18,7 +18,7 @@ from repro.kube.api import KubeAPI
 from repro.kube.controllers import NodeController, WorkloadControllers
 from repro.kube.kubelet import Kubelet
 from repro.kube.objects import Node, NodeCapacity, ObjectMeta, Pod
-from repro.kube.resources import NodeAllocation, ResourceRequest
+from repro.kube.resources import NodeAllocation, ResourceRequest, node_names
 from repro.kube.scheduling.framework import Scheduler, SchedulerConfig
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
@@ -99,9 +99,8 @@ class Cluster:
     def add_nodes(self, count: int, capacity: NodeCapacity,
                   prefix: str = "node",
                   labels: Optional[Dict[str, str]] = None) -> List[Node]:
-        suffix = capacity.gpu_type or "cpu"
-        return [self.add_node(f"{prefix}-{suffix}-{i}", capacity, labels)
-                for i in range(count)]
+        return [self.add_node(name, capacity, labels)
+                for name in node_names(count, capacity.gpu_type, prefix)]
 
     def push_image(self, image: Image) -> None:
         self.registry.push(image)

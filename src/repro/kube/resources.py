@@ -9,7 +9,7 @@ capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import KubeError
 
@@ -38,6 +38,34 @@ class NodeCapacity:
     memory_gb: float
     gpus: int = 0
     gpu_type: Optional[str] = None
+
+
+def node_names(count: int, gpu_type: Optional[str],
+               prefix: str = "node") -> Tuple[str, ...]:
+    """The names of ``count`` nodes provisioned together:
+    ``<prefix>-<gpu type, or cpu>-<index>``."""
+    return tuple(f"{prefix}-{gpu_type or 'cpu'}-{index}"
+                 for index in range(count))
+
+
+@dataclass(frozen=True)
+class NodeGroup:
+    """``count`` identical GPU nodes of one type."""
+
+    count: int
+    gpus_per_node: int
+    gpu_type: str
+    cpus: float = 64.0
+    memory_gb: float = 512.0
+
+    @property
+    def capacity(self) -> NodeCapacity:
+        return NodeCapacity(cpus=self.cpus, memory_gb=self.memory_gb,
+                            gpus=self.gpus_per_node, gpu_type=self.gpu_type)
+
+    def node_names(self) -> Tuple[str, ...]:
+        """The names ``Cluster.add_nodes`` gives this group's nodes."""
+        return node_names(self.count, self.gpu_type)
 
 
 class NodeAllocation:

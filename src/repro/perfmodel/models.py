@@ -17,7 +17,7 @@ DGX-1's NVLink/HBM platform for this model (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import ClassVar, Dict, Tuple
 
 CAFFE = "caffe"
 TENSORFLOW = "tensorflow"
@@ -42,7 +42,7 @@ class ModelSpec:
     #: Calibration batch size.
     default_batch_size: int
     #: Mean compressed training-sample size (bytes) for streaming demand.
-    sample_bytes: float = 110_000.0
+    sample_bytes: ClassVar[float] = 110_000.0
 
 
 VGG16_CAFFE = ModelSpec("vgg16", CAFFE,

@@ -17,7 +17,7 @@ A scenario manifest is a small YAML document with five sections:
     --run`` verifies after the run.
 
 The chaos dataclasses are the schema.  A topology entry is a
-:class:`NodeGroup` or :class:`CellDef`, a fault is an
+:class:`NodeGroup` or :class:`CellSpec`, a fault is an
 :class:`InjectionStep` (a federation spells its ``target`` as ``cell``),
 ``run`` holds the scenario's ``horizon_s`` / ``settle_s`` and
 ``workload`` every other scalar scenario field, plus ``seed`` and (for
@@ -27,10 +27,8 @@ missing required, :mod:`repro.staticcheck.manifest`) and the printer
 read are derived from those dataclasses with :func:`dataclass_fields`,
 so a new field is one edit to its dataclass.  Only the sections with no
 dataclass behind them (root, ``use:`` steps, hypotheses) are written
-out here.  Fault kinds and hypothesis names are read from the chaos
-targets themselves; the counter catalogs mirror what their reports
-carry, and ``tests/chaos/test_perturbation.py`` pins them against real
-reports.
+out here.  Fault kinds, hypothesis names and counter names are read
+from the chaos targets themselves.
 """
 
 from __future__ import annotations
@@ -41,15 +39,13 @@ from typing import Dict, Optional, Tuple, get_type_hints
 from repro.chaos.engine import (
     InjectionStep,
     JobShape,
-    NodeGroup,
     PlatformTarget,
+    RACE_COUNTER,
     Scenario,
 )
-from repro.chaos.federation import (
-    CellDef,
-    FederationScenario,
-    FederationTarget,
-)
+from repro.chaos.federation import FederationScenario, FederationTarget
+from repro.federation.cell import CellSpec
+from repro.kube.resources import NodeGroup
 
 MANIFEST_KINDS = ("chaos", "federation")
 
@@ -148,7 +144,7 @@ SCENARIO_TYPES = {"chaos": Scenario, "federation": FederationScenario}
 
 #: Manifest ``kind`` -> the ``topology:`` key and the dataclass of each
 #: of its entries.
-TOPOLOGY = {"chaos": ("nodes", NodeGroup), "federation": ("cells", CellDef)}
+TOPOLOGY = {"chaos": ("nodes", NodeGroup), "federation": ("cells", CellSpec)}
 
 #: Manifest ``kind`` -> the key a fault names its target under.  Every
 #: federation fault kind breaks a cell, so a federation step must name
@@ -188,50 +184,6 @@ STEP_FIELDS = {
 #: Manifest ``kind`` -> the chaos target that runs it.
 _TARGETS = {"chaos": PlatformTarget, "federation": FederationTarget}
 
-#: Counters a ChaosReport from the single-platform engine carries.
-CHAOS_COUNTERS = (
-    "jobs-submitted",
-    "submit-failures",
-    "jobs-completed",
-    "jobs-terminal",
-    "writes-enqueued",
-    "writes-flushed",
-    "write-errors",
-    "peak-buffered-writes",
-    "degraded-windows",
-    "mongo-retries",
-    "etcd-retries",
-    "faults-injected",
-    "mongo-failovers",
-    "schedule-conflicts",
-)
-
-#: Fixed federation-report counters; per-cell counters are derived from
-#: the declared cells (``<cell>-jobs`` / ``<cell>-completed``) and
-#: dispatcher counters carry the ``fed-`` prefix.
-FEDERATION_COUNTERS = (
-    "cells",
-    "total-gpus",
-    "intents-submitted",
-    "submit-rejections",
-    "bus-messages",
-    "faults-injected",
-    "schedule-conflicts",
-    "fed-submitted",
-    "fed-rejected-quota",
-    "fed-dispatched",
-    "fed-spillovers",
-    "fed-migrations",
-    "fed-fenced",
-    "fed-stale-notifications",
-    "fed-double-executions",
-    "fed-completed",
-    "fed-failed",
-)
-
-#: Suffixes of the per-cell counters the federation report derives.
-FEDERATION_CELL_COUNTER_SUFFIXES = ("-jobs", "-completed")
-
 
 def known_hypotheses(kind: str) -> Tuple[str, ...]:
     return tuple(name for name, _check in _TARGETS[kind].HYPOTHESES)
@@ -239,3 +191,11 @@ def known_hypotheses(kind: str) -> Tuple[str, ...]:
 
 def known_fault_kinds(kind: str) -> Tuple[str, ...]:
     return tuple(_TARGETS[kind].FAULT_KINDS)
+
+
+def known_counters(kind: str, cells: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The counters a report of ``kind`` can carry, a ``{cell}`` counter
+    once for each of ``cells``."""
+    names = [name for name, _read in _TARGETS[kind].COUNTERS]
+    return tuple(name.format(cell=cell) for name in names + [RACE_COUNTER]
+                 for cell in (cells if "{cell}" in name else (None,)))

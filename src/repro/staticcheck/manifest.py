@@ -34,15 +34,11 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos import InjectionStep, JobShape, SCENARIOS
-from repro.chaos.federation import FederationTarget
 from repro.errors import SimulationError
 from repro.scenario.compiler import CompiledScenario
 from repro.scenario.schema import (
-    CHAOS_COUNTERS,
     COUNTER_ASSERTION_FIELDS,
     CounterAssertion,
-    FEDERATION_CELL_COUNTER_SUFFIXES,
-    FEDERATION_COUNTERS,
     Field,
     HYPOTHESES_FIELDS,
     MANIFEST_KINDS,
@@ -58,6 +54,7 @@ from repro.scenario.schema import (
     TOPOLOGY_FIELDS,
     USE_STEP_FIELDS,
     WORKLOAD_FIELDS,
+    known_counters,
     known_fault_kinds,
     known_hypotheses,
 )
@@ -65,10 +62,8 @@ from repro.scenario.yamlpos import YamlNode, YamlPosError, \
     parse_manifest_source
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 from repro.staticcheck.suppress import apply_suppressions
-from repro.workloads.federation_trace import (
-    FederationTraceConfig,
-    drawn_shapes,
-)
+from repro.workloads.federation_trace import drawn_shapes, trace_gpu_type_mix
+from repro.workloads.trace import GPU_TYPE_MIX
 
 #: Fault kinds whose target reads ``param``, the values that mean what
 #: they say, and what they mean.  The targets read ``param or default``,
@@ -122,7 +117,7 @@ class _Analysis:
         self.kind: Optional[str] = None
         self.scenario = None
         self.compiled: Optional[CompiledScenario] = None
-        #: (NodeGroup or CellDef, its source node) — the node is the
+        #: (NodeGroup or CellSpec, its source node) — the node is the
         #: finding anchor for capacity/unreferenced diagnostics.
         self._blocks: List[Tuple[Any, YamlNode]] = []
         self._topology_node: Optional[YamlNode] = None
@@ -418,17 +413,6 @@ class _Analysis:
             for item in counters:
                 self._walk_counter_assertion(item)
 
-    def _known_counter(self, name: str) -> bool:
-        if self.kind == "chaos":
-            return name in CHAOS_COUNTERS
-        if name in FEDERATION_COUNTERS:
-            return True
-        for suffix in FEDERATION_CELL_COUNTER_SUFFIXES:
-            if name.endswith(suffix):
-                cell = name[:-len(suffix)]
-                return cell in {c.name for c, _node in self._blocks}
-        return False
-
     def _walk_counter_assertion(self, item: YamlNode) -> None:
         if not item.is_mapping:
             self._emit("MAN001", item, 0,
@@ -443,7 +427,9 @@ class _Analysis:
         name = values.get("name")
         if name is None:
             return
-        if not self._known_counter(name):
+        cells = tuple(block.name for block, _node in self._blocks) \
+            if self.kind == "federation" else ()
+        if name not in known_counters(self.kind, cells):
             self._emit(
                 "MAN002", item.get("name"), 0,
                 f"unknown counter {name!r} for kind {self.kind}; the "
@@ -542,7 +528,8 @@ class _Analysis:
         """The run's trace GPU-type mix (the types it has weights for
         that some cell has), or ``None`` when there are none."""
         try:
-            return FederationTarget._gpu_type_mix(self.scenario)
+            return trace_gpu_type_mix(
+                cell.gpu_type for cell in self.scenario.cells)
         except SimulationError:
             return None
 
@@ -552,7 +539,7 @@ class _Analysis:
         mix = self._trace_gpu_type_mix()
         if mix is None:
             declared = sorted({c.gpu_type for c, _node in self._blocks})
-            known = [t for t, _w in FederationTraceConfig().gpu_type_mix]
+            known = [t for t, _w in GPU_TYPE_MIX]
             self._emit(
                 "MAN003", self._anchor(), 0,
                 f"the trace has no production weights for any declared "

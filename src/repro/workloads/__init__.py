@@ -20,7 +20,6 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.federation_trace import (
     FederationTrace,
-    FederationTraceConfig,
     FederationTraceJob,
 )
 from repro.workloads.trace import (
@@ -37,7 +36,6 @@ __all__ = [
     "BatchSpec",
     "CLUSTER_MACHINES",
     "FederationTrace",
-    "FederationTraceConfig",
     "FederationTraceJob",
     "GANG_WORKLOADS",
     "GPUS_PER_MACHINE",

@@ -18,11 +18,17 @@ fixing runtimes by fiat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.manifest import JobManifest
+from repro.errors import SimulationError
 from repro.sim.rng import RngRegistry
-from repro.workloads.trace import SIZE_MIX, WEEKDAY_FACTORS
+from repro.workloads.trace import (
+    GPU_TYPE_MIX,
+    SIZE_MIX,
+    WEEKDAY_FACTORS,
+    pick,
+)
 
 #: (user, preferred_zone, weight) — tenants with a home zone.
 TENANTS = (
@@ -44,6 +50,21 @@ def drawn_gpu_type(gpus_per_learner: int, gpu_type: str) -> str:
     if gpus_per_learner > 2 and gpu_type == "V100":
         return "K80"
     return gpu_type
+
+
+def trace_gpu_type_mix(gpu_types: Iterable[str]
+                       ) -> Tuple[Tuple[str, float], ...]:
+    """The production K80/V100 split restricted to ``gpu_types`` (a job
+    demanding a type no cell offers would queue forever), renormalized
+    to keep the relative weights."""
+    available = set(gpu_types)
+    mix = tuple((gpu_type, weight) for gpu_type, weight in GPU_TYPE_MIX
+                if gpu_type in available)
+    if not mix:
+        raise SimulationError(
+            f"no trace weights for cell GPU types {sorted(available)}")
+    total = sum(weight for _, weight in mix)
+    return tuple((gpu_type, weight / total) for gpu_type, weight in mix)
 
 
 def drawn_shapes(gpu_type_mix) -> Dict[str, Tuple[Tuple[int, int], ...]]:
@@ -87,65 +108,45 @@ class FederationTraceJob:
             dataset_objects=2, dataset_object_bytes=32e6)
 
 
-@dataclass
-class FederationTraceConfig:
-    """Knobs of the compressed federated trace."""
-
-    jobs: int = 48
-    #: Arrivals land inside [0, arrival_window_s).
-    arrival_window_s: float = 420.0
-    #: K80/V100 split of the production cluster (a draw's type goes
-    #: through drawn_gpu_type()).
-    gpu_type_mix: Tuple[Tuple[str, float], ...] = (
-        ("K80", 0.45), ("V100", 0.55))
-    #: Uniform iteration range (length stands in for duration).
-    min_iterations: int = 80
-    max_iterations: int = 240
-
-
 class FederationTrace:
-    """Seeded generator; one named stream, schedule-independent."""
+    """Seeded generator; one named stream, schedule-independent.
 
-    def __init__(self, rng: RngRegistry,
-                 config: FederationTraceConfig | None = None):
-        self.config = config or FederationTraceConfig()
+    ``jobs`` arrivals land inside ``[0, arrival_window_s)``, of a type
+    drawn from ``gpu_type_mix`` (through :func:`drawn_gpu_type`), each
+    ``min_iterations`` to ``max_iterations`` long (length stands in for
+    duration)."""
+
+    def __init__(self, rng: RngRegistry, jobs: int, arrival_window_s: float,
+                 gpu_type_mix: Tuple[Tuple[str, float], ...],
+                 min_iterations: int, max_iterations: int):
+        self.jobs = jobs
+        self.arrival_window_s = arrival_window_s
+        self.gpu_type_mix = gpu_type_mix
+        self.min_iterations = min_iterations
+        self.max_iterations = max_iterations
         self._rng = rng.stream("federation-trace")
 
     def _arrival(self, rng) -> float:
         """Inverse-CDF sample of the compressed weekday intensity."""
-        cfg = self.config
         total = sum(WEEKDAY_FACTORS)
         roll = rng.random() * total
-        slice_s = cfg.arrival_window_s / len(WEEKDAY_FACTORS)
+        slice_s = self.arrival_window_s / len(WEEKDAY_FACTORS)
         for index, factor in enumerate(WEEKDAY_FACTORS):
             if roll < factor:
                 return (index + roll / factor) * slice_s
             roll -= factor
-        return cfg.arrival_window_s - 1e-6
-
-    @staticmethod
-    def _pick(rng, mix):
-        roll = rng.random()
-        acc = 0.0
-        for value, probability in mix:
-            acc += probability
-            if roll <= acc:
-                return value
-        return mix[-1][0]
+        return self.arrival_window_s - 1e-6
 
     def generate(self) -> List[FederationTraceJob]:
-        cfg = self.config
         rng = self._rng
         jobs: List[FederationTraceJob] = []
-        for index in range(1, cfg.jobs + 1):
-            user, zone = self._pick(
-                rng, tuple(((u, z), w) for u, z, w in TENANTS))
-            learners, gpus = self._pick(rng, SIZE_MIX)
-            gpu_type = drawn_gpu_type(gpus,
-                                      self._pick(rng, cfg.gpu_type_mix))
-            model, framework = self._pick(rng, MODEL_MIX)
-            iterations = rng.randint(cfg.min_iterations,
-                                     cfg.max_iterations)
+        for index in range(1, self.jobs + 1):
+            user, zone = pick(rng, tuple(((u, z), w) for u, z, w in TENANTS))
+            learners, gpus = pick(rng, SIZE_MIX)
+            gpu_type = drawn_gpu_type(gpus, pick(rng, self.gpu_type_mix))
+            model, framework = pick(rng, MODEL_MIX)
+            iterations = rng.randint(self.min_iterations,
+                                     self.max_iterations)
             jobs.append(FederationTraceJob(
                 trace_id=f"fedtrace-{index:05d}",
                 arrival_s=self._arrival(rng),

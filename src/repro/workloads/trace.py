@@ -63,6 +63,18 @@ DURATION_SIGMA = 1.15
 MAX_DURATION_S = 2 * SECONDS_PER_DAY
 
 
+def pick(rng, mix):
+    """One value of ``mix``, ``(value, probability)`` pairs, for one
+    draw of ``rng``."""
+    roll = rng.random()
+    acc = 0.0
+    for value, probability in mix:
+        acc += probability
+        if roll <= acc:
+            return value
+    return mix[-1][0]
+
+
 @dataclass
 class TraceConfig:
     """Knobs of the synthetic production trace."""
@@ -105,8 +117,8 @@ class ProductionTrace:
                 duration = min(MAX_DURATION_S,
                                rng.lognormvariate(DURATION_MU,
                                                   DURATION_SIGMA))
-                size = self._pick(rng, SIZE_MIX)
-                gpu_type = self._pick(rng, GPU_TYPE_MIX)
+                size = pick(rng, SIZE_MIX)
+                gpu_type = pick(rng, GPU_TYPE_MIX)
                 jobs.append(TraceJob(
                     job_id=f"trace-{counter:06d}",
                     arrival_s=arrival, duration_s=duration,
@@ -114,16 +126,6 @@ class ProductionTrace:
                     gpu_type=gpu_type))
         jobs.sort(key=lambda j: j.arrival_s)
         return jobs
-
-    @staticmethod
-    def _pick(rng, mix):
-        roll = rng.random()
-        acc = 0.0
-        for value, probability in mix:
-            acc += probability
-            if roll <= acc:
-                return value
-        return mix[-1][0]
 
 
 def arrivals_by_day(jobs: List[TraceJob], days: int) -> Dict[int, int]:

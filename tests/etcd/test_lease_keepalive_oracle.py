@@ -25,18 +25,26 @@ every watch event under ``/jobs/`` (the instant each attached key is
 put and deleted), each controller's exit code, exit instant and last
 log line, ``retries``, the client stream's next draw, the breaker's
 transitions, each lease's end state and ``env.now`` must be equal by
-``==``.
+``==``, except that watch events landing at one identical float are
+compared as a set.
 
-One class of same-float tie is discarded: a program step at the exact
-instant of a keepalive send or reply.  From outside the kernel such a
-step runs after the event form's event at that instant and before the
-arithmetic form's, which counts only what happened strictly before
-now.
+Two classes of same-float tie are set aside, the ones the settle
+contract does not preserve (DESIGN.md, "Arithmetic until something
+could change it").  A program step at the exact instant of a keepalive
+send or reply is discarded: from outside the kernel such a step runs
+after the event form's event at that instant and before the arithmetic
+form's, which counts only what happened strictly before now.  And two
+leases that expire at one float expire in the order their expiry
+timers took their ``seq``: the reference's watchdogs at their last
+wake, the settled form's timers when a disturbance turned the chains
+back into events, in chain order.  So their keys' ``DELETE`` events
+may swap.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import pytest
@@ -350,6 +358,15 @@ def play(form, config, program, probes=()):
     return observed, chain
 
 
+def unordered_ties(observed):
+    """``observed`` with each run of watch events at one identical float
+    in a canonical order."""
+    runs = groupby(observed["seen"], lambda entry: entry[:2]
+                   if entry[0] == "watch" else entry)
+    seen = [entry for _key, run in runs for entry in sorted(run, key=repr)]
+    return dict(observed, seen=seen)
+
+
 def around(instants):
     """A read just before and just after each instant."""
     return [x for instant in instants
@@ -398,6 +415,13 @@ PLAIN = {"backend": "standalone", "latency": DEFAULT_ETCD_LATENCY_S,
 @example(config=PLAIN,
          program=[(0.0, "start", 0), (45.5, "keepalive", 0),
                   (50.5, "read", 0)])
+# Two leases that expire at one float after an outage: the reference's
+# watchdogs last woke at 50.004 and 51.002, while the outage re-armed
+# the settled form's timers at 41 in chain order, so the DELETEs swap.
+@example(config=dict(PLAIN, latency=0.002, policy=None, ttl=30.0),
+         program=[(0, "start", 0), (0, "start", 0), (0, "status", 0),
+                  (0, "status", 1), (21, "keepalive", 0),
+                  (41, "outage", 3)])
 def test_the_settled_chain_is_the_timer_chain(config, program):
     reference, chain = play("reference", config, program)
     steps = {at for at, _verb, _arg in program} | {
@@ -405,11 +429,12 @@ def test_the_settled_chain_is_the_timer_chain(config, program):
     assume(not steps & set(chain))
     # Reads only where the program makes them, so a chain may go long
     # unsettled ...
-    assert play("settled", config, program)[0] == reference
+    assert unordered_ties(play("settled", config, program)[0]) == \
+        unordered_ties(reference)
     # ... and around every keepalive instant.
     probes = around(chain)
-    assert play("settled", config, program, probes)[0] == \
-        play("reference", config, program, probes)[0]
+    assert unordered_ties(play("settled", config, program, probes)[0]) == \
+        unordered_ties(play("reference", config, program, probes)[0])
 
 
 def chain_start(form, condition):

@@ -27,8 +27,10 @@ def make_federation(specs=None, seed=0, quota=64):
     rng = RngRegistry(seed)
     bus = FederationBus(env, rng)
     specs = specs or [
-        CellSpec("cell-a", zone="zone-a", gpu_nodes=2, gpus_per_node=4),
-        CellSpec("cell-b", zone="zone-b", gpu_nodes=2, gpus_per_node=4),
+        CellSpec("cell-a", zone="zone-a", gpu_nodes=2, gpus_per_node=4,
+                 gpu_type="K80"),
+        CellSpec("cell-b", zone="zone-b", gpu_nodes=2, gpus_per_node=4,
+                 gpu_type="K80"),
     ]
     cells = [Cell(env, rng, spec) for spec in specs]
     dispatcher = FederationDispatcher(env, rng, bus, cells)

@@ -18,7 +18,7 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos import (
-    CellDef,
+    CellSpec,
     FederationScenario,
     InjectionStep,
     JobShape,
@@ -95,7 +95,7 @@ def chaos_scenarios(draw):
 @st.composite
 def federation_scenarios(draw):
     names = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
-    cells = tuple(CellDef(
+    cells = tuple(CellSpec(
         name=name, zone=draw(_NAME), gpu_nodes=draw(st.integers(2, 8)),
         gpus_per_node=draw(st.sampled_from((2, 4, 8))),
         gpu_type=draw(st.sampled_from(_GPU_TYPES))) for name in names)

@@ -2,12 +2,13 @@
 
 A value stays settable only when some caller needs a second value
 (DESIGN.md, "Settings"); otherwise it is a constant next to its reader.
-The settings are each ``*Config`` dataclass field and each ``__init__``
-keyword default in ``src/repro``.  A file of ``src``, ``tests``,
-``benchmarks`` or ``examples`` sets one by keyword, by position, as a key
-of a dict passed with ``**``, by an attribute store (``obj.knob = x``),
-or through a subclass or a function that forwards it
-(``super().__init__(x)``, ``**kwargs``).
+The settings are each field of a declarative dataclass (``*Config``,
+``*Spec``, ``*Def``, ``*Group``, ``*Scenario``, ``*Shape``, ``*Step``)
+and each ``__init__`` keyword default in ``src/repro``.  A file of
+``src``, ``tests``, ``benchmarks`` or ``examples`` sets one by keyword,
+by position, as a key of a dict passed with ``**``, by an attribute
+store (``obj.knob = x``), or through a subclass or a function that
+forwards it (``super().__init__(x)``, ``**kwargs``).
 """
 
 import ast
@@ -19,6 +20,9 @@ import repro
 ROOT = Path(repro.__file__).parents[2]
 CORPUS = ("src", "tests", "benchmarks", "examples")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: The name suffixes of the declarative dataclasses: settings objects,
+#: and the shapes a scenario or a platform is declared in.
+DECLARATIVE = ("Config", "Spec", "Def", "Group", "Scenario", "Shape", "Step")
 
 
 def parse(directory):
@@ -41,7 +45,7 @@ def settings(tree):
                           in zip(args.kwonlyargs, args.kw_defaults)
                           if default is not None]
             yield cls.name, positional, defaulted
-        elif cls.name.endswith("Config") and any(
+        elif cls.name.endswith(DECLARATIVE) and any(
                 "dataclass" in ast.unparse(d) for d in cls.decorator_list):
             fields = [node.target.id for node in cls.body
                       if isinstance(node, ast.AnnAssign)

@@ -7,16 +7,16 @@ real pods, controllers and the scheduler.
 """
 
 
-from repro.analysis import NodeSpec, PlacementReplayer, QUEUE_THRESHOLD_S
+from repro.analysis import PlacementReplayer, QUEUE_THRESHOLD_S
 from repro.docker import Image
-from repro.kube import Cluster, NodeCapacity, SchedulerConfig
+from repro.kube import Cluster, SchedulerConfig
 from repro.kube.objects import ContainerSpec, ObjectMeta, Pod, PodSpec
-from repro.kube.resources import ResourceRequest
+from repro.kube.resources import NodeGroup, ResourceRequest
 from repro.sim import Environment, RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig
 
 DAYS = 2
-NODES = (NodeSpec(4, 4, "K80"), NodeSpec(4, 4, "V100"))
+NODES = (NodeGroup(4, 4, "K80"), NodeGroup(4, 4, "V100"))
 
 
 def mini_trace():
@@ -35,10 +35,7 @@ def run_full_sim(policy, jobs):
     cluster.push_image(Image("learner", size_bytes=1e6))
     for spec_index, spec in enumerate(NODES):
         for i in range(spec.count):
-            cluster.add_node(
-                f"n{spec_index}-{i}",
-                NodeCapacity(cpus=64, memory_gb=512, gpus=spec.gpus,
-                             gpu_type=spec.gpu_type))
+            cluster.add_node(f"n{spec_index}-{i}", spec.capacity)
     pods_by_job = {}
 
     def submit(job):

@@ -27,9 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.schedreplay import NodeSpec, PlacementReplayer
+from repro.analysis.schedreplay import PlacementReplayer
 from repro.kube import Cluster, SchedulerConfig
-from repro.kube.resources import NodeAllocation, NodeCapacity, ResourceRequest
+from repro.kube.resources import NodeAllocation, NodeGroup, ResourceRequest
 from repro.kube.scheduling.policies import PACK, SPREAD
 from repro.sim import Environment, RngRegistry
 from repro.workloads.trace import TraceJob
@@ -121,19 +121,20 @@ def clusters(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         gpu_type = draw(st.sampled_from(types))
         gpus = gpus_of[gpu_type]
-        specs.append(NodeSpec(
+        specs.append(NodeGroup(
             count=draw(st.integers(min_value=1, max_value=4)),
-            gpus=gpus, gpu_type=gpu_type,
+            gpus_per_node=gpus, gpu_type=gpu_type,
             cpus=float(4 * gpus * draw(st.sampled_from([1, 2, 4]))),
             memory_gb=float(gpus * draw(st.sampled_from([12, 24, 48])))))
     load = {}
     for spec_index, spec in enumerate(specs):
         for i in range(spec.count):
-            used = draw(st.integers(min_value=0, max_value=spec.gpus))
+            gpus = spec.gpus_per_node
+            used = draw(st.integers(min_value=0, max_value=gpus))
             load[f"n{spec_index}-{spec.gpu_type}-{i}"] = ResourceRequest(
                 cpus=float(draw(st.integers(
                     min_value=0,
-                    max_value=int(spec.cpus) * used // spec.gpus))),
+                    max_value=int(spec.cpus) * used // gpus))),
                 memory_gb=float(draw(st.integers(
                     min_value=0, max_value=int(spec.memory_gb)))),
                 gpus=used, gpu_type=spec.gpu_type if used else None)
@@ -154,9 +155,7 @@ def _nodes(specs) -> Dict[str, NodeAllocation]:
     for spec_index, spec in enumerate(specs):
         for i in range(spec.count):
             allocations[f"n{spec_index}-{spec.gpu_type}-{i}"] = \
-                NodeAllocation(NodeCapacity(
-                    cpus=spec.cpus, memory_gb=spec.memory_gb,
-                    gpus=spec.gpus, gpu_type=spec.gpu_type))
+                NodeAllocation(spec.capacity)
     return allocations
 
 
@@ -204,7 +203,7 @@ def test_outside_the_domain_the_replayer_places_as_the_scheduler():
     """One 8-GPU and one 4-GPU K80 node with four and three GPUs in use:
     the old Pack key ``(used, name)`` chose the 8-GPU node, the
     scheduler's utilization (0.75 against 0.5) the 4-GPU one."""
-    specs = (NodeSpec(1, 8, "K80"), NodeSpec(1, 4, "K80"))
+    specs = (NodeGroup(1, 8, "K80"), NodeGroup(1, 4, "K80"))
     in_use = {"n0-K80-0": 4, "n1-K80-0": 3}
     replayer = PlacementReplayer(PACK, specs)
     reference = ReferenceReplayer(PACK, _nodes(specs))
@@ -212,9 +211,7 @@ def test_outside_the_domain_the_replayer_places_as_the_scheduler():
     cluster = Cluster(env, RngRegistry(0), SchedulerConfig(policy=PACK))
     cluster.push_image(LEARNER_IMAGE)
     for (name, gpus), spec in zip(in_use.items(), specs):
-        cluster.add_node(name, NodeCapacity(
-            cpus=spec.cpus, memory_gb=spec.memory_gb, gpus=spec.gpus,
-            gpu_type=spec.gpu_type), labels={"slot": name})
+        cluster.add_node(name, spec.capacity, labels={"slot": name})
         request = ResourceRequest(cpus=4.0 * gpus, memory_gb=24.0 * gpus,
                                   gpus=gpus, gpu_type="K80")
         replayer.allocations[name].allocate(request)

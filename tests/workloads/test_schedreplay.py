@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.analysis import (
-    NodeSpec,
-    PlacementReplayer,
-    compare_policies,
-)
+from repro.analysis import PlacementReplayer, compare_policies
 from repro.errors import KubeError
+from repro.kube.resources import NodeGroup
 from repro.sim import RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig, TraceJob
 
-SMALL_NODES = (NodeSpec(2, 4, "K80"),)
+SMALL_NODES = (NodeGroup(2, 4, "K80"),)
 
 
 def job(job_id, arrival, duration, learners=1, gpus=1, gpu_type="K80"):
@@ -41,7 +38,7 @@ def test_job_waits_for_release():
 
 def test_pack_beats_spread_on_fragmentation():
     """The Section 3.4 example as a replay: small jobs then a 4-GPU job."""
-    nodes = (NodeSpec(4, 4, "K80"),)
+    nodes = (NodeGroup(4, 4, "K80"),)
     jobs = [job(f"small-{i}", 0.0, 10_000.0) for i in range(4)]
     jobs.append(job("big", 10.0, 100.0, learners=1, gpus=4))
     for policy, expect_delay in (("spread", True), ("pack", False)):
@@ -52,7 +49,7 @@ def test_pack_beats_spread_on_fragmentation():
 
 
 def test_gpu_type_respected():
-    nodes = (NodeSpec(1, 4, "K80"), NodeSpec(1, 4, "V100"))
+    nodes = (NodeGroup(1, 4, "K80"), NodeGroup(1, 4, "V100"))
     replayer = PlacementReplayer("pack", nodes)
     result = replayer.replay(
         [job("v", 0.0, 50.0, gpu_type="V100"),
@@ -61,7 +58,7 @@ def test_gpu_type_respected():
 
 
 def test_learners_of_job_all_placed_or_none():
-    nodes = (NodeSpec(1, 4, "K80"),)
+    nodes = (NodeGroup(1, 4, "K80"),)
     replayer = PlacementReplayer("pack", nodes)
     # 2 learners x 4 GPUs cannot fit on one 4-GPU node: queued forever.
     result = replayer.replay([job("big", 0.0, 10.0, learners=2, gpus=4)],

@@ -3,11 +3,7 @@
 
 from repro.sim import RngRegistry
 from repro.workloads import ProductionTrace, TraceConfig, arrivals_by_day
-from repro.workloads.federation_trace import (
-    FederationTrace,
-    FederationTraceConfig,
-    drawn_shapes,
-)
+from repro.workloads.federation_trace import FederationTrace, drawn_shapes
 from repro.workloads.trace import MAX_DURATION_S
 
 
@@ -82,11 +78,12 @@ def test_federation_trace_draws_only_the_shapes_drawn_shapes_lists():
     """MAN003 checks a federation against ``drawn_shapes``, so it must
     list exactly the (GPU type, shape) pairs the generator draws."""
     for mix in ((("K80", 0.45), ("V100", 0.55)), (("V100", 1.0),)):
-        config = FederationTraceConfig(jobs=400, gpu_type_mix=mix)
+        trace = FederationTrace(RngRegistry(0), jobs=400,
+                                arrival_window_s=420.0, gpu_type_mix=mix,
+                                min_iterations=80, max_iterations=240)
         shapes = drawn_shapes(mix)
         drawn = {(job.gpu_type, (job.learners, job.gpus_per_learner))
-                 for job in FederationTrace(RngRegistry(0),
-                                            config).generate()}
+                 for job in trace.generate()}
         assert drawn == {(gpu_type, shape)
                          for gpu_type, listed in shapes.items()
                          for shape in listed}
