@@ -12,18 +12,20 @@ sampling rounds.
 This module is a self-contained implementation of that heuristic: it never
 mutates the real allocations — callers apply the returned assignment.
 
-Every round starts from the same fresh cluster, so what a fresh node
-contributes (its fit and bias weight per pod, its score term) is computed
-once per call; a round keeps views only of the nodes it takes from and
-patches their entries.  It costs what it draws, not the cluster, and
-``rng.choices`` and ``sum`` see the lists and floats a rebuild of every
-node would give.  DESIGN.md, "What a gang attempt costs".
+The caller hands each pod its candidates as they stand — names, bias
+weights, positions — and every node's score term: the scheduler keeps
+both current in its candidate index (``placement``), so a call costs what
+it draws, not the cluster.  A round keeps views only of the nodes it
+takes from and patches their entries, and ``rng.choices`` and ``sum`` see
+the lists and floats a rebuild of every node would give.  DESIGN.md,
+"What a gang attempt costs".
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.kube.objects import Pod
 from repro.kube.resources import NodeAllocation, ResourceRequest
@@ -47,11 +49,22 @@ class _Tentative(NodeAllocation):
 #: the paper mentions the framework supports).
 OBJECTIVE_PACK = "pack"
 OBJECTIVE_BALANCE = "balance"
+#: The bias weights' exponent.
+ALPHA = 2.0
+
+#: A pod's candidates: names in draw order, their bias weights, and
+#: name -> position in both lists.
+Candidates = Tuple[List[str], List[float], Dict[str, int]]
+#: Every node's score term in allocation order, and name -> position.
+Terms = Tuple[List[float], Dict[str, int]]
+_NO_CANDIDATES: Candidates = ([], [], {})
 
 
-def _bias_weight(view: _Tentative, request: ResourceRequest,
-                 alpha: float, objective: str) -> float:
-    """Sampling bias toward nodes that improve the objective."""
+def bias_weight(view: NodeAllocation, request: ResourceRequest,
+                alpha: float, objective: str) -> float:
+    """Sampling bias toward nodes that improve the objective.  A fresh
+    view copies its allocation's fields, so the allocation itself gives
+    the same float."""
     if objective == OBJECTIVE_BALANCE:
         if request.gpus > 0:
             return (1.0 + view.free_gpus) ** alpha
@@ -62,12 +75,20 @@ def _bias_weight(view: _Tentative, request: ResourceRequest,
     return (1.0 + used_cpu) ** alpha
 
 
-def _score_term(utilization: float, objective: str) -> float:
+def score_term(utilization: float, objective: str) -> float:
     """One node's entry in the round's score: its GPU utilization
     (balance) or that squared (pack)."""
     if objective == OBJECTIVE_BALANCE:
         return utilization
     return utilization ** 2
+
+
+def score_terms(allocations: Mapping[str, NodeAllocation],
+                objective: str) -> Terms:
+    """Every node's score term in allocation order, and its position."""
+    return ([score_term(a.gpu_utilization, objective)
+             for a in allocations.values()],
+            {name: i for i, name in enumerate(allocations)})
 
 
 def _assignment_score(terms: List[float], touched: Dict[str, _Tentative],
@@ -84,65 +105,71 @@ def _assignment_score(terms: List[float], touched: Dict[str, _Tentative],
 
 
 class _Draw:
-    """One pod's candidates over the fresh views, shared by every round."""
+    """One pod's candidates as they stand, shared by every round."""
 
-    __slots__ = ("name", "request", "candidates", "weights", "slot")
+    __slots__ = ("name", "request", "candidates", "weights", "slot", "cum")
 
-    def __init__(self, pod: Pod, eligible: List[str],
-                 fresh: Dict[str, _Tentative], alpha: float,
-                 objective: str):
+    def __init__(self, pod: Pod, candidates: Candidates):
         self.name = pod.name
-        self.request = request = pod.spec.resources
-        self.candidates = [n for n in eligible if fresh[n].fits(request)]
-        self.weights = [_bias_weight(fresh[n], request, alpha, objective)
-                        for n in self.candidates]
-        #: Candidate -> its position in both lists.
-        self.slot = {n: i for i, n in enumerate(self.candidates)}
+        self.request = pod.spec.resources
+        self.candidates, self.weights, self.slot = candidates
         if len(self.slot) < len(self.candidates):
             raise ValueError(f"pod {pod.name}: a node is eligible twice")
+        #: The weights' running sums, once per call: the list
+        #: ``rng.choices`` builds from ``weights=``.
+        self.cum = list(accumulate(self.weights))
 
-    def patched(self, touched: Dict[str, _Tentative], alpha: float,
-                objective: str) -> tuple:
-        """``(candidates, weights)`` over this round's views: a touched
-        candidate is re-weighted in place, or dropped once it no longer
-        fits.  Taking never makes a node fit, so no other entry moves."""
-        candidates, weights = self.candidates, self.weights
-        hits = [(self.slot[n], view) for n, view in touched.items()
-                if n in self.slot]
+    def choose(self, touched: Dict[str, _Tentative], rng: random.Random,
+               alpha: float, objective: str) -> Optional[str]:
+        """This round's draw, over its views: a touched candidate is
+        re-weighted, or dropped once it no longer fits.  Taking never
+        makes a node fit, so no other entry moves.  None when nothing
+        fits."""
+        candidates, slot = self.candidates, self.slot
+        hits = [(slot[n], view) for n, view in touched.items()
+                if n in slot]
         if not hits:
-            return candidates, weights
-        weights = list(weights)
+            if not candidates:
+                return None
+            return rng.choices(candidates, cum_weights=self.cum, k=1)[0]
+        weights = list(self.weights)
         gone = []
         for i, view in hits:
             if view.fits(self.request):
-                weights[i] = _bias_weight(view, self.request, alpha,
-                                          objective)
+                weights[i] = bias_weight(view, self.request, alpha,
+                                         objective)
             else:
                 gone.append(i)
         if gone:
             candidates = list(candidates)
             for i in sorted(gone, reverse=True):
                 del candidates[i], weights[i]
-        return candidates, weights
+            if not candidates:
+                return None
+        return rng.choices(candidates, weights=weights, k=1)[0]
 
 
 def bsa_place(
     pods: Sequence[Pod],
     allocations: Dict[str, NodeAllocation],
-    eligible_nodes: Dict[str, List[str]],
+    candidates: Mapping[str, Candidates],
     rng: random.Random,
     rounds: int = 8,
-    alpha: float = 2.0,
+    alpha: float = ALPHA,
     objective: str = OBJECTIVE_PACK,
+    terms: Optional[Terms] = None,
 ) -> Optional[Dict[str, str]]:
     """Find an all-or-nothing placement for the gang.
 
-    ``eligible_nodes`` maps each pod name to the node names that pass its
-    predicate filter (selector, readiness) against *current* state; resource
-    feasibility is re-evaluated against the tentative view inside each
-    sampling round.  Each list names a node at most once among those that
-    fit (``ValueError`` otherwise).  Returns pod-name -> node-name, or
-    None if no feasible assignment was sampled.
+    ``candidates`` maps each pod name to the nodes that pass its
+    predicate filter (selector, readiness) and fit it against *current*
+    state, with their bias weights (``bias_weight`` of the allocation)
+    and positions; resource feasibility is re-evaluated against the
+    tentative view inside each sampling round.  A pod with no entry has
+    no candidate; a list naming a node twice raises ``ValueError``.
+    ``terms`` is ``score_terms(allocations, objective)``, computed here
+    when not given.  Returns pod-name -> node-name, or None if no
+    feasible assignment was sampled.
     """
     if not pods:
         return {}
@@ -152,39 +179,38 @@ def bsa_place(
         pods,
         key=lambda p: (p.spec.resources.gpus, p.spec.resources.cpus),
         reverse=True)
-    fresh: Dict[str, _Tentative] = {}
-    for pod in ordered:
-        for name in eligible_nodes.get(pod.name, []):
-            if name not in fresh:
-                fresh[name] = _Tentative(allocations[name])
-    draws = [_Draw(pod, eligible_nodes.get(pod.name, []), fresh, alpha,
-                   objective) for pod in ordered]
-    fresh_terms: Optional[List[float]] = None  # first feasible round
+    draws = [_Draw(pod, candidates.get(pod.name, _NO_CANDIDATES))
+             for pod in ordered]
     best: Optional[Dict[str, str]] = None
     best_score = float("-inf")
+    # Assignments already scored: the same draws give the same views,
+    # so the same score, and an equal score is never ``>``.
+    scored = set()
     for _round in range(rounds):
         touched: Dict[str, _Tentative] = {}
         assignment: Dict[str, str] = {}
         for draw in draws:
-            candidates, weights = draw.patched(touched, alpha, objective)
-            if not candidates:
+            choice = draw.choose(touched, rng, alpha, objective)
+            if choice is None:
                 break
-            choice = rng.choices(candidates, weights=weights, k=1)[0]
             assignment[draw.name] = choice
             view = touched.get(choice)
             if view is None:
                 view = touched[choice] = _Tentative(allocations[choice])
             view.allocate(draw.request)
         else:
-            if fresh_terms is None:
-                fresh_terms = [_score_term(a.gpu_utilization, objective)
-                               for a in allocations.values()]
-                position = {name: i for i, name in enumerate(allocations)}
-            terms = list(fresh_terms)
+            drawn = tuple(assignment.values())
+            if drawn in scored:
+                continue
+            scored.add(drawn)
+            if terms is None:
+                terms = score_terms(allocations, objective)
+            values, position = terms
+            values = list(values)
             for name, view in touched.items():
-                terms[position[name]] = _score_term(view.gpu_utilization,
+                values[position[name]] = score_term(view.gpu_utilization,
                                                     objective)
-            score = _assignment_score(terms, touched, objective)
+            score = _assignment_score(values, touched, objective)
             if score > best_score:
                 best_score = score
                 best = assignment

@@ -44,7 +44,7 @@ from repro.kube.scheduling.bsa import (
     OBJECTIVE_PACK,
     bsa_place,
 )
-from repro.kube.scheduling.placement import Placement, selector_matches
+from repro.kube.scheduling.placement import Placement, class_key
 from repro.kube.scheduling.policies import PACK, check_policy
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
@@ -124,12 +124,17 @@ class Scheduler(Placement):
                  rng: RngRegistry,
                  config: Optional[SchedulerConfig] = None):
         self.config = config or SchedulerConfig()
-        super().__init__(self.config.policy, cluster.allocations)
+        super().__init__(self.config.policy, cluster.allocations,
+                         self.config.bsa_objective)
         self.env = env
         self.api = api
         self.cluster = cluster
         self.rng = rng.stream("scheduler")
         self._queue: Dict[str, tuple] = {}  # pod name -> (time, tiebreak)
+        #: Queued pod name -> its ``class_key``.  Taken once, at
+        #: creation: nothing writes a pod's request (a frozen dataclass)
+        #: or its selector afterwards.
+        self._class_keys: Dict[str, tuple] = {}
         self._enqueue_seq = 0
         self._burst_jitter = ORDER_JITTER
         self._gangs: Dict[str, _GangEntry] = {}
@@ -141,10 +146,6 @@ class Scheduler(Placement):
         #: Injected races (FailedScheduling reasons), each failing the
         #: next placement attempt that gets past the other checks.
         self._races: List[str] = []
-        #: ``_predicate_summary`` by (sorted selector items, wanted
-        #: GPUs), valid while the journal ends at ``_summaries_at``.
-        self._summaries: Dict[tuple, str] = {}
-        self._summaries_at = 0
         #: pod name -> (owner uid, node name) as last seen by the
         #: tracker, so MODIFIED/DELETED events translate into exact
         #: count deltas.
@@ -171,6 +172,8 @@ class Scheduler(Placement):
         if self.config.nondeterministic_order:
             tiebreak += self.rng.uniform(0.0, self._burst_jitter)
         self._queue[pod.name] = (self.env.now, tiebreak)
+        self._class_keys[pod.name] = class_key(
+            pod.spec.resources, pod.spec.node_selector, not self.config.gang)
         if self.config.gang:
             key = pod.spec.gang_name or pod.name
             entry = self._gangs.get(key)
@@ -282,7 +285,7 @@ class Scheduler(Placement):
         if pod is None:
             return
         node_name = self.best_node(pod.spec.resources, pod.spec.node_selector,
-                                   pod.meta.owner)
+                                   pod.meta.owner, self._class_keys[name])
         if node_name is None:
             self._record_no_nodes(pod)
             return
@@ -397,23 +400,33 @@ class Scheduler(Placement):
                 and other.name not in entry.pod_names)
             if placed + len(entry.pod_names) < entry.size:
                 return  # wait for the rest of the gang to be created
-        eligible = {pod.name: self.feasible_nodes(pod.spec.resources,
-                                                  pod.spec.node_selector)
-                    for pod in pods}
-        empty = [pod for pod in pods if not eligible[pod.name]]
-        if empty:
-            for pod in empty:
-                self._record_no_nodes(pod)
-            return
-        assignment = bsa_place(pods, self.cluster.allocations, eligible,
-                               self.rng, objective=self.config.bsa_objective)
+        assignment, unplaced = self._place_gang(pods)
+        for pod in unplaced:
+            self._record_no_nodes(pod)
         if assignment is None:
-            for pod in pods:
-                self._record_no_nodes(pod)
             return
         self._gangs.pop(entry.key, None)
         yield from self._bind_with_window(
             [(pod, assignment[pod.name]) for pod in pods])
+
+    def _place_gang(self, pods: List[Pod]) -> Tuple[Optional[Dict[str, str]],
+                                                    List[Pod]]:
+        """BSA's assignment for queued pods, fed by the candidate index,
+        and the pods that get a FailedScheduling event: those with no
+        feasible node (BSA is not called), or all when no sampled round
+        fitted.  Every class is read before any list is built."""
+        classes = [self._feasible_candidates(
+            pod.spec.resources, pod.spec.node_selector, False,
+            self._class_keys[pod.name]) for pod in pods]
+        empty = [pod for pod, entry in zip(pods, classes) if not entry.ranked]
+        if empty:
+            return None, empty
+        assignment = bsa_place(
+            pods, self.allocations,
+            {pod.name: self._gang_lists(entry)
+             for pod, entry in zip(pods, classes)},
+            self.rng, objective=self.objective, terms=self.bsa_terms())
+        return assignment, pods if assignment is None else []
 
     # -- events --------------------------------------------------------------------------------
 
@@ -424,40 +437,13 @@ class Scheduler(Placement):
                        predicates=predicates), pod)
 
     def _predicate_summary(self, pod: Pod) -> str:
-        """Why no node fits, per predicate, as FailedScheduling says it.
-
-        It reads each node's readiness (``update_node``), free GPUs
-        (``reserve`` / ``release``) and the node list (additions) — all
-        journalled — and labels, which are fixed at creation.  So one
-        scan serves every pod of a (selector, GPUs) shape until the
-        journal moves.
-        """
-        end = self._journal_start + len(self._journal)
-        if self._summaries_at != end:
-            self._summaries, self._summaries_at = {}, end
-        key = (tuple(sorted(pod.spec.node_selector.items())),
-               pod.spec.resources.gpus)
-        summary = self._summaries.get(key)
-        if summary is None:
-            summary = self._summaries[key] = self._scan_predicates(pod)
-        return summary
-
-    def _scan_predicates(self, pod: Pod) -> str:
-        wanted_gpus = pod.spec.resources.gpus
-        short_gpu = selector_miss = unready = 0
-        for node in self._nodes.values():
-            matches = selector_matches(pod.spec.node_selector, node)
-            if not matches:
-                selector_miss += 1
-            if not node.is_ready:
-                unready += 1
-            elif matches and wanted_gpus > 0 and \
-                    self.allocations[node.name].free_gpus < wanted_gpus:
-                short_gpu += 1
-        reasons = [f"{predicate} ({count})" for predicate, count in (
-            (PREDICATE_INSUFFICIENT_GPU, short_gpu),
-            (PREDICATE_MATCH_NODE_SELECTOR, selector_miss),
-            (PREDICATE_NODE_UNSCHEDULABLE, unready)) if count]
+        """Why no node fits, per predicate, as FailedScheduling says it
+        (the index's ``predicate_counts``)."""
+        counts = self.predicate_counts(pod.spec.node_selector,
+                                       self._class_keys[pod.name])
+        reasons = [f"{predicate} ({count})" for predicate, count in zip(
+            (PREDICATE_INSUFFICIENT_GPU, PREDICATE_MATCH_NODE_SELECTOR,
+             PREDICATE_NODE_UNSCHEDULABLE), counts) if count]
         return ", ".join(reasons) or "Insufficient resources"
 
     def _emit(self, pod_name: str, reason: str, message: str,
@@ -469,3 +455,4 @@ class Scheduler(Placement):
 
     def _dequeue(self, name: str) -> None:
         self._queue.pop(name, None)
+        self._class_keys.pop(name, None)

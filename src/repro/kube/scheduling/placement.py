@@ -9,19 +9,31 @@ paper's pipeline does (there is no sampling), yet costs O(changed
 nodes).  A scored class keeps its nodes in ``(score, name)`` order, so
 step (3) reads the top; under Spread, whose score penalises the nodes
 the pod's owner already occupies, it reads down to the first node the
-owner does not occupy.  The index knows nothing of pods, queues or
-time: the scheduler (``framework.Scheduler``, a subclass) and the
+owner does not occupy.  A gang class keeps each node's BSA bias weight
+and the draw lists BSA takes; beside the classes, the same journal
+keeps BSA's score terms and the FailedScheduling counts per
+``(selector, GPUs)`` current.  The index knows nothing of pods, queues
+or time: the scheduler (``framework.Scheduler``, a subclass) and the
 Figure 3 replayer (``repro.analysis.schedreplay``) drive it.  DESIGN.md,
-"Scheduler candidate index".
+"Scheduler candidate index" and "What a gang attempt costs".
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.kube.resources import NodeAllocation, ResourceRequest
+from repro.kube.scheduling.bsa import (
+    ALPHA,
+    OBJECTIVE_PACK,
+    Candidates,
+    Terms,
+    bias_weight,
+    score_term,
+    score_terms,
+)
 from repro.kube.scheduling.policies import score_node, score_reads_owner
 
 
@@ -29,18 +41,36 @@ from repro.kube.scheduling.policies import score_node, score_reads_owner
 class _PodClass:
     """The candidate index's view of the cluster for one pod class."""
 
-    #: Feasible node -> ``(score, name)``, or ``True`` in an unscored
-    #: (gang) class.  Correct for every node not in ``stale``.
-    ranked: Dict[str, object]
     #: Nodes to re-evaluate before ``ranked`` is read.  A dict, not a
     #: set: iteration order must not depend on the hash seed.
     stale: Dict[str, None]
     #: Journal position (absolute) already folded into ``stale``.
     seen: int
+    #: Feasible node -> ``(score, name)``, or its BSA bias weight in an
+    #: unscored (gang) class.  Correct for every node not in ``stale``.
+    ranked: Dict[str, object] = field(default_factory=dict)
     #: A scored class's ``ranked.values()``, ascending: the best node is
     #: last.  None in a gang class, and in a scored one until its first
     #: read.
     order: Optional[List[tuple]] = None
+    #: A gang class's draw lists, as ``bsa_place`` takes them: feasible
+    #: names in node order, their weights, name -> position.  None until
+    #: read and after a node enters or leaves; a changed weight is
+    #: patched in place.
+    draws: Optional[Candidates] = None
+
+
+@dataclass
+class _PredicateCounts:
+    """The FailedScheduling counts of one ``(selector, GPUs)`` shape."""
+
+    stale: Dict[str, None]
+    seen: int
+    #: Node -> whether it is short of GPUs, missed by the selector,
+    #: unready (0 or 1 each); correct for every node not in ``stale``.
+    misses: Dict[str, tuple] = field(default_factory=dict)
+    #: Those summed over the nodes.
+    counts: tuple = (0, 0, 0)
 
 
 #: A read patches a class's order node by node (a ``bisect`` delete and
@@ -56,14 +86,25 @@ class Placement:
     ``allocations`` maps node names to the :class:`NodeAllocation` the
     caller mutates and reports with :meth:`invalidate`."""
 
-    def __init__(self, policy: str, allocations: Dict[str, NodeAllocation]):
+    def __init__(self, policy: str, allocations: Dict[str, NodeAllocation],
+                 objective: str = OBJECTIVE_PACK):
         self.policy = policy
+        #: The BSA objective a gang class weighs and scores nodes for.
+        self.objective = objective
         self.allocations = allocations
         #: Nodes by name, in the order they were added.
         self._nodes: Dict[str, object] = {}
-        #: The candidate index: pod class -> its feasible nodes.  A class
-        #: is ``(request, sorted selector items, scored?)``.
+        #: The candidate index: pod class (``class_key``) -> its
+        #: feasible nodes.
         self._classes: Dict[tuple, _PodClass] = {}
+        #: ``(sorted selector items, wanted GPUs)`` -> its
+        #: FailedScheduling counts.
+        self._shapes: Dict[tuple, _PredicateCounts] = {}
+        #: Every node's BSA score term in allocation order, name ->
+        #: position, and the journal position folded in; built at the
+        #: first gang attempt.
+        self._terms: Optional[Terms] = None
+        self._terms_seen = 0
         #: Invalidation journal: the names of changed nodes, in order;
         #: ``_journal[0]`` sits at absolute position ``_journal_start``.
         self._journal: List[str] = []
@@ -80,6 +121,11 @@ class Placement:
         #: the nodes an attempt chose among.
         self.score_evals = 0
         self.score_cache_hits = 0
+        #: Per-node re-evaluations beside the filter: a BSA score term,
+        #: or a node's FailedScheduling predicate misses.
+        self.refresh_evals = 0
+        #: Gang draw lists built (in node order), as against patched.
+        self.lists_built = 0
 
     @property
     def _owner_node_counts(self) -> Dict[tuple, int]:
@@ -105,9 +151,10 @@ class Placement:
 
         Past two clusters' worth of entries (and 16, for clusters of a
         handful of nodes) the older half goes, and with it every class
-        whose position fell off: one not read for a cluster's worth of
-        changes is cheaper to rebuild than to patch, and neither journal
-        nor index grows with the owners and shapes a long run has seen.
+        and shape whose position fell off: one not read for a cluster's
+        worth of changes is cheaper to rebuild than to patch, and neither
+        journal nor index grows with the owners and shapes a long run has
+        seen.  Score terms whose position fell off are rebuilt when read.
         """
         journal = self._journal
         journal.append(node_name)
@@ -118,6 +165,9 @@ class Placement:
             self._classes = {key: entry
                              for key, entry in self._classes.items()
                              if entry.seen >= start}
+            self._shapes = {key: shape
+                            for key, shape in self._shapes.items()
+                            if shape.seen >= start}
 
     def count_owner(self, owner: str, node_name: str, delta: int) -> None:
         """Move the (owner, node) count.  No class table reads it (only
@@ -134,7 +184,8 @@ class Placement:
     # -- the two questions ----------------------------------------------------
 
     def best_node(self, request: ResourceRequest, selector: Mapping,
-                  owner: Optional[str] = None) -> Optional[str]:
+                  owner: Optional[str] = None,
+                  key: Optional[tuple] = None) -> Optional[str]:
         """The feasible node of highest ``(score, name)`` — node names are
         unique, so the order is total — or None.
 
@@ -144,9 +195,10 @@ class Placement:
         occupy outscores every node it does, so the first such node down
         from the class's top is the best; only when the owner occupies
         every feasible node are the nodes holding the fewest of its pods
-        scored with that count (the penalty rules out every other)."""
-        order = self._feasible_candidates(request, selector,
-                                          scored=True).order
+        scored with that count (the penalty rules out every other).
+        ``key`` is the class's ``class_key``, when the caller keeps it."""
+        order = self._feasible_candidates(request, selector, True,
+                                          key).order
         if not order:
             return None
         occupied = self._owner_nodes.get(owner) \
@@ -164,58 +216,133 @@ class Placement:
                        for name in names)[1]
         return order[-1][1]
 
-    def feasible_nodes(self, request: ResourceRequest,
-                       selector: Mapping) -> List[str]:
-        """Feasible node names in node order (BSA draws by position)."""
-        ranked = self._feasible_candidates(request, selector,
-                                           scored=False).ranked
-        return [name for name in self._nodes if name in ranked]
+    def predicate_counts(self, selector: Mapping,
+                         key: tuple) -> Tuple[int, int, int]:
+        """For a pod of class ``key`` (``class_key``) and this selector:
+        the ready nodes its selector matches that are short of its GPUs,
+        the nodes its selector misses, and the unready nodes — what
+        FailedScheduling says.  Readiness, free GPUs and the node list
+        are journalled, and labels are fixed at creation, so only the
+        journalled nodes are re-evaluated."""
+        gpus, items = key[2], key[4]  # ``class_key``'s layout
+        shape = self._read(self._shapes, (items, gpus), _PredicateCounts)
+        misses = shape.misses
+        for name in shape.stale:
+            self.refresh_evals += 1
+            node = self._nodes[name]
+            matches = not selector or selector_matches(selector, node)
+            ready = node.is_ready
+            new = (int(ready and matches and gpus > 0 and
+                       self.allocations[name].free_gpus < gpus),
+                   int(not matches), int(not ready))
+            old = misses.get(name, (0, 0, 0))
+            if new != old:
+                misses[name] = new
+                shape.counts = tuple(count + n - o for count, n, o
+                                     in zip(shape.counts, new, old))
+        shape.stale.clear()
+        return shape.counts
+
+    def bsa_terms(self) -> Terms:
+        """BSA's score terms (``score_terms``) for the current cluster:
+        the journalled nodes' re-evaluated, and the whole vector rebuilt
+        when the journal was cut past its position or a node was added.
+        Read-only to the caller."""
+        end = self._journal_start + len(self._journal)
+        terms = self._terms
+        if terms is None or self._terms_seen < self._journal_start or \
+                len(terms[1]) != len(self.allocations):
+            terms = self._terms = score_terms(self.allocations,
+                                              self.objective)
+            self.refresh_evals += len(self.allocations)
+        elif self._terms_seen < end:
+            values, position = terms
+            for name in dict.fromkeys(
+                    self._journal[self._terms_seen - self._journal_start:]):
+                self.refresh_evals += 1
+                values[position[name]] = score_term(
+                    self.allocations[name].gpu_utilization, self.objective)
+        self._terms_seen = end
+        return terms
 
     # -- the index ------------------------------------------------------------
 
-    def _pod_class(self, request: ResourceRequest, selector: Mapping,
-                   scored: bool) -> _PodClass:
-        """The class in the candidate index, every journalled change
-        since its last read folded into ``stale``.  A class never read
-        (or retired) starts with every node stale."""
-        key = (request, tuple(sorted(selector.items())), scored)
+    def _read(self, table: Dict[tuple, object], key: tuple, make):
+        """``table[key]`` with every journalled change since its last read
+        folded into ``stale``.  An entry never read (or retired) is
+        ``make(stale=every node, seen=journal end)``."""
         end = self._journal_start + len(self._journal)
-        entry = self._classes.get(key)
+        entry = table.get(key)
         if entry is None:
-            entry = self._classes[key] = _PodClass(
-                {}, dict.fromkeys(self._nodes), end)
+            entry = table[key] = make(dict.fromkeys(self._nodes), end)
         elif entry.seen < end:
             entry.stale.update(dict.fromkeys(
                 self._journal[entry.seen - self._journal_start:]))
             entry.seen = end
         return entry
 
+    def _gang_lists(self, entry: _PodClass) -> Candidates:
+        """A gang class's ``(names, weights, slot)``, brought up to date by
+        ``_feasible_candidates``; built here when a node entered or left
+        the class.  Read-only to the caller."""
+        draws = entry.draws
+        if draws is None:
+            ranked = entry.ranked
+            names = [name for name in self._nodes if name in ranked]
+            draws = entry.draws = (
+                names, [ranked[name] for name in names],
+                {name: i for i, name in enumerate(names)})
+            self.lists_built += 1
+        return draws
+
+    def _pod_class(self, request: ResourceRequest, selector: Mapping,
+                   scored: bool, key: Optional[tuple] = None) -> _PodClass:
+        """The class in the candidate index, every journalled change
+        since its last read folded into ``stale``.  A class never read
+        (or retired) starts with every node stale."""
+        return self._read(self._classes,
+                          key or class_key(request, selector, scored),
+                          _PodClass)
+
     def _feasible_candidates(self, request: ResourceRequest,
-                             selector: Mapping, scored: bool) -> _PodClass:
+                             selector: Mapping, scored: bool,
+                             key: Optional[tuple] = None) -> _PodClass:
         """The class brought up to date: every stale node of the class
-        re-evaluated, every other verdict taken as it stands, and a
-        scored class's order patched or, past ``PATCH_SHARE``, re-sorted."""
-        entry = self._pod_class(request, selector, scored)
+        re-evaluated, every other verdict taken as it stands, a scored
+        class's order patched or, past ``PATCH_SHARE``, re-sorted, and a
+        gang class's weights patched or its lists dropped."""
+        entry = self._pod_class(request, selector, scored, key)
         ranked, stale, order = entry.ranked, entry.stale, entry.order
         patch = order is not None and \
             len(stale) <= PATCH_SHARE * len(ranked)
+        draws = entry.draws
         rescored = 0
         for name in stale:
             old = ranked.get(name)
             allocation = self._node_fits(request, selector, name)
             if allocation is None:
-                if old is not None:
-                    del ranked[name]
-                    if patch:
-                        del order[bisect_left(order, old)]
+                if old is None:
+                    continue
+                new = None
+                del ranked[name]
+            else:
+                rescored += 1
+                new = ranked[name] = (
+                    (self._score(request, allocation), name) if scored
+                    else bias_weight(allocation, request, ALPHA,
+                                     self.objective))
+            if new == old:
                 continue
-            rescored += 1
-            new = ranked[name] = (self._score(request, allocation),
-                                  name) if scored else True
-            if patch and new != old:
+            if patch:
                 if old is not None:
                     del order[bisect_left(order, old)]
-                insort(order, new)
+                if new is not None:
+                    insort(order, new)
+            elif draws is not None:
+                if old is None or new is None:
+                    draws = entry.draws = None
+                else:
+                    draws[1][draws[2][name]] = new
         self.filter_cache_hits += len(self._nodes) - len(stale)
         if scored:
             self.score_cache_hits += len(ranked) - rescored
@@ -242,6 +369,14 @@ class Placement:
         pod on it (one full computation)."""
         self.score_evals += 1
         return score_node(self.policy, request, allocation, 0)
+
+
+def class_key(request: ResourceRequest, selector: Mapping,
+              scored: bool) -> tuple:
+    """A pod class: what filter and score read of a pod but its owner.
+    Flat, so a lookup hashes numbers and strings, not a dataclass."""
+    return (request.cpus, request.memory_gb, request.gpus, request.gpu_type,
+            tuple(sorted(selector.items())), scored)
 
 
 def selector_matches(selector: Mapping, node) -> bool:

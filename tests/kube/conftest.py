@@ -13,6 +13,12 @@ from repro.kube import (
     ResourceRequest,
     SchedulerConfig,
 )
+from repro.kube.events import (
+    PREDICATE_INSUFFICIENT_GPU,
+    PREDICATE_MATCH_NODE_SELECTOR,
+    PREDICATE_NODE_UNSCHEDULABLE,
+)
+from repro.kube.scheduling.bsa import ALPHA, OBJECTIVE_PACK, bias_weight
 from repro.sim import Environment, RngRegistry
 
 LEARNER_IMAGE = Image("learner", framework="tensorflow", size_bytes=1e6)
@@ -64,6 +70,47 @@ def recount_owner_nodes(api):
             key = (pod.meta.owner, pod.node_name)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def bsa_candidates(pods, allocations, eligible, alpha=ALPHA,
+                   objective=OBJECTIVE_PACK):
+    """What the candidate index hands ``bsa_place``, from name lists:
+    each pod's listed nodes that fit it now, in list order, their bias
+    weights and their positions.  A pod with no list gets no entry."""
+    candidates = {}
+    for pod in pods:
+        if pod.name in eligible:
+            request = pod.spec.resources
+            names = [name for name in eligible[pod.name]
+                     if allocations[name].fits(request)]
+            candidates[pod.name] = (
+                names, [bias_weight(allocations[name], request, alpha,
+                                    objective) for name in names],
+                {name: i for i, name in enumerate(names)})
+    return candidates
+
+
+def fresh_summary(cluster, pod):
+    """The FailedScheduling summary from a scan of every node, as the
+    scheduler wrote it before it kept counts: the reference its counts
+    must equal."""
+    wanted_gpus = pod.spec.resources.gpus
+    short_gpu = selector_miss = unready = 0
+    for node in cluster.api.list_nodes():
+        matches = all(node.meta.labels.get(k) == v
+                      for k, v in pod.spec.node_selector.items())
+        if not matches:
+            selector_miss += 1
+        if not node.is_ready:
+            unready += 1
+        elif matches and wanted_gpus > 0 and \
+                cluster.allocations[node.name].free_gpus < wanted_gpus:
+            short_gpu += 1
+    reasons = [f"{predicate} ({count})" for predicate, count in (
+        (PREDICATE_INSUFFICIENT_GPU, short_gpu),
+        (PREDICATE_MATCH_NODE_SELECTOR, selector_miss),
+        (PREDICATE_NODE_UNSCHEDULABLE, unready)) if count]
+    return ", ".join(reasons) or "Insufficient resources"
 
 
 @pytest.fixture

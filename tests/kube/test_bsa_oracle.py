@@ -9,9 +9,19 @@ GPUs of two types, some in use, fractional free CPU and scarce memory;
 gangs of one to five mixed requests (CPU-only, typed and untyped GPU);
 eligibility lists in any order that name nodes which no longer fit, or
 that are missing for a pod; both objectives, one to eight rounds - are
-placed by both from twin ``random.Random`` streams.  The assignment
-(or ``None``) and the stream's ``getstate()`` afterwards must be equal
-by ``==``, and neither may touch the allocations it was given.
+placed by both from twin ``random.Random`` streams, ``bsa_place`` given
+the lists' fitting nodes and weights as the candidate index gives them.
+The assignment (or ``None``) and the stream's ``getstate()`` afterwards
+must be equal by ``==``, and neither may touch the allocations it was
+given.
+
+The stateful oracle runs the scheduler's own index-fed path
+(``Scheduler._place_gang``: class weights, draw lists and score terms
+kept current from the invalidation journal) through random churn -
+reservations and releases, cordons through ``update_node``, node
+additions, bursts that cut the journal - and compares each gang attempt
+with the reference on fresh views, and each failed attempt's
+FailedScheduling summary with a fresh scan.
 """
 
 import random
@@ -19,15 +29,19 @@ from typing import Dict, List, Optional, Sequence
 
 from hypothesis import given, settings, strategies as st
 
+from repro.kube import Cluster, SchedulerConfig
 from repro.kube.objects import ObjectMeta, Pod, PodSpec
 from repro.kube.resources import NodeAllocation, NodeCapacity, ResourceRequest
 from repro.kube.scheduling.bsa import (
     OBJECTIVE_BALANCE,
     OBJECTIVE_PACK,
     bsa_place,
+    score_terms,
 )
+from repro.sim import Environment, RngRegistry
 
 from tests.conftest import examples
+from tests.kube.conftest import bsa_candidates, fresh_summary
 
 
 class _Tentative:
@@ -195,6 +209,9 @@ def place(placer, problem, seed, rounds, alpha, objective):
     pods, allocations, eligible = problem
     before = free_state(allocations)
     rng = random.Random(seed)
+    if placer is bsa_place:
+        eligible = bsa_candidates(pods, allocations, eligible, alpha,
+                                  objective)
     result = placer(pods, allocations, eligible, rng, rounds=rounds,
                     alpha=alpha, objective=objective)
     assert free_state(allocations) == before
@@ -237,3 +254,147 @@ def test_a_cluster_sized_gang_draws_the_same():
             args = ((pods, allocations, eligible), seed, 8, 2.0, objective)
             assert place(bsa_place, *args) == \
                 place(reference_bsa_place, *args)
+
+
+# -- the index-fed path under churn -------------------------------------------
+
+#: Node shapes: GPUs and type, CPUs; the pool label is drawn.
+CAPACITIES = (NodeCapacity(cpus=16, memory_gb=64, gpus=4, gpu_type="K80"),
+              NodeCapacity(cpus=32, memory_gb=128, gpus=8, gpu_type="V100"),
+              NodeCapacity(cpus=8, memory_gb=32, gpus=2, gpu_type="K80"),
+              NodeCapacity(cpus=16, memory_gb=64))
+REQUESTS = (ResourceRequest(cpus=1.0, memory_gb=2.0),
+            ResourceRequest(cpus=2.0, memory_gb=4.0, gpus=1),
+            ResourceRequest(cpus=2.0, memory_gb=4.0, gpus=1,
+                            gpu_type="K80"),
+            ResourceRequest(cpus=4.0, memory_gb=8.0, gpus=2),
+            ResourceRequest(cpus=0.5, memory_gb=1.0, gpus=4,
+                            gpu_type="V100"))
+SELECTORS = ({}, {}, {"pool": "a"}, {"pool": "b"})
+NODE = st.integers(0, 9)
+CHURN = st.one_of(
+    st.tuples(st.just("reserve"), NODE, st.integers(0, len(REQUESTS) - 1)),
+    st.tuples(st.just("release"), st.integers(0, 20)),
+    st.tuples(st.just("cordon"), NODE),
+    st.tuples(st.just("add"), st.integers(0, len(CAPACITIES) - 1),
+              st.sampled_from("ab")),
+    # 24 cordons and uncordons of one node: past 2 * nodes + 16 for up
+    # to four nodes, so the journal is cut and classes retire.
+    st.tuples(st.just("burst"), NODE),
+    st.tuples(st.just("gang"),
+              st.lists(st.integers(0, len(REQUESTS) - 1),
+                       min_size=1, max_size=5),
+              st.integers(0, len(SELECTORS) - 1)),
+)
+
+
+class Churn:
+    """A gang scheduler's cluster, never run: pods are created (queued)
+    and placed by calling the scheduler's gang path directly."""
+
+    def __init__(self, seed, objective, shapes):
+        self.env = Environment()
+        self.cluster = Cluster(self.env, RngRegistry(seed), SchedulerConfig(
+            gang=True, bsa_objective=objective))
+        self.objective = objective
+        self.held = []
+        self.made = 0
+        for shape, pool in shapes:
+            self.add(shape, pool)
+
+    def add(self, shape, pool):
+        nodes = self.cluster.api.list_nodes()
+        if len(nodes) < 10:
+            self.cluster.add_node(f"node-{len(nodes)}", CAPACITIES[shape],
+                                  labels={"pool": pool})
+
+    def pod(self, request, selector=None):
+        self.made += 1
+        name = f"p{self.made}"
+        return Pod(meta=ObjectMeta(name=name, uid=name),
+                   spec=PodSpec(resources=request,
+                                node_selector=dict(selector or {})))
+
+    def node(self, index):
+        nodes = self.cluster.api.list_nodes()
+        return nodes[index % len(nodes)]
+
+    def flip(self, node):
+        (self.cluster.uncordon if node.unschedulable
+         else self.cluster.cordon)(node.name)
+
+    def step(self, op, *args):
+        cluster = self.cluster
+        if op == "reserve":
+            node, request = self.node(args[0]), REQUESTS[args[1]]
+            if cluster.allocations[node.name].fits(request):
+                filler = self.pod(request)
+                cluster.reserve(filler, node.name)
+                self.held.append(filler)
+        elif op == "release" and self.held:
+            cluster.release(self.held.pop(args[0] % len(self.held)))
+        elif op == "cordon":
+            self.flip(self.node(args[0]))
+        elif op == "add":
+            self.add(*args)
+        elif op == "burst":
+            for _ in range(24):
+                self.flip(self.node(args[0]))
+        elif op == "gang":
+            self.attempt([self.pod(REQUESTS[i], SELECTORS[args[1]])
+                          for i in args[0]])
+
+    def attempt(self, pods):
+        cluster, scheduler = self.cluster, self.cluster.scheduler
+        for pod in pods:
+            cluster.api.create_pod(pod)
+        reference_rng = random.Random()
+        reference_rng.setstate(scheduler.rng.getstate())
+        before = free_state(cluster.allocations)
+        got, unplaced = scheduler._place_gang(pods)
+        assert free_state(cluster.allocations) == before
+        # The reference on fresh views: every ready, matching, fitting
+        # node in node order; a pod with none fails the attempt unsampled.
+        eligible = {pod.name: [
+            node.name for node in cluster.api.list_nodes()
+            if node.is_ready and all(node.meta.labels.get(k) == v
+                                     for k, v in
+                                     pod.spec.node_selector.items())
+            and cluster.allocations[node.name].fits(pod.spec.resources)]
+            for pod in pods}
+        empty = [pod for pod in pods if not eligible[pod.name]]
+        if empty:
+            expected, failed = None, empty
+        else:
+            expected = reference_bsa_place(pods, cluster.allocations,
+                                           eligible, reference_rng,
+                                           objective=self.objective)
+            failed = pods if expected is None else []
+        assert got == expected
+        assert unplaced == failed
+        assert scheduler.rng.getstate() == reference_rng.getstate()
+        assert scheduler.bsa_terms() == score_terms(cluster.allocations,
+                                                    self.objective)
+        for pod in unplaced:
+            assert scheduler._predicate_summary(pod) == \
+                fresh_summary(cluster, pod)
+        if got is not None:  # placed: the gang takes its nodes
+            for pod in pods:
+                cluster.reserve(pod, got[pod.name])
+                self.held.append(pod)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       objective=st.sampled_from([OBJECTIVE_PACK, OBJECTIVE_BALANCE]),
+       shapes=st.lists(st.tuples(st.integers(0, len(CAPACITIES) - 1),
+                                 st.sampled_from("ab")),
+                       min_size=1, max_size=4),
+       steps=st.lists(CHURN, min_size=1, max_size=40))
+def test_the_index_fed_gang_path_draws_as_fresh_views_do(seed, objective,
+                                                         shapes, steps):
+    churn = Churn(seed, objective, shapes)
+    for step in steps:
+        churn.step(*step)
+    # Always end on an attempt, after whatever the churn did last.
+    churn.attempt([churn.pod(REQUESTS[1]), churn.pod(REQUESTS[3])])

@@ -152,8 +152,9 @@ def test_gang_view_keeps_node_order_when_a_node_re_enters():
     names = [node.name for node in cluster.api.list_nodes()]
 
     def view(pod):
-        return cluster.scheduler.feasible_nodes(pod.spec.resources,
-                                                pod.spec.node_selector)
+        scheduler = cluster.scheduler
+        return scheduler._gang_lists(scheduler._feasible_candidates(
+            pod.spec.resources, pod.spec.node_selector, False))[0]
 
     assert view(probe) == names
     cluster.cordon(names[0])

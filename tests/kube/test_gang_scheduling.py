@@ -18,7 +18,7 @@ from repro.kube import (
 )
 from repro.kube.scheduling import bsa_place
 
-from tests.kube.conftest import make_cluster, make_pod
+from tests.kube.conftest import bsa_candidates, make_cluster, make_pod
 
 
 def make_gang(env, cluster, name, learners, gpus_per_learner,
@@ -158,7 +158,9 @@ def test_bsa_places_feasible_gang():
     pods = [_bsa_pod("a", 2), _bsa_pod("b", 2)]
     allocations = _allocations({"n1": (4, 4), "n2": (4, 4)})
     eligible = {"a": ["n1", "n2"], "b": ["n1", "n2"]}
-    result = bsa_place(pods, allocations, eligible, random.Random(0))
+    result = bsa_place(pods, allocations,
+                       bsa_candidates(pods, allocations, eligible),
+                       random.Random(0))
     assert result is not None
     assert set(result) == {"a", "b"}
 
@@ -167,8 +169,9 @@ def test_bsa_prefers_fewer_nodes():
     pods = [_bsa_pod("a", 1), _bsa_pod("b", 1)]
     allocations = _allocations({"n1": (4, 4), "n2": (4, 4)})
     eligible = {"a": ["n1", "n2"], "b": ["n1", "n2"]}
-    result = bsa_place(pods, allocations, eligible, random.Random(0),
-                       rounds=20)
+    result = bsa_place(pods, allocations,
+                       bsa_candidates(pods, allocations, eligible),
+                       random.Random(0), rounds=20)
     assert len(set(result.values())) == 1
 
 
@@ -176,7 +179,9 @@ def test_bsa_returns_none_when_infeasible():
     pods = [_bsa_pod("a", 4), _bsa_pod("b", 4)]
     allocations = _allocations({"n1": (4, 4), "n2": (4, 2)})
     eligible = {"a": ["n1", "n2"], "b": ["n1", "n2"]}
-    result = bsa_place(pods, allocations, eligible, random.Random(0))
+    result = bsa_place(pods, allocations,
+                       bsa_candidates(pods, allocations, eligible),
+                       random.Random(0))
     assert result is None
 
 
@@ -184,7 +189,9 @@ def test_bsa_respects_eligibility():
     pods = [_bsa_pod("a", 1)]
     allocations = _allocations({"n1": (4, 4), "n2": (4, 4)})
     eligible = {"a": ["n2"]}
-    result = bsa_place(pods, allocations, eligible, random.Random(0))
+    result = bsa_place(pods, allocations,
+                       bsa_candidates(pods, allocations, eligible),
+                       random.Random(0))
     assert result == {"a": "n2"}
 
 
@@ -198,8 +205,9 @@ def test_bsa_biases_toward_packed_nodes():
     # almost always.
     allocations = _allocations({"n1": (4, 1), "n2": (4, 4)})
     eligible = {"a": ["n1", "n2"]}
-    picks = [bsa_place(pods, allocations, eligible, random.Random(s),
-                       rounds=1)["a"] for s in range(40)]
+    picks = [bsa_place(pods, allocations,
+                       bsa_candidates(pods, allocations, eligible),
+                       random.Random(s), rounds=1)["a"] for s in range(40)]
     assert picks.count("n1") > 25
 
 
@@ -207,11 +215,13 @@ def test_bsa_rejects_a_node_listed_twice():
     # A fitting node named twice would weigh double in every draw.
     pods = [_bsa_pod("a", 1)]
     allocations = _allocations({"n1": (4, 4), "n2": (4, 0)})
-    assert bsa_place(pods, allocations, {"a": ["n1", "n2", "n2"]},
-                     random.Random(0)) == {"a": "n1"}
+    assert bsa_place(pods, allocations, bsa_candidates(
+        pods, allocations, {"a": ["n1", "n2", "n2"]}),
+        random.Random(0)) == {"a": "n1"}
     with pytest.raises(ValueError, match="eligible twice"):
-        bsa_place(pods, allocations, {"a": ["n1", "n2", "n1"]},
-                  random.Random(0))
+        bsa_place(pods, allocations, bsa_candidates(
+            pods, allocations, {"a": ["n1", "n2", "n1"]}),
+            random.Random(0))
 
 
 @pytest.mark.parametrize("objective", ["Pack", "packing", "", None])

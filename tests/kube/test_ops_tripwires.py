@@ -8,7 +8,9 @@ attempt.  One pod's whole life is pinned by its kernel events and
 processes.
 """
 
+from repro.kube.events import REASON_NO_NODES
 from repro.kube.objects import ObjectMeta, PersistentVolumeClaim
+from repro.kube.resources import NodeCapacity
 from repro.sim import Environment, RngRegistry
 
 from tests.kube import conftest
@@ -113,6 +115,52 @@ def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
     assert nodes < peak["journal"] <= 2 * nodes + 16
     # An owner is not a class: one class per request shape.
     assert 0 < peak["classes"] <= len(shapes)
+
+
+def test_a_gang_attempt_costs_the_nodes_that_changed():
+    """1 001 nodes under gang scheduling, so every pod goes through BSA.
+    After its class's first read, a single pod's attempt re-evaluates
+    the one node the pod before it took, in the filter and in BSA's
+    score terms, and patches that node's weight in the draw lists.  A
+    failed attempt on an unchanged cluster evaluates no node and builds
+    no list: neither one whose pod fits nowhere nor one whose gang BSA
+    samples no fitting round for."""
+    env, cluster = make_cluster(gang=True, nodes=1000)
+    cluster.add_node("zone-a", NodeCapacity(cpus=32, memory_gb=256, gpus=4,
+                                            gpu_type="K80"),
+                     labels={"zone": "a"})
+    scheduler = cluster.scheduler
+
+    def counts():
+        return (scheduler.filter_evals, scheduler.refresh_evals,
+                scheduler.lists_built)
+
+    def submit(*pods):
+        for pod in pods:
+            cluster.api.create_pod(pod)
+        before = counts()
+        env.run(until=env.now + 1)
+        return tuple(after - was for after, was in zip(counts(), before))
+
+    assert submit(make_pod(env, "solo-0")) == (1001, 1001, 1)
+    assert submit(make_pod(env, "solo-1")) == (1, 1, 0)
+    assert scheduler.pods_scheduled == 2
+    # Eight GPUs fit no node; the pair fits zone-a's four GPUs only once.
+    pair = [make_pod(env, f"pair-{i}", gpus=4, gang_name="pair",
+                     gang_size=2) for i in range(2)]
+    for pod in pair:
+        pod.spec.node_selector = {"zone": "a"}
+    # Two new classes, two new summary shapes, solo-1's node's term and
+    # the pair's one-node list.
+    assert submit(make_pod(env, "huge", gpus=8), *pair) == \
+        (2 * 1001, 2 * 1001 + 1, 1)
+    failed = len(cluster.api.event_log.failed_scheduling())
+    assert failed == 3
+    scheduler.kick()
+    assert submit() == (0, 0, 0)
+    events = cluster.api.event_log.failed_scheduling()
+    assert len(events) == 2 * failed
+    assert {event.reason for event in events} == {REASON_NO_NODES}
 
 
 class CountingEnvironment(Environment):

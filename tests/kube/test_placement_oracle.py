@@ -13,8 +13,10 @@ and mixes node additions, allocations and releases (each followed by
 below zero), readiness flips, and the two questions for four request
 shapes, three selectors and four owners (one of them none).  Under both
 policies, and with the patch-or-re-sort share forced to each of its
-extremes, every answer must equal the reference's, and each scored
-class read must hold its nodes in ascending ``(score, name)`` order.
+extremes, every answer must equal the reference's, each scored class
+read must hold its nodes in ascending ``(score, name)`` order, and a
+gang class's draw lists must hold the feasible nodes in node order with
+their BSA bias weights.
 The journal of a cluster this small is cut after 22 to 32 entries, so
 classes retire and are rebuilt inside one program.
 """
@@ -26,6 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.kube.objects import Node, ObjectMeta
 from repro.kube.resources import NodeAllocation, NodeCapacity, ResourceRequest
 from repro.kube.scheduling import placement as placement_module
+from repro.kube.scheduling.bsa import ALPHA, OBJECTIVE_PACK, bias_weight
 from repro.kube.scheduling.placement import Placement
 from repro.kube.scheduling.policies import PACK, SPREAD, score_node
 
@@ -154,9 +157,14 @@ class Program:
             assert entry.order == sorted(entry.ranked.values())
         else:
             request, selector = REQUESTS[args[0]], SELECTORS[args[1]]
-            assert placement.feasible_nodes(request, selector) == \
-                reference_feasible(nodes, self.allocations, request,
-                                   selector)
+            names, weights, slot = placement._gang_lists(
+                placement._feasible_candidates(request, selector, False))
+            assert names == reference_feasible(nodes, self.allocations,
+                                               request, selector)
+            assert weights == [bias_weight(self.allocations[name], request,
+                                           ALPHA, OBJECTIVE_PACK)
+                               for name in names]
+            assert slot == {name: i for i, name in enumerate(names)}
 
 
 SHAPES = st.lists(st.tuples(st.integers(0, len(CAPACITIES) - 1),

@@ -7,10 +7,12 @@ never violate:
 * every Running pod is bound to a Ready node that fits it,
 * released resources return exactly to capacity once the cluster drains,
 * at every scheduling attempt the candidate index hands out what a fresh
-  evaluation of every node gives, in ``(score, name)`` order, the
-  (owner, node) index a recount, and ``best_node`` the brute-force best,
-* at every failed attempt the memoised FailedScheduling summary is what
-  a fresh scan of every node says.
+  evaluation of every node gives - in ``(score, name)`` order, or as BSA
+  bias weights and draw lists in node order - BSA's score terms what a
+  fresh rebuild gives, the (owner, node) index a recount, and
+  ``best_node`` the brute-force best,
+* at every failed attempt the FailedScheduling summary from the index's
+  counts is what a fresh scan of every node says.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -19,15 +21,18 @@ from repro.docker import Image
 from repro.kube import Cluster, NodeCapacity, SchedulerConfig
 from repro.kube.events import (
     PREDICATE_INSUFFICIENT_GPU,
+    PREDICATE_MATCH_NODE_SELECTOR,
     PREDICATE_NODE_UNSCHEDULABLE,
 )
 from repro.kube.objects import ContainerSpec, ObjectMeta, Pod, PodSpec
 from repro.kube.resources import ResourceRequest
+from repro.kube.scheduling.bsa import ALPHA, bias_weight, score_terms
+from repro.kube.scheduling.placement import class_key
 from repro.kube.scheduling.policies import score_node
 from repro.sim import Environment, RngRegistry
 
 from tests.conftest import examples
-from tests.kube.conftest import make_pod, recount_owner_nodes
+from tests.kube.conftest import fresh_summary, make_pod, recount_owner_nodes
 
 
 POD_SPECS = st.lists(
@@ -62,8 +67,8 @@ def build(seed, gang=False, policy="pack"):
 
 def fresh_table(cluster, request, selector, scored):
     """The exhaustive loop the index replaced, kept as the reference:
-    every node through the predicates (and the score, for an owner with
-    no pod on it), in node order."""
+    every node through the predicates and the score (for an owner with
+    no pod on it) or, unscored, BSA's bias weight, in node order."""
     scheduler = cluster.scheduler
     counters = scheduler.filter_evals, scheduler.score_evals
     table = {}
@@ -72,7 +77,8 @@ def fresh_table(cluster, request, selector, scored):
         if allocation is not None:
             table[node.name] = (
                 scheduler._score(request, allocation),
-                node.name) if scored else True
+                node.name) if scored else bias_weight(
+                    allocation, request, ALPHA, scheduler.objective)
     scheduler.filter_evals, scheduler.score_evals = counters
     return table
 
@@ -100,18 +106,21 @@ def check_index_at_every_attempt(cluster):
     """Wrap the scheduler's reads of the candidate index.  Each time an
     attempt reads it, the table handed out must equal a fresh
     evaluation of every node, a scored class's order the sorted fresh
-    table, the gang view the fresh list in node order, the (owner, node)
-    index a recount of the pod store, and the node ``best_node`` picks
-    the brute-force best for the pod's owner.  Each failed attempt's
-    memoised summary must be what a fresh scan of every node says."""
+    table, a gang class's draw lists its table in node order, BSA's
+    score terms a fresh rebuild, the (owner, node) index a recount of
+    the pod store, and the node ``best_node`` picks the brute-force best
+    for the pod's owner.  Each failed attempt's summary must be what a
+    fresh scan of every node says."""
     scheduler, api = cluster.scheduler, cluster.api
-    read, read_names, best = (scheduler._feasible_candidates,
-                              scheduler.feasible_nodes,
-                              scheduler.best_node)
+    read, read_lists, read_terms, best = (
+        scheduler._feasible_candidates, scheduler._gang_lists,
+        scheduler.bsa_terms, scheduler.best_node)
 
-    def checked_read(request, selector, scored):
+    def checked_read(request, selector, scored, key=None):
+        # A key taken at the pod's creation still names its class.
+        assert key in (None, class_key(request, selector, scored))
         assert scheduler._owner_node_counts == recount_owner_nodes(api)
-        entry = read(request, selector, scored)
+        entry = read(request, selector, scored, key)
         ranked = entry.ranked
         fresh = fresh_table(cluster, request, selector, scored)
         names = [node.name for node in api.list_nodes()]
@@ -126,27 +135,39 @@ def check_index_at_every_attempt(cluster):
             assert entry.order == sorted(fresh.values())
         return entry
 
-    def checked_best(request, selector, owner=None):
-        name = best(request, selector, owner)
+    def checked_best(request, selector, owner=None, key=None):
+        name = best(request, selector, owner, key)
         assert name == brute_force_best(cluster, request, selector, owner)
         return name
 
-    def checked_read_names(request, selector):
-        names = read_names(request, selector)
-        assert names == list(fresh_table(cluster, request, selector,
-                                         scored=False))
-        return names
+    def checked_lists(entry):
+        # ``entry.ranked`` was checked against the fresh table by the
+        # read that brought it up to date, just before.
+        names, weights, slot = read_lists(entry)
+        assert names == [node.name for node in api.list_nodes()
+                         if node.name in entry.ranked]
+        assert weights == [entry.ranked[name] for name in names]
+        assert slot == {name: i for i, name in enumerate(names)}
+        return names, weights, slot
+
+    def checked_terms():
+        terms = read_terms()
+        assert terms == score_terms(cluster.allocations, scheduler.objective)
+        return terms
 
     summary = scheduler._predicate_summary
 
     def checked_summary(pod):
-        memoised = summary(pod)
-        assert memoised == scheduler._scan_predicates(pod)
-        return memoised
+        said = summary(pod)
+        assert said == fresh_summary(cluster, pod)
+        checked_summary.calls += 1
+        return said
 
+    checked_summary.calls = 0
     scheduler._feasible_candidates = checked_read
     scheduler.best_node = checked_best
-    scheduler.feasible_nodes = checked_read_names
+    scheduler._gang_lists = checked_lists
+    scheduler.bsa_terms = checked_terms
     scheduler._predicate_summary = checked_summary
 
 
@@ -274,8 +295,10 @@ def test_a_class_not_read_for_a_clusters_worth_of_changes_is_rebuilt():
 
 def test_a_failed_attempts_summary_is_current_for_its_shape():
     """Two shapes failing in one pass each get their own summary, and a
-    shape failing again after a cordon gets the new counts: the memo is
-    keyed on (selector, GPUs) and dropped when the journal moves."""
+    shape failing again after a cordon, a scale-out or an uncordon gets
+    the new counts: the counts are kept per (selector, GPUs) and follow
+    every journalled node, also past a cut of the journal.  Every
+    failed attempt's summary is checked against a fresh scan."""
     env, cluster = build(seed=0)
     # Two 8-CPU pods per node: no CPU left anywhere, two GPUs free on each.
     for i in range(6):
@@ -288,14 +311,34 @@ def test_a_failed_attempts_summary_is_current_for_its_shape():
     cluster.api.create_pod(owned_pod(env, "kick", 1, 1.0, 500))  # a pass
     env.run(until=15)
     index_held(cluster)
+    # A scale-out ("four-gpu" takes it) and a shape with a selector ...
+    cluster.add_node("late-0", CAPACITY, labels={"pool": "late"})
+    picky = owned_pod(env, "picky", 1, 1.0, 500)
+    picky.spec.node_selector = {"pool": "late"}
+    cluster.api.create_pod(picky)
+    env.run(until=20)
+    # ... then enough readiness flips to cut the journal.
+    for _ in range(13):
+        cluster.cordon("node-K80-1")
+        cluster.uncordon("node-K80-1")
+    cluster.uncordon("node-K80-0")
+    cluster.api.create_pod(owned_pod(env, "kick-2", 1, 1.0, 500))
+    env.run(until=25)
+    index_held(cluster)
+    scheduler = cluster.scheduler
+    assert scheduler._journal_start > 0
     said = {}
     for event in cluster.api.event_log.failed_scheduling():
         said.setdefault(event.object_name, []).append(
             event.message.split(": ", 1)[1])
+    assert scheduler._predicate_summary.calls == sum(map(len, said.values()))
     short, cordoned = (PREDICATE_INSUFFICIENT_GPU,
                        f"{PREDICATE_NODE_UNSCHEDULABLE} (1)")
-    assert said["one-gpu"] == ["Insufficient resources", cordoned]
+    assert said["one-gpu"][:2] == ["Insufficient resources", cordoned]
     assert said["four-gpu"] == [f"{short} (3)", f"{short} (2), {cordoned}"]
+    assert said["picky"] == [
+        f"{short} (1), {PREDICATE_MATCH_NODE_SELECTOR} (3), {cordoned}",
+        f"{short} (1), {PREDICATE_MATCH_NODE_SELECTOR} (3)"]
 
 
 @settings(max_examples=examples(20), deadline=None)
