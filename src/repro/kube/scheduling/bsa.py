@@ -13,12 +13,13 @@ This module is a self-contained implementation of that heuristic: it never
 mutates the real allocations — callers apply the returned assignment.
 
 The caller hands each pod its candidates as they stand — names, bias
-weights, positions — and every node's score term: the scheduler keeps
-both current in its candidate index (``placement``), so a call costs what
-it draws, not the cluster.  A round keeps views only of the nodes it
-takes from and patches their entries, and ``rng.choices`` and ``sum`` see
-the lists and floats a rebuild of every node would give.  DESIGN.md,
-"What a gang attempt costs".
+weights, positions — kept current in the scheduler's candidate index
+(``placement``), so a call costs what it draws, not the cluster.  A
+round keeps views only of the nodes it takes from and patches their
+entries, so ``rng.choices`` sees the lists and floats a rebuild of every
+node would give.  Every round of a call starts from the same cluster, so
+rounds differ only on the nodes they took, and pack scores a round on
+those alone.  DESIGN.md, "What a gang attempt costs".
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ ALPHA = 2.0
 #: A pod's candidates: names in draw order, their bias weights, and
 #: name -> position in both lists.
 Candidates = Tuple[List[str], List[float], Dict[str, int]]
-#: Every node's score term in allocation order, and name -> position.
-Terms = Tuple[List[float], Dict[str, int]]
 _NO_CANDIDATES: Candidates = ([], [], {})
 
 
@@ -75,33 +74,22 @@ def bias_weight(view: NodeAllocation, request: ResourceRequest,
     return (1.0 + used_cpu) ** alpha
 
 
-def score_term(utilization: float, objective: str) -> float:
-    """One node's entry in the round's score: its GPU utilization
-    (balance) or that squared (pack)."""
-    if objective == OBJECTIVE_BALANCE:
-        return utilization
-    return utilization ** 2
-
-
-def score_terms(allocations: Mapping[str, NodeAllocation],
-                objective: str) -> Terms:
-    """Every node's score term in allocation order, and its position."""
-    return ([score_term(a.gpu_utilization, objective)
-             for a in allocations.values()],
-            {name: i for i, name in enumerate(allocations)})
-
-
-def _assignment_score(terms: List[float], touched: Dict[str, _Tentative],
-                      objective: str) -> float:
-    """``terms`` has every node's entry in allocation order, those of
-    the ``touched`` nodes (the ones the round took from) patched."""
+def _round_score(allocations: Mapping[str, NodeAllocation],
+                touched: Dict[str, _Tentative], objective: str) -> float:
+    """A fitting round's score; ``touched`` holds the views of the nodes
+    it took from, every other node is as ``allocations`` has it."""
     if objective == OBJECTIVE_BALANCE:
         # Minimize the variance of GPU utilization across nodes.
-        mean = sum(terms) / len(terms)
-        variance = sum((u - mean) ** 2 for u in terms) / len(terms)
+        utils = [touched.get(name, allocation).gpu_utilization
+                 for name, allocation in allocations.items()]
+        mean = sum(utils) / len(utils)
+        variance = sum((u - mean) ** 2 for u in utils) / len(utils)
         return -variance
-    # Pack: fewer distinct nodes, higher GPU packing.
-    return -float(len(touched)) + 0.01 * sum(terms)
+    # Pack: fewer distinct nodes, higher GPU packing.  The untouched
+    # nodes add the same to every round, so only the taken ones count.
+    return -float(len(touched)) + 0.01 * sum(
+        view.gpu_utilization ** 2 - allocations[name].gpu_utilization ** 2
+        for name, view in touched.items())
 
 
 class _Draw:
@@ -157,7 +145,6 @@ def bsa_place(
     rounds: int = 8,
     alpha: float = ALPHA,
     objective: str = OBJECTIVE_PACK,
-    terms: Optional[Terms] = None,
 ) -> Optional[Dict[str, str]]:
     """Find an all-or-nothing placement for the gang.
 
@@ -167,9 +154,8 @@ def bsa_place(
     and positions; resource feasibility is re-evaluated against the
     tentative view inside each sampling round.  A pod with no entry has
     no candidate; a list naming a node twice raises ``ValueError``.
-    ``terms`` is ``score_terms(allocations, objective)``, computed here
-    when not given.  Returns pod-name -> node-name, or None if no
-    feasible assignment was sampled.
+    Returns pod-name -> node-name of the best-scoring round (the earliest
+    of equal scores), or None if no feasible assignment was sampled.
     """
     if not pods:
         return {}
@@ -183,9 +169,6 @@ def bsa_place(
              for pod in ordered]
     best: Optional[Dict[str, str]] = None
     best_score = float("-inf")
-    # Assignments already scored: the same draws give the same views,
-    # so the same score, and an equal score is never ``>``.
-    scored = set()
     for _round in range(rounds):
         touched: Dict[str, _Tentative] = {}
         assignment: Dict[str, str] = {}
@@ -199,18 +182,7 @@ def bsa_place(
                 view = touched[choice] = _Tentative(allocations[choice])
             view.allocate(draw.request)
         else:
-            drawn = tuple(assignment.values())
-            if drawn in scored:
-                continue
-            scored.add(drawn)
-            if terms is None:
-                terms = score_terms(allocations, objective)
-            values, position = terms
-            values = list(values)
-            for name, view in touched.items():
-                values[position[name]] = score_term(view.gpu_utilization,
-                                                    objective)
-            score = _assignment_score(values, touched, objective)
+            score = _round_score(allocations, touched, objective)
             if score > best_score:
                 best_score = score
                 best = assignment

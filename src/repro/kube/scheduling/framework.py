@@ -59,12 +59,6 @@ class SchedulerConfig:
     gang: bool = False
     #: BSA gang-placement objective: "pack" (FfDL's choice) or "balance".
     bsa_objective: str = OBJECTIVE_PACK
-    #: The paper observes that "the order in which learner pods are queued
-    #: by K8S for scheduling is non deterministic".  When True (default),
-    #: same-instant arrivals are reordered by a bounded random displacement
-    #: (pods land near, but not exactly at, their creation position) — the
-    #: mechanism behind temporary deadlocks without the gang scheduler.
-    nondeterministic_order: bool = True
 
     def __post_init__(self) -> None:
         check_policy(self.policy)
@@ -90,8 +84,12 @@ PER_POD_LATENCY_S = 0.003
 #: deletions landing in this window are rejected at binding time
 #: (Table 8's "Binding Rejected" row).
 BIND_LATENCY_S = 0.05
-#: Median queue-position displacement of the nondeterministic reordering.
-#: The severity is redrawn (lognormally, with this sigma) for every
+#: The paper observes that "the order in which learner pods are queued by
+#: K8S for scheduling is non deterministic": same-instant arrivals are
+#: reordered by a bounded random displacement (pods land near, but not
+#: exactly at, their creation position) — the mechanism behind temporary
+#: deadlocks without the gang scheduler.  This is the median displacement.
+#: Its severity is redrawn (lognormally, with this sigma) for every
 #: submission burst: some bursts arrive nearly in order, others heavily
 #: shuffled — reproducing both the paper's 40% zero-deadlock runs and its
 #: worst-case 46% idle GPUs.
@@ -163,14 +161,13 @@ class Scheduler(Placement):
             return
         if pod.phase != PENDING or pod.node_name is not None:
             return
-        if not self._queue and self.config.nondeterministic_order:
+        if not self._queue:
             # A new submission burst: redraw the reorder severity.
             self._burst_jitter = ORDER_JITTER * \
                 self.rng.lognormvariate(0.0, ORDER_JITTER_SIGMA)
         self._enqueue_seq += 1
-        tiebreak = float(self._enqueue_seq)
-        if self.config.nondeterministic_order:
-            tiebreak += self.rng.uniform(0.0, self._burst_jitter)
+        tiebreak = self._enqueue_seq + \
+            self.rng.uniform(0.0, self._burst_jitter)
         self._queue[pod.name] = (self.env.now, tiebreak)
         self._class_keys[pod.name] = class_key(
             pod.spec.resources, pod.spec.node_selector, not self.config.gang)
@@ -425,7 +422,7 @@ class Scheduler(Placement):
             pods, self.allocations,
             {pod.name: self._gang_lists(entry)
              for pod, entry in zip(pods, classes)},
-            self.rng, objective=self.objective, terms=self.bsa_terms())
+            self.rng, objective=self.objective)
         return assignment, pods if assignment is None else []
 
     # -- events --------------------------------------------------------------------------------

@@ -11,10 +11,10 @@ step (3) reads the top; under Spread, whose score penalises the nodes
 the pod's owner already occupies, it reads down to the first node the
 owner does not occupy.  A gang class keeps each node's BSA bias weight
 and the draw lists BSA takes; beside the classes, the same journal
-keeps BSA's score terms and the FailedScheduling counts per
-``(selector, GPUs)`` current.  The index knows nothing of pods, queues
-or time: the scheduler (``framework.Scheduler``, a subclass) and the
-Figure 3 replayer (``repro.analysis.schedreplay``) drive it.  DESIGN.md,
+keeps the FailedScheduling counts per ``(selector, GPUs)`` current.
+The index knows nothing of pods, queues or time: the scheduler
+(``framework.Scheduler``, a subclass) and the Figure 3 replayer
+(``repro.analysis.schedreplay``) drive it.  DESIGN.md,
 "Scheduler candidate index" and "What a gang attempt costs".
 """
 
@@ -29,10 +29,7 @@ from repro.kube.scheduling.bsa import (
     ALPHA,
     OBJECTIVE_PACK,
     Candidates,
-    Terms,
     bias_weight,
-    score_term,
-    score_terms,
 )
 from repro.kube.scheduling.policies import score_node, score_reads_owner
 
@@ -100,11 +97,6 @@ class Placement:
         #: ``(sorted selector items, wanted GPUs)`` -> its
         #: FailedScheduling counts.
         self._shapes: Dict[tuple, _PredicateCounts] = {}
-        #: Every node's BSA score term in allocation order, name ->
-        #: position, and the journal position folded in; built at the
-        #: first gang attempt.
-        self._terms: Optional[Terms] = None
-        self._terms_seen = 0
         #: Invalidation journal: the names of changed nodes, in order;
         #: ``_journal[0]`` sits at absolute position ``_journal_start``.
         self._journal: List[str] = []
@@ -121,8 +113,8 @@ class Placement:
         #: the nodes an attempt chose among.
         self.score_evals = 0
         self.score_cache_hits = 0
-        #: Per-node re-evaluations beside the filter: a BSA score term,
-        #: or a node's FailedScheduling predicate misses.
+        #: Per-node re-evaluations beside the filter: a node's
+        #: FailedScheduling predicate misses.
         self.refresh_evals = 0
         #: Gang draw lists built (in node order), as against patched.
         self.lists_built = 0
@@ -154,7 +146,7 @@ class Placement:
         and shape whose position fell off: one not read for a cluster's
         worth of changes is cheaper to rebuild than to patch, and neither
         journal nor index grows with the owners and shapes a long run has
-        seen.  Score terms whose position fell off are rebuilt when read.
+        seen.
         """
         journal = self._journal
         journal.append(node_name)
@@ -242,28 +234,6 @@ class Placement:
                                      in zip(shape.counts, new, old))
         shape.stale.clear()
         return shape.counts
-
-    def bsa_terms(self) -> Terms:
-        """BSA's score terms (``score_terms``) for the current cluster:
-        the journalled nodes' re-evaluated, and the whole vector rebuilt
-        when the journal was cut past its position or a node was added.
-        Read-only to the caller."""
-        end = self._journal_start + len(self._journal)
-        terms = self._terms
-        if terms is None or self._terms_seen < self._journal_start or \
-                len(terms[1]) != len(self.allocations):
-            terms = self._terms = score_terms(self.allocations,
-                                              self.objective)
-            self.refresh_evals += len(self.allocations)
-        elif self._terms_seen < end:
-            values, position = terms
-            for name in dict.fromkeys(
-                    self._journal[self._terms_seen - self._journal_start:]):
-                self.refresh_evals += 1
-                values[position[name]] = score_term(
-                    self.allocations[name].gpu_utilization, self.objective)
-        self._terms_seen = end
-        return terms
 
     # -- the index ------------------------------------------------------------
 

@@ -16,12 +16,22 @@ must be equal by ``==``, and neither may touch the allocations it was
 given.
 
 The stateful oracle runs the scheduler's own index-fed path
-(``Scheduler._place_gang``: class weights, draw lists and score terms
-kept current from the invalidation journal) through random churn -
-reservations and releases, cordons through ``update_node``, node
-additions, bursts that cut the journal - and compares each gang attempt
-with the reference on fresh views, and each failed attempt's
-FailedScheduling summary with a fresh scan.
+(``Scheduler._place_gang``: class weights and draw lists kept current
+from the invalidation journal) through random churn - reservations and
+releases, cordons through ``update_node``, node additions, bursts that
+cut the journal - and compares each gang attempt with the reference on
+fresh views, and each failed attempt's FailedScheduling summary with a
+fresh scan.
+
+The domain is nodes of 0, 2, 4 or 8 GPUs, as every shipped topology's
+2, 4 or 32 are: with a power-of-two GPU count every pack term (a
+utilization squared) is an exact dyadic fraction, so the reference's sum
+over every node and ``bsa_place``'s sum over the taken nodes are both
+exact and rank rounds alike.  With other counts two rounds can tie
+exactly, and rounding noise in the reference's sum breaks the tie where
+``bsa_place`` keeps the earlier round (``test_gang_scheduling.py`` pins
+one such tie on 3-GPU nodes).  Balance reads the same floats in the same
+order as the reference, so it needs no such domain.
 """
 
 import random
@@ -36,7 +46,6 @@ from repro.kube.scheduling.bsa import (
     OBJECTIVE_BALANCE,
     OBJECTIVE_PACK,
     bsa_place,
-    score_terms,
 )
 from repro.sim import Environment, RngRegistry
 
@@ -373,8 +382,6 @@ class Churn:
         assert got == expected
         assert unplaced == failed
         assert scheduler.rng.getstate() == reference_rng.getstate()
-        assert scheduler.bsa_terms() == score_terms(cluster.allocations,
-                                                    self.objective)
         for pod in unplaced:
             assert scheduler._predicate_summary(pod) == \
                 fresh_summary(cluster, pod)

@@ -211,6 +211,24 @@ def test_bsa_biases_toward_packed_nodes():
     assert picks.count("n1") > 25
 
 
+def test_bsa_keeps_the_earlier_of_two_rounds_that_tie_exactly():
+    # Five 3-GPU nodes with one GPU in use each: whichever node a round
+    # takes, its score is the same rational number.  A sum over every
+    # node's term (1/9 or 4/9, not dyadic) would round differently with
+    # the taken node's position and rank the fourth round first; scored
+    # on the taken node alone the tie stays a tie.
+    pods = [_bsa_pod("a", 1)]
+    allocations = _allocations({f"n{i}": (3, 2) for i in range(5)})
+    candidates = bsa_candidates(pods, allocations,
+                                {"a": list(allocations)})
+    rng = random.Random(565)
+    draws = [bsa_place(pods, allocations, candidates, rng, rounds=1)["a"]
+             for _ in range(4)]
+    assert draws == ["n4", "n4", "n2", "n1"]
+    assert bsa_place(pods, allocations, candidates, random.Random(565),
+                     rounds=4) == {"a": "n4"}
+
+
 def test_bsa_rejects_a_node_listed_twice():
     # A fitting node named twice would weigh double in every draw.
     pods = [_bsa_pod("a", 1)]

@@ -120,11 +120,11 @@ def test_scheduler_state_is_bounded_by_the_cluster_not_the_run():
 def test_a_gang_attempt_costs_the_nodes_that_changed():
     """1 001 nodes under gang scheduling, so every pod goes through BSA.
     After its class's first read, a single pod's attempt re-evaluates
-    the one node the pod before it took, in the filter and in BSA's
-    score terms, and patches that node's weight in the draw lists.  A
-    failed attempt on an unchanged cluster evaluates no node and builds
-    no list: neither one whose pod fits nowhere nor one whose gang BSA
-    samples no fitting round for."""
+    the one node the pod before it took, in the filter, and patches that
+    node's weight in the draw lists; a placing attempt refreshes no
+    FailedScheduling count.  A failed attempt on an unchanged cluster
+    evaluates no node and builds no list: neither one whose pod fits
+    nowhere nor one whose gang BSA samples no fitting round for."""
     env, cluster = make_cluster(gang=True, nodes=1000)
     cluster.add_node("zone-a", NodeCapacity(cpus=32, memory_gb=256, gpus=4,
                                             gpu_type="K80"),
@@ -142,18 +142,18 @@ def test_a_gang_attempt_costs_the_nodes_that_changed():
         env.run(until=env.now + 1)
         return tuple(after - was for after, was in zip(counts(), before))
 
-    assert submit(make_pod(env, "solo-0")) == (1001, 1001, 1)
-    assert submit(make_pod(env, "solo-1")) == (1, 1, 0)
+    assert submit(make_pod(env, "solo-0")) == (1001, 0, 1)
+    assert submit(make_pod(env, "solo-1")) == (1, 0, 0)
     assert scheduler.pods_scheduled == 2
     # Eight GPUs fit no node; the pair fits zone-a's four GPUs only once.
     pair = [make_pod(env, f"pair-{i}", gpus=4, gang_name="pair",
                      gang_size=2) for i in range(2)]
     for pod in pair:
         pod.spec.node_selector = {"zone": "a"}
-    # Two new classes, two new summary shapes, solo-1's node's term and
-    # the pair's one-node list.
+    # Two new classes, two new summary shapes and the pair's one-node
+    # list.
     assert submit(make_pod(env, "huge", gpus=8), *pair) == \
-        (2 * 1001, 2 * 1001 + 1, 1)
+        (2 * 1001, 2 * 1001, 1)
     failed = len(cluster.api.event_log.failed_scheduling())
     assert failed == 3
     scheduler.kick()

@@ -8,9 +8,8 @@ never violate:
 * released resources return exactly to capacity once the cluster drains,
 * at every scheduling attempt the candidate index hands out what a fresh
   evaluation of every node gives - in ``(score, name)`` order, or as BSA
-  bias weights and draw lists in node order - BSA's score terms what a
-  fresh rebuild gives, the (owner, node) index a recount, and
-  ``best_node`` the brute-force best,
+  bias weights and draw lists in node order - the (owner, node) index a
+  recount, and ``best_node`` the brute-force best,
 * at every failed attempt the FailedScheduling summary from the index's
   counts is what a fresh scan of every node says.
 """
@@ -26,7 +25,7 @@ from repro.kube.events import (
 )
 from repro.kube.objects import ContainerSpec, ObjectMeta, Pod, PodSpec
 from repro.kube.resources import ResourceRequest
-from repro.kube.scheduling.bsa import ALPHA, bias_weight, score_terms
+from repro.kube.scheduling.bsa import ALPHA, bias_weight
 from repro.kube.scheduling.placement import class_key
 from repro.kube.scheduling.policies import score_node
 from repro.sim import Environment, RngRegistry
@@ -106,15 +105,14 @@ def check_index_at_every_attempt(cluster):
     """Wrap the scheduler's reads of the candidate index.  Each time an
     attempt reads it, the table handed out must equal a fresh
     evaluation of every node, a scored class's order the sorted fresh
-    table, a gang class's draw lists its table in node order, BSA's
-    score terms a fresh rebuild, the (owner, node) index a recount of
-    the pod store, and the node ``best_node`` picks the brute-force best
-    for the pod's owner.  Each failed attempt's summary must be what a
-    fresh scan of every node says."""
+    table, a gang class's draw lists its table in node order, the
+    (owner, node) index a recount of the pod store, and the node
+    ``best_node`` picks the brute-force best for the pod's owner.  Each
+    failed attempt's summary must be what a fresh scan of every node
+    says."""
     scheduler, api = cluster.scheduler, cluster.api
-    read, read_lists, read_terms, best = (
-        scheduler._feasible_candidates, scheduler._gang_lists,
-        scheduler.bsa_terms, scheduler.best_node)
+    read, read_lists, best = (scheduler._feasible_candidates,
+                              scheduler._gang_lists, scheduler.best_node)
 
     def checked_read(request, selector, scored, key=None):
         # A key taken at the pod's creation still names its class.
@@ -150,11 +148,6 @@ def check_index_at_every_attempt(cluster):
         assert slot == {name: i for i, name in enumerate(names)}
         return names, weights, slot
 
-    def checked_terms():
-        terms = read_terms()
-        assert terms == score_terms(cluster.allocations, scheduler.objective)
-        return terms
-
     summary = scheduler._predicate_summary
 
     def checked_summary(pod):
@@ -167,7 +160,6 @@ def check_index_at_every_attempt(cluster):
     scheduler._feasible_candidates = checked_read
     scheduler.best_node = checked_best
     scheduler._gang_lists = checked_lists
-    scheduler.bsa_terms = checked_terms
     scheduler._predicate_summary = checked_summary
 
 

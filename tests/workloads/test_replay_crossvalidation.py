@@ -29,9 +29,7 @@ def mini_trace():
 
 def run_full_sim(policy, jobs):
     env = Environment()
-    cluster = Cluster(env, RngRegistry(5),
-                      SchedulerConfig(policy=policy,
-                                      nondeterministic_order=False))
+    cluster = Cluster(env, RngRegistry(5), SchedulerConfig(policy=policy))
     cluster.push_image(Image("learner", size_bytes=1e6))
     for spec_index, spec in enumerate(NODES):
         for i in range(spec.count):
