@@ -7,7 +7,7 @@ the failure-analysis benchmarks can regenerate the same classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 FAILED_SCHEDULING = "FailedScheduling"
@@ -64,8 +64,23 @@ class KubeEvent:
     pod_type: Optional[str] = None
 
 
+@dataclass
+class CountedEvent(KubeEvent):
+    """A record its producer folds repeats into, as client-go's event
+    correlator does: ``count`` occurrences, the first at ``time`` and
+    the last at ``last_time``.  The scheduler's FailedScheduling records
+    are these; an event that never repeats stays a plain ``KubeEvent``
+    and carries neither field."""
+
+    count: int = field(default=1, init=False)
+    last_time: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.last_time = self.time
+
+
 class EventLog:
-    """Append-only event sink with simple query helpers."""
+    """The cluster's event records, in the order each was first recorded."""
 
     def __init__(self):
         self.events: List[KubeEvent] = []

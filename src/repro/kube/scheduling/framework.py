@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.errors import KubeError
 from repro.kube.api import ADDED, DELETED, KubeAPI
 from repro.kube.events import (
+    CountedEvent,
     FAILED_SCHEDULING,
     KubeEvent,
     MESSAGE_TEMPLATES,
@@ -104,10 +105,6 @@ class _GangEntry:
     pod_names: List[str] = field(default_factory=list)
     arrival_time: float = 0.0
 
-    @property
-    def complete(self) -> bool:
-        return len(self.pod_names) >= self.size
-
 
 def gang_order(entry: _GangEntry) -> Tuple[float, int, str]:
     """A gang pass's order: FCFS over gangs, same-instant arrivals
@@ -148,6 +145,9 @@ class Scheduler(Placement):
         #: tracker, so MODIFIED/DELETED events translate into exact
         #: count deltas.
         self._pod_placement: Dict[str, tuple] = {}
+        #: Queued pod -> its FailedScheduling records by (reason, message),
+        #: folding repeats; dropped with the pod's queue entry.
+        self._failures: Dict[str, Dict[Tuple[str, str], CountedEvent]] = {}
         api.subscribe("pods", self._on_pod_change)
         api.subscribe("pvcs", self._on_pvc_change)
         api.subscribe("nodes", self._on_node_change)
@@ -293,9 +293,7 @@ class Scheduler(Placement):
         deferred)."""
         pod = self.api.try_get_pod(name)
         if pod is None:
-            self._emit(name, REASON_POD_NOT_FOUND,
-                       MESSAGE_TEMPLATES[REASON_POD_NOT_FOUND].format(
-                           pod=name))
+            self._emit(name, REASON_POD_NOT_FOUND)
             self._dequeue(name)
             return None
         if pod.meta.deletion_requested:
@@ -304,9 +302,7 @@ class Scheduler(Placement):
                 # The scheduler's informer cache has not seen the deletion
                 # yet: proceed; the API server will reject the binding.
                 return pod
-            self._emit(name, REASON_SKIP_DELETING,
-                       MESSAGE_TEMPLATES[REASON_SKIP_DELETING].format(
-                           pod=name), pod)
+            self._emit(name, REASON_SKIP_DELETING, pod)
             self._dequeue(name)
             return None
         if pod.node_name is not None:
@@ -314,14 +310,11 @@ class Scheduler(Placement):
             return None
         missing_claim = self._missing_claim(pod)
         if missing_claim is not None:
-            self._emit(name, REASON_PVC_NOT_FOUND,
-                       MESSAGE_TEMPLATES[REASON_PVC_NOT_FOUND].format(
-                           claim=missing_claim, n=1), pod)
+            self._emit(name, REASON_PVC_NOT_FOUND, pod, claim=missing_claim,
+                       n=1)
             return None
         if self._races:
-            reason = self._races.pop(0)
-            self._emit(name, reason,
-                       MESSAGE_TEMPLATES[reason].format(pod=name), pod)
+            self._emit(name, self._races.pop(0), pod)
             return None
         return pod
 
@@ -351,9 +344,7 @@ class Scheduler(Placement):
         for pod, node_name in placements:
             if pod.meta.deletion_requested or \
                     not self.api.exists("pods", pod.name):
-                self._emit(pod.name, REASON_BINDING_REJECTED,
-                           MESSAGE_TEMPLATES[REASON_BINDING_REJECTED]
-                           .format(pod=pod.name), pod)
+                self._emit(pod.name, REASON_BINDING_REJECTED, pod)
                 self.cluster.release(pod)
                 continue
             self.cluster.bind_reserved(pod, node_name)
@@ -384,7 +375,7 @@ class Scheduler(Placement):
         if not entry.pod_names:
             self._gangs.pop(entry.key, None)
             return
-        if not entry.complete:
+        if len(entry.pod_names) < entry.size:
             # Members already placed and alive (e.g. the rest of a gang
             # whose one pod was lost to a node failure and recreated)
             # count toward completeness — the replacement must not wait
@@ -428,10 +419,8 @@ class Scheduler(Placement):
     # -- events --------------------------------------------------------------------------------
 
     def _record_no_nodes(self, pod: Pod) -> None:
-        predicates = self._predicate_summary(pod)
-        self._emit(pod.name, REASON_NO_NODES,
-                   MESSAGE_TEMPLATES[REASON_NO_NODES].format(
-                       predicates=predicates), pod)
+        self._emit(pod.name, REASON_NO_NODES, pod,
+                   predicates=self._predicate_summary(pod))
 
     def _predicate_summary(self, pod: Pod) -> str:
         """Why no node fits, per predicate, as FailedScheduling says it
@@ -443,13 +432,24 @@ class Scheduler(Placement):
              PREDICATE_NODE_UNSCHEDULABLE), counts) if count]
         return ", ".join(reasons) or "Insufficient resources"
 
-    def _emit(self, pod_name: str, reason: str, message: str,
-              pod: Optional[Pod] = None) -> None:
+    def _emit(self, pod_name: str, reason: str, pod: Optional[Pod] = None,
+              **fields) -> None:
+        """Record a FailedScheduling, or fold a queued pod's repeat into
+        its record (client-go's event correlator, ``events_cache.go``)."""
+        message = MESSAGE_TEMPLATES[reason].format(pod=pod_name, **fields)
+        record = self._failures.get(pod_name, {}).get((reason, message))
+        if record is not None:
+            record.count += 1
+            record.last_time = self.env.now
+            return
         pod_type = pod.meta.labels.get("type") if pod is not None else None
-        self.api.record_event(KubeEvent(
-            self.env.now, FAILED_SCHEDULING, "Pod", pod_name,
-            reason=reason, message=message, pod_type=pod_type))
+        record = CountedEvent(self.env.now, FAILED_SCHEDULING, "Pod",
+                              pod_name, reason, message, pod_type)
+        self.api.record_event(record)
+        if pod_name in self._queue:
+            self._failures.setdefault(pod_name, {})[reason, message] = record
 
     def _dequeue(self, name: str) -> None:
         self._queue.pop(name, None)
         self._class_keys.pop(name, None)
+        self._failures.pop(name, None)

@@ -5,15 +5,15 @@ insert a document that carries its ``_id``; update one by ``_id`` with
 ``$set`` / ``$push``, a whole-document replacement that keeps the
 ``_id``, or ``$set`` with upsert; find one by ``_id``.  A query is
 exactly ``{"_id": value}``; anything else raises :class:`StoreError`
-rather than match the wrong document.  A write stores a fresh document, never mutated in place
-afterwards, which the oplog and every secondary share; reads return
-copies.
+rather than match the wrong document.  A write stores a fresh document,
+never mutated in place afterwards, which a replica set's oplog and its
+secondaries share; reads return copies.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, MutableSequence, Optional
 
 from repro.errors import DuplicateKeyError, StoreError
 from repro.sim.race import note_read, note_write
@@ -70,19 +70,21 @@ class Collection:
     it is bound to a simulation) let document accesses feed the runtime
     race detector; both default to None and cost nothing when unset.
     ``on_write`` is called after each write (a replica set's tail wakes
-    on it).
+    on it).  ``oplog`` is the log each write appends to: its database's
+    (a standalone database's keeps nothing), or, for a bare collection,
+    a list of its own.
     """
 
     def __init__(self, name: str, env=None,
                  race_label: Optional[str] = None,
-                 oplog: Optional[List[tuple]] = None,
+                 oplog: Optional[MutableSequence[tuple]] = None,
                  on_write: Optional[Callable[[], None]] = None):
         self.name = name
         self._env = env
         self._race_label = race_label
         self._documents: Dict[Any, Dict[str, Any]] = {}
         #: Change log for replication: (op, document, collection name).
-        self.oplog: List[tuple] = [] if oplog is None else oplog
+        self.oplog: MutableSequence[tuple] = [] if oplog is None else oplog
         self._on_write = on_write
 
     def _note_write(self, doc_id: Any, site: str) -> None:

@@ -4,13 +4,16 @@
 models primary/secondary replication with an asynchronous oplog tail and
 automatic failover — enough fidelity for the paper's claim that "MongoDB ...
 [is] also replicated for high availability" and for the ablation comparing
-etcd vs MongoDB as the status-coordination store.
+etcd vs MongoDB as the status-coordination store.  Only a replica set's
+members keep an oplog: a standalone database's would have no reader
+(DESIGN.md, "What each store and log keeps").
 """
 
 from __future__ import annotations
 
+from collections import deque
 from math import inf
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, MutableSequence, Optional
 
 from repro.errors import StoreError, StoreUnavailableError
 from repro.mongo.collection import Collection
@@ -19,8 +22,7 @@ from repro.sim.floatchain import chain
 
 
 class MongoDatabase:
-    """A named set of collections writing one oplog of ``(op, payload,
-    collection)`` entries, as MongoDB's ``local.oplog.rs``.
+    """A named set of collections.
 
     Passing ``env`` registers the database as a shared store so that
     document accesses feed the runtime race detector; without it the
@@ -28,6 +30,12 @@ class MongoDatabase:
     and unit tests use it that way).  ``on_change`` is called after
     every write and every new collection, and by :meth:`changed`: a
     replica set passes its tail's wake.
+
+    A replica-set member (one with ``on_change``) writes one oplog of
+    ``(op, document, collection)`` entries, as MongoDB's
+    ``local.oplog.rs``, which its set's tail reads.  A standalone
+    database has no reader, so its oplog keeps nothing, and a
+    superseded document version dies with its last reference.
     """
 
     def __init__(self, name: str = "ffdl",
@@ -38,7 +46,9 @@ class MongoDatabase:
         self._race_label = (env.register_shared_store(f"mongo:{name}", self)
                             if env is not None else None)
         self._collections: Dict[str, Collection] = {}
-        self.oplog: List[tuple] = []
+        # A zero-length deque drops every entry appended to it.
+        self.oplog: MutableSequence[tuple] = \
+            [] if on_change is not None else deque(maxlen=0)
         self._on_change = on_change
 
     def collection(self, name: str) -> Collection:

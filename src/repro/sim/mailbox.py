@@ -13,15 +13,16 @@ them.  Two runs under different tie-break seeds therefore drain the
 same messages in the same order, which is what keeps a multi-cell
 federation byte-reproducible under ``--perturb``.
 
-Keys must be unique per message (the bus's per-sender counters
-guarantee this); messages from one sender are never reordered against
-each other.
+Keys must be unique among one instant's puts (the bus's per-sender
+counters make them unique per message); messages from one sender are
+never reordered against each other.  A mailbox holds only the messages
+not yet taken and one instant's keys, never a key it has delivered.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque, Dict
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, Event, OBSERVER
@@ -33,14 +34,11 @@ class Mailbox:
     def __init__(self, env: Environment, name: str = "mailbox"):
         self.env = env
         self.name = name
-        #: Arrived this instant, not yet visible to getters.
-        self._pending: List[Tuple[Any, Any]] = []
+        #: Arrived this instant, by merge key, not yet visible to getters.
+        self._pending: Dict[Any, Any] = {}
         self._settle_scheduled = False
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._keys_seen: set = set()
-        self.total_put = 0
-        self.total_got = 0
 
     def put(self, item: Any, key: Any) -> None:
         """Enqueue ``item`` under a canonical merge ``key``.
@@ -49,12 +47,10 @@ class Mailbox:
         instant settles, together with — and canonically ordered
         against — every other item that arrived at the same instant.
         """
-        if key in self._keys_seen:
+        if key in self._pending:
             raise SimulationError(
                 f"mailbox {self.name!r}: duplicate merge key {key!r}")
-        self._keys_seen.add(key)
-        self._pending.append((key, item))
-        self.total_put += 1
+        self._pending[key] = item
         if not self._settle_scheduled:
             self._settle_scheduled = True
             settle = self.env.timeout(0.0, priority=OBSERVER)
@@ -62,9 +58,9 @@ class Mailbox:
 
     def _settle(self, _event: Event) -> None:
         self._settle_scheduled = False
-        batch, self._pending = self._pending, []
-        batch.sort(key=lambda entry: entry[0])
-        for _key, item in batch:
+        batch, self._pending = self._pending, {}
+        for key in sorted(batch):
+            item = batch[key]
             delivered = False
             while self._getters:
                 getter = self._getters.popleft()
@@ -80,10 +76,8 @@ class Mailbox:
         ev = self.env.event()
         if self._items:
             ev.succeed(self._items.popleft())
-            self.total_got += 1
         else:
             self._getters.append(ev)
-            self.total_got += 1
         return ev
 
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for the deterministic Mailbox merge and the FederationBus."""
 
+from collections import deque
+
 import pytest
 
 from repro.errors import CellUnavailableError, SimulationError
@@ -53,6 +55,32 @@ def test_duplicate_merge_key_rejected():
     mailbox.put("x", key=("a", 0))
     with pytest.raises(SimulationError):
         mailbox.put("y", key=("a", 0))
+
+
+def test_a_drained_mailbox_keeps_no_per_message_state():
+    """A merge key need only be unique among one instant's puts, so
+    10 000 messages over as many instants leave nothing behind once
+    they are taken: no delivered key, no settled batch."""
+    env = Environment()
+    mailbox = Mailbox(env)
+    got = []
+
+    def getter():
+        for _ in range(10_000):
+            got.append((yield mailbox.get()))
+
+    def put_at(seq):
+        env.timeout(float(seq)).callbacks.append(
+            lambda _event: mailbox.put(seq, key=("a", seq)))
+
+    env.process(getter())
+    for seq in range(10_000):
+        put_at(seq)
+    env.run()
+    assert got == list(range(10_000))
+    held = {name: len(value) for name, value in vars(mailbox).items()
+            if isinstance(value, (deque, dict, list, set))}
+    assert held and not any(held.values()), held
 
 
 # -- FederationBus ---------------------------------------------------------

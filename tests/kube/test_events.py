@@ -109,3 +109,32 @@ def test_scheduled_event_recorded():
     scheduled = cluster.api.event_log.of_kind(SCHEDULED)
     assert len(scheduled) == 1
     assert scheduled[0].pod_type == "learner"
+
+
+def test_a_gang_failing_k_times_leaves_one_record_per_pod_with_count_k():
+    """On an unchanged cluster every pass fails each pod of the gang with
+    the same message: one record per pod, counted, with the first and
+    last failing pass's times.  The fold state goes with the queue."""
+    env, cluster = make_cluster(gang=True, nodes=2, gpus_per_node=2)
+    scheduler = cluster.scheduler
+    names = [f"big-{i}" for i in range(3)]
+    for name in names:
+        cluster.api.create_pod(make_pod(env, name, gpus=4, gang_name="big",
+                                        gang_size=3))
+    for _ in range(5):  # one pass a second
+        scheduler.kick()
+        env.run(until=env.now + 1)
+    records = cluster.api.event_log.failed_scheduling()
+    assert [record.object_name for record in records] == names
+    assert {record.reason for record in records} == {REASON_NO_NODES}
+    assert [record.count for record in records] == [5] * 3
+    assert all(0 < record.time < 1 and 4 < record.last_time < 5
+               for record in records)
+    assert sorted(scheduler._failures) == names
+    for name in names:
+        cluster.api.delete_pod(name)
+    scheduler.kick()
+    env.run(until=env.now + 1)
+    assert scheduler._failures == {}
+    assert failed_reasons(cluster) == [REASON_NO_NODES] * 3 + \
+        [REASON_POD_NOT_FOUND] * 3

@@ -154,12 +154,14 @@ def test_a_gang_attempt_costs_the_nodes_that_changed():
     # list.
     assert submit(make_pod(env, "huge", gpus=8), *pair) == \
         (2 * 1001, 2 * 1001, 1)
-    failed = len(cluster.api.event_log.failed_scheduling())
-    assert failed == 3
+    failed = cluster.api.event_log.failed_scheduling()
+    assert len(failed) == 3
     scheduler.kick()
     assert submit() == (0, 0, 0)
+    # The repeated FailedScheduling folds into each pod's one record.
     events = cluster.api.event_log.failed_scheduling()
-    assert len(events) == 2 * failed
+    assert events == failed
+    assert [event.count for event in events] == [2, 2, 2]
     assert {event.reason for event in events} == {REASON_NO_NODES}
 
 

@@ -72,12 +72,15 @@ class CopyingCollection(Collection):
 
 
 class CopyingDatabase(MongoDatabase):
-    """A member as it was: one oplog per collection."""
+    """A member as it was: one oplog per collection.  As the set does
+    for its members, the reference hands each member collection the log
+    it writes; a ``MongoDatabase`` outside a set keeps none."""
 
     def collection(self, name: str) -> Collection:
         if name not in self._collections:
             self._collections[name] = CopyingCollection(
-                name, env=self._env, race_label=self._race_label)
+                name, env=self._env, race_label=self._race_label,
+                oplog=[])
         return self._collections[name]
 
     def collection_names(self) -> List[str]:
