@@ -8,8 +8,10 @@ when an owner stopped being a pod class of its own: the owners of one
 shape share a class's filter verdicts and scores, and ``best_node``
 scores an owner's own nodes with their counts only when it occupies
 every feasible node.  No placement and no FailedScheduling record
-moved either time.  Each scenario
-pins every pod's ``[node_name, scheduled_at]`` and every
+moved either time.  Re-recorded once more when a queued pod's
+repeated FailedScheduling began to fold into one record: no placement
+and no counter moved, and each record gained its count and last time.
+Each scenario pins every pod's ``[node_name, scheduled_at]`` and every
 ``FailedScheduling`` record (Table 8's taxonomy reads those strings),
 and the scheduler's work counters beside them.  Every run has a
 cordon / uncordon, a node failure with recovery and a scale-out in the
@@ -68,7 +70,8 @@ def _fingerprint(cluster, pods):
         "pods": {pod.name: [pod.node_name, pod.scheduled_at]
                  for pod in pods},
         "failed_scheduling": [
-            [event.time, event.object_name, event.message]
+            [event.time, event.object_name, event.message, event.count,
+             event.last_time]
             for event in cluster.api.event_log.failed_scheduling()]}
 
 
