@@ -17,9 +17,6 @@ RULE_CATALOG = {
                "simulation-driven code; use Environment.now"),
     "DET003": ("iteration over an unordered set expression; wrap in "
                "sorted(...) before the order can reach the event queue"),
-    "RES001": ("acquired resource (watch, lease, claim, ...) is not "
-               "released on every path out of the function; wrap the "
-               "use in try/finally"),
     "SAF001": ("exception handler can swallow sim.core.Interrupt — "
                "broad catch, or an Interrupt handler that does not "
                "re-raise on every path"),
@@ -64,23 +61,6 @@ RULE_EXPLANATIONS = {
         "cannot see a hash-order dependence.",
         "for node in {a, b, c}: schedule(node)",
         "for node in sorted({a, b, c}): schedule(node)",
-    ),
-    "RES001": (
-        "Watches, leases and claims registered with a substrate outlive "
-        "the function unless explicitly released; a path that returns "
-        "or raises early leaks them and the substrate fans out to dead "
-        "consumers forever.  "
-        "Guards: a finished run leaves no live watcher or lease behind, "
-        "so fanout cost follows live consumers and lease expiry means a "
-        "dead owner.",
-        "w = store.watch_prefix(p)\n"
-        "if bad: return           # leaks the watcher\n"
-        "w.close()",
-        "w = store.watch_prefix(p)\n"
-        "try:\n"
-        "    ...\n"
-        "finally:\n"
-        "    w.close()",
     ),
     "SAF001": (
         "Crash injection is delivered as sim.core.Interrupt; a handler "

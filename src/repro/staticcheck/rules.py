@@ -1,4 +1,4 @@
-"""AST rules enforcing determinism, crash-injection safety and release.
+"""AST rules enforcing determinism and crash-injection safety.
 
 Every rule walks one parsed module and emits :class:`Finding` records.
 Rules resolve import aliases (``import time as t`` / ``from datetime
@@ -7,23 +7,15 @@ engine, so the checks are not fooled by renaming.  There is no type
 inference, which keeps them fast and predictable — anything a rule
 cannot see (e.g. iteration over a *variable* holding a set) is covered
 by the runtime kernel checks instead, and documented as such in
-DESIGN.md.  DET001 and DET003 are syntactic; SAF001's re-raise check
-and RES001 reason about paths through a function's CFG
-(:mod:`repro.staticcheck.cfg`).
+DESIGN.md.  DET001 and DET003 are syntactic; SAF001 judges whether a
+handler re-raises from the shape of its body.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.staticcheck.cfg import (
-    build_block_cfg,
-    build_cfg,
-    own_expr_roots,
-    solve_forward,
-    walk_own,
-)
 from repro.staticcheck.findings import Finding, RULE_CATALOG
 
 #: Canonical dotted names of wall-clock sources.  ``time.sleep`` is
@@ -43,17 +35,6 @@ WALL_CLOCK_CALLS = frozenset({
 #: a set, but these names are set vocabulary across this codebase).
 SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference",
-})
-
-#: Method names whose return value is a resource the caller must release.
-ACQUIRE_METHODS = frozenset({
-    "watch", "watch_prefix", "grant_lease", "acquire", "claim",
-    "checkout",
-})
-
-#: Method names that release a held resource.
-RELEASE_METHODS = frozenset({
-    "cancel", "revoke", "release", "close", "unsubscribe", "stop",
 })
 
 
@@ -177,6 +158,34 @@ class UnorderedIterationRule(Rule):
         return findings
 
 
+def _leaves_early(nodes: Iterable[ast.AST], in_loop: bool) -> bool:
+    """A ``return``, or a ``break``/``continue`` of a loop around
+    ``nodes``, anywhere in them (nested function bodies excluded)."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Return) or (
+                isinstance(node, (ast.Break, ast.Continue)) and not in_loop):
+            return True
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            if _leaves_early(node.body, True) or \
+                    _leaves_early(node.orelse, in_loop):
+                return True
+        elif _leaves_early(ast.iter_child_nodes(node), in_loop):
+            return True
+    return False
+
+
+def _ends_in_raise(stmts: Sequence[ast.stmt]) -> bool:
+    """The last statement raises: a ``raise``, or an ``if``/``else``
+    whose branches each end in one."""
+    last = stmts[-1]
+    if isinstance(last, ast.If):
+        return bool(last.orelse) and _ends_in_raise(last.body) \
+            and _ends_in_raise(last.orelse)
+    return isinstance(last, ast.Raise)
+
+
 class InterruptSwallowRule(Rule):
     """SAF001: crash injection must never be silently absorbed.
 
@@ -187,10 +196,11 @@ class InterruptSwallowRule(Rule):
     re-raise is flagged too: it converts an injected crash into normal
     control flow.
 
-    Re-raising is judged *path-sensitively* over the handler body's CFG:
-    a handler whose ``raise`` sits behind a condition, or that can bail
-    out through an early ``return``, swallows the Interrupt on the paths
-    that miss the ``raise`` and is flagged with a dedicated message.
+    Re-raising is judged on every path from the shape of the handler
+    body: a handler whose ``raise`` sits behind a condition, or that can
+    bail out through an early ``return``, ``break`` or ``continue``,
+    swallows the Interrupt on the paths that miss the ``raise`` and is
+    flagged with a dedicated message.
     """
 
     code = "SAF001"
@@ -219,14 +229,13 @@ class InterruptSwallowRule(Rule):
     def _reraises_on_all_paths(handler: ast.ExceptHandler) -> bool:
         """No path through the handler body completes without a raise.
 
-        An early ``return`` counts as completing (it swallows the
-        exception just as surely as falling off the end does).
+        Structural, and stricter than a path search on shapes that end
+        in a ``try``, a ``with`` or a loop: the body must not leave
+        early, and its last statement must be a ``raise`` or an
+        ``if``/``else`` whose branches each end that way.
         """
-        cfg = build_block_cfg(handler.body)
-        raise_nodes = {n.index for n in cfg.nodes
-                       if isinstance(n.stmt, ast.Raise)}
-        return not cfg.path_exists(cfg.entry, cfg.exit,
-                                   blocked=raise_nodes)
+        return not _leaves_early(handler.body, in_loop=False) \
+            and _ends_in_raise(handler.body)
 
     def _swallow_finding(self, ctx, handler: ast.ExceptHandler,
                          base_message: str) -> Optional[Finding]:
@@ -276,126 +285,10 @@ class InterruptSwallowRule(Rule):
         return findings
 
 
-def _assigned_names(stmt: ast.AST) -> Set[str]:
-    """Local names this node (re)binds, from its own expressions."""
-    names: Set[str] = set()
-    for node in walk_own(own_expr_roots(stmt)):
-        if isinstance(node, ast.Name) and \
-                isinstance(node.ctx, (ast.Store, ast.Del)):
-            names.add(node.id)
-    if isinstance(stmt, ast.ExceptHandler) and stmt.name:
-        names.add(stmt.name)
-    return names
-
-
-def _var_release_and_escape(stmt: ast.AST, var: str) -> Tuple[bool, bool]:
-    """(released, escaped) for ``var`` in this node's own expressions.
-
-    A load of ``var`` as the receiver of a non-release method call
-    (``var.get()``) is plain *use* — neither.  A release-method call on
-    it releases.  Any other load (argument, alias, return/yield value,
-    container element, attribute read such as ``var.id`` passed along)
-    makes the resource escape the function's responsibility.
-    """
-    released = False
-    receiver_uses: Set[int] = set()
-    for node in walk_own(own_expr_roots(stmt)):
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                isinstance(node.func.value, ast.Name) and \
-                node.func.value.id == var:
-            if node.func.attr in RELEASE_METHODS:
-                released = True
-            receiver_uses.add(id(node.func.value))
-    escaped = any(
-        isinstance(node, ast.Name) and node.id == var
-        and isinstance(node.ctx, ast.Load)
-        and id(node) not in receiver_uses
-        for node in walk_own(own_expr_roots(stmt)))
-    return released, escaped
-
-
-def _acquire_call(value: ast.AST) -> Optional[str]:
-    """Dotted text of an acquire call, unwrapping ``yield <call>``."""
-    if isinstance(value, (ast.Yield, ast.YieldFrom)):
-        value = value.value
-    if isinstance(value, ast.Call) and \
-            isinstance(value.func, ast.Attribute) and \
-            value.func.attr in ACQUIRE_METHODS:
-        dotted = dotted_name(value.func)
-        return dotted if dotted is not None else value.func.attr
-    return None
-
-
-def _held_resources(node, fact):
-    """RES001's transfer: facts are (var, def node index, acquire-call
-    text) for each resource still held after ``node``."""
-    stmt = node.stmt
-    live = set(fact)
-    for entry in fact:
-        var = entry[0]
-        released, escaped = _var_release_and_escape(stmt, var)
-        if released or escaped:
-            live.discard(entry)
-    assigned = _assigned_names(stmt)
-    if assigned:
-        live = {f for f in live if f[0] not in assigned}
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-            and isinstance(stmt.targets[0], ast.Name):
-        acquired = _acquire_call(stmt.value)
-        if acquired is not None:
-            live.add((stmt.targets[0].id, node.index, acquired))
-    return frozenset(live)
-
-
-class ResourceLeakRule(Rule):
-    """RES001: an acquired resource must be released on every exit path.
-
-    Tracks locals bound from acquire-vocabulary calls (``watch``,
-    ``watch_prefix``, ``grant_lease``, ``acquire``, ``claim``, ...).
-    Passing the resource (or one of its attributes) to another call,
-    storing it, returning or yielding it hands ownership elsewhere and
-    ends tracking; a release-method call (``cancel``, ``revoke``,
-    ``release``, ``close``, ...) discharges it.  If any path out of the
-    function — including an early ``return`` or ``raise`` — still holds
-    the resource untouched, the acquisition site is flagged.  The
-    canonical fix is ``try/finally`` around the use.
-    """
-
-    code = "RES001"
-
-    def check(self, ctx) -> List[Finding]:
-        findings = []
-        for func in ast.walk(ctx.tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                findings.extend(self._check_function(ctx, func))
-        return findings
-
-    def _check_function(self, ctx, func) -> List[Finding]:
-        cfg = build_cfg(func)
-        has_acquire = any(
-            _acquire_call(node.stmt.value) is not None
-            for node in cfg.stmt_nodes()
-            if isinstance(node.stmt, ast.Assign))
-        if not has_acquire:
-            return []
-        leaked_at = solve_forward(cfg, _held_resources)[cfg.exit]
-        findings = []
-        for var, def_index, call_text in sorted(
-                leaked_at, key=lambda f: (cfg.node(f[1]).line, f[0])):
-            findings.append(self.finding(
-                ctx, cfg.node(def_index).stmt,
-                f"{var!r} acquired via {call_text}() is not released on "
-                f"every path out of this function; release it in a "
-                f"try/finally (cancel/revoke/release/close)"))
-        return findings
-
-
 #: Every Python rule, in catalog order; the engine appends the manifest
 #: rules to form ``ALL_RULES``.
 PYTHON_RULES = (
     WallClockRule(),
     UnorderedIterationRule(),
-    ResourceLeakRule(),
     InterruptSwallowRule(),
 )

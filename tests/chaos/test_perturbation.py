@@ -5,7 +5,8 @@ end state under permuted heap tie-breaking (``tiebreak_seed``), and the
 runtime race detector must report zero schedule-sensitive conflicts
 throughout.  A divergence here means some component depends on the
 order the kernel happens to pick between same-``(time, priority)``
-events — a modelling bug, not chaos.
+events — a modelling bug, not chaos.  The FIFO runs also show that a
+finished run leaves no etcd watcher or lease behind.
 """
 
 import fnmatch
@@ -25,8 +26,11 @@ from tests.golden import STORE, check, next_draw
 #: Tie-break permutations checked against the FIFO baseline (seed 0).
 PERTURBED_SEEDS = (1, 2, 3)
 
-#: (scenario, tiebreak_seed) -> (report, RNG stream positions), computed
-#: once for the whole module.
+#: Scenarios whose every job is terminal when the run ends.
+DRAINS = ("etcd-leader-kill", "everything-at-once", "rolling-node-crashes")
+
+#: (scenario, tiebreak_seed) -> (report, RNG stream positions, what each
+#: platform's etcd still holds), computed once for the whole module.
 _RUNS = {}
 
 
@@ -35,12 +39,44 @@ def positions(engine):
             for name, stream in sorted(engine.rng._streams.items())}
 
 
+def live_watchers(store):
+    """Every watcher still in the store's fanout index."""
+    found = [watcher for bucket in store._exact_watch.values()
+             for watcher in bucket]
+    nodes = [store._prefix_trie]
+    while nodes:
+        node = nodes.pop()
+        found.extend(node.watchers)
+        nodes.extend(node.children.values())
+    return found
+
+
+def leftovers(engine):
+    """Per platform: whether every job is terminal, the keys of the
+    watchers still open on its etcd store, those of them that watch a
+    terminal job (``/jobs/<id>/...``), and the leases still alive."""
+    cells = sorted(getattr(engine.target, "cells", {}).items())
+    platforms = [(cell_name, cell.platform) for cell_name, cell in cells] \
+        or [("platform", engine.target.platform)]
+    found = []
+    for where, platform in platforms:
+        store = platform.etcd_store()
+        terminal = {job_id for job_id, job in platform.jobs.items()
+                    if job.status.is_terminal}
+        keys = sorted(watcher.key for watcher in live_watchers(store))
+        found.append((where, len(terminal) == len(platform.jobs), keys,
+                      [key for key in keys
+                       if key.split("/")[2] in terminal],
+                      len(store._leases)))
+    return found
+
+
 def run(name, tiebreak_seed):
     key = (name, tiebreak_seed)
     if key not in _RUNS:
         engine = ChaosEngine(get_scenario(name), seed=0,
                              tiebreak_seed=tiebreak_seed, detect_races=True)
-        _RUNS[key] = engine.run(), positions(engine)
+        _RUNS[key] = engine.run(), positions(engine), leftovers(engine)
     return _RUNS[key]
 
 
@@ -54,6 +90,20 @@ def test_baseline_run_is_race_free_and_passes(name):
     assert report.passed, report.render()
     assert report.race_lines == []
     assert report.counters["schedule-conflicts"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_finished_run_leaves_no_watcher_or_lease_behind(name):
+    # A terminal job's Guardian and learners have stopped watching, and
+    # once every job is terminal no controller holds a lease: fanout
+    # follows live consumers, and a lease's expiry means a dead owner.
+    platforms = run(name, 0)[2]
+    for where, drained, keys, of_terminal, leases in platforms:
+        assert of_terminal == [], f"{where}: {of_terminal}"
+        if drained:
+            assert (keys, leases) == ([], 0), where
+    if name in DRAINS:  # else the zero check above checks nothing
+        assert all(platform[1] for platform in platforms)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -194,10 +194,15 @@ def test_close_drains_the_intent_log():
     intent_id = submit(env, dispatcher, make_manifest())
     assert wait_state(env, intent_of(dispatcher, intent_id), st.COMPLETED)
     drained = dispatcher.close()
+    probes = {name: monitor.probes_sent
+              for name, monitor in dispatcher.monitors.items()}
     env.run(until=env.now + 30.0)
     assert drained.triggered
     assert dispatcher.intent_log.pending == 0
     assert dispatcher.lost_intents() == []
+    # close() stops the health monitors too: no cell is probed after it.
+    assert {name: monitor.probes_sent
+            for name, monitor in dispatcher.monitors.items()} == probes
 
 
 def held_gpus(dispatcher, user):

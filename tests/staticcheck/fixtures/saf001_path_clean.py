@@ -22,3 +22,23 @@ def reraise_on_every_branch(env, job):
             raise
         job.abort()
         raise
+
+
+def reraise_from_both_arms_of_a_final_if(env, job, resources):
+    try:
+        yield env.timeout(10.0)
+    except Interrupt:
+        for resource in resources:
+            if resource.closed:
+                break
+            resource.close()
+        if job.finished:
+            job.seal()
+            if job.retryable:
+                job.requeue()
+                raise
+            else:
+                raise
+        else:
+            job.abort()
+            raise

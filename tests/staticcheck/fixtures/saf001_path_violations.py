@@ -27,3 +27,22 @@ def swallowed_entirely(env, log):
         yield env.timeout(10.0)
     except Interrupt:  # <- SAF001
         log.append("crashed")
+
+
+def break_out_of_the_loop(env, log):
+    while True:
+        try:
+            yield env.timeout(10.0)
+        except Interrupt:  # <- SAF001
+            break
+    log.append("stopped")
+
+
+def continue_past_the_raise(env, jobs):
+    for job in jobs:
+        try:
+            yield env.timeout(10.0)
+        except Interrupt:  # <- SAF001
+            if job.finished:
+                continue
+            raise

@@ -1,4 +1,4 @@
-"""Fixture-corpus tests for the flow-sensitive and manifest (MAN) rules.
+"""Fixture-corpus tests for SAF001's re-raise paths and the MAN rules.
 
 Each ``*_violations.py`` / ``*_violations.yaml`` fixture marks every
 expected finding with a ``# <- CODE`` comment on the offending line
@@ -26,7 +26,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture file -> the rule it exercises (other codes may legitimately
 #: co-fire, and every co-firing is marked too).
 VIOLATION_FIXTURES = {
-    "res001_violations.py": "RES001",
     "saf001_path_violations.py": "SAF001",
     "man001_violations.yaml": "MAN001",
     "man002_violations.yaml": "MAN002",
@@ -37,7 +36,6 @@ VIOLATION_FIXTURES = {
 }
 
 CLEAN_FIXTURES = [
-    "res001_clean.py",
     "saf001_path_clean.py",
     "man001_clean.yaml",
     "man002_clean.yaml",

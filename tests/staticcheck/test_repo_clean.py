@@ -39,14 +39,6 @@ VIOLATIONS = {
             except Exception:
                 pass
     """,
-    "RES001": """
-        def f(store, flag):
-            watcher = store.watch("k")
-            if flag:
-                return 0
-            watcher.cancel()
-            return 1
-    """,
 }
 
 
@@ -105,25 +97,25 @@ def test_cli_markdown_report(tmp_path, capsys):
 
 def test_cli_json_report(tmp_path, capsys):
     bad = tmp_path / "injected.py"
-    bad.write_text(textwrap.dedent(VIOLATIONS["RES001"]))
+    bad.write_text(textwrap.dedent(VIOLATIONS["SAF001"]))
     assert main(["--format", "json", str(bad)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert [f["code"] for f in report["findings"]] == ["RES001"]
+    assert [f["code"] for f in report["findings"]] == ["SAF001"]
     finding = report["findings"][0]
-    assert finding["line"] == 3
+    assert finding["line"] == 5
     assert finding["path"].endswith("injected.py")
     assert report["suppressed"] == []
 
 
 def test_cli_github_annotations(tmp_path, capsys):
     bad = tmp_path / "injected.py"
-    bad.write_text(textwrap.dedent(VIOLATIONS["RES001"]))
+    bad.write_text(textwrap.dedent(VIOLATIONS["SAF001"]))
     assert main(["--strict", "--format", "github", str(bad)]) == 1
     out = capsys.readouterr().out
     line = next(li for li in out.splitlines() if li.startswith("::error"))
     assert line.startswith("::error file=")
-    assert "line=3," in line
-    assert "title=staticcheck RES001::" in line
+    assert "line=5," in line
+    assert "title=staticcheck SAF001::" in line
 
 
 def test_cli_github_green_run_emits_no_annotations(capsys):
