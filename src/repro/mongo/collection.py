@@ -26,6 +26,29 @@ def _document_id(query: Dict[str, Any]) -> Any:
     return query["_id"]
 
 
+#: Immutable scalars a document holds: a copy shares them.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _copy(value: Any) -> Any:
+    """A deep copy of a JSON-shaped ``value`` that shares no ``dict`` or
+    ``list`` with it: each of those is rebuilt by its exact type, a
+    scalar is shared, and anything else goes to ``copy.deepcopy``.
+    Unlike ``copy.deepcopy`` it keeps no memo, so a container that
+    appears twice in ``value`` is copied twice; nobody can tell,
+    because a stored document is never mutated."""
+    cls = type(value)
+    if cls is dict:
+        return {key: item if type(item) in _SCALARS else _copy(item)
+                for key, item in value.items()}
+    if cls is list:
+        return [item if type(item) in _SCALARS else _copy(item)
+                for item in value]
+    if cls in _SCALARS:
+        return value
+    return copy.deepcopy(value)
+
+
 def _updated(document: Dict[str, Any],
              update: Dict[str, Any]) -> Dict[str, Any]:
     """A fresh document: ``document`` with ``update`` applied.
@@ -35,7 +58,7 @@ def _updated(document: Dict[str, Any],
     """
     operators = [key for key in update if key.startswith("$")]
     if not operators:
-        replacement = copy.deepcopy(update)
+        replacement = _copy(update)
         doc_id = replacement.setdefault("_id", document["_id"])
         if doc_id is not document["_id"] and doc_id != document["_id"]:
             raise StoreError(f"a replacement cannot change _id "
@@ -47,7 +70,7 @@ def _updated(document: Dict[str, Any],
     # value it does not change: a shallow copy, a fresh list per pushed
     # field, and the update's values copied once.
     new = dict(document)
-    for op, spec in copy.deepcopy(update).items():
+    for op, spec in _copy(update).items():
         if not isinstance(spec, dict):
             raise StoreError(f"{op} needs a document of fields, not {spec!r}")
         if op == "$set":
@@ -100,7 +123,7 @@ class Collection:
     # -- writes ------------------------------------------------------------------
 
     def insert_one(self, document: Dict[str, Any]) -> Any:
-        doc = copy.deepcopy(document)
+        doc = _copy(document)
         if doc["_id"] in self._documents:
             raise DuplicateKeyError(f"_id {doc['_id']!r} already exists")
         self._store("insert", doc, "Collection.insert_one")
@@ -137,7 +160,7 @@ class Collection:
         if doc is None:
             return None
         self._note_read(doc["_id"], "Collection.find_one")
-        return copy.deepcopy(doc)
+        return _copy(doc)
 
     def count(self) -> int:
         return len(self._documents)

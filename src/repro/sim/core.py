@@ -13,6 +13,7 @@ is modelled.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from heapq import heappop, heappush
 from math import inf
@@ -28,6 +29,14 @@ from repro.errors import SimulationError
 URGENT = 0
 NORMAL = 1
 OBSERVER = 2
+
+#: The collector's thresholds while the event loop runs, each raised to
+#: at least this and never lowered.  What the loop allocates is freed by
+#: reference counting (a finished process leaves no cycle), so at the
+#: default gen-0 threshold of 700 a collection would run every few
+#: events only to re-traverse live objects (DESIGN.md, "What the
+#: collector costs").
+DISPATCH_GC_THRESHOLD = (50_000, 20, 10)
 
 
 class Interrupt(Exception):
@@ -209,21 +218,22 @@ class Process(Event):
                 and not self._interrupts:
             # Stale wakeup (e.g. the event we abandoned on interrupt fires).
             return
-        if self.env.race_detector is not None:
+        env = self.env
+        if env.race_detector is not None:
             # Receive edge: the waker's clock happened-before this run.
-            self.env.race_detector.on_receive(self, event)
-        self.env._active_process = self
+            env.race_detector.on_receive(self, event)
+        env._active_process = self
         try:
             while True:
                 if self._interrupts:
-                    exc: BaseException = self._interrupts.pop(0)
+                    thrown: BaseException = self._interrupts.pop(0)
                     self._target = None
-                    target = self.generator.throw(exc)
+                    target = self.generator.throw(thrown)
                 elif event is not None and not event.ok:
-                    err = event.value
+                    thrown = event.value
                     event = None
                     self._target = None
-                    target = self.generator.throw(err)
+                    target = self.generator.throw(thrown)
                 else:
                     value = event.value if event is not None else None
                     event = None
@@ -249,7 +259,12 @@ class Process(Event):
         except BaseException as err:  # noqa: BLE001 - propagate via event
             self.fail(err)
         finally:
-            self.env._active_process = None
+            env._active_process = None
+            # An exception that left the generator holds this frame in
+            # its traceback; with every local cleared the frame holds
+            # neither the exception nor this process, so reference
+            # counting frees both (DESIGN.md, "What the collector costs").
+            self = event = thrown = value = target = None
 
 
 class Environment:
@@ -421,27 +436,34 @@ class Environment:
         """The one event loop: fire queued events in ``(time, priority,
         seq)`` order while the next one is due by ``until`` and ``stop``
         (if given) has not triggered; ``once`` returns after one."""
+        saved = gc.get_threshold()
+        if saved[0]:  # 0: the caller turned automatic collection off
+            gc.set_threshold(*map(max, saved, DISPATCH_GC_THRESHOLD))
         queue = self._queue
-        while queue and queue[0][0] <= until \
-                and (stop is None or not stop._triggered):
-            when, _prio, _seq, event = heappop(queue)
-            if when > self._now:
-                self._now = when
-            elif when < self._now - 1e-12:
-                raise SimulationError("time went backwards")
-            event._processed = True
-            # A processed event never receives new callbacks (every
-            # waiter checks _processed first); the fresh list only
-            # keeps a late append harmless.
-            callbacks, event.callbacks = event.callbacks, []
-            self.events_processed += 1
-            if self.race_detector is not None or self._profiler is not None:
-                self._step_instrumented(event, callbacks)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if once:
-                return
+        try:
+            while queue and queue[0][0] <= until \
+                    and (stop is None or not stop._triggered):
+                when, _prio, _seq, event = heappop(queue)
+                if when > self._now:
+                    self._now = when
+                elif when < self._now - 1e-12:
+                    raise SimulationError("time went backwards")
+                event._processed = True
+                # A processed event never receives new callbacks (every
+                # waiter checks _processed first); the fresh list only
+                # keeps a late append harmless.
+                callbacks, event.callbacks = event.callbacks, []
+                self.events_processed += 1
+                if self.race_detector is not None \
+                        or self._profiler is not None:
+                    self._step_instrumented(event, callbacks)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+                if once:
+                    return
+        finally:
+            gc.set_threshold(*saved)
 
     def step(self) -> None:
         """Process the single next event."""

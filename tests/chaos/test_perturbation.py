@@ -30,7 +30,8 @@ PERTURBED_SEEDS = (1, 2, 3)
 DRAINS = ("etcd-leader-kill", "everything-at-once", "rolling-node-crashes")
 
 #: (scenario, tiebreak_seed) -> (report, RNG stream positions, what each
-#: platform's etcd still holds), computed once for the whole module.
+#: platform's etcd still holds, events processed), computed once for the
+#: whole session.
 _RUNS = {}
 
 
@@ -76,7 +77,8 @@ def run(name, tiebreak_seed):
     if key not in _RUNS:
         engine = ChaosEngine(get_scenario(name), seed=0,
                              tiebreak_seed=tiebreak_seed, detect_races=True)
-        _RUNS[key] = engine.run(), positions(engine), leftovers(engine)
+        _RUNS[key] = engine.run(), positions(engine), leftovers(engine), \
+            engine.env.events_processed
     return _RUNS[key]
 
 

@@ -12,6 +12,10 @@ through the reference; after each write the caller mutates the update
 it passed and the document ``find_one`` returned, deep inside.  Every
 read must equal the reference's, and every oplog entry must still read
 as it did when it was appended.
+
+The collection copies with ``_copy``, not ``copy.deepcopy``: on random
+nested dicts, lists, tuples, dict subclasses and scalars its copy must
+equal deepcopy's and share no dict or list with the original.
 """
 
 import copy
@@ -21,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.mongo import Collection
+from repro.mongo.collection import _copy
 
 from tests.conftest import examples
 
@@ -121,3 +126,45 @@ def test_a_write_copies_only_what_it_changes(first, updates):
         scribble(collection.find_one({"_id": "a"}))
         assert repr(collection.find_one({"_id": "a"})) == repr(reference)
         assert repr(collection.oplog) == repr(appended)
+
+
+class Tagged(dict):
+    """A dict subclass: ``_copy`` hands it to ``copy.deepcopy``."""
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False), st.text(max_size=3))
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=2), inner, max_size=3),
+        st.dictionaries(st.text(max_size=2), inner, max_size=3).map(Tagged)),
+    max_leaves=12)
+
+
+def containers(value):
+    """Every dict and list inside ``value``, ``value`` included."""
+    found = []
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            found.append(item)
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(document=DOCUMENTS)
+@example(document={"a": [1, {"b": (2, [3])}], "c": Tagged(d=[4])})
+def test_a_copy_equals_deepcopys_and_shares_no_container(document):
+    copied = _copy(document)
+    assert copied == copy.deepcopy(document)
+    assert type(copied) is type(document)
+    shared = {id(item) for item in containers(document)}
+    assert [item for item in containers(copied) if id(item) in shared] == []

@@ -1,10 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Interrupt
-from repro.sim.core import OBSERVER, URGENT
+from repro.sim.core import DISPATCH_GC_THRESHOLD, OBSERVER, URGENT
 
 
 def test_timeout_advances_clock():
@@ -533,3 +535,53 @@ def test_yield_non_event_is_error():
     env.run()
     assert not proc.ok
     assert isinstance(proc.value, SimulationError)
+
+
+@pytest.fixture
+def threshold():
+    """Set the caller's collector thresholds; restored after the test."""
+    saved = gc.get_threshold()
+    yield gc.set_threshold
+    gc.set_threshold(*saved)
+
+
+def seen_in_the_loop(env):
+    """A process that records the thresholds the event loop runs with."""
+    seen = []
+
+    def proc():
+        seen.append(gc.get_threshold())
+        yield env.timeout(1)
+        seen.append(gc.get_threshold())
+        raise KeyError("fails")
+
+    return env.process(proc()), seen
+
+
+def test_the_loop_raises_the_collector_threshold_and_restores_it(threshold):
+    threshold(700, 10, 10)
+    env = Environment()
+    _, seen = seen_in_the_loop(env)
+    env.step()
+    assert gc.get_threshold() == (700, 10, 10)
+    env.run()
+    assert gc.get_threshold() == (700, 10, 10)
+    assert seen == [DISPATCH_GC_THRESHOLD] * 2
+    with pytest.raises(KeyError):
+        env.run_until_complete(seen_in_the_loop(env)[0])
+    assert gc.get_threshold() == (700, 10, 10)
+
+
+def test_the_loop_never_lowers_a_callers_threshold(threshold):
+    higher = (DISPATCH_GC_THRESHOLD[0] * 2, 1, DISPATCH_GC_THRESHOLD[2] + 5)
+    threshold(*higher)
+    env = Environment()
+    _, seen = seen_in_the_loop(env)
+    env.run()
+    assert seen[0] == (higher[0], DISPATCH_GC_THRESHOLD[1], higher[2])
+    assert gc.get_threshold() == higher
+    threshold(0, 10, 10)  # automatic collection off stays off
+    env = Environment()
+    _, seen = seen_in_the_loop(env)
+    env.run()
+    assert seen == [(0, 10, 10)] * 2 and gc.get_threshold() == (0, 10, 10)
