@@ -38,6 +38,7 @@ def _copy(value: Any) -> Any:
     appears twice in ``value`` is copied twice; nobody can tell,
     because a stored document is never mutated."""
     cls = type(value)
+    # Most items are scalars: sharing them inline saves a call each.
     if cls is dict:
         return {key: item if type(item) in _SCALARS else _copy(item)
                 for key, item in value.items()}
