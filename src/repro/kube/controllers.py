@@ -45,9 +45,13 @@ class WorkloadControllers:
         self.env = env
         self.api = api
         self.cluster = cluster
+        #: ReplicaSet / Deployment uid -> pods named so far (the suffix
+        #: of the next replica); dropped with the owner.
         self._rs_counters: Dict[str, int] = {}
         #: Pod uids whose failure was already charged to their KubeJob
-        #: (a pod can both fail and later be deleted; count it once).
+        #: (a pod can both fail and later be deleted; count it once);
+        #: dropped with the pod.  A uid is never reused, so a dropped
+        #: entry is never asked for again.
         self._job_failures_counted: set = set()
         #: Owner uids with a reconcile already scheduled (workqueue
         #: dedup): N same-instant pod deletions must collapse into one
@@ -65,6 +69,7 @@ class WorkloadControllers:
         if verb == ADDED:
             self._reconcile(obj)
         elif verb == DELETED:
+            self._rs_counters.pop(obj.meta.uid, None)
             self._delete_children(obj)
 
     def _on_job_change(self, verb: str, job: KubeJob) -> None:
@@ -83,14 +88,13 @@ class WorkloadControllers:
         if not (pod_gone or pod_failed or pod_done):
             return
         owner = self._find_owner(owner_uid)
-        if owner is None:
-            return
         if isinstance(owner, KubeJob):
             self._handle_job_pod(owner, pod, pod_done, pod_failed, pod_gone)
-            return
-        if pod_done:
-            return  # sets do not replace successfully completed pods
-        self._schedule_reconcile(owner)
+        elif owner is not None and not pod_done:
+            # Sets do not replace successfully completed pods.
+            self._schedule_reconcile(owner)
+        if pod_gone:
+            self._job_failures_counted.discard(pod.meta.uid)
 
     # -- reconciliation -----------------------------------------------------------
 
@@ -173,6 +177,12 @@ class WorkloadControllers:
         if not (failed or gone):
             return
         if job.succeeded >= job.completions:
+            if gone and not self.api.list_pods(owner=job.meta.uid):
+                # ``ttlSecondsAfterFinished: 0``: a finished Job goes
+                # with its last pod, as FfDL keeps a job's history in
+                # MongoDB, not in Kubernetes.  Its DELETED finds no
+                # children.
+                self.api.delete_job(job.name)
             return
         if gone and pod.phase == SUCCEEDED:
             return  # deletion of a completed pod is not a failure

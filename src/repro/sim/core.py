@@ -17,6 +17,7 @@ import gc
 import itertools
 from heapq import heappop, heappush
 from math import inf
+from opcode import opmap
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -141,20 +142,38 @@ class _Condition(Event):
             self.succeed({})
             return
         for ev in self.events:
-            if ev._processed:
-                self._on_fire(ev)
-            else:
-                ev.callbacks.append(self._on_fire)
+            if ev._processed and self._fire(ev):
+                return  # triggered before anything was attached
+        fire = self._on_fire
+        for ev in self.events:
+            if not ev._processed:
+                ev.callbacks.append(fire)
 
-    def _on_fire(self, ev: Event) -> None:
-        if self._triggered:
-            return
+    def _fire(self, ev: Event) -> bool:
+        """Count ``ev`` and trigger if it decides the condition; True
+        once triggered."""
         if not ev.ok:
             self.fail(ev.value)
-            return
+            return True
         self._n_fired += 1
         if self._done():
             self.succeed(self._collect())
+            return True
+        return False
+
+    def _on_fire(self, ev: Event) -> None:
+        if self._triggered or not self._fire(ev):
+            return
+        # Triggered: ``_on_fire`` would now return at once, so leaving it
+        # on the constituents still pending would only keep this
+        # condition, and its value, alive as long as they are -- and a
+        # writer's ``degraded_event()`` may never fire (DESIGN.md, "What
+        # each store and log keeps").  Each pending occurrence of an
+        # event in ``events`` holds exactly one entry.
+        fire = self._on_fire
+        for other in self.events:
+            if not other._processed:
+                other.callbacks.remove(fire)
 
     def _collect(self) -> dict:
         return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
@@ -223,6 +242,7 @@ class Process(Event):
             # Receive edge: the waker's clock happened-before this run.
             env.race_detector.on_receive(self, event)
         env._active_process = self
+        carried = None
         try:
             while True:
                 if self._interrupts:
@@ -231,6 +251,7 @@ class Process(Event):
                     target = self.generator.throw(thrown)
                 elif event is not None and not event.ok:
                     thrown = event.value
+                    carried = thrown.__traceback__
                     event = None
                     self._target = None
                     target = self.generator.throw(thrown)
@@ -257,6 +278,11 @@ class Process(Event):
             # process it targeted no longer exists past this point.
             self.succeed(intr.cause)
         except BaseException as err:  # noqa: BLE001 - propagate via event
+            # The traceback starts at this frame, still running; its
+            # ``f_back`` would keep the event loop's frame, and whatever
+            # that frame last held, alive with the exception.
+            err.__traceback__ = err.__traceback__.tb_next
+            _clear_unwound(err.__traceback__, carried)
             self.fail(err)
         finally:
             env._active_process = None
@@ -264,7 +290,32 @@ class Process(Event):
             # its traceback; with every local cleared the frame holds
             # neither the exception nor this process, so reference
             # counting frees both (DESIGN.md, "What the collector costs").
-            self = event = thrown = value = target = None
+            self = event = thrown = value = target = carried = None
+
+
+_RAISE = opmap["RAISE_VARARGS"]
+
+
+def _clear_unwound(tb, carried) -> None:
+    """Drop the locals of the frames an exception unwound on its way out
+    of a process, keeping their file and line numbers for printing: a
+    failed process keeps its exception as its value, and a generator
+    frame's locals would reach the object that owns the process.
+
+    ``tb`` starts at the process's generator frame.  The walk stops at
+    ``carried`` (the traceback a failed event's exception brought along)
+    and after a ``raise`` statement: past either lie frames of the
+    exception's earlier life, where a generator may have caught it and
+    still be suspended, and clearing a suspended generator's frame
+    closes the generator (the bus's mailbox loop replies with the
+    exceptions it catches).
+    """
+    while tb is not None and tb is not carried:
+        frame = tb.tb_frame
+        frame.clear()
+        if frame.f_code.co_code[tb.tb_lasti] == _RAISE:
+            return
+        tb = tb.tb_next
 
 
 class Environment:

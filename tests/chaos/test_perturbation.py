@@ -6,7 +6,9 @@ runtime race detector must report zero schedule-sensitive conflicts
 throughout.  A divergence here means some component depends on the
 order the kernel happens to pick between same-``(time, priority)``
 events — a modelling bug, not chaos.  The FIFO runs also show that a
-finished run leaves no etcd watcher or lease behind.
+finished run leaves no etcd watcher or lease, no Kubernetes Job, no
+waiter on a writer's ``degraded_event()`` and no controller bookkeeping
+behind.
 """
 
 import fnmatch
@@ -30,8 +32,8 @@ PERTURBED_SEEDS = (1, 2, 3)
 DRAINS = ("etcd-leader-kill", "everything-at-once", "rolling-node-crashes")
 
 #: (scenario, tiebreak_seed) -> (report, RNG stream positions, what each
-#: platform's etcd still holds, events processed), computed once for the
-#: whole session.
+#: platform and the dispatcher still hold, events processed), computed
+#: once for the whole session.
 _RUNS = {}
 
 
@@ -54,8 +56,9 @@ def live_watchers(store):
 
 def leftovers(engine):
     """Per platform: whether every job is terminal, the keys of the
-    watchers still open on its etcd store, those of them that watch a
-    terminal job (``/jobs/<id>/...``), and the leases still alive."""
+    etcd watchers that watch a terminal job (``/jobs/<id>/...``), and
+    what else it still holds; then the waiters on the dispatcher's
+    intent log going degraded (None without a federation)."""
     cells = sorted(getattr(engine.target, "cells", {}).items())
     platforms = [(cell_name, cell.platform) for cell_name, cell in cells] \
         or [("platform", engine.target.platform)]
@@ -65,11 +68,24 @@ def leftovers(engine):
         terminal = {job_id for job_id, job in platform.jobs.items()
                     if job.status.is_terminal}
         keys = sorted(watcher.key for watcher in live_watchers(store))
-        found.append((where, len(terminal) == len(platform.jobs), keys,
+        controllers = platform.cluster.controllers
+        # The writer's event itself: degraded_event() would trigger it.
+        degraded = platform.status_writer._degraded_event
+        found.append((where, len(terminal) == len(platform.jobs),
                       [key for key in keys
-                       if key.split("/")[2] in terminal],
-                      len(store._leases)))
-    return found
+                       if key.split("/")[2] in terminal], {
+                          "watch keys": keys,
+                          "leases": len(store._leases),
+                          "kube jobs": sorted(
+                              platform.cluster.api._stores["jobs"]),
+                          "degraded waiters": len(degraded.callbacks),
+                          "replica counters": controllers._rs_counters,
+                          "failures counted":
+                              controllers._job_failures_counted,
+                      }))
+    dispatcher = getattr(engine.target, "dispatcher", None)
+    return found, dispatcher and len(
+        dispatcher.intent_log._degraded_event.callbacks)
 
 
 def run(name, tiebreak_seed):
@@ -99,13 +115,18 @@ def test_a_finished_run_leaves_no_watcher_or_lease_behind(name):
     # A terminal job's Guardian and learners have stopped watching, and
     # once every job is terminal no controller holds a lease: fanout
     # follows live consumers, and a lease's expiry means a dead owner.
-    platforms = run(name, 0)[2]
-    for where, drained, keys, of_terminal, leases in platforms:
+    # Nor is anything else kept for a finished job: its Guardian's
+    # Kubernetes Job is collected with its last pod, the controllers
+    # forget deleted owners and pods, and a submission acknowledged
+    # leaves no waiter on its writer going degraded.
+    platforms, intent_waiters = run(name, 0)[2]
+    for where, drained, of_terminal, held in platforms:
         assert of_terminal == [], f"{where}: {of_terminal}"
         if drained:
-            assert (keys, leases) == ([], 0), where
+            assert not any(held.values()), f"{where}: {held}"
     if name in DRAINS:  # else the zero check above checks nothing
         assert all(platform[1] for platform in platforms)
+    assert intent_waiters in (None, 0)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -149,6 +149,43 @@ def test_job_gives_up_after_backoff_limit():
     assert job.failed_attempts == 3  # initial + 2 retries
 
 
+def test_a_finished_job_goes_with_its_last_pod():
+    # ``ttlSecondsAfterFinished: 0``: podgc removes each terminal pod
+    # after its TTL, the Job goes with the last one, and the controller
+    # forgets the failures it charged.
+    env, cluster = make_cluster(terminal_pod_gc_ttl_s=50)
+    attempts = []
+
+    def flaky(container):
+        attempts.append(env.now)
+        yield env.timeout(2)
+        return 1 if len(attempts) < 3 else 0
+
+    tmpl = template(env)
+    tmpl.containers = [ContainerSpec("main", "learner:latest", flaky)]
+    job = KubeJob(meta=ObjectMeta(name="guardian-3"), template=tmpl)
+    cluster.api.create_job(job)
+    env.run(until=30)
+    assert (job.succeeded, job.failed_attempts) == (1, 2)
+    assert len(cluster.controllers._job_failures_counted) == 2
+    assert cluster.api.exists("jobs", "guardian-3")
+    env.run(until=200)
+    assert not cluster.api.exists("jobs", "guardian-3")
+    assert cluster.api.list_pods(owner=job.meta.uid) == []
+    assert cluster.controllers._job_failures_counted == set()
+
+
+def test_a_deleted_set_leaves_no_replica_counter():
+    env, cluster = make_cluster()
+    deployment = Deployment(meta=ObjectMeta(name="helper"), replicas=2,
+                            template=template(env))
+    cluster.api.create_deployment(deployment)
+    env.run(until=10)
+    assert cluster.controllers._rs_counters == {deployment.meta.uid: 2}
+    cluster.api.delete_deployment("helper")
+    assert cluster.controllers._rs_counters == {}
+
+
 def test_deployment_maintains_replicas():
     env, cluster = make_cluster()
     deployment = Deployment(meta=ObjectMeta(name="helper"), replicas=2,

@@ -1,7 +1,8 @@
 """What the cyclic garbage collector may and may not do to a run.
 
-A finished process leaves no reference cycle, so a drained platform run
-made with the collector off leaves no ``repro`` object for it to find.
+A finished or failed process leaves no reference cycle, so a drained
+platform run made with the collector off leaves no ``repro`` object for
+it to find, also when a Guardian crashes on the way.
 When the collector runs must not be observable: a run with it off, at
 the default thresholds and at ``(1, 1, 1)`` inside the event loop too
 draws, reports and processes exactly the same.  And one module sets
@@ -69,6 +70,19 @@ def collector(setting):
             gc.enable()
 
 
+def cyclic_garbage():
+    """The ``repro`` objects a collection finds now, by type."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return collections.Counter(
+            type(found).__qualname__ for found in gc.garbage
+            if type(found).__module__.startswith("repro."))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 #: setting -> (what the small platform run did, the ``repro`` objects a
 #: collection right after it found, by type).
 _PLATFORM = {}
@@ -84,15 +98,7 @@ def platform_run(setting):
                 for i in range(3)]
             for job_id in job_ids:
                 run_to_terminal(env, platform, job_id)
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            try:
-                gc.collect()
-                leaked = collections.Counter(
-                    type(found).__qualname__ for found in gc.garbage
-                    if type(found).__module__.startswith("repro."))
-            finally:
-                gc.set_debug(0)
-                gc.garbage.clear()
+            leaked = cyclic_garbage()
         env.settle()
         _PLATFORM[setting] = ([platform.job(job_id).status.timeline()
                                for job_id in job_ids],
@@ -108,6 +114,22 @@ def test_a_drained_platform_leaves_no_cyclic_garbage():
     outcome, leaked = platform_run("off")
     assert all(timeline[-1][0] == "COMPLETED" for timeline in outcome[0])
     assert leaked == {}
+
+
+def test_a_failed_process_leaves_no_cyclic_garbage():
+    # The first Guardian's workload raises mid-deploy: its process keeps
+    # the exception, whose frames once reached the Guardian's container
+    # and volume claim.
+    with collector("off"):
+        env, platform = make_platform(nodes=2)
+        platform.crash_guardian_after_step = 2
+        job_id = submit(env, platform, make_manifest(name="gc-crash"))
+        job = platform.job(job_id)
+        while job.guardian_attempts < 2:
+            env.run(until=env.now + 0.5)
+        platform.crash_guardian_after_step = 0
+        assert run_to_terminal(env, platform, job_id) == "COMPLETED"
+        assert cyclic_garbage() == {}
 
 
 @pytest.mark.parametrize("setting", ("off", "eager"))
