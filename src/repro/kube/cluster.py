@@ -105,9 +105,6 @@ class Cluster:
     def push_image(self, image: Image) -> None:
         self.registry.push(image)
 
-    def node_is_alive(self, node_name: str) -> bool:
-        return node_name not in self._dead_nodes
-
     # -- scheduling callbacks ------------------------------------------------------
 
     def reserve(self, pod: Pod, node_name: str) -> None:
@@ -118,10 +115,6 @@ class Cluster:
         # Keyed by uid: StatefulSets reuse pod names, and a stale release
         # against a name would free the replacement's resources.
         self._assignments[pod.meta.uid] = (node_name, pod.spec.resources)
-
-    def bind_reserved(self, pod: Pod, node_name: str) -> None:
-        """Commit a previously reserved placement."""
-        self.api.bind_pod(pod, node_name)
 
     def release(self, pod: Pod) -> None:
         assignment = self._assignments.pop(pod.meta.uid, None)

@@ -228,14 +228,14 @@ class NodeController:
 
     def _detect_and_evict(self, node: Node):
         yield self.env.timeout(self.detection_latency_s)
-        if self.cluster.node_is_alive(node.name):
+        if self.cluster.node_is_up(node.name):
             return  # blip recovered before detection
         node.condition = NODE_NOT_READY
         self.api.update_node(node)
         self.api.record_event(KubeEvent(self.env.now, NODE_NOT_READY_EVENT,
                                         "Node", node.name))
         yield self.env.timeout(self.eviction_timeout_s)
-        if self.cluster.node_is_alive(node.name):
+        if self.cluster.node_is_up(node.name):
             node.condition = NODE_READY
             self.api.update_node(node)
             return

@@ -10,16 +10,19 @@ scheduling.
 The scheduler is event-driven: it wakes when pods arrive, when resources
 free up, and when PVCs bind, so multi-month simulations need no polling.
 
-Steps (1) to (3) are the candidate index's (``placement.Placement``, the
-base class), over every node for every attempt, as in the paper; the
-scheduler adds the queue, the bind window, the races, gangs and the
-FailedScheduling messages.  What no caller varies is a module constant
-here (batch delay, per-pod cost, bind latency, order jitter).
+The queue holds units, a gang or one pod; a pass makes one attempt per
+unit: validate, wait for a whole gang, decide, bind.  The decision is
+``Placement.plan`` (the base class): steps (1) to (3) over every node,
+as in the paper, or BSA for a gang.  The scheduler adds the queue, the
+bind window, the races and the FailedScheduling messages.  What no
+caller varies is a module constant here (batch delay, per-pod cost,
+bind latency, order jitter).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import KubeError
@@ -40,11 +43,7 @@ from repro.kube.events import (
     SCHEDULED,
 )
 from repro.kube.objects import PENDING, Pod
-from repro.kube.scheduling.bsa import (
-    OBJECTIVE_BALANCE,
-    OBJECTIVE_PACK,
-    bsa_place,
-)
+from repro.kube.scheduling.bsa import OBJECTIVE_BALANCE, OBJECTIVE_PACK
 from repro.kube.scheduling.placement import Placement, class_key
 from repro.kube.scheduling.policies import PACK, check_policy
 from repro.sim.core import Environment
@@ -98,18 +97,29 @@ ORDER_JITTER = 7.0
 ORDER_JITTER_SIGMA = 1.6
 
 
-@dataclass
-class _GangEntry:
-    key: str
-    size: int
-    pod_names: List[str] = field(default_factory=list)
-    arrival_time: float = 0.0
+class _Unit:
+    """The queued members of one gang, or one pod; ``tiebreak`` orders a
+    pod among same-instant arrivals with gangs off."""
+
+    __slots__ = ("key", "size", "pod_names", "arrival_time", "tiebreak")
+
+    def __init__(self, key: str, size: int, arrival_time: float,
+                 tiebreak: float = 0.0):
+        self.key = key
+        self.size = size
+        self.pod_names: List[str] = []
+        self.arrival_time = arrival_time
+        self.tiebreak = tiebreak
 
 
-def gang_order(entry: _GangEntry) -> Tuple[float, int, str]:
+def gang_order(entry: _Unit) -> Tuple[float, int, str]:
     """A gang pass's order: FCFS over gangs, same-instant arrivals
     resolved largest-first (Section 3.6)."""
     return (entry.arrival_time, -entry.size, entry.key)
+
+
+#: A pass's order with gangs off: creation time, then the jittered place.
+pod_order = attrgetter("arrival_time", "tiebreak")
 
 
 class Scheduler(Placement):
@@ -125,14 +135,15 @@ class Scheduler(Placement):
         self.api = api
         self.cluster = cluster
         self.rng = rng.stream("scheduler")
-        self._queue: Dict[str, tuple] = {}  # pod name -> (time, tiebreak)
         #: Queued pod name -> its ``class_key``.  Taken once, at
         #: creation: nothing writes a pod's request (a frozen dataclass)
         #: or its selector afterwards.
-        self._class_keys: Dict[str, tuple] = {}
+        self._queue: Dict[str, tuple] = {}
         self._enqueue_seq = 0
         self._burst_jitter = ORDER_JITTER
-        self._gangs: Dict[str, _GangEntry] = {}
+        #: Gang name, or pod name -> its unit; with gangs off, exactly
+        #: the queued pods, one each.
+        self._units: Dict[str, _Unit] = {}
         self._wake = env.event()
         self.pods_scheduled = 0
         #: PVC deletions the informer may not have observed yet, oldest
@@ -168,18 +179,20 @@ class Scheduler(Placement):
         self._enqueue_seq += 1
         tiebreak = self._enqueue_seq + \
             self.rng.uniform(0.0, self._burst_jitter)
-        self._queue[pod.name] = (self.env.now, tiebreak)
-        self._class_keys[pod.name] = class_key(
+        name = pod.name
+        self._queue[name] = class_key(
             pod.spec.resources, pod.spec.node_selector, not self.config.gang)
         if self.config.gang:
-            key = pod.spec.gang_name or pod.name
-            entry = self._gangs.get(key)
-            if entry is None:
-                entry = _GangEntry(key, pod.spec.gang_size,
-                                   arrival_time=self.env.now)
-                self._gangs[key] = entry
-            entry.size = max(entry.size, pod.spec.gang_size)
-            entry.pod_names.append(pod.name)
+            key = pod.spec.gang_name or name
+            unit = self._units.get(key)
+            if unit is None:
+                unit = self._units[key] = _Unit(key, pod.spec.gang_size,
+                                                self.env.now)
+            unit.size = max(unit.size, pod.spec.gang_size)
+        else:
+            unit = self._units[name] = _Unit(name, 1, self.env.now, tiebreak)
+        if name not in unit.pod_names:  # a replacement may reuse a name
+            unit.pod_names.append(name)
         self.kick()
 
     def _track_placement(self, verb: str, pod: Pod) -> None:
@@ -253,44 +266,64 @@ class Scheduler(Placement):
             yield self.env.timeout(BATCH_DELAY_S)
             # Arm the next wake before the pass so kicks during it are kept.
             self._wake = self.env.event()
-            if self.config.gang:
-                yield from self._gang_pass()
-            else:
-                yield from self._pod_pass()
+            yield from self._pass()
             if self._queue and not self._wake.triggered:
                 yield self._wake
 
-    def _pod_pass(self):
-        for name in sorted(self._queue, key=self._queue.get):
-            if name not in self._queue:
-                continue
-            yield self.env.timeout(PER_POD_LATENCY_S)
-            yield from self._attempt_pod(name)
-
-    def _gang_pass(self):
-        for entry in sorted(self._gangs.values(), key=gang_order):
-            if entry.key not in self._gangs:
+    def _pass(self):
+        order = gang_order if self.config.gang else pod_order
+        for unit in sorted(self._units.values(), key=order):
+            if unit.key not in self._units:
                 continue
             yield self.env.timeout(PER_POD_LATENCY_S *
-                                   max(1, len(entry.pod_names)))
-            yield from self._attempt_gang(entry)
+                                   max(1, len(unit.pod_names)))
+            yield from self._attempt(unit)
 
-    # -- single-pod scheduling ----------------------------------------------------------
+    # -- one attempt ---------------------------------------------------------------------
 
-    def _attempt_pod(self, name: str):
-        pod = self._validate_queued_pod(name)
-        if pod is None:
+    def _attempt(self, unit: _Unit):
+        pods: List[Pod] = []
+        keys: List[tuple] = []
+        for name in list(unit.pod_names):
+            pod = self._validate_queued_pod(name)
+            if name not in self._queue:
+                # Dequeued; a deleted member's replacement rejoins.
+                unit.pod_names.remove(name)
+            elif pod is None:
+                return  # deferred (PVC/race): retry this unit later
+            else:
+                pods.append(pod)
+                keys.append(self._queue[name])
+        if not unit.pod_names:
+            self._units.pop(unit.key, None)
             return
-        node_name = self.best_node(pod.spec.resources, pod.spec.node_selector,
-                                   pod.meta.owner, self._class_keys[name])
-        if node_name is None:
-            self._record_no_nodes(pod)
+        if len(unit.pod_names) < unit.size:
+            # Members already placed and alive (e.g. the rest of a gang
+            # whose one pod was lost to a node failure and recreated)
+            # count toward completeness — the replacement must not wait
+            # for peers that are already running.
+            placed = sum(
+                1 for other in self.api.list_pods()
+                if other.spec.gang_name == unit.key
+                and other.node_name is not None
+                and not other.is_terminal
+                and other.name not in unit.pod_names)
+            if placed + len(unit.pod_names) < unit.size:
+                return  # wait for the rest of the gang to be created
+        assignment, unplaced = self.plan(pods, keys, self.rng)
+        for pod in unplaced:
+            self._emit(pod.name, REASON_NO_NODES, pod,
+                       predicates=self._predicate_summary(pod))
+        if assignment is None:
             return
-        yield from self._bind_with_window([(pod, node_name)])
+        self._units.pop(unit.key, None)
+        yield from self._bind_with_window(pods, assignment)
 
     def _validate_queued_pod(self, name: str) -> Optional[Pod]:
-        """Common per-attempt checks; returns the pod or None (dequeued or
-        deferred)."""
+        """An attempt's checks of one member; returns the pod or None
+        (not queued, or deferred)."""
+        if name not in self._queue:
+            return None
         pod = self.api.try_get_pod(name)
         if pod is None:
             self._emit(name, REASON_POD_NOT_FOUND)
@@ -334,99 +367,35 @@ class Scheduler(Placement):
                 return claim
         return None
 
-    def _bind_with_window(self, placements) -> None:
+    def _bind_with_window(self, pods: List[Pod],
+                          assignment: Dict[str, str]) -> None:
         """Reserve resources, wait out the binding API round-trip, then
         commit — rejecting pods that were deleted in the window."""
-        for pod, node_name in placements:
-            self.cluster.reserve(pod, node_name)
+        for pod in pods:
+            self.cluster.reserve(pod, assignment[pod.name])
             self._dequeue(pod.name)
         yield self.env.timeout(BIND_LATENCY_S)
-        for pod, node_name in placements:
+        for pod in pods:
+            node_name = assignment[pod.name]
             if pod.meta.deletion_requested or \
                     not self.api.exists("pods", pod.name):
                 self._emit(pod.name, REASON_BINDING_REJECTED, pod)
                 self.cluster.release(pod)
                 continue
-            self.cluster.bind_reserved(pod, node_name)
+            self.api.bind_pod(pod, node_name)
             self.pods_scheduled += 1
             self.api.record_event(KubeEvent(
                 self.env.now, SCHEDULED, "Pod", pod.name,
                 message=f"bound to {node_name}",
                 pod_type=pod.meta.labels.get("type")))
 
-    # -- gang scheduling -------------------------------------------------------------------
-
-    def _attempt_gang(self, entry: _GangEntry):
-        # Validate members first (drops deleted/skipped pods from the gang).
-        pods: List[Pod] = []
-        for name in list(entry.pod_names):
-            if name not in self._queue:
-                entry.pod_names.remove(name)
-                continue
-            pod = self._validate_queued_pod(name)
-            if pod is None:
-                if name not in self._queue:
-                    # Permanently dropped (deleted); a set controller will
-                    # recreate it and the replacement will rejoin the gang.
-                    entry.pod_names.remove(name)
-                    continue
-                return  # deferred (PVC/race): retry this gang later
-            pods.append(pod)
-        if not entry.pod_names:
-            self._gangs.pop(entry.key, None)
-            return
-        if len(entry.pod_names) < entry.size:
-            # Members already placed and alive (e.g. the rest of a gang
-            # whose one pod was lost to a node failure and recreated)
-            # count toward completeness — the replacement must not wait
-            # for peers that are already running.
-            placed = sum(
-                1 for other in self.api.list_pods()
-                if other.spec.gang_name == entry.key
-                and other.node_name is not None
-                and not other.is_terminal
-                and other.name not in entry.pod_names)
-            if placed + len(entry.pod_names) < entry.size:
-                return  # wait for the rest of the gang to be created
-        assignment, unplaced = self._place_gang(pods)
-        for pod in unplaced:
-            self._record_no_nodes(pod)
-        if assignment is None:
-            return
-        self._gangs.pop(entry.key, None)
-        yield from self._bind_with_window(
-            [(pod, assignment[pod.name]) for pod in pods])
-
-    def _place_gang(self, pods: List[Pod]) -> Tuple[Optional[Dict[str, str]],
-                                                    List[Pod]]:
-        """BSA's assignment for queued pods, fed by the candidate index,
-        and the pods that get a FailedScheduling event: those with no
-        feasible node (BSA is not called), or all when no sampled round
-        fitted.  Every class is read before any list is built."""
-        classes = [self._feasible_candidates(
-            pod.spec.resources, pod.spec.node_selector, False,
-            self._class_keys[pod.name]) for pod in pods]
-        empty = [pod for pod, entry in zip(pods, classes) if not entry.ranked]
-        if empty:
-            return None, empty
-        assignment = bsa_place(
-            pods, self.allocations,
-            {pod.name: self._gang_lists(entry)
-             for pod, entry in zip(pods, classes)},
-            self.rng, objective=self.objective)
-        return assignment, pods if assignment is None else []
-
     # -- events --------------------------------------------------------------------------------
-
-    def _record_no_nodes(self, pod: Pod) -> None:
-        self._emit(pod.name, REASON_NO_NODES, pod,
-                   predicates=self._predicate_summary(pod))
 
     def _predicate_summary(self, pod: Pod) -> str:
         """Why no node fits, per predicate, as FailedScheduling says it
         (the index's ``predicate_counts``)."""
         counts = self.predicate_counts(pod.spec.node_selector,
-                                       self._class_keys[pod.name])
+                                       self._queue[pod.name])
         reasons = [f"{predicate} ({count})" for predicate, count in zip(
             (PREDICATE_INSUFFICIENT_GPU, PREDICATE_MATCH_NODE_SELECTOR,
              PREDICATE_NODE_UNSCHEDULABLE), counts) if count]
@@ -451,5 +420,4 @@ class Scheduler(Placement):
 
     def _dequeue(self, name: str) -> None:
         self._queue.pop(name, None)
-        self._class_keys.pop(name, None)
         self._failures.pop(name, None)

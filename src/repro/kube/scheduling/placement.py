@@ -12,24 +12,28 @@ the pod's owner already occupies, it reads down to the first node the
 owner does not occupy.  A gang class keeps each node's BSA bias weight
 and the draw lists BSA takes; beside the classes, the same journal
 keeps the FailedScheduling counts per ``(selector, GPUs)`` current.
-The index knows nothing of pods, queues or time: the scheduler
-(``framework.Scheduler``, a subclass) and the Figure 3 replayer
-(``repro.analysis.schedreplay``) drive it.  DESIGN.md,
-"Scheduler candidate index" and "What a gang attempt costs".
+``plan`` decides one scheduling unit from them.  The index knows
+nothing of queues or time: the scheduler (``framework.Scheduler``, a
+subclass) and the Figure 3 replayer (``repro.analysis.schedreplay``)
+drive it.  DESIGN.md, "Scheduler candidate index" and "What a gang
+attempt costs".
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.kube.objects import Pod
 from repro.kube.resources import NodeAllocation, ResourceRequest
 from repro.kube.scheduling.bsa import (
     ALPHA,
     OBJECTIVE_PACK,
     Candidates,
     bias_weight,
+    bsa_place,
 )
 from repro.kube.scheduling.policies import score_node, score_reads_owner
 
@@ -173,7 +177,34 @@ class Placement:
             if not nodes:
                 del self._owner_nodes[owner]
 
-    # -- the two questions ----------------------------------------------------
+    # -- the decision and the two questions it asks --------------------------
+
+    def plan(self, pods: Sequence[Pod], keys: Sequence[tuple],
+             rng: random.Random) -> Tuple[Optional[Dict[str, str]],
+                                          List[Pod]]:
+        """A unit's pod name -> node name, or None, and the pods to
+        report as unschedulable.  Scored ``keys`` (``class_key``, gangs
+        off) are one pod, sent to its :meth:`best_node`; unscored, a gang
+        BSA places whole: its pods with no feasible node are reported
+        (BSA is not called), or all when no sampled round fitted.  Reads
+        the index, the allocations and ``rng`` only."""
+        if keys[0][5]:  # ``class_key``'s layout: scored
+            pod, = pods
+            name = self.best_node(pod.spec.resources, pod.spec.node_selector,
+                                  pod.meta.owner, keys[0])
+            return (None, [pod]) if name is None else ({pod.name: name}, [])
+        classes = [self._feasible_candidates(
+            pod.spec.resources, pod.spec.node_selector, False, key)
+            for pod, key in zip(pods, keys)]
+        empty = [pod for pod, entry in zip(pods, classes) if not entry.ranked]
+        if empty:
+            return None, empty
+        assignment = bsa_place(
+            pods, self.allocations,
+            {pod.name: self._gang_lists(entry)
+             for pod, entry in zip(pods, classes)},
+            rng, objective=self.objective)
+        return assignment, pods if assignment is None else []
 
     def best_node(self, request: ResourceRequest, selector: Mapping,
                   owner: Optional[str] = None,

@@ -358,7 +358,12 @@ class TimedCall:
             return
         if client.breaker is not None:
             client.breaker.record_failure()
-        self.last_error = err
+        # Kept without its traceback: the frames the error unwound still
+        # reach ``_act`` and the event loop's frames through ``f_back``
+        # (clearing their locals leaves that), and those hold this call,
+        # so a traceback would make a call that failed once a reference
+        # cycle (DESIGN.md, "What the collector costs").
+        self.last_error = err.with_traceback(None)
         if self.attempt + 1 >= policy.max_attempts:
             self._give_up(RetryExhaustedError(
                 f"call failed after {policy.max_attempts} attempt(s): "

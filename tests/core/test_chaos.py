@@ -68,7 +68,7 @@ def test_chaos_soak(seed):
             faults_injected += 1
         elif roll < 0.65:
             node = rng.choice(sorted(platform.cluster.kubelets))
-            if platform.cluster.node_is_alive(node):
+            if platform.cluster.node_is_up(node):
                 platform.cluster.fail_node(node)
                 faults_injected += 1
 
@@ -96,7 +96,7 @@ def test_chaos_soak(seed):
     # Drain: all resources returned.
     env.run(until=env.now + 300)
     for node in sorted(platform.cluster.kubelets):
-        if not platform.cluster.node_is_alive(node):
+        if not platform.cluster.node_is_up(node):
             platform.cluster.recover_node(node)
     env.run(until=env.now + 300)
     assert platform.cluster.allocated_gpus() == 0

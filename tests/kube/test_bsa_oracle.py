@@ -16,7 +16,7 @@ must be equal by ``==``, and neither may touch the allocations it was
 given.
 
 The stateful oracle runs the scheduler's own index-fed path
-(``Scheduler._place_gang``: class weights and draw lists kept current
+(``Placement.plan``: class weights and draw lists kept current
 from the invalidation journal) through random churn - reservations and
 releases, cordons through ``update_node``, node additions, bursts that
 cut the journal - and compares each gang attempt with the reference on
@@ -360,7 +360,9 @@ class Churn:
         reference_rng = random.Random()
         reference_rng.setstate(scheduler.rng.getstate())
         before = free_state(cluster.allocations)
-        got, unplaced = scheduler._place_gang(pods)
+        got, unplaced = scheduler.plan(
+            pods, [scheduler._queue[pod.name] for pod in pods],
+            scheduler.rng)
         assert free_state(cluster.allocations) == before
         # The reference on fresh views: every ready, matching, fitting
         # node in node order; a pod with none fails the attempt unsampled.

@@ -10,6 +10,7 @@ from repro.kube import (
     NodeCapacity,
     ObjectMeta,
     PENDING,
+    PersistentVolumeClaim,
     Pod,
     PodSpec,
     RUNNING,
@@ -112,6 +113,27 @@ def test_queued_gang_starts_when_resources_free():
     assert all(p.phase == PENDING for p in queued)
     env.run(until=120)
     assert all(p.phase in (RUNNING, "Succeeded") for p in queued)
+
+
+def test_a_replacement_under_a_queued_name_joins_its_gang_once():
+    # g-1 waits for its claim, so the gang stays queued with both names;
+    # g-0 is replaced under its own name before the next attempt.
+    env, cluster = make_cluster(gang=True, nodes=2)
+    api = cluster.api
+    api.create_pod(make_pod(env, "g-0", gang_name="g", gang_size=2))
+    api.create_pod(make_pod(env, "g-1", gang_name="g", gang_size=2,
+                            volume_claims=["claim"]))
+    env.run(until=1)
+    api.delete_pod("g-0")
+    api.create_pod(make_pod(env, "g-0", gang_name="g", gang_size=2))
+    assert cluster.scheduler._units["g"].pod_names == ["g-0", "g-1"]
+    api.create_pvc(PersistentVolumeClaim(ObjectMeta(name="claim"),
+                                         bound=True))
+    cluster.scheduler.kick()
+    env.run(until=5)
+    assert all(pod.phase == RUNNING for pod in api.list_pods())
+    assert cluster.scheduler.pods_scheduled == 2
+    assert cluster.allocated_gpus() == 2
 
 
 def test_largest_gang_first_on_simultaneous_arrival():

@@ -11,7 +11,10 @@ never violate:
   bias weights and draw lists in node order - the (owner, node) index a
   recount, and ``best_node`` the brute-force best,
 * at every failed attempt the FailedScheduling summary from the index's
-  counts is what a fresh scan of every node says.
+  counts is what a fresh scan of every node says,
+* at every step every queued pod is in exactly one scheduling unit, and
+  with gang scheduling off the units are exactly the queued pods, one
+  each.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -171,6 +174,20 @@ def index_held(cluster):
         raise loop.value
 
 
+def units_hold(cluster):
+    """Every queued pod is in exactly one unit (a gang's unit may still
+    list members dequeued since its last attempt); with gang scheduling
+    off the units are exactly the queued pods, one each."""
+    scheduler = cluster.scheduler
+    members = [name for unit in scheduler._units.values()
+               for name in unit.pod_names]
+    assert all(members.count(name) == 1 for name in scheduler._queue)
+    if not scheduler.config.gang:
+        assert {key: unit.pod_names
+                for key, unit in scheduler._units.items()} == \
+            {name: [name] for name in scheduler._queue}
+
+
 def no_overallocation(cluster):
     for allocation in cluster.allocations.values():
         assert allocation.free_gpus >= 0
@@ -225,6 +242,7 @@ def test_no_overallocation_under_random_churn(specs, seed, policy, gang,
             cluster.api.create_pod(pod)
         env.run(until=env.now + 10)
         index_held(cluster)
+        units_hold(cluster)
         no_overallocation(cluster)
         # Every Running pod is on a fitting, live node.
         for pod, _d in pods:
@@ -248,6 +266,7 @@ def test_no_overallocation_under_random_churn(specs, seed, policy, gang,
             cluster.recover_node("node-K80-1")
     env.run(until=env.now + 200)
     index_held(cluster)
+    units_hold(cluster)
     no_overallocation(cluster)
     # Cluster fully drained: everything returned to capacity.
     remaining = [p for p, _d in pods
@@ -363,7 +382,9 @@ def test_gang_all_or_nothing_invariant(seed, jobs, learners, gpus):
             cluster.api.create_pod(pod)
             pods.append(pod)
         by_job[name] = pods
-    env.run(until=60)
+    for _ in range(6):
+        env.run(until=env.now + 10)
+        units_hold(cluster)
     index_held(cluster)
     no_overallocation(cluster)
     for name, pods in by_job.items():

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.raft import CallbackStateMachine, RaftCluster
 from repro.sim import Environment, RngRegistry
 
+from tests.conftest import examples
+
 
 class Tracker:
     def __init__(self):
@@ -86,7 +88,7 @@ def run_schedule(actions, size, seed):
     return cluster, tracker, leaders_by_term
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(actions=ACTIONS, seed=st.integers(min_value=0, max_value=100))
 def test_election_safety(actions, seed):
     _cluster, _tracker, leaders_by_term = run_schedule(actions, 3, seed)
@@ -94,7 +96,7 @@ def test_election_safety(actions, seed):
         assert len(leaders) == 1, f"term {term} had leaders {leaders}"
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(actions=ACTIONS, seed=st.integers(min_value=0, max_value=100))
 def test_log_matching(actions, seed):
     cluster, _tracker, _ = run_schedule(actions, 3, seed)
@@ -108,7 +110,7 @@ def test_log_matching(actions, seed):
                     break
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(actions=ACTIONS, seed=st.integers(min_value=0, max_value=100))
 def test_state_machine_safety(actions, seed):
     _cluster, tracker, _ = run_schedule(actions, 3, seed)
@@ -118,7 +120,7 @@ def test_state_machine_safety(actions, seed):
         assert longer[:len(shorter)] == shorter
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(actions=ACTIONS, seed=st.integers(min_value=0, max_value=50))
 def test_applied_indexes_are_gapless(actions, seed):
     _cluster, tracker, _ = run_schedule(actions, 3, seed)

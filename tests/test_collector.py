@@ -2,7 +2,8 @@
 
 A finished or failed process leaves no reference cycle, so a drained
 platform run made with the collector off leaves no ``repro`` object for
-it to find, also when a Guardian crashes on the way.
+it to find, also when a Guardian crashes on the way, and neither does a
+store call that failed once and was retried.
 When the collector runs must not be observable: a run with it off, at
 the default thresholds and at ``(1, 1, 1)`` inside the event loop too
 draws, reports and processes exactly the same.  And one module sets
@@ -21,7 +22,10 @@ import pytest
 import repro
 from repro.chaos import get_scenario
 from repro.chaos.engine import ChaosEngine
-from repro.sim import core
+from repro.errors import StoreUnavailableError
+from repro.etcd import EtcdClient
+from repro.resilience import RetryPolicy
+from repro.sim import Environment, RngRegistry, core
 
 from tests.chaos import test_perturbation as perturbation
 from tests.core.conftest import (make_manifest, make_platform,
@@ -129,6 +133,29 @@ def test_a_failed_process_leaves_no_cyclic_garbage():
             env.run(until=env.now + 0.5)
         platform.crash_guardian_after_step = 0
         assert run_to_terminal(env, platform, job_id) == "COMPLETED"
+        assert cyclic_garbage() == {}
+
+
+def test_a_retried_store_call_leaves_no_cyclic_garbage():
+    # The first attempt's error is kept as the call's ``last_error``; it
+    # was raised inside the call's own callback, whose frame holds the
+    # call.
+    class FlakyStore:
+        failures = 1
+
+        def put(self, key, value, lease_id):
+            if self.failures:
+                self.failures -= 1
+                raise StoreUnavailableError("down")
+            return key
+
+    with collector("off"):
+        env = Environment()
+        client = EtcdClient(env, FlakyStore(), rng=RngRegistry(0),
+                            retry=RetryPolicy(max_attempts=2))
+        done = client.put("k", "v")
+        env.run()
+        assert done.value == "k" and client.retries == 1
         assert cyclic_garbage() == {}
 
 
